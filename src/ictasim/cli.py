@@ -46,6 +46,7 @@ from .sweeps import (
     rapp_fit,
     raw_p1db,
     read_compression_csv,
+    stimulus_phases,
     sweep_metadata,
     write_compression_csv,
     write_map_csv,
@@ -294,15 +295,12 @@ def solve_count(config: RunConfig) -> int:
         rows = sweep["fdc"].size if sweep["axis"] == "f_dc" else sweep["ic"].size
         return int(rows * sweep["signal"].size)
     if kind == "compression":
-        n_phases = 1
-        if sweep["phases_rad"] is not None:
-            n_phases = len(sweep["phases_rad"])
-        else:
-            spacing = config.grid.spacing
-            k_s = round(sweep["f_s_hz"] / spacing)
-            if 2 * k_s == round(sweep["f_dc_hz"] / spacing):
-                n_phases = 8
-        return int(sweep["power"].size * n_phases)
+        spacing = config.grid.spacing
+        phases = stimulus_phases(
+            round(sweep["f_s_hz"] / spacing), round(sweep["f_dc_hz"] / spacing),
+            sweep["phases_rad"],
+        )
+        return int(sweep["power"].size * phases.size)
     return len(sweep["i_c_a"])  # emission
 
 
@@ -462,18 +460,29 @@ def run(config: RunConfig, out_dir: Path, threads: int | None = None) -> int:
 
 
 def _cmd_fit(args) -> int:
-    phases, powers, gains = read_compression_csv(args.input)
+    try:
+        phases, powers, gains = read_compression_csv(args.input)
+    except (OSError, ValueError) as err:
+        print(f"error: cannot read compression CSV {args.input}: {err}", file=sys.stderr)
+        return 2
     unique_phases = np.unique(phases)
-    if unique_phases.size > 1:
-        if args.phase_index is None:
+    if args.phase_index is None:
+        if unique_phases.size > 1:
             print(
                 f"error: {args.input} holds {unique_phases.size} phase rows; "
                 "pass --phase-index to pick one",
                 file=sys.stderr,
             )
             return 2
-        theta = unique_phases[args.phase_index]
-        keep = phases == theta
+    elif not 0 <= args.phase_index < unique_phases.size:
+        print(
+            f"error: --phase-index {args.phase_index} is out of range; "
+            f"{args.input} holds {unique_phases.size} phase row(s)",
+            file=sys.stderr,
+        )
+        return 2
+    else:
+        keep = phases == unique_phases[args.phase_index]
         powers, gains = powers[keep], gains[keep]
     try:
         fit = rapp_fit(powers, gains)
@@ -517,8 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="JSON run configuration")
         cmd.add_argument("--out", default=None, help="output directory (overrides config)")
         cmd.add_argument("--threads", type=int, default=None, help="parallel row workers")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="reserved; the solver is deterministic")
         return cmd
 
     add_run_command("zjj", "junction-side impedance of the embedding network")

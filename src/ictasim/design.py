@@ -102,6 +102,24 @@ class BandReport:
         return self.upper_rolloff_hz / self.lower_rolloff_hz
 
 
+def longest_run(mask) -> slice:
+    """Longest contiguous True run of a boolean sequence, as a slice.
+
+    The first of equally long runs wins; a mask with no True entry gives an
+    empty slice.
+    """
+    best_start, best_len = 0, 0
+    start = None
+    for i, flag in enumerate(list(mask) + [False]):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            if i - start > best_len:
+                best_start, best_len = start, i - start
+            start = None
+    return slice(best_start, best_start + best_len)
+
+
 def _crossing(f: np.ndarray, r: np.ndarray, i: int, j: int, level: float) -> float:
     """Linear interpolation of the frequency where r crosses level on [i, j]."""
     if r[j] == r[i]:
@@ -145,15 +163,8 @@ def band_check(net: Netlist, grid) -> BandReport:
         peak = int(np.nanargmax(np.where(np.isfinite(r), r, -np.inf)))
         return BandReport(reference, float(r[peak]), float(f[peak]), nan, nan, nan, nan)
     # Largest contiguous above-reference run holds the working band.
-    runs = []
-    start = None
-    for i, flag in enumerate(list(above) + [False]):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    lo, hi = max(runs, key=lambda ab: ab[1] - ab[0])
+    run = longest_run(above)
+    lo, hi = run.start, run.stop - 1
     peak = lo + int(np.argmax(r[lo : hi + 1]))
     r_peak = float(r[peak])
     band_lo = _crossing(f, r, lo, lo - 1, reference) if lo > 0 else float(f[0])

@@ -45,7 +45,12 @@ DEFAULT_ZERO_PAD = 4
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the iteration produces non-finite junction current."""
+    """Raised when the iteration produces non-finite junction current;
+    `iterations` is the step at which it did."""
+
+    def __init__(self, message: str, iterations: int):
+        super().__init__(message)
+        self.iterations = iterations
 
 
 def josephson_frequency(v_dc: float) -> float:
@@ -255,14 +260,6 @@ def phase_update(
     return _ramp_phase(m, bias.phase, n_t) + np.fft.irfft(buf, n_t)
 
 
-def junction_current(
-    phi: np.ndarray, i_c: float, grid: FrequencyGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Josephson current I_c sin(phi): time samples and truncated spectrum."""
-    i_t = i_c * np.sin(phi)
-    return i_t, to_spectrum(i_t, grid)
-
-
 def _resolve_grid(row: JunctionRow) -> FrequencyGrid:
     if row.grid is not None:
         return row.grid
@@ -377,7 +374,7 @@ def iterate(
         delta = float(np.max(np.abs(updated - current)))
         if not np.isfinite(delta):
             raise DivergenceError(
-                f"junction current became non-finite at iteration {iterations}"
+                f"junction current became non-finite at iteration {iterations}", iterations
             )
         current = updated
         if delta < tol_abs or delta == 0.0:

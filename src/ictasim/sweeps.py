@@ -1,12 +1,16 @@
 """Sweep drivers: gain maps and profiles, compression curves, pump emission.
 
-Each driver wraps the fixed-point solver in a deterministic traversal with
-warm starts along the physically continuous axis: signal frequency within a
-fixed-bias row, ascending power within a compression curve.  A warm start is
-taken only from a converged neighbor; an oscillating spectrum would poison
-the next point.  Map rows (one per bias frequency) are independent and may be
-solved in parallel without changing any result, since each chain is
-self-contained and the merge order is fixed.
+Every gain sweep runs the fixed-point solver through one warm-start chain: a
+list of single-tone stimuli solved in order at a fixed bias, along the
+physically continuous axis.  A profile is one chain along ascending signal
+frequency, a gain map one such chain per bias row, and a compression curve
+one chain along ascending power per stimulus phase.  A warm start is taken
+only from a converged neighbor; an oscillating spectrum would poison the
+next point.  A point that exhausts its iteration budget or diverges is
+masked (NaN gain and balance) and the next point starts cold, so no single
+point aborts a sweep.  Map rows are independent and may be solved in
+parallel without changing any result, since each chain is self-contained
+and the merge order is fixed.
 
 Compression metrics follow the AM-AM saturation model
 P_out = G0 P_in / [1 + (G0 P_in / P_sat)^(2p)]^(1/(2p)), fitted in dB space.
@@ -35,13 +39,14 @@ from .circuit import (
     netlist_hash,
     netlist_to_dict,
 )
+from .design import longest_run
 from .frankenstein import FrankensteinMatrix, junction_row
 from .solver import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
     DEFAULT_ZERO_PAD,
     BiasPoint,
-    SolutionState,
+    DivergenceError,
     Stimulus,
     dbm_to_watts,
     gain,
@@ -82,12 +87,13 @@ class SolverOptions:
         }
 
 
-def _as_response(net, grid: FrequencyGrid) -> FrankensteinMatrix:
-    if isinstance(net, FrankensteinMatrix):
-        return net
+def _as_response(net, grid: FrequencyGrid) -> tuple[FrankensteinMatrix, FrequencyGrid]:
+    """Response matrix of `net` and its grid (`grid` when it carries none)."""
     if isinstance(net, Netlist):
-        return frankenstein_matrix(net, grid)
-    raise TypeError("expected a Netlist or a prebuilt response matrix")
+        net = frankenstein_matrix(net, grid)
+    elif not isinstance(net, FrankensteinMatrix):
+        raise TypeError("expected a Netlist or a prebuilt response matrix")
+    return net, net.grid or grid
 
 
 def _snap_frequencies(frequencies, grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -126,20 +132,6 @@ class GainProfile:
     band_hi_hz: float
 
 
-def _longest_run(mask: np.ndarray) -> slice:
-    """Longest contiguous True run, as a slice (empty when mask is empty)."""
-    best_start, best_len = 0, 0
-    start = None
-    for i, flag in enumerate(list(mask) + [False]):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            if i - start > best_len:
-                best_start, best_len = start, i - start
-            start = None
-    return slice(best_start, best_start + best_len)
-
-
 def plateau_metrics(
     frequencies: np.ndarray,
     gain_db: np.ndarray,
@@ -152,7 +144,7 @@ def plateau_metrics(
     converged point reaches the threshold.
     """
     ok = np.asarray(converged, dtype=bool) & (np.asarray(gain_db) >= threshold_db)
-    run = _longest_run(ok)
+    run = longest_run(ok)
     if run.stop <= run.start:
         return 0.0, float("nan"), float("nan"), float("nan")
     f = np.asarray(frequencies, dtype=float)[run]
@@ -160,38 +152,41 @@ def plateau_metrics(
     return float(f[-1] - f[0]), float(np.mean(g)), float(f[0]), float(f[-1])
 
 
-def _sweep_row(
+def _chain(
     response: FrankensteinMatrix,
     bias: BiasPoint,
-    bins: np.ndarray,
-    power_dbm: float,
-    phase: float,
+    stimuli: Sequence[Stimulus],
     options: SolverOptions,
-    port: str,
 ):
-    """Warm-start chain over ascending signal bins at a fixed bias."""
-    grid = response.grid
+    """Warm-start chain over single-tone stimuli, in order, at a fixed bias.
+
+    Returns (gain_db, converged, balance_error, iterations) per stimulus.  An
+    unconverged or diverged point gets NaN gain and balance, and the next
+    point starts cold; a diverged point records the iteration it diverged at.
+    """
     row = junction_row(response)
     kwargs = options.as_kwargs()
-    n = len(bins)
+    n = len(stimuli)
     gain_db = np.full(n, np.nan)
     converged = np.zeros(n, dtype=bool)
     balance = np.full(n, np.nan)
     iterations = np.zeros(n, dtype=int)
     warm = None
-    for i, k in enumerate(bins):
-        f_s = k * grid.spacing
-        stim = Stimulus.single(f_s, power_dbm, phase=phase, port=port)
-        state = iterate(row, bias, stim, initial=warm, **kwargs)
+    for i, stim in enumerate(stimuli):
+        try:
+            state = iterate(row, bias, stim, initial=warm, **kwargs)
+        except DivergenceError as err:
+            iterations[i] = err.iterations
+            warm = None
+            continue
         iterations[i] = state.iterations
         converged[i] = state.converged
+        warm = state.i_j if state.converged else None
         if state.converged:
-            warm = state.i_j
+            tone = stim.tones[0]
             state = outputs(state, response, stim)
-            gain_db[i] = gain(state, f_s, port=port)
+            gain_db[i] = gain(state, tone.frequency, port=tone.port)
             balance[i] = power_balance(state).relative_error
-        else:
-            warm = None
     return gain_db, converged, balance, iterations
 
 
@@ -213,13 +208,11 @@ def gain_profile(
     likewise.  Points are solved in ascending order with warm starts from the
     previous converged point.
     """
-    response = _as_response(net, grid)
-    grid = response.grid or grid
+    response, grid = _as_response(net, grid)
     bias = replace(bias, f_dc=round_bias(bias.f_dc, grid))
     snapped, bins = _snap_frequencies(signal_frequencies, grid)
-    gain_db, converged, balance, iterations = _sweep_row(
-        response, bias, bins, power_dbm, phase, options, port
-    )
+    stimuli = [Stimulus.single(k * grid.spacing, power_dbm, phase=phase, port=port) for k in bins]
+    gain_db, converged, balance, iterations = _chain(response, bias, stimuli, options)
     bandwidth, average, f_lo, f_hi = plateau_metrics(snapped, gain_db, converged, threshold_db)
     return GainProfile(
         frequencies=snapped,
@@ -265,19 +258,31 @@ class GainMap:
             raise ValueError("map value/mask shapes do not match the axes")
 
 
-def _solve_rows(response, row_biases, bins, power_dbm, phase, options, port, workers):
+def _bias_map(
+    response, grid, signal_frequencies, biases, power_dbm, phase, options, port, workers, **axis
+) -> GainMap:
+    """One warm-start chain along ascending f_s per bias row; `axis` holds the
+    GainMap fields that describe the rows."""
+    f_s, bins = _snap_frequencies(signal_frequencies, grid)
+    stimuli = [Stimulus.single(k * grid.spacing, power_dbm, phase=phase, port=port) for k in bins]
+
     def one_row(bias):
-        return _sweep_row(response, bias, bins, power_dbm, phase, options, port)
+        return _chain(response, bias, stimuli, options)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one_row, row_biases))
+            rows = list(pool.map(one_row, biases))
     else:
-        rows = [one_row(b) for b in row_biases]
-    values = np.vstack([r[0] for r in rows])
-    converged = np.vstack([r[1] for r in rows])
-    balance = np.vstack([r[2] for r in rows])
-    return values, converged, balance
+        rows = [one_row(b) for b in biases]
+    values, converged, balance, _ = map(np.vstack, zip(*rows))
+    return GainMap(
+        signal_frequencies=f_s,
+        values=values,
+        converged=converged,
+        balance_error=balance,
+        power_dbm=power_dbm,
+        **axis,
+    )
 
 
 def gain_map_fdc(
@@ -297,28 +302,17 @@ def gain_map_fdc(
 
     Bias-major traversal: each row fixes f_dc and runs a warm-start chain
     along ascending f_s; rows are independent, so `workers` > 1 solves them
-    in parallel with identical results.  Non-convergence is masked, never
-    fatal.
+    in parallel with identical results.  Unconverged and diverged points are
+    masked, never fatal.
     """
-    response = _as_response(net, grid)
-    grid = response.grid or grid
-    f_s, bins = _snap_frequencies(signal_frequencies, grid)
+    response, grid = _as_response(net, grid)
     f_dc = np.array([round_bias(f, grid) for f in np.asarray(bias_frequencies, dtype=float)])
     if np.any(np.diff(f_dc) <= 0):
         raise ValueError("bias frequency axis must be strictly increasing on the grid")
     biases = [BiasPoint(f_dc=f, i_c=i_c) for f in f_dc]
-    values, converged, balance = _solve_rows(
-        response, biases, bins, power_dbm, phase, options, port, workers
-    )
-    return GainMap(
-        signal_frequencies=f_s,
-        axis_values=f_dc,
-        axis_name="f_dc_hz",
-        values=values,
-        converged=converged,
-        balance_error=balance,
-        power_dbm=power_dbm,
-        i_c=i_c,
+    return _bias_map(
+        response, grid, signal_frequencies, biases, power_dbm, phase, options, port, workers,
+        axis_values=f_dc, axis_name="f_dc_hz", i_c=i_c,
     )
 
 
@@ -336,26 +330,15 @@ def gain_map_ic(
     workers: int = 1,
 ) -> GainMap:
     """Gain map over critical-current rows at a fixed bias frequency."""
-    response = _as_response(net, grid)
-    grid = response.grid or grid
-    f_s, bins = _snap_frequencies(signal_frequencies, grid)
+    response, grid = _as_response(net, grid)
     i_c = np.asarray(critical_currents, dtype=float)
     if np.any(np.diff(i_c) <= 0) or np.any(i_c < 0):
         raise ValueError("critical-current axis must be nonnegative and strictly increasing")
     f_dc = round_bias(f_dc, grid)
     biases = [BiasPoint(f_dc=f_dc, i_c=c) for c in i_c]
-    values, converged, balance = _solve_rows(
-        response, biases, bins, power_dbm, phase, options, port, workers
-    )
-    return GainMap(
-        signal_frequencies=f_s,
-        axis_values=i_c,
-        axis_name="i_c_a",
-        values=values,
-        converged=converged,
-        balance_error=balance,
-        power_dbm=power_dbm,
-        f_dc=f_dc,
+    return _bias_map(
+        response, grid, signal_frequencies, biases, power_dbm, phase, options, port, workers,
+        axis_values=i_c, axis_name="i_c_a", f_dc=f_dc,
     )
 
 
@@ -398,6 +381,19 @@ class CompressionCurve:
         return np.min(self.gain_db, axis=0), np.max(self.gain_db, axis=0)
 
 
+def stimulus_phases(signal_bin: int, pump_bin: int, phases=None) -> np.ndarray:
+    """Stimulus phases a compression sweep samples: explicit `phases` when
+    given; at the degenerate point (signal bin exactly half the pump bin)
+    `DEGENERATE_PHASE_COUNT` phases over half a turn, since degenerate gain
+    is periodic in twice the phase; elsewhere phase 0 alone."""
+    if phases is None:
+        if 2 * signal_bin == pump_bin:
+            phases = np.linspace(0.0, np.pi, DEGENERATE_PHASE_COUNT, endpoint=False)
+        else:
+            phases = [0.0]
+    return np.asarray(phases, dtype=float)
+
+
 def compression_sweep(
     net,
     bias: BiasPoint,
@@ -409,48 +405,22 @@ def compression_sweep(
     phases: Sequence[float] | None = None,
     port: str = "signal",
 ) -> CompressionCurve:
-    """Gain versus ascending input power, warm-started point to point.
-
-    At the degenerate point (signal bin exactly half the bias bin) the sweep
-    samples `DEGENERATE_PHASE_COUNT` stimulus phases over half a turn, since
-    degenerate gain is periodic in twice the phase; elsewhere a single phase
-    suffices.
-    """
-    response = _as_response(net, grid)
-    grid = response.grid or grid
+    """Gain versus ascending input power, warm-started point to point, with
+    one chain per stimulus phase (see `stimulus_phases`)."""
+    response, grid = _as_response(net, grid)
     bias = replace(bias, f_dc=round_bias(bias.f_dc, grid))
     powers = np.asarray(powers_dbm, dtype=float)
     if powers.size < 8 or np.any(np.diff(powers) <= 0):
         raise ValueError("power axis must be strictly increasing with at least 8 points")
     snapped, bins = _snap_frequencies([signal_frequency], grid)
-    k_s = int(bins[0])
-    m = int(round(bias.f_dc / grid.spacing))
-    degenerate = 2 * k_s == m
-    if phases is None:
-        if degenerate:
-            phases = np.linspace(0.0, np.pi, DEGENERATE_PHASE_COUNT, endpoint=False)
-        else:
-            phases = np.array([0.0])
-    phases = np.asarray(phases, dtype=float)
-    row = junction_row(response)
-    kwargs = options.as_kwargs()
+    f_s = float(snapped[0])
+    phases = stimulus_phases(int(bins[0]), int(round(bias.f_dc / grid.spacing)), phases)
     gain_db = np.full((phases.size, powers.size), np.nan)
     converged = np.zeros_like(gain_db, dtype=bool)
     balance = np.full_like(gain_db, np.nan)
-    f_s = float(snapped[0])
     for a, theta in enumerate(phases):
-        warm = None
-        for b, p_in in enumerate(powers):
-            stim = Stimulus.single(f_s, float(p_in), phase=float(theta), port=port)
-            state = iterate(row, bias, stim, initial=warm, **kwargs)
-            converged[a, b] = state.converged
-            if state.converged:
-                warm = state.i_j
-                state = outputs(state, response, stim)
-                gain_db[a, b] = gain(state, f_s, port=port)
-                balance[a, b] = power_balance(state).relative_error
-            else:
-                warm = None
+        stimuli = [Stimulus.single(f_s, float(p), phase=float(theta), port=port) for p in powers]
+        gain_db[a], converged[a], balance[a], _ = _chain(response, bias, stimuli, options)
     return CompressionCurve(
         power_in_dbm=powers,
         gain_db=gain_db,
@@ -643,21 +613,25 @@ def pump_emission(
     Sums the labeled power |a|^2 / (2 Z) over grid bins within +/- half the
     bandwidth around f_dc (the bare line when bandwidth is 0) and converts it
     to a photon rate at f_dc.  Harmonic line labels at 2 f_dc, 3 f_dc ... are
-    reported as long as they stay on the grid.
+    reported as long as they stay on the grid.  An unconverged state still
+    reports its power; a diverged one reports NaN power, unconverged.
     """
-    response = _as_response(net, grid)
-    grid = response.grid or grid
+    response, grid = _as_response(net, grid)
     bias = replace(bias, f_dc=round_bias(bias.f_dc, grid))
-    row = junction_row(response)
-    state = iterate(row, bias, Stimulus.none(), **options.as_kwargs())
-    state = outputs(state, response, Stimulus.none())
-    idx = state.port_names.index(port)
-    impedance = state.port_kinds[idx].impedance
+    idx = response.port_names.index(port)
+    impedance = response.kinds[idx].impedance
     if impedance is None:
         raise ValueError(f"port {port!r} is not a wave port")
     m = int(round(bias.f_dc / grid.spacing))
     half = max(0, int(round(0.5 * bandwidth / grid.spacing)))
     lo, hi = max(1, m - half), min(grid.size - 1, m + half)
+    row = junction_row(response)
+    try:
+        state = iterate(row, bias, Stimulus.none(), **options.as_kwargs())
+    except DivergenceError:
+        nan = float("nan")
+        return EmissionResult(bias.f_dc, nan, nan, 2 * half * grid.spacing, converged=False)
+    state = outputs(state, response, Stimulus.none())
     a = state.a_out[idx]
     power = float(np.sum(np.abs(a[lo : hi + 1]) ** 2) / (2.0 * impedance))
     harmonics = []

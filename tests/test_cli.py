@@ -271,12 +271,6 @@ def test_netlist_by_reference(tmp_path):
     assert main(["zjj", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
 
-def test_seed_flag_is_accepted(tmp_path):
-    path = write_config(tmp_path, {"kind": "zjj"})
-    assert main(["zjj", "--config", str(path), "--out", str(tmp_path / "o"),
-                 "--seed", "7"]) == 0
-
-
 # ---------------------------------------------------------------- fit
 
 
@@ -298,7 +292,7 @@ def test_fit_roundtrip_from_csv(tmp_path, capsys):
     assert "P1dB" in capsys.readouterr().out
 
 
-def test_fit_degenerate_csv_needs_phase_index(tmp_path, capsys):
+def write_two_phase_csv(tmp_path):
     powers = np.linspace(-130.0, -95.0, 20)
     csv = tmp_path / "compression.csv"
     lines = ["phase_rad,power_in_dbm,gain_db,converged,balance_error"]
@@ -306,12 +300,31 @@ def test_fit_degenerate_csv_needs_phase_index(tmp_path, capsys):
         for p, g in zip(powers, rapp_gain_db(powers, g0, -100.0, 1.0)):
             lines.append(f"{theta:.11e},{p:.11e},{g:.11e},1,0.0")
     csv.write_text("\n".join(lines) + "\n")
+    return csv
+
+
+def test_fit_degenerate_csv_needs_phase_index(tmp_path, capsys):
+    csv = write_two_phase_csv(tmp_path)
     assert main(["fit", "--in", str(csv), "--out", str(tmp_path)]) == 2
     assert "--phase-index" in capsys.readouterr().err
     assert main(["fit", "--in", str(csv), "--out", str(tmp_path),
                  "--phase-index", "0"]) == 0
     result = json.loads((tmp_path / "fit.json").read_text())
     assert result["gain_db"] == pytest.approx(14.0, abs=0.05)
+
+
+@pytest.mark.parametrize("index", ["5", "2", "-1"])
+def test_fit_rejects_phase_index_out_of_range(tmp_path, capsys, index):
+    csv = write_two_phase_csv(tmp_path)
+    assert main(["fit", "--in", str(csv), "--out", str(tmp_path), "--phase-index", index]) == 2
+    assert "error: --phase-index" in capsys.readouterr().err
+    assert not (tmp_path / "fit.json").exists()
+
+
+def test_fit_missing_input_is_an_input_error(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert main(["fit", "--in", str(missing), "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_fit_rejects_flat_data(tmp_path, capsys):

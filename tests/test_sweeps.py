@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from ictasim.solver import BiasPoint
+from ictasim import sweeps
+from ictasim.solver import BiasPoint, DivergenceError
 from ictasim.sweeps import (
     CompressionCurve,
     FitFailedError,
@@ -44,12 +45,16 @@ FAST = SolverOptions(max_iterations=3000)
 
 def test_plateau_picks_longest_run():
     f = np.arange(10) * 1e8
-    g = np.array([11, 11, 3, 11, 11, 11, 11, 3, 11, 11], dtype=float)
     ok = np.ones(10, dtype=bool)
-    bw, avg, lo, hi = plateau_metrics(f, g, ok, threshold_db=10.0)
-    assert lo == f[3] and hi == f[6]
-    assert bw == f[6] - f[3]
-    assert avg == 11.0
+    # the longest run wins; of equally long runs, the first
+    for g, (i, j) in (
+        ([11, 11, 3, 11, 11, 11, 11, 3, 11, 11], (3, 6)),
+        ([11, 11, 11, 3, 3, 3, 11, 11, 11, 3], (0, 2)),
+    ):
+        bw, avg, lo, hi = plateau_metrics(f, np.array(g, dtype=float), ok, threshold_db=10.0)
+        assert lo == f[i] and hi == f[j]
+        assert bw == f[j] - f[i]
+        assert avg == 11.0
 
 
 def test_plateau_break_on_unconverged_point():
@@ -414,6 +419,54 @@ def test_photon_rate_conversion():
     assert rate == pytest.approx(3.893e9, rel=1e-3)
     with pytest.raises(ValueError):
         photon_rate(1e-15, 0.0)
+
+
+# ---------------------------------------------------------------- divergence
+
+
+def test_diverged_point_is_masked(canonical_f, coarse_grid, monkeypatch):
+    bias = BiasPoint(f_dc=F_DC, i_c=I_C)
+    fs = np.array([5.12e9, 5.44e9, 5.76e9])
+    powers = np.linspace(-150.0, -115.0, 8)  # -140 dBm at index 2
+
+    def run_sweeps():
+        return (
+            gain_profile(canonical_f, bias, fs, -140.0, grid=coarse_grid, options=FAST),
+            gain_map_fdc(
+                canonical_f, fs, [11.0e9, F_DC], 200e-9, grid=coarse_grid, options=FAST
+            ),
+            compression_sweep(canonical_f, bias, fs[1], powers, grid=coarse_grid, options=FAST),
+        )
+
+    clean = run_sweeps()
+    real_iterate = sweeps.iterate
+
+    def iterate(row, bias, stim, **kwargs):
+        # diverge at f_s = fs[1], -140 dBm on the F_DC row, and on pump-only solves
+        tones = stim.tones
+        if not tones or (
+            bias.f_dc == F_DC and tones[0].frequency == fs[1] and tones[0].power_dbm == -140.0
+        ):
+            raise DivergenceError("forced divergence", 7)
+        return real_iterate(row, bias, stim, **kwargs)
+
+    monkeypatch.setattr(sweeps, "iterate", iterate)
+    masked = run_sweeps()
+    for got, ref, bad in zip(masked, clean, (1, (1, 1), (0, 2))):
+        gain_db = got.values if isinstance(got, GainMap) else got.gain_db
+        ref_gain = ref.values if isinstance(ref, GainMap) else ref.gain_db
+        assert ref.converged.all()
+        assert not got.converged[bad]
+        assert np.isnan(gain_db[bad]) and np.isnan(got.balance_error[bad])
+        keep = np.ones(gain_db.shape, dtype=bool)
+        keep[bad] = False
+        assert got.converged[keep].all()
+        assert np.all(np.abs(gain_db[keep] - ref_gain[keep]) < 0.01)
+    assert masked[0].iterations[1] == 7
+
+    emission = pump_emission(canonical_f, bias, grid=coarse_grid, options=FAST)
+    assert not emission.converged
+    assert np.isnan(emission.power_watts) and np.isnan(emission.photon_rate)
 
 
 # ---------------------------------------------------------------- files
