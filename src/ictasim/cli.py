@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,21 +32,23 @@ from .circuit import (
 )
 from .design import band_check, canonical_icta
 from .circuit import build_icta
-from .solver import BiasPoint
+from .solver import BiasPoint, SolverOptions, round_bias
 from .sweeps import (
     FitFailedError,
     NotFittableError,
-    SolverOptions,
+    bias_axis,
     bias_metadata,
     compression_sweep,
     gain_map_fdc,
     gain_map_ic,
     gain_profile,
     p1db,
+    power_axis,
     pump_emission,
     rapp_fit,
     raw_p1db,
     read_compression_csv,
+    snap_frequencies,
     stimulus_phases,
     sweep_metadata,
     write_compression_csv,
@@ -72,32 +75,35 @@ def _require(d: dict, key: str, path: str):
     return d[key]
 
 
-def _number(d: dict, key: str, path: str, default=None, positive=False, nonnegative=False):
-    if key not in d:
-        if default is None:
-            raise ConfigError(path, f"missing required field {key!r}")
-        return default
-    value = d[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}", "must be a number")
-    value = float(value)
-    if positive and value <= 0:
-        raise ConfigError(f"{path}.{key}", "must be positive")
-    if nonnegative and value < 0:
-        raise ConfigError(f"{path}.{key}", "must be nonnegative")
-    return value
+def _checked(path: str, rule, *args, **kwargs):
+    """Apply a library rule, reporting its ValueError at the JSON path."""
+    try:
+        return rule(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(path, str(err)) from None
 
 
-def _integer(d: dict, key: str, path: str, default=None, minimum=None):
-    if key not in d:
-        if default is None:
-            raise ConfigError(path, f"missing required field {key!r}")
+def _is_number(value) -> bool:
+    # Finite and float-sized: Python's JSON parser also admits NaN, Infinity and huge integers.
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return ok and abs(value) <= sys.float_info.max
+
+
+def _number(d: dict, key: str, path: str, default=None):
+    if default is not None and key not in d:
         return default
-    value = d[key]
+    value = _require(d, key, path)
+    if not _is_number(value):
+        raise ConfigError(f"{path}.{key}", "must be a finite number")
+    return float(value)
+
+
+def _integer(d: dict, key: str, path: str, default=None):
+    if default is not None and key not in d:
+        return default
+    value = _require(d, key, path)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}.{key}", "must be an integer")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}.{key}", f"must be at least {minimum}")
     return value
 
 
@@ -105,25 +111,24 @@ def _axis(d: dict, prefix: str, path: str) -> np.ndarray:
     """Inclusive linear axis from <prefix>_start/_stop/_count fields."""
     start = _number(d, f"{prefix}_start", path)
     stop = _number(d, f"{prefix}_stop", path)
-    count = _integer(d, f"{prefix}_count", path, minimum=0)
-    if count == 0:
+    count = _integer(d, f"{prefix}_count", path)
+    if count < 1:
         raise ConfigError(f"{path}.{prefix}_count", "sweep grid is empty")
     if count > 1 and stop <= start:
         raise ConfigError(f"{path}.{prefix}_stop", "must exceed the start for multi-point axes")
     return np.linspace(start, stop, count)
 
 
+@dataclass
 class RunConfig:
     """Validated run description: netlist, grid, solver settings, one sweep."""
 
-    def __init__(self, netlist: Netlist, grid: FrequencyGrid, options: SolverOptions,
-                 sweep: dict, output_dir: str | None, raw: dict):
-        self.netlist = netlist
-        self.grid = grid
-        self.options = options
-        self.sweep = sweep
-        self.output_dir = output_dir
-        self.raw = raw
+    netlist: Netlist
+    grid: FrequencyGrid
+    options: SolverOptions
+    sweep: dict
+    output_dir: str | None
+    raw: dict
 
 
 _SWEEP_FIELDS = {
@@ -147,7 +152,7 @@ _SWEEP_FIELDS = {
 }
 
 
-def _validate_sweep(sweep, path: str) -> dict:
+def _validate_sweep(sweep, path: str, grid: FrequencyGrid) -> dict:
     if not isinstance(sweep, dict):
         raise ConfigError(path, "must be an object")
     kind = _require(sweep, "kind", path)
@@ -160,61 +165,68 @@ def _validate_sweep(sweep, path: str) -> dict:
     out = {"kind": kind}
     if kind in ("zjj", "fom"):
         return out
-    if kind == "profile":
-        out["f_dc_hz"] = _number(sweep, "f_dc_hz", path, positive=True)
-        out["i_c_a"] = _number(sweep, "i_c_a", path, nonnegative=True)
+    if kind in ("profile", "gainmap"):
         out["power_dbm"] = _number(sweep, "power_dbm", path, default=-140.0)
         out["phase_rad"] = _number(sweep, "phase_rad", path, default=0.0)
-        out["threshold_db"] = _number(sweep, "threshold_db", path, default=10.0)
         out["signal"] = _axis(sweep, "signal", path)
-        return out
-    if kind == "gainmap":
+    if kind == "profile":
+        out["f_dc_hz"] = _number(sweep, "f_dc_hz", path)
+        out["i_c_a"] = _number(sweep, "i_c_a", path)
+        out["threshold_db"] = _number(sweep, "threshold_db", path, default=10.0)
+    elif kind == "gainmap":
         axis = sweep.get("axis", "f_dc")
         if axis not in ("f_dc", "i_c"):
             raise ConfigError(f"{path}.axis", "must be 'f_dc' or 'i_c'")
         out["axis"] = axis
-        out["power_dbm"] = _number(sweep, "power_dbm", path, default=-140.0)
-        out["phase_rad"] = _number(sweep, "phase_rad", path, default=0.0)
-        out["signal"] = _axis(sweep, "signal", path)
         if axis == "f_dc":
-            out["i_c_a"] = _number(sweep, "i_c_a", path, nonnegative=True)
+            out["i_c_a"] = _number(sweep, "i_c_a", path)
             out["fdc"] = _axis(sweep, "fdc", path)
         else:
-            out["f_dc_hz"] = _number(sweep, "f_dc_hz", path, positive=True)
+            out["f_dc_hz"] = _number(sweep, "f_dc_hz", path)
             out["ic"] = _axis(sweep, "ic", path)
-            if np.any(out["ic"] < 0):
-                raise ConfigError(f"{path}.ic_start", "critical currents must be nonnegative")
-        return out
-    if kind == "compression":
-        out["f_dc_hz"] = _number(sweep, "f_dc_hz", path, positive=True)
-        out["i_c_a"] = _number(sweep, "i_c_a", path, nonnegative=True)
-        out["f_s_hz"] = _number(sweep, "f_s_hz", path, positive=True)
+    elif kind == "compression":
+        out["f_dc_hz"] = _number(sweep, "f_dc_hz", path)
+        out["i_c_a"] = _number(sweep, "i_c_a", path)
+        out["f_s_hz"] = _number(sweep, "f_s_hz", path)
         out["power"] = _axis(sweep, "power", path)
-        if out["power"].size < 8:
-            raise ConfigError(f"{path}.power_count", "compression needs at least 8 powers")
         phases = sweep.get("phases_rad")
-        if phases is not None:
-            if not isinstance(phases, list) or not all(
-                isinstance(p, (int, float)) and not isinstance(p, bool) for p in phases
-            ):
-                raise ConfigError(f"{path}.phases_rad", "must be a list of numbers")
-            out["phases_rad"] = [float(p) for p in phases]
-        else:
-            out["phases_rad"] = None
-        return out
-    # emission
-    out["f_dc_hz"] = _number(sweep, "f_dc_hz", path, positive=True)
-    i_c = _require(sweep, "i_c_a", path)
-    if isinstance(i_c, list):
-        if not i_c or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0 for v in i_c
-        ):
-            raise ConfigError(f"{path}.i_c_a", "must be a nonempty list of nonnegative numbers")
+        if phases is not None and not (isinstance(phases, list) and all(map(_is_number, phases))):
+            raise ConfigError(f"{path}.phases_rad", "must be a list of numbers")
+        out["phases_rad"] = phases
+    else:  # emission
+        out["f_dc_hz"] = _number(sweep, "f_dc_hz", path)
+        i_c = _require(sweep, "i_c_a", path)
+        i_c = i_c if isinstance(i_c, list) else [i_c]
+        if not i_c or not all(map(_is_number, i_c)):
+            raise ConfigError(f"{path}.i_c_a", "must be a number or a nonempty list of numbers")
         out["i_c_a"] = [float(v) for v in i_c]
-    else:
-        out["i_c_a"] = [_number(sweep, "i_c_a", path, nonnegative=True)]
-    out["bandwidth_hz"] = _number(sweep, "bandwidth_hz", path, default=0.0, nonnegative=True)
+        out["bandwidth_hz"] = _number(sweep, "bandwidth_hz", path, default=0.0)
+        if out["bandwidth_hz"] < 0:
+            raise ConfigError(f"{path}.bandwidth_hz", "must be nonnegative")
+    _apply_library_rules(out, path, grid)
     return out
+
+
+def _apply_library_rules(out: dict, path: str, grid: FrequencyGrid) -> None:
+    """Pass each field through the library function that owns its rule, so a sweep
+    the library would reject fails here, at the field's JSON path (an axis at its
+    `_start`).  Compression phases are resolved in place."""
+    if "fdc" in out:
+        f_dc = _checked(f"{path}.fdc_start", bias_axis, out["fdc"], grid)[0]
+    else:
+        f_dc = _checked(f"{path}.f_dc_hz", round_bias, out["f_dc_hz"], grid)
+    if "ic" in out:  # an increasing axis: its start is its least value
+        _checked(f"{path}.ic_start", BiasPoint, f_dc, out["ic"][0])
+    for i_c in np.ravel(out.get("i_c_a", [])):
+        _checked(f"{path}.i_c_a", BiasPoint, f_dc, i_c)
+    if "signal" in out:
+        _checked(f"{path}.signal_start", snap_frequencies, out["signal"], grid)
+    if out["kind"] == "compression":
+        _checked(f"{path}.power_count", power_axis, out["power"])
+        _, (k_s,) = _checked(f"{path}.f_s_hz", snap_frequencies, [out["f_s_hz"]], grid)
+        m = round(f_dc / grid.spacing)
+        phases = _checked(f"{path}.phases_rad", stimulus_phases, int(k_s), m, out["phases_rad"])
+        out["phases_rad"] = phases.tolist()
 
 
 def load_config(path: str) -> RunConfig:
@@ -256,27 +268,22 @@ def load_config(path: str) -> RunConfig:
     grid_cfg = raw.get("grid", {})
     if not isinstance(grid_cfg, dict):
         raise ConfigError("grid", "must be an object")
-    spacing = _number(grid_cfg, "spacing_hz", "grid", default=DEFAULT_GRID.spacing, positive=True)
-    size = _integer(grid_cfg, "size", "grid", default=DEFAULT_GRID.size, minimum=2)
-    try:
-        grid = FrequencyGrid(spacing=spacing, size=size)
-    except ValueError as err:
-        raise ConfigError("grid.size", str(err)) from None
+    spacing = _number(grid_cfg, "spacing_hz", "grid", default=DEFAULT_GRID.spacing)
+    grid = _checked("grid.spacing_hz", replace, DEFAULT_GRID, spacing=spacing)
+    size = _integer(grid_cfg, "size", "grid", default=DEFAULT_GRID.size)
+    grid = _checked("grid.size", replace, grid, size=size)
     solver_cfg = raw.get("solver", {})
     if not isinstance(solver_cfg, dict):
         raise ConfigError("solver", "must be an object")
-    unknown = set(solver_cfg) - {"tolerance", "max_iterations", "relaxation", "zero_pad"}
+    options = SolverOptions()
+    unknown = set(solver_cfg) - set(options.as_kwargs())
     if unknown:
         raise ConfigError(f"solver.{sorted(unknown)[0]}", "unknown solver setting")
-    options = SolverOptions(
-        tolerance=_number(solver_cfg, "tolerance", "solver", default=1e-12, positive=True),
-        max_iterations=_integer(solver_cfg, "max_iterations", "solver", default=10_000, minimum=1),
-        relaxation=_number(solver_cfg, "relaxation", "solver", default=1.0, positive=True),
-        zero_pad=_integer(solver_cfg, "zero_pad", "solver", default=4, minimum=1),
-    )
-    if options.relaxation > 1.0:
-        raise ConfigError("solver.relaxation", "must lie in (0, 1]")
-    sweep = _validate_sweep(_require(raw, "sweep", ""), "sweep")
+    for key in solver_cfg:  # each setting read with its default's type, checked alone
+        read = _integer if isinstance(getattr(options, key), int) else _number
+        value = read(solver_cfg, key, "solver")
+        options = _checked(f"solver.{key}", replace, options, **{key: value})
+    sweep = _validate_sweep(_require(raw, "sweep", ""), "sweep", grid)
     output_dir = raw.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("output_dir", "must be a string path")
@@ -295,12 +302,7 @@ def solve_count(config: RunConfig) -> int:
         rows = sweep["fdc"].size if sweep["axis"] == "f_dc" else sweep["ic"].size
         return int(rows * sweep["signal"].size)
     if kind == "compression":
-        spacing = config.grid.spacing
-        phases = stimulus_phases(
-            round(sweep["f_s_hz"] / spacing), round(sweep["f_dc_hz"] / spacing),
-            sweep["phases_rad"],
-        )
-        return int(sweep["power"].size * phases.size)
+        return int(sweep["power"].size * len(sweep["phases_rad"]))
     return len(sweep["i_c_a"])  # emission
 
 
@@ -332,20 +334,6 @@ def describe(config: RunConfig, stream=None) -> None:
     print(f"linear solves:     {config.grid.size} frequencies x "
           f"{len(config.netlist.port_names)} ports", file=stream)
     print(f"memory estimate:   {mem / 1e6:.0f} MB", file=stream)
-
-
-def _emission_rows(config: RunConfig, response):
-    sweep = config.sweep
-    rows = []
-    for i_c in sweep["i_c_a"]:
-        bias = BiasPoint(f_dc=sweep["f_dc_hz"], i_c=i_c)
-        rows.append(
-            pump_emission(
-                response, bias, sweep["bandwidth_hz"],
-                grid=config.grid, options=config.options,
-            )
-        )
-    return rows
 
 
 def run(config: RunConfig, out_dir: Path, threads: int | None = None) -> int:
@@ -437,7 +425,13 @@ def run(config: RunConfig, out_dir: Path, threads: int | None = None) -> int:
             meta["phases_rad"] = curve.phases
             csv_name = "compression.csv"
         else:  # emission
-            rows = _emission_rows(config, response)
+            rows = [
+                pump_emission(
+                    response, BiasPoint(f_dc=sweep["f_dc_hz"], i_c=i_c), sweep["bandwidth_hz"],
+                    grid=config.grid, options=config.options,
+                )
+                for i_c in sweep["i_c_a"]
+            ]
             write_table(
                 out_dir / "emission.csv",
                 ["i_c_a", "power_w", "power_dbm", "photon_rate_per_s", "converged"],

@@ -24,7 +24,7 @@ harmonic decay makes negligible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +51,29 @@ class DivergenceError(RuntimeError):
     def __init__(self, message: str, iterations: int):
         super().__init__(message)
         self.iterations = iterations
+
+
+@dataclass(frozen=True)
+class SolverOptions:
+    """Fixed-point solver settings; `iterate` checks its arguments here."""
+
+    tolerance: float = DEFAULT_TOLERANCE
+    max_iterations: int = DEFAULT_MAX_ITERATIONS
+    relaxation: float = 1.0
+    zero_pad: int = DEFAULT_ZERO_PAD
+
+    def __post_init__(self):
+        if not self.tolerance > 0:
+            raise ValueError("tolerance must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
+        if not 0.0 < self.relaxation <= 1.0:
+            raise ValueError("relaxation must lie in (0, 1]")
+        if self.zero_pad < 1:
+            raise ValueError("zero_pad must be at least 1")
+
+    def as_kwargs(self) -> dict:
+        return asdict(self)
 
 
 def josephson_frequency(v_dc: float) -> float:
@@ -112,7 +135,7 @@ def round_bias(f_dc: float, grid: FrequencyGrid) -> float:
     rounded = m * grid.spacing
     if rounded > 0.5 * grid.f_max * (1.0 + 1e-12):
         raise ValueError(
-            f"f_dc {rounded:g} Hz exceeds half the grid span {grid.f_max:g} Hz; "
+            f"f_dc {rounded:g} Hz exceeds half the grid span, {0.5 * grid.f_max:g} Hz; "
             "enlarge the grid"
         )
     return rounded
@@ -214,18 +237,11 @@ def to_spectrum(samples: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
 
 
 def _bias_bin(bias: BiasPoint, grid: FrequencyGrid) -> int:
-    ratio = bias.f_dc / grid.spacing
-    m = int(round(ratio))
-    if abs(ratio - m) > 1e-6:
+    m = round(round_bias(bias.f_dc, grid) / grid.spacing)
+    if abs(bias.f_dc / grid.spacing - m) > 1e-6:
         raise ValueError(
             f"bias frequency {bias.f_dc:g} Hz is not an integer multiple of the "
             f"grid spacing {grid.spacing:g} Hz; use round_bias first"
-        )
-    if m < 1:
-        raise ValueError("bias frequency rounds below the first grid bin")
-    if m > grid.size // 2:
-        raise ValueError(
-            f"bias frequency {bias.f_dc:g} Hz exceeds half the grid span; enlarge the grid"
         )
     return m
 
@@ -332,12 +348,7 @@ def iterate(
     SolutionState
         Best state reached; `a_out` is left unset (see `outputs`/`solve`).
     """
-    if not 0.0 < relaxation <= 1.0:
-        raise ValueError("relaxation must lie in (0, 1]")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be at least 1")
-    if zero_pad < 1:
-        raise ValueError("zero_pad must be at least 1")
+    SolverOptions(tolerance, max_iterations, relaxation, zero_pad)  # range checks
     grid = _resolve_grid(row)
     n = grid.size
     m = _bias_bin(bias, grid)
@@ -364,22 +375,23 @@ def iterate(
     converged = False
     delta = np.inf
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        v = drive + f_jj * current
-        buf[1:n] = v[1:] * integrator[1:]
-        phi = ramp + np.fft.irfft(buf, n_t)
-        updated = np.fft.rfft(i_c * np.sin(phi))[:n] / n_t
-        if relaxation != 1.0:
-            updated = (1.0 - relaxation) * current + relaxation * updated
-        delta = float(np.max(np.abs(updated - current)))
-        if not np.isfinite(delta):
-            raise DivergenceError(
-                f"junction current became non-finite at iteration {iterations}", iterations
-            )
-        current = updated
-        if delta < tol_abs or delta == 0.0:
-            converged = True
-            break
+    with np.errstate(invalid="ignore", over="ignore"):  # DivergenceError reports a blow-up
+        for iterations in range(1, max_iterations + 1):
+            v = drive + f_jj * current
+            buf[1:n] = v[1:] * integrator[1:]
+            phi = ramp + np.fft.irfft(buf, n_t)
+            updated = np.fft.rfft(i_c * np.sin(phi))[:n] / n_t
+            if relaxation != 1.0:
+                updated = (1.0 - relaxation) * current + relaxation * updated
+            delta = float(np.max(np.abs(updated - current)))
+            if not np.isfinite(delta):
+                raise DivergenceError(
+                    f"junction current became non-finite at iteration {iterations}", iterations
+                )
+            current = updated
+            if delta < tol_abs or delta == 0.0:
+                converged = True
+                break
     v_final = drive + f_jj * current
     residual = delta / i_c if i_c > 0 else 0.0
     return SolutionState(

@@ -42,11 +42,9 @@ from .circuit import (
 from .design import longest_run
 from .frankenstein import FrankensteinMatrix, junction_row
 from .solver import (
-    DEFAULT_MAX_ITERATIONS,
-    DEFAULT_TOLERANCE,
-    DEFAULT_ZERO_PAD,
     BiasPoint,
     DivergenceError,
+    SolverOptions,
     Stimulus,
     dbm_to_watts,
     gain,
@@ -69,24 +67,6 @@ class FitFailedError(RuntimeError):
     """Raised when the saturation-model fit cannot converge on the data."""
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Fixed-point solver settings carried through sweeps and sidecars."""
-
-    tolerance: float = DEFAULT_TOLERANCE
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
-    relaxation: float = 1.0
-    zero_pad: int = DEFAULT_ZERO_PAD
-
-    def as_kwargs(self) -> dict:
-        return {
-            "tolerance": self.tolerance,
-            "max_iterations": self.max_iterations,
-            "relaxation": self.relaxation,
-            "zero_pad": self.zero_pad,
-        }
-
-
 def _as_response(net, grid: FrequencyGrid) -> tuple[FrankensteinMatrix, FrequencyGrid]:
     """Response matrix of `net` and its grid (`grid` when it carries none)."""
     if isinstance(net, Netlist):
@@ -96,7 +76,9 @@ def _as_response(net, grid: FrequencyGrid) -> tuple[FrankensteinMatrix, Frequenc
     return net, net.grid or grid
 
 
-def _snap_frequencies(frequencies, grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
+def snap_frequencies(frequencies, grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
+    """A signal axis rounded to the nearest grid bins: (frequencies, bins).
+    It must stay inside the grid and strictly increasing after rounding."""
     f = np.asarray(frequencies, dtype=float)
     if f.ndim != 1 or f.size == 0:
         raise ValueError("frequency axis must be a nonempty 1-D array")
@@ -107,6 +89,15 @@ def _snap_frequencies(frequencies, grid: FrequencyGrid) -> tuple[np.ndarray, np.
     if np.any(np.diff(snapped) <= 0):
         raise ValueError("frequency axis must be strictly increasing on the grid")
     return snapped, bins
+
+
+def bias_axis(bias_frequencies, grid: FrequencyGrid) -> np.ndarray:
+    """A bias-frequency axis rounded by `round_bias`; it must stay strictly
+    increasing after rounding."""
+    f_dc = np.array([round_bias(f, grid) for f in np.asarray(bias_frequencies, dtype=float)])
+    if np.any(np.diff(f_dc) <= 0):
+        raise ValueError("bias frequency axis must be strictly increasing on the grid")
+    return f_dc
 
 
 @dataclass(frozen=True)
@@ -210,7 +201,7 @@ def gain_profile(
     """
     response, grid = _as_response(net, grid)
     bias = replace(bias, f_dc=round_bias(bias.f_dc, grid))
-    snapped, bins = _snap_frequencies(signal_frequencies, grid)
+    snapped, bins = snap_frequencies(signal_frequencies, grid)
     stimuli = [Stimulus.single(k * grid.spacing, power_dbm, phase=phase, port=port) for k in bins]
     gain_db, converged, balance, iterations = _chain(response, bias, stimuli, options)
     bandwidth, average, f_lo, f_hi = plateau_metrics(snapped, gain_db, converged, threshold_db)
@@ -263,7 +254,7 @@ def _bias_map(
 ) -> GainMap:
     """One warm-start chain along ascending f_s per bias row; `axis` holds the
     GainMap fields that describe the rows."""
-    f_s, bins = _snap_frequencies(signal_frequencies, grid)
+    f_s, bins = snap_frequencies(signal_frequencies, grid)
     stimuli = [Stimulus.single(k * grid.spacing, power_dbm, phase=phase, port=port) for k in bins]
 
     def one_row(bias):
@@ -306,9 +297,7 @@ def gain_map_fdc(
     masked, never fatal.
     """
     response, grid = _as_response(net, grid)
-    f_dc = np.array([round_bias(f, grid) for f in np.asarray(bias_frequencies, dtype=float)])
-    if np.any(np.diff(f_dc) <= 0):
-        raise ValueError("bias frequency axis must be strictly increasing on the grid")
+    f_dc = bias_axis(bias_frequencies, grid)
     biases = [BiasPoint(f_dc=f, i_c=i_c) for f in f_dc]
     return _bias_map(
         response, grid, signal_frequencies, biases, power_dbm, phase, options, port, workers,
@@ -332,14 +321,22 @@ def gain_map_ic(
     """Gain map over critical-current rows at a fixed bias frequency."""
     response, grid = _as_response(net, grid)
     i_c = np.asarray(critical_currents, dtype=float)
-    if np.any(np.diff(i_c) <= 0) or np.any(i_c < 0):
-        raise ValueError("critical-current axis must be nonnegative and strictly increasing")
+    if np.any(np.diff(i_c) <= 0):
+        raise ValueError("critical-current axis must be strictly increasing")
     f_dc = round_bias(f_dc, grid)
     biases = [BiasPoint(f_dc=f_dc, i_c=c) for c in i_c]
     return _bias_map(
         response, grid, signal_frequencies, biases, power_dbm, phase, options, port, workers,
         axis_values=i_c, axis_name="i_c_a", f_dc=f_dc,
     )
+
+
+def power_axis(powers_dbm) -> np.ndarray:
+    """A compression power axis: strictly increasing, at least 8 points."""
+    p = np.asarray(powers_dbm, dtype=float)
+    if p.size < 8 or np.any(np.diff(p) <= 0):
+        raise ValueError("power axis must be strictly increasing with at least 8 points")
+    return p
 
 
 @dataclass(frozen=True)
@@ -360,11 +357,7 @@ class CompressionCurve:
     bias: BiasPoint
 
     def __post_init__(self):
-        p = np.asarray(self.power_in_dbm, dtype=float)
-        if p.size < 8:
-            raise ValueError("compression curve needs at least 8 power points")
-        if np.any(np.diff(p) <= 0):
-            raise ValueError("power axis must be strictly increasing")
+        p = power_axis(self.power_in_dbm)
         if self.gain_db.shape != (len(self.phases), p.size):
             raise ValueError("gain rows must be (n_phases, n_powers)")
 
@@ -382,15 +375,17 @@ class CompressionCurve:
 
 
 def stimulus_phases(signal_bin: int, pump_bin: int, phases=None) -> np.ndarray:
-    """Stimulus phases a compression sweep samples: explicit `phases` when
-    given; at the degenerate point (signal bin exactly half the pump bin)
-    `DEGENERATE_PHASE_COUNT` phases over half a turn, since degenerate gain
-    is periodic in twice the phase; elsewhere phase 0 alone."""
+    """Stimulus phases a compression sweep samples: explicit `phases` (not
+    empty) when given; at the degenerate point (signal bin exactly half the
+    pump bin) `DEGENERATE_PHASE_COUNT` phases over half a turn, since
+    degenerate gain is periodic in twice the phase; elsewhere phase 0 alone."""
     if phases is None:
         if 2 * signal_bin == pump_bin:
             phases = np.linspace(0.0, np.pi, DEGENERATE_PHASE_COUNT, endpoint=False)
         else:
             phases = [0.0]
+    elif len(phases) == 0:
+        raise ValueError("phase list is empty")
     return np.asarray(phases, dtype=float)
 
 
@@ -409,10 +404,8 @@ def compression_sweep(
     one chain per stimulus phase (see `stimulus_phases`)."""
     response, grid = _as_response(net, grid)
     bias = replace(bias, f_dc=round_bias(bias.f_dc, grid))
-    powers = np.asarray(powers_dbm, dtype=float)
-    if powers.size < 8 or np.any(np.diff(powers) <= 0):
-        raise ValueError("power axis must be strictly increasing with at least 8 points")
-    snapped, bins = _snap_frequencies([signal_frequency], grid)
+    powers = power_axis(powers_dbm)
+    snapped, bins = snap_frequencies([signal_frequency], grid)
     f_s = float(snapped[0])
     phases = stimulus_phases(int(bins[0]), int(round(bias.f_dc / grid.spacing)), phases)
     gain_db = np.full((phases.size, powers.size), np.nan)

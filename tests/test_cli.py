@@ -104,6 +104,40 @@ def test_solver_settings_validated(tmp_path, capsys):
     assert "solver.relaxation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "sweep, field",
+    [
+        (profile_sweep(f_dc_hz=20e9), "sweep.f_dc_hz"),  # above f_max / 2
+        (profile_sweep(signal_stop=40e9), "sweep.signal_start"),  # axis leaves the grid
+        (
+            {
+                "kind": "gainmap", "i_c_a": 280e-9,
+                "signal_start": 5e9, "signal_stop": 6e9, "signal_count": 2,
+                "fdc_start": 12e9, "fdc_stop": 12.004e9, "fdc_count": 2,
+            },
+            "sweep.fdc_start",  # both bias rows round to one bin
+        ),
+        (
+            {
+                "kind": "compression", "f_dc_hz": 12e9, "i_c_a": 280e-9, "f_s_hz": 6.4e9,
+                "power_start": -140.0, "power_stop": -126.0, "power_count": 8,
+                "phases_rad": [],
+            },
+            "sweep.phases_rad",
+        ),
+    ],
+    ids=["f_dc_above_half_span", "signal_leaves_grid", "bias_rows_collapse", "empty_phases"],
+)
+def test_library_rules_rejected_at_load(tmp_path, capsys, sweep, field):
+    path = write_config(tmp_path, sweep)
+    out = tmp_path / "o"
+    assert main([sweep["kind"], "--config", str(path), "--out", str(out)]) == 2
+    assert f"error: {field}:" in capsys.readouterr().err
+    assert main(["describe", "--config", str(path)]) == 2
+    assert f"error: {field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- describe
 
 

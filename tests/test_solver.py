@@ -1,5 +1,7 @@
 """Fixed-point junction solver: spectra, convergence, energy bookkeeping."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -317,8 +319,9 @@ def test_divergent_response_raises():
         frequencies=row.frequencies,
         grid=grid,
     )
-    # inf * 0 inside the update is the expected detection path, not a fault
-    with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
+    # DivergenceError is the only report: numpy's own warning would be an error here
+    with warnings.catch_warnings(), pytest.raises(DivergenceError):
+        warnings.simplefilter("error")
         iterate(bad, BiasPoint(f_dc=F_DC, i_c=I_C), Stimulus.none())
 
 

@@ -364,6 +364,11 @@ def test_compression_rejects_short_power_axis(canonical_f, coarse_grid):
         compression_sweep(
             canonical_f, bias, 6.4e9, np.full(9, -120.0), grid=coarse_grid
         )
+    with pytest.raises(ValueError):
+        compression_sweep(
+            canonical_f, bias, 6.4e9, np.linspace(-140.0, -120.0, 8), grid=coarse_grid,
+            phases=[],
+        )
 
 
 def test_curve_requires_matching_shapes():
