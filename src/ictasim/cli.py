@@ -268,6 +268,9 @@ def load_config(path: str) -> RunConfig:
     grid_cfg = raw.get("grid", {})
     if not isinstance(grid_cfg, dict):
         raise ConfigError("grid", "must be an object")
+    unknown = set(grid_cfg) - {"spacing_hz", "size"}
+    if unknown:
+        raise ConfigError(f"grid.{sorted(unknown)[0]}", "unknown grid field")
     spacing = _number(grid_cfg, "spacing_hz", "grid", default=DEFAULT_GRID.spacing)
     grid = _checked("grid.spacing_hz", replace, DEFAULT_GRID, spacing=spacing)
     size = _integer(grid_cfg, "size", "grid", default=DEFAULT_GRID.size)

@@ -15,15 +15,25 @@ external power labels (stimulus dBm in, emission dBm out) follow the
 amplitude convention P = |a[k]|^2 / (2 Z_port).  The physical average power
 carried by bin k >= 1 into an impedance Z is 2 |a[k]|^2 / Z, a factor 4
 larger; energy accounting (`power_balance`) uses the physical form, since
-only it balances against the DC supply V_dc * I_dc.  Time-domain signals are
-sampled on n_t = 2 * zero_pad * N points covering one full period
-1 / spacing, so every grid tone is exactly periodic and leakage-free;
+only it balances against the DC supply V_dc * I_dc.
+
+Lattices: with the pump on bin m and tones on bins k_i, every mixing product
+lies on a multiple of s = gcd(m, k_i), and the iteration keeps that support
+exactly.  A stimulated solve therefore runs on the lattice of bins 0, s,
+2s, ... (N_s = ceil(N / s) of them) and lifts its result back to the grid;
+a stimulus-free solve keeps s = 1.  Time-domain signals are sampled on
+n_t = 2 * zero_pad * N_s points covering one full period 1 / (s * spacing)
+of the lattice, so every lattice tone is exactly periodic and leakage-free;
 products of tones alias only from above zero_pad * f_max, which the sin()
-harmonic decay makes negligible.
+harmonic decay makes negligible.  An oscillation off the lattice cannot show
+on it, so a converged sub-lattice point is checked by a few full-grid steps
+from its lifted state plus a small off-lattice perturbation, and marked
+unconverged if that perturbation grows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
@@ -42,6 +52,14 @@ from .frankenstein import (
 DEFAULT_TOLERANCE = 1e-12
 DEFAULT_MAX_ITERATIONS = 10_000
 DEFAULT_ZERO_PAD = 4
+
+# Off-lattice stability probe of a sub-lattice solve: a seeded perturbation of
+# PROBE_SIZE * i_c (2-norm) on the off-lattice bins, PROBE_STEPS full-grid
+# steps, and the relative size below which it counts as decayed.
+PROBE_SEED = 0
+PROBE_SIZE = 1e-9
+PROBE_STEPS = 8
+PROBE_FLOOR = 1e-6
 
 
 class DivergenceError(RuntimeError):
@@ -194,7 +212,11 @@ class SolutionState:
     Spectra are one-sided half-amplitude arrays over the grid bins.
     `residual` is the final fixed-point step size as a fraction of i_c;
     `converged` False flags the parametric-oscillation regime rather than an
-    error.  `a_out` and the port metadata are filled by `outputs`.
+    error.  `stride` is the lattice the loop ran on (bins 0, stride, ...).
+    `off_lattice_growth` is the probe's last-step growth ratio of an
+    off-lattice perturbation (0 when it decayed, NaN when no probe ran); a
+    ratio of 1 or more marks the point unconverged.  `a_out` and the port
+    metadata are filled by `outputs`.
     """
 
     bias: BiasPoint
@@ -206,6 +228,8 @@ class SolutionState:
     iterations: int
     converged: bool
     residual: float
+    stride: int
+    off_lattice_growth: float
     a_out: np.ndarray | None = None
     port_names: tuple[str, ...] | None = None
     port_kinds: tuple | None = None
@@ -310,6 +334,61 @@ def _tone_entries(
     return entries
 
 
+def _picard_step(
+    f_jj: np.ndarray,
+    drive: np.ndarray,
+    frequencies: np.ndarray,
+    m: int,
+    bias: BiasPoint,
+    options: SolverOptions,
+):
+    """One fixed-point step, current -> updated, on the lattice of bins
+    `frequencies` (uniform from 0, pump on bin m); the time grid covers one
+    period of the lattice with 2 * zero_pad samples per bin."""
+    n = frequencies.size
+    zero_pad, relaxation = options.zero_pad, options.relaxation
+    n_t = 2 * zero_pad * n
+    integrator = np.empty(n, dtype=complex)
+    integrator[0] = 0.0
+    omega = 2.0 * np.pi * frequencies
+    integrator[1:] = (2.0 * _E_CHARGE / _HBAR) * n_t / (1j * omega[1:])
+    ramp = _ramp_phase(m, bias.phase, n_t)
+    buf = np.zeros(zero_pad * n + 1, dtype=complex)
+    i_c = bias.i_c
+
+    def step(current: np.ndarray) -> np.ndarray:
+        v = drive + f_jj * current
+        buf[1:n] = v[1:] * integrator[1:]
+        phi = ramp + np.fft.irfft(buf, n_t)
+        updated = np.fft.rfft(i_c * np.sin(phi))[:n] / n_t
+        if relaxation != 1.0:
+            updated = (1.0 - relaxation) * current + relaxation * updated
+        return updated
+
+    return step
+
+
+def _off_lattice_growth(step, state: np.ndarray, stride: int, i_c: float) -> float:
+    """Last-step growth ratio, in 2-norm, of a small perturbation of `state` on
+    the bins off its lattice over PROBE_STEPS full-grid steps; 0 when it fell
+    below PROBE_FLOOR of its injected size."""
+    off = np.ones(state.size, dtype=bool)
+    off[::stride] = False
+    re, im = np.random.default_rng(PROBE_SEED).standard_normal((2, state.size))
+    noise = re + 1j * im
+    noise[~off] = 0.0
+    # Plain sums of squares: np.linalg.norm can wake idle BLAS threads.
+    noise *= PROBE_SIZE * i_c / np.sqrt(np.sum(np.abs(noise) ** 2))
+    injected = now = (PROBE_SIZE * i_c) ** 2
+    x = state + noise
+    for _ in range(PROBE_STEPS):
+        x = step(x)
+        before, now = now, float(np.sum(np.abs(x[off]) ** 2))
+    if now < PROBE_FLOOR**2 * injected:
+        return 0.0
+    return float(np.sqrt(now / before)) if before > 0.0 else float("inf")
+
+
 def iterate(
     row: JunctionRow,
     bias: BiasPoint,
@@ -322,6 +401,13 @@ def iterate(
     initial: np.ndarray | None = None,
 ) -> SolutionState:
     """Fixed-point solution of the junction current spectrum.
+
+    A stimulated solve runs on its commensurate lattice: every mixing product
+    of the pump bin m and the tone bins lies on a multiple of their gcd s, so
+    the loop runs on bins 0, s, 2s, ... and the result is lifted back to the
+    grid.  A converged point with s > 1 and i_c > 0 is then probed on the full
+    grid (see `SolutionState.off_lattice_growth`), since an oscillation off
+    the lattice cannot show on it.  A stimulus-free solve keeps s = 1.
 
     Parameters
     ----------
@@ -341,21 +427,35 @@ def iterate(
     zero_pad : int
         Frequency zero-padding factor for the time grid.
     initial : ndarray, optional
-        Warm-start junction current spectrum (grid-sized, half amplitudes).
+        Warm-start junction current spectrum (grid-sized, half amplitudes);
+        only its bins on the solve's lattice are used.
 
     Returns
     -------
     SolutionState
         Best state reached; `a_out` is left unset (see `outputs`/`solve`).
     """
-    SolverOptions(tolerance, max_iterations, relaxation, zero_pad)  # range checks
+    options = SolverOptions(tolerance, max_iterations, relaxation, zero_pad)
+    return _iterate(row, bias, stim, options, initial, full_grid=False)
+
+
+def _iterate(
+    row: JunctionRow,
+    bias: BiasPoint,
+    stim: Stimulus,
+    options: SolverOptions,
+    initial: np.ndarray | None = None,
+    *,
+    full_grid: bool,
+) -> SolutionState:
+    """`iterate`, or with `full_grid` the plain loop over every grid bin."""
     grid = _resolve_grid(row)
     n = grid.size
     m = _bias_bin(bias, grid)
+    entries = _tone_entries(stim, grid, row.port_names, row.kinds)
     drive = np.zeros(n, dtype=complex)
-    for idx, k, amp in _tone_entries(stim, grid, row.port_names, row.kinds):
+    for idx, k, amp in entries:
         drive[k] += row.source_columns[k, idx] * amp
-    i_c = bias.i_c
     if initial is None:
         current = np.zeros(n, dtype=complex)
     else:
@@ -363,26 +463,16 @@ def iterate(
         if current.shape != (n,) or not np.all(np.isfinite(current)):
             raise ValueError("initial spectrum must be finite and grid-sized")
         current[0] = current[0].real
-    n_t = 2 * zero_pad * n
-    omega = 2.0 * np.pi * grid.frequencies
-    integrator = np.empty(n, dtype=complex)
-    integrator[0] = 0.0
-    integrator[1:] = (2.0 * _E_CHARGE / _HBAR) * n_t / (1j * omega[1:])
-    ramp = _ramp_phase(m, bias.phase, n_t)
-    buf = np.zeros(zero_pad * n + 1, dtype=complex)
-    f_jj = row.f_jj
-    tol_abs = tolerance * i_c
+    s = 1 if full_grid or not entries else math.gcd(m, *(k for _, k, _ in entries))
+    step = _picard_step(row.f_jj[::s], drive[::s], grid.frequencies[::s], m // s, bias, options)
+    current = current[::s]
+    tol_abs = options.tolerance * bias.i_c
     converged = False
     delta = np.inf
     iterations = 0
     with np.errstate(invalid="ignore", over="ignore"):  # DivergenceError reports a blow-up
-        for iterations in range(1, max_iterations + 1):
-            v = drive + f_jj * current
-            buf[1:n] = v[1:] * integrator[1:]
-            phi = ramp + np.fft.irfft(buf, n_t)
-            updated = np.fft.rfft(i_c * np.sin(phi))[:n] / n_t
-            if relaxation != 1.0:
-                updated = (1.0 - relaxation) * current + relaxation * updated
+        for iterations in range(1, options.max_iterations + 1):
+            updated = step(current)
             delta = float(np.max(np.abs(updated - current)))
             if not np.isfinite(delta):
                 raise DivergenceError(
@@ -392,18 +482,25 @@ def iterate(
             if delta < tol_abs or delta == 0.0:
                 converged = True
                 break
-    v_final = drive + f_jj * current
-    residual = delta / i_c if i_c > 0 else 0.0
+    i_j = np.zeros(n, dtype=complex)
+    i_j[::s] = current
+    growth = float("nan")
+    if s > 1 and converged and bias.i_c > 0:
+        full_step = _picard_step(row.f_jj, drive, grid.frequencies, m, bias, options)
+        growth = _off_lattice_growth(full_step, i_j, s, bias.i_c)
+        converged = growth < 1.0
     return SolutionState(
         bias=bias,
         stimulus=stim,
         grid=grid,
-        zero_pad=zero_pad,
-        i_j=current,
-        v_j=v_final,
+        zero_pad=options.zero_pad,
+        i_j=i_j,
+        v_j=drive + row.f_jj * i_j,
         iterations=iterations,
         converged=converged,
-        residual=residual,
+        residual=delta / bias.i_c if bias.i_c > 0 else 0.0,
+        stride=s,
+        off_lattice_growth=growth,
     )
 
 

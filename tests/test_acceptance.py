@@ -3,9 +3,9 @@
 Run `pytest tests/test_acceptance.py -v -s` to get one PASS/FAIL line per
 criterion with the measured numbers next to the stated tolerance. The suite
 solves a few thousand nonlinear steady states at full resolution and takes
-several minutes; expensive artifacts are built once in module fixtures and
-shared (the canonical profile feeds criteria 1, 4 and 9; the gain map and
-cable profiles feed criteria 2, 3 and 4).
+about 35 s on a 2-CPU Xeon; expensive artifacts are built once in module
+fixtures and shared (the canonical profile feeds criteria 1, 4 and 9; the
+gain map and cable profiles feed criteria 2, 3 and 4).
 
 Criterion 3 is expected to stay red and is left failing on purpose: its
 target windows equal the bare cable round trip v/(2L), while the simulated

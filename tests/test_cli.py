@@ -138,6 +138,17 @@ def test_library_rules_rejected_at_load(tmp_path, capsys, sweep, field):
     assert not out.exists()
 
 
+def test_unknown_grid_field_rejected(tmp_path, capsys):
+    # a misspelt spacing must not fall back to the 1 MHz default grid
+    path = write_config(tmp_path, profile_sweep(), grid={"spacing": 16e6, "size": 2048})
+    out = tmp_path / "o"
+    assert main(["profile", "--config", str(path), "--out", str(out)]) == 2
+    assert "error: grid.spacing:" in capsys.readouterr().err
+    assert main(["describe", "--config", str(path)]) == 2
+    assert "error: grid.spacing:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- describe
 
 

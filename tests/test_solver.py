@@ -8,11 +8,12 @@ from numpy.testing import assert_allclose
 from scipy.constants import e as E_CHARGE, hbar as HBAR
 from scipy.special import jv
 
-from ictasim.circuit import FrequencyGrid
+from ictasim.circuit import DEFAULT_GRID, FrequencyGrid, IctaParams, build_icta, frankenstein_matrix
 from ictasim.frankenstein import JunctionRow, PortKind, junction_row
 from ictasim.solver import (
     BiasPoint,
     DivergenceError,
+    SolverOptions,
     Stimulus,
     Tone,
     bias_voltage,
@@ -32,6 +33,7 @@ from ictasim.solver import (
     tone_amplitude,
     watts_to_dbm,
 )
+from ictasim.solver import _iterate
 
 F_DC = 12e9
 I_C = 280e-9
@@ -146,6 +148,8 @@ def test_zero_critical_current_converges_immediately():
     assert state.iterations == 1
     assert state.residual == 0.0
     assert np.all(state.i_j == 0.0)
+    # stride gcd(375, 750); with i_c = 0 there is nothing to probe
+    assert state.stride == 375 and np.isnan(state.off_lattice_growth)
 
 
 def test_pure_pump_line_magnitude():
@@ -157,6 +161,7 @@ def test_pure_pump_line_magnitude():
     state = iterate(row, bias, Stimulus.none())
     m = int(round(F_DC / grid.spacing))
     assert state.converged
+    assert state.stride == 1 and np.isnan(state.off_lattice_growth)  # stimulus-free: full grid
     assert_allclose(abs(state.i_j[m]), I_C / 2, rtol=1e-12)
     others = np.abs(np.delete(state.i_j, m))
     assert others.max() < 1e-12 * I_C
@@ -175,6 +180,8 @@ def test_phase_modulation_sidebands_follow_bessel():
         stim = Stimulus.single(f_m, bin_power_dbm(a, 50.0))
         state = iterate(row, BiasPoint(f_dc=F_DC, i_c=I_C), stim)
         assert state.converged and state.iterations == 2
+        # stride gcd(20, 750); without feedback the off-lattice probe decays at once
+        assert state.stride == 10 and state.off_lattice_growth == 0.0
         assert_allclose(abs(state.i_j[m]), I_C * jv(0, depth) / 2, rtol=1e-9)
         for n in (1, 2):
             expected = I_C * abs(jv(n, depth)) / 2
@@ -366,3 +373,85 @@ def test_dc_current_drawn_is_positive(canonical_f):
     i_dc = state.a_out[dc_row, 0]
     assert abs(i_dc.imag) < 1e-18
     assert i_dc.real > 0.0
+
+
+# ---------------------------------------------------------------- sub-lattice solves
+
+
+def _full_grid(row, bias, stim, initial=None, **options):
+    """The plain loop over every grid bin: the oracle of the sub-lattice solve."""
+    return _iterate(row, bias, stim, SolverOptions(**options), initial, full_grid=True)
+
+
+@pytest.fixture(scope="module")
+def default_f():
+    return frankenstein_matrix(build_icta(IctaParams()), DEFAULT_GRID)
+
+
+@pytest.mark.parametrize("f_s, stride", [(5.12e9, 160), (5.28e9, 480), (6.4e9, 800)])
+def test_sub_lattice_matches_full_grid(default_f, f_s, stride):
+    row = junction_row(default_f)
+    bias = BiasPoint(f_dc=F_DC, i_c=I_C)
+    stim = Stimulus.single(f_s, -140.0)
+    fast = iterate(row, bias, stim)
+    oracle = _full_grid(row, bias, stim)
+    assert fast.stride == stride and oracle.stride == 1
+    assert 0.0 < fast.off_lattice_growth < 1.0 and np.isnan(oracle.off_lattice_growth)
+    assert fast.converged and oracle.converged
+    assert fast.iterations == oracle.iterations
+    assert np.all(fast.i_j[np.arange(fast.i_j.size) % stride != 0] == 0.0)
+    assert_allclose(fast.i_j, oracle.i_j, rtol=0, atol=1e-14 * I_C)
+    g_fast = gain(outputs(fast, default_f), f_s)
+    g_oracle = gain(outputs(oracle, default_f), f_s)
+    assert abs(g_fast - g_oracle) <= 1e-9
+
+
+def test_warm_start_from_another_lattice(canonical_f, coarse_grid):
+    # Bins 320, 401 and 400 against pump bin 750: strides 10, 1 and 50.
+    row = junction_row(canonical_f)
+    bias = BiasPoint(f_dc=F_DC, i_c=I_C)
+    stim = Stimulus.single(6.4e9, -140.0)
+    cold = iterate(row, bias, stim)
+    assert cold.stride == 50 and cold.converged
+    for k in (320, 401):
+        neighbour = iterate(row, bias, Stimulus.single(k * coarse_grid.spacing, -140.0))
+        assert neighbour.stride == (10 if k == 320 else 1)
+        warm = iterate(row, bias, stim, initial=neighbour.i_j)
+        assert warm.converged and warm.stride == 50
+        assert_allclose(warm.i_j, cold.i_j, rtol=0, atol=1e-10 * I_C)
+        g_warm = gain(outputs(warm, canonical_f), 6.4e9)
+        assert abs(g_warm - gain(outputs(cold, canonical_f), 6.4e9)) < 1e-8
+
+
+def _probe_case(bias_resistance):
+    # f_dc = 3 f_s: pump bin 12261, signal bin 4087, a 9-bin lattice
+    net = build_icta(IctaParams(bias_resistance=bias_resistance))
+    row = junction_row(frankenstein_matrix(net, DEFAULT_GRID))
+    return row, BiasPoint(f_dc=12.261e9, i_c=100e-9), Stimulus.single(4.087e9, -140.0)
+
+
+def test_probe_masks_off_lattice_instability():
+    # The sub-lattice converges, but an off-lattice perturbation grows on the
+    # full grid; the 16 MHz grid does not show this, DEFAULT_GRID does.
+    row, bias, stim = _probe_case(0.6)
+    state = iterate(row, bias, stim)
+    assert state.stride == 4087
+    assert state.residual < 1e-12  # the sub-lattice loop itself converged
+    assert not state.converged
+    assert state.off_lattice_growth > 2.0
+    # The oracle, continued from the lifted state plus a small off-lattice
+    # perturbation, runs away from it instead of returning.
+    off = np.arange(state.i_j.size) % state.stride != 0
+    noise = np.where(off, np.random.default_rng(5).standard_normal(off.size), 0.0)
+    noise *= 1e-9 * bias.i_c / np.sqrt(np.sum(noise**2))
+    oracle = _full_grid(row, bias, stim, initial=state.i_j + noise, max_iterations=40)
+    assert not oracle.converged
+    assert np.sqrt(np.sum(np.abs(oracle.i_j[off]) ** 2)) > 1e-6 * bias.i_c
+
+
+def test_probe_passes_stable_point():
+    row, bias, stim = _probe_case(0.1)
+    state = iterate(row, bias, stim)
+    assert state.stride == 4087
+    assert state.converged
+    assert 0.5 < state.off_lattice_growth < 1.0

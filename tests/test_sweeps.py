@@ -7,7 +7,8 @@ import pytest
 from scipy.optimize import brentq
 
 from ictasim import sweeps
-from ictasim.solver import BiasPoint, DivergenceError
+from ictasim.circuit import DEFAULT_GRID, FrequencyGrid, IctaParams, build_icta, frankenstein_matrix
+from ictasim.solver import BiasPoint, DivergenceError, Stimulus, _iterate
 from ictasim.sweeps import (
     CompressionCurve,
     FitFailedError,
@@ -311,6 +312,38 @@ def test_map_shape_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "f_dc, f_s",
+    [(8.96e9, 8.96e9), (12.8e9, 6.4e9)],
+    ids=["pump_line", "degenerate"],
+)
+def test_map_feature_cells_match_full_grid(monkeypatch, f_dc, f_s):
+    # Cells of the criterion-2 map: f_s = f_dc (stride 448) and f_s = f_dc / 2
+    # (stride 320), against the plain loop over every grid bin.
+    grid = FrequencyGrid(20e6, 2048)
+    response = frankenstein_matrix(build_icta(IctaParams()), grid)
+    options = SolverOptions(max_iterations=2500)
+    states = []
+    real_iterate = sweeps.iterate
+
+    def record(row, bias, stim, **kwargs):
+        states.append(real_iterate(row, bias, stim, **kwargs))
+        return states[-1]
+
+    def oracle(row, bias, stim, initial=None, **kwargs):
+        return _iterate(row, bias, stim, SolverOptions(**kwargs), initial, full_grid=True)
+
+    monkeypatch.setattr(sweeps, "iterate", record)
+    fast = gain_map_fdc(response, [f_s], [f_dc], 200e-9, grid=grid, options=options)
+    monkeypatch.setattr(sweeps, "iterate", oracle)
+    full = gain_map_fdc(response, [f_s], [f_dc], 200e-9, grid=grid, options=options)
+    (state,) = states
+    assert state.stride == round(f_s / grid.spacing)
+    assert 0.0 < state.off_lattice_growth < 1.0
+    assert fast.converged.all() and full.converged.all()
+    assert abs(fast.values[0, 0] - full.values[0, 0]) <= 1e-9
+
+
 # ---------------------------------------------------------------- compression
 
 
@@ -338,6 +371,17 @@ def test_compression_fit_recovers_saturation(canonical_f, coarse_grid):
     assert -120.0 < point < -105.0
     raw = raw_p1db(curve.power_in_dbm, curve.gain_db[0])
     assert abs(point - raw) < 3.0
+
+
+def test_stride_one_compression_keeps_iteration_counts(canonical_f, coarse_grid):
+    # Bin 401 is coprime with pump bin 750, so every solve runs on the full
+    # grid with no probe; the counts are those of the loop before sub-lattices.
+    stimuli = [Stimulus.single(401 * coarse_grid.spacing, p) for p in np.linspace(-135, -100, 8)]
+    bias = BiasPoint(f_dc=F_DC, i_c=I_C)
+    gain_db, converged, _, iterations = sweeps._chain(canonical_f, bias, stimuli, FAST)
+    assert converged.all()
+    assert iterations.tolist() == [110, 141, 177, 188, 157, 102, 56, 46]
+    assert gain_db[0] - gain_db[-1] > 5.0  # driven well into compression
 
 
 def test_degenerate_compression_splits_by_phase(canonical_f, coarse_grid):
@@ -416,6 +460,23 @@ def test_emission_band_integration_contains_line(canonical_f, coarse_grid):
     assert band.power_watts >= line.power_watts
     assert band.power_watts < 2.0 * line.power_watts
     assert len(line.harmonics_dbm) >= 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="FOUND in CHANGES.md: pump-only solves report converged on states unstable "
+    "off the pump comb",
+)
+def test_emission_flags_off_lattice_unstable_pump():
+    # At 0.3 ohm bias resistance the pump-only state is unstable off its
+    # harmonic comb (probe ratio 1.58 per step), yet the full-grid loop stops
+    # after 10 iterations and reports it converged.
+    result = pump_emission(
+        build_icta(IctaParams(bias_resistance=0.3)),
+        BiasPoint(f_dc=12.261e9, i_c=100e-9),
+        grid=DEFAULT_GRID,
+    )
+    assert not result.converged
 
 
 def test_photon_rate_conversion():
