@@ -105,10 +105,6 @@ class Element:
     def is_series(self) -> bool:
         return self.kind in _SERIES_KINDS or self.kind == TRANSMISSION_LINE
 
-    @property
-    def is_shunt(self) -> bool:
-        return self.kind in _SHUNT_KINDS
-
     def electrical_angle(self, f) -> np.ndarray:
         """Line phase angle theta(f) in radians (transmission lines only)."""
         if self.kind != TRANSMISSION_LINE:
@@ -416,42 +412,6 @@ def s_matrix(net: Netlist, f, reference_impedance: float = 50.0) -> np.ndarray:
     return s
 
 
-def reduce_ports(s: np.ndarray, keep: Sequence[int], terminations: dict) -> np.ndarray:
-    """Scattering matrix with some ports closed by reflection coefficients.
-
-    Parameters
-    ----------
-    s : ndarray
-        (..., n, n) scattering matrix.
-    keep : sequence of int
-        Ports retained in the reduced matrix, in output order.
-    terminations : dict
-        Map port index -> reflection coefficient (scalar or per-frequency
-        array) for every port not kept.
-
-    Returns
-    -------
-    ndarray
-        (..., len(keep), len(keep)) reduced scattering matrix.
-    """
-    s = np.asarray(s, dtype=complex)
-    keep = list(keep)
-    closed = sorted(terminations)
-    if set(keep) & set(closed) or len(keep) + len(closed) != s.shape[-1]:
-        raise ValueError("keep and terminations must partition the port set")
-    gam = [np.asarray(terminations[i], dtype=complex) for i in closed]
-    gamma = np.zeros(s.shape[:-2] + (len(closed), len(closed)), dtype=complex)
-    for i, g in enumerate(gam):
-        gamma[..., i, i] = g
-    s_kk = s[..., keep, :][..., :, keep]
-    s_kt = s[..., keep, :][..., :, closed]
-    s_tk = s[..., closed, :][..., :, keep]
-    s_tt = s[..., closed, :][..., :, closed]
-    eye = np.eye(len(closed))
-    inner = np.linalg.solve(eye - s_tt @ gamma, s_tk)
-    return s_kk + s_kt @ gamma @ inner
-
-
 def _fold(elements: Sequence[Element], f: np.ndarray, num0: complex, den0: complex):
     """Projective impedance fold toward the junction node.
 
@@ -582,14 +542,13 @@ def build_icta(params: IctaParams) -> Netlist:
     return Netlist(chain=tuple(chain), bias_branch=tuple(branch))
 
 
-def frankenstein_matrix(net: Netlist, grid, z0: float = 50.0) -> FrankensteinMatrix:
-    """Scattering matrix over the grid converted to the generalized form."""
+def frankenstein_matrix(net: Netlist, grid) -> FrankensteinMatrix:
+    """Scattering matrix over the grid, referenced to 50 ohm, converted to the
+    generalized form."""
     f = grid.frequencies if isinstance(grid, FrequencyGrid) else np.asarray(grid, dtype=float)
-    s = s_matrix(net, f, reference_impedance=z0)
     return to_frankenstein(
-        s,
+        s_matrix(net, f),
         net.port_kinds,
-        z0=z0,
         frequencies=f,
         grid=grid if isinstance(grid, FrequencyGrid) else None,
         port_names=net.port_names,

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -279,7 +279,7 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(solver_cfg, dict):
         raise ConfigError("solver", "must be an object")
     options = SolverOptions()
-    unknown = set(solver_cfg) - set(options.as_kwargs())
+    unknown = set(solver_cfg) - {f.name for f in fields(SolverOptions)}
     if unknown:
         raise ConfigError(f"solver.{sorted(unknown)[0]}", "unknown solver setting")
     for key in solver_cfg:  # each setting read with its default's type, checked alone

@@ -15,8 +15,7 @@ The generalized matrix, conventionally called the Frankenstein matrix F,
 relates these mixed inputs and outputs through a^out = F a^in.  It is obtained
 from S by F = (K + L S)(M + N S)^-1 with diagonal matrices K, L, M, N whose
 entries depend only on the port kind and the reference impedance.  Entries of
-F carry non-uniform units (e.g. V/A on a current-bias diagonal); unit tags are
-tracked so that wiring mistakes surface in tests rather than in results.
+F carry non-uniform units (e.g. V/A on a current-bias diagonal).
 """
 
 from __future__ import annotations
@@ -35,7 +34,8 @@ CURRENT_BIAS = "current-bias"
 
 _KINDS = (WAVE, VOLTAGE_BIAS, CURRENT_BIAS)
 
-# Condition number of (M + N S) above which the conversion is refused.
+# Condition number of (M + N S) above which the conversion raises
+# SingularConversionError naming the offending frequencies.
 COND_LIMIT = 1e12
 
 
@@ -83,18 +83,6 @@ class PortKind:
     @classmethod
     def current_bias(cls) -> "PortKind":
         return cls(CURRENT_BIAS)
-
-    @property
-    def is_wave(self) -> bool:
-        return self.kind == WAVE
-
-    @property
-    def input_unit(self) -> str:
-        return "A" if self.kind == CURRENT_BIAS else "V"
-
-    @property
-    def output_unit(self) -> str:
-        return "A" if self.kind == VOLTAGE_BIAS else "V"
 
 
 def klmn(kinds: Sequence[PortKind], z0: float = 50.0):
@@ -181,22 +169,6 @@ class FrankensteinMatrix:
     def n_ports(self) -> int:
         return len(self.kinds)
 
-    def port_index(self, name: str) -> int:
-        try:
-            return self.port_names.index(name)
-        except ValueError:
-            raise KeyError(f"no port named {name!r}") from None
-
-    def input_units(self) -> tuple[str, ...]:
-        return tuple(pk.input_unit for pk in self.kinds)
-
-    def output_units(self) -> tuple[str, ...]:
-        return tuple(pk.output_unit for pk in self.kinds)
-
-    def entry_unit(self, row: int, col: int) -> str:
-        """Unit tag of F[row, col], e.g. 'V/A' for a current-bias diagonal."""
-        return f"{self.kinds[row].output_unit}/{self.kinds[col].input_unit}"
-
 
 def to_frankenstein(
     s: np.ndarray,
@@ -205,7 +177,6 @@ def to_frankenstein(
     frequencies: np.ndarray | None = None,
     grid: "FrequencyGrid | None" = None,
     port_names: Sequence[str] | None = None,
-    cond_limit: float = COND_LIMIT,
 ) -> FrankensteinMatrix:
     """Convert a scattering matrix to the generalized response matrix.
 
@@ -224,9 +195,6 @@ def to_frankenstein(
         Grid handle forwarded to the result.
     port_names : sequence of str, optional
         Names forwarded to the result.
-    cond_limit : float
-        Condition number of (M + N S) above which the conversion raises
-        SingularConversionError naming the offending frequency.
 
     Returns
     -------
@@ -244,7 +212,7 @@ def to_frankenstein(
     left = k[:, None] * eye + l[:, None] * s
     right = m[:, None] * eye + n[:, None] * s
     cond = np.linalg.cond(right)
-    bad = np.nonzero(~(cond < cond_limit))[0]
+    bad = np.nonzero(~(cond < COND_LIMIT))[0]
     if bad.size:
         if frequencies is not None:
             where = ", ".join(f"{frequencies[i]:g} Hz" for i in bad[:5])
@@ -252,7 +220,7 @@ def to_frankenstein(
             where = ", ".join(f"index {i}" for i in bad[:5])
         more = "" if bad.size <= 5 else f" (+{bad.size - 5} more)"
         raise SingularConversionError(
-            f"(M + N S) is singular beyond condition {cond_limit:g} at {where}{more}",
+            f"(M + N S) is singular beyond condition {COND_LIMIT:g} at {where}{more}",
             frequencies=None if frequencies is None else frequencies[bad],
         )
     # F right = left  =>  F = left right^-1, via the transposed solve.
@@ -302,36 +270,20 @@ class JunctionRow:
     grid: "FrequencyGrid | None" = None
 
 
-def junction_row(f: FrankensteinMatrix, port: str | int | None = None) -> JunctionRow:
+def junction_row(f: FrankensteinMatrix) -> JunctionRow:
     """Extract the junction-port row of F for the fixed-point iteration.
 
-    Parameters
-    ----------
-    f : FrankensteinMatrix
-    port : str or int, optional
-        Junction port name or index.  Defaults to the unique current-bias
-        port; ambiguous or missing classification raises ValueError.
-
-    Returns
-    -------
-    JunctionRow
-        With the voltage-bias columns of the row forced to exactly 0 at
-        f = 0, so the bias stays stiff (the Josephson frequency must not
-        react to the DC current drawn).
+    The junction is the unique current-bias port; none or several raise
+    ValueError.  The voltage-bias columns of the row are forced to exactly 0
+    at f = 0, so the bias stays stiff (the Josephson frequency must not react
+    to the DC current drawn).
     """
     if f.frequencies is None:
         raise ValueError("junction row requires a frequency axis on F")
-    if port is None:
-        current_ports = [i for i, pk in enumerate(f.kinds) if pk.kind == CURRENT_BIAS]
-        if len(current_ports) != 1:
-            raise ValueError(
-                f"expected exactly one current-bias port, found {len(current_ports)}"
-            )
-        j = current_ports[0]
-    else:
-        j = f.port_index(port) if isinstance(port, str) else int(port)
-    if f.kinds[j].kind != CURRENT_BIAS:
-        raise ValueError(f"port {f.port_names[j]!r} is not classified current-bias")
+    current_ports = [i for i, pk in enumerate(f.kinds) if pk.kind == CURRENT_BIAS]
+    if len(current_ports) != 1:
+        raise ValueError(f"expected exactly one current-bias port, found {len(current_ports)}")
+    j = current_ports[0]
     row = f.values[:, j, :].copy()
     f_jj = row[:, j].copy()
     row[:, j] = 0.0
@@ -349,19 +301,3 @@ def junction_row(f: FrankensteinMatrix, port: str | int | None = None) -> Juncti
         grid=f.grid,
     )
 
-
-def export_frankenstein(f: FrankensteinMatrix, path) -> None:
-    """Write F to a columnar text file: frequency plus Re/Im per entry."""
-    if f.frequencies is None:
-        raise ValueError("export requires a frequency axis on F")
-    names = f.port_names
-    columns = [f.frequencies]
-    header = ["frequency_hz"]
-    for i in range(f.n_ports):
-        for j in range(f.n_ports):
-            columns.append(f.values[:, i, j].real)
-            columns.append(f.values[:, i, j].imag)
-            header.append(f"re_{names[i]}_{names[j]}")
-            header.append(f"im_{names[i]}_{names[j]}")
-    data = np.column_stack(columns)
-    np.savetxt(path, data, fmt="%.11e", delimiter=",", header=",".join(header), comments="")

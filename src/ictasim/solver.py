@@ -34,7 +34,7 @@ unconverged if that perturbation grows.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -48,10 +48,6 @@ from .frankenstein import (
     FrankensteinMatrix,
     JunctionRow,
 )
-
-DEFAULT_TOLERANCE = 1e-12
-DEFAULT_MAX_ITERATIONS = 10_000
-DEFAULT_ZERO_PAD = 4
 
 # Off-lattice stability probe of a sub-lattice solve: a seeded perturbation of
 # PROBE_SIZE * i_c (2-norm) on the off-lattice bins, PROBE_STEPS full-grid
@@ -73,12 +69,19 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Fixed-point solver settings; `iterate` checks its arguments here."""
+    """Fixed-point solver settings, checked here.
 
-    tolerance: float = DEFAULT_TOLERANCE
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
+    `tolerance` is the convergence threshold on the max spectral step, as a
+    fraction of i_c; exhausting `max_iterations` returns converged=False (the
+    parametric-oscillation signature) rather than raising; `relaxation` in
+    (0, 1] under-relaxes each step (1 is a plain step); `zero_pad` is the
+    frequency zero-padding factor of the time grid.
+    """
+
+    tolerance: float = 1e-12
+    max_iterations: int = 10_000
     relaxation: float = 1.0
-    zero_pad: int = DEFAULT_ZERO_PAD
+    zero_pad: int = 4
 
     def __post_init__(self):
         if not self.tolerance > 0:
@@ -89,9 +92,6 @@ class SolverOptions:
             raise ValueError("relaxation must lie in (0, 1]")
         if self.zero_pad < 1:
             raise ValueError("zero_pad must be at least 1")
-
-    def as_kwargs(self) -> dict:
-        return asdict(self)
 
 
 def josephson_frequency(v_dc: float) -> float:
@@ -235,31 +235,6 @@ class SolutionState:
     port_kinds: tuple | None = None
 
 
-def time_samples(grid: FrequencyGrid, zero_pad: int = DEFAULT_ZERO_PAD) -> np.ndarray:
-    """Oversampled time axis covering one period 1 / spacing."""
-    n_t = 2 * zero_pad * grid.size
-    return np.arange(n_t) / (n_t * grid.spacing)
-
-
-def to_time(spectrum: np.ndarray, grid: FrequencyGrid, zero_pad: int = DEFAULT_ZERO_PAD) -> np.ndarray:
-    """Half-amplitude one-sided spectrum to real time samples."""
-    spectrum = np.asarray(spectrum)
-    if spectrum.shape != (grid.size,):
-        raise ValueError("spectrum length does not match the grid")
-    n_t = 2 * zero_pad * grid.size
-    buf = np.zeros(zero_pad * grid.size + 1, dtype=complex)
-    buf[: grid.size] = spectrum * n_t
-    return np.fft.irfft(buf, n_t)
-
-
-def to_spectrum(samples: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """Real time samples to the one-sided half-amplitude spectrum, truncated
-    to the grid band (harmonics beyond f_max are discarded)."""
-    samples = np.asarray(samples)
-    n_t = samples.shape[-1]
-    return np.fft.rfft(samples) [..., : grid.size] / n_t
-
-
 def _bias_bin(bias: BiasPoint, grid: FrequencyGrid) -> int:
     m = round(round_bias(bias.f_dc, grid) / grid.spacing)
     if abs(bias.f_dc / grid.spacing - m) > 1e-6:
@@ -275,29 +250,6 @@ def _ramp_phase(m: int, phi0: float, n_t: int) -> np.ndarray:
     # even for large bin * sample products.
     idx = (m * np.arange(n_t, dtype=np.int64)) % n_t
     return (2.0 * np.pi / n_t) * idx + phi0
-
-
-def phase_update(
-    v_j: np.ndarray,
-    bias: BiasPoint,
-    grid: FrequencyGrid,
-    zero_pad: int = DEFAULT_ZERO_PAD,
-) -> np.ndarray:
-    """Junction phase samples from the AC voltage spectrum plus bias ramp.
-
-    phi(t) = 2 pi f_dc t + phi0 + (2e/hbar) * integral of the AC voltage;
-    the integral is performed bin-wise as V(omega) / (i omega), with the DC
-    bin excluded (the ramp already carries the bias).
-    """
-    v_j = np.asarray(v_j, dtype=complex)
-    if v_j.shape != (grid.size,):
-        raise ValueError("voltage spectrum length does not match the grid")
-    m = _bias_bin(bias, grid)
-    n_t = 2 * zero_pad * grid.size
-    omega = 2.0 * np.pi * grid.frequencies
-    buf = np.zeros(zero_pad * grid.size + 1, dtype=complex)
-    buf[1 : grid.size] = v_j[1:] * (2.0 * _E_CHARGE / _HBAR) * n_t / (1j * omega[1:])
-    return _ramp_phase(m, bias.phase, n_t) + np.fft.irfft(buf, n_t)
 
 
 def _resolve_grid(row: JunctionRow) -> FrequencyGrid:
@@ -393,11 +345,8 @@ def iterate(
     row: JunctionRow,
     bias: BiasPoint,
     stim: Stimulus,
+    options: SolverOptions = SolverOptions(),
     *,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    relaxation: float = 1.0,
-    zero_pad: int = DEFAULT_ZERO_PAD,
     initial: np.ndarray | None = None,
 ) -> SolutionState:
     """Fixed-point solution of the junction current spectrum.
@@ -417,15 +366,8 @@ def iterate(
         Grid-aligned operating point.
     stim : Stimulus
         Input tones (may be empty for pump-only runs).
-    tolerance : float
-        Convergence threshold as a fraction of i_c on the max spectral step.
-    max_iterations : int
-        Iteration budget; exhaustion returns converged=False (the parametric
-        oscillation signature), it does not raise.
-    relaxation : float
-        Under-relaxation factor in (0, 1]; 1 is a plain fixed-point step.
-    zero_pad : int
-        Frequency zero-padding factor for the time grid.
+    options : SolverOptions
+        Tolerance, iteration budget, relaxation and zero padding.
     initial : ndarray, optional
         Warm-start junction current spectrum (grid-sized, half amplitudes);
         only its bins on the solve's lattice are used.
@@ -433,9 +375,9 @@ def iterate(
     Returns
     -------
     SolutionState
-        Best state reached; `a_out` is left unset (see `outputs`/`solve`).
+        Best state reached; `a_out` is left unset.  The whole solve-point
+        pipeline is `outputs(iterate(junction_row(F), bias, stim, options), F)`.
     """
-    options = SolverOptions(tolerance, max_iterations, relaxation, zero_pad)
     return _iterate(row, bias, stim, options, initial, full_grid=False)
 
 
@@ -504,9 +446,7 @@ def _iterate(
     )
 
 
-def outputs(
-    state: SolutionState, f_matrix: FrankensteinMatrix, stim: Stimulus | None = None
-) -> SolutionState:
+def outputs(state: SolutionState, f_matrix: FrankensteinMatrix) -> SolutionState:
     """Outgoing amplitudes at every port from the solved junction current.
 
     The junction column of F multiplies the junction current; the remaining
@@ -514,8 +454,6 @@ def outputs(
     voltage at bin zero of voltage-bias ports, where the junction row is kept
     stiff).  Returns a copy of the state with `a_out` and port metadata set.
     """
-    if stim is None:
-        stim = state.stimulus
     grid = state.grid
     if f_matrix.grid is not None and f_matrix.grid != grid:
         raise ValueError("response matrix grid does not match the solution grid")
@@ -527,7 +465,7 @@ def outputs(
     j = current_ports[0]
     n_ports = f_matrix.n_ports
     x = np.zeros((n_ports, grid.size), dtype=complex)
-    for idx, k, amp in _tone_entries(stim, grid, f_matrix.port_names, f_matrix.kinds):
+    for idx, k, amp in _tone_entries(state.stimulus, grid, f_matrix.port_names, f_matrix.kinds):
         x[idx, k] += amp
     for i, pk in enumerate(f_matrix.kinds):
         if pk.kind == VOLTAGE_BIAS:
@@ -545,19 +483,6 @@ def outputs(
         port_names=f_matrix.port_names,
         port_kinds=f_matrix.kinds,
     )
-
-
-def solve(
-    f_matrix: FrankensteinMatrix,
-    bias: BiasPoint,
-    stim: Stimulus,
-    **options,
-) -> SolutionState:
-    """Convenience wrapper: junction row, iteration, and port outputs."""
-    from .frankenstein import junction_row
-
-    state = iterate(junction_row(f_matrix), bias, stim, **options)
-    return outputs(state, f_matrix, stim)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -156,7 +156,6 @@ def _chain(
     point starts cold; a diverged point records the iteration it diverged at.
     """
     row = junction_row(response)
-    kwargs = options.as_kwargs()
     n = len(stimuli)
     gain_db = np.full(n, np.nan)
     converged = np.zeros(n, dtype=bool)
@@ -165,7 +164,7 @@ def _chain(
     warm = None
     for i, stim in enumerate(stimuli):
         try:
-            state = iterate(row, bias, stim, initial=warm, **kwargs)
+            state = iterate(row, bias, stim, options, initial=warm)
         except DivergenceError as err:
             iterations[i] = err.iterations
             warm = None
@@ -175,7 +174,7 @@ def _chain(
         warm = state.i_j if state.converged else None
         if state.converged:
             tone = stim.tones[0]
-            state = outputs(state, response, stim)
+            state = outputs(state, response)
             gain_db[i] = gain(state, tone.frequency, port=tone.port)
             balance[i] = power_balance(state).relative_error
     return gain_db, converged, balance, iterations
@@ -460,12 +459,6 @@ def rapp_gain_db(power_in_dbm, gain_db: float, p_sat_dbm: float, knee: float):
     return gain_db - (5.0 / knee) * softplus
 
 
-def rapp_output_watts(power_in_watts, fit: RappFit):
-    """Model output power in watts for input power in watts."""
-    driven = fit.gain * np.asarray(power_in_watts, dtype=float)
-    return driven / (1.0 + (driven / fit.p_sat) ** (2 * fit.knee)) ** (1.0 / (2 * fit.knee))
-
-
 MIN_COMPRESSION_DB = 1.5
 
 
@@ -478,6 +471,8 @@ def rapp_fit(curve, gain_db=None, phase_index: int | None = None) -> RappFit:
 
     Raises
     ------
+    ValueError
+        `phase_index` outside [0, n_phases).
     NotFittableError
         Less than MIN_COMPRESSION_DB of gain compression in the data, or too
         few points: the saturation power would be unconstrained.
@@ -493,6 +488,8 @@ def rapp_fit(curve, gain_db=None, phase_index: int | None = None) -> RappFit:
                 "degenerate phase-split curve: select a phase row to fit"
             )
         idx = 0 if phase_index is None else int(phase_index)
+        if not 0 <= idx < len(curve.phases):
+            raise ValueError(f"phase_index {idx} is out of range [0, {len(curve.phases)})")
         keep = curve.converged[idx]
         p_in = curve.power_in_dbm[keep]
         g = curve.gain_db[idx][keep]
@@ -620,11 +617,11 @@ def pump_emission(
     lo, hi = max(1, m - half), min(grid.size - 1, m + half)
     row = junction_row(response)
     try:
-        state = iterate(row, bias, Stimulus.none(), **options.as_kwargs())
+        state = iterate(row, bias, Stimulus.none(), options)
     except DivergenceError:
         nan = float("nan")
         return EmissionResult(bias.f_dc, nan, nan, 2 * half * grid.spacing, converged=False)
-    state = outputs(state, response, Stimulus.none())
+    state = outputs(state, response)
     a = state.a_out[idx]
     power = float(np.sum(np.abs(a[lo : hi + 1]) ** 2) / (2.0 * impedance))
     harmonics = []
@@ -687,7 +684,7 @@ def sweep_metadata(net, grid: FrequencyGrid, options: SolverOptions) -> dict:
     """Common sidecar fields: netlist identity, grid, solver settings."""
     meta = {
         "grid": {"spacing_hz": grid.spacing, "size": grid.size},
-        "solver": options.as_kwargs(),
+        "solver": asdict(options),
     }
     if isinstance(net, Netlist):
         meta["netlist"] = netlist_to_dict(net)

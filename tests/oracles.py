@@ -1,0 +1,34 @@
+"""Test oracles: the solve-point pipeline in one call, and plain time-domain
+transforms of the solver's spectral convention on the full grid."""
+
+import numpy as np
+
+from ictasim.frankenstein import junction_row
+from ictasim.solver import SolverOptions, iterate, outputs
+
+
+def solve(f_matrix, bias, stim, **options):
+    """Junction row, iteration and port outputs of one point."""
+    state = iterate(junction_row(f_matrix), bias, stim, SolverOptions(**options))
+    return outputs(state, f_matrix)
+
+
+def time_samples(grid, zero_pad=SolverOptions.zero_pad):
+    """Oversampled time axis covering one period 1 / spacing."""
+    n_t = 2 * zero_pad * grid.size
+    return np.arange(n_t) / (n_t * grid.spacing)
+
+
+def to_time(spectrum, grid, zero_pad=SolverOptions.zero_pad):
+    """Half-amplitude one-sided spectrum to real time samples."""
+    n_t = 2 * zero_pad * grid.size
+    buf = np.zeros(zero_pad * grid.size + 1, dtype=complex)
+    buf[: grid.size] = np.asarray(spectrum) * n_t
+    return np.fft.irfft(buf, n_t)
+
+
+def to_spectrum(samples, grid):
+    """Real time samples to the one-sided half-amplitude spectrum, truncated
+    to the grid band."""
+    samples = np.asarray(samples)
+    return np.fft.rfft(samples)[..., : grid.size] / samples.shape[-1]

@@ -47,9 +47,6 @@ from ictasim.solver import (
     dbm_to_watts,
     iterate,
     power_balance,
-    solve,
-    to_spectrum,
-    to_time,
 )
 from ictasim.sweeps import (
     SolverOptions,
@@ -62,6 +59,7 @@ from ictasim.sweeps import (
     rapp_fit,
     rapp_gain_db,
 )
+from oracles import solve, to_spectrum, to_time
 
 CANONICAL = IctaParams()
 BIAS_280 = BiasPoint(f_dc=12e9, i_c=280e-9)

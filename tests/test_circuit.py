@@ -20,7 +20,6 @@ from ictasim.circuit import (
     netlist_hash,
     netlist_to_dict,
     quarter_wave_line,
-    reduce_ports,
     s_matrix,
     save_netlist,
     series_capacitor,
@@ -157,19 +156,6 @@ def test_scattering_handles_dc_bin(canonical_net):
     assert np.all(np.isfinite(s))
     assert_allclose(s[0, 0], 1.0, atol=1e-9)  # chain is open at DC
     assert_allclose(np.abs(s[2, 1]), 1.0, atol=1e-9)  # junction shorts to dc
-
-
-def test_reduce_ports_quarter_wave_inversion():
-    net = Netlist(chain=(quarter_wave_line(50.0, 6e9),), bias_branch=None)
-    s = s_matrix(net, 6e9)
-    shorted = reduce_ports(s, keep=[0], terminations={1: -1.0})
-    assert_allclose(shorted[0, 0], 1.0, atol=1e-10)
-    opened = reduce_ports(s, keep=[0], terminations={1: 1.0})
-    assert_allclose(opened[0, 0], -1.0, atol=1e-10)
-    matched = reduce_ports(s, keep=[0], terminations={1: 0.0})
-    assert_allclose(matched[0, 0], s[0, 0], atol=1e-12)
-    with pytest.raises(ValueError):
-        reduce_ports(s, keep=[0, 1], terminations={1: 0.0})
 
 
 def textbook_junction_impedance(params, f):

@@ -204,7 +204,7 @@ def test_describe_rejects_invalid_config_without_side_effects(tmp_path, capsys):
 
 
 def test_profile_run_outputs(tmp_path, capsys):
-    path = write_config(tmp_path, profile_sweep())
+    path = write_config(tmp_path, profile_sweep(), solver={"max_iterations": 3000})
     out = tmp_path / "run"
     assert main(["profile", "--config", str(path), "--out", str(out)]) == 0
     data = np.genfromtxt(out / "profile.csv", delimiter=",", names=True)
@@ -217,6 +217,9 @@ def test_profile_run_outputs(tmp_path, capsys):
     assert meta["unconverged_solves"] == 0
     assert "netlist_sha256" in meta
     assert "metrics" in meta
+    assert meta["solver"] == {
+        "tolerance": 1e-12, "max_iterations": 3000, "relaxation": 1.0, "zero_pad": 4
+    }
 
 
 def test_profile_rerun_byte_identical(tmp_path):

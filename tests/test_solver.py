@@ -23,17 +23,13 @@ from ictasim.solver import (
     iterate,
     josephson_frequency,
     outputs,
-    phase_update,
     power_balance,
     round_bias,
-    solve,
-    time_samples,
-    to_spectrum,
-    to_time,
     tone_amplitude,
     watts_to_dbm,
 )
-from ictasim.solver import _iterate
+from ictasim.solver import _iterate, _picard_step
+from oracles import solve, time_samples, to_spectrum, to_time
 
 F_DC = 12e9
 I_C = 280e-9
@@ -104,22 +100,20 @@ def test_single_tone_time_samples():
 
 
 def test_phase_update_integrates_voltage():
+    # One zero-feedback step turns a voltage tone into I_c sin(phi), where phi
+    # is the bias ramp plus 2e/hbar times the integrated tone.
     grid = FrequencyGrid(1e7, 256)
     bias = BiasPoint(f_dc=64e7, i_c=1e-7, phase=0.3)
     v = np.zeros(256, dtype=complex)
     v0, k = 4e-7, 12
     v[k] = 0.5 * v0
-    t = time_samples(grid)
+    options = SolverOptions()
+    step = _picard_step(np.zeros(256, dtype=complex), v, grid.frequencies, 64, bias, options)
+    t = time_samples(grid, options.zero_pad)
     w = 2 * np.pi * grid.frequencies[k]
-    expected = 2 * np.pi * bias.f_dc * t + 0.3 + (2 * E_CHARGE / HBAR) * v0 * np.sin(w * t) / w
-    # The ramp is stored wrapped, so compare on the unit circle.
-    assert_allclose(np.exp(1j * phase_update(v, bias, grid)), np.exp(1j * expected), atol=1e-9)
-
-
-def test_phase_update_requires_grid_aligned_bias():
-    grid = FrequencyGrid(1e7, 256)
-    with pytest.raises(ValueError):
-        phase_update(np.zeros(256), BiasPoint(f_dc=64.5e7, i_c=1e-7), grid)
+    phi = 2 * np.pi * bias.f_dc * t + 0.3 + (2 * E_CHARGE / HBAR) * v0 * np.sin(w * t) / w
+    expected = to_spectrum(bias.i_c * np.sin(phi), grid)
+    assert_allclose(step(np.zeros(256, dtype=complex)), expected, rtol=0, atol=1e-9 * bias.i_c)
 
 
 def _bare_junction_row(grid, port_impedance=50.0):
@@ -303,13 +297,13 @@ def test_relaxation_reaches_same_fixed_point(canonical_f):
     stim = Stimulus.single(6e9, -130.0)
     row = junction_row(canonical_f)
     plain = iterate(row, bias, stim)
-    damped = iterate(row, bias, stim, relaxation=0.5)
+    damped = iterate(row, bias, stim, SolverOptions(relaxation=0.5))
     assert plain.converged and damped.converged
     assert_allclose(damped.i_j, plain.i_j, atol=1e-10 * I_C)
     with pytest.raises(ValueError):
-        iterate(row, bias, stim, relaxation=0.0)
+        iterate(row, bias, stim, SolverOptions(relaxation=0.0))
     with pytest.raises(ValueError):
-        iterate(row, bias, stim, relaxation=1.5)
+        iterate(row, bias, stim, SolverOptions(relaxation=1.5))
 
 
 def test_divergent_response_raises():
@@ -339,16 +333,13 @@ def test_iteration_budget_flags_nonconvergence():
         row,
         BiasPoint(f_dc=F_DC, i_c=I_C),
         Stimulus.single(6e9, -130.0),
-        max_iterations=1,
-        tolerance=1e-300,
+        SolverOptions(max_iterations=1, tolerance=1e-300),
     )
     assert not state.converged
     assert state.iterations == 1
 
 
 def test_stimulus_validation(canonical_f):
-    from ictasim.frankenstein import junction_row
-
     row = junction_row(canonical_f)
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
     with pytest.raises(ValueError):

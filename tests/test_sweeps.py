@@ -8,7 +8,8 @@ from scipy.optimize import brentq
 
 from ictasim import sweeps
 from ictasim.circuit import DEFAULT_GRID, FrequencyGrid, IctaParams, build_icta, frankenstein_matrix
-from ictasim.solver import BiasPoint, DivergenceError, Stimulus, _iterate
+from ictasim.frankenstein import junction_row
+from ictasim.solver import BiasPoint, DivergenceError, Stimulus, _iterate, _picard_step
 from ictasim.sweeps import (
     CompressionCurve,
     FitFailedError,
@@ -26,7 +27,6 @@ from ictasim.sweeps import (
     pump_emission,
     rapp_fit,
     rapp_gain_db,
-    rapp_output_watts,
     raw_p1db,
     read_compression_csv,
     write_compression_csv,
@@ -93,10 +93,12 @@ def test_rapp_gain_at_knee_input():
 
 
 def test_rapp_output_watts_matches_db_form():
+    # the textbook watts form of the model is the oracle of its dB form
     fit = RappFit(gain=10.0 ** (13.0 / 10.0), p_sat=1e-13, knee=1.4, residual_db=0.0)
     p_in_dbm = np.linspace(-130.0, -95.0, 12)
     p_in_w = 10.0 ** ((p_in_dbm - 30.0) / 10.0)
-    out_w = rapp_output_watts(p_in_w, fit)
+    driven = fit.gain * p_in_w
+    out_w = driven / (1.0 + (driven / fit.p_sat) ** (2 * fit.knee)) ** (1.0 / (2 * fit.knee))
     gains = rapp_gain_db(p_in_dbm, fit.gain_db, fit.p_sat_dbm, fit.knee)
     np.testing.assert_allclose(
         10.0 * np.log10(out_w / p_in_w), gains, rtol=0, atol=1e-10
@@ -125,6 +127,23 @@ def test_rapp_fit_idempotent():
     assert abs(second.gain - first.gain) / first.gain < 1e-3
     assert abs(second.p_sat - first.p_sat) / first.p_sat < 1e-3
     assert abs(second.knee - first.knee) / first.knee < 1e-3
+
+
+@pytest.mark.parametrize("n_phases, phase_index", [(2, -1), (2, 2), (1, 1)])
+def test_rapp_fit_rejects_phase_index_out_of_range(n_phases, phase_index):
+    powers = np.linspace(-140.0, -110.0, 9)
+    rows = [rapp_gain_db(powers, 20.0 - 2.0 * i, -101.0, 1.0) for i in range(n_phases)]
+    curve = CompressionCurve(
+        power_in_dbm=powers,
+        gain_db=np.vstack(rows),
+        phases=np.linspace(0.0, np.pi / 2, n_phases),
+        converged=np.ones((n_phases, 9), dtype=bool),
+        balance_error=np.zeros((n_phases, 9)),
+        signal_frequency=6.4e9,
+        bias=BiasPoint(f_dc=F_DC, i_c=I_C),
+    )
+    with pytest.raises(ValueError, match=rf"out of range \[0, {n_phases}\)"):
+        rapp_fit(curve, phase_index=phase_index)
 
 
 def test_linear_curve_not_fittable():
@@ -326,12 +345,12 @@ def test_map_feature_cells_match_full_grid(monkeypatch, f_dc, f_s):
     states = []
     real_iterate = sweeps.iterate
 
-    def record(row, bias, stim, **kwargs):
-        states.append(real_iterate(row, bias, stim, **kwargs))
+    def record(*args, **kwargs):
+        states.append(real_iterate(*args, **kwargs))
         return states[-1]
 
-    def oracle(row, bias, stim, initial=None, **kwargs):
-        return _iterate(row, bias, stim, SolverOptions(**kwargs), initial, full_grid=True)
+    def oracle(row, bias, stim, options, initial=None):
+        return _iterate(row, bias, stim, options, initial, full_grid=True)
 
     monkeypatch.setattr(sweeps, "iterate", record)
     fast = gain_map_fdc(response, [f_s], [f_dc], 200e-9, grid=grid, options=options)
@@ -479,6 +498,30 @@ def test_emission_flags_off_lattice_unstable_pump():
     assert not result.converged
 
 
+def test_emission_stable_below_instability_threshold():
+    # At 0.15 ohm the pump-only state is stable off its comb: after 200 plain
+    # full-grid steps an off-comb perturbation shrinks by about 0.9925 per
+    # step and sits below its injected size, although the first few steps
+    # grow it (the 8-step probe reads 1.02).  At 0.2 ohm it grows 1.2 per step.
+    response = frankenstein_matrix(build_icta(IctaParams(bias_resistance=0.15)), DEFAULT_GRID)
+    bias = BiasPoint(f_dc=12.261e9, i_c=100e-9)
+    assert pump_emission(response, bias, grid=DEFAULT_GRID).converged
+    row = junction_row(response)
+    state = _iterate(row, bias, Stimulus.none(), SolverOptions(), full_grid=True)
+    m = round(bias.f_dc / DEFAULT_GRID.spacing)
+    off = np.arange(DEFAULT_GRID.size) % m != 0
+    rng = np.random.default_rng(7)
+    noise = np.where(off, rng.standard_normal(off.size) + 1j * rng.standard_normal(off.size), 0)
+    x = state.i_j + noise * 1e-9 * bias.i_c / np.sqrt(np.sum(np.abs(noise) ** 2))
+    drive = np.zeros(DEFAULT_GRID.size, dtype=complex)
+    step = _picard_step(row.f_jj, drive, DEFAULT_GRID.frequencies, m, bias, SolverOptions())
+    for _ in range(200):
+        before = np.sum(np.abs(x[off]) ** 2)
+        x = step(x)
+    after = np.sum(np.abs(x[off]) ** 2)
+    assert after < before and np.sqrt(after) < 1e-9 * bias.i_c
+
+
 def test_photon_rate_conversion():
     watts = 10.0 ** ((-105.0 - 30.0) / 10.0)
     rate = photon_rate(watts, 12.261e9)
@@ -507,14 +550,14 @@ def test_diverged_point_is_masked(canonical_f, coarse_grid, monkeypatch):
     clean = run_sweeps()
     real_iterate = sweeps.iterate
 
-    def iterate(row, bias, stim, **kwargs):
+    def iterate(row, bias, stim, *args, **kwargs):
         # diverge at f_s = fs[1], -140 dBm on the F_DC row, and on pump-only solves
         tones = stim.tones
         if not tones or (
             bias.f_dc == F_DC and tones[0].frequency == fs[1] and tones[0].power_dbm == -140.0
         ):
             raise DivergenceError("forced divergence", 7)
-        return real_iterate(row, bias, stim, **kwargs)
+        return real_iterate(row, bias, stim, *args, **kwargs)
 
     monkeypatch.setattr(sweeps, "iterate", iterate)
     masked = run_sweeps()
