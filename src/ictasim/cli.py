@@ -310,14 +310,20 @@ def solve_count(config: RunConfig) -> int:
 
 
 def memory_estimate_bytes(config: RunConfig) -> int:
-    """Rough peak working-set: response matrix plus solver time buffers."""
+    """Rough peak working set.  A `zjj` or `fom` run holds only the ladder
+    fold's arrays; for a nonlinear sweep this is an upper bound that counts
+    the response matrix and its nodal scratch at every bin (it is built only
+    at the bins read) plus the fold and the solver's time buffers."""
     n = config.grid.size
+    fold = 8 * n * 16  # complex num/den pairs of both folds, and z
+    if config.sweep["kind"] in ("zjj", "fom"):
+        return fold
     n_ports = len(config.netlist.port_names)
     response = n * n_ports * n_ports * 16
     nodal = n * (n_ports + 6) ** 2 * 16  # assembly scratch
     n_t = 2 * config.options.zero_pad * n
     buffers = 6 * n_t * 8
-    return response + nodal + buffers
+    return fold + response + nodal + buffers
 
 
 def describe(config: RunConfig, stream=None) -> None:
@@ -326,6 +332,8 @@ def describe(config: RunConfig, stream=None) -> None:
     sweep = config.sweep
     count = solve_count(config)
     mem = memory_estimate_bytes(config)
+    linear_only = sweep["kind"] in ("zjj", "fom")
+    bound = "" if linear_only else "at most "
     print(f"sweep kind:        {sweep['kind']}", file=stream)
     print(f"grid:              {config.grid.size} bins x {config.grid.spacing:g} Hz "
           f"(f_max {config.grid.f_max:g} Hz)", file=stream)
@@ -334,9 +342,13 @@ def describe(config: RunConfig, stream=None) -> None:
             print(f"axis {key}:        {value.size} points in [{value[0]:g}, {value[-1]:g}]",
                   file=stream)
     print(f"nonlinear solves:  {count}", file=stream)
-    print(f"linear solves:     {config.grid.size} frequencies x "
-          f"{len(config.netlist.port_names)} ports", file=stream)
-    print(f"memory estimate:   {mem / 1e6:.0f} MB", file=stream)
+    if linear_only:
+        print(f"linear solves:     none (ladder fold over {config.grid.size} frequencies)",
+              file=stream)
+    else:
+        print(f"linear solves:     at most {config.grid.size} frequencies x "
+              f"{len(config.netlist.port_names)} ports", file=stream)
+    print(f"memory estimate:   {bound}{mem / 1e6:.0f} MB", file=stream)
 
 
 def run(config: RunConfig, out_dir: Path, threads: int | None = None) -> int:

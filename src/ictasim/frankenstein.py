@@ -16,6 +16,12 @@ relates these mixed inputs and outputs through a^out = F a^in.  It is obtained
 from S by F = (K + L S)(M + N S)^-1 with diagonal matrices K, L, M, N whose
 entries depend only on the port kind and the reference impedance.  Entries of
 F carry non-uniform units (e.g. V/A on a current-bias diagonal).
+
+The solver reads a response through two methods: `rows(bins)`, F at some
+bins, and `junction_impedance()`, the junction diagonal at every bin.  A
+`FrankensteinMatrix` holds F at every bin already; the netlist response of
+`circuit.frankenstein_matrix` implements the same two methods and builds
+each bin only when it is first read.
 """
 
 from __future__ import annotations
@@ -169,6 +175,28 @@ class FrankensteinMatrix:
     def n_ports(self) -> int:
         return len(self.kinds)
 
+    @property
+    def n_freq(self) -> int:
+        return self.values.shape[0]
+
+    def rows(self, bins) -> np.ndarray:
+        """F at `bins` (an index array or a slice), shape (n_bins, n_ports, n_ports)."""
+        return self.values[bins]
+
+    def junction_impedance(self) -> np.ndarray:
+        """The junction-port diagonal F_jj at every bin."""
+        j = junction_port(self.kinds)
+        return self.values[:, j, j].copy()
+
+
+def junction_port(kinds: Sequence[PortKind]) -> int:
+    """Index of the junction: the unique current-bias port.  None or several
+    raise ValueError."""
+    current_ports = [i for i, pk in enumerate(kinds) if pk.kind == CURRENT_BIAS]
+    if len(current_ports) != 1:
+        raise ValueError(f"expected exactly one current-bias port, found {len(current_ports)}")
+    return current_ports[0]
+
 
 def to_frankenstein(
     s: np.ndarray,
@@ -250,54 +278,69 @@ def from_frankenstein(f: FrankensteinMatrix) -> np.ndarray:
     return np.linalg.solve(lhs, rhs)
 
 
+class SourceColumns:
+    """The junction row of a response off its diagonal, indexed [bins, ports]
+    like an (n_freq, n_ports) array: the junction column is 0, and so are the
+    voltage-bias columns at f = 0, which keeps the bias stiff (the Josephson
+    frequency must not react to the DC current drawn).  Indexing reads the
+    response only at the bins asked for."""
+
+    def __init__(self, response, junction_index: int):
+        self._response = response
+        self._j = junction_index
+
+    def __getitem__(self, key):
+        bins, ports = key
+        sel = np.arange(self._response.n_freq)[bins]
+        at = np.atleast_1d(sel)
+        rows = self._response.rows(at)[:, self._j, :].copy()
+        rows[:, self._j] = 0.0
+        at_dc = self._response.frequencies[at] == 0.0
+        for i, pk in enumerate(self._response.kinds):
+            if pk.kind == VOLTAGE_BIAS:
+                rows[at_dc, i] = 0.0
+        return rows[:, ports] if np.ndim(sel) else rows[0, ports]
+
+
 @dataclass(frozen=True)
 class JunctionRow:
     """The single-row view of F needed by the nonlinear solver.
 
     `f_jj` is the junction-port diagonal (an impedance per frequency) and
-    `source_columns` holds the remaining row entries with the junction column
-    zeroed, so that the linear drive is a plain contraction with the incident
-    amplitudes.  The DC stiffening (junction row, voltage-bias columns forced
-    to 0 at f = 0) is already applied.
+    `source_columns`, indexed [bin, port], holds the remaining row entries
+    with the junction column zeroed, so that the linear drive is a plain
+    contraction with the incident amplitudes; the DC stiffening (junction
+    row, voltage-bias columns forced to 0 at f = 0) is already applied.
+    `junction_row` fills it with a `SourceColumns` view; a hand-built row may
+    pass an (n_freq, n_ports) array.
     """
 
     junction_index: int
     f_jj: np.ndarray
-    source_columns: np.ndarray
+    source_columns: "np.ndarray | SourceColumns"
     kinds: tuple[PortKind, ...]
     port_names: tuple[str, ...]
     frequencies: np.ndarray
     grid: "FrequencyGrid | None" = None
 
 
-def junction_row(f: FrankensteinMatrix) -> JunctionRow:
-    """Extract the junction-port row of F for the fixed-point iteration.
+def junction_row(f) -> JunctionRow:
+    """The junction-port row of a response for the fixed-point iteration.
 
-    The junction is the unique current-bias port; none or several raise
-    ValueError.  The voltage-bias columns of the row are forced to exactly 0
-    at f = 0, so the bias stays stiff (the Josephson frequency must not react
-    to the DC current drawn).
+    `f` is a `FrankensteinMatrix` or a netlist response; the junction is
+    `junction_port(f.kinds)`.  `f_jj` is `f.junction_impedance()`, and the
+    source columns are read from `f.rows` only at the bins the solver asks
+    for (its tone bins).
     """
     if f.frequencies is None:
         raise ValueError("junction row requires a frequency axis on F")
-    current_ports = [i for i, pk in enumerate(f.kinds) if pk.kind == CURRENT_BIAS]
-    if len(current_ports) != 1:
-        raise ValueError(f"expected exactly one current-bias port, found {len(current_ports)}")
-    j = current_ports[0]
-    row = f.values[:, j, :].copy()
-    f_jj = row[:, j].copy()
-    row[:, j] = 0.0
-    at_dc = np.nonzero(f.frequencies == 0.0)[0]
-    for i, pk in enumerate(f.kinds):
-        if pk.kind == VOLTAGE_BIAS:
-            row[at_dc, i] = 0.0
+    j = junction_port(f.kinds)
     return JunctionRow(
         junction_index=j,
-        f_jj=f_jj,
-        source_columns=row,
+        f_jj=f.junction_impedance(),
+        source_columns=SourceColumns(f, j),
         kinds=f.kinds,
         port_names=f.port_names,
         frequencies=f.frequencies,
         grid=f.grid,
     )
-

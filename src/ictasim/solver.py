@@ -41,13 +41,7 @@ import numpy as np
 from scipy.constants import e as _E_CHARGE, h as _PLANCK, hbar as _HBAR
 
 from .circuit import FrequencyGrid
-from .frankenstein import (
-    CURRENT_BIAS,
-    VOLTAGE_BIAS,
-    WAVE,
-    FrankensteinMatrix,
-    JunctionRow,
-)
+from .frankenstein import VOLTAGE_BIAS, WAVE, JunctionRow, junction_port
 
 # Off-lattice stability probe of a sub-lattice solve: a seeded perturbation of
 # PROBE_SIZE * i_c (2-norm) on the off-lattice bins, PROBE_STEPS full-grid
@@ -261,6 +255,18 @@ def _resolve_grid(row: JunctionRow) -> FrequencyGrid:
     return FrequencyGrid(spacing=float(freqs[1]), size=len(freqs))
 
 
+def wave_port(port: str, port_names: Sequence[str], kinds: Sequence, role: str) -> int:
+    """Index of the named wave port; ValueError naming the `role` that asked
+    for an unknown or a non-wave port."""
+    try:
+        idx = list(port_names).index(port)
+    except ValueError:
+        raise ValueError(f"{role} names unknown port {port!r}") from None
+    if kinds[idx].kind != WAVE:
+        raise ValueError(f"{role} port {port!r} is not a wave port")
+    return idx
+
+
 def _tone_entries(
     stim: Stimulus,
     grid: FrequencyGrid,
@@ -270,12 +276,7 @@ def _tone_entries(
     """Snap tones to (port index, bin, half-amplitude) triples."""
     entries = []
     for tone in stim.tones:
-        try:
-            idx = list(port_names).index(tone.port)
-        except ValueError:
-            raise ValueError(f"stimulus names unknown port {tone.port!r}") from None
-        if kinds[idx].kind != WAVE:
-            raise ValueError(f"stimulus port {tone.port!r} is not a wave port")
+        idx = wave_port(tone.port, port_names, kinds, "stimulus")
         k = int(round(tone.frequency / grid.spacing))
         if k < 1 or k >= grid.size:
             raise ValueError(
@@ -304,18 +305,41 @@ def _picard_step(
     integrator[0] = 0.0
     omega = 2.0 * np.pi * frequencies
     integrator[1:] = (2.0 * _E_CHARGE / _HBAR) * n_t / (1j * omega[1:])
-    ramp = _ramp_phase(m, bias.phase, n_t)
-    buf = np.zeros(zero_pad * n + 1, dtype=complex)
+    half = zero_pad * n + 1  # n_t // 2 + 1
+    # Every array a step writes lives in one block for the whole solve: the
+    # bias ramp, the phase samples, both spectra and the junction voltage.
+    # numpy's FFT allocates n_t-sized scratch inside each call; once a block
+    # this large has been freed, glibc serves that scratch from its heap
+    # instead of mapping fresh pages on every step.
+    work = np.empty(2 * n_t + 4 * half + 2 * n)
+    ramp, phi = work[:n_t], work[n_t : 2 * n_t]
+    ramp[:] = _ramp_phase(m, bias.phase, n_t)
+    buf = work[2 * n_t : 2 * n_t + 2 * half].view(complex)
+    buf[0] = 0.0
+    buf[n:] = 0.0
+    spectrum = work[2 * n_t + 2 * half : 2 * n_t + 4 * half].view(complex)
+    v = work[2 * n_t + 4 * half :].view(complex)
+    mixed = np.empty(n, dtype=complex) if relaxation != 1.0 else None
     i_c = bias.i_c
 
-    def step(current: np.ndarray) -> np.ndarray:
-        v = drive + f_jj * current
-        buf[1:n] = v[1:] * integrator[1:]
-        phi = ramp + np.fft.irfft(buf, n_t)
-        updated = np.fft.rfft(i_c * np.sin(phi))[:n] / n_t
-        if relaxation != 1.0:
-            updated = (1.0 - relaxation) * current + relaxation * updated
-        return updated
+    def step(current: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The next iterate, written to `out` (a new array when omitted)."""
+        if out is None:
+            out = np.empty(n, dtype=complex)
+        np.multiply(f_jj, current, out=v)
+        np.add(drive, v, out=v)
+        np.multiply(v[1:], integrator[1:], out=buf[1:n])
+        np.fft.irfft(buf, n_t, out=phi)
+        np.add(ramp, phi, out=phi)
+        np.sin(phi, out=phi)
+        np.multiply(i_c, phi, out=phi)
+        np.fft.rfft(phi, out=spectrum)
+        np.divide(spectrum[:n], n_t, out=out)
+        if mixed is not None:
+            np.multiply(1.0 - relaxation, current, out=mixed)
+            np.multiply(relaxation, out, out=out)
+            np.add(mixed, out, out=out)
+        return out
 
     return step
 
@@ -407,20 +431,21 @@ def _iterate(
         current[0] = current[0].real
     s = 1 if full_grid or not entries else math.gcd(m, *(k for _, k, _ in entries))
     step = _picard_step(row.f_jj[::s], drive[::s], grid.frequencies[::s], m // s, bias, options)
-    current = current[::s]
     tol_abs = options.tolerance * bias.i_c
     converged = False
     delta = np.inf
     iterations = 0
+    current = current[::s].copy()
+    spare, diff, size = np.empty_like(current), np.empty_like(current), np.empty(current.size)
     with np.errstate(invalid="ignore", over="ignore"):  # DivergenceError reports a blow-up
         for iterations in range(1, options.max_iterations + 1):
-            updated = step(current)
-            delta = float(np.max(np.abs(updated - current)))
+            updated = step(current, spare)
+            delta = float(np.max(np.abs(np.subtract(updated, current, out=diff), out=size)))
             if not np.isfinite(delta):
                 raise DivergenceError(
                     f"junction current became non-finite at iteration {iterations}", iterations
                 )
-            current = updated
+            current, spare = updated, current
             if delta < tol_abs or delta == 0.0:
                 converged = True
                 break
@@ -446,23 +471,26 @@ def _iterate(
     )
 
 
-def outputs(state: SolutionState, f_matrix: FrankensteinMatrix) -> SolutionState:
+def outputs(state: SolutionState, f_matrix, *, bins=None) -> SolutionState:
     """Outgoing amplitudes at every port from the solved junction current.
 
     The junction column of F multiplies the junction current; the remaining
     columns multiply the incident amplitudes (stimulus tones, and the DC bias
     voltage at bin zero of voltage-bias ports, where the junction row is kept
-    stiff).  Returns a copy of the state with `a_out` and port metadata set.
+    stiff).  `f_matrix` is a `FrankensteinMatrix` or a netlist response, read
+    through its `rows` method on the state's lattice (bins 0, stride, ...),
+    where all inputs live, so `a_out` is exactly 0 off it.  `bins` (an index
+    array) reads those bins instead and leaves `a_out` 0 elsewhere, which is
+    all a caller reporting only those bins needs.  Returns a copy of the state
+    with `a_out` and port metadata set.
     """
     grid = state.grid
     if f_matrix.grid is not None and f_matrix.grid != grid:
         raise ValueError("response matrix grid does not match the solution grid")
-    if f_matrix.values.shape[0] != grid.size:
+    if f_matrix.n_freq != grid.size:
         raise ValueError("response matrix length does not match the solution grid")
-    current_ports = [i for i, pk in enumerate(f_matrix.kinds) if pk.kind == CURRENT_BIAS]
-    if len(current_ports) != 1:
-        raise ValueError("expected exactly one current-bias port")
-    j = current_ports[0]
+    j = junction_port(f_matrix.kinds)
+    read = slice(None, None, state.stride) if bins is None else np.asarray(bins, dtype=int)
     n_ports = f_matrix.n_ports
     x = np.zeros((n_ports, grid.size), dtype=complex)
     for idx, k, amp in _tone_entries(state.stimulus, grid, f_matrix.port_names, f_matrix.kinds):
@@ -471,12 +499,15 @@ def outputs(state: SolutionState, f_matrix: FrankensteinMatrix) -> SolutionState
         if pk.kind == VOLTAGE_BIAS:
             x[i, 0] = state.bias.v_dc
     x[j] = state.i_j
-    a_out = np.einsum("fij,jf->if", f_matrix.values, x)
+    f_read = f_matrix.rows(read)
+    a_out = np.zeros((n_ports, grid.size), dtype=complex)
+    a_out[:, read] = np.einsum("fij,jf->if", f_read, x[:, read])
     # Stiff bias: the junction row must not see the DC bias at omega = 0.
-    if f_matrix.frequencies is not None and f_matrix.frequencies[0] == 0.0:
+    at_dc = np.nonzero(np.arange(grid.size)[read] == 0)[0]
+    if at_dc.size and f_matrix.frequencies is not None and f_matrix.frequencies[0] == 0.0:
         for i, pk in enumerate(f_matrix.kinds):
             if pk.kind == VOLTAGE_BIAS:
-                a_out[j, 0] -= f_matrix.values[0, j, i] * x[i, 0]
+                a_out[j, 0] -= f_read[at_dc[0], j, i] * x[i, 0]
     return replace(
         state,
         a_out=a_out,

@@ -35,6 +35,7 @@ from .circuit import (
     DEFAULT_GRID,
     FrequencyGrid,
     Netlist,
+    NetlistResponse,
     frankenstein_matrix,
     netlist_hash,
     netlist_to_dict,
@@ -53,6 +54,7 @@ from .solver import (
     power_balance,
     round_bias,
     watts_to_dbm,
+    wave_port,
 )
 
 DEFAULT_GAIN_THRESHOLD_DB = 10.0
@@ -67,11 +69,11 @@ class FitFailedError(RuntimeError):
     """Raised when the saturation-model fit cannot converge on the data."""
 
 
-def _as_response(net, grid: FrequencyGrid) -> tuple[FrankensteinMatrix, FrequencyGrid]:
+def _as_response(net, grid: FrequencyGrid):
     """Response matrix of `net` and its grid (`grid` when it carries none)."""
     if isinstance(net, Netlist):
         net = frankenstein_matrix(net, grid)
-    elif not isinstance(net, FrankensteinMatrix):
+    elif not isinstance(net, (FrankensteinMatrix, NetlistResponse)):
         raise TypeError("expected a Netlist or a prebuilt response matrix")
     return net, net.grid or grid
 
@@ -144,7 +146,7 @@ def plateau_metrics(
 
 
 def _chain(
-    response: FrankensteinMatrix,
+    response,
     bias: BiasPoint,
     stimuli: Sequence[Stimulus],
     options: SolverOptions,
@@ -604,28 +606,28 @@ def pump_emission(
     bandwidth around f_dc (the bare line when bandwidth is 0) and converts it
     to a photon rate at f_dc.  Harmonic line labels at 2 f_dc, 3 f_dc ... are
     reported as long as they stay on the grid.  An unconverged state still
-    reports its power; a diverged one reports NaN power, unconverged.
+    reports its power; a diverged one reports NaN power, unconverged.  The
+    response is read only at the reported bins.
     """
     response, grid = _as_response(net, grid)
     bias = replace(bias, f_dc=round_bias(bias.f_dc, grid))
-    idx = response.port_names.index(port)
+    idx = wave_port(port, response.port_names, response.kinds, "emission")
     impedance = response.kinds[idx].impedance
-    if impedance is None:
-        raise ValueError(f"port {port!r} is not a wave port")
     m = int(round(bias.f_dc / grid.spacing))
     half = max(0, int(round(0.5 * bandwidth / grid.spacing)))
     lo, hi = max(1, m - half), min(grid.size - 1, m + half)
+    harmonic_bins = np.arange(2 * m, grid.size, m)
     row = junction_row(response)
     try:
         state = iterate(row, bias, Stimulus.none(), options)
     except DivergenceError:
         nan = float("nan")
         return EmissionResult(bias.f_dc, nan, nan, 2 * half * grid.spacing, converged=False)
-    state = outputs(state, response)
+    state = outputs(state, response, bins=np.r_[lo : hi + 1, harmonic_bins])
     a = state.a_out[idx]
     power = float(np.sum(np.abs(a[lo : hi + 1]) ** 2) / (2.0 * impedance))
     harmonics = []
-    for k in range(2 * m, grid.size, m):
+    for k in harmonic_bins:
         p_k = abs(a[k]) ** 2 / (2.0 * impedance)
         harmonics.append(watts_to_dbm(p_k) if p_k > 0 else float("-inf"))
     return EmissionResult(
@@ -647,16 +649,12 @@ def write_table(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> N
     n = arrays[0].shape[0]
     if any(a.shape != (n,) for a in arrays):
         raise ValueError("all columns must share one length")
-    formats = []
-    for a in arrays:
-        if a.dtype == bool or np.issubdtype(a.dtype, np.integer):
-            formats.append("%d")
-        else:
-            formats.append("%.11e")
+    row = ",".join(
+        "%d" if a.dtype == bool or np.issubdtype(a.dtype, np.integer) else "%.11e" for a in arrays
+    ) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(n):
-            fh.write(",".join(fmt % a[i] for fmt, a in zip(formats, arrays)) + "\n")
+        fh.write("".join(row % values for values in zip(*(a.tolist() for a in arrays))))
 
 
 def write_sidecar(path, metadata: dict) -> None:

@@ -1,9 +1,11 @@
-"""Test oracles: the solve-point pipeline in one call, and plain time-domain
+"""Test oracles: the solve-point pipeline in one call, the full eager build
+of a response matrix, the row-by-row CSV writer, and plain time-domain
 transforms of the solver's spectral convention on the full grid."""
 
 import numpy as np
 
-from ictasim.frankenstein import junction_row
+from ictasim.circuit import FrequencyGrid, s_matrix
+from ictasim.frankenstein import junction_row, to_frankenstein
 from ictasim.solver import SolverOptions, iterate, outputs
 
 
@@ -11,6 +13,33 @@ def solve(f_matrix, bias, stim, **options):
     """Junction row, iteration and port outputs of one point."""
     state = iterate(junction_row(f_matrix), bias, stim, SolverOptions(**options))
     return outputs(state, f_matrix)
+
+
+def eager_response(net, grid):
+    """The netlist's response matrix F built at every bin in one pass."""
+    f = grid.frequencies if isinstance(grid, FrequencyGrid) else np.asarray(grid, dtype=float)
+    return to_frankenstein(
+        s_matrix(net, f),
+        net.port_kinds,
+        frequencies=f,
+        grid=grid if isinstance(grid, FrequencyGrid) else None,
+        port_names=net.port_names,
+    )
+
+
+def write_table_rows(path, header, columns):
+    """CSV writer formatting one numpy scalar at a time, row by row."""
+    arrays = [np.asarray(c) for c in columns]
+    formats = []
+    for a in arrays:
+        if a.dtype == bool or np.issubdtype(a.dtype, np.integer):
+            formats.append("%d")
+        else:
+            formats.append("%.11e")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(arrays[0].shape[0]):
+            fh.write(",".join(fmt % a[i] for fmt, a in zip(formats, arrays)) + "\n")
 
 
 def time_samples(grid, zero_pad=SolverOptions.zero_pad):

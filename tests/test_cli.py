@@ -176,6 +176,18 @@ def test_describe_counts_match_run_shape(tmp_path, capsys):
     assert "gainmap" in out
 
 
+def test_describe_memory_counts_only_what_the_run_builds(tmp_path, capsys):
+    zjj = load_config(str(write_config(tmp_path, {"kind": "zjj"}, name="zjj.json")))
+    profile = load_config(str(write_config(tmp_path, profile_sweep(), name="profile.json")))
+    assert 0 < memory_estimate_bytes(zjj) < memory_estimate_bytes(profile)
+    assert main(["describe", "--config", str(tmp_path / "zjj.json")]) == 0
+    assert "at most" not in capsys.readouterr().out
+    assert main(["describe", "--config", str(tmp_path / "profile.json")]) == 0
+    out = capsys.readouterr().out
+    assert "linear solves:     at most 2048 frequencies" in out
+    assert "memory estimate:   at most" in out
+
+
 def test_describe_degenerate_compression_counts_phases(tmp_path):
     path = write_config(
         tmp_path,

@@ -35,6 +35,7 @@ from ictasim.sweeps import (
     write_sidecar,
     write_table,
 )
+from oracles import write_table_rows
 
 F_DC = 12.0e9
 I_C = 280e-9
@@ -522,6 +523,14 @@ def test_emission_stable_below_instability_threshold():
     assert after < before and np.sqrt(after) < 1e-9 * bias.i_c
 
 
+def test_emission_rejects_unknown_or_non_wave_port(canonical_f, coarse_grid):
+    bias = BiasPoint(f_dc=F_DC, i_c=I_C)
+    with pytest.raises(ValueError, match="emission names unknown port 'sig'"):
+        pump_emission(canonical_f, bias, grid=coarse_grid, port="sig")
+    with pytest.raises(ValueError, match="emission port 'dc' is not a wave port"):
+        pump_emission(canonical_f, bias, grid=coarse_grid, port="dc")
+
+
 def test_photon_rate_conversion():
     watts = 10.0 ** ((-105.0 - 30.0) / 10.0)
     rate = photon_rate(watts, 12.261e9)
@@ -595,6 +604,26 @@ def test_write_table_formats(tmp_path):
         write_table(path, ["a"], [np.array([1.0]), np.array([2.0])])
     with pytest.raises(ValueError):
         write_table(path, ["a", "b"], [np.array([1.0]), np.array([2.0, 3.0])])
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 257])
+def test_write_table_matches_row_by_row_writer(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+    floats[::5] = np.nan
+    floats[1::7] = np.inf
+    floats[2::7] = -np.inf
+    columns = [
+        floats,
+        rng.standard_normal(n_rows).astype(np.float32),
+        rng.integers(-(2**62), 2**62, n_rows),
+        rng.integers(0, 5000, n_rows).astype(np.int32),
+        rng.random(n_rows) < 0.5,
+    ]
+    header = ["f", "f32", "i64", "i32", "flag"]
+    write_table(tmp_path / "fast.csv", header, columns)
+    write_table_rows(tmp_path / "rows.csv", header, columns)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_profile_csv_roundtrip(tmp_path, canonical_f, coarse_grid):
