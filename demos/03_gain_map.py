@@ -31,8 +31,7 @@ band = band_check(net, grid)
 signal = np.arange(4.0e9, 8.0e9 + 1, 320e6)      # 13 columns
 pump = np.arange(9.6e9, 14.4e9 + 1, 960e6)       # 6 rows
 gmap = gain_map_fdc(
-    response, signal, pump, i_c=200e-9,
-    grid=grid, options=SolverOptions(max_iterations=2500),
+    response, signal, pump, i_c=200e-9, options=SolverOptions(max_iterations=2500),
 )
 
 shades = " .:-=+*#%@"

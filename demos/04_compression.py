@@ -30,7 +30,7 @@ response = frankenstein_matrix(build_icta(IctaParams()), grid)
 options = SolverOptions(max_iterations=4000)
 
 powers = np.arange(-135.0, -99.0, 2.0)
-curve = compression_sweep(response, bias, 5.12e9, powers, grid=grid, options=options)
+curve = compression_sweep(response, bias, 5.12e9, powers, options=options)
 
 print("compression at f_s = 5.12 GHz:")
 print("   P_in (dBm)   gain (dB)")
@@ -47,8 +47,7 @@ print(f"fit residual {fit.residual_db:.3f} dB rms")
 # at the degenerate point the signal interferes with its own idler, so the
 # gain splits into a phase envelope; sample eight drive phases
 degen = compression_sweep(
-    response, bias, 6.0e9, np.arange(-140.0, -110.0, 3.0),
-    grid=grid, options=options,
+    response, bias, 6.0e9, np.arange(-140.0, -110.0, 3.0), options=options,
 )
 lo, hi = degen.envelope()
 print(f"\ndegenerate point f_s = f_dc / 2 = 6 GHz, {degen.phases.size} phases:")

@@ -555,7 +555,7 @@ BUILD_BLOCK = 4096
 
 
 class NetlistResponse:
-    """Generalized response matrix F of a netlist on a frequency axis, built
+    """Generalized response matrix F of a netlist on a `FrequencyGrid`, built
     per bin on first read.
 
     `rows(bins)` builds F through `s_matrix` and `to_frankenstein` at the
@@ -565,18 +565,19 @@ class NetlistResponse:
     threads may share one response.
     `junction_impedance()` is the ladder fold `z_jj`, folded once per
     response, which agrees with F's junction diagonal to about 1e-12
-    relative at a few percent of the cost of F.  The wave port is referenced
-    to z0 = 50 ohm.
+    relative at a few percent of the cost of F.  The wave port, the netlist's
+    only one, is referenced to z0 = 50 ohm; the solver drives and reads it on
+    `grid`.
     """
 
     z0 = 50.0
 
-    def __init__(self, netlist: Netlist, grid):
+    def __init__(self, netlist: Netlist, grid: FrequencyGrid):
+        if not isinstance(grid, FrequencyGrid):
+            raise TypeError("a netlist response is built on a FrequencyGrid")
         self.netlist = netlist
-        self.grid = grid if isinstance(grid, FrequencyGrid) else None
-        self.frequencies = (
-            grid.frequencies if self.grid is not None else np.asarray(grid, dtype=float)
-        )
+        self.grid = grid
+        self.frequencies = grid.frequencies
         self.kinds = netlist.port_kinds
         self.port_names = netlist.port_names
         n = len(self.kinds)
@@ -638,10 +639,9 @@ class NetlistResponse:
         return self._z_jj
 
 
-def frankenstein_matrix(net: Netlist, grid) -> NetlistResponse:
-    """The netlist's generalized response matrix over the grid (a
-    `FrequencyGrid` or a frequency array), referenced to 50 ohm and built
-    lazily per bin."""
+def frankenstein_matrix(net: Netlist, grid: FrequencyGrid) -> NetlistResponse:
+    """The netlist's generalized response matrix over the grid, referenced to
+    50 ohm and built lazily per bin."""
     return NetlistResponse(net, grid)
 
 

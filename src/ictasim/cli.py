@@ -131,6 +131,8 @@ class RunConfig:
     raw: dict
 
 
+_MAP_FIELDS = {"axis", "power_dbm", "phase_rad", "signal_start", "signal_stop", "signal_count"}
+# Keyed by sweep kind, and for a gain map by its axis as well.
 _SWEEP_FIELDS = {
     "zjj": set(),
     "fom": set(),
@@ -138,12 +140,8 @@ _SWEEP_FIELDS = {
         "f_dc_hz", "i_c_a", "power_dbm", "phase_rad", "threshold_db",
         "signal_start", "signal_stop", "signal_count",
     },
-    "gainmap": {
-        "axis", "i_c_a", "f_dc_hz", "power_dbm", "phase_rad",
-        "signal_start", "signal_stop", "signal_count",
-        "fdc_start", "fdc_stop", "fdc_count",
-        "ic_start", "ic_stop", "ic_count",
-    },
+    "gainmap f_dc": _MAP_FIELDS | {"i_c_a", "fdc_start", "fdc_stop", "fdc_count"},
+    "gainmap i_c": _MAP_FIELDS | {"f_dc_hz", "ic_start", "ic_stop", "ic_count"},
     "compression": {
         "f_dc_hz", "i_c_a", "f_s_hz", "phases_rad",
         "power_start", "power_stop", "power_count",
@@ -158,10 +156,15 @@ def _validate_sweep(sweep, path: str, grid: FrequencyGrid) -> dict:
     kind = _require(sweep, "kind", path)
     if kind not in SWEEP_KINDS:
         raise ConfigError(f"{path}.kind", f"must be one of {', '.join(SWEEP_KINDS)}")
-    allowed = _SWEEP_FIELDS[kind] | {"kind"}
-    unknown = set(sweep) - allowed
+    form, what = kind, f"kind {kind!r}"
+    if kind == "gainmap":
+        axis = sweep.get("axis", "f_dc")
+        if axis not in ("f_dc", "i_c"):
+            raise ConfigError(f"{path}.axis", "must be 'f_dc' or 'i_c'")
+        form, what = f"gainmap {axis}", f"a gainmap on axis {axis!r}"
+    unknown = set(sweep) - _SWEEP_FIELDS[form] - {"kind"}
     if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}", f"unknown field for kind {kind!r}")
+        raise ConfigError(f"{path}.{sorted(unknown)[0]}", f"unknown field for {what}")
     out = {"kind": kind}
     if kind in ("zjj", "fom"):
         return out
@@ -174,9 +177,6 @@ def _validate_sweep(sweep, path: str, grid: FrequencyGrid) -> dict:
         out["i_c_a"] = _number(sweep, "i_c_a", path)
         out["threshold_db"] = _number(sweep, "threshold_db", path, default=10.0)
     elif kind == "gainmap":
-        axis = sweep.get("axis", "f_dc")
-        if axis not in ("f_dc", "i_c"):
-            raise ConfigError(f"{path}.axis", "must be 'f_dc' or 'i_c'")
         out["axis"] = axis
         if axis == "f_dc":
             out["i_c_a"] = _number(sweep, "i_c_a", path)
@@ -387,7 +387,6 @@ def run(config: RunConfig, out_dir: Path, threads: int | None = None) -> int:
                 BiasPoint(f_dc=sweep["f_dc_hz"], i_c=sweep["i_c_a"]),
                 sweep["signal"],
                 sweep["power_dbm"],
-                grid=config.grid,
                 threshold_db=sweep["threshold_db"],
                 options=config.options,
                 phase=sweep["phase_rad"],
@@ -409,13 +408,13 @@ def run(config: RunConfig, out_dir: Path, threads: int | None = None) -> int:
             if sweep["axis"] == "f_dc":
                 gmap = gain_map_fdc(
                     response, sweep["signal"], sweep["fdc"], sweep["i_c_a"],
-                    sweep["power_dbm"], grid=config.grid, options=config.options,
+                    sweep["power_dbm"], options=config.options,
                     phase=sweep["phase_rad"], workers=workers,
                 )
             else:
                 gmap = gain_map_ic(
                     response, sweep["signal"], sweep["ic"], sweep["f_dc_hz"],
-                    sweep["power_dbm"], grid=config.grid, options=config.options,
+                    sweep["power_dbm"], options=config.options,
                     phase=sweep["phase_rad"], workers=workers,
                 )
             write_map_csv(gmap, out_dir / "gainmap.csv")
@@ -429,7 +428,6 @@ def run(config: RunConfig, out_dir: Path, threads: int | None = None) -> int:
                 BiasPoint(f_dc=sweep["f_dc_hz"], i_c=sweep["i_c_a"]),
                 sweep["f_s_hz"],
                 sweep["power"],
-                grid=config.grid,
                 options=config.options,
                 phases=sweep["phases_rad"],
             )
@@ -443,7 +441,7 @@ def run(config: RunConfig, out_dir: Path, threads: int | None = None) -> int:
             rows = [
                 pump_emission(
                     response, BiasPoint(f_dc=sweep["f_dc_hz"], i_c=i_c), sweep["bandwidth_hz"],
-                    grid=config.grid, options=config.options,
+                    options=config.options,
                 )
                 for i_c in sweep["i_c_a"]
             ]
@@ -522,6 +520,13 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    """The --threads value: an integer of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ictasim",
@@ -534,7 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="JSON run configuration")
         cmd.add_argument("--out", default=None, help="output directory (overrides config)")
-        cmd.add_argument("--threads", type=int, default=None, help="parallel row workers")
+        cmd.add_argument("--threads", type=_worker_count, default=None,
+                         help="parallel row workers, at least 1")
         return cmd
 
     add_run_command("zjj", "junction-side impedance of the embedding network")

@@ -170,6 +170,8 @@ class FrankensteinMatrix:
             if freqs.shape != (values.shape[0],):
                 raise ValueError("frequency axis does not match matrix count")
             object.__setattr__(self, "frequencies", freqs)
+        if self.grid is not None and self.grid.size != values.shape[0]:
+            raise ValueError("grid size does not match matrix count")
 
     @property
     def n_ports(self) -> int:
@@ -189,13 +191,23 @@ class FrankensteinMatrix:
         return self.values[:, j, j].copy()
 
 
+def _only_port(kinds: Sequence[PortKind], kind: str) -> int:
+    """Index of the unique port of `kind`; none or several raise ValueError."""
+    ports = [i for i, pk in enumerate(kinds) if pk.kind == kind]
+    if len(ports) != 1:
+        raise ValueError(f"expected exactly one {kind} port, found {len(ports)}")
+    return ports[0]
+
+
 def junction_port(kinds: Sequence[PortKind]) -> int:
-    """Index of the junction: the unique current-bias port.  None or several
-    raise ValueError."""
-    current_ports = [i for i, pk in enumerate(kinds) if pk.kind == CURRENT_BIAS]
-    if len(current_ports) != 1:
-        raise ValueError(f"expected exactly one current-bias port, found {len(current_ports)}")
-    return current_ports[0]
+    """Index of the junction: the unique current-bias port."""
+    return _only_port(kinds, CURRENT_BIAS)
+
+
+def wave_port(kinds: Sequence[PortKind]) -> int:
+    """Index of the unique wave port, where every stimulus tone enters and
+    every gain and emission is read: the amplifier works in reflection."""
+    return _only_port(kinds, WAVE)
 
 
 def to_frankenstein(
@@ -295,7 +307,7 @@ class SourceColumns:
         at = np.atleast_1d(sel)
         rows = self._response.rows(at)[:, self._j, :].copy()
         rows[:, self._j] = 0.0
-        at_dc = self._response.frequencies[at] == 0.0
+        at_dc = at == 0
         for i, pk in enumerate(self._response.kinds):
             if pk.kind == VOLTAGE_BIAS:
                 rows[at_dc, i] = 0.0
@@ -312,7 +324,7 @@ class JunctionRow:
     contraction with the incident amplitudes; the DC stiffening (junction
     row, voltage-bias columns forced to 0 at f = 0) is already applied.
     `junction_row` fills it with a `SourceColumns` view; a hand-built row may
-    pass an (n_freq, n_ports) array.
+    pass an (n_freq, n_ports) array.  `grid` is the grid the solver runs on.
     """
 
     junction_index: int
@@ -321,19 +333,19 @@ class JunctionRow:
     kinds: tuple[PortKind, ...]
     port_names: tuple[str, ...]
     frequencies: np.ndarray
-    grid: "FrequencyGrid | None" = None
+    grid: "FrequencyGrid"
 
 
 def junction_row(f) -> JunctionRow:
     """The junction-port row of a response for the fixed-point iteration.
 
-    `f` is a `FrankensteinMatrix` or a netlist response; the junction is
-    `junction_port(f.kinds)`.  `f_jj` is `f.junction_impedance()`, and the
-    source columns are read from `f.rows` only at the bins the solver asks
-    for (its tone bins).
+    `f` is a `FrankensteinMatrix` or a netlist response on a `FrequencyGrid`
+    (`f.grid`); the junction is `junction_port(f.kinds)`.  `f_jj` is
+    `f.junction_impedance()`, and the source columns are read from `f.rows`
+    only at the bins the solver asks for (its tone bins).
     """
-    if f.frequencies is None:
-        raise ValueError("junction row requires a frequency axis on F")
+    if f.grid is None:
+        raise ValueError("junction row requires a response on a FrequencyGrid")
     j = junction_port(f.kinds)
     return JunctionRow(
         junction_index=j,
@@ -341,6 +353,6 @@ def junction_row(f) -> JunctionRow:
         source_columns=SourceColumns(f, j),
         kinds=f.kinds,
         port_names=f.port_names,
-        frequencies=f.frequencies,
+        frequencies=f.grid.frequencies,
         grid=f.grid,
     )

@@ -41,7 +41,7 @@ import numpy as np
 from scipy.constants import e as _E_CHARGE, h as _PLANCK, hbar as _HBAR
 
 from .circuit import FrequencyGrid
-from .frankenstein import VOLTAGE_BIAS, WAVE, JunctionRow, junction_port
+from .frankenstein import VOLTAGE_BIAS, JunctionRow, junction_port, wave_port
 
 # Off-lattice stability probe of a sub-lattice solve: a seeded perturbation of
 # PROBE_SIZE * i_c (2-norm) on the off-lattice bins, PROBE_STEPS full-grid
@@ -155,12 +155,12 @@ def round_bias(f_dc: float, grid: FrequencyGrid) -> float:
 
 @dataclass(frozen=True)
 class Tone:
-    """One stimulus tone at a wave port; power in dBm, phase in radians."""
+    """One stimulus tone at the response's wave port; power in dBm, phase in
+    radians."""
 
     frequency: float
     power_dbm: float
     phase: float = 0.0
-    port: str = "signal"
 
     def __post_init__(self):
         if not np.isfinite(self.frequency) or self.frequency <= 0:
@@ -183,10 +183,8 @@ class Stimulus:
         return cls(())
 
     @classmethod
-    def single(
-        cls, frequency: float, power_dbm: float, phase: float = 0.0, port: str = "signal"
-    ) -> "Stimulus":
-        return cls((Tone(frequency, power_dbm, phase, port),))
+    def single(cls, frequency: float, power_dbm: float, phase: float = 0.0) -> "Stimulus":
+        return cls((Tone(frequency, power_dbm, phase),))
 
 
 def tone_amplitude(power_dbm: float, impedance: float, phase: float = 0.0) -> complex:
@@ -246,37 +244,12 @@ def _ramp_phase(m: int, phi0: float, n_t: int) -> np.ndarray:
     return (2.0 * np.pi / n_t) * idx + phi0
 
 
-def _resolve_grid(row: JunctionRow) -> FrequencyGrid:
-    if row.grid is not None:
-        return row.grid
-    freqs = row.frequencies
-    if len(freqs) < 2 or freqs[0] != 0.0:
-        raise ValueError("junction row frequencies do not form a uniform grid from 0")
-    return FrequencyGrid(spacing=float(freqs[1]), size=len(freqs))
-
-
-def wave_port(port: str, port_names: Sequence[str], kinds: Sequence, role: str) -> int:
-    """Index of the named wave port; ValueError naming the `role` that asked
-    for an unknown or a non-wave port."""
-    try:
-        idx = list(port_names).index(port)
-    except ValueError:
-        raise ValueError(f"{role} names unknown port {port!r}") from None
-    if kinds[idx].kind != WAVE:
-        raise ValueError(f"{role} port {port!r} is not a wave port")
-    return idx
-
-
-def _tone_entries(
-    stim: Stimulus,
-    grid: FrequencyGrid,
-    port_names: Sequence[str],
-    kinds: Sequence,
-) -> list[tuple[int, int, complex]]:
-    """Snap tones to (port index, bin, half-amplitude) triples."""
+def _tone_entries(stim: Stimulus, grid: FrequencyGrid, kinds: Sequence) -> list[tuple]:
+    """Snap tones to (port index, bin, half-amplitude) triples, all on the
+    wave port; a response without exactly one wave port raises ValueError."""
+    idx = wave_port(kinds)
     entries = []
     for tone in stim.tones:
-        idx = wave_port(tone.port, port_names, kinds, "stimulus")
         k = int(round(tone.frequency / grid.spacing))
         if k < 1 or k >= grid.size:
             raise ValueError(
@@ -415,10 +388,10 @@ def _iterate(
     full_grid: bool,
 ) -> SolutionState:
     """`iterate`, or with `full_grid` the plain loop over every grid bin."""
-    grid = _resolve_grid(row)
+    grid = row.grid
     n = grid.size
     m = _bias_bin(bias, grid)
-    entries = _tone_entries(stim, grid, row.port_names, row.kinds)
+    entries = _tone_entries(stim, grid, row.kinds)
     drive = np.zeros(n, dtype=complex)
     for idx, k, amp in entries:
         drive[k] += row.source_columns[k, idx] * amp
@@ -485,15 +458,13 @@ def outputs(state: SolutionState, f_matrix, *, bins=None) -> SolutionState:
     with `a_out` and port metadata set.
     """
     grid = state.grid
-    if f_matrix.grid is not None and f_matrix.grid != grid:
+    if f_matrix.grid != grid:
         raise ValueError("response matrix grid does not match the solution grid")
-    if f_matrix.n_freq != grid.size:
-        raise ValueError("response matrix length does not match the solution grid")
     j = junction_port(f_matrix.kinds)
     read = slice(None, None, state.stride) if bins is None else np.asarray(bins, dtype=int)
     n_ports = f_matrix.n_ports
     x = np.zeros((n_ports, grid.size), dtype=complex)
-    for idx, k, amp in _tone_entries(state.stimulus, grid, f_matrix.port_names, f_matrix.kinds):
+    for idx, k, amp in _tone_entries(state.stimulus, grid, f_matrix.kinds):
         x[idx, k] += amp
     for i, pk in enumerate(f_matrix.kinds):
         if pk.kind == VOLTAGE_BIAS:
@@ -504,7 +475,7 @@ def outputs(state: SolutionState, f_matrix, *, bins=None) -> SolutionState:
     a_out[:, read] = np.einsum("fij,jf->if", f_read, x[:, read])
     # Stiff bias: the junction row must not see the DC bias at omega = 0.
     at_dc = np.nonzero(np.arange(grid.size)[read] == 0)[0]
-    if at_dc.size and f_matrix.frequencies is not None and f_matrix.frequencies[0] == 0.0:
+    if at_dc.size:
         for i, pk in enumerate(f_matrix.kinds):
             if pk.kind == VOLTAGE_BIAS:
                 a_out[j, 0] -= f_read[at_dc[0], j, i] * x[i, 0]
@@ -518,7 +489,7 @@ def outputs(state: SolutionState, f_matrix, *, bins=None) -> SolutionState:
 
 @dataclass(frozen=True)
 class PowerBalance:
-    """Net RF power leaving the wave ports vs. DC power supplied."""
+    """Net RF power leaving the wave port vs. DC power supplied."""
 
     rf_net: float
     dc_supplied: float
@@ -528,22 +499,17 @@ class PowerBalance:
 def power_balance(state: SolutionState) -> PowerBalance:
     """Energy bookkeeping of a completed solution.
 
-    Sums (P_out - P_in) over wave ports across all nonzero bins and compares
-    with V_dc times the DC current drawn from each voltage-bias port.  Bin
-    zero carries no wave power.
+    Sums (P_out - P_in) at the wave port across all nonzero bins and
+    compares with V_dc times the DC current drawn from each voltage-bias
+    port.  Bin zero carries no wave power.
     """
     if state.a_out is None or state.port_kinds is None:
         raise ValueError("power balance requires a state completed by outputs()")
-    grid = state.grid
-    rf = 0.0
-    entries = _tone_entries(state.stimulus, grid, state.port_names, state.port_kinds)
-    for i, pk in enumerate(state.port_kinds):
-        if pk.kind != WAVE:
-            continue
-        rf += 2.0 * np.sum(np.abs(state.a_out[i, 1:]) ** 2) / pk.impedance
-        for idx, k, amp in entries:
-            if idx == i:
-                rf -= 2.0 * abs(amp) ** 2 / pk.impedance
+    w = wave_port(state.port_kinds)
+    impedance = state.port_kinds[w].impedance
+    rf = 2.0 * np.sum(np.abs(state.a_out[w, 1:]) ** 2) / impedance
+    for _, _, amp in _tone_entries(state.stimulus, state.grid, state.port_kinds):
+        rf -= 2.0 * abs(amp) ** 2 / impedance
     dc = 0.0
     for i, pk in enumerate(state.port_kinds):
         if pk.kind == VOLTAGE_BIAS:
@@ -552,14 +518,14 @@ def power_balance(state: SolutionState) -> PowerBalance:
     return PowerBalance(rf_net=rf, dc_supplied=dc, relative_error=abs(rf - dc) / scale)
 
 
-def gain(state: SolutionState, f_s: float, port: str = "signal") -> float:
-    """Power gain in dB at the stimulated frequency f_s on the given port."""
-    if state.a_out is None or state.port_names is None:
+def gain(state: SolutionState, f_s: float) -> float:
+    """Power gain in dB at the stimulated frequency f_s: the reflected wave
+    over the incident tone, both at the response's one wave port."""
+    if state.a_out is None or state.port_kinds is None:
         raise ValueError("gain requires a state completed by outputs()")
     k = int(round(f_s / state.grid.spacing))
-    entries = _tone_entries(state.stimulus, state.grid, state.port_names, state.port_kinds)
-    idx = state.port_names.index(port) if port in state.port_names else -1
-    amp_in = sum(a for i, kk, a in entries if i == idx and kk == k)
-    if idx < 0 or amp_in == 0:
-        raise ValueError(f"no stimulus tone at {f_s:g} Hz on port {port!r}")
-    return 20.0 * np.log10(abs(state.a_out[idx, k]) / abs(amp_in))
+    entries = _tone_entries(state.stimulus, state.grid, state.port_kinds)
+    amp_in = sum(a for _, kk, a in entries if kk == k)
+    if amp_in == 0:
+        raise ValueError(f"no stimulus tone at {f_s:g} Hz")
+    return 20.0 * np.log10(abs(state.a_out[wave_port(state.port_kinds), k]) / abs(amp_in))

@@ -12,6 +12,9 @@ point aborts a sweep.  Map rows are independent and may be solved in
 parallel without changing any result, since each chain is self-contained
 and the merge order is fixed.
 
+A sweep takes a `Netlist`, built on `grid` (`DEFAULT_GRID` when None), or a
+prebuilt response on its own grid, which a differing `grid` may not override.
+
 Compression metrics follow the AM-AM saturation model
 P_out = G0 P_in / [1 + (G0 P_in / P_sat)^(2p)]^(1/(2p)), fitted in dB space.
 The closed-form 1 dB compression point of that model is
@@ -41,7 +44,7 @@ from .circuit import (
     netlist_to_dict,
 )
 from .design import longest_run
-from .frankenstein import FrankensteinMatrix, junction_row
+from .frankenstein import FrankensteinMatrix, junction_row, wave_port
 from .solver import (
     BiasPoint,
     DivergenceError,
@@ -54,7 +57,6 @@ from .solver import (
     power_balance,
     round_bias,
     watts_to_dbm,
-    wave_port,
 )
 
 DEFAULT_GAIN_THRESHOLD_DB = 10.0
@@ -69,21 +71,32 @@ class FitFailedError(RuntimeError):
     """Raised when the saturation-model fit cannot converge on the data."""
 
 
-def _as_response(net, grid: FrequencyGrid):
-    """Response matrix of `net` and its grid (`grid` when it carries none)."""
+def _as_response(net, grid: FrequencyGrid | None):
+    """Response matrix of `net` and the grid it lives on.  A `Netlist` is
+    built on `grid` (`DEFAULT_GRID` when None); a prebuilt response brings its
+    own grid, and a `grid` that differs from it raises ValueError."""
     if isinstance(net, Netlist):
-        net = frankenstein_matrix(net, grid)
+        net = frankenstein_matrix(net, grid or DEFAULT_GRID)
     elif not isinstance(net, (FrankensteinMatrix, NetlistResponse)):
         raise TypeError("expected a Netlist or a prebuilt response matrix")
-    return net, net.grid or grid
+    elif net.grid is None:
+        raise ValueError("response matrix carries no FrequencyGrid")
+    elif grid is not None and grid != net.grid:
+        raise ValueError(f"grid {grid} differs from the response's grid {net.grid}")
+    return net, net.grid
+
+
+def _nonempty_axis(values, name: str) -> np.ndarray:
+    a = np.asarray(values, dtype=float)
+    if a.ndim != 1 or a.size == 0:
+        raise ValueError(f"{name} axis must be a nonempty 1-D array")
+    return a
 
 
 def snap_frequencies(frequencies, grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
     """A signal axis rounded to the nearest grid bins: (frequencies, bins).
     It must stay inside the grid and strictly increasing after rounding."""
-    f = np.asarray(frequencies, dtype=float)
-    if f.ndim != 1 or f.size == 0:
-        raise ValueError("frequency axis must be a nonempty 1-D array")
+    f = _nonempty_axis(frequencies, "frequency")
     bins = np.round(f / grid.spacing).astype(int)
     if np.any(bins < 1) or np.any(bins >= grid.size):
         raise ValueError("frequency axis leaves the grid after rounding")
@@ -96,7 +109,8 @@ def snap_frequencies(frequencies, grid: FrequencyGrid) -> tuple[np.ndarray, np.n
 def bias_axis(bias_frequencies, grid: FrequencyGrid) -> np.ndarray:
     """A bias-frequency axis rounded by `round_bias`; it must stay strictly
     increasing after rounding."""
-    f_dc = np.array([round_bias(f, grid) for f in np.asarray(bias_frequencies, dtype=float)])
+    f_dc = _nonempty_axis(bias_frequencies, "bias frequency")
+    f_dc = np.array([round_bias(f, grid) for f in f_dc])
     if np.any(np.diff(f_dc) <= 0):
         raise ValueError("bias frequency axis must be strictly increasing on the grid")
     return f_dc
@@ -175,9 +189,8 @@ def _chain(
         converged[i] = state.converged
         warm = state.i_j if state.converged else None
         if state.converged:
-            tone = stim.tones[0]
             state = outputs(state, response)
-            gain_db[i] = gain(state, tone.frequency, port=tone.port)
+            gain_db[i] = gain(state, stim.tones[0].frequency)
             balance[i] = power_balance(state).relative_error
     return gain_db, converged, balance, iterations
 
@@ -188,11 +201,10 @@ def gain_profile(
     signal_frequencies,
     power_dbm: float = -140.0,
     *,
-    grid: FrequencyGrid = DEFAULT_GRID,
+    grid: FrequencyGrid | None = None,
     threshold_db: float = DEFAULT_GAIN_THRESHOLD_DB,
     options: SolverOptions = SolverOptions(),
     phase: float = 0.0,
-    port: str = "signal",
 ) -> GainProfile:
     """Gain versus signal frequency with bandwidth metrics.
 
@@ -203,7 +215,7 @@ def gain_profile(
     response, grid = _as_response(net, grid)
     bias = replace(bias, f_dc=round_bias(bias.f_dc, grid))
     snapped, bins = snap_frequencies(signal_frequencies, grid)
-    stimuli = [Stimulus.single(k * grid.spacing, power_dbm, phase=phase, port=port) for k in bins]
+    stimuli = [Stimulus.single(k * grid.spacing, power_dbm, phase=phase) for k in bins]
     gain_db, converged, balance, iterations = _chain(response, bias, stimuli, options)
     bandwidth, average, f_lo, f_hi = plateau_metrics(snapped, gain_db, converged, threshold_db)
     return GainProfile(
@@ -251,12 +263,12 @@ class GainMap:
 
 
 def _bias_map(
-    response, grid, signal_frequencies, biases, power_dbm, phase, options, port, workers, **axis
+    response, grid, signal_frequencies, biases, power_dbm, phase, options, workers, **axis
 ) -> GainMap:
     """One warm-start chain along ascending f_s per bias row; `axis` holds the
     GainMap fields that describe the rows."""
     f_s, bins = snap_frequencies(signal_frequencies, grid)
-    stimuli = [Stimulus.single(k * grid.spacing, power_dbm, phase=phase, port=port) for k in bins]
+    stimuli = [Stimulus.single(k * grid.spacing, power_dbm, phase=phase) for k in bins]
 
     def one_row(bias):
         return _chain(response, bias, stimuli, options)
@@ -284,10 +296,9 @@ def gain_map_fdc(
     i_c: float,
     power_dbm: float = -140.0,
     *,
-    grid: FrequencyGrid = DEFAULT_GRID,
+    grid: FrequencyGrid | None = None,
     options: SolverOptions = SolverOptions(),
     phase: float = 0.0,
-    port: str = "signal",
     workers: int = 1,
 ) -> GainMap:
     """Gain map over bias frequency rows and signal frequency columns.
@@ -301,7 +312,7 @@ def gain_map_fdc(
     f_dc = bias_axis(bias_frequencies, grid)
     biases = [BiasPoint(f_dc=f, i_c=i_c) for f in f_dc]
     return _bias_map(
-        response, grid, signal_frequencies, biases, power_dbm, phase, options, port, workers,
+        response, grid, signal_frequencies, biases, power_dbm, phase, options, workers,
         axis_values=f_dc, axis_name="f_dc_hz", i_c=i_c,
     )
 
@@ -313,21 +324,20 @@ def gain_map_ic(
     f_dc: float,
     power_dbm: float = -140.0,
     *,
-    grid: FrequencyGrid = DEFAULT_GRID,
+    grid: FrequencyGrid | None = None,
     options: SolverOptions = SolverOptions(),
     phase: float = 0.0,
-    port: str = "signal",
     workers: int = 1,
 ) -> GainMap:
     """Gain map over critical-current rows at a fixed bias frequency."""
     response, grid = _as_response(net, grid)
-    i_c = np.asarray(critical_currents, dtype=float)
+    i_c = _nonempty_axis(critical_currents, "critical-current")
     if np.any(np.diff(i_c) <= 0):
         raise ValueError("critical-current axis must be strictly increasing")
     f_dc = round_bias(f_dc, grid)
     biases = [BiasPoint(f_dc=f_dc, i_c=c) for c in i_c]
     return _bias_map(
-        response, grid, signal_frequencies, biases, power_dbm, phase, options, port, workers,
+        response, grid, signal_frequencies, biases, power_dbm, phase, options, workers,
         axis_values=i_c, axis_name="i_c_a", f_dc=f_dc,
     )
 
@@ -396,10 +406,9 @@ def compression_sweep(
     signal_frequency: float,
     powers_dbm,
     *,
-    grid: FrequencyGrid = DEFAULT_GRID,
+    grid: FrequencyGrid | None = None,
     options: SolverOptions = SolverOptions(),
     phases: Sequence[float] | None = None,
-    port: str = "signal",
 ) -> CompressionCurve:
     """Gain versus ascending input power, warm-started point to point, with
     one chain per stimulus phase (see `stimulus_phases`)."""
@@ -413,7 +422,7 @@ def compression_sweep(
     converged = np.zeros_like(gain_db, dtype=bool)
     balance = np.full_like(gain_db, np.nan)
     for a, theta in enumerate(phases):
-        stimuli = [Stimulus.single(f_s, float(p), phase=float(theta), port=port) for p in powers]
+        stimuli = [Stimulus.single(f_s, float(p), phase=float(theta)) for p in powers]
         gain_db[a], converged[a], balance[a], _ = _chain(response, bias, stimuli, options)
     return CompressionCurve(
         power_in_dbm=powers,
@@ -568,7 +577,7 @@ def raw_p1db(power_in_dbm, gain_db) -> float:
 
 @dataclass(frozen=True)
 class EmissionResult:
-    """Power radiated from a wave port around the bias frequency, no input."""
+    """Power radiated from the wave port around the bias frequency, no input."""
 
     frequency: float
     power_watts: float
@@ -596,11 +605,11 @@ def pump_emission(
     bias: BiasPoint,
     bandwidth: float = 0.0,
     *,
-    grid: FrequencyGrid = DEFAULT_GRID,
+    grid: FrequencyGrid | None = None,
     options: SolverOptions = SolverOptions(),
-    port: str = "signal",
 ) -> EmissionResult:
-    """Stimulus-free emission at the bias frequency on a wave port.
+    """Stimulus-free emission at the bias frequency from the response's one
+    wave port (a response without exactly one raises ValueError).
 
     Sums the labeled power |a|^2 / (2 Z) over grid bins within +/- half the
     bandwidth around f_dc (the bare line when bandwidth is 0) and converts it
@@ -611,7 +620,7 @@ def pump_emission(
     """
     response, grid = _as_response(net, grid)
     bias = replace(bias, f_dc=round_bias(bias.f_dc, grid))
-    idx = wave_port(port, response.port_names, response.kinds, "emission")
+    idx = wave_port(response.kinds)
     impedance = response.kinds[idx].impedance
     m = int(round(bias.f_dc / grid.spacing))
     half = max(0, int(round(0.5 * bandwidth / grid.spacing)))

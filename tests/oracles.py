@@ -4,7 +4,7 @@ transforms of the solver's spectral convention on the full grid."""
 
 import numpy as np
 
-from ictasim.circuit import FrequencyGrid, s_matrix
+from ictasim.circuit import s_matrix
 from ictasim.frankenstein import junction_row, to_frankenstein
 from ictasim.solver import SolverOptions, iterate, outputs
 
@@ -16,14 +16,10 @@ def solve(f_matrix, bias, stim, **options):
 
 
 def eager_response(net, grid):
-    """The netlist's response matrix F built at every bin in one pass."""
-    f = grid.frequencies if isinstance(grid, FrequencyGrid) else np.asarray(grid, dtype=float)
+    """The netlist's response matrix F built at every bin of `grid` in one pass."""
+    f = grid.frequencies
     return to_frankenstein(
-        s_matrix(net, f),
-        net.port_kinds,
-        frequencies=f,
-        grid=grid if isinstance(grid, FrequencyGrid) else None,
-        port_names=net.port_names,
+        s_matrix(net, f), net.port_kinds, frequencies=f, grid=grid, port_names=net.port_names
     )
 
 

@@ -51,9 +51,34 @@ def test_missing_field_reports_json_path(tmp_path, capsys):
 
 
 def test_unknown_sweep_field_rejected(tmp_path, capsys):
-    path = write_config(tmp_path, profile_sweep(bogus=1.0))
-    assert main(["profile", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert "sweep.bogus" in capsys.readouterr().err
+    # A gain map takes the fields of its own axis only.
+    signal = {"signal_start": 5e9, "signal_stop": 6e9, "signal_count": 2}
+    cases = [
+        (profile_sweep(bogus=1.0), "sweep.bogus"),
+        (
+            {
+                "kind": "gainmap", "axis": "f_dc", "i_c_a": 280e-9, **signal,
+                "fdc_start": 11e9, "fdc_stop": 12e9, "fdc_count": 2,
+                "f_dc_hz": 99e9, "ic_start": -5, "ic_stop": -9, "ic_count": 0,
+            },
+            "sweep.f_dc_hz",
+        ),
+        (
+            {
+                "kind": "gainmap", "axis": "i_c", "f_dc_hz": 12e9, **signal,
+                "ic_start": 50e-9, "ic_stop": 250e-9, "ic_count": 2, "i_c_a": 280e-9,
+            },
+            "sweep.i_c_a",
+        ),
+    ]
+    out = tmp_path / "o"
+    for sweep, field in cases:
+        path = write_config(tmp_path, sweep)
+        assert main([sweep["kind"], "--config", str(path), "--out", str(out)]) == 2
+        assert f"error: {field}: unknown field" in capsys.readouterr().err
+        assert main(["describe", "--config", str(path)]) == 2
+        assert f"error: {field}: unknown field" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_unknown_kind_rejected(tmp_path, capsys):
@@ -264,6 +289,24 @@ def test_gainmap_threads_byte_identical(tmp_path):
     data = np.genfromtxt(a / "gainmap.csv", delimiter=",", names=True)
     assert data.shape == (12,)
     assert "i_c_a" in data.dtype.names
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_below_one_rejected(tmp_path, capsys, threads):
+    path = write_config(
+        tmp_path,
+        {
+            "kind": "gainmap", "axis": "i_c", "f_dc_hz": 12e9,
+            "signal_start": 5.0e9, "signal_stop": 6.4e9, "signal_count": 2,
+            "ic_start": 50e-9, "ic_stop": 250e-9, "ic_count": 2,
+        },
+    )
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as stop:
+        main(["gainmap", "--config", str(path), "--out", str(out), "--threads", threads])
+    assert stop.value.code == 2
+    assert "--threads: must be an integer of at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unconverged_run_exits_zero_with_warning(tmp_path, capsys):

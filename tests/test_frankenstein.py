@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ictasim.circuit import FrequencyGrid
 from ictasim.frankenstein import (
     FrankensteinMatrix,
     PortKind,
@@ -12,6 +13,7 @@ from ictasim.frankenstein import (
     junction_row,
     klmn,
     to_frankenstein,
+    wave_port,
 )
 
 
@@ -138,17 +140,21 @@ def test_matrix_validation_errors():
         FrankensteinMatrix(np.zeros((2, 2, 2)), kinds, z0=50.0, port_names=("a", "a"))
     with pytest.raises(ValueError):
         FrankensteinMatrix(np.zeros((2, 2, 2)), kinds, z0=50.0, frequencies=np.zeros(3))
+    with pytest.raises(ValueError, match="grid size"):
+        FrankensteinMatrix(np.zeros((2, 2, 2)), kinds, z0=50.0, grid=FrequencyGrid(1e6, 4))
 
 
 def _toy_matrix():
     rng = np.random.default_rng(3)
-    values = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+    values = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
     kinds = (PortKind.wave(50.0), PortKind.current_bias(), PortKind.voltage_bias())
+    grid = FrequencyGrid(1e6, 4)
     return FrankensteinMatrix(
         values,
         kinds,
         z0=50.0,
-        frequencies=np.array([0.0, 1e6, 2e6]),
+        frequencies=grid.frequencies,
+        grid=grid,
         port_names=("signal", "junction", "dc"),
     )
 
@@ -174,10 +180,20 @@ def test_junction_row_port_selection_errors():
         (PortKind.current_bias(), PortKind.current_bias(), PortKind.voltage_bias()),
         z0=50.0,
         frequencies=f.frequencies,
+        grid=f.grid,
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exactly one current-bias port, found 2"):
         junction_row(two_current)
-    no_freqs = FrankensteinMatrix(f.values, f.kinds, z0=50.0)
-    with pytest.raises(ValueError):
-        junction_row(no_freqs)
+    no_grid = FrankensteinMatrix(f.values, f.kinds, z0=50.0, frequencies=f.frequencies)
+    with pytest.raises(ValueError, match="FrequencyGrid"):
+        junction_row(no_grid)
+
+
+def test_wave_port_is_the_unique_wave_port():
+    wave, current, voltage = PortKind.wave(50.0), PortKind.current_bias(), PortKind.voltage_bias()
+    assert wave_port((current, wave, voltage)) == 1
+    with pytest.raises(ValueError, match="exactly one wave port, found 0"):
+        wave_port((current, voltage))
+    with pytest.raises(ValueError, match="exactly one wave port, found 2"):
+        wave_port((wave, current, PortKind.wave(75.0)))
 

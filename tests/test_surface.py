@@ -1,15 +1,20 @@
-"""The public surface: `ictasim.__all__`, what the demos import from it, and
-the module attributes the benchmark tracer wraps."""
+"""The public surface: `ictasim.__all__`, what the demos import from it, the
+module attributes the benchmark tracer wraps, and the config schema the
+benchmark's generated configs rely on."""
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import ictasim
+from ictasim.cli import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 TRACER = ROOT / "perfbench" / "tracer.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def test_public_names_resolve_and_cover_demo_imports():
@@ -39,3 +44,24 @@ def test_traced_names_resolve_to_callables():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_benchmark_configs_load(tmp_path, monkeypatch):
+    # The benchmark generates its configs in perfbench/workloads.py and loads
+    # each one before it runs; a schema change that rejects one would stop
+    # every benchmark run.  The module is only imported, never changed.
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up there
+    spec.loader.exec_module(workloads)
+    loaded = 0
+    for workload in workloads.WORKLOADS:
+        for variant in range(workloads.variant_count(workload)):
+            job_list = workloads.jobs(workload, variant)
+            config_dir = tmp_path / workload / str(variant)
+            workloads.write_configs(job_list, config_dir)
+            for job in job_list:
+                if job.config is not None:
+                    load_config(str(config_dir / f"{job.name}.json"))
+                    loaded += 1
+    assert loaded > 0

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from ictasim import sweeps
 from ictasim.circuit import DEFAULT_GRID, FrequencyGrid, IctaParams, build_icta, frankenstein_matrix
-from ictasim.frankenstein import junction_row
+from ictasim.frankenstein import FrankensteinMatrix, PortKind, junction_row
 from ictasim.solver import BiasPoint, DivergenceError, Stimulus, _iterate, _picard_step
 from ictasim.sweeps import (
     CompressionCurve,
@@ -309,6 +309,33 @@ def test_map_rejects_bias_beyond_half_grid(canonical_f, coarse_grid):
         gain_map_fdc(canonical_f, [5e9], [40.0e9], I_C, grid=coarse_grid)
 
 
+def test_map_rejects_empty_bias_axis(canonical_f, coarse_grid):
+    with pytest.raises(ValueError, match="bias frequency axis must be a nonempty 1-D array"):
+        gain_map_fdc(canonical_f, [6e9], [], I_C, grid=coarse_grid)
+    with pytest.raises(ValueError, match="critical-current axis must be a nonempty 1-D array"):
+        gain_map_ic(canonical_f, [6e9], [], F_DC, grid=coarse_grid)
+
+
+def test_sweeps_take_the_grid_from_the_response(canonical_net, canonical_f, coarse_grid):
+    # A netlist is built on `grid` or DEFAULT_GRID; a prebuilt response
+    # brings its own grid, and a different `grid` beside it raises.
+    assert sweeps._as_response(canonical_net, None)[1] == DEFAULT_GRID
+    assert sweeps._as_response(canonical_net, coarse_grid)[1] == coarse_grid
+    assert sweeps._as_response(canonical_f, None) == (canonical_f, coarse_grid)
+    bias = BiasPoint(f_dc=F_DC, i_c=I_C)
+    powers = np.linspace(-140.0, -120.0, 8)
+    calls = [
+        lambda grid: gain_profile(canonical_f, bias, [6.4e9], grid=grid, options=FAST),
+        lambda grid: gain_map_fdc(canonical_f, [6.4e9], [F_DC], I_C, grid=grid, options=FAST),
+        lambda grid: gain_map_ic(canonical_f, [6.4e9], [I_C], F_DC, grid=grid, options=FAST),
+        lambda grid: compression_sweep(canonical_f, bias, 6.4e9, powers, grid=grid, options=FAST),
+        lambda grid: pump_emission(canonical_f, bias, grid=grid, options=FAST),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="differs from the response's grid"):
+            call(DEFAULT_GRID)
+
+
 def test_map_shape_validation():
     with pytest.raises(ValueError):
         GainMap(
@@ -523,12 +550,27 @@ def test_emission_stable_below_instability_threshold():
     assert after < before and np.sqrt(after) < 1e-9 * bias.i_c
 
 
-def test_emission_rejects_unknown_or_non_wave_port(canonical_f, coarse_grid):
+@pytest.mark.parametrize(
+    "kinds, found",
+    [
+        ((PortKind.current_bias(), PortKind.voltage_bias()), 0),
+        ((PortKind.wave(50.0), PortKind.current_bias(), PortKind.wave(50.0)), 2),
+    ],
+    ids=["no-wave-port", "two-wave-ports"],
+)
+def test_sweeps_reject_response_without_one_wave_port(kinds, found, coarse_grid):
+    # Tones enter and gains and emission are read at the one wave port, so a
+    # response with none or two has no port to drive.
+    n = len(kinds)
+    response = FrankensteinMatrix(
+        np.zeros((coarse_grid.size, n, n)), kinds, z0=50.0,
+        frequencies=coarse_grid.frequencies, grid=coarse_grid,
+    )
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
-    with pytest.raises(ValueError, match="emission names unknown port 'sig'"):
-        pump_emission(canonical_f, bias, grid=coarse_grid, port="sig")
-    with pytest.raises(ValueError, match="emission port 'dc' is not a wave port"):
-        pump_emission(canonical_f, bias, grid=coarse_grid, port="dc")
+    with pytest.raises(ValueError, match=f"exactly one wave port, found {found}"):
+        pump_emission(response, bias, options=FAST)
+    with pytest.raises(ValueError, match=f"exactly one wave port, found {found}"):
+        gain_profile(response, bias, [6.4e9], options=FAST)
 
 
 def test_photon_rate_conversion():
