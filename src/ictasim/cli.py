@@ -32,7 +32,7 @@ from .circuit import (
 )
 from .design import band_check, canonical_icta
 from .circuit import build_icta
-from .solver import BiasPoint, SolverOptions, round_bias
+from .solver import BiasPoint, SolverOptions, round_bias, step_bytes
 from .sweeps import (
     FitFailedError,
     NotFittableError,
@@ -313,7 +313,7 @@ def memory_estimate_bytes(config: RunConfig) -> int:
     """Rough peak working set.  A `zjj` or `fom` run holds only the ladder
     fold's arrays; for a nonlinear sweep this is an upper bound that counts
     the response matrix and its nodal scratch at every bin (it is built only
-    at the bins read) plus the fold and the solver's time buffers."""
+    at the bins read) plus the fold and the full-grid step's buffers."""
     n = config.grid.size
     fold = 8 * n * 16  # complex num/den pairs of both folds, and z
     if config.sweep["kind"] in ("zjj", "fom"):
@@ -321,9 +321,7 @@ def memory_estimate_bytes(config: RunConfig) -> int:
     n_ports = len(config.netlist.port_names)
     response = n * n_ports * n_ports * 16
     nodal = n * (n_ports + 6) ** 2 * 16  # assembly scratch
-    n_t = 2 * config.options.zero_pad * n
-    buffers = 6 * n_t * 8
-    return fold + response + nodal + buffers
+    return fold + response + nodal + step_bytes(n, config.options.zero_pad)
 
 
 def describe(config: RunConfig, stream=None) -> None:
@@ -404,7 +402,7 @@ def run(config: RunConfig, out_dir: Path, threads: int | None = None) -> int:
             }
             csv_name = "profile.csv"
         elif kind == "gainmap":
-            workers = threads or min(os.cpu_count() or 1, 8)
+            workers = min(os.cpu_count() or 1, 8) if threads is None else threads
             if sweep["axis"] == "f_dc":
                 gmap = gain_map_fdc(
                     response, sweep["signal"], sweep["fdc"], sweep["i_c_a"],

@@ -29,6 +29,18 @@ harmonic decay makes negligible.  An oscillation off the lattice cannot show
 on it, so a converged sub-lattice point is checked by a few full-grid steps
 from its lifted state plus a small off-lattice perturbation, and marked
 unconverged if that perturbation grows.
+
+Time grid layout: a lattice of N_s bins, N_s a power of two of at least
+SPLIT_BINS (the full DEFAULT_GRID, and its stride-2 and stride-4
+lattices), runs its n_t samples as P = 2 * zero_pad interleaved phases,
+t = P * q + r, each a length-N_s transform in one batched call.  This is the
+exact pruned FFT that zero padding allows: only N_s of the n_t spectral bins
+are nonzero on the way in and read on the way out, so each phase spectrum is
+one twiddled fold of the lattice spectrum, and the lattice bins are twiddled
+sums over the phase spectra.  It agrees with the single n_t-point transform
+to rounding (about 1e-16 i_c per step), and its batch of short transforms
+fits in cache.  Every other lattice (the sub-lattices of a profile or map,
+and grids of a few thousand bins) runs the single transform.
 """
 
 from __future__ import annotations
@@ -50,6 +62,15 @@ PROBE_SEED = 0
 PROBE_SIZE = 1e-9
 PROBE_STEPS = 8
 PROBE_FLOOR = 1e-6
+
+# A lattice of N_s bins runs the padded time grid of a step as 2 * zero_pad
+# interleaved length-N_s transforms when N_s is a power of two of at least
+# SPLIT_BINS, otherwise as one transform.  Below SPLIT_BINS the batch's
+# per-call overhead outweighs its cache gain; at other lengths pocketfft can
+# take generic radix passes on which eight short transforms cost more than
+# one long one (a stride-3 lattice of DEFAULT_GRID, N_s = 10923: 13.5 ms
+# against 10.2 ms per step on a 2-CPU Xeon).
+SPLIT_BINS = 8192
 
 
 class DivergenceError(RuntimeError):
@@ -237,10 +258,11 @@ def _bias_bin(bias: BiasPoint, grid: FrequencyGrid) -> int:
     return m
 
 
-def _ramp_phase(m: int, phi0: float, n_t: int) -> np.ndarray:
+def _ramp_phase(m: int, phi0: float, samples: np.ndarray, n_t: int) -> np.ndarray:
+    """Bias ramp at the integer time `samples` of an n_t-point period."""
     # Exact modular arithmetic keeps the ramp periodic to machine precision
     # even for large bin * sample products.
-    idx = (m * np.arange(n_t, dtype=np.int64)) % n_t
+    idx = (m * samples) % n_t
     return (2.0 * np.pi / n_t) * idx + phi0
 
 
@@ -260,6 +282,20 @@ def _tone_entries(stim: Stimulus, grid: FrequencyGrid, kinds: Sequence) -> list[
     return entries
 
 
+def _interleaved(n: int) -> bool:
+    """Whether a step on an n-bin lattice runs as interleaved phases."""
+    return n >= SPLIT_BINS and n & (n - 1) == 0
+
+
+def step_bytes(n: int, zero_pad: int) -> int:
+    """Bytes of the time-grid arrays a step on an n-bin lattice holds: the
+    ramp and phase samples, and two spectrum-sized buffers (the spectrum and
+    the twiddle table when interleaved, the padded spectrum and its
+    transform otherwise)."""
+    spectrum = 2 * zero_pad * (n // 2 + 1) if _interleaved(n) else zero_pad * n + 1
+    return 2 * (2 * zero_pad * n) * 8 + 2 * spectrum * 16
+
+
 def _picard_step(
     f_jj: np.ndarray,
     drive: np.ndarray,
@@ -270,30 +306,85 @@ def _picard_step(
 ):
     """One fixed-point step, current -> updated, on the lattice of bins
     `frequencies` (uniform from 0, pump on bin m); the time grid covers one
-    period of the lattice with 2 * zero_pad samples per bin."""
+    period of the lattice with 2 * zero_pad samples per bin, as interleaved
+    phases or as one transform (see SPLIT_BINS and the module docstring)."""
     n = frequencies.size
     zero_pad, relaxation = options.zero_pad, options.relaxation
-    n_t = 2 * zero_pad * n
+    phases = 2 * zero_pad
+    n_t = phases * n
+    interleaved = _interleaved(n)
+    # A phase transform of n samples scales by 1/n where the full grid's does
+    # by 1/n_t; the interleaved layout folds the difference into the integrator.
     integrator = np.empty(n, dtype=complex)
     integrator[0] = 0.0
     omega = 2.0 * np.pi * frequencies
-    integrator[1:] = (2.0 * _E_CHARGE / _HBAR) * n_t / (1j * omega[1:])
-    half = zero_pad * n + 1  # n_t // 2 + 1
-    # Every array a step writes lives in one block for the whole solve: the
-    # bias ramp, the phase samples, both spectra and the junction voltage.
-    # numpy's FFT allocates n_t-sized scratch inside each call; once a block
-    # this large has been freed, glibc serves that scratch from its heap
-    # instead of mapping fresh pages on every step.
-    work = np.empty(2 * n_t + 4 * half + 2 * n)
-    ramp, phi = work[:n_t], work[n_t : 2 * n_t]
-    ramp[:] = _ramp_phase(m, bias.phase, n_t)
-    buf = work[2 * n_t : 2 * n_t + 2 * half].view(complex)
-    buf[0] = 0.0
-    buf[n:] = 0.0
-    spectrum = work[2 * n_t + 2 * half : 2 * n_t + 4 * half].view(complex)
-    v = work[2 * n_t + 4 * half :].view(complex)
-    mixed = np.empty(n, dtype=complex) if relaxation != 1.0 else None
+    integrator[1:] = (2.0 * _E_CHARGE / _HBAR) * (n if interleaved else n_t) / (1j * omega[1:])
     i_c = bias.i_c
+    v = np.empty(n, dtype=complex)
+    mixed = np.empty(n, dtype=complex) if relaxation != 1.0 else None
+
+    if not interleaved:
+        half = zero_pad * n + 1  # n_t // 2 + 1
+        buf = np.zeros(half, dtype=complex)
+        ramp = _ramp_phase(m, bias.phase, np.arange(n_t), n_t)
+        phi = np.empty(n_t)
+        spectrum = np.empty(half, dtype=complex)
+
+        def round_trip(out: np.ndarray) -> None:
+            np.multiply(v[1:], integrator[1:], out=buf[1:n])
+            np.fft.irfft(buf, n_t, out=phi)
+            np.add(ramp, phi, out=phi)
+            np.sin(phi, out=phi)
+            np.multiply(i_c, phi, out=phi)
+            np.fft.rfft(phi, out=spectrum)
+            np.divide(spectrum[:n], n_t, out=out)
+
+    else:
+        # Sample t = phases * q + r is phase r's sample q, and each phase is
+        # one row of a batched length-n transform.  With w = exp(2 pi i / n_t),
+        # twiddle[r, j] = w**(j r) and fold[r] = w**(-n r), phase r's spectrum
+        # is twiddle[r, j] * (b[j] + fold[r] * conj(b[n - j])).  On the way
+        # back, with Y[r, j] = twiddle[r, j] * conj(phase r's spectrum[j]),
+        # lattice bin k is conj(sum_r Y[r, k]) for k < h and, through the
+        # Hermitian fold, sum_r fold[r] * Y[r, n - k] above.  Each
+        # FFT call needs scratch for n points only, which glibc keeps on its
+        # heap between steps; one n_t-point transform's scratch is mapped and
+        # unmapped on every call until a larger block has been freed in the
+        # process (about 2000 page faults per step on DEFAULT_GRID).
+        h = n // 2 + 1
+        back = n - h  # bins h .. n - 1 come from phase bins back .. 1
+        angle = (2.0 * np.pi / n_t) * np.outer(np.arange(phases), np.arange(h))
+        twiddle = np.empty((phases, h), dtype=complex)
+        np.cos(angle, out=twiddle.real)
+        np.sin(angle, out=twiddle.imag)
+        fold = np.exp((-2j * np.pi / phases) * np.arange(phases))
+        ramp = _ramp_phase(m, bias.phase, np.arange(phases)[:, None] + phases * np.arange(n), n_t)
+        phi = np.empty((phases, n))
+        spectrum = np.empty((phases, h), dtype=complex)
+        b = np.empty(n, dtype=complex)
+        term = np.empty(back, dtype=complex)
+        scale = i_c / n_t
+
+        def round_trip(out: np.ndarray) -> None:
+            np.multiply(v, integrator, out=b)
+            spectrum[:, 0] = 0.0
+            np.multiply(fold[:, None], np.conjugate(b[n - 1 : n - h : -1]), out=spectrum[:, 1:])
+            np.add(spectrum, b[:h], out=spectrum)
+            np.multiply(spectrum, twiddle, out=spectrum)
+            np.fft.irfft(spectrum, n, axis=1, out=phi)
+            np.add(ramp, phi, out=phi)
+            np.sin(phi, out=phi)
+            np.fft.rfft(phi, axis=1, out=spectrum)
+            np.conjugate(spectrum, out=spectrum)
+            np.multiply(spectrum, twiddle, out=spectrum)
+            head, tail = out[:h], out[: h - 1 : -1]
+            np.sum(spectrum, axis=0, out=head)
+            np.conjugate(head, out=head)
+            np.copyto(tail, spectrum[0, 1 : back + 1])
+            for r in range(1, phases):
+                np.multiply(fold[r], spectrum[r, 1 : back + 1], out=term)
+                np.add(tail, term, out=tail)
+            np.multiply(scale, out, out=out)
 
     def step(current: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The next iterate, written to `out` (a new array when omitted)."""
@@ -301,13 +392,7 @@ def _picard_step(
             out = np.empty(n, dtype=complex)
         np.multiply(f_jj, current, out=v)
         np.add(drive, v, out=v)
-        np.multiply(v[1:], integrator[1:], out=buf[1:n])
-        np.fft.irfft(buf, n_t, out=phi)
-        np.add(ramp, phi, out=phi)
-        np.sin(phi, out=phi)
-        np.multiply(i_c, phi, out=phi)
-        np.fft.rfft(phi, out=spectrum)
-        np.divide(spectrum[:n], n_t, out=out)
+        round_trip(out)
         if mixed is not None:
             np.multiply(1.0 - relaxation, current, out=mixed)
             np.multiply(relaxation, out, out=out)

@@ -267,6 +267,8 @@ def _bias_map(
 ) -> GainMap:
     """One warm-start chain along ascending f_s per bias row; `axis` holds the
     GainMap fields that describe the rows."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     f_s, bins = snap_frequencies(signal_frequencies, grid)
     stimuli = [Stimulus.single(k * grid.spacing, power_dbm, phase=phase) for k in bins]
 
@@ -305,8 +307,8 @@ def gain_map_fdc(
 
     Bias-major traversal: each row fixes f_dc and runs a warm-start chain
     along ascending f_s; rows are independent, so `workers` > 1 solves them
-    in parallel with identical results.  Unconverged and diverged points are
-    masked, never fatal.
+    in parallel with identical results, and `workers` below 1 raises
+    ValueError.  Unconverged and diverged points are masked, never fatal.
     """
     response, grid = _as_response(net, grid)
     f_dc = bias_axis(bias_frequencies, grid)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ictasim.cli import load_config, main, memory_estimate_bytes, solve_count
+from ictasim.cli import load_config, main, memory_estimate_bytes, run, solve_count
 from ictasim.sweeps import rapp_gain_db
 
 GRID = {"spacing_hz": 16e6, "size": 2048}
@@ -307,6 +307,9 @@ def test_threads_below_one_rejected(tmp_path, capsys, threads):
     assert stop.value.code == 2
     assert "--threads: must be an integer of at least 1" in capsys.readouterr().err
     assert not out.exists()
+    # Called as a library, the map itself refuses the count.
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        run(load_config(str(path)), out, threads=int(threads))
 
 
 def test_unconverged_run_exits_zero_with_warning(tmp_path, capsys):

@@ -442,3 +442,53 @@ def test_probe_passes_stable_point():
     assert state.stride == 4087
     assert state.converged
     assert 0.5 < state.off_lattice_growth < 1.0
+
+
+# ---------------------------------------------------------------- time grid layouts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 255])
+@pytest.mark.parametrize("zero_pad", [1, 2, 3, 4])
+@pytest.mark.parametrize("relaxation", [1.0, 0.5])
+@pytest.mark.parametrize("stride", [1, 7])
+def test_interleaved_step_matches_single_transform(monkeypatch, n, zero_pad, relaxation, stride):
+    # One step in each layout on the same inputs: n bins spaced stride MHz,
+    # the pump on bin n // 3, a nonzero bias phase, and voltages that swing
+    # the junction phase by about a radian.
+    rng = np.random.default_rng(100 * n + zero_pad)
+    f_jj, drive, current = ([1.0, 1j] @ rng.standard_normal((2, n)) for _ in range(3))
+    current[0] = current[0].real
+    m = max(1, n // 3)
+    bias = BiasPoint(f_dc=m * stride * 1e6, i_c=I_C, phase=0.7)
+    options = SolverOptions(zero_pad=zero_pad, relaxation=relaxation)
+    frequencies = stride * 1e6 * np.arange(n)
+    updated = {}
+    for interleaved in (False, True):
+        monkeypatch.setattr("ictasim.solver._interleaved", lambda _, chosen=interleaved: chosen)
+        step = _picard_step(0.05 * f_jj, 1e-9 * drive, frequencies, m, bias, options)
+        updated[interleaved] = step(0.1 * I_C * current)
+    assert_allclose(updated[True], updated[False], rtol=0, atol=1e-15 * I_C)
+
+
+def test_layout_follows_lattice_size(monkeypatch, default_f):
+    # A full-grid DEFAULT_GRID step runs 8 interleaved phases in one batched
+    # transform; a stride-160 lattice of it and the 2048-bin map grid run
+    # one transform of the whole padded time grid.
+    shapes = []
+    irfft = np.fft.irfft
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return irfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", spy)
+    bias = BiasPoint(f_dc=F_DC, i_c=I_C)
+    stim = Stimulus.single(5.12e9, -140.0)
+    one_step = SolverOptions(max_iterations=1)
+    row = junction_row(default_f)
+    _iterate(row, bias, stim, one_step, full_grid=True)
+    assert iterate(row, bias, stim, one_step).stride == 160
+    map_grid = FrequencyGrid(spacing=20e6, size=2048)
+    map_row = junction_row(frankenstein_matrix(build_icta(IctaParams()), map_grid))
+    _iterate(map_row, bias, Stimulus.none(), one_step, full_grid=True)
+    assert shapes == [(8, DEFAULT_GRID.size // 2 + 1), (4 * 205 + 1,), (4 * 2048 + 1,)]

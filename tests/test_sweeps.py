@@ -286,6 +286,8 @@ def test_map_parallel_rows_identical(canonical_f, coarse_grid):
     )
     assert np.array_equal(serial.values, threaded.values, equal_nan=True)
     assert np.array_equal(serial.converged, threaded.converged)
+    with pytest.raises(ValueError, match="workers must be at least 1, got -1"):
+        gain_map_fdc(canonical_f, fs, fdc, 200e-9, grid=coarse_grid, options=FAST, workers=-1)
 
 
 def test_map_signal_idler_reciprocity(canonical_f, coarse_grid):
