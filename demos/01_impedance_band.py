@@ -32,14 +32,14 @@ for element in net.bias_branch:
 
 # The quarter-wave line transforms the 50 ohm feed to 58.8^2 / 50 at its
 # design frequency; check the textbook arithmetic before trusting anything.
-z = z_jj(net, grid)
 f = grid.frequencies
+z = z_jj(net, f)
 k = int(round(5.88e9 / grid.spacing))
 print(f"\nZ_JJ at the transformer design frequency 5.88 GHz: "
       f"{z[k].real:6.2f} {z[k].imag:+6.2f}j ohm "
       f"(ideal transform {58.8**2 / 50.0:.2f} ohm)")
 
-report = band_check(net, grid)
+report = band_check(net, f)
 print(f"\nmatched band (Re Z_JJ > {report.reference_impedance:.0f} ohm):")
 print(f"  {report.band_lo_hz / 1e9:.3f} to {report.band_hi_hz / 1e9:.3f} GHz "
       f"({report.bandwidth_hz / 1e9:.2f} GHz wide)")

@@ -26,7 +26,7 @@ from ictasim import (
 grid = FrequencyGrid(16e6, 2048)
 net = build_icta(IctaParams())
 response = frankenstein_matrix(net, grid)
-band = band_check(net, grid)
+band = band_check(net, grid.frequencies)
 
 signal = np.arange(4.0e9, 8.0e9 + 1, 320e6)      # 13 columns
 pump = np.arange(9.6e9, 14.4e9 + 1, 960e6)       # 6 rows

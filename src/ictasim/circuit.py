@@ -457,8 +457,8 @@ def _fold(elements: Sequence[Element], f: np.ndarray, num0: complex, den0: compl
     return num, den
 
 
-def z_jj(net: Netlist, grid) -> np.ndarray:
-    """Impedance seen by the junction, per grid frequency.
+def z_jj(net: Netlist, frequencies) -> np.ndarray:
+    """Impedance seen by the junction, per frequency.
 
     The wave port is terminated in its port impedance, the DC bias port is
     held stiff (an AC short behind its branch), and the ladder is folded from
@@ -469,15 +469,15 @@ def z_jj(net: Netlist, grid) -> np.ndarray:
     Parameters
     ----------
     net : Netlist
-    grid : FrequencyGrid or ndarray
-        Frequencies in Hz.
+    frequencies : ndarray
+        Frequencies in Hz (a grid passes `grid.frequencies`).
 
     Returns
     -------
     ndarray
         Complex impedance, one entry per frequency.
     """
-    f = grid.frequencies if isinstance(grid, FrequencyGrid) else np.asarray(grid, dtype=float)
+    f = np.asarray(frequencies, dtype=float)
     # The chain is listed wave-port first, the branch junction first, so the
     # chain folds in order and the branch folds reversed.
     num_c, den_c = _fold(net.chain, f, net.wave_port_impedance, 1.0)
@@ -492,13 +492,13 @@ def z_jj(net: Netlist, grid) -> np.ndarray:
     return z
 
 
-def emission_fom(net: Netlist, grid) -> tuple[np.ndarray, np.ndarray]:
+def emission_fom(net: Netlist, frequencies) -> tuple[np.ndarray, np.ndarray]:
     """Pump-emission figure of merit Re Z_JJ(f) / f, with f = 0 excluded.
 
     Lower values mean less radiated power per unit Josephson frequency when
     the junction runs as a current source at f.  Returns (frequencies, fom).
     """
-    f = grid.frequencies if isinstance(grid, FrequencyGrid) else np.asarray(grid, dtype=float)
+    f = np.asarray(frequencies, dtype=float)
     z = z_jj(net, f)
     positive = f > 0
     return f[positive], z[positive].real / f[positive]
@@ -579,7 +579,6 @@ class NetlistResponse:
         self.grid = grid
         self.frequencies = grid.frequencies
         self.kinds = netlist.port_kinds
-        self.port_names = netlist.port_names
         n = len(self.kinds)
         self._values = np.empty((self.n_freq, n, n), dtype=complex)
         self._built = np.zeros(self.n_freq, dtype=bool)

@@ -27,7 +27,6 @@ from .circuit import (
     emission_fom,
     frankenstein_matrix,
     netlist_from_dict,
-    netlist_to_dict,
     z_jj,
 )
 from .design import band_check, canonical_icta
@@ -361,10 +360,10 @@ def run(config: RunConfig, out_dir: Path, threads: int | None = None) -> int:
     if kind in ("zjj", "fom"):
         f = config.grid.frequencies
         if kind == "zjj":
-            z = z_jj(config.netlist, config.grid)
+            z = z_jj(config.netlist, f)
             write_table(out_dir / "zjj.csv", ["f_hz", "re_z_ohm", "im_z_ohm"],
                         [f, z.real, z.imag])
-            report = band_check(config.netlist, config.grid)
+            report = band_check(config.netlist, f)
             meta["band"] = {
                 "reference_impedance_ohm": report.reference_impedance,
                 "band_lo_hz": report.band_lo_hz,
@@ -374,7 +373,7 @@ def run(config: RunConfig, out_dir: Path, threads: int | None = None) -> int:
             }
             csv_name = "zjj.csv"
         else:
-            ff, fom = emission_fom(config.netlist, config.grid)
+            ff, fom = emission_fom(config.netlist, f)
             write_table(out_dir / "fom.csv", ["f_hz", "re_z_over_f_ohm_per_hz"], [ff, fom])
             csv_name = "fom.csv"
     else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import FrequencyGrid, IctaParams, Netlist, z_jj
+from .circuit import IctaParams, Netlist, z_jj
 
 # Zero-flux critical currents of the canonical device.
 MAX_JUNCTION_CRITICAL_CURRENT = 600e-9
@@ -145,14 +145,14 @@ def _rolloff_width(f, r, start: int, step: int, hi_level: float, lo_level: float
     return abs(f_lo - f_hi)
 
 
-def band_check(net: Netlist, grid) -> BandReport:
+def band_check(net: Netlist, frequencies) -> BandReport:
     """Band edges where Re Z_JJ exceeds the wave-port impedance, plus the
     edge roll-off asymmetry.
 
     A flat probe network that never exceeds the reference yields an empty
     report.  Frequencies at or below zero are ignored.
     """
-    f = grid.frequencies if isinstance(grid, FrequencyGrid) else np.asarray(grid, dtype=float)
+    f = np.asarray(frequencies, dtype=float)
     positive = f > 0
     f = f[positive]
     r = z_jj(net, f).real

@@ -18,10 +18,11 @@ entries depend only on the port kind and the reference impedance.  Entries of
 F carry non-uniform units (e.g. V/A on a current-bias diagonal).
 
 The solver reads a response through two methods: `rows(bins)`, F at some
-bins, and `junction_impedance()`, the junction diagonal at every bin.  A
-`FrankensteinMatrix` holds F at every bin already; the netlist response of
-`circuit.frankenstein_matrix` implements the same two methods and builds
-each bin only when it is first read.
+bins, and `junction_impedance()`, the junction diagonal at every bin, plus
+its `kinds` and `grid`.  A `FrankensteinMatrix` holds F at every bin
+already; the netlist response of `circuit.frankenstein_matrix` implements
+the same two methods and builds each bin only when it is first read.  Port
+names live on the `circuit.Netlist`, not on a response.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 if TYPE_CHECKING:
-    from .circuit import FrequencyGrid
+    from .circuit import FrequencyGrid, NetlistResponse
 
 WAVE = "wave"
 VOLTAGE_BIAS = "voltage-bias"
@@ -127,7 +128,7 @@ def klmn(kinds: Sequence[PortKind], z0: float = 50.0):
 
 @dataclass(frozen=True)
 class FrankensteinMatrix:
-    """Per-frequency generalized response matrix with port metadata.
+    """Per-frequency generalized response matrix with its port kinds.
 
     Attributes
     ----------
@@ -137,20 +138,14 @@ class FrankensteinMatrix:
         Boundary condition per port, in matrix order.
     z0 : float
         Reference impedance the source scattering matrix used.
-    frequencies : ndarray or None
-        Frequency in Hz per leading index, when known.
     grid : FrequencyGrid or None
         Uniform grid handle when the matrix was sampled on one.
-    port_names : tuple of str
-        Unique name per port.
     """
 
     values: np.ndarray
     kinds: tuple[PortKind, ...]
     z0: float
-    frequencies: np.ndarray | None = None
     grid: "FrequencyGrid | None" = None
-    port_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
@@ -161,15 +156,6 @@ class FrankensteinMatrix:
         if values.shape[-1] != len(self.kinds):
             raise ValueError("port kind count does not match matrix size")
         object.__setattr__(self, "values", values)
-        names = self.port_names or tuple(f"p{i}" for i in range(len(self.kinds)))
-        if len(names) != len(self.kinds) or len(set(names)) != len(names):
-            raise ValueError("port names must be unique, one per port")
-        object.__setattr__(self, "port_names", tuple(names))
-        if self.frequencies is not None:
-            freqs = np.asarray(self.frequencies, dtype=float)
-            if freqs.shape != (values.shape[0],):
-                raise ValueError("frequency axis does not match matrix count")
-            object.__setattr__(self, "frequencies", freqs)
         if self.grid is not None and self.grid.size != values.shape[0]:
             raise ValueError("grid size does not match matrix count")
 
@@ -216,7 +202,6 @@ def to_frankenstein(
     z0: float = 50.0,
     frequencies: np.ndarray | None = None,
     grid: "FrequencyGrid | None" = None,
-    port_names: Sequence[str] | None = None,
 ) -> FrankensteinMatrix:
     """Convert a scattering matrix to the generalized response matrix.
 
@@ -230,19 +215,17 @@ def to_frankenstein(
     z0 : float
         Reference impedance of s in ohm.
     frequencies : ndarray, optional
-        Frequency axis, used in error messages and for bias stiffening.
+        Frequency axis, used only to name the offending frequencies in a
+        `SingularConversionError`.
     grid : FrequencyGrid, optional
         Grid handle forwarded to the result.
-    port_names : sequence of str, optional
-        Names forwarded to the result.
 
     Returns
     -------
     FrankensteinMatrix
     """
     s = np.asarray(s, dtype=complex)
-    squeeze = s.ndim == 2
-    if squeeze:
+    if s.ndim == 2:
         s = s[np.newaxis]
     if s.ndim != 3 or s.shape[-1] != s.shape[-2] or s.shape[-1] != len(kinds):
         raise ValueError("scattering matrix shape does not match port kinds")
@@ -266,14 +249,7 @@ def to_frankenstein(
     # F right = left  =>  F = left right^-1, via the transposed solve.
     values = np.linalg.solve(np.swapaxes(right, -1, -2), np.swapaxes(left, -1, -2))
     values = np.swapaxes(values, -1, -2)
-    return FrankensteinMatrix(
-        values=values,
-        kinds=tuple(kinds),
-        z0=float(z0),
-        frequencies=frequencies,
-        grid=grid,
-        port_names=tuple(port_names) if port_names is not None else (),
-    )
+    return FrankensteinMatrix(values=values, kinds=tuple(kinds), z0=float(z0), grid=grid)
 
 
 def from_frankenstein(f: FrankensteinMatrix) -> np.ndarray:
@@ -290,69 +266,26 @@ def from_frankenstein(f: FrankensteinMatrix) -> np.ndarray:
     return np.linalg.solve(lhs, rhs)
 
 
-class SourceColumns:
-    """The junction row of a response off its diagonal, indexed [bins, ports]
-    like an (n_freq, n_ports) array: the junction column is 0, and so are the
-    voltage-bias columns at f = 0, which keeps the bias stiff (the Josephson
-    frequency must not react to the DC current drawn).  Indexing reads the
-    response only at the bins asked for."""
-
-    def __init__(self, response, junction_index: int):
-        self._response = response
-        self._j = junction_index
-
-    def __getitem__(self, key):
-        bins, ports = key
-        sel = np.arange(self._response.n_freq)[bins]
-        at = np.atleast_1d(sel)
-        rows = self._response.rows(at)[:, self._j, :].copy()
-        rows[:, self._j] = 0.0
-        at_dc = at == 0
-        for i, pk in enumerate(self._response.kinds):
-            if pk.kind == VOLTAGE_BIAS:
-                rows[at_dc, i] = 0.0
-        return rows[:, ports] if np.ndim(sel) else rows[0, ports]
-
-
 @dataclass(frozen=True)
 class JunctionRow:
-    """The single-row view of F needed by the nonlinear solver.
+    """What the nonlinear solver reads of a response: the response itself,
+    on its `grid`, and `f_jj`, its junction-port diagonal (an impedance per
+    bin).  The solver reads the response's `rows` only at its tone bins, for
+    the coupling F[k, junction, wave port] of each tone into the junction;
+    tones lie on bins k >= 1, so the stiff DC bias (`solver.outputs`) never
+    enters the drive."""
 
-    `f_jj` is the junction-port diagonal (an impedance per frequency) and
-    `source_columns`, indexed [bin, port], holds the remaining row entries
-    with the junction column zeroed, so that the linear drive is a plain
-    contraction with the incident amplitudes; the DC stiffening (junction
-    row, voltage-bias columns forced to 0 at f = 0) is already applied.
-    `junction_row` fills it with a `SourceColumns` view; a hand-built row may
-    pass an (n_freq, n_ports) array.  `grid` is the grid the solver runs on.
-    """
-
-    junction_index: int
+    response: "FrankensteinMatrix | NetlistResponse"
     f_jj: np.ndarray
-    source_columns: "np.ndarray | SourceColumns"
-    kinds: tuple[PortKind, ...]
-    port_names: tuple[str, ...]
-    frequencies: np.ndarray
-    grid: "FrequencyGrid"
 
 
 def junction_row(f) -> JunctionRow:
-    """The junction-port row of a response for the fixed-point iteration.
+    """The junction row of a response for the fixed-point iteration.
 
     `f` is a `FrankensteinMatrix` or a netlist response on a `FrequencyGrid`
-    (`f.grid`); the junction is `junction_port(f.kinds)`.  `f_jj` is
-    `f.junction_impedance()`, and the source columns are read from `f.rows`
-    only at the bins the solver asks for (its tone bins).
+    (`f.grid`); the junction is `junction_port(f.kinds)`, and `f_jj` is
+    `f.junction_impedance()`.
     """
     if f.grid is None:
         raise ValueError("junction row requires a response on a FrequencyGrid")
-    j = junction_port(f.kinds)
-    return JunctionRow(
-        junction_index=j,
-        f_jj=f.junction_impedance(),
-        source_columns=SourceColumns(f, j),
-        kinds=f.kinds,
-        port_names=f.port_names,
-        frequencies=f.grid.frequencies,
-        grid=f.grid,
-    )
+    return JunctionRow(response=f, f_jj=f.junction_impedance())

@@ -228,8 +228,8 @@ class SolutionState:
     error.  `stride` is the lattice the loop ran on (bins 0, stride, ...).
     `off_lattice_growth` is the probe's last-step growth ratio of an
     off-lattice perturbation (0 when it decayed, NaN when no probe ran); a
-    ratio of 1 or more marks the point unconverged.  `a_out` and the port
-    metadata are filled by `outputs`.
+    ratio of 1 or more marks the point unconverged.  `a_out` and
+    `port_kinds` are filled by `outputs`.
     """
 
     bias: BiasPoint
@@ -244,7 +244,6 @@ class SolutionState:
     stride: int
     off_lattice_growth: float
     a_out: np.ndarray | None = None
-    port_names: tuple[str, ...] | None = None
     port_kinds: tuple | None = None
 
 
@@ -267,8 +266,8 @@ def _ramp_phase(m: int, phi0: float, samples: np.ndarray, n_t: int) -> np.ndarra
 
 
 def _tone_entries(stim: Stimulus, grid: FrequencyGrid, kinds: Sequence) -> list[tuple]:
-    """Snap tones to (port index, bin, half-amplitude) triples, all on the
-    wave port; a response without exactly one wave port raises ValueError."""
+    """Snap tones to (bin, half-amplitude) pairs, all on the wave port; a
+    response without exactly one wave port raises ValueError."""
     idx = wave_port(kinds)
     entries = []
     for tone in stim.tones:
@@ -278,7 +277,7 @@ def _tone_entries(stim: Stimulus, grid: FrequencyGrid, kinds: Sequence) -> list[
                 f"tone at {tone.frequency:g} Hz falls outside the grid (0, {grid.f_max:g})"
             )
         amp = tone_amplitude(tone.power_dbm, kinds[idx].impedance, tone.phase)
-        entries.append((idx, k, amp))
+        entries.append((k, amp))
     return entries
 
 
@@ -473,13 +472,17 @@ def _iterate(
     full_grid: bool,
 ) -> SolutionState:
     """`iterate`, or with `full_grid` the plain loop over every grid bin."""
-    grid = row.grid
+    response = row.response
+    grid = response.grid
     n = grid.size
     m = _bias_bin(bias, grid)
-    entries = _tone_entries(stim, grid, row.kinds)
+    entries = _tone_entries(stim, grid, response.kinds)
     drive = np.zeros(n, dtype=complex)
-    for idx, k, amp in entries:
-        drive[k] += row.source_columns[k, idx] * amp
+    if entries:
+        j, w = junction_port(response.kinds), wave_port(response.kinds)
+        coupling = response.rows(np.array([k for k, _ in entries]))[:, j, w]
+        for (k, amp), c in zip(entries, coupling):
+            drive[k] += c * amp
     if initial is None:
         current = np.zeros(n, dtype=complex)
     else:
@@ -487,7 +490,7 @@ def _iterate(
         if current.shape != (n,) or not np.all(np.isfinite(current)):
             raise ValueError("initial spectrum must be finite and grid-sized")
         current[0] = current[0].real
-    s = 1 if full_grid or not entries else math.gcd(m, *(k for _, k, _ in entries))
+    s = 1 if full_grid or not entries else math.gcd(m, *(k for k, _ in entries))
     step = _picard_step(row.f_jj[::s], drive[::s], grid.frequencies[::s], m // s, bias, options)
     tol_abs = options.tolerance * bias.i_c
     converged = False
@@ -540,17 +543,17 @@ def outputs(state: SolutionState, f_matrix, *, bins=None) -> SolutionState:
     where all inputs live, so `a_out` is exactly 0 off it.  `bins` (an index
     array) reads those bins instead and leaves `a_out` 0 elsewhere, which is
     all a caller reporting only those bins needs.  Returns a copy of the state
-    with `a_out` and port metadata set.
+    with `a_out` and `port_kinds` set.
     """
     grid = state.grid
     if f_matrix.grid != grid:
         raise ValueError("response matrix grid does not match the solution grid")
-    j = junction_port(f_matrix.kinds)
+    j, w = junction_port(f_matrix.kinds), wave_port(f_matrix.kinds)
     read = slice(None, None, state.stride) if bins is None else np.asarray(bins, dtype=int)
     n_ports = f_matrix.n_ports
     x = np.zeros((n_ports, grid.size), dtype=complex)
-    for idx, k, amp in _tone_entries(state.stimulus, grid, f_matrix.kinds):
-        x[idx, k] += amp
+    for k, amp in _tone_entries(state.stimulus, grid, f_matrix.kinds):
+        x[w, k] += amp
     for i, pk in enumerate(f_matrix.kinds):
         if pk.kind == VOLTAGE_BIAS:
             x[i, 0] = state.bias.v_dc
@@ -564,12 +567,7 @@ def outputs(state: SolutionState, f_matrix, *, bins=None) -> SolutionState:
         for i, pk in enumerate(f_matrix.kinds):
             if pk.kind == VOLTAGE_BIAS:
                 a_out[j, 0] -= f_read[at_dc[0], j, i] * x[i, 0]
-    return replace(
-        state,
-        a_out=a_out,
-        port_names=f_matrix.port_names,
-        port_kinds=f_matrix.kinds,
-    )
+    return replace(state, a_out=a_out, port_kinds=f_matrix.kinds)
 
 
 @dataclass(frozen=True)
@@ -593,7 +591,7 @@ def power_balance(state: SolutionState) -> PowerBalance:
     w = wave_port(state.port_kinds)
     impedance = state.port_kinds[w].impedance
     rf = 2.0 * np.sum(np.abs(state.a_out[w, 1:]) ** 2) / impedance
-    for _, _, amp in _tone_entries(state.stimulus, state.grid, state.port_kinds):
+    for _, amp in _tone_entries(state.stimulus, state.grid, state.port_kinds):
         rf -= 2.0 * abs(amp) ** 2 / impedance
     dc = 0.0
     for i, pk in enumerate(state.port_kinds):
@@ -610,7 +608,7 @@ def gain(state: SolutionState, f_s: float) -> float:
         raise ValueError("gain requires a state completed by outputs()")
     k = int(round(f_s / state.grid.spacing))
     entries = _tone_entries(state.stimulus, state.grid, state.port_kinds)
-    amp_in = sum(a for _, kk, a in entries if kk == k)
+    amp_in = sum(a for kk, a in entries if kk == k)
     if amp_in == 0:
         raise ValueError(f"no stimulus tone at {f_s:g} Hz")
     return 20.0 * np.log10(abs(state.a_out[wave_port(state.port_kinds), k]) / abs(amp_in))

@@ -378,10 +378,6 @@ class CompressionCurve:
     def degenerate(self) -> bool:
         return len(self.phases) > 1
 
-    @property
-    def output_power_dbm(self) -> np.ndarray:
-        return self.power_in_dbm[np.newaxis, :] + self.gain_db
-
     def envelope(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-power (min, max) gain across the sampled phases."""
         return np.min(self.gain_db, axis=0), np.max(self.gain_db, axis=0)

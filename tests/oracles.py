@@ -18,9 +18,7 @@ def solve(f_matrix, bias, stim, **options):
 def eager_response(net, grid):
     """The netlist's response matrix F built at every bin of `grid` in one pass."""
     f = grid.frequencies
-    return to_frankenstein(
-        s_matrix(net, f), net.port_kinds, frequencies=f, grid=grid, port_names=net.port_names
-    )
+    return to_frankenstein(s_matrix(net, f), net.port_kinds, frequencies=f, grid=grid)
 
 
 def write_table_rows(path, header, columns):

@@ -35,9 +35,10 @@ from ictasim.circuit import (
 )
 from ictasim.design import band_check
 from ictasim.frankenstein import (
-    JunctionRow,
+    FrankensteinMatrix,
     PortKind,
     from_frankenstein,
+    junction_row,
     to_frankenstein,
 )
 from ictasim.solver import (
@@ -131,7 +132,7 @@ def gain_map():
         resp, fs, fdc, 200e-9, -140.0,
         grid=grid, options=SolverOptions(max_iterations=2500),
     )
-    return gmap, band_check(net, grid)
+    return gmap, band_check(net, grid.frequencies)
 
 
 def _ripple_period(freqs, gain_db):
@@ -425,18 +426,10 @@ def test_criterion_6_solver_oracles():
 
     # zero-feedback junction row: the drive phase-modulates the ramp and the
     # sideband ladder must carry Bessel-function weights
-    n = grid.size
-    cols = np.zeros((n, 2), dtype=complex)
-    cols[:, 0] = 1.0
-    row = JunctionRow(
-        junction_index=1,
-        f_jj=np.zeros(n, dtype=complex),
-        source_columns=cols,
-        kinds=(PortKind.wave(50.0), PortKind.current_bias()),
-        port_names=("signal", "junction"),
-        frequencies=grid.frequencies,
-        grid=grid,
-    )
+    values = np.zeros((grid.size, 2, 2), dtype=complex)
+    values[:, 1, 0] = 1.0
+    kinds = (PortKind.wave(50.0), PortKind.current_bias())
+    row = junction_row(FrankensteinMatrix(values, kinds, z0=50.0, grid=grid))
     f_m, i_c = 320e6, 280e-9
     k = int(round(f_m / grid.spacing))
     m = int(round(12e9 / grid.spacing))

@@ -189,7 +189,7 @@ def test_junction_impedance_quarter_wave_transform(canonical_net):
 def test_junction_impedance_agrees_with_response_matrix(canonical_net, canonical_f, coarse_grid):
     # Dual route: projective ladder fold vs. the current-bias diagonal of the
     # converted scattering matrix.
-    z_fold = z_jj(canonical_net, coarse_grid)
+    z_fold = z_jj(canonical_net, coarse_grid.frequencies)
     z_resp = canonical_f.values[:, 1, 1]
     finite = np.isfinite(z_fold)
     assert finite.all()

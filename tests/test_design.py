@@ -78,7 +78,7 @@ def test_flux_scaled_bias_reaches_canonical_point():
 
 
 def test_band_check_canonical(canonical_net, coarse_grid):
-    report = band_check(canonical_net, coarse_grid)
+    report = band_check(canonical_net, coarse_grid.frequencies)
     assert not report.empty
     assert report.reference_impedance == 50.0
     assert 3.5e9 < report.band_lo_hz < 4.1e9
@@ -91,16 +91,9 @@ def test_band_check_canonical(canonical_net, coarse_grid):
     assert report.upper_rolloff_hz > report.lower_rolloff_hz
 
 
-def test_band_check_accepts_plain_frequency_array(canonical_net, coarse_grid):
-    from_grid = band_check(canonical_net, coarse_grid)
-    from_array = band_check(canonical_net, coarse_grid.frequencies)
-    assert from_array.band_lo_hz == pytest.approx(from_grid.band_lo_hz)
-    assert from_array.band_hi_hz == pytest.approx(from_grid.band_hi_hz)
-
-
 def test_band_check_probe_network_is_empty(coarse_grid):
     probe = Netlist(chain=(), bias_branch=None)
-    report = band_check(probe, coarse_grid)
+    report = band_check(probe, coarse_grid.frequencies)
     assert report.empty
     assert np.isnan(report.band_lo_hz) and np.isnan(report.band_hi_hz)
     assert np.isnan(report.bandwidth_hz)

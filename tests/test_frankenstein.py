@@ -126,20 +126,16 @@ def test_singular_conversion_names_frequency():
 def test_matrix_metadata():
     kinds = (PortKind.wave(50.0), PortKind.current_bias(), PortKind.voltage_bias())
     values = np.zeros((2, 3, 3), dtype=complex)
-    f = FrankensteinMatrix(values, kinds, z0=50.0, port_names=("signal", "junction", "dc"))
+    f = FrankensteinMatrix(values, kinds, z0=50.0)
     assert f.n_ports == 3
-    assert f.port_names == ("signal", "junction", "dc")
-    assert FrankensteinMatrix(values, kinds, z0=50.0).port_names == ("p0", "p1", "p2")
+    assert f.n_freq == 2
+    assert f.kinds == kinds and f.grid is None
 
 
 def test_matrix_validation_errors():
     kinds = (PortKind.wave(50.0), PortKind.current_bias())
     with pytest.raises(ValueError):
         FrankensteinMatrix(np.zeros((2, 3, 3)), kinds, z0=50.0)
-    with pytest.raises(ValueError):
-        FrankensteinMatrix(np.zeros((2, 2, 2)), kinds, z0=50.0, port_names=("a", "a"))
-    with pytest.raises(ValueError):
-        FrankensteinMatrix(np.zeros((2, 2, 2)), kinds, z0=50.0, frequencies=np.zeros(3))
     with pytest.raises(ValueError, match="grid size"):
         FrankensteinMatrix(np.zeros((2, 2, 2)), kinds, z0=50.0, grid=FrequencyGrid(1e6, 4))
 
@@ -149,28 +145,14 @@ def _toy_matrix():
     values = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
     kinds = (PortKind.wave(50.0), PortKind.current_bias(), PortKind.voltage_bias())
     grid = FrequencyGrid(1e6, 4)
-    return FrankensteinMatrix(
-        values,
-        kinds,
-        z0=50.0,
-        frequencies=grid.frequencies,
-        grid=grid,
-        port_names=("signal", "junction", "dc"),
-    )
+    return FrankensteinMatrix(values, kinds, z0=50.0, grid=grid)
 
 
 def test_junction_row_extraction():
     f = _toy_matrix()
     row = junction_row(f)
-    assert row.junction_index == 1
+    assert row.response is f
     assert_allclose(row.f_jj, f.values[:, 1, 1])
-    # Junction column is zeroed so the drive contraction skips the unknown.
-    assert np.all(row.source_columns[:, 1] == 0.0)
-    assert_allclose(row.source_columns[1:, 0], f.values[1:, 1, 0])
-    # DC stiffening: the bias column vanishes at f = 0 only.
-    assert row.source_columns[0, 2] == 0.0
-    assert_allclose(row.source_columns[1:, 2], f.values[1:, 1, 2])
-    assert_allclose(row.source_columns[0, 0], f.values[0, 1, 0])
 
 
 def test_junction_row_port_selection_errors():
@@ -179,12 +161,11 @@ def test_junction_row_port_selection_errors():
         f.values,
         (PortKind.current_bias(), PortKind.current_bias(), PortKind.voltage_bias()),
         z0=50.0,
-        frequencies=f.frequencies,
         grid=f.grid,
     )
     with pytest.raises(ValueError, match="exactly one current-bias port, found 2"):
         junction_row(two_current)
-    no_grid = FrankensteinMatrix(f.values, f.kinds, z0=50.0, frequencies=f.frequencies)
+    no_grid = FrankensteinMatrix(f.values, f.kinds, z0=50.0)
     with pytest.raises(ValueError, match="FrequencyGrid"):
         junction_row(no_grid)
 

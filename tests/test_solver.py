@@ -1,6 +1,7 @@
 """Fixed-point junction solver: spectra, convergence, energy bookkeeping."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.constants import e as E_CHARGE, hbar as HBAR
 from scipy.special import jv
 
 from ictasim.circuit import DEFAULT_GRID, FrequencyGrid, IctaParams, build_icta, frankenstein_matrix
-from ictasim.frankenstein import JunctionRow, PortKind, junction_row
+from ictasim.frankenstein import FrankensteinMatrix, PortKind, junction_row
 from ictasim.solver import (
     BiasPoint,
     DivergenceError,
@@ -119,18 +120,10 @@ def test_phase_update_integrates_voltage():
 def _bare_junction_row(grid, port_impedance=50.0):
     # Zero feedback: the junction sees no embedding impedance and the wave
     # port couples straight onto the junction voltage.
-    n = grid.size
-    cols = np.zeros((n, 2), dtype=complex)
-    cols[:, 0] = 1.0
-    return JunctionRow(
-        junction_index=1,
-        f_jj=np.zeros(n, dtype=complex),
-        source_columns=cols,
-        kinds=(PortKind.wave(port_impedance), PortKind.current_bias()),
-        port_names=("signal", "junction"),
-        frequencies=grid.frequencies,
-        grid=grid,
-    )
+    values = np.zeros((grid.size, 2, 2), dtype=complex)
+    values[:, 1, 0] = 1.0
+    kinds = (PortKind.wave(port_impedance), PortKind.current_bias())
+    return junction_row(FrankensteinMatrix(values, kinds, z0=50.0, grid=grid))
 
 
 def test_zero_critical_current_converges_immediately():
@@ -311,15 +304,7 @@ def test_divergent_response_raises():
     row = _bare_junction_row(grid)
     f_jj = row.f_jj.copy()
     f_jj[750] = np.inf  # an undamped resonance right on the pump bin
-    bad = JunctionRow(
-        junction_index=row.junction_index,
-        f_jj=f_jj,
-        source_columns=row.source_columns,
-        kinds=row.kinds,
-        port_names=row.port_names,
-        frequencies=row.frequencies,
-        grid=grid,
-    )
+    bad = replace(row, f_jj=f_jj)
     # DivergenceError is the only report: numpy's own warning would be an error here
     with warnings.catch_warnings(), pytest.raises(DivergenceError):
         warnings.simplefilter("error")
@@ -356,10 +341,26 @@ def test_dc_current_drawn_is_positive(canonical_f):
     # The supply must source power while the junction pumps the resonator.
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
     state = solve(canonical_f, bias, Stimulus.none())
-    dc_row = state.port_names.index("dc")
+    dc_row = canonical_f.netlist.port_names.index("dc")
     i_dc = state.a_out[dc_row, 0]
     assert abs(i_dc.imag) < 1e-18
     assert i_dc.real > 0.0
+
+
+@pytest.mark.parametrize("stim", [Stimulus.single(6.4e9, -130.0), Stimulus.none()],
+                         ids=["sub-lattice", "pump-only"])
+def test_outputs_keep_bias_stiff(coarse_grid, stim):
+    # The junction voltage the loop solved for is what `outputs` reports at
+    # the junction port, bin 0 included: there the DC bias voltage must not
+    # reach the junction row (F_j,dc(0) V_dc is about 2.5e-5 V against a
+    # junction voltage of about 1e-9 V at 0.1 ohm bias resistance).
+    f = frankenstein_matrix(build_icta(IctaParams(bias_resistance=0.1)), coarse_grid)
+    state = iterate(junction_row(f), BiasPoint(f_dc=F_DC, i_c=I_C), stim)
+    assert state.stride == (50 if stim.tones else 1)
+    lattice = slice(None, None, state.stride)
+    a_j = outputs(state, f).a_out[1, lattice]
+    v_j = state.v_j[lattice]
+    assert np.max(np.abs(a_j - v_j)) <= 1e-12 * np.max(np.abs(v_j))
 
 
 # ---------------------------------------------------------------- sub-lattice solves

@@ -565,8 +565,7 @@ def test_sweeps_reject_response_without_one_wave_port(kinds, found, coarse_grid)
     # response with none or two has no port to drive.
     n = len(kinds)
     response = FrankensteinMatrix(
-        np.zeros((coarse_grid.size, n, n)), kinds, z0=50.0,
-        frequencies=coarse_grid.frequencies, grid=coarse_grid,
+        np.zeros((coarse_grid.size, n, n)), kinds, z0=50.0, grid=coarse_grid
     )
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
     with pytest.raises(ValueError, match=f"exactly one wave port, found {found}"):
