@@ -1,12 +1,9 @@
-"""Canonical amplifier parameters, flux tuning, and band diagnostics.
+"""Canonical amplifier parameters and band diagnostics.
 
 The component values here are the hand-tuned production set for the
 voltage-biased junction amplifier; the matching network was originally
 synthesized from a low-pass prototype and then adjusted, so these numbers are
-canonical rather than derivable.  Flux tuning uses the symmetric two-junction
-interferometer model with negligible loop inductance: the effective critical
-current is I_c,max |cos(pi Phi / Phi_0)|.  That mapping is a convenience
-layer; the solver itself treats I_c as the control variable.
+canonical rather than derivable.
 """
 
 from __future__ import annotations
@@ -17,59 +14,10 @@ import numpy as np
 
 from .circuit import IctaParams, Netlist, z_jj
 
-# Zero-flux critical currents of the canonical device.
-MAX_JUNCTION_CRITICAL_CURRENT = 600e-9
-MAX_SQUID_CRITICAL_CURRENT = 1.2e-6
-
 
 def canonical_icta() -> IctaParams:
     """The canonical component value set (immutable dataclass)."""
     return IctaParams()
-
-
-@dataclass(frozen=True)
-class DesignTargets:
-    """Matching-network design goals the canonical values aim at."""
-
-    gain_db: float = 20.0
-    center_frequency: float = 6e9
-    fractional_bandwidth: float = 0.25
-    network_impedance: float = 81.7
-
-    def __post_init__(self):
-        values = (
-            self.gain_db,
-            self.center_frequency,
-            self.fractional_bandwidth,
-            self.network_impedance,
-        )
-        if any(not np.isfinite(v) or v <= 0 for v in values):
-            raise ValueError("design targets must be positive and finite")
-        if self.fractional_bandwidth >= 1.0:
-            raise ValueError("fractional bandwidth must be below 1")
-
-
-@dataclass(frozen=True)
-class FluxBias:
-    """External flux in units of the flux quantum, with the zero-flux scale."""
-
-    flux: float
-    i_c_max: float = MAX_SQUID_CRITICAL_CURRENT
-
-    def __post_init__(self):
-        if not np.isfinite(self.i_c_max) or self.i_c_max <= 0:
-            raise ValueError("maximum critical current must be positive and finite")
-        if not np.isfinite(self.flux):
-            raise ValueError("flux must be finite")
-
-
-def ic_of_flux(bias: FluxBias) -> float:
-    """Effective critical current of a symmetric two-junction loop.
-
-    I_c(Phi) = I_c,max |cos(pi Phi / Phi_0)|: even in the flux, periodic with
-    one flux quantum, zero at half-integer frustration.
-    """
-    return bias.i_c_max * abs(np.cos(np.pi * bias.flux))
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,10 @@
-"""Canonical parameter set, flux tuning, and band diagnostics."""
+"""Canonical parameter set and band diagnostics."""
 
 import numpy as np
 import pytest
 
 from ictasim.circuit import Netlist
-from ictasim.design import (
-    MAX_JUNCTION_CRITICAL_CURRENT,
-    MAX_SQUID_CRITICAL_CURRENT,
-    DesignTargets,
-    FluxBias,
-    band_check,
-    canonical_icta,
-    ic_of_flux,
-)
+from ictasim.design import band_check, canonical_icta
 
 
 def test_canonical_component_values():
@@ -26,55 +18,6 @@ def test_canonical_component_values():
     assert params.wave_port_impedance == 50.0
     assert params.junction_capacitance == 0.0
     assert params.cable_length == 0.0
-
-
-def test_current_scale_constants():
-    assert MAX_JUNCTION_CRITICAL_CURRENT == 600e-9
-    assert MAX_SQUID_CRITICAL_CURRENT == pytest.approx(2 * MAX_JUNCTION_CRITICAL_CURRENT)
-
-
-def test_design_target_defaults_and_validation():
-    targets = DesignTargets()
-    assert targets.gain_db == 20.0
-    assert targets.center_frequency == 6e9
-    assert targets.fractional_bandwidth == 0.25
-    assert targets.network_impedance == 81.7
-    with pytest.raises(ValueError):
-        DesignTargets(gain_db=-3.0)
-    with pytest.raises(ValueError):
-        DesignTargets(fractional_bandwidth=1.2)
-    with pytest.raises(ValueError):
-        DesignTargets(center_frequency=float("inf"))
-
-
-def test_flux_bias_validation():
-    with pytest.raises(ValueError):
-        FluxBias(flux=float("nan"))
-    with pytest.raises(ValueError):
-        FluxBias(flux=0.0, i_c_max=0.0)
-
-
-def test_flux_tuning_curve():
-    assert ic_of_flux(FluxBias(0.0)) == MAX_SQUID_CRITICAL_CURRENT
-    assert ic_of_flux(FluxBias(0.5)) == pytest.approx(0.0, abs=1e-18)
-    assert ic_of_flux(FluxBias(1.0)) == pytest.approx(MAX_SQUID_CRITICAL_CURRENT)
-    # even and periodic in one flux quantum
-    for flux in (0.1, 0.23, 0.4):
-        assert ic_of_flux(FluxBias(flux)) == pytest.approx(ic_of_flux(FluxBias(-flux)))
-        assert ic_of_flux(FluxBias(flux)) == pytest.approx(
-            ic_of_flux(FluxBias(flux + 1.0)), rel=1e-12
-        )
-    # monotone fall from zero flux to half frustration
-    samples = [ic_of_flux(FluxBias(x)) for x in np.linspace(0.0, 0.5, 11)]
-    assert all(a > b for a, b in zip(samples, samples[1:]))
-
-
-def test_flux_scaled_bias_reaches_canonical_point():
-    # a working point near 280 nA exists inside the first tuning lobe
-    target = 280e-9
-    flux = np.arccos(target / MAX_SQUID_CRITICAL_CURRENT) / np.pi
-    assert 0.0 < flux < 0.5
-    assert ic_of_flux(FluxBias(flux)) == pytest.approx(target, rel=1e-12)
 
 
 def test_band_check_canonical(canonical_net, coarse_grid):

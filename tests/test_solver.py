@@ -1,5 +1,6 @@
 """Fixed-point junction solver: spectra, convergence, energy bookkeeping."""
 
+import gc
 import warnings
 from dataclasses import replace
 
@@ -29,8 +30,8 @@ from ictasim.solver import (
     tone_amplitude,
     watts_to_dbm,
 )
-from ictasim.solver import _iterate, _picard_step
-from oracles import solve, time_samples, to_spectrum, to_time
+from ictasim.solver import PROBE_SEED, _iterate, _picard_step, _tangent_step
+from oracles import nonlinear_off_lattice_growth, solve, time_samples, to_spectrum, to_time
 
 F_DC = 12e9
 I_C = 280e-9
@@ -114,7 +115,8 @@ def test_phase_update_integrates_voltage():
     w = 2 * np.pi * grid.frequencies[k]
     phi = 2 * np.pi * bias.f_dc * t + 0.3 + (2 * E_CHARGE / HBAR) * v0 * np.sin(w * t) / w
     expected = to_spectrum(bias.i_c * np.sin(phi), grid)
-    assert_allclose(step(np.zeros(256, dtype=complex)), expected, rtol=0, atol=1e-9 * bias.i_c)
+    updated = step(np.zeros(256, dtype=complex), np.empty(256, dtype=complex))
+    assert_allclose(updated, expected, rtol=0, atol=1e-9 * bias.i_c)
 
 
 def _bare_junction_row(grid, port_impedance=50.0):
@@ -385,6 +387,7 @@ def test_sub_lattice_matches_full_grid(default_f, f_s, stride):
     oracle = _full_grid(row, bias, stim)
     assert fast.stride == stride and oracle.stride == 1
     assert 0.0 < fast.off_lattice_growth < 1.0 and np.isnan(oracle.off_lattice_growth)
+    assert abs(fast.off_lattice_growth - nonlinear_off_lattice_growth(row, fast)) <= 1e-5
     assert fast.converged and oracle.converged
     assert fast.iterations == oracle.iterations
     assert np.all(fast.i_j[np.arange(fast.i_j.size) % stride != 0] == 0.0)
@@ -445,6 +448,85 @@ def test_probe_passes_stable_point():
     assert 0.5 < state.off_lattice_growth < 1.0
 
 
+@pytest.mark.parametrize("bias_resistance", [0.1, 0.15, 0.2, 0.6])
+def test_probe_matches_nonlinear_oracle(bias_resistance):
+    # The tangent probe against 8 nonlinear full-grid steps from the lifted
+    # state plus a 1e-9 I_c perturbation: 0.15 ohm reads 1.02 and is masked.
+    row, bias, stim = _probe_case(bias_resistance)
+    state = iterate(row, bias, stim)
+    assert state.stride == 4087 and state.residual < 1e-12
+    oracle = nonlinear_off_lattice_growth(row, state)
+    assert abs(state.off_lattice_growth - oracle) <= 1e-5
+    assert state.converged == (oracle < 1.0) == (bias_resistance < 0.15)
+
+
+@pytest.mark.parametrize("interleaved", [False, True], ids=["single", "interleaved"])
+@pytest.mark.parametrize("relaxation", [1.0, 0.5])
+def test_tangent_step_matches_central_difference(monkeypatch, interleaved, relaxation):
+    # The tangent at x against (step(x + eps d) - step(x - eps d)) / 2 eps of
+    # the Picard step at the same zero_pad; the difference falls as eps**2
+    # (2e-8 at eps 1e-4, 2e-10 at 1e-5).
+    monkeypatch.setattr("ictasim.solver._interleaved", lambda _: interleaved)
+    n, m, eps = 64, 21, 1e-5
+    rng = np.random.default_rng(7)
+    f_jj, drive, x, d = ([1.0, 1j] @ rng.standard_normal((2, n)) for _ in range(4))
+    f_jj, drive, x, d = 0.05 * f_jj, 1e-9 * drive, 0.1 * I_C * x, 0.1 * I_C * d
+    bias = BiasPoint(f_dc=m * 1e6, i_c=I_C, phase=0.7)
+    options = SolverOptions(zero_pad=2, relaxation=relaxation)
+    frequencies = 1e6 * np.arange(n)
+    step = _picard_step(f_jj, drive, frequencies, m, bias, options)
+    tangent = _tangent_step(f_jj, drive + f_jj * x, frequencies, m, bias, options)
+    image = tangent(d, np.empty(n, dtype=complex))
+    forward, backward = (step(x + sign * eps * d, np.empty(n, dtype=complex)) for sign in (1, -1))
+    difference = (forward - backward) / (2 * eps)
+    assert np.max(np.abs(difference - image)) <= 1e-7 * np.max(np.abs(image))
+
+
+def test_tangent_zero_pad_two_matches_zero_pad_four(default_f):
+    # On a profile state the two differ only by the aliasing of c(t) = cos(ramp
+    # + phase) on the 4N-sample grid: its sixth pump harmonic, 1.5e-5 at bin
+    # 72000 > 2N, folds back.  Measured: 5.1e-7 relative on the image, 8.6e-10
+    # on the probe's ratio; at zero_pad 1, where products alias, 6e-2.
+    row = junction_row(default_f)
+    bias = BiasPoint(f_dc=F_DC, i_c=I_C)
+    state = iterate(row, bias, Stimulus.single(5.12e9, -140.0))
+    n, m = DEFAULT_GRID.size, int(round(F_DC / DEFAULT_GRID.spacing))
+    off = np.arange(n) % state.stride != 0
+    re, im = np.random.default_rng(PROBE_SEED).standard_normal((2, n))
+    delta = np.where(off, re + 1j * im, 0.0)
+    images = []
+    for zero_pad in (2, 4):
+        options = SolverOptions(zero_pad=zero_pad)
+        tangent = _tangent_step(row.f_jj, state.v_j, DEFAULT_GRID.frequencies, m, bias, options)
+        images.append(tangent(delta, np.empty(n, dtype=complex))[off])
+    error = np.sqrt(np.sum(np.abs(images[0] - images[1]) ** 2))
+    assert error <= 2e-6 * np.sqrt(np.sum(np.abs(images[1]) ** 2))
+
+
+def test_solve_point_leaves_no_reference_cycles():
+    # A probed sub-lattice point and its outputs leave nothing for the cyclic
+    # collector: buffers held by a cycle would live on until it runs.
+    grid = FrequencyGrid(spacing=20e6, size=2048)
+    f = frankenstein_matrix(build_icta(IctaParams()), grid)
+    bias = BiasPoint(f_dc=F_DC, i_c=I_C)
+    stim = Stimulus.single(6.4e9, -140.0)
+
+    def point():
+        state = outputs(iterate(junction_row(f), bias, stim), f)
+        return state, gain(state, 6.4e9), power_balance(state)
+
+    point()  # builds and caches F's rows
+    gc.collect()
+    gc.disable()
+    try:
+        state = point()[0]
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert state.stride == 40 and state.converged and 0.0 < state.off_lattice_growth < 1.0
+    assert found == 0
+
+
 # ---------------------------------------------------------------- time grid layouts
 
 
@@ -467,7 +549,7 @@ def test_interleaved_step_matches_single_transform(monkeypatch, n, zero_pad, rel
     for interleaved in (False, True):
         monkeypatch.setattr("ictasim.solver._interleaved", lambda _, chosen=interleaved: chosen)
         step = _picard_step(0.05 * f_jj, 1e-9 * drive, frequencies, m, bias, options)
-        updated[interleaved] = step(0.1 * I_C * current)
+        updated[interleaved] = step(0.1 * I_C * current, np.empty(n, dtype=complex))
     assert_allclose(updated[True], updated[False], rtol=0, atol=1e-15 * I_C)
 
 

@@ -547,7 +547,7 @@ def test_emission_stable_below_instability_threshold():
     step = _picard_step(row.f_jj, drive, DEFAULT_GRID.frequencies, m, bias, SolverOptions())
     for _ in range(200):
         before = np.sum(np.abs(x[off]) ** 2)
-        x = step(x)
+        x = step(x, np.empty_like(x))
     after = np.sum(np.abs(x[off]) ** 2)
     assert after < before and np.sqrt(after) < 1e-9 * bias.i_c
 
