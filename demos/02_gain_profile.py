@@ -17,6 +17,7 @@ from ictasim import (
     SolverOptions,
     bias_voltage,
     build_icta,
+    frankenstein_matrix,
     gain_profile,
 )
 
@@ -28,10 +29,9 @@ print(f"junction critical current {bias.i_c * 1e9:.0f} nA, probe at -140 dBm\n")
 
 points = np.arange(4.0e9, 8.0e9 + 1, 160e6)
 profile = gain_profile(
-    build_icta(IctaParams()),
+    frankenstein_matrix(build_icta(IctaParams()), grid),
     bias,
     points,
-    grid=grid,
     options=SolverOptions(max_iterations=3000),
 )
 

@@ -18,6 +18,7 @@ from ictasim import (
     IctaParams,
     SolverOptions,
     build_icta,
+    frankenstein_matrix,
     gain_profile,
 )
 from dataclasses import replace
@@ -49,7 +50,8 @@ print("(at full gain the ripple crests would cross the oscillation threshold)\n"
 for length in (0.330, 0.100):
     params = replace(IctaParams(), cable_impedance=55.0, cable_length=length,
                      cable_velocity_factor=1 / np.sqrt(2))
-    profile = gain_profile(build_icta(params), bias, points, grid=grid, options=options)
+    response = frankenstein_matrix(build_icta(params), grid)
+    profile = gain_profile(response, bias, points, options=options)
 
     trace = ""
     lo, hi = profile.gain_db.min(), profile.gain_db.max()

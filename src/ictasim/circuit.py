@@ -1,11 +1,10 @@
-"""Linear embedding networks: elements, netlists, two-port algebra, scattering.
+"""Linear embedding networks: elements, netlists, scattering, junction impedance.
 
 The amplifier's linear part is a ladder seen from a single wave port: an
 optional cable, an impedance-transforming line, a series matching tank, down
 to the junction node, plus a bias branch from the junction node to the DC
-voltage port.  This module evaluates that network three independent ways:
+voltage port.  This module evaluates that network two independent ways:
 
-* `abcd` / `cascade` give textbook two-port chain matrices,
 * `z_jj` folds the ladder projectively to the impedance seen by the junction,
 * `s_matrix` assembles a modified nodal system with branch currents for
   inductors and transmission lines (regular at f = 0 and at half-wave
@@ -182,53 +181,6 @@ def _shunt_admittance(element: Element, f: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             return -1j / (w * element.value) + 0j
     return np.full_like(f, 1.0 / element.value) + 0j
-
-
-def abcd(element: Element, f) -> np.ndarray:
-    """ABCD (chain) matrix of one element at frequency f.
-
-    Parameters
-    ----------
-    element : Element
-    f : float or ndarray
-        Frequency in Hz, nonnegative.
-
-    Returns
-    -------
-    ndarray
-        Complex array of shape f.shape + (2, 2).  Series capacitors and
-        shunt inductors have no finite chain matrix at exactly f = 0 (their
-        DC limit is an open and a short); entries there are infinite.
-    """
-    f = np.asarray(f, dtype=float)
-    if np.any(f < 0):
-        raise ValueError("frequency must be nonnegative")
-    out = np.zeros(f.shape + (2, 2), dtype=complex)
-    if element.kind == TRANSMISSION_LINE:
-        theta = element.electrical_angle(f)
-        out[..., 0, 0] = np.cos(theta)
-        out[..., 0, 1] = 1j * element.z0 * np.sin(theta)
-        out[..., 1, 0] = 1j * np.sin(theta) / element.z0
-        out[..., 1, 1] = np.cos(theta)
-    elif element.is_series:
-        out[..., 0, 0] = 1.0
-        out[..., 0, 1] = _series_impedance(element, f)
-        out[..., 1, 1] = 1.0
-    else:
-        out[..., 0, 0] = 1.0
-        out[..., 1, 0] = _shunt_admittance(element, f)
-        out[..., 1, 1] = 1.0
-    return out
-
-
-def cascade(matrices: Sequence[np.ndarray]) -> np.ndarray:
-    """Chain product of ABCD matrices, first element nearest the source."""
-    if len(matrices) == 0:
-        raise ValueError("cascade requires at least one matrix")
-    total = np.asarray(matrices[0], dtype=complex)
-    for m in matrices[1:]:
-        total = total @ np.asarray(m, dtype=complex)
-    return total
 
 
 @dataclass(frozen=True)
@@ -601,8 +553,9 @@ class NetlistResponse:
             for start in range(0, todo.size, BUILD_BLOCK):
                 block = todo[start : start + BUILD_BLOCK]
                 f = self.frequencies[block]
-                built = to_frankenstein(s_matrix(self.netlist, f), self.kinds, frequencies=f)
-                self._values[block] = built.values
+                self._values[block] = to_frankenstein(
+                    s_matrix(self.netlist, f), self.kinds, frequencies=f
+                )
                 self._built[block] = True
             out = self._values[bins]
         out.flags.writeable = False

@@ -23,14 +23,15 @@ from . import __version__
 from .circuit import (
     DEFAULT_GRID,
     FrequencyGrid,
+    IctaParams,
     Netlist,
+    build_icta,
     emission_fom,
     frankenstein_matrix,
     netlist_from_dict,
     z_jj,
 )
-from .design import band_check, canonical_icta
-from .circuit import build_icta
+from .design import band_check
 from .solver import BiasPoint, SolverOptions, round_bias, step_bytes
 from .sweeps import (
     FitFailedError,
@@ -248,7 +249,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("netlist", "provide exactly one of 'netlist' or 'netlist_path'")
     if "netlist" in raw:
         if raw["netlist"] == "canonical":
-            netlist = build_icta(canonical_icta())
+            netlist = build_icta(IctaParams())
         elif isinstance(raw["netlist"], dict):
             try:
                 netlist = netlist_from_dict(raw["netlist"])

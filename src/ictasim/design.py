@@ -1,9 +1,9 @@
-"""Canonical amplifier parameters and band diagnostics.
+"""Band diagnostics of an embedding network.
 
-The component values here are the hand-tuned production set for the
-voltage-biased junction amplifier; the matching network was originally
-synthesized from a low-pass prototype and then adjusted, so these numbers are
-canonical rather than derivable.
+`band_check` reports where the junction sees more than the wave-port
+impedance, the matched band the amplifier works in, and how its edges roll
+off.  The canonical component values are the defaults of
+`circuit.IctaParams`.
 """
 
 from __future__ import annotations
@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import IctaParams, Netlist, z_jj
-
-
-def canonical_icta() -> IctaParams:
-    """The canonical component value set (immutable dataclass)."""
-    return IctaParams()
+from .circuit import Netlist, z_jj
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,12 @@ from S by F = (K + L S)(M + N S)^-1 with diagonal matrices K, L, M, N whose
 entries depend only on the port kind and the reference impedance.  Entries of
 F carry non-uniform units (e.g. V/A on a current-bias diagonal).
 
-The solver reads a response through two methods: `rows(bins)`, F at some
-bins, and `junction_impedance()`, the junction diagonal at every bin, plus
-its `kinds` and `grid`.  A `FrankensteinMatrix` holds F at every bin
-already; the netlist response of `circuit.frankenstein_matrix` implements
-the same two methods and builds each bin only when it is first read.  Port
-names live on the `circuit.Netlist`, not on a response.
+`to_frankenstein` returns F as a plain (n_freq, n_ports, n_ports) array.
+The solver reads it through the one response type, the `NetlistResponse`
+of `circuit.frankenstein_matrix`: two methods, `rows(bins)`, F at some
+bins, built on first read, and `junction_impedance()`, the junction
+diagonal at every bin, plus its `kinds` and `grid`.  Port names live on the
+`circuit.Netlist`, not on a response.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 if TYPE_CHECKING:
-    from .circuit import FrequencyGrid, NetlistResponse
+    from .circuit import NetlistResponse
 
 WAVE = "wave"
 VOLTAGE_BIAS = "voltage-bias"
@@ -126,57 +126,6 @@ def klmn(kinds: Sequence[PortKind], z0: float = 50.0):
     return k, l, m, n
 
 
-@dataclass(frozen=True)
-class FrankensteinMatrix:
-    """Per-frequency generalized response matrix with its port kinds.
-
-    Attributes
-    ----------
-    values : ndarray
-        Complex array of shape (n_freq, n_ports, n_ports).
-    kinds : tuple of PortKind
-        Boundary condition per port, in matrix order.
-    z0 : float
-        Reference impedance the source scattering matrix used.
-    grid : FrequencyGrid or None
-        Uniform grid handle when the matrix was sampled on one.
-    """
-
-    values: np.ndarray
-    kinds: tuple[PortKind, ...]
-    z0: float
-    grid: "FrequencyGrid | None" = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        if values.ndim == 2:
-            values = values[np.newaxis]
-        if values.ndim != 3 or values.shape[-1] != values.shape[-2]:
-            raise ValueError("values must have shape (n_freq, n_ports, n_ports)")
-        if values.shape[-1] != len(self.kinds):
-            raise ValueError("port kind count does not match matrix size")
-        object.__setattr__(self, "values", values)
-        if self.grid is not None and self.grid.size != values.shape[0]:
-            raise ValueError("grid size does not match matrix count")
-
-    @property
-    def n_ports(self) -> int:
-        return len(self.kinds)
-
-    @property
-    def n_freq(self) -> int:
-        return self.values.shape[0]
-
-    def rows(self, bins) -> np.ndarray:
-        """F at `bins` (an index array or a slice), shape (n_bins, n_ports, n_ports)."""
-        return self.values[bins]
-
-    def junction_impedance(self) -> np.ndarray:
-        """The junction-port diagonal F_jj at every bin."""
-        j = junction_port(self.kinds)
-        return self.values[:, j, j].copy()
-
-
 def _only_port(kinds: Sequence[PortKind], kind: str) -> int:
     """Index of the unique port of `kind`; none or several raise ValueError."""
     ports = [i for i, pk in enumerate(kinds) if pk.kind == kind]
@@ -201,8 +150,7 @@ def to_frankenstein(
     kinds: Sequence[PortKind],
     z0: float = 50.0,
     frequencies: np.ndarray | None = None,
-    grid: "FrequencyGrid | None" = None,
-) -> FrankensteinMatrix:
+) -> np.ndarray:
     """Convert a scattering matrix to the generalized response matrix.
 
     Parameters
@@ -217,12 +165,11 @@ def to_frankenstein(
     frequencies : ndarray, optional
         Frequency axis, used only to name the offending frequencies in a
         `SingularConversionError`.
-    grid : FrequencyGrid, optional
-        Grid handle forwarded to the result.
 
     Returns
     -------
-    FrankensteinMatrix
+    ndarray
+        Complex F, shape (n_freq, n_ports, n_ports).
     """
     s = np.asarray(s, dtype=complex)
     if s.ndim == 2:
@@ -248,22 +195,7 @@ def to_frankenstein(
         )
     # F right = left  =>  F = left right^-1, via the transposed solve.
     values = np.linalg.solve(np.swapaxes(right, -1, -2), np.swapaxes(left, -1, -2))
-    values = np.swapaxes(values, -1, -2)
-    return FrankensteinMatrix(values=values, kinds=tuple(kinds), z0=float(z0), grid=grid)
-
-
-def from_frankenstein(f: FrankensteinMatrix) -> np.ndarray:
-    """Recover the scattering matrix from a generalized response matrix.
-
-    Solves (L - F N) S = F M - K for S, the inverse of `to_frankenstein`.
-    Returns an (n_freq, n_ports, n_ports) complex array referenced to f.z0.
-    """
-    k, l, m, n = klmn(f.kinds, f.z0)
-    eye = np.eye(f.n_ports)
-    # L diagonal minus F scaled per column by N.
-    lhs = l[:, None] * eye - f.values * n[None, None, :]
-    rhs = f.values * m[None, None, :] - k[:, None] * eye
-    return np.linalg.solve(lhs, rhs)
+    return np.swapaxes(values, -1, -2)
 
 
 @dataclass(frozen=True)
@@ -275,17 +207,11 @@ class JunctionRow:
     tones lie on bins k >= 1, so the stiff DC bias (`solver.outputs`) never
     enters the drive."""
 
-    response: "FrankensteinMatrix | NetlistResponse"
+    response: "NetlistResponse"
     f_jj: np.ndarray
 
 
-def junction_row(f) -> JunctionRow:
-    """The junction row of a response for the fixed-point iteration.
-
-    `f` is a `FrankensteinMatrix` or a netlist response on a `FrequencyGrid`
-    (`f.grid`); the junction is `junction_port(f.kinds)`, and `f_jj` is
-    `f.junction_impedance()`.
-    """
-    if f.grid is None:
-        raise ValueError("junction row requires a response on a FrequencyGrid")
+def junction_row(f: "NetlistResponse") -> JunctionRow:
+    """The junction row of a response for the fixed-point iteration; `f_jj`
+    is `f.junction_impedance()`, F's diagonal at `junction_port(f.kinds)`."""
     return JunctionRow(response=f, f_jj=f.junction_impedance())

@@ -217,11 +217,6 @@ def tone_amplitude(power_dbm: float, impedance: float, phase: float = 0.0) -> co
     return np.sqrt(2.0 * impedance * dbm_to_watts(power_dbm)) * np.exp(1j * phase)
 
 
-def bin_power_dbm(amplitude: complex, impedance: float) -> float:
-    """dBm label of a stored wave amplitude: P = |a|^2 / (2 Z)."""
-    return watts_to_dbm(abs(amplitude) ** 2 / (2.0 * impedance))
-
-
 @dataclass(frozen=True)
 class SolutionState:
     """Converged (or best-effort) junction-circuit steady state.
@@ -514,19 +509,6 @@ def iterate(
         Best state reached; `a_out` is left unset.  The whole solve-point
         pipeline is `outputs(iterate(junction_row(F), bias, stim, options), F)`.
     """
-    return _iterate(row, bias, stim, options, initial, full_grid=False)
-
-
-def _iterate(
-    row: JunctionRow,
-    bias: BiasPoint,
-    stim: Stimulus,
-    options: SolverOptions,
-    initial: np.ndarray | None = None,
-    *,
-    full_grid: bool,
-) -> SolutionState:
-    """`iterate`, or with `full_grid` the plain loop over every grid bin."""
     response = row.response
     grid = response.grid
     n = grid.size
@@ -545,7 +527,7 @@ def _iterate(
         if current.shape != (n,) or not np.all(np.isfinite(current)):
             raise ValueError("initial spectrum must be finite and grid-sized")
         current[0] = current[0].real
-    s = 1 if full_grid or not entries else math.gcd(m, *(k for k, _ in entries))
+    s = math.gcd(m, *(k for k, _ in entries)) if entries else 1
     step = _picard_step(row.f_jj[::s], drive[::s], grid.frequencies[::s], m // s, bias, options)
     tol_abs = options.tolerance * bias.i_c
     converged = False
@@ -595,7 +577,7 @@ def outputs(state: SolutionState, f_matrix, *, bins=None) -> SolutionState:
     The junction column of F multiplies the junction current; the remaining
     columns multiply the incident amplitudes (stimulus tones, and the DC bias
     voltage at bin zero of voltage-bias ports, where the junction row is kept
-    stiff).  `f_matrix` is a `FrankensteinMatrix` or a netlist response, read
+    stiff).  `f_matrix` is the response the state was solved on, read
     through its `rows` method on the state's lattice (bins 0, stride, ...),
     where all inputs live, so `a_out` is exactly 0 off it.  `bins` (an index
     array) reads those bins instead and leaves `a_out` 0 elsewhere, which is

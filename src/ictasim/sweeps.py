@@ -12,8 +12,8 @@ point aborts a sweep.  Map rows are independent and may be solved in
 parallel without changing any result, since each chain is self-contained
 and the merge order is fixed.
 
-A sweep takes a `Netlist`, built on `grid` (`DEFAULT_GRID` when None), or a
-prebuilt response on its own grid, which a differing `grid` may not override.
+A sweep takes the response of `circuit.frankenstein_matrix(netlist, grid)`
+and runs on its grid; one response serves any number of sweeps.
 
 Compression metrics follow the AM-AM saturation model
 P_out = G0 P_in / [1 + (G0 P_in / P_sat)^(2p)]^(1/(2p)), fitted in dB space.
@@ -34,17 +34,9 @@ from scipy.constants import h as _PLANCK
 from scipy.optimize import least_squares
 
 from . import __version__
-from .circuit import (
-    DEFAULT_GRID,
-    FrequencyGrid,
-    Netlist,
-    NetlistResponse,
-    frankenstein_matrix,
-    netlist_hash,
-    netlist_to_dict,
-)
+from .circuit import FrequencyGrid, Netlist, NetlistResponse, netlist_hash, netlist_to_dict
 from .design import longest_run
-from .frankenstein import FrankensteinMatrix, junction_row, wave_port
+from .frankenstein import junction_row, wave_port
 from .solver import (
     BiasPoint,
     DivergenceError,
@@ -69,21 +61,6 @@ class NotFittableError(ValueError):
 
 class FitFailedError(RuntimeError):
     """Raised when the saturation-model fit cannot converge on the data."""
-
-
-def _as_response(net, grid: FrequencyGrid | None):
-    """Response matrix of `net` and the grid it lives on.  A `Netlist` is
-    built on `grid` (`DEFAULT_GRID` when None); a prebuilt response brings its
-    own grid, and a `grid` that differs from it raises ValueError."""
-    if isinstance(net, Netlist):
-        net = frankenstein_matrix(net, grid or DEFAULT_GRID)
-    elif not isinstance(net, (FrankensteinMatrix, NetlistResponse)):
-        raise TypeError("expected a Netlist or a prebuilt response matrix")
-    elif net.grid is None:
-        raise ValueError("response matrix carries no FrequencyGrid")
-    elif grid is not None and grid != net.grid:
-        raise ValueError(f"grid {grid} differs from the response's grid {net.grid}")
-    return net, net.grid
 
 
 def _nonempty_axis(values, name: str) -> np.ndarray:
@@ -196,12 +173,11 @@ def _chain(
 
 
 def gain_profile(
-    net,
+    response: NetlistResponse,
     bias: BiasPoint,
     signal_frequencies,
     power_dbm: float = -140.0,
     *,
-    grid: FrequencyGrid | None = None,
     threshold_db: float = DEFAULT_GAIN_THRESHOLD_DB,
     options: SolverOptions = SolverOptions(),
     phase: float = 0.0,
@@ -212,7 +188,7 @@ def gain_profile(
     likewise.  Points are solved in ascending order with warm starts from the
     previous converged point.
     """
-    response, grid = _as_response(net, grid)
+    grid = response.grid
     bias = replace(bias, f_dc=round_bias(bias.f_dc, grid))
     snapped, bins = snap_frequencies(signal_frequencies, grid)
     stimuli = [Stimulus.single(k * grid.spacing, power_dbm, phase=phase) for k in bins]
@@ -263,12 +239,13 @@ class GainMap:
 
 
 def _bias_map(
-    response, grid, signal_frequencies, biases, power_dbm, phase, options, workers, **axis
+    response, signal_frequencies, biases, power_dbm, phase, options, workers, **axis
 ) -> GainMap:
     """One warm-start chain along ascending f_s per bias row; `axis` holds the
     GainMap fields that describe the rows."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    grid = response.grid
     f_s, bins = snap_frequencies(signal_frequencies, grid)
     stimuli = [Stimulus.single(k * grid.spacing, power_dbm, phase=phase) for k in bins]
 
@@ -292,13 +269,12 @@ def _bias_map(
 
 
 def gain_map_fdc(
-    net,
+    response: NetlistResponse,
     signal_frequencies,
     bias_frequencies,
     i_c: float,
     power_dbm: float = -140.0,
     *,
-    grid: FrequencyGrid | None = None,
     options: SolverOptions = SolverOptions(),
     phase: float = 0.0,
     workers: int = 1,
@@ -310,36 +286,33 @@ def gain_map_fdc(
     in parallel with identical results, and `workers` below 1 raises
     ValueError.  Unconverged and diverged points are masked, never fatal.
     """
-    response, grid = _as_response(net, grid)
-    f_dc = bias_axis(bias_frequencies, grid)
+    f_dc = bias_axis(bias_frequencies, response.grid)
     biases = [BiasPoint(f_dc=f, i_c=i_c) for f in f_dc]
     return _bias_map(
-        response, grid, signal_frequencies, biases, power_dbm, phase, options, workers,
+        response, signal_frequencies, biases, power_dbm, phase, options, workers,
         axis_values=f_dc, axis_name="f_dc_hz", i_c=i_c,
     )
 
 
 def gain_map_ic(
-    net,
+    response: NetlistResponse,
     signal_frequencies,
     critical_currents,
     f_dc: float,
     power_dbm: float = -140.0,
     *,
-    grid: FrequencyGrid | None = None,
     options: SolverOptions = SolverOptions(),
     phase: float = 0.0,
     workers: int = 1,
 ) -> GainMap:
     """Gain map over critical-current rows at a fixed bias frequency."""
-    response, grid = _as_response(net, grid)
     i_c = _nonempty_axis(critical_currents, "critical-current")
     if np.any(np.diff(i_c) <= 0):
         raise ValueError("critical-current axis must be strictly increasing")
-    f_dc = round_bias(f_dc, grid)
+    f_dc = round_bias(f_dc, response.grid)
     biases = [BiasPoint(f_dc=f_dc, i_c=c) for c in i_c]
     return _bias_map(
-        response, grid, signal_frequencies, biases, power_dbm, phase, options, workers,
+        response, signal_frequencies, biases, power_dbm, phase, options, workers,
         axis_values=i_c, axis_name="i_c_a", f_dc=f_dc,
     )
 
@@ -399,18 +372,17 @@ def stimulus_phases(signal_bin: int, pump_bin: int, phases=None) -> np.ndarray:
 
 
 def compression_sweep(
-    net,
+    response: NetlistResponse,
     bias: BiasPoint,
     signal_frequency: float,
     powers_dbm,
     *,
-    grid: FrequencyGrid | None = None,
     options: SolverOptions = SolverOptions(),
     phases: Sequence[float] | None = None,
 ) -> CompressionCurve:
     """Gain versus ascending input power, warm-started point to point, with
     one chain per stimulus phase (see `stimulus_phases`)."""
-    response, grid = _as_response(net, grid)
+    grid = response.grid
     bias = replace(bias, f_dc=round_bias(bias.f_dc, grid))
     powers = power_axis(powers_dbm)
     snapped, bins = snap_frequencies([signal_frequency], grid)
@@ -599,11 +571,10 @@ def photon_rate(power_watts: float, frequency: float) -> float:
 
 
 def pump_emission(
-    net,
+    response: NetlistResponse,
     bias: BiasPoint,
     bandwidth: float = 0.0,
     *,
-    grid: FrequencyGrid | None = None,
     options: SolverOptions = SolverOptions(),
 ) -> EmissionResult:
     """Stimulus-free emission at the bias frequency from the response's one
@@ -616,7 +587,7 @@ def pump_emission(
     reports its power; a diverged one reports NaN power, unconverged.  The
     response is read only at the reported bins.
     """
-    response, grid = _as_response(net, grid)
+    grid = response.grid
     bias = replace(bias, f_dc=round_bias(bias.f_dc, grid))
     idx = wave_port(response.kinds)
     impedance = response.kinds[idx].impedance
@@ -685,16 +656,14 @@ def bias_metadata(bias: BiasPoint) -> dict:
     return {"f_dc_hz": bias.f_dc, "i_c_a": bias.i_c, "phase_rad": bias.phase}
 
 
-def sweep_metadata(net, grid: FrequencyGrid, options: SolverOptions) -> dict:
+def sweep_metadata(net: Netlist, grid: FrequencyGrid, options: SolverOptions) -> dict:
     """Common sidecar fields: netlist identity, grid, solver settings."""
-    meta = {
+    return {
         "grid": {"spacing_hz": grid.spacing, "size": grid.size},
         "solver": asdict(options),
+        "netlist": netlist_to_dict(net),
+        "netlist_sha256": netlist_hash(net),
     }
-    if isinstance(net, Netlist):
-        meta["netlist"] = netlist_to_dict(net)
-        meta["netlist_sha256"] = netlist_hash(net)
-    return meta
 
 
 def write_profile_csv(profile: GainProfile, path) -> None:

@@ -1,19 +1,24 @@
-"""Test oracles: the solve-point pipeline in one call, the full eager build
-of a response matrix, the row-by-row CSV writer, plain time-domain
-transforms of the solver's spectral convention on the full grid, and the
-off-lattice probe as nonlinear full-grid steps."""
+"""Test oracles: the solve-point pipeline in one call, a response held as an
+array (the eager build, and hand-made rows), the inverse conversion, the
+plain fixed-point loop over every grid bin, the row-by-row CSV writer, plain
+time-domain transforms of the solver's spectral convention on the full grid,
+and the off-lattice probe as nonlinear full-grid steps."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from ictasim.circuit import s_matrix
-from ictasim.frankenstein import junction_port, junction_row, to_frankenstein, wave_port
+from ictasim.circuit import FrequencyGrid, s_matrix
+from ictasim.frankenstein import junction_port, junction_row, klmn, to_frankenstein, wave_port
 from ictasim.solver import (
+    SolutionState,
     SolverOptions,
     _bias_bin,
     _picard_step,
     _tone_entries,
     iterate,
     outputs,
+    watts_to_dbm,
 )
 
 
@@ -23,10 +28,99 @@ def solve(f_matrix, bias, stim, **options):
     return outputs(state, f_matrix)
 
 
+@dataclass(frozen=True)
+class ArrayResponse:
+    """A response held as F at every bin of `grid`, shape (grid.size,
+    n_ports, n_ports): the reads the solver makes of a netlist response,
+    with no netlist behind them."""
+
+    values: np.ndarray
+    kinds: tuple
+    grid: FrequencyGrid
+
+    @property
+    def n_ports(self) -> int:
+        return len(self.kinds)
+
+    def rows(self, bins) -> np.ndarray:
+        return self.values[bins]
+
+    def junction_impedance(self) -> np.ndarray:
+        j = junction_port(self.kinds)
+        return self.values[:, j, j]
+
+
 def eager_response(net, grid):
     """The netlist's response matrix F built at every bin of `grid` in one pass."""
     f = grid.frequencies
-    return to_frankenstein(s_matrix(net, f), net.port_kinds, frequencies=f, grid=grid)
+    values = to_frankenstein(s_matrix(net, f), net.port_kinds, frequencies=f)
+    return ArrayResponse(values, net.port_kinds, grid)
+
+
+def from_frankenstein(f, kinds, z0=50.0):
+    """The scattering matrix, referenced to z0, of a generalized response
+    matrix F of shape (n_freq, n_ports, n_ports): solves (L - F N) S = F M - K,
+    the inverse of `to_frankenstein`."""
+    k, l, m, n = klmn(kinds, z0)
+    eye = np.eye(len(kinds))
+    # L diagonal minus F scaled per column by N.
+    lhs = l[:, None] * eye - f * n[None, None, :]
+    rhs = f * m[None, None, :] - k[:, None] * eye
+    return np.linalg.solve(lhs, rhs)
+
+
+def bin_power_dbm(amplitude, impedance):
+    """dBm label of a stored wave amplitude: P = |a|^2 / (2 Z)."""
+    return watts_to_dbm(abs(amplitude) ** 2 / (2.0 * impedance))
+
+
+def tone_drive(response, stim):
+    """The junction voltage drive of a stimulus on the response's grid: each
+    tone's amplitude times its coupling F[k, junction, wave port]."""
+    grid, kinds = response.grid, response.kinds
+    entries = _tone_entries(stim, grid, kinds)
+    drive = np.zeros(grid.size, dtype=complex)
+    if entries:
+        rows = response.rows(np.array([k for k, _ in entries]))
+        coupling = rows[:, junction_port(kinds), wave_port(kinds)]
+        for (k, amp), c in zip(entries, coupling):
+            drive[k] += c * amp
+    return drive
+
+
+def plain_iterate(row, bias, stim, options, initial=None):
+    """The plain fixed-point loop over every grid bin (stride 1, no probe),
+    with `iterate`'s stopping rule: the oracle of its sub-lattice solves."""
+    response = row.response
+    grid = response.grid
+    drive = tone_drive(response, stim)
+    step = _picard_step(row.f_jj, drive, grid.frequencies, _bias_bin(bias, grid), bias, options)
+    if initial is None:
+        current = np.zeros(grid.size, dtype=complex)
+    else:
+        current = np.array(initial, dtype=complex)
+        current[0] = current[0].real
+    converged, delta, iterations = False, np.inf, 0
+    for iterations in range(1, options.max_iterations + 1):
+        updated = step(current, np.empty_like(current))
+        delta = float(np.max(np.abs(updated - current)))
+        current = updated
+        if delta < options.tolerance * bias.i_c or delta == 0.0:
+            converged = True
+            break
+    return SolutionState(
+        bias=bias,
+        stimulus=stim,
+        grid=grid,
+        zero_pad=options.zero_pad,
+        i_j=current,
+        v_j=drive + row.f_jj * current,
+        iterations=iterations,
+        converged=converged,
+        residual=delta / bias.i_c if bias.i_c > 0 else 0.0,
+        stride=1,
+        off_lattice_growth=float("nan"),
+    )
 
 
 def write_table_rows(path, header, columns):
@@ -71,14 +165,8 @@ def nonlinear_off_lattice_growth(row, state, options=SolverOptions(), size=1e-9,
     the bins off the state's lattice is added to the state, and the result
     is the last step's 2-norm growth ratio on those bins, 0 when the
     perturbation fell below `floor` of its injected size."""
-    response = row.response
-    grid, kinds = response.grid, response.kinds
-    entries = _tone_entries(state.stimulus, grid, kinds)
-    drive = np.zeros(grid.size, dtype=complex)
-    rows = response.rows(np.array([k for k, _ in entries]))
-    coupling = rows[:, junction_port(kinds), wave_port(kinds)]
-    for (k, amp), c in zip(entries, coupling):
-        drive[k] += c * amp
+    grid = row.response.grid
+    drive = tone_drive(row.response, state.stimulus)
     m = _bias_bin(state.bias, grid)
     step = _picard_step(row.f_jj, drive, grid.frequencies, m, state.bias, options)
     i_c = state.bias.i_c

@@ -1,4 +1,4 @@
-"""Embedding-network algebra: chain matrices, scattering, junction impedance."""
+"""Embedding-network algebra: elements, scattering, junction impedance."""
 
 import numpy as np
 import pytest
@@ -10,10 +10,8 @@ from ictasim.circuit import (
     FrequencyGrid,
     IctaParams,
     Netlist,
-    abcd,
     build_icta,
     cable,
-    cascade,
     emission_fom,
     load_netlist,
     netlist_from_dict,
@@ -49,57 +47,29 @@ def test_element_validation():
         Element("parallel-gyrator", value=1.0)
 
 
-def test_abcd_is_reciprocal():
-    # det(ABCD) = 1 for every passive reciprocal two-port.  Series capacitors
-    # and shunt inductors have no finite chain matrix at f = 0 (their DC
-    # limits are an open and a short), so only f > 0 is checked.
-    f = np.array([1e8, 1e9, 7.3e9])
-    elements = [
-        series_inductor(1.9e-9),
-        series_capacitor(370e-15),
-        series_resistor(5.0),
-        shunt_inductor(1.4e-9),
-        shunt_capacitor(530e-15),
-        shunt_resistor(240.0),
-        quarter_wave_line(58.8, 5.88e9),
-        cable(55.0, 0.33, 2**-0.5),
-    ]
-    for el in elements:
-        m = abcd(el, f)
-        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-        assert_allclose(det, np.ones_like(det), rtol=1e-12)
-
-
 def test_quarter_wave_line_closed_form():
     line = quarter_wave_line(58.8, 5.88e9)
-    m = abcd(line, 5.88e9)
-    assert_allclose(m, [[0.0, 58.8j], [1j / 58.8, 0.0]], atol=1e-9)
-    # Half wave at twice the design frequency inverts the sign of both waves.
-    m2 = abcd(line, 2 * 5.88e9)
-    assert_allclose(m2, -np.eye(2), atol=1e-9)
     assert_allclose(line.electrical_angle(5.88e9), np.pi / 2)
-
-
-def test_cascade_composes():
-    line = quarter_wave_line(70.0, 6e9)
-    m = cascade([abcd(line, 6e9), abcd(line, 6e9)])
-    assert_allclose(m, -np.eye(2), atol=1e-9)
-    with pytest.raises(ValueError):
-        cascade([])
+    # Half wave at twice the design frequency.
+    assert_allclose(line.electrical_angle(2 * 5.88e9), np.pi)
 
 
 def test_series_resonance_frequency():
     params = IctaParams()
     f_res = 1.0 / (2 * np.pi * np.sqrt(params.series_inductance * params.series_capacitance))
     assert_allclose(f_res, 5.9166e9, rtol=1e-4)
-    m = cascade(
-        [
-            abcd(series_inductor(params.series_inductance), f_res),
-            abcd(series_capacitor(params.series_capacitance), f_res),
-        ]
+    branch = Netlist(
+        chain=(
+            series_inductor(params.series_inductance),
+            series_capacitor(params.series_capacitance),
+        )
     )
-    # The matching branch is a through at its series resonance.
-    assert abs(m[0, 1]) < 1e-6 * 2 * np.pi * f_res * params.series_inductance
+    s = s_matrix(branch, f_res)
+    # The matching branch is a through at its series resonance: its residual
+    # series impedance Z reflects Z / (Z + 2 Z0), here under 1e-6 of the
+    # inductor's reactance.
+    bound = 1e-6 * 2 * np.pi * f_res * params.series_inductance / (2 * 50.0)
+    assert np.max(np.abs(s - [[0.0, 1.0], [1.0, 0.0]])) < bound
 
 
 def test_frequency_grid_validation():

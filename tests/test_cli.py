@@ -362,11 +362,10 @@ def test_output_dir_from_config(tmp_path):
 
 
 def test_netlist_by_reference(tmp_path):
-    from ictasim.circuit import build_icta, netlist_to_dict
-    from ictasim.design import canonical_icta
+    from ictasim.circuit import IctaParams, build_icta, netlist_to_dict
 
     net_path = tmp_path / "net.json"
-    net_path.write_text(json.dumps(netlist_to_dict(build_icta(canonical_icta()))))
+    net_path.write_text(json.dumps(netlist_to_dict(build_icta(IctaParams()))))
     config = {
         "netlist_path": str(net_path),
         "grid": GRID,

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from ictasim.circuit import Netlist
-from ictasim.design import band_check, canonical_icta
+from ictasim.circuit import IctaParams, Netlist
+from ictasim.design import band_check
 
 
 def test_canonical_component_values():
-    params = canonical_icta()
+    params = IctaParams()
     assert params.tank_inductance == 1.38e-9
     assert params.tank_capacitance == 530e-15
     assert params.series_inductance == 1.94e-9

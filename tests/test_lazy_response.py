@@ -92,10 +92,9 @@ def test_sub_lattice_outputs_match_full_read(canonical_net, coarse_grid, monkeyp
 def test_emission_reads_reported_bins_and_matches_eager(coarse_grid, monkeypatch, bandwidth):
     net = build_icta(IctaParams(bias_resistance=0.1))
     bias = BiasPoint(12e9, 200e-9)
-    eager = pump_emission(eager_response(net, coarse_grid), bias, bandwidth, grid=coarse_grid,
-                          options=FAST)
+    eager = pump_emission(eager_response(net, coarse_grid), bias, bandwidth, options=FAST)
     asked = _read_frequencies(monkeypatch)
-    lazy = pump_emission(net, bias, bandwidth, grid=coarse_grid, options=FAST)
+    lazy = pump_emission(frankenstein_matrix(net, coarse_grid), bias, bandwidth, options=FAST)
     m, half = 750, round(0.5 * bandwidth / coarse_grid.spacing)
     assert asked == [k * coarse_grid.spacing for k in [*range(m - half, m + half + 1), 2 * m]]
     assert lazy.converged and eager.converged
@@ -110,8 +109,7 @@ def test_lazy_map_identical_across_workers(canonical_net, coarse_grid, tmp_path)
     paths = []
     for workers in (1, 2):
         response = frankenstein_matrix(canonical_net, coarse_grid)
-        gmap = gain_map_fdc(response, fs, fdc, 200e-9, grid=coarse_grid, options=FAST,
-                            workers=workers)
+        gmap = gain_map_fdc(response, fs, fdc, 200e-9, options=FAST, workers=workers)
         paths.append(tmp_path / f"map{workers}.csv")
         write_map_csv(gmap, paths[-1])
     assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -11,7 +11,7 @@ from scipy.constants import e as E_CHARGE, hbar as HBAR
 from scipy.special import jv
 
 from ictasim.circuit import DEFAULT_GRID, FrequencyGrid, IctaParams, build_icta, frankenstein_matrix
-from ictasim.frankenstein import FrankensteinMatrix, PortKind, junction_row
+from ictasim.frankenstein import PortKind, junction_row
 from ictasim.solver import (
     BiasPoint,
     DivergenceError,
@@ -19,7 +19,6 @@ from ictasim.solver import (
     Stimulus,
     Tone,
     bias_voltage,
-    bin_power_dbm,
     dbm_to_watts,
     gain,
     iterate,
@@ -30,8 +29,17 @@ from ictasim.solver import (
     tone_amplitude,
     watts_to_dbm,
 )
-from ictasim.solver import PROBE_SEED, _iterate, _picard_step, _tangent_step
-from oracles import nonlinear_off_lattice_growth, solve, time_samples, to_spectrum, to_time
+from ictasim.solver import PROBE_SEED, _picard_step, _tangent_step
+from oracles import (
+    ArrayResponse,
+    bin_power_dbm,
+    nonlinear_off_lattice_growth,
+    plain_iterate,
+    solve,
+    time_samples,
+    to_spectrum,
+    to_time,
+)
 
 F_DC = 12e9
 I_C = 280e-9
@@ -125,7 +133,7 @@ def _bare_junction_row(grid, port_impedance=50.0):
     values = np.zeros((grid.size, 2, 2), dtype=complex)
     values[:, 1, 0] = 1.0
     kinds = (PortKind.wave(port_impedance), PortKind.current_bias())
-    return junction_row(FrankensteinMatrix(values, kinds, z0=50.0, grid=grid))
+    return junction_row(ArrayResponse(values, kinds, grid))
 
 
 def test_zero_critical_current_converges_immediately():
@@ -368,11 +376,6 @@ def test_outputs_keep_bias_stiff(coarse_grid, stim):
 # ---------------------------------------------------------------- sub-lattice solves
 
 
-def _full_grid(row, bias, stim, initial=None, **options):
-    """The plain loop over every grid bin: the oracle of the sub-lattice solve."""
-    return _iterate(row, bias, stim, SolverOptions(**options), initial, full_grid=True)
-
-
 @pytest.fixture(scope="module")
 def default_f():
     return frankenstein_matrix(build_icta(IctaParams()), DEFAULT_GRID)
@@ -384,7 +387,7 @@ def test_sub_lattice_matches_full_grid(default_f, f_s, stride):
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
     stim = Stimulus.single(f_s, -140.0)
     fast = iterate(row, bias, stim)
-    oracle = _full_grid(row, bias, stim)
+    oracle = plain_iterate(row, bias, stim, SolverOptions())
     assert fast.stride == stride and oracle.stride == 1
     assert 0.0 < fast.off_lattice_growth < 1.0 and np.isnan(oracle.off_lattice_growth)
     assert abs(fast.off_lattice_growth - nonlinear_off_lattice_growth(row, fast)) <= 1e-5
@@ -435,7 +438,9 @@ def test_probe_masks_off_lattice_instability():
     off = np.arange(state.i_j.size) % state.stride != 0
     noise = np.where(off, np.random.default_rng(5).standard_normal(off.size), 0.0)
     noise *= 1e-9 * bias.i_c / np.sqrt(np.sum(noise**2))
-    oracle = _full_grid(row, bias, stim, initial=state.i_j + noise, max_iterations=40)
+    oracle = plain_iterate(
+        row, bias, stim, SolverOptions(max_iterations=40), initial=state.i_j + noise
+    )
     assert not oracle.converged
     assert np.sqrt(np.sum(np.abs(oracle.i_j[off]) ** 2)) > 1e-6 * bias.i_c
 
@@ -569,9 +574,9 @@ def test_layout_follows_lattice_size(monkeypatch, default_f):
     stim = Stimulus.single(5.12e9, -140.0)
     one_step = SolverOptions(max_iterations=1)
     row = junction_row(default_f)
-    _iterate(row, bias, stim, one_step, full_grid=True)
+    plain_iterate(row, bias, stim, one_step)
     assert iterate(row, bias, stim, one_step).stride == 160
     map_grid = FrequencyGrid(spacing=20e6, size=2048)
     map_row = junction_row(frankenstein_matrix(build_icta(IctaParams()), map_grid))
-    _iterate(map_row, bias, Stimulus.none(), one_step, full_grid=True)
+    plain_iterate(map_row, bias, Stimulus.none(), one_step)
     assert shapes == [(8, DEFAULT_GRID.size // 2 + 1), (4 * 205 + 1,), (4 * 2048 + 1,)]

@@ -8,8 +8,8 @@ from scipy.optimize import brentq
 
 from ictasim import sweeps
 from ictasim.circuit import DEFAULT_GRID, FrequencyGrid, IctaParams, build_icta, frankenstein_matrix
-from ictasim.frankenstein import FrankensteinMatrix, PortKind, junction_row
-from ictasim.solver import BiasPoint, DivergenceError, Stimulus, _iterate, _picard_step
+from ictasim.frankenstein import PortKind, junction_row
+from ictasim.solver import BiasPoint, DivergenceError, Stimulus, _picard_step
 from ictasim.sweeps import (
     CompressionCurve,
     FitFailedError,
@@ -35,7 +35,7 @@ from ictasim.sweeps import (
     write_sidecar,
     write_table,
 )
-from oracles import write_table_rows
+from oracles import ArrayResponse, plain_iterate, write_table_rows
 
 F_DC = 12.0e9
 I_C = 280e-9
@@ -220,10 +220,10 @@ def test_raw_p1db_interpolates_crossing():
 # ---------------------------------------------------------------- profiles
 
 
-def test_profile_metrics_and_mask(canonical_f, coarse_grid):
+def test_profile_metrics_and_mask(canonical_f):
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
     fs = np.arange(4.0e9, 8.0e9 + 1, 0.32e9)
-    prof = gain_profile(canonical_f, bias, fs, -140.0, grid=coarse_grid, options=FAST)
+    prof = gain_profile(canonical_f, bias, fs, -140.0, options=FAST)
     assert prof.converged.all()
     assert np.isfinite(prof.gain_db).all()
     # metrics agree with recomputing them from the returned samples
@@ -236,106 +236,86 @@ def test_profile_metrics_and_mask(canonical_f, coarse_grid):
     assert 9.0 < avg < 12.5
 
 
-def test_profile_warm_equals_cold(canonical_f, coarse_grid):
+def test_profile_warm_equals_cold(canonical_f):
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
     fs = np.arange(5.0e9, 6.6e9, 0.32e9)
-    chained = gain_profile(canonical_f, bias, fs, -140.0, grid=coarse_grid, options=FAST)
+    chained = gain_profile(canonical_f, bias, fs, -140.0, options=FAST)
     for k, f in enumerate(fs):
-        cold = gain_profile(canonical_f, bias, [f], -140.0, grid=coarse_grid, options=FAST)
+        cold = gain_profile(canonical_f, bias, [f], -140.0, options=FAST)
         assert abs(cold.gain_db[0] - chained.gain_db[k]) < 0.01
 
 
-def test_profile_masks_budget_exhaustion(canonical_f, coarse_grid):
+def test_profile_masks_budget_exhaustion(canonical_f):
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
     starved = SolverOptions(max_iterations=2)
     prof = gain_profile(
-        canonical_f, bias, [5.008e9, 6.4e9], -140.0, grid=coarse_grid, options=starved
+        canonical_f, bias, [5.008e9, 6.4e9], -140.0, options=starved
     )
     assert not prof.converged.any()
     assert np.isnan(prof.gain_db).all()
     assert prof.bandwidth_hz == 0.0
 
 
-def test_profile_rejects_off_grid_axis(canonical_f, coarse_grid):
+def test_profile_rejects_off_grid_axis(canonical_f):
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
     with pytest.raises(ValueError):
-        gain_profile(canonical_f, bias, [40.0e9], grid=coarse_grid)
+        gain_profile(canonical_f, bias, [40.0e9])
     with pytest.raises(ValueError):
-        gain_profile(canonical_f, bias, [5e9, 5e9], grid=coarse_grid)
+        gain_profile(canonical_f, bias, [5e9, 5e9])
 
 
 # ---------------------------------------------------------------- gain maps
 
 
-def test_map_zero_critical_current_is_flat(canonical_f, coarse_grid):
+def test_map_zero_critical_current_is_flat(canonical_f):
     fs = np.arange(4.0e9, 7.0e9, 0.64e9)
     fdc = np.array([10.0e9, 12.0e9])
-    gmap = gain_map_fdc(canonical_f, fs, fdc, 0.0, grid=coarse_grid, options=FAST)
+    gmap = gain_map_fdc(canonical_f, fs, fdc, 0.0, options=FAST)
     assert gmap.converged.all()
     np.testing.assert_allclose(gmap.values, 0.0, atol=1e-6)
 
 
-def test_map_parallel_rows_identical(canonical_f, coarse_grid):
+def test_map_parallel_rows_identical(canonical_f):
     fs = np.arange(4.0e9, 7.5e9, 0.48e9)
     fdc = np.array([11.0e9, 12.0e9, 13.0e9])
     serial = gain_map_fdc(
-        canonical_f, fs, fdc, 200e-9, grid=coarse_grid, options=FAST, workers=1
+        canonical_f, fs, fdc, 200e-9, options=FAST, workers=1
     )
     threaded = gain_map_fdc(
-        canonical_f, fs, fdc, 200e-9, grid=coarse_grid, options=FAST, workers=3
+        canonical_f, fs, fdc, 200e-9, options=FAST, workers=3
     )
     assert np.array_equal(serial.values, threaded.values, equal_nan=True)
     assert np.array_equal(serial.converged, threaded.converged)
     with pytest.raises(ValueError, match="workers must be at least 1, got -1"):
-        gain_map_fdc(canonical_f, fs, fdc, 200e-9, grid=coarse_grid, options=FAST, workers=-1)
+        gain_map_fdc(canonical_f, fs, fdc, 200e-9, options=FAST, workers=-1)
 
 
-def test_map_signal_idler_reciprocity(canonical_f, coarse_grid):
+def test_map_signal_idler_reciprocity(canonical_f):
     # the idler of bin 300 at m=750 is bin 450: 4.8 GHz vs 7.2 GHz
     fs = np.array([4.8e9, 7.2e9])
-    gmap = gain_map_fdc(canonical_f, fs, [F_DC], I_C, grid=coarse_grid, options=FAST)
+    gmap = gain_map_fdc(canonical_f, fs, [F_DC], I_C, options=FAST)
     assert gmap.converged.all()
     assert abs(gmap.values[0, 0] - gmap.values[0, 1]) < 0.1
 
 
-def test_map_gain_rises_with_critical_current(canonical_f, coarse_grid):
+def test_map_gain_rises_with_critical_current(canonical_f):
     ics = np.array([50e-9, 120e-9, 200e-9, 280e-9])
-    gmap = gain_map_ic(canonical_f, [6.4e9], ics, F_DC, grid=coarse_grid, options=FAST)
+    gmap = gain_map_ic(canonical_f, [6.4e9], ics, F_DC, options=FAST)
     assert gmap.axis_name == "i_c_a"
     assert gmap.converged.all()
     assert np.all(np.diff(gmap.values[:, 0]) > 0)
 
 
-def test_map_rejects_bias_beyond_half_grid(canonical_f, coarse_grid):
+def test_map_rejects_bias_beyond_half_grid(canonical_f):
     with pytest.raises(ValueError):
-        gain_map_fdc(canonical_f, [5e9], [40.0e9], I_C, grid=coarse_grid)
+        gain_map_fdc(canonical_f, [5e9], [40.0e9], I_C)
 
 
-def test_map_rejects_empty_bias_axis(canonical_f, coarse_grid):
+def test_map_rejects_empty_bias_axis(canonical_f):
     with pytest.raises(ValueError, match="bias frequency axis must be a nonempty 1-D array"):
-        gain_map_fdc(canonical_f, [6e9], [], I_C, grid=coarse_grid)
+        gain_map_fdc(canonical_f, [6e9], [], I_C)
     with pytest.raises(ValueError, match="critical-current axis must be a nonempty 1-D array"):
-        gain_map_ic(canonical_f, [6e9], [], F_DC, grid=coarse_grid)
-
-
-def test_sweeps_take_the_grid_from_the_response(canonical_net, canonical_f, coarse_grid):
-    # A netlist is built on `grid` or DEFAULT_GRID; a prebuilt response
-    # brings its own grid, and a different `grid` beside it raises.
-    assert sweeps._as_response(canonical_net, None)[1] == DEFAULT_GRID
-    assert sweeps._as_response(canonical_net, coarse_grid)[1] == coarse_grid
-    assert sweeps._as_response(canonical_f, None) == (canonical_f, coarse_grid)
-    bias = BiasPoint(f_dc=F_DC, i_c=I_C)
-    powers = np.linspace(-140.0, -120.0, 8)
-    calls = [
-        lambda grid: gain_profile(canonical_f, bias, [6.4e9], grid=grid, options=FAST),
-        lambda grid: gain_map_fdc(canonical_f, [6.4e9], [F_DC], I_C, grid=grid, options=FAST),
-        lambda grid: gain_map_ic(canonical_f, [6.4e9], [I_C], F_DC, grid=grid, options=FAST),
-        lambda grid: compression_sweep(canonical_f, bias, 6.4e9, powers, grid=grid, options=FAST),
-        lambda grid: pump_emission(canonical_f, bias, grid=grid, options=FAST),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match="differs from the response's grid"):
-            call(DEFAULT_GRID)
+        gain_map_ic(canonical_f, [6e9], [], F_DC)
 
 
 def test_map_shape_validation():
@@ -379,13 +359,10 @@ def test_map_feature_cells_match_full_grid(monkeypatch, f_dc, f_s):
         states.append(real_iterate(*args, **kwargs))
         return states[-1]
 
-    def oracle(row, bias, stim, options, initial=None):
-        return _iterate(row, bias, stim, options, initial, full_grid=True)
-
     monkeypatch.setattr(sweeps, "iterate", record)
-    fast = gain_map_fdc(response, [f_s], [f_dc], 200e-9, grid=grid, options=options)
-    monkeypatch.setattr(sweeps, "iterate", oracle)
-    full = gain_map_fdc(response, [f_s], [f_dc], 200e-9, grid=grid, options=options)
+    fast = gain_map_fdc(response, [f_s], [f_dc], 200e-9, options=options)
+    monkeypatch.setattr(sweeps, "iterate", plain_iterate)
+    full = gain_map_fdc(response, [f_s], [f_dc], 200e-9, options=options)
     (state,) = states
     assert state.stride == round(f_s / grid.spacing)
     assert 0.0 < state.off_lattice_growth < 1.0
@@ -396,11 +373,11 @@ def test_map_feature_cells_match_full_grid(monkeypatch, f_dc, f_s):
 # ---------------------------------------------------------------- compression
 
 
-def test_compression_linear_regime_flat(canonical_f, coarse_grid):
+def test_compression_linear_regime_flat(canonical_f):
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
     powers = np.linspace(-150.0, -136.0, 8)
     curve = compression_sweep(
-        canonical_f, bias, 6.4e9, powers, grid=coarse_grid, options=FAST
+        canonical_f, bias, 6.4e9, powers, options=FAST
     )
     assert not curve.degenerate
     assert curve.gain_db.shape == (1, 8)
@@ -408,11 +385,11 @@ def test_compression_linear_regime_flat(canonical_f, coarse_grid):
     assert np.ptp(curve.gain_db[0]) < 0.05
 
 
-def test_compression_fit_recovers_saturation(canonical_f, coarse_grid):
+def test_compression_fit_recovers_saturation(canonical_f):
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
     powers = np.linspace(-135.0, -100.0, 15)
     curve = compression_sweep(
-        canonical_f, bias, 6.4e9, powers, grid=coarse_grid, options=FAST
+        canonical_f, bias, 6.4e9, powers, options=FAST
     )
     fit = rapp_fit(curve)
     point = p1db(fit)
@@ -433,11 +410,11 @@ def test_stride_one_compression_keeps_iteration_counts(canonical_f, coarse_grid)
     assert gain_db[0] - gain_db[-1] > 5.0  # driven well into compression
 
 
-def test_degenerate_compression_splits_by_phase(canonical_f, coarse_grid):
+def test_degenerate_compression_splits_by_phase(canonical_f):
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
     powers = np.linspace(-144.0, -130.0, 8)
     curve = compression_sweep(
-        canonical_f, bias, 6.0e9, powers, grid=coarse_grid, options=FAST
+        canonical_f, bias, 6.0e9, powers, options=FAST
     )
     assert curve.degenerate
     assert curve.phases.size == 8
@@ -447,19 +424,19 @@ def test_degenerate_compression_splits_by_phase(canonical_f, coarse_grid):
         rapp_fit(curve)
 
 
-def test_compression_rejects_short_power_axis(canonical_f, coarse_grid):
+def test_compression_rejects_short_power_axis(canonical_f):
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
     with pytest.raises(ValueError):
         compression_sweep(
-            canonical_f, bias, 6.4e9, np.linspace(-140.0, -120.0, 5), grid=coarse_grid
+            canonical_f, bias, 6.4e9, np.linspace(-140.0, -120.0, 5)
         )
     with pytest.raises(ValueError):
         compression_sweep(
-            canonical_f, bias, 6.4e9, np.full(9, -120.0), grid=coarse_grid
+            canonical_f, bias, 6.4e9, np.full(9, -120.0)
         )
     with pytest.raises(ValueError):
         compression_sweep(
-            canonical_f, bias, 6.4e9, np.linspace(-140.0, -120.0, 8), grid=coarse_grid,
+            canonical_f, bias, 6.4e9, np.linspace(-140.0, -120.0, 8),
             phases=[],
         )
 
@@ -480,9 +457,9 @@ def test_curve_requires_matching_shapes():
 # ---------------------------------------------------------------- emission
 
 
-def test_emission_zero_without_junction(canonical_f, coarse_grid):
+def test_emission_zero_without_junction(canonical_f):
     result = pump_emission(
-        canonical_f, BiasPoint(f_dc=F_DC, i_c=0.0), grid=coarse_grid, options=FAST
+        canonical_f, BiasPoint(f_dc=F_DC, i_c=0.0), options=FAST
     )
     assert result.converged
     assert result.power_watts == 0.0
@@ -490,21 +467,21 @@ def test_emission_zero_without_junction(canonical_f, coarse_grid):
     assert result.photon_rate == 0.0
 
 
-def test_emission_monotone_in_critical_current(canonical_f, coarse_grid):
+def test_emission_monotone_in_critical_current(canonical_f):
     rates = []
     for i_c in (50e-9, 100e-9, 200e-9, 280e-9):
         result = pump_emission(
-            canonical_f, BiasPoint(f_dc=F_DC, i_c=i_c), grid=coarse_grid, options=FAST
+            canonical_f, BiasPoint(f_dc=F_DC, i_c=i_c), options=FAST
         )
         assert result.converged
         rates.append(result.photon_rate)
     assert np.all(np.diff(rates) > 0)
 
 
-def test_emission_band_integration_contains_line(canonical_f, coarse_grid):
+def test_emission_band_integration_contains_line(canonical_f):
     bias = BiasPoint(f_dc=F_DC, i_c=200e-9)
-    line = pump_emission(canonical_f, bias, 0.0, grid=coarse_grid, options=FAST)
-    band = pump_emission(canonical_f, bias, 96e6, grid=coarse_grid, options=FAST)
+    line = pump_emission(canonical_f, bias, 0.0, options=FAST)
+    band = pump_emission(canonical_f, bias, 96e6, options=FAST)
     assert band.bandwidth == pytest.approx(96e6)
     assert band.power_watts >= line.power_watts
     assert band.power_watts < 2.0 * line.power_watts
@@ -521,9 +498,8 @@ def test_emission_flags_off_lattice_unstable_pump():
     # harmonic comb (probe ratio 1.58 per step), yet the full-grid loop stops
     # after 10 iterations and reports it converged.
     result = pump_emission(
-        build_icta(IctaParams(bias_resistance=0.3)),
+        frankenstein_matrix(build_icta(IctaParams(bias_resistance=0.3)), DEFAULT_GRID),
         BiasPoint(f_dc=12.261e9, i_c=100e-9),
-        grid=DEFAULT_GRID,
     )
     assert not result.converged
 
@@ -535,9 +511,9 @@ def test_emission_stable_below_instability_threshold():
     # grow it (the 8-step probe reads 1.02).  At 0.2 ohm it grows 1.2 per step.
     response = frankenstein_matrix(build_icta(IctaParams(bias_resistance=0.15)), DEFAULT_GRID)
     bias = BiasPoint(f_dc=12.261e9, i_c=100e-9)
-    assert pump_emission(response, bias, grid=DEFAULT_GRID).converged
+    assert pump_emission(response, bias).converged
     row = junction_row(response)
-    state = _iterate(row, bias, Stimulus.none(), SolverOptions(), full_grid=True)
+    state = plain_iterate(row, bias, Stimulus.none(), SolverOptions())
     m = round(bias.f_dc / DEFAULT_GRID.spacing)
     off = np.arange(DEFAULT_GRID.size) % m != 0
     rng = np.random.default_rng(7)
@@ -564,9 +540,7 @@ def test_sweeps_reject_response_without_one_wave_port(kinds, found, coarse_grid)
     # Tones enter and gains and emission are read at the one wave port, so a
     # response with none or two has no port to drive.
     n = len(kinds)
-    response = FrankensteinMatrix(
-        np.zeros((coarse_grid.size, n, n)), kinds, z0=50.0, grid=coarse_grid
-    )
+    response = ArrayResponse(np.zeros((coarse_grid.size, n, n)), kinds, coarse_grid)
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
     with pytest.raises(ValueError, match=f"exactly one wave port, found {found}"):
         pump_emission(response, bias, options=FAST)
@@ -585,18 +559,18 @@ def test_photon_rate_conversion():
 # ---------------------------------------------------------------- divergence
 
 
-def test_diverged_point_is_masked(canonical_f, coarse_grid, monkeypatch):
+def test_diverged_point_is_masked(canonical_f, monkeypatch):
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
     fs = np.array([5.12e9, 5.44e9, 5.76e9])
     powers = np.linspace(-150.0, -115.0, 8)  # -140 dBm at index 2
 
     def run_sweeps():
         return (
-            gain_profile(canonical_f, bias, fs, -140.0, grid=coarse_grid, options=FAST),
+            gain_profile(canonical_f, bias, fs, -140.0, options=FAST),
             gain_map_fdc(
-                canonical_f, fs, [11.0e9, F_DC], 200e-9, grid=coarse_grid, options=FAST
+                canonical_f, fs, [11.0e9, F_DC], 200e-9, options=FAST
             ),
-            compression_sweep(canonical_f, bias, fs[1], powers, grid=coarse_grid, options=FAST),
+            compression_sweep(canonical_f, bias, fs[1], powers, options=FAST),
         )
 
     clean = run_sweeps()
@@ -625,7 +599,7 @@ def test_diverged_point_is_masked(canonical_f, coarse_grid, monkeypatch):
         assert np.all(np.abs(gain_db[keep] - ref_gain[keep]) < 0.01)
     assert masked[0].iterations[1] == 7
 
-    emission = pump_emission(canonical_f, bias, grid=coarse_grid, options=FAST)
+    emission = pump_emission(canonical_f, bias, options=FAST)
     assert not emission.converged
     assert np.isnan(emission.power_watts) and np.isnan(emission.photon_rate)
 
@@ -669,10 +643,10 @@ def test_write_table_matches_row_by_row_writer(tmp_path, n_rows):
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
-def test_profile_csv_roundtrip(tmp_path, canonical_f, coarse_grid):
+def test_profile_csv_roundtrip(tmp_path, canonical_f):
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
     prof = gain_profile(
-        canonical_f, bias, [5.008e9, 6.4e9], -140.0, grid=coarse_grid, options=FAST
+        canonical_f, bias, [5.008e9, 6.4e9], -140.0, options=FAST
     )
     path = tmp_path / "profile.csv"
     write_profile_csv(prof, path)
