@@ -517,12 +517,10 @@ class NetlistResponse:
     threads may share one response.
     `junction_impedance()` is the ladder fold `z_jj`, folded once per
     response, which agrees with F's junction diagonal to about 1e-12
-    relative at a few percent of the cost of F.  The wave port, the netlist's
-    only one, is referenced to z0 = 50 ohm; the solver drives and reads it on
-    `grid`.
+    relative at a few percent of the cost of F.  F refers the wave port, the
+    netlist's only one, to `to_frankenstein`'s default 50 ohm; the solver
+    drives and reads it on `grid`.
     """
-
-    z0 = 50.0
 
     def __init__(self, netlist: Netlist, grid: FrequencyGrid):
         if not isinstance(grid, FrequencyGrid):
@@ -560,11 +558,6 @@ class NetlistResponse:
             out = self._values[bins]
         out.flags.writeable = False
         return out
-
-    @property
-    def values(self) -> np.ndarray:
-        """F at every bin, shape (n_freq, n_ports, n_ports), read-only."""
-        return self.rows(slice(None))
 
     def junction_impedance(self) -> np.ndarray:
         """The junction-port diagonal of F at every bin, by the ladder fold,

@@ -51,16 +51,14 @@ def longest_run(mask) -> slice:
     The first of equally long runs wins; a mask with no True entry gives an
     empty slice.
     """
-    best_start, best_len = 0, 0
-    start = None
-    for i, flag in enumerate(list(mask) + [False]):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            if i - start > best_len:
-                best_start, best_len = start, i - start
-            start = None
-    return slice(best_start, best_start + best_len)
+    flags = np.asarray(mask, dtype=bool)
+    # Alternating run starts and stops, where the padded mask changes value.
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], flags, [False]))))
+    starts, stops = edges[0::2], edges[1::2]
+    if starts.size == 0:
+        return slice(0, 0)
+    best = int(np.argmax(stops - starts))
+    return slice(int(starts[best]), int(stops[best]))
 
 
 def _crossing(f: np.ndarray, r: np.ndarray, i: int, j: int, level: float) -> float:
@@ -74,17 +72,18 @@ def _crossing(f: np.ndarray, r: np.ndarray, i: int, j: int, level: float) -> flo
 def _rolloff_width(f, r, start: int, step: int, hi_level: float, lo_level: float) -> float:
     """Frequency span over which r falls from hi_level to lo_level, walking
     from `start` in direction `step`.  NaN if the grid ends first."""
-    f_hi = f_lo = float("nan")
-    prev = start
-    i = start + step
-    while 0 <= i < len(r):
-        if np.isnan(f_hi) and r[i] <= hi_level:
-            f_hi = _crossing(f, r, prev, i, hi_level)
-        if r[i] <= lo_level:
-            f_lo = _crossing(f, r, prev, i, lo_level)
+    walk = np.arange(start + step, len(r) if step > 0 else -1, step)
+    ends = np.flatnonzero(r[walk] <= lo_level)
+    f_lo = float("nan")
+    if ends.size:
+        walk = walk[: ends[0] + 1]
+        f_lo = _crossing(f, r, walk[-1] - step, walk[-1], lo_level)
+    # The first hi crossing on the walk; a NaN one (NaN in r) defers to the next.
+    f_hi = float("nan")
+    for i in walk[r[walk] <= hi_level]:
+        f_hi = _crossing(f, r, i - step, i, hi_level)
+        if not np.isnan(f_hi):
             break
-        prev = i
-        i += step
     return abs(f_lo - f_hi)
 
 

@@ -618,21 +618,107 @@ def pump_emission(
     )
 
 
+# The '%.11e' cells of a float column are rendered in bulk: 10.0**k for
+# k = -88..111, each correctly rounded (Python's float parser), and the ASCII
+# digits of 0..999, one row per digit place.
+_POW10 = np.array([float(f"1e{k}") for k in range(-88, 112)])
+_DIGITS = (np.arange(1000) // np.array([[100], [10], [1]]) % 10 + ord("0")).astype(np.uint8)
+_CELL = 19  # bytes of the longest '%.11e' cell, '-1.23456789012e-308'
+# Rows per block: whole-table temporaries (megabytes on a 32768-row table)
+# left holes in the heap that later full-grid solves could not reuse, and
+# made design_scan's 10 MB higher peak-memory mode more frequent.
+_BLOCK = 4096
+
+
+def _decimal_split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, E, fallback) of float64 values, with |x| = N * 10**(E - 11) rounded
+    to 12 significant digits (10**11 <= N < 10**12, or N = E = 0 for zeros).
+
+    N = rint(|x| * 10**(11 - E)) from a tabled power of ten: the product is
+    within 2.3e-4 of the exact one, so rint rounds it as '%.11e' does unless
+    its fraction lies within 1e-3 of one half.  Those cells, and every cell
+    outside 1e-99 <= |x| < 1e99 but zeros (non-finite values, subnormals, three-
+    digit exponents), are flagged for Python's formatting; their N and E are
+    meaningless.
+    """
+    a = np.abs(x)
+    zero = a == 0.0
+    ok = ((a >= 1e-99) & (a < 1e99)) | zero
+    a = np.where(ok & ~zero, a, 1.0)
+    # 10**e <= a < 20 * 10**e from the binary exponent; one step up if needed.
+    e = np.floor((np.frexp(a)[1] - 1) * np.log10(2.0)).astype(np.intp)
+    e += a * _POW10[99 - e] >= 1e12
+    y = a * _POW10[99 - e]
+    n = np.rint(y)
+    ok &= np.abs(y - np.floor(y) - 0.5) >= 1e-3
+    carry = n >= 1e12  # 9.99999999999|5.. rounds up to the next decade
+    n[carry] = 1e11
+    e += carry
+    n[zero] = 0.0
+    e[zero] = 0
+    return n.astype(np.int64), e, ~ok
+
+
+def _float_cells(column) -> np.ndarray:
+    """'%.11e' cells of a float column as a (_CELL, n) uint8 array, one byte
+    place per row, padded with zero bytes."""
+    x = np.asarray(column, dtype=np.float64)
+    n, e, fallback = _decimal_split(x)
+    cells = np.zeros((_CELL, x.size), dtype=np.uint8)
+    np.multiply(np.signbit(x), np.uint8(ord("-")), out=cells[0])
+    hi, lo = np.divmod(n, 1000000)
+    groups = (*np.divmod(hi, 1000), *np.divmod(lo, 1000))
+    # d.dd ddd ddd ddd: byte 2 is the point, so the first group skips it.
+    for group, places in zip(groups, ((1, 3, 4), (5, 6, 7), (8, 9, 10), (11, 12, 13))):
+        for digits, place in zip(_DIGITS, places):
+            digits.take(group, out=cells[place])
+    cells[2] = ord(".")
+    cells[14] = ord("e")
+    cells[15] = np.where(e < 0, ord("-"), ord("+"))
+    np.abs(e, out=e)
+    _DIGITS[1].take(e, out=cells[16])
+    _DIGITS[2].take(e, out=cells[17])
+    rows = np.flatnonzero(fallback)
+    if rows.size:
+        text = np.array([b"%.11e" % v for v in x[rows].tolist()], dtype=f"S{_CELL}")
+        cells[:, rows] = text.view(np.uint8).reshape(rows.size, _CELL).T
+    return cells
+
+
+def _int_cells(column: np.ndarray) -> np.ndarray:
+    """'%d' cells of an integer or boolean column, laid out as `_float_cells`."""
+    text = np.array([b"%d" % v for v in column.tolist()], dtype=bytes)
+    return text.view(np.uint8).reshape(column.size, text.itemsize).T
+
+
 def write_table(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Column-oriented CSV with a header row and 12-significant-digit floats;
-    integer and boolean columns are written as plain integers."""
+    """Column-oriented CSV with a header row.  Each float cell is the bytes of
+    Python's '%.11e' (12 significant digits; nan, inf and -inf as Python
+    spells them); integer and boolean columns are written as '%d'.
+
+    Float columns are formatted in bulk by `_float_cells`, `_BLOCK` rows at a
+    time, with Python's '%' only for the cells `_decimal_split` flags; the
+    table is written in one call.
+    """
     arrays = [np.asarray(c) for c in columns]
     if len(arrays) != len(header):
         raise ValueError("one header entry per column required")
     n = arrays[0].shape[0]
     if any(a.shape != (n,) for a in arrays):
         raise ValueError("all columns must share one length")
-    row = ",".join(
-        "%d" if a.dtype == bool or np.issubdtype(a.dtype, np.integer) else "%.11e" for a in arrays
-    ) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write("".join(row % values for values in zip(*(a.tolist() for a in arrays))))
+    integer = [a.dtype == bool or np.issubdtype(a.dtype, np.integer) for a in arrays]
+    chunks = [(",".join(header) + "\n").encode()]
+    for start in range(0, n, _BLOCK):
+        parts = []
+        for a, is_int in zip(arrays, integer):
+            block = a[start : start + _BLOCK]
+            cells = _int_cells(block) if is_int else _float_cells(block)
+            parts += [cells, np.full((1, block.size), ord(","), np.uint8)]
+        parts[-1][:] = ord("\n")
+        # Row-major bytes of the (bytes per row, rows) block, padding dropped.
+        chunks.append(np.concatenate(parts).T.tobytes().replace(b"\0", b""))
+    with open(path, "wb") as fh:
+        fh.write(b"".join(chunks))
 
 
 def write_sidecar(path, metadata: dict) -> None:

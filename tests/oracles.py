@@ -1,14 +1,16 @@
 """Test oracles: the solve-point pipeline in one call, a response held as an
 array (the eager build, and hand-made rows), the inverse conversion, the
-plain fixed-point loop over every grid bin, the row-by-row CSV writer, plain
-time-domain transforms of the solver's spectral convention on the full grid,
-and the off-lattice probe as nonlinear full-grid steps."""
+plain fixed-point loop over every grid bin, the row-by-row CSV writer, the
+band report's run and roll-off walks, plain time-domain transforms of the
+solver's spectral convention on the full grid, and the off-lattice probe as
+nonlinear full-grid steps."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from ictasim.circuit import FrequencyGrid, s_matrix
+from ictasim.design import _crossing
 from ictasim.frankenstein import junction_port, junction_row, klmn, to_frankenstein, wave_port
 from ictasim.solver import (
     SolutionState,
@@ -124,18 +126,45 @@ def plain_iterate(row, bias, stim, options, initial=None):
 
 
 def write_table_rows(path, header, columns):
-    """CSV writer formatting one numpy scalar at a time, row by row."""
+    """CSV writer formatting one row at a time with Python's '%': '%.11e' per
+    float cell, '%d' per integer or boolean cell."""
     arrays = [np.asarray(c) for c in columns]
-    formats = []
-    for a in arrays:
-        if a.dtype == bool or np.issubdtype(a.dtype, np.integer):
-            formats.append("%d")
-        else:
-            formats.append("%.11e")
+    row = ",".join(
+        "%d" if a.dtype == bool or np.issubdtype(a.dtype, np.integer) else "%.11e" for a in arrays
+    ) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(arrays[0].shape[0]):
-            fh.write(",".join(fmt % a[i] for fmt, a in zip(formats, arrays)) + "\n")
+        fh.write("".join(row % values for values in zip(*(a.tolist() for a in arrays))))
+
+
+def longest_run_loop(mask):
+    """`design.longest_run` as a walk over the mask."""
+    best_start, best_len = 0, 0
+    start = None
+    for i, flag in enumerate(list(mask) + [False]):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            if i - start > best_len:
+                best_start, best_len = start, i - start
+            start = None
+    return slice(best_start, best_start + best_len)
+
+
+def rolloff_width_loop(f, r, start, step, hi_level, lo_level):
+    """`design._rolloff_width` as a walk from `start` in direction `step`."""
+    f_hi = f_lo = float("nan")
+    prev = start
+    i = start + step
+    while 0 <= i < len(r):
+        if np.isnan(f_hi) and r[i] <= hi_level:
+            f_hi = _crossing(f, r, prev, i, hi_level)
+        if r[i] <= lo_level:
+            f_lo = _crossing(f, r, prev, i, lo_level)
+            break
+        prev = i
+        i += step
+    return abs(f_lo - f_hi)
 
 
 def time_samples(grid, zero_pad=SolverOptions.zero_pad):

@@ -160,7 +160,7 @@ def test_junction_impedance_agrees_with_response_matrix(canonical_net, canonical
     # Dual route: projective ladder fold vs. the current-bias diagonal of the
     # converted scattering matrix.
     z_fold = z_jj(canonical_net, coarse_grid.frequencies)
-    z_resp = canonical_f.values[:, 1, 1]
+    z_resp = canonical_f.rows(slice(None))[:, 1, 1]
     finite = np.isfinite(z_fold)
     assert finite.all()
     scale = np.maximum(1.0, np.abs(z_fold))
