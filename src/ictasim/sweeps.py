@@ -624,9 +624,9 @@ def pump_emission(
 _POW10 = np.array([float(f"1e{k}") for k in range(-88, 112)])
 _DIGITS = (np.arange(1000) // np.array([[100], [10], [1]]) % 10 + ord("0")).astype(np.uint8)
 _CELL = 19  # bytes of the longest '%.11e' cell, '-1.23456789012e-308'
-# Rows per block: whole-table temporaries (megabytes on a 32768-row table)
-# left holes in the heap that later full-grid solves could not reuse, and
-# made design_scan's 10 MB higher peak-memory mode more frequent.
+# Rows per block.  Formatting a 32768-row table whole left megabyte holes in
+# the heap that later full-grid solves could not reuse, and raised the peak
+# memory of a run by about 10 MB more often.
 _BLOCK = 4096
 
 
@@ -636,10 +636,10 @@ def _decimal_split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     N = rint(|x| * 10**(11 - E)) from a tabled power of ten: the product is
     within 2.3e-4 of the exact one, so rint rounds it as '%.11e' does unless
-    its fraction lies within 1e-3 of one half.  Those cells, and every cell
-    outside 1e-99 <= |x| < 1e99 but zeros (non-finite values, subnormals, three-
-    digit exponents), are flagged for Python's formatting; their N and E are
-    meaningless.
+    its fraction lies within 1e-3 of one half.  Those cells are flagged for
+    Python's formatting, and so is every nonzero |x| outside [1e-99, 1e99):
+    non-finite values, subnormals and three-digit exponents.  The N and E of
+    a flagged cell are meaningless.
     """
     a = np.abs(x)
     zero = a == 0.0
