@@ -1,16 +1,22 @@
 """Command-line front end: JSON configs in, CSV data and sidecars out.
 
-Every run is deterministic: the same config produces byte-identical CSV
-files, serial or parallel.  Validation happens before any filesystem side
-effect; syntax errors carry the JSON line number, semantic errors the JSON
-path of the offending field.  Solver non-convergence is not an error: cells
-are masked in the output and summarized in a warning on stderr.
+Every run writes `<kind>.csv` and its `<kind>.meta.json` sidecar, and is
+deterministic: the same config produces byte-identical CSV files, serial or
+parallel.  One table, `_SWEEP_FORMS`, names the fields of each sweep kind
+(and of each gain-map axis) in read order; validation, the unknown-field
+check and the solve count all derive from it, and `describe` prints every
+axis the solve count multiplies, compression phases and emission currents
+included.  Validation happens before any filesystem side effect; syntax
+errors carry the JSON line number, semantic errors the JSON path of the
+offending field.  Solver non-convergence is not an error: cells are masked
+in the output and summarized in a warning on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -28,6 +34,7 @@ from .circuit import (
     build_icta,
     emission_fom,
     frankenstein_matrix,
+    load_netlist,
     netlist_from_dict,
     z_jj,
 )
@@ -119,6 +126,21 @@ def _axis(d: dict, prefix: str, path: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
+def _phases(d: dict, key: str, path: str):
+    value = d.get(key)
+    if value is not None and not (isinstance(value, list) and all(map(_is_number, value))):
+        raise ConfigError(f"{path}.{key}", "must be a list of numbers")
+    return value
+
+
+def _currents(d: dict, key: str, path: str) -> np.ndarray:
+    value = _require(d, key, path)
+    value = value if isinstance(value, list) else [value]
+    if not value or not all(map(_is_number, value)):
+        raise ConfigError(f"{path}.{key}", "must be a number or a nonempty list of numbers")
+    return np.array(value, dtype=float)
+
+
 @dataclass
 class RunConfig:
     """Validated run description: netlist, grid, solver settings, one sweep."""
@@ -131,22 +153,21 @@ class RunConfig:
     raw: dict
 
 
-_MAP_FIELDS = {"axis", "power_dbm", "phase_rad", "signal_start", "signal_stop", "signal_count"}
-# Keyed by sweep kind, and for a gain map by its axis as well.
-_SWEEP_FIELDS = {
-    "zjj": set(),
-    "fom": set(),
-    "profile": {
-        "f_dc_hz", "i_c_a", "power_dbm", "phase_rad", "threshold_db",
-        "signal_start", "signal_stop", "signal_count",
-    },
-    "gainmap f_dc": _MAP_FIELDS | {"i_c_a", "fdc_start", "fdc_stop", "fdc_count"},
-    "gainmap i_c": _MAP_FIELDS | {"f_dc_hz", "ic_start", "ic_stop", "ic_count"},
+# The fields of each sweep form, in read order: a reader, or an optional
+# number's default.  An `_axis` entry names its <name>_start/_stop/_count
+# triple.  A gain map's form is its kind and its `axis`.
+_TONE = {"power_dbm": -140.0, "phase_rad": 0.0, "signal": _axis}
+_SWEEP_FORMS = {
+    "zjj": {},
+    "fom": {},
+    "profile": {**_TONE, "f_dc_hz": _number, "i_c_a": _number, "threshold_db": 10.0},
+    "gainmap f_dc": {**_TONE, "i_c_a": _number, "fdc": _axis},
+    "gainmap i_c": {**_TONE, "f_dc_hz": _number, "ic": _axis},
     "compression": {
-        "f_dc_hz", "i_c_a", "f_s_hz", "phases_rad",
-        "power_start", "power_stop", "power_count",
+        "f_dc_hz": _number, "i_c_a": _number, "f_s_hz": _number, "power": _axis,
+        "phases_rad": _phases,
     },
-    "emission": {"f_dc_hz", "i_c_a", "bandwidth_hz"},
+    "emission": {"f_dc_hz": _number, "i_c_a": _currents, "bandwidth_hz": 0.0},
 }
 
 
@@ -156,54 +177,28 @@ def _validate_sweep(sweep, path: str, grid: FrequencyGrid) -> dict:
     kind = _require(sweep, "kind", path)
     if kind not in SWEEP_KINDS:
         raise ConfigError(f"{path}.kind", f"must be one of {', '.join(SWEEP_KINDS)}")
-    form, what = kind, f"kind {kind!r}"
+    out, form, what = {"kind": kind}, kind, f"kind {kind!r}"
     if kind == "gainmap":
-        axis = sweep.get("axis", "f_dc")
+        axis = out["axis"] = sweep.get("axis", "f_dc")
         if axis not in ("f_dc", "i_c"):
             raise ConfigError(f"{path}.axis", "must be 'f_dc' or 'i_c'")
         form, what = f"gainmap {axis}", f"a gainmap on axis {axis!r}"
-    unknown = set(sweep) - _SWEEP_FIELDS[form] - {"kind"}
+    readers = _SWEEP_FORMS[form]
+    known = set(out)
+    for key, read in readers.items():
+        known |= {f"{key}_start", f"{key}_stop", f"{key}_count"} if read is _axis else {key}
+    unknown = set(sweep) - known
     if unknown:
         raise ConfigError(f"{path}.{sorted(unknown)[0]}", f"unknown field for {what}")
-    out = {"kind": kind}
-    if kind in ("zjj", "fom"):
-        return out
-    if kind in ("profile", "gainmap"):
-        out["power_dbm"] = _number(sweep, "power_dbm", path, default=-140.0)
-        out["phase_rad"] = _number(sweep, "phase_rad", path, default=0.0)
-        out["signal"] = _axis(sweep, "signal", path)
-    if kind == "profile":
-        out["f_dc_hz"] = _number(sweep, "f_dc_hz", path)
-        out["i_c_a"] = _number(sweep, "i_c_a", path)
-        out["threshold_db"] = _number(sweep, "threshold_db", path, default=10.0)
-    elif kind == "gainmap":
-        out["axis"] = axis
-        if axis == "f_dc":
-            out["i_c_a"] = _number(sweep, "i_c_a", path)
-            out["fdc"] = _axis(sweep, "fdc", path)
+    for key, read in readers.items():
+        if callable(read):
+            out[key] = read(sweep, key, path)
         else:
-            out["f_dc_hz"] = _number(sweep, "f_dc_hz", path)
-            out["ic"] = _axis(sweep, "ic", path)
-    elif kind == "compression":
-        out["f_dc_hz"] = _number(sweep, "f_dc_hz", path)
-        out["i_c_a"] = _number(sweep, "i_c_a", path)
-        out["f_s_hz"] = _number(sweep, "f_s_hz", path)
-        out["power"] = _axis(sweep, "power", path)
-        phases = sweep.get("phases_rad")
-        if phases is not None and not (isinstance(phases, list) and all(map(_is_number, phases))):
-            raise ConfigError(f"{path}.phases_rad", "must be a list of numbers")
-        out["phases_rad"] = phases
-    else:  # emission
-        out["f_dc_hz"] = _number(sweep, "f_dc_hz", path)
-        i_c = _require(sweep, "i_c_a", path)
-        i_c = i_c if isinstance(i_c, list) else [i_c]
-        if not i_c or not all(map(_is_number, i_c)):
-            raise ConfigError(f"{path}.i_c_a", "must be a number or a nonempty list of numbers")
-        out["i_c_a"] = [float(v) for v in i_c]
-        out["bandwidth_hz"] = _number(sweep, "bandwidth_hz", path, default=0.0)
-        if out["bandwidth_hz"] < 0:
-            raise ConfigError(f"{path}.bandwidth_hz", "must be nonnegative")
-    _apply_library_rules(out, path, grid)
+            out[key] = _number(sweep, key, path, default=read)
+    if out.get("bandwidth_hz", 0.0) < 0:
+        raise ConfigError(f"{path}.bandwidth_hz", "must be nonnegative")
+    if readers:  # `zjj` and `fom` read no field that a library rule owns
+        _apply_library_rules(out, path, grid)
     return out
 
 
@@ -225,8 +220,9 @@ def _apply_library_rules(out: dict, path: str, grid: FrequencyGrid) -> None:
         _checked(f"{path}.power_count", power_axis, out["power"])
         _, (k_s,) = _checked(f"{path}.f_s_hz", snap_frequencies, [out["f_s_hz"]], grid)
         m = round(f_dc / grid.spacing)
-        phases = _checked(f"{path}.phases_rad", stimulus_phases, int(k_s), m, out["phases_rad"])
-        out["phases_rad"] = phases.tolist()
+        out["phases_rad"] = _checked(
+            f"{path}.phases_rad", stimulus_phases, int(k_s), m, out["phases_rad"]
+        )
 
 
 def load_config(path: str) -> RunConfig:
@@ -262,8 +258,8 @@ def load_config(path: str) -> RunConfig:
         if not isinstance(ref, str) or not Path(ref).is_file():
             raise ConfigError("netlist_path", f"referenced file does not exist: {ref!r}")
         try:
-            netlist = netlist_from_dict(json.loads(Path(ref).read_text(encoding="utf-8")))
-        except (ValueError, TypeError, json.JSONDecodeError) as err:
+            netlist = load_netlist(ref)
+        except (OSError, ValueError, TypeError) as err:
             raise ConfigError("netlist_path", f"invalid netlist file {ref}: {err}") from None
     grid_cfg = raw.get("grid", {})
     if not isinstance(grid_cfg, dict):
@@ -294,19 +290,10 @@ def load_config(path: str) -> RunConfig:
 
 
 def solve_count(config: RunConfig) -> int:
-    """Number of nonlinear solves the sweep will perform."""
-    sweep = config.sweep
-    kind = sweep["kind"]
-    if kind in ("zjj", "fom"):
-        return 0
-    if kind == "profile":
-        return int(sweep["signal"].size)
-    if kind == "gainmap":
-        rows = sweep["fdc"].size if sweep["axis"] == "f_dc" else sweep["ic"].size
-        return int(rows * sweep["signal"].size)
-    if kind == "compression":
-        return int(sweep["power"].size * len(sweep["phases_rad"]))
-    return len(sweep["i_c_a"])  # emission
+    """Number of nonlinear solves: the product of the sweep's axes, and none
+    for `zjj` and `fom`, which have no axis."""
+    sizes = [v.size for v in config.sweep.values() if isinstance(v, np.ndarray)]
+    return math.prod(sizes) if sizes else 0
 
 
 def memory_estimate_bytes(config: RunConfig) -> int:
@@ -316,7 +303,7 @@ def memory_estimate_bytes(config: RunConfig) -> int:
     at the bins read) plus the fold and the full-grid step's buffers."""
     n = config.grid.size
     fold = 8 * n * 16  # complex num/den pairs of both folds, and z
-    if config.sweep["kind"] in ("zjj", "fom"):
+    if solve_count(config) == 0:
         return fold
     n_ports = len(config.netlist.port_names)
     response = n * n_ports * n_ports * 16
@@ -327,140 +314,133 @@ def memory_estimate_bytes(config: RunConfig) -> int:
 def describe(config: RunConfig, stream=None) -> None:
     """Print the run plan without simulating anything."""
     stream = sys.stdout if stream is None else stream
-    sweep = config.sweep
+
+    def show(label, value):
+        print(f"{label + ':':<19}{value}", file=stream)
+
+    grid = config.grid
     count = solve_count(config)
-    mem = memory_estimate_bytes(config)
-    linear_only = sweep["kind"] in ("zjj", "fom")
-    bound = "" if linear_only else "at most "
-    print(f"sweep kind:        {sweep['kind']}", file=stream)
-    print(f"grid:              {config.grid.size} bins x {config.grid.spacing:g} Hz "
-          f"(f_max {config.grid.f_max:g} Hz)", file=stream)
-    for key, value in sweep.items():
+    show("sweep kind", config.sweep["kind"])
+    show("grid", f"{grid.size} bins x {grid.spacing:g} Hz (f_max {grid.f_max:g} Hz)")
+    for key, value in config.sweep.items():
         if isinstance(value, np.ndarray):
-            print(f"axis {key}:        {value.size} points in [{value[0]:g}, {value[-1]:g}]",
-                  file=stream)
-    print(f"nonlinear solves:  {count}", file=stream)
-    if linear_only:
-        print(f"linear solves:     none (ladder fold over {config.grid.size} frequencies)",
-              file=stream)
+            show(f"axis {key}", f"{value.size} points in [{value[0]:g}, {value[-1]:g}]")
+    show("nonlinear solves", count)
+    mem = f"{memory_estimate_bytes(config) / 1e6:.0f} MB"
+    if count == 0:
+        show("linear solves", f"none (ladder fold over {grid.size} frequencies)")
+        show("memory estimate", mem)
     else:
-        print(f"linear solves:     at most {config.grid.size} frequencies x "
-              f"{len(config.netlist.port_names)} ports", file=stream)
-    print(f"memory estimate:   {bound}{mem / 1e6:.0f} MB", file=stream)
+        show("linear solves",
+             f"at most {grid.size} frequencies x {len(config.netlist.port_names)} ports")
+        show("memory estimate", f"at most {mem}")
 
 
 def run(config: RunConfig, out_dir: Path, threads: int | None = None) -> int:
     """Execute one validated sweep; returns the count of unconverged solves."""
     sweep = config.sweep
     kind = sweep["kind"]
+    csv = out_dir / f"{kind}.csv"
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     meta = sweep_metadata(config.netlist, config.grid, config.options)
     meta["config"] = config.raw
-    unconverged = 0
-    if kind in ("zjj", "fom"):
-        f = config.grid.frequencies
-        if kind == "zjj":
-            z = z_jj(config.netlist, f)
-            write_table(out_dir / "zjj.csv", ["f_hz", "re_z_ohm", "im_z_ohm"],
-                        [f, z.real, z.imag])
-            report = band_check(config.netlist, f)
-            meta["band"] = {
-                "reference_impedance_ohm": report.reference_impedance,
-                "band_lo_hz": report.band_lo_hz,
-                "band_hi_hz": report.band_hi_hz,
-                "peak_impedance_ohm": report.peak_impedance,
-                "rolloff_asymmetry": report.asymmetry if not report.empty else None,
-            }
-            csv_name = "zjj.csv"
-        else:
-            ff, fom = emission_fom(config.netlist, f)
-            write_table(out_dir / "fom.csv", ["f_hz", "re_z_over_f_ohm_per_hz"], [ff, fom])
-            csv_name = "fom.csv"
-    else:
+    converged = np.ones(0, dtype=bool)
+    if solve_count(config):
         response = frankenstein_matrix(config.netlist, config.grid)
-        if kind == "profile":
-            profile = gain_profile(
-                response,
-                BiasPoint(f_dc=sweep["f_dc_hz"], i_c=sweep["i_c_a"]),
-                sweep["signal"],
-                sweep["power_dbm"],
-                threshold_db=sweep["threshold_db"],
+    if kind == "zjj":
+        f = config.grid.frequencies
+        z = z_jj(config.netlist, f)
+        write_table(csv, ["f_hz", "re_z_ohm", "im_z_ohm"], [f, z.real, z.imag])
+        report = band_check(config.netlist, f)
+        meta["band"] = {
+            "reference_impedance_ohm": report.reference_impedance,
+            "band_lo_hz": report.band_lo_hz,
+            "band_hi_hz": report.band_hi_hz,
+            "peak_impedance_ohm": report.peak_impedance,
+            "rolloff_asymmetry": report.asymmetry if not report.empty else None,
+        }
+    elif kind == "fom":
+        ff, fom = emission_fom(config.netlist, config.grid.frequencies)
+        write_table(csv, ["f_hz", "re_z_over_f_ohm_per_hz"], [ff, fom])
+    elif kind == "profile":
+        profile = gain_profile(
+            response,
+            BiasPoint(f_dc=sweep["f_dc_hz"], i_c=sweep["i_c_a"]),
+            sweep["signal"],
+            sweep["power_dbm"],
+            threshold_db=sweep["threshold_db"],
+            options=config.options,
+            phase=sweep["phase_rad"],
+        )
+        write_profile_csv(profile, csv)
+        converged = profile.converged
+        meta["bias"] = bias_metadata(profile.bias)
+        meta["power_dbm"] = profile.power_dbm
+        meta["metrics"] = {
+            "threshold_db": profile.threshold_db,
+            "bandwidth_hz": profile.bandwidth_hz,
+            "average_gain_db": profile.average_gain_db,
+            "band_lo_hz": profile.band_lo_hz,
+            "band_hi_hz": profile.band_hi_hz,
+        }
+    elif kind == "gainmap":
+        workers = min(os.cpu_count() or 1, 8) if threads is None else threads
+        if sweep["axis"] == "f_dc":
+            gmap = gain_map_fdc(
+                response, sweep["signal"], sweep["fdc"], sweep["i_c_a"],
+                sweep["power_dbm"], options=config.options,
+                phase=sweep["phase_rad"], workers=workers,
+            )
+        else:
+            gmap = gain_map_ic(
+                response, sweep["signal"], sweep["ic"], sweep["f_dc_hz"],
+                sweep["power_dbm"], options=config.options,
+                phase=sweep["phase_rad"], workers=workers,
+            )
+        write_map_csv(gmap, csv)
+        converged = gmap.converged
+        meta["power_dbm"] = gmap.power_dbm
+        meta["map_axis"] = gmap.axis_name
+    elif kind == "compression":
+        curve = compression_sweep(
+            response,
+            BiasPoint(f_dc=sweep["f_dc_hz"], i_c=sweep["i_c_a"]),
+            sweep["f_s_hz"],
+            sweep["power"],
+            options=config.options,
+            phases=sweep["phases_rad"],
+        )
+        write_compression_csv(curve, csv)
+        converged = curve.converged
+        meta["bias"] = bias_metadata(curve.bias)
+        meta["signal_frequency_hz"] = curve.signal_frequency
+        meta["phases_rad"] = curve.phases
+    else:  # emission
+        rows = [
+            pump_emission(
+                response, BiasPoint(f_dc=sweep["f_dc_hz"], i_c=i_c), sweep["bandwidth_hz"],
                 options=config.options,
-                phase=sweep["phase_rad"],
             )
-            write_profile_csv(profile, out_dir / "profile.csv")
-            unconverged = int(np.sum(~profile.converged))
-            meta["bias"] = bias_metadata(profile.bias)
-            meta["power_dbm"] = profile.power_dbm
-            meta["metrics"] = {
-                "threshold_db": profile.threshold_db,
-                "bandwidth_hz": profile.bandwidth_hz,
-                "average_gain_db": profile.average_gain_db,
-                "band_lo_hz": profile.band_lo_hz,
-                "band_hi_hz": profile.band_hi_hz,
-            }
-            csv_name = "profile.csv"
-        elif kind == "gainmap":
-            workers = min(os.cpu_count() or 1, 8) if threads is None else threads
-            if sweep["axis"] == "f_dc":
-                gmap = gain_map_fdc(
-                    response, sweep["signal"], sweep["fdc"], sweep["i_c_a"],
-                    sweep["power_dbm"], options=config.options,
-                    phase=sweep["phase_rad"], workers=workers,
-                )
-            else:
-                gmap = gain_map_ic(
-                    response, sweep["signal"], sweep["ic"], sweep["f_dc_hz"],
-                    sweep["power_dbm"], options=config.options,
-                    phase=sweep["phase_rad"], workers=workers,
-                )
-            write_map_csv(gmap, out_dir / "gainmap.csv")
-            unconverged = int(np.sum(~gmap.converged))
-            meta["power_dbm"] = gmap.power_dbm
-            meta["map_axis"] = gmap.axis_name
-            csv_name = "gainmap.csv"
-        elif kind == "compression":
-            curve = compression_sweep(
-                response,
-                BiasPoint(f_dc=sweep["f_dc_hz"], i_c=sweep["i_c_a"]),
-                sweep["f_s_hz"],
-                sweep["power"],
-                options=config.options,
-                phases=sweep["phases_rad"],
-            )
-            write_compression_csv(curve, out_dir / "compression.csv")
-            unconverged = int(np.sum(~curve.converged))
-            meta["bias"] = bias_metadata(curve.bias)
-            meta["signal_frequency_hz"] = curve.signal_frequency
-            meta["phases_rad"] = curve.phases
-            csv_name = "compression.csv"
-        else:  # emission
-            rows = [
-                pump_emission(
-                    response, BiasPoint(f_dc=sweep["f_dc_hz"], i_c=i_c), sweep["bandwidth_hz"],
-                    options=config.options,
-                )
-                for i_c in sweep["i_c_a"]
-            ]
-            write_table(
-                out_dir / "emission.csv",
-                ["i_c_a", "power_w", "power_dbm", "photon_rate_per_s", "converged"],
-                [
-                    np.array(sweep["i_c_a"], dtype=float),
-                    np.array([r.power_watts for r in rows]),
-                    np.array([r.power_dbm for r in rows]),
-                    np.array([r.photon_rate for r in rows]),
-                    np.array([r.converged for r in rows], dtype=int),
-                ],
-            )
-            unconverged = sum(0 if r.converged else 1 for r in rows)
-            meta["f_dc_hz"] = sweep["f_dc_hz"]
-            meta["bandwidth_hz"] = sweep["bandwidth_hz"]
-            csv_name = "emission.csv"
+            for i_c in sweep["i_c_a"]
+        ]
+        converged = np.array([r.converged for r in rows])
+        write_table(
+            csv,
+            ["i_c_a", "power_w", "power_dbm", "photon_rate_per_s", "converged"],
+            [
+                sweep["i_c_a"],
+                np.array([r.power_watts for r in rows]),
+                np.array([r.power_dbm for r in rows]),
+                np.array([r.photon_rate for r in rows]),
+                converged,
+            ],
+        )
+        meta["f_dc_hz"] = sweep["f_dc_hz"]
+        meta["bandwidth_hz"] = sweep["bandwidth_hz"]
     meta["wall_time_s"] = time.perf_counter() - started
-    meta["unconverged_solves"] = unconverged
-    write_sidecar(out_dir / (csv_name.rsplit(".", 1)[0] + ".meta.json"), meta)
+    meta["unconverged_solves"] = unconverged = int(np.sum(~converged))
+    write_sidecar(csv.with_suffix(".meta.json"), meta)
     return unconverged
 
 

@@ -163,6 +163,76 @@ def test_library_rules_rejected_at_load(tmp_path, capsys, sweep, field):
     assert not out.exists()
 
 
+SIGNAL = {"signal_start": 5e9, "signal_stop": 6e9, "signal_count": 2}
+COMPRESSION = {
+    "kind": "compression", "f_dc_hz": 12e9, "i_c_a": 280e-9, "f_s_hz": 5.12e9,
+    "power_start": -135.0, "power_stop": -101.0, "power_count": 8,
+}
+EMISSION = {"kind": "emission", "f_dc_hz": 12e9, "i_c_a": 200e-9}
+
+
+def config_text(sweep, **extra):
+    config = {"netlist": "canonical", "grid": GRID, "sweep": sweep}
+    config.update(extra)
+    return json.dumps(config)
+
+
+@pytest.mark.parametrize(
+    "command, text, expected",
+    [
+        ("profile", config_text(profile_sweep(f_dc_hz="INF")).replace('"INF"', "1e999"),
+         "error: sweep.f_dc_hz: must be a finite number"),
+        ("profile", config_text(profile_sweep(signal_count=2.5)),
+         "error: sweep.signal_count: must be an integer"),
+        ("profile", config_text(profile_sweep(signal_start=6e9, signal_stop=5e9)),
+         "error: sweep.signal_stop: must exceed the start"),
+        ("profile", config_text([]), "error: sweep: must be an object"),
+        ("gainmap", config_text({"kind": "gainmap", "axis": "x", **SIGNAL}),
+         "error: sweep.axis: must be 'f_dc' or 'i_c'"),
+        ("compression", config_text({**COMPRESSION, "phases_rad": 0.5}),
+         "error: sweep.phases_rad: must be a list of numbers"),
+        ("emission", config_text({**EMISSION, "i_c_a": []}), "error: sweep.i_c_a: must be"),
+        ("emission", config_text({**EMISSION, "i_c_a": [1e-7, "a"]}),
+         "error: sweep.i_c_a: must be"),
+        ("emission", config_text({**EMISSION, "bandwidth_hz": -1e6}),
+         "error: sweep.bandwidth_hz: must be nonnegative"),
+        ("zjj", None, "error: cannot read config"),
+        ("zjj", "[1, 2]", "error: config root must be a JSON object"),
+        ("zjj", config_text({"kind": "zjj"}, bogus=1), "error: bogus: unknown top-level field"),
+        ("zjj", config_text({"kind": "zjj"}, netlist=3),
+         "error: netlist: must be an object or the string 'canonical'"),
+        ("zjj", config_text({"kind": "zjj"}, netlist={"bogus": 1}),
+         "error: netlist: unknown netlist fields"),
+        ("zjj", json.dumps({"netlist_path": "net.json", "sweep": {"kind": "zjj"}}),
+         "error: netlist_path: invalid netlist file net.json"),
+        ("zjj", config_text({"kind": "zjj"}, grid=3), "error: grid: must be an object"),
+        ("zjj", config_text({"kind": "zjj"}, solver=[]), "error: solver: must be an object"),
+        ("zjj", config_text({"kind": "zjj"}, solver={"bogus": 1}),
+         "error: solver.bogus: unknown solver setting"),
+        ("zjj", config_text({"kind": "zjj"}, output_dir=3),
+         "error: output_dir: must be a string path"),
+    ],
+    ids=[
+        "non_finite_number", "non_integer_count", "reversed_axis", "sweep_not_object",
+        "unknown_map_axis", "phases_not_list", "empty_currents", "non_numeric_currents",
+        "negative_bandwidth", "unreadable_config", "root_not_object", "unknown_top_level",
+        "netlist_not_object", "invalid_inline_netlist", "invalid_netlist_file",
+        "grid_not_object", "solver_not_object", "unknown_solver_key", "output_dir_not_string",
+    ],
+)
+def test_config_errors_exit_two_at_their_path(tmp_path, monkeypatch, capsys,
+                                              command, text, expected):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "net.json").write_text("{not json")
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert expected in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_grid_field_rejected(tmp_path, capsys):
     # a misspelt spacing must not fall back to the 1 MHz default grid
     path = write_config(tmp_path, profile_sweep(), grid={"spacing": 16e6, "size": 2048})
@@ -213,7 +283,15 @@ def test_describe_memory_counts_only_what_the_run_builds(tmp_path, capsys):
     assert "memory estimate:   at most" in out
 
 
-def test_describe_degenerate_compression_counts_phases(tmp_path):
+def describe_lines(path, capsys):
+    assert main(["describe", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for line in lines:  # every value starts in one column
+        assert line[:19].rstrip().endswith(":") and line[19] != " ", line
+    return lines
+
+
+def test_describe_degenerate_compression_counts_phases(tmp_path, capsys):
     path = write_config(
         tmp_path,
         {
@@ -227,6 +305,17 @@ def test_describe_degenerate_compression_counts_phases(tmp_path):
         },
     )
     assert solve_count(load_config(str(path))) == 64
+    lines = describe_lines(path, capsys)
+    assert "axis power:        8 points in [-140, -126]" in lines
+    assert "axis phases_rad:   8 points in [0, 2.74889]" in lines
+    assert "nonlinear solves:  64" in lines
+
+
+def test_describe_emission_counts_currents(tmp_path, capsys):
+    path = write_config(tmp_path, {**EMISSION, "i_c_a": [0, 1e-7, 2e-7]})
+    lines = describe_lines(path, capsys)
+    assert "axis i_c_a:        3 points in [0, 2e-07]" in lines
+    assert "nonlinear solves:  3" in lines
 
 
 def test_describe_rejects_invalid_config_without_side_effects(tmp_path, capsys):
@@ -289,6 +378,65 @@ def test_gainmap_threads_byte_identical(tmp_path):
     data = np.genfromtxt(a / "gainmap.csv", delimiter=",", names=True)
     assert data.shape == (12,)
     assert "i_c_a" in data.dtype.names
+
+
+def test_gainmap_fdc_axis_run(tmp_path):
+    path = write_config(
+        tmp_path,
+        {
+            "kind": "gainmap", "axis": "f_dc", "i_c_a": 100e-9,
+            "signal_start": 5.12e9, "signal_stop": 6.4e9, "signal_count": 2,
+            "fdc_start": 11.264e9, "fdc_stop": 12.288e9, "fdc_count": 3,
+        },
+    )
+    out = tmp_path / "run"
+    assert main(["gainmap", "--config", str(path), "--out", str(out)]) == 0
+    data = np.genfromtxt(out / "gainmap.csv", delimiter=",", names=True)
+    assert data.dtype.names[0] == "f_dc_hz"
+    assert data.shape == (6,)
+    assert np.unique(data["f_dc_hz"]).size == 3
+    meta = json.loads((out / "gainmap.meta.json").read_text())
+    assert meta["map_axis"] == "f_dc_hz"
+    assert meta["unconverged_solves"] == int(np.sum(data["converged"] == 0))
+
+
+def test_compression_run_outputs(tmp_path):
+    # The config of demo 07 at 8 powers.
+    path = write_config(tmp_path, COMPRESSION, solver={"max_iterations": 4000})
+    out = tmp_path / "run"
+    assert main(["compression", "--config", str(path), "--out", str(out)]) == 0
+    data = np.genfromtxt(out / "compression.csv", delimiter=",", names=True)
+    assert data.shape == (8,)
+    assert data["converged"].astype(bool).all()
+    assert (data["phase_rad"] == 0.0).all()
+    meta = json.loads((out / "compression.meta.json").read_text())
+    assert meta["phases_rad"] == [0.0]
+    assert meta["unconverged_solves"] == 0
+    assert main(["fit", "--in", str(out / "compression.csv"), "--out", str(out)]) == 0
+
+
+def test_degenerate_compression_run_and_fit(tmp_path):
+    path = write_config(
+        tmp_path, {**COMPRESSION, "f_s_hz": 6.0e9}, solver={"max_iterations": 4000}
+    )
+    out = tmp_path / "run"
+    assert main(["compression", "--config", str(path), "--out", str(out)]) == 0
+    csv = out / "compression.csv"
+    assert csv.read_text().splitlines()[0] == (
+        "phase_rad,power_in_dbm,gain_db,converged,balance_error"
+    )
+    data = np.genfromtxt(csv, delimiter=",", names=True)
+    assert data.shape == (64,)
+    assert data["converged"].astype(bool).all()
+    meta = json.loads((out / "compression.meta.json").read_text())
+    assert meta["bias"]["f_dc_hz"] == 12e9
+    assert meta["signal_frequency_hz"] == 6.0e9
+    assert meta["phases_rad"] == pytest.approx(np.linspace(0.0, np.pi, 8, endpoint=False))
+    assert np.unique(data["phase_rad"]).size == 8
+    assert meta["unconverged_solves"] == 0
+    fit_dir = tmp_path / "fit"
+    assert main(["fit", "--in", str(csv), "--out", str(fit_dir), "--phase-index", "0"]) == 0
+    assert (fit_dir / "fit.json").exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-4"])
