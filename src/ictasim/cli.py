@@ -446,11 +446,13 @@ def run(config: RunConfig, out_dir: Path, threads: int | None = None) -> int:
 
 def _cmd_fit(args) -> int:
     try:
-        phases, powers, gains = read_compression_csv(args.input)
+        phases, powers, gains, converged = read_compression_csv(args.input)
     except (OSError, ValueError) as err:
         print(f"error: cannot read compression CSV {args.input}: {err}", file=sys.stderr)
         return 2
+    # Phase rows are numbered over every phase in the file, converged or not.
     unique_phases = np.unique(phases)
+    keep = converged
     if args.phase_index is None:
         if unique_phases.size > 1:
             print(
@@ -467,8 +469,8 @@ def _cmd_fit(args) -> int:
         )
         return 2
     else:
-        keep = phases == unique_phases[args.phase_index]
-        powers, gains = powers[keep], gains[keep]
+        keep = keep & (phases == unique_phases[args.phase_index])
+    powers, gains = powers[keep], gains[keep]
     try:
         fit = rapp_fit(powers, gains)
     except (NotFittableError, FitFailedError) as err:
@@ -517,13 +519,13 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="JSON run configuration")
         cmd.add_argument("--out", default=None, help="output directory (overrides config)")
-        cmd.add_argument("--threads", type=_worker_count, default=None,
-                         help="parallel row workers, at least 1")
         return cmd
 
     add_run_command("zjj", "junction-side impedance of the embedding network")
     add_run_command("fom", "pump-emission figure of merit Re Z / f")
-    add_run_command("gainmap", "gain over (signal frequency x bias) grid")
+    add_run_command("gainmap", "gain over (signal frequency x bias) grid").add_argument(
+        "--threads", type=_worker_count, default=None, help="parallel map-row workers, at least 1"
+    )
     add_run_command("profile", "gain versus signal frequency at fixed bias")
     add_run_command("compression", "gain versus input power at fixed frequency")
     add_run_command("emission", "stimulus-free pump emission and photon rate")
@@ -560,7 +562,7 @@ def main(argv=None) -> int:
     if out_dir is None:
         print("error: output_dir: set it in the config or pass --out", file=sys.stderr)
         return 2
-    unconverged = run(config, Path(out_dir), threads=args.threads)
+    unconverged = run(config, Path(out_dir), threads=getattr(args, "threads", None))
     if unconverged:
         print(
             f"warning: {unconverged} solve(s) did not converge and were masked",

@@ -8,6 +8,10 @@ I_c sin(phi) back to a current spectrum.  The DC bias enters only as the
 analytic phase ramp 2*pi*f_dc*t + phi0 (the Josephson relation), never
 through a spectral division at omega = 0, and the bias port is kept stiff.
 
+Every solve returns a `SolutionState` that keeps its response and says why
+the loop stopped (converged, budget, probe-masked below, or diverged to a
+non-finite step); no stop raises, and `outputs` and the reports read it alone.
+
 Spectral conventions: one-sided arrays over the grid bins k = 0 .. N-1, with
 a real tone x(t) = X0 cos(2 pi f_k t + theta) stored as |X[k]| = X0 / 2.  The
 stored wave values are the amplitudes `a` of the response formalism, and all
@@ -52,7 +56,7 @@ from typing import Sequence
 import numpy as np
 from scipy.constants import e as _E_CHARGE, h as _PLANCK, hbar as _HBAR
 
-from .circuit import FrequencyGrid
+from .circuit import FrequencyGrid, NetlistResponse
 from .frankenstein import VOLTAGE_BIAS, JunctionRow, junction_port, wave_port
 
 # Off-lattice stability probe of a sub-lattice solve: a seeded unit perturbation
@@ -75,15 +79,6 @@ PROBE_ZERO_PAD = 2
 # one long one (a stride-3 lattice of DEFAULT_GRID, N_s = 10923: 13.5 ms
 # against 10.2 ms per step on a 2-CPU Xeon).
 SPLIT_BINS = 8192
-
-
-class DivergenceError(RuntimeError):
-    """Raised when the iteration produces non-finite junction current;
-    `iterations` is the step at which it did."""
-
-    def __init__(self, message: str, iterations: int):
-        super().__init__(message)
-        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -219,22 +214,27 @@ def tone_amplitude(power_dbm: float, impedance: float, phase: float = 0.0) -> co
 
 @dataclass(frozen=True)
 class SolutionState:
-    """Converged (or best-effort) junction-circuit steady state.
+    """Junction-circuit state where a solve stopped, self-contained: it keeps
+    the `response` it was solved on, which `outputs`, `gain` and
+    `power_balance` read.
 
     Spectra are one-sided half-amplitude arrays over the grid bins.
-    `residual` is the final fixed-point step size as a fraction of i_c;
-    `converged` False flags the parametric-oscillation regime rather than an
-    error.  `stride` is the lattice the loop ran on (bins 0, stride, ...).
+    `residual` is the last fixed-point step size as a fraction of i_c.
+    `stride` is the lattice the loop ran on (bins 0, stride, ...).
     `off_lattice_growth` is the probe's last-step growth ratio of an
     off-lattice perturbation under the Picard map's tangent (0 only when the
     tangent annihilated it, as on a row without feedback; NaN when no probe
-    ran); a ratio of 1 or more marks the point unconverged.  `a_out` and
-    `port_kinds` are filled by `outputs`.
+    ran).  Each stop reads from the state alone: `converged` True is a
+    converged point; otherwise `off_lattice_growth >= 1` is a probe-masked
+    sub-lattice point, a non-finite `residual` a diverged one (its `i_j` is
+    the non-finite iterate, `iterations` the step that blew up), and
+    anything else an exhausted iteration budget (the parametric-oscillation
+    signature).  `a_out` is filled by `outputs`.
     """
 
     bias: BiasPoint
     stimulus: Stimulus
-    grid: FrequencyGrid
+    response: NetlistResponse
     zero_pad: int
     i_j: np.ndarray
     v_j: np.ndarray
@@ -244,7 +244,10 @@ class SolutionState:
     stride: int
     off_lattice_growth: float
     a_out: np.ndarray | None = None
-    port_kinds: tuple | None = None
+
+    @property
+    def grid(self) -> FrequencyGrid:
+        return self.response.grid
 
 
 def _bias_bin(bias: BiasPoint, grid: FrequencyGrid) -> int:
@@ -506,8 +509,10 @@ def iterate(
     Returns
     -------
     SolutionState
-        Best state reached; `a_out` is left unset.  The whole solve-point
-        pipeline is `outputs(iterate(junction_row(F), bias, stim, options), F)`.
+        Where the loop stopped, on `row.response`: a step whose largest
+        change is non-finite ends it unconverged, with that iterate and a
+        non-finite residual, and raises nothing.  `a_out` is left unset; the
+        whole pipeline is `outputs(iterate(junction_row(F), bias, stim, options))`.
     """
     response = row.response
     grid = response.grid
@@ -535,21 +540,19 @@ def iterate(
     iterations = 0
     current = current[::s].copy()
     spare, diff, size = np.empty_like(current), np.empty_like(current), np.empty(current.size)
-    with np.errstate(invalid="ignore", over="ignore"):  # DivergenceError reports a blow-up
+    with np.errstate(invalid="ignore", over="ignore"):  # the residual reports a blow-up
         for iterations in range(1, options.max_iterations + 1):
             updated = step(current, spare)
             delta = float(np.max(np.abs(np.subtract(updated, current, out=diff), out=size)))
-            if not np.isfinite(delta):
-                raise DivergenceError(
-                    f"junction current became non-finite at iteration {iterations}", iterations
-                )
             current, spare = updated, current
+            if not np.isfinite(delta):
+                break
             if delta < tol_abs or delta == 0.0:
                 converged = True
                 break
-    i_j = np.zeros(n, dtype=complex)
-    i_j[::s] = current
-    v_j = drive + row.f_jj * i_j
+        i_j = np.zeros(n, dtype=complex)
+        i_j[::s] = current
+        v_j = drive + row.f_jj * i_j
     growth = float("nan")
     if s > 1 and converged and bias.i_c > 0:
         probe = replace(options, zero_pad=min(options.zero_pad, PROBE_ZERO_PAD))
@@ -559,54 +562,55 @@ def iterate(
     return SolutionState(
         bias=bias,
         stimulus=stim,
-        grid=grid,
+        response=response,
         zero_pad=options.zero_pad,
         i_j=i_j,
         v_j=v_j,
         iterations=iterations,
         converged=converged,
-        residual=delta / bias.i_c if bias.i_c > 0 else 0.0,
+        # At i_c = 0 a finite step reads 0, and a blow-up stays non-finite.
+        residual=delta / bias.i_c if bias.i_c > 0 else delta * 0.0,
         stride=s,
         off_lattice_growth=growth,
     )
 
 
-def outputs(state: SolutionState, f_matrix, *, bins=None) -> SolutionState:
+def outputs(state: SolutionState, *, bins=None) -> SolutionState:
     """Outgoing amplitudes at every port from the solved junction current.
 
     The junction column of F multiplies the junction current; the remaining
     columns multiply the incident amplitudes (stimulus tones, and the DC bias
     voltage at bin zero of voltage-bias ports, where the junction row is kept
-    stiff).  `f_matrix` is the response the state was solved on, read
-    through its `rows` method on the state's lattice (bins 0, stride, ...),
-    where all inputs live, so `a_out` is exactly 0 off it.  `bins` (an index
-    array) reads those bins instead and leaves `a_out` 0 elsewhere, which is
-    all a caller reporting only those bins needs.  Returns a copy of the state
-    with `a_out` and `port_kinds` set.
+    stiff).  F is `state.response`, the response the state was solved on,
+    read through its `rows` method on the state's lattice (bins 0, stride,
+    ...), where all inputs live, so `a_out` is exactly 0 off it.  `bins` (an
+    index array) reads those bins instead and leaves `a_out` 0 elsewhere,
+    which is all a caller reporting only those bins needs.  A diverged state
+    gives non-finite amplitudes.  Returns a copy of the state with `a_out`
+    set.
     """
-    grid = state.grid
-    if f_matrix.grid != grid:
-        raise ValueError("response matrix grid does not match the solution grid")
-    j, w = junction_port(f_matrix.kinds), wave_port(f_matrix.kinds)
+    response, grid = state.response, state.grid
+    kinds = response.kinds
+    j, w = junction_port(kinds), wave_port(kinds)
     read = slice(None, None, state.stride) if bins is None else np.asarray(bins, dtype=int)
-    n_ports = f_matrix.n_ports
+    n_ports = response.n_ports
     x = np.zeros((n_ports, grid.size), dtype=complex)
-    for k, amp in _tone_entries(state.stimulus, grid, f_matrix.kinds):
+    for k, amp in _tone_entries(state.stimulus, grid, kinds):
         x[w, k] += amp
-    for i, pk in enumerate(f_matrix.kinds):
+    for i, pk in enumerate(kinds):
         if pk.kind == VOLTAGE_BIAS:
             x[i, 0] = state.bias.v_dc
     x[j] = state.i_j
-    f_read = f_matrix.rows(read)
+    f_read = response.rows(read)
     a_out = np.zeros((n_ports, grid.size), dtype=complex)
     a_out[:, read] = np.einsum("fij,jf->if", f_read, x[:, read])
     # Stiff bias: the junction row must not see the DC bias at omega = 0.
     at_dc = np.nonzero(np.arange(grid.size)[read] == 0)[0]
     if at_dc.size:
-        for i, pk in enumerate(f_matrix.kinds):
+        for i, pk in enumerate(kinds):
             if pk.kind == VOLTAGE_BIAS:
                 a_out[j, 0] -= f_read[at_dc[0], j, i] * x[i, 0]
-    return replace(state, a_out=a_out, port_kinds=f_matrix.kinds)
+    return replace(state, a_out=a_out)
 
 
 @dataclass(frozen=True)
@@ -625,15 +629,16 @@ def power_balance(state: SolutionState) -> PowerBalance:
     compares with V_dc times the DC current drawn from each voltage-bias
     port.  Bin zero carries no wave power.
     """
-    if state.a_out is None or state.port_kinds is None:
+    if state.a_out is None:
         raise ValueError("power balance requires a state completed by outputs()")
-    w = wave_port(state.port_kinds)
-    impedance = state.port_kinds[w].impedance
+    kinds = state.response.kinds
+    w = wave_port(kinds)
+    impedance = kinds[w].impedance
     rf = 2.0 * np.sum(np.abs(state.a_out[w, 1:]) ** 2) / impedance
-    for _, amp in _tone_entries(state.stimulus, state.grid, state.port_kinds):
+    for _, amp in _tone_entries(state.stimulus, state.grid, kinds):
         rf -= 2.0 * abs(amp) ** 2 / impedance
     dc = 0.0
-    for i, pk in enumerate(state.port_kinds):
+    for i, pk in enumerate(kinds):
         if pk.kind == VOLTAGE_BIAS:
             dc += state.bias.v_dc * state.a_out[i, 0].real
     scale = max(abs(rf), abs(dc), 1e-30)
@@ -643,11 +648,12 @@ def power_balance(state: SolutionState) -> PowerBalance:
 def gain(state: SolutionState, f_s: float) -> float:
     """Power gain in dB at the stimulated frequency f_s: the reflected wave
     over the incident tone, both at the response's one wave port."""
-    if state.a_out is None or state.port_kinds is None:
+    if state.a_out is None:
         raise ValueError("gain requires a state completed by outputs()")
+    kinds = state.response.kinds
     k = int(round(f_s / state.grid.spacing))
-    entries = _tone_entries(state.stimulus, state.grid, state.port_kinds)
+    entries = _tone_entries(state.stimulus, state.grid, kinds)
     amp_in = sum(a for kk, a in entries if kk == k)
     if amp_in == 0:
         raise ValueError(f"no stimulus tone at {f_s:g} Hz")
-    return 20.0 * np.log10(abs(state.a_out[wave_port(state.port_kinds), k]) / abs(amp_in))
+    return 20.0 * np.log10(abs(state.a_out[wave_port(kinds), k]) / abs(amp_in))

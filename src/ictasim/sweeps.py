@@ -6,8 +6,9 @@ physically continuous axis.  A profile is one chain along ascending signal
 frequency, a gain map one such chain per bias row, and a compression curve
 one chain along ascending power per stimulus phase.  A warm start is taken
 only from a converged neighbor; an oscillating spectrum would poison the
-next point.  A point that exhausts its iteration budget or diverges is
-masked (NaN gain and balance) and the next point starts cold, so no single
+next point.  A point that exhausts its iteration budget, is masked by the
+off-lattice probe or diverges reads unconverged from its state alone; it
+gets NaN gain and balance and the next point starts cold, so no single
 point aborts a sweep.  Map rows are independent and may be solved in
 parallel without changing any result, since each chain is self-contained
 and the merge order is fixed.
@@ -39,7 +40,6 @@ from .design import longest_run
 from .frankenstein import junction_row, wave_port
 from .solver import (
     BiasPoint,
-    DivergenceError,
     SolverOptions,
     Stimulus,
     dbm_to_watts,
@@ -145,8 +145,9 @@ def _chain(
     """Warm-start chain over single-tone stimuli, in order, at a fixed bias.
 
     Returns (gain_db, converged, balance_error, iterations) per stimulus.  An
-    unconverged or diverged point gets NaN gain and balance, and the next
-    point starts cold; a diverged point records the iteration it diverged at.
+    unconverged point (a diverged one included, with the step that blew up
+    as its iterations) gets NaN gain and balance, and the next point starts
+    cold.
     """
     row = junction_row(response)
     n = len(stimuli)
@@ -156,17 +157,12 @@ def _chain(
     iterations = np.zeros(n, dtype=int)
     warm = None
     for i, stim in enumerate(stimuli):
-        try:
-            state = iterate(row, bias, stim, options, initial=warm)
-        except DivergenceError as err:
-            iterations[i] = err.iterations
-            warm = None
-            continue
+        state = iterate(row, bias, stim, options, initial=warm)
         iterations[i] = state.iterations
         converged[i] = state.converged
         warm = state.i_j if state.converged else None
         if state.converged:
-            state = outputs(state, response)
+            state = outputs(state)
             gain_db[i] = gain(state, stim.tones[0].frequency)
             balance[i] = power_balance(state).relative_error
     return gain_db, converged, balance, iterations
@@ -584,8 +580,8 @@ def pump_emission(
     bandwidth around f_dc (the bare line when bandwidth is 0) and converts it
     to a photon rate at f_dc.  Harmonic line labels at 2 f_dc, 3 f_dc ... are
     reported as long as they stay on the grid.  An unconverged state still
-    reports its power; a diverged one reports NaN power, unconverged.  The
-    response is read only at the reported bins.
+    reports its power; a diverged one reports NaN power and harmonic lines,
+    unconverged.  The response is read only at the reported bins.
     """
     grid = response.grid
     bias = replace(bias, f_dc=round_bias(bias.f_dc, grid))
@@ -595,19 +591,14 @@ def pump_emission(
     half = max(0, int(round(0.5 * bandwidth / grid.spacing)))
     lo, hi = max(1, m - half), min(grid.size - 1, m + half)
     harmonic_bins = np.arange(2 * m, grid.size, m)
-    row = junction_row(response)
-    try:
-        state = iterate(row, bias, Stimulus.none(), options)
-    except DivergenceError:
-        nan = float("nan")
-        return EmissionResult(bias.f_dc, nan, nan, 2 * half * grid.spacing, converged=False)
-    state = outputs(state, response, bins=np.r_[lo : hi + 1, harmonic_bins])
+    state = iterate(junction_row(response), bias, Stimulus.none(), options)
+    state = outputs(state, bins=np.r_[lo : hi + 1, harmonic_bins])
     a = state.a_out[idx]
     power = float(np.sum(np.abs(a[lo : hi + 1]) ** 2) / (2.0 * impedance))
     harmonics = []
     for k in harmonic_bins:
         p_k = abs(a[k]) ** 2 / (2.0 * impedance)
-        harmonics.append(watts_to_dbm(p_k) if p_k > 0 else float("-inf"))
+        harmonics.append(float("-inf") if p_k == 0 else watts_to_dbm(p_k))
     return EmissionResult(
         frequency=bias.f_dc,
         power_watts=power,
@@ -800,9 +791,8 @@ def write_compression_csv(curve: CompressionCurve, path) -> None:
     )
 
 
-def read_compression_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read back (phases, power_in_dbm, gain_db) rows from a curve CSV."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    data = np.atleast_1d(data)
-    keep = data["converged"] > 0
-    return data["phase_rad"][keep], data["power_in_dbm"][keep], data["gain_db"][keep]
+def read_compression_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read back the (phases, power_in_dbm, gain_db, converged) columns of a
+    curve CSV, every row, converged or not."""
+    data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+    return data["phase_rad"], data["power_in_dbm"], data["gain_db"], data["converged"] > 0

@@ -26,8 +26,7 @@ from ictasim.solver import (
 
 def solve(f_matrix, bias, stim, **options):
     """Junction row, iteration and port outputs of one point."""
-    state = iterate(junction_row(f_matrix), bias, stim, SolverOptions(**options))
-    return outputs(state, f_matrix)
+    return outputs(iterate(junction_row(f_matrix), bias, stim, SolverOptions(**options)))
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,7 @@ def plain_iterate(row, bias, stim, options, initial=None):
     return SolutionState(
         bias=bias,
         stimulus=stim,
-        grid=grid,
+        response=response,
         zero_pad=options.zero_pad,
         i_j=current,
         v_j=drive + row.f_jj * current,

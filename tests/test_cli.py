@@ -460,6 +460,17 @@ def test_threads_below_one_rejected(tmp_path, capsys, threads):
         run(load_config(str(path)), out, threads=int(threads))
 
 
+def test_threads_only_for_gainmap(tmp_path, capsys):
+    # Only a gain map has rows to spread over workers.
+    path = write_config(tmp_path, profile_sweep(signal_count=2))
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as stop:
+        main(["profile", "--config", str(path), "--out", str(out), "--threads", "2"])
+    assert stop.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unconverged_run_exits_zero_with_warning(tmp_path, capsys):
     path = write_config(
         tmp_path, profile_sweep(signal_count=2), solver={"max_iterations": 2}
@@ -554,6 +565,31 @@ def write_two_phase_csv(tmp_path):
             lines.append(f"{theta:.11e},{p:.11e},{g:.11e},1,0.0")
     csv.write_text("\n".join(lines) + "\n")
     return csv
+
+
+def write_three_phase_csv(tmp_path):
+    # The middle phase row converged nowhere.
+    powers = np.linspace(-130.0, -95.0, 20)
+    csv = tmp_path / "compression.csv"
+    lines = ["phase_rad,power_in_dbm,gain_db,converged,balance_error"]
+    for theta, g0, ok in ((0.0, 14.0, 1), (0.7853981634, 11.0, 0), (1.5707963268, 17.0, 1)):
+        for p, g in zip(powers, rapp_gain_db(powers, g0, -100.0, 1.0)):
+            lines.append(f"{theta:.11e},{p:.11e},{g:.11e},{ok},0.0")
+    csv.write_text("\n".join(lines) + "\n")
+    return csv
+
+
+def test_fit_numbers_every_phase_row(tmp_path, capsys):
+    csv = write_three_phase_csv(tmp_path)
+    fit = ["fit", "--in", str(csv), "--out", str(tmp_path)]
+    assert main(fit + ["--phase-index", "2"]) == 0
+    result = json.loads((tmp_path / "fit.json").read_text())
+    assert result["gain_db"] == pytest.approx(17.0, abs=0.05)
+    capsys.readouterr()
+    assert main(fit + ["--phase-index", "1"]) == 1
+    assert "converged" in capsys.readouterr().err
+    assert main(fit) == 2
+    assert "3 phase rows" in capsys.readouterr().err
 
 
 def test_fit_degenerate_csv_needs_phase_index(tmp_path, capsys):

@@ -77,10 +77,10 @@ def test_sub_lattice_outputs_match_full_read(canonical_net, coarse_grid, monkeyp
     state = iterate(junction_row(lazy), BiasPoint(12e9, 280e-9), stim, FAST)
     assert state.converged and state.stride == 150
     assert asked == [4.8e9]  # the drive reads the tone bin alone
-    fast = outputs(state, lazy)
+    fast = outputs(state)
     lattice = np.arange(0, coarse_grid.size, state.stride)
     assert sorted(set(asked)) == list(lattice * coarse_grid.spacing)
-    full = outputs(replace(state, stride=1), eager_response(canonical_net, coarse_grid))
+    full = outputs(replace(state, stride=1, response=eager_response(canonical_net, coarse_grid)))
     assert np.array_equal(fast.a_out[:, lattice], full.a_out[:, lattice])
     off = np.ones(coarse_grid.size, dtype=bool)
     off[lattice] = False

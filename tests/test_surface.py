@@ -1,7 +1,7 @@
 """The public surface: `ictasim.__all__`, what the demos import from it, the
-module attributes the benchmark tracer wraps, the config schema the
-benchmark's generated configs rely on, and no unused import or definition in
-the library."""
+module attributes the benchmark tracer wraps and what it reads of a solve,
+the config schema the benchmark's generated configs rely on, and no unused
+import or definition in the library."""
 
 import ast
 import importlib
@@ -12,6 +12,8 @@ from pathlib import Path
 
 import ictasim
 from ictasim.cli import load_config
+from ictasim.frankenstein import junction_row
+from ictasim.solver import BiasPoint, Stimulus, iterate
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
@@ -49,6 +51,30 @@ def test_traced_names_resolve_to_callables():
         if not callable(target) or Path(inspect.getfile(target)).resolve().parent != SOURCES:
             missing.append((module, attr))
     assert missing == []
+
+
+def test_traced_solve_reads_resolve(canonical_f):
+    # The tracer reads `iterate`'s bias and stimulus as its second and third
+    # positional arguments, and some attributes of the state it returns.
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    after = next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_after_iterate"
+    )
+    read = {
+        node.attr
+        for node in ast.walk(after)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "state"
+    }
+    assert {"grid", "iterations", "converged", "zero_pad"} <= read
+    assert list(inspect.signature(iterate).parameters)[:3] == ["row", "bias", "stim"]
+    state = iterate(
+        junction_row(canonical_f), BiasPoint(f_dc=12e9, i_c=280e-9), Stimulus.single(6.4e9, -140.0)
+    )
+    assert sorted(name for name in read if not hasattr(state, name)) == []
 
 
 def test_benchmark_configs_load(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Sweep orchestration, saturation-model fitting, and emission tests."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.optimize import brentq
 from ictasim import sweeps
 from ictasim.circuit import DEFAULT_GRID, FrequencyGrid, IctaParams, build_icta, frankenstein_matrix
 from ictasim.frankenstein import PortKind, junction_row
-from ictasim.solver import BiasPoint, DivergenceError, Stimulus, _picard_step
+from ictasim.solver import BiasPoint, Stimulus, _picard_step
 from ictasim.sweeps import (
     CompressionCurve,
     FitFailedError,
@@ -577,12 +578,15 @@ def test_diverged_point_is_masked(canonical_f, monkeypatch):
     real_iterate = sweeps.iterate
 
     def iterate(row, bias, stim, *args, **kwargs):
-        # diverge at f_s = fs[1], -140 dBm on the F_DC row, and on pump-only solves
+        # diverge at f_s = fs[1], -140 dBm on the F_DC row, and on pump-only
+        # solves: an infinite f_jj on the pump bin blows up the first step
         tones = stim.tones
         if not tones or (
             bias.f_dc == F_DC and tones[0].frequency == fs[1] and tones[0].power_dbm == -140.0
         ):
-            raise DivergenceError("forced divergence", 7)
+            f_jj = row.f_jj.copy()
+            f_jj[round(bias.f_dc / row.response.grid.spacing)] = np.inf
+            row = replace(row, f_jj=f_jj)
         return real_iterate(row, bias, stim, *args, **kwargs)
 
     monkeypatch.setattr(sweeps, "iterate", iterate)
@@ -597,11 +601,12 @@ def test_diverged_point_is_masked(canonical_f, monkeypatch):
         keep[bad] = False
         assert got.converged[keep].all()
         assert np.all(np.abs(gain_db[keep] - ref_gain[keep]) < 0.01)
-    assert masked[0].iterations[1] == 7
+    assert masked[0].iterations[1] == 1
 
     emission = pump_emission(canonical_f, bias, options=FAST)
     assert not emission.converged
     assert np.isnan(emission.power_watts) and np.isnan(emission.photon_rate)
+    assert emission.harmonics_dbm and np.all(np.isnan(emission.harmonics_dbm))
 
 
 # ---------------------------------------------------------------- files
@@ -681,15 +686,16 @@ def test_compression_csv_roundtrip(tmp_path):
         power_in_dbm=powers,
         gain_db=np.vstack([rapp_gain_db(powers, 10.0, -101.0, 1.0)] * 2) + [[0.0], [1.0]],
         phases=np.array([0.0, np.pi / 2]),
-        converged=np.ones((2, 9), dtype=bool),
+        converged=np.arange(18).reshape(2, 9) != 4,
         balance_error=np.zeros((2, 9)),
         signal_frequency=6.4e9,
         bias=BiasPoint(f_dc=F_DC, i_c=I_C),
     )
     path = tmp_path / "curve.csv"
     write_compression_csv(curve, path)
-    phases, p_in, g = read_compression_csv(path)
-    assert phases.size == 18
+    phases, p_in, g, converged = read_compression_csv(path)
+    assert phases.size == 18  # unconverged rows included
+    np.testing.assert_array_equal(converged, curve.converged.ravel())
     np.testing.assert_allclose(np.unique(phases), curve.phases)
     np.testing.assert_allclose(p_in[:9], powers, rtol=1e-11)
     np.testing.assert_allclose(g, curve.gain_db.ravel(), rtol=1e-10)
