@@ -23,16 +23,27 @@ only it balances against the DC supply V_dc * I_dc.
 
 Lattices: with the pump on bin m and tones on bins k_i, every mixing product
 lies on a multiple of s = gcd(m, k_i), and the iteration keeps that support
-exactly.  A stimulated solve therefore runs on the lattice of bins 0, s,
-2s, ... (N_s = ceil(N / s) of them) and lifts its result back to the grid;
-a stimulus-free solve keeps s = 1.  Time-domain signals are sampled on
-n_t = 2 * zero_pad * N_s points covering one full period 1 / (s * spacing)
-of the lattice, so every lattice tone is exactly periodic and leakage-free;
-products of tones alias only from above zero_pad * f_max, which the sin()
-harmonic decay makes negligible.  An oscillation off the lattice cannot show
-on it, so a converged sub-lattice point takes a few full-grid steps (zero_pad
-2) of the Picard map's tangent at its lifted state from a seeded off-lattice
-perturbation, and is marked unconverged if that perturbation grows.
+exactly.  A solve runs on a `Lattice` and lifts its result back to the grid.
+The stride lattice holds the bins 0, s, 2s, ... (N_s = ceil(N / s) of them);
+stimulus-free (s = 1) and multi-tone solves run on it.  A single tone on bin
+k runs first on embedded lattices: quasi-periodic harmonic balance with an
+artificial frequency map, product a * m + b * k (in units of s) on lattice
+bin a * alpha + b * beta for |b| <= (alpha - 1) / 2, with beta near
+alpha * k / m.  A bin of negative physical frequency holds the conjugate of
+its grid bin, and a bin above the grid sees no response, so the step runs
+unchanged given each bin's signed frequency.  Orders beyond the box alias,
+so alpha climbs ALPHA_LADDER until the current on the two outermost orders
+falls below TAIL_BOUND * i_c; when no rung settles, the stride lattice
+decides.  No two products of the box share a grid bin, because m / s exceeds
+the top alpha wherever a solve embeds.  Time-domain signals are sampled on
+n_t = 2 * zero_pad * N points for a lattice of N bins, covering one full
+period of the lattice, so every lattice tone is exactly periodic and
+leakage-free; products of tones alias only from above zero_pad times the
+lattice's top frequency, which the sin() harmonic decay makes negligible.
+An oscillation on grid bins a lattice does not cover cannot show on it, so a
+converged point whose lattice leaves bins out takes a few full-grid steps
+(zero_pad 2) of the Picard map's tangent at its lifted state from a seeded
+perturbation on those bins, and is marked unconverged if it grows.
 
 Time grid layout: a lattice of N_s bins, N_s a power of two of at least
 SPLIT_BINS (the full DEFAULT_GRID, and its stride-2 and stride-4
@@ -44,7 +55,8 @@ one twiddled fold of the lattice spectrum, and the lattice bins are twiddled
 sums over the phase spectra.  It agrees with the single n_t-point transform
 to rounding (about 1e-16 i_c per step), and its batch of short transforms
 fits in cache.  Every other lattice (the sub-lattices of a profile or map,
-and grids of a few thousand bins) runs the single transform.
+embedded lattices, and grids of a few thousand bins) runs the single
+transform.
 """
 
 from __future__ import annotations
@@ -55,6 +67,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.constants import e as _E_CHARGE, h as _PLANCK, hbar as _HBAR
+from scipy.fft import next_fast_len
 
 from .circuit import FrequencyGrid, NetlistResponse
 from .frankenstein import VOLTAGE_BIAS, JunctionRow, junction_port, wave_port
@@ -70,6 +83,16 @@ PROBE_STEPS = 8
 # own aliasing (its bins from 2N up fold back) sets it apart from zero_pad 4:
 # under 1e-9 in the ratio on DEFAULT_GRID profile states at I_c 280 nA.
 PROBE_ZERO_PAD = 2
+
+# Embedded lattices: the box orders alpha a single-tone solve tries in turn,
+# and the bound on the 2-norm of its current on the two outermost signal
+# orders, as a fraction of i_c, under which it accepts one.  The gain moves
+# by about 40 * tail**2 dB against the full grid (1.5e-11 dB at a tail of
+# 8.6e-7 on DEFAULT_GRID), so under the bound it agrees to rounding, about
+# 1e-14 dB.  The top rung, 3 * 128 + 1, holds order 190, where 190 f_s - 89
+# f_dc = -10 MHz at f_s = 5.621 GHz and f_dc = 12 GHz.
+ALPHA_LADDER = (17, 33, 65, 129, 257, 385)
+TAIL_BOUND = 1e-8
 
 # A lattice of N_s bins runs the padded time grid of a step as 2 * zero_pad
 # interleaved length-N_s transforms when N_s is a power of two of at least
@@ -212,6 +235,121 @@ def tone_amplitude(power_dbm: float, impedance: float, phase: float = 0.0) -> co
     return np.sqrt(2.0 * impedance * dbm_to_watts(power_dbm)) * np.exp(1j * phase)
 
 
+@dataclass(frozen=True, eq=False)
+class Lattice:
+    """The spectral bins a solve runs on, and where each sits on the grid.
+
+    Lattice bin v stands for grid bin `grid_bins[v]` (-1: off the grid, where
+    the response reads 0), conjugated where `conjugate[v]`, that is where its
+    physical frequency `frequencies[v]` (signed, Hz) is negative.  `pump` and
+    `tones` are the lattice bins of the pump and of each tone, and every grid
+    bin the lattice covers is a multiple of `unit`, the gcd s of the pump and
+    tone bins.  A stride lattice (`alpha` 0) holds the grid bins 0, s, 2s,
+    ...  An embedded lattice holds the mixing product a * m + b * k of a pump
+    on grid bin m and a tone on bin k, in units of s, on bin
+    v = a * alpha + b * beta for |b| <= (alpha - 1) / 2; `orders` holds b.
+    """
+
+    grid_bins: np.ndarray
+    conjugate: np.ndarray
+    frequencies: np.ndarray
+    pump: int
+    tones: tuple[int, ...]
+    grid_size: int
+    unit: int
+    alpha: int = 0
+    orders: np.ndarray | None = None
+
+    @classmethod
+    def stride(cls, grid: FrequencyGrid, m: int, s: int, tones: Sequence[int] = ()) -> "Lattice":
+        """The grid bins 0, s, 2s, ... of a pump on bin m and tones on
+        `tones`, all multiples of s."""
+        bins = np.arange(0, grid.size, s)
+        return cls(
+            grid_bins=bins,
+            conjugate=np.zeros(bins.size, dtype=bool),
+            frequencies=grid.frequencies[::s].copy(),
+            pump=m // s,
+            tones=tuple(k // s for k in tones),
+            grid_size=grid.size,
+            unit=s,
+        )
+
+    @classmethod
+    def embedded(cls, grid: FrequencyGrid, m: int, k: int, s: int, alpha: int) -> "Lattice":
+        """Products of a pump on bin m and a tone on bin k (gcd s) up to
+        signal order (alpha - 1) / 2, with beta the integer coprime with odd
+        `alpha` nearest alpha * k / m, on the fewest bins of a 5-smooth count
+        that hold every such product on the grid."""
+        m1, k1, n_s = m // s, k // s, -(-grid.size // s)
+        half = (alpha - 1) // 2
+        beta = min(
+            (b for b in range(1, 2 * alpha * k1 // m1 + 3) if math.gcd(b, alpha) == 1),
+            key=lambda b: abs(b * m1 - alpha * k1),
+        )
+        # Per order b, the highest product on the grid has a = floor((n_s - 1 - b k1) / m1).
+        b = np.arange(-half, half + 1)
+        top = int(np.max((n_s - 1 - b * k1) // m1 * alpha + b * beta))
+        v = np.arange(next_fast_len(top + 1, real=True))
+        orders = v * pow(beta, -1, alpha) % alpha
+        orders[orders > half] -= alpha
+        physical = (v - orders * beta) // alpha * m1 + orders * k1
+        return cls(
+            grid_bins=np.where(np.abs(physical) < n_s, np.abs(physical) * s, -1),
+            conjugate=physical < 0,
+            frequencies=grid.spacing * (physical * s).astype(float),
+            pump=alpha,
+            tones=(beta,),
+            grid_size=grid.size,
+            unit=s,
+            alpha=alpha,
+            orders=orders,
+        )
+
+    @property
+    def size(self) -> int:
+        return self.grid_bins.size
+
+    @property
+    def covered(self) -> np.ndarray:
+        """Mask of the grid bins the lattice holds."""
+        mask = np.zeros(self.grid_size, dtype=bool)
+        mask[self.grid_bins[self.grid_bins >= 0]] = True
+        return mask
+
+    @property
+    def _stride(self) -> slice | None:
+        """The grid slice a stride lattice is, which `lift` and `gather` use
+        to keep its spectra as views; None for an embedded lattice."""
+        return slice(None, None, self.unit) if self.alpha == 0 else None
+
+    def lift(self, x: np.ndarray) -> np.ndarray:
+        """The grid spectrum of lattice spectrum `x`; bins off the grid drop."""
+        out = np.zeros(self.grid_size, dtype=complex)
+        if self._stride:
+            out[self._stride] = x
+            return out
+        on = self.grid_bins >= 0
+        out[self.grid_bins[on]] = np.where(self.conjugate, np.conjugate(x), x)[on]
+        return out
+
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        """The lattice spectrum of grid spectrum `x`, 0 off the grid; for a
+        stride lattice, a view of `x`."""
+        if self._stride:
+            return x[self._stride]
+        out = np.take(x, self.grid_bins, mode="clip").astype(complex, copy=False)
+        out[self.grid_bins < 0] = 0.0
+        np.conjugate(out, out=out, where=self.conjugate)
+        return out
+
+    def tail(self, x: np.ndarray) -> float:
+        """2-norm of lattice spectrum `x` on the two outermost signal orders
+        of an embedded lattice."""
+        outer = np.abs(self.orders) >= (self.alpha - 1) // 2 - 1
+        return float(np.sqrt(np.sum(np.abs(x[outer]) ** 2)))
+
+
 @dataclass(frozen=True)
 class SolutionState:
     """Junction-circuit state where a solve stopped, self-contained: it keeps
@@ -219,17 +357,20 @@ class SolutionState:
     `power_balance` read.
 
     Spectra are one-sided half-amplitude arrays over the grid bins.
-    `residual` is the last fixed-point step size as a fraction of i_c.
-    `stride` is the lattice the loop ran on (bins 0, stride, ...).
-    `off_lattice_growth` is the probe's last-step growth ratio of an
-    off-lattice perturbation under the Picard map's tangent (0 only when the
-    tangent annihilated it, as on a row without feedback; NaN when no probe
-    ran).  Each stop reads from the state alone: `converged` True is a
-    converged point; otherwise `off_lattice_growth >= 1` is a probe-masked
-    sub-lattice point, a non-finite `residual` a diverged one (its `i_j` is
-    the non-finite iterate, `iterations` the step that blew up), and
-    anything else an exhausted iteration budget (the parametric-oscillation
-    signature).  `a_out` is filled by `outputs`.
+    `residual` is the last fixed-point step size as a fraction of i_c, and
+    `iterations` counts the steps of every lattice the solve ran.  `lattice`
+    is the `Lattice` the solve ended on; `stride` reads its unit s (every
+    bin it covers is a multiple of s).  `tail` is the guard of an embedded
+    lattice: the 2-norm of the current on its two outermost signal orders as
+    a fraction of i_c (NaN on a stride lattice).  `off_lattice_growth` is the
+    probe's last-step growth ratio of a perturbation on the grid bins off the
+    lattice under the Picard map's tangent (0 only when the tangent
+    annihilated it, as on a row without feedback; NaN when no probe ran).
+    Each stop reads from the state alone: `converged` True is a converged
+    point; otherwise `off_lattice_growth >= 1` is a probe-masked point, a
+    non-finite `residual` a diverged one (its `i_j` is the non-finite
+    iterate), and anything else an exhausted iteration budget (the
+    parametric-oscillation signature).  `a_out` is filled by `outputs`.
     """
 
     bias: BiasPoint
@@ -241,13 +382,18 @@ class SolutionState:
     iterations: int
     converged: bool
     residual: float
-    stride: int
+    lattice: Lattice
+    tail: float
     off_lattice_growth: float
     a_out: np.ndarray | None = None
 
     @property
     def grid(self) -> FrequencyGrid:
         return self.response.grid
+
+    @property
+    def stride(self) -> int:
+        return self.lattice.unit
 
 
 def _bias_bin(bias: BiasPoint, grid: FrequencyGrid) -> int:
@@ -299,9 +445,10 @@ def step_bytes(n: int, zero_pad: int) -> int:
 
 
 def _round_trip(frequencies: np.ndarray, m: int, bias: BiasPoint, zero_pad: int):
-    """The two halves of a step on the lattice of bins `frequencies` (uniform
-    from 0, pump on bin m), 2 * zero_pad samples per bin in the layout
-    `_interleaved` picks: `(ramp, to_phase, to_current)`, the bias ramp at the
+    """The two halves of a step on the lattice whose bins have the physical
+    frequencies `frequencies` (signed, bin 0 at 0 Hz, pump on bin m), 2 *
+    zero_pad samples per bin in the layout `_interleaved` picks:
+    `(ramp, to_phase, to_current)`, the bias ramp at the
     samples, `to_phase(v, out)` (the phase samples of the integrated voltage
     spectrum v) and `to_current(samples, out)` (the lattice spectrum of
     i_c * samples; it may overwrite `samples`)."""
@@ -390,10 +537,10 @@ def _picard_step(
     bias: BiasPoint,
     options: SolverOptions,
 ):
-    """One fixed-point step, current -> updated, on the lattice of bins
-    `frequencies` (uniform from 0, pump on bin m): the junction voltage
-    drive + f_jj * current through `_round_trip`, with I_c sin(ramp + phase)
-    between its halves."""
+    """One fixed-point step, current -> updated, on the lattice whose bins
+    have the physical frequencies `frequencies` (pump on bin m): the
+    junction voltage drive + f_jj * current through `_round_trip`, with
+    I_c sin(ramp + phase) between its halves."""
     n = frequencies.size
     relaxation = options.relaxation
     ramp, to_phase, to_current = _round_trip(frequencies, m, bias, options.zero_pad)
@@ -454,13 +601,11 @@ def _tangent_step(
     return step
 
 
-def _off_lattice_growth(step, n: int, stride: int) -> float:
-    """Last-step 2-norm growth ratio of a seeded unit perturbation on the bins
-    off the lattice of `stride` over PROBE_STEPS steps of the tangent `step`;
-    0 only when the last step annihilated it."""
-    off = np.ones(n, dtype=bool)
-    off[::stride] = False
-    re, im = np.random.default_rng(PROBE_SEED).standard_normal((2, n))
+def _off_lattice_growth(step, off: np.ndarray) -> float:
+    """Last-step 2-norm growth ratio of a seeded unit perturbation on the grid
+    bins `off` (a mask) over PROBE_STEPS steps of the tangent `step`; 0 only
+    when the last step annihilated it."""
+    re, im = np.random.default_rng(PROBE_SEED).standard_normal((2, off.size))
     x = re + 1j * im
     x[~off] = 0.0
     # Plain sums of squares: np.linalg.norm can wake idle BLAS threads.
@@ -475,6 +620,40 @@ def _off_lattice_growth(step, n: int, stride: int) -> float:
     return float(np.sqrt(now / before)) if before > 0.0 else float("inf")
 
 
+def _fixed_point(step, current: np.ndarray, tol_abs: float, max_iterations: int):
+    """Steps from a copy of `current` until the largest change falls below
+    `tol_abs` (or is 0), is non-finite, or the budget runs out: (last
+    iterate, iterations, converged, last largest change)."""
+    converged, delta, iterations = False, np.inf, 0
+    current = current.copy()
+    spare, diff, size = np.empty_like(current), np.empty_like(current), np.empty(current.size)
+    for iterations in range(1, max_iterations + 1):
+        updated = step(current, spare)
+        delta = float(np.max(np.abs(np.subtract(updated, current, out=diff), out=size)))
+        current, spare = updated, current
+        if not np.isfinite(delta):
+            break
+        if delta < tol_abs or delta == 0.0:
+            converged = True
+            break
+    return current, iterations, converged, delta
+
+
+def _rungs(grid: FrequencyGrid, m: int, tones: list[int], s: int):
+    """The embedded lattices a single-tone solve tries, in ALPHA_LADDER order,
+    while they stay smaller than the stride lattice.  None when two products
+    within the top alpha's orders could share a grid bin: products
+    a * m + b * k and a' * m + b' * k coincide only when |b - b'| reaches
+    m / s."""
+    if len(tones) != 1 or m // s <= ALPHA_LADDER[-1]:
+        return
+    for alpha in ALPHA_LADDER:
+        lattice = Lattice.embedded(grid, m, tones[0], s, alpha)
+        if lattice.size >= -(-grid.size // s):
+            return
+        yield lattice
+
+
 def iterate(
     row: JunctionRow,
     bias: BiasPoint,
@@ -485,12 +664,18 @@ def iterate(
 ) -> SolutionState:
     """Fixed-point solution of the junction current spectrum.
 
-    A stimulated solve runs on its commensurate lattice: every mixing product
-    of the pump bin m and the tone bins lies on a multiple of their gcd s, so
-    the loop runs on bins 0, s, 2s, ... and the result is lifted back to the
-    grid.  A converged point with s > 1 and i_c > 0 is then probed on the full
-    grid (see `SolutionState.off_lattice_growth`), since an oscillation off
-    the lattice cannot show on it.  A stimulus-free solve keeps s = 1.
+    Every mixing product of the pump bin m and the tone bins lies on a
+    multiple of their gcd s.  A single-tone solve with m / s above the top of
+    ALPHA_LADDER and i_c > 0 first runs on embedded lattices (`Lattice`) of
+    growing alpha, each from the warm start gathered onto it, and keeps the
+    first whose converged current on its two outermost signal orders is
+    below TAIL_BOUND * i_c.  Every other solve, and one that no rung settles (a
+    rung that does not converge, or the top one over the bound), runs on the
+    stride lattice of bins 0, s, 2s, ...; a stimulus-free solve keeps s = 1.
+    The result is lifted back to the grid.  A converged point whose lattice
+    leaves grid bins out is then probed on them (see
+    `SolutionState.off_lattice_growth`), since an oscillation there cannot
+    show on the lattice.
 
     Parameters
     ----------
@@ -501,10 +686,11 @@ def iterate(
     stim : Stimulus
         Input tones (may be empty for pump-only runs).
     options : SolverOptions
-        Tolerance, iteration budget, relaxation and zero padding.
+        Tolerance, iteration budget (per lattice), relaxation and zero padding.
     initial : ndarray, optional
         Warm-start junction current spectrum (grid-sized, half amplitudes);
-        only its bins on the solve's lattice are used.
+        only its bins on the solve's lattice are used.  A rung on which it
+        already misses the tail bound is skipped.
 
     Returns
     -------
@@ -519,45 +705,54 @@ def iterate(
     n = grid.size
     m = _bias_bin(bias, grid)
     entries = _tone_entries(stim, grid, response.kinds)
+    tones = [k for k, _ in entries]
     drive = np.zeros(n, dtype=complex)
     if entries:
         j, w = junction_port(response.kinds), wave_port(response.kinds)
-        coupling = response.rows(np.array([k for k, _ in entries]))[:, j, w]
+        coupling = response.rows(np.array(tones))[:, j, w]
         for (k, amp), c in zip(entries, coupling):
             drive[k] += c * amp
     if initial is None:
-        current = np.zeros(n, dtype=complex)
+        start = np.zeros(n, dtype=complex)
     else:
-        current = np.array(initial, dtype=complex)
-        if current.shape != (n,) or not np.all(np.isfinite(current)):
+        start = np.array(initial, dtype=complex)
+        if start.shape != (n,) or not np.all(np.isfinite(start)):
             raise ValueError("initial spectrum must be finite and grid-sized")
-        current[0] = current[0].real
-    s = math.gcd(m, *(k for k, _ in entries)) if entries else 1
-    step = _picard_step(row.f_jj[::s], drive[::s], grid.frequencies[::s], m // s, bias, options)
+        start[0] = start[0].real
+    s = math.gcd(m, *tones) if tones else 1
     tol_abs = options.tolerance * bias.i_c
-    converged = False
-    delta = np.inf
+
+    def solve_on(lattice: Lattice, current: np.ndarray):
+        step = _picard_step(
+            lattice.gather(row.f_jj), lattice.gather(drive), lattice.frequencies,
+            lattice.pump, bias, options,
+        )
+        return _fixed_point(step, current, tol_abs, options.max_iterations)
+
     iterations = 0
-    current = current[::s].copy()
-    spare, diff, size = np.empty_like(current), np.empty_like(current), np.empty(current.size)
     with np.errstate(invalid="ignore", over="ignore"):  # the residual reports a blow-up
-        for iterations in range(1, options.max_iterations + 1):
-            updated = step(current, spare)
-            delta = float(np.max(np.abs(np.subtract(updated, current, out=diff), out=size)))
-            current, spare = updated, current
-            if not np.isfinite(delta):
+        for lattice in _rungs(grid, m, tones, s) if bias.i_c > 0 else ():
+            current = lattice.gather(start)
+            if lattice.tail(current) >= TAIL_BOUND * bias.i_c:
+                continue  # the warm start already misses the bound here
+            current, count, converged, delta = solve_on(lattice, current)
+            iterations += count
+            tail = lattice.tail(current) / bias.i_c
+            if converged and tail < TAIL_BOUND:
                 break
-            if delta < tol_abs or delta == 0.0:
-                converged = True
-                break
-        i_j = np.zeros(n, dtype=complex)
-        i_j[::s] = current
+        else:  # no rung settled it: the stride lattice decides
+            lattice, tail = Lattice.stride(grid, m, s, tones), float("nan")
+            current, count, converged, delta = solve_on(lattice, lattice.gather(start))
+            iterations += count
+        del start  # a grid-sized array the probe below need not keep alive
+        i_j = lattice.lift(current)
         v_j = drive + row.f_jj * i_j
     growth = float("nan")
-    if s > 1 and converged and bias.i_c > 0:
+    off = ~lattice.covered
+    if converged and bias.i_c > 0 and off.any():
         probe = replace(options, zero_pad=min(options.zero_pad, PROBE_ZERO_PAD))
         tangent = _tangent_step(row.f_jj, v_j, grid.frequencies, m, bias, probe)
-        growth = _off_lattice_growth(tangent, n, s)
+        growth = _off_lattice_growth(tangent, off)
         converged = growth < 1.0
     return SolutionState(
         bias=bias,
@@ -570,7 +765,8 @@ def iterate(
         converged=converged,
         # At i_c = 0 a finite step reads 0, and a blow-up stays non-finite.
         residual=delta / bias.i_c if bias.i_c > 0 else delta * 0.0,
-        stride=s,
+        lattice=lattice,
+        tail=tail,
         off_lattice_growth=growth,
     )
 
@@ -582,8 +778,8 @@ def outputs(state: SolutionState, *, bins=None) -> SolutionState:
     columns multiply the incident amplitudes (stimulus tones, and the DC bias
     voltage at bin zero of voltage-bias ports, where the junction row is kept
     stiff).  F is `state.response`, the response the state was solved on,
-    read through its `rows` method on the state's lattice (bins 0, stride,
-    ...), where all inputs live, so `a_out` is exactly 0 off it.  `bins` (an
+    read through its `rows` method at the grid bins the state's lattice
+    covers, where all inputs live, so `a_out` is exactly 0 off them.  `bins` (an
     index array) reads those bins instead and leaves `a_out` 0 elsewhere,
     which is all a caller reporting only those bins needs.  A diverged state
     gives non-finite amplitudes.  Returns a copy of the state with `a_out`
@@ -592,7 +788,7 @@ def outputs(state: SolutionState, *, bins=None) -> SolutionState:
     response, grid = state.response, state.grid
     kinds = response.kinds
     j, w = junction_port(kinds), wave_port(kinds)
-    read = slice(None, None, state.stride) if bins is None else np.asarray(bins, dtype=int)
+    read = np.flatnonzero(state.lattice.covered) if bins is None else np.asarray(bins, dtype=int)
     n_ports = response.n_ports
     x = np.zeros((n_ports, grid.size), dtype=complex)
     for k, amp in _tone_entries(state.stimulus, grid, kinds):

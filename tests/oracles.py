@@ -13,6 +13,7 @@ from ictasim.circuit import FrequencyGrid, s_matrix
 from ictasim.design import _crossing
 from ictasim.frankenstein import junction_port, junction_row, klmn, to_frankenstein, wave_port
 from ictasim.solver import (
+    Lattice,
     SolutionState,
     SolverOptions,
     _bias_bin,
@@ -95,7 +96,8 @@ def plain_iterate(row, bias, stim, options, initial=None):
     response = row.response
     grid = response.grid
     drive = tone_drive(response, stim)
-    step = _picard_step(row.f_jj, drive, grid.frequencies, _bias_bin(bias, grid), bias, options)
+    m = _bias_bin(bias, grid)
+    step = _picard_step(row.f_jj, drive, grid.frequencies, m, bias, options)
     if initial is None:
         current = np.zeros(grid.size, dtype=complex)
     else:
@@ -119,7 +121,8 @@ def plain_iterate(row, bias, stim, options, initial=None):
         iterations=iterations,
         converged=converged,
         residual=delta / bias.i_c if bias.i_c > 0 else 0.0,
-        stride=1,
+        lattice=Lattice.stride(grid, m, 1),
+        tail=float("nan"),
         off_lattice_growth=float("nan"),
     )
 
@@ -188,9 +191,9 @@ def to_spectrum(samples, grid):
 
 
 def nonlinear_off_lattice_growth(row, state, options=SolverOptions(), size=1e-9, floor=1e-6):
-    """The off-lattice probe of a lifted sub-lattice `state` as 8 nonlinear
-    full-grid Picard steps: a seeded perturbation of size * i_c (2-norm) on
-    the bins off the state's lattice is added to the state, and the result
+    """The off-lattice probe of a lifted `state` as 8 nonlinear full-grid
+    Picard steps: a seeded perturbation of size * i_c (2-norm) on the grid
+    bins its lattice does not cover is added to the state, and the result
     is the last step's 2-norm growth ratio on those bins, 0 when the
     perturbation fell below `floor` of its injected size."""
     grid = row.response.grid
@@ -198,8 +201,7 @@ def nonlinear_off_lattice_growth(row, state, options=SolverOptions(), size=1e-9,
     m = _bias_bin(state.bias, grid)
     step = _picard_step(row.f_jj, drive, grid.frequencies, m, state.bias, options)
     i_c = state.bias.i_c
-    off = np.ones(grid.size, dtype=bool)
-    off[:: state.stride] = False
+    off = ~state.lattice.covered
     re, im = np.random.default_rng(0).standard_normal((2, grid.size))
     noise = re + 1j * im
     noise[~off] = 0.0

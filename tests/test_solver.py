@@ -1,6 +1,7 @@
 """Fixed-point junction solver: spectra, convergence, energy bookkeeping."""
 
 import gc
+import math
 import warnings
 from dataclasses import replace
 
@@ -28,7 +29,15 @@ from ictasim.solver import (
     tone_amplitude,
     watts_to_dbm,
 )
-from ictasim.solver import PROBE_SEED, _picard_step, _tangent_step
+from ictasim.solver import (
+    ALPHA_LADDER,
+    PROBE_SEED,
+    TAIL_BOUND,
+    Lattice,
+    _picard_step,
+    _rungs,
+    _tangent_step,
+)
 from oracles import (
     ArrayResponse,
     bin_power_dbm,
@@ -378,6 +387,98 @@ def test_outputs_keep_bias_stiff(coarse_grid, stim):
     assert np.max(np.abs(a_j - v_j)) <= 1e-12 * np.max(np.abs(v_j))
 
 
+# ---------------------------------------------------------------- lattices
+
+
+@pytest.mark.parametrize("s", [1, 3, 160])
+def test_stride_lattice_is_the_strided_grid(s):
+    grid, m = DEFAULT_GRID, 12000
+    lattice = Lattice.stride(grid, m, s, (5 * s,))
+    rng = np.random.default_rng(s)
+    x = [1.0, 1j] @ rng.standard_normal((2, grid.size))
+    y = x[::s].copy()
+    assert np.array_equal(lattice.gather(x), x[::s])
+    assert np.array_equal(lattice.frequencies, grid.frequencies[::s])
+    lifted = np.zeros(grid.size, dtype=complex)
+    lifted[::s] = y
+    assert np.array_equal(lattice.lift(y), lifted)
+    assert np.array_equal(lattice.gather(lattice.lift(y)), y)
+    assert np.array_equal(lattice.covered, np.arange(grid.size) % s == 0)
+    assert not lattice.conjugate.any() and lattice.alpha == 0
+    assert (lattice.pump, lattice.tones, lattice.unit) == (m // s, (5,), s)
+
+
+@pytest.mark.parametrize("alpha", ALPHA_LADDER)
+@pytest.mark.parametrize("k, s", [(5621, 1), (4501, 1), (6003, 3), (6024, 24), (14003, 1)])
+def test_embedded_lattice_maps_products_to_the_grid(alpha, k, s):
+    grid, m = DEFAULT_GRID, 12000
+    lattice = Lattice.embedded(grid, m, k, s, alpha)
+    on = lattice.grid_bins >= 0
+    bins = lattice.grid_bins[on]
+    assert np.unique(bins).size == bins.size  # each grid bin at most once
+    assert np.all(bins % s == 0) and lattice.unit == s
+    assert lattice.pump == alpha and lattice.grid_bins[alpha] == m
+    (beta,) = lattice.tones
+    assert lattice.grid_bins[beta] == k and math.gcd(alpha, beta) == 1
+    assert not lattice.conjugate[alpha] and not lattice.conjugate[beta]
+    assert np.array_equal(lattice.conjugate, lattice.frequencies < 0)
+    assert np.array_equal(np.abs(lattice.frequencies[on]), grid.frequencies[bins])
+    assert np.all(np.abs(lattice.frequencies[~on]) >= grid.f_max)
+    # Bin v holds product a m + b k with v = a alpha + b beta, |b| <= (alpha - 1) / 2.
+    v = np.arange(lattice.size)
+    assert np.all(np.abs(lattice.orders) <= (alpha - 1) // 2)
+    a = (v - lattice.orders * beta) // alpha
+    assert np.array_equal(a * alpha + lattice.orders * beta, v)
+    assert np.allclose(lattice.frequencies, (a * m + lattice.orders * k) * grid.spacing)
+    # The size is 5-smooth.
+    size = lattice.size
+    for p in (2, 3, 5):
+        while size % p == 0:
+            size //= p
+    assert size == 1
+    rng = np.random.default_rng(alpha)
+    x = np.where(on, [1.0, 1j] @ rng.standard_normal((2, lattice.size)), 0.0)
+    assert np.array_equal(lattice.gather(lattice.lift(x)), x)
+    y = [1.0, 1j] @ rng.standard_normal((2, grid.size))
+    assert np.array_equal(lattice.lift(lattice.gather(y)), np.where(lattice.covered, y, 0.0))
+
+
+def test_embedded_lattice_holds_every_product_on_the_grid():
+    # Every product a m + b k with |b| <= (alpha - 1) / 2 that lies on the
+    # grid has a lattice bin.
+    grid, m, k, alpha = FrequencyGrid(16e6, 2048), 750, 401, 33
+    lattice = Lattice.embedded(grid, m, k, 1, alpha)
+    held = set(zip((lattice.frequencies / grid.spacing).round().astype(int).tolist(),
+                   lattice.orders.tolist()))
+    for b in range(-(alpha // 2), alpha // 2 + 1):
+        for a in range(-5, 6):
+            f = a * m + b * k
+            if 0 < f < grid.size:
+                assert (f, b) in held or (-f, -b) in held
+
+
+def test_solves_that_keep_the_stride_lattice(canonical_f, coarse_grid):
+    # Multi-tone and stimulus-free solves run on the stride lattice, and so
+    # does a single tone whose products could meet on one grid bin within
+    # the top alpha's orders (m / gcd(m, k) at most ALPHA_LADDER[-1]): the
+    # degenerate and pump-line cells, and every cell of the benchmark's coarse
+    # map and 160 MHz profile lattice.
+    row = junction_row(canonical_f)
+    bias = BiasPoint(f_dc=F_DC, i_c=I_C)
+    two_tones = Stimulus((Tone(401 * 16e6, -140.0), Tone(403 * 16e6, -140.0)))
+    for stim in (two_tones, Stimulus.none(), Stimulus.single(6e9, -140.0)):
+        state = iterate(row, bias, stim)
+        assert state.lattice.alpha == 0 and np.isnan(state.tail)
+    assert iterate(row, bias, two_tones).lattice.size == coarse_grid.size
+    map_grid = FrequencyGrid(20e6, 2048)
+    for m in range(416, 897, 32):  # bias rows 8.32 to 17.92 GHz
+        for k in [*range(160, 481, 16), m, m // 2]:
+            assert not list(_rungs(map_grid, m, [k], math.gcd(m, k)))
+    for k in range(5440, 6561, 160):  # the 160 MHz profile lattice at f_dc 12 GHz
+        assert not list(_rungs(DEFAULT_GRID, 12000, [k], math.gcd(12000, k)))
+    assert list(_rungs(DEFAULT_GRID, 12000, [5621], 1))
+
+
 # ---------------------------------------------------------------- sub-lattice solves
 
 
@@ -405,6 +506,59 @@ def test_sub_lattice_matches_full_grid(default_f, f_s, stride):
     assert abs(g_fast - g_oracle) <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "k, stride", [(5621, 1), (5606, 2), (6003, 3), (6006, 6), (6012, 12), (6024, 24)]
+)
+def test_low_strides_run_embedded(default_f, k, stride):
+    # Every pump/tone product of these strides fits a lattice of a few dozen
+    # bins at -140 dBm, where the full grid or the stride lattice holds
+    # 32768 / stride.
+    row = junction_row(default_f)
+    bias = BiasPoint(f_dc=F_DC, i_c=I_C)
+    stim = Stimulus.single(k * 1e6, -140.0)
+    fast = iterate(row, bias, stim)
+    oracle = plain_iterate(row, bias, stim, SolverOptions())
+    assert fast.stride == stride and fast.lattice.alpha in ALPHA_LADDER
+    assert fast.lattice.size < DEFAULT_GRID.size // stride
+    assert 0.0 < fast.tail < TAIL_BOUND and 0.0 < fast.off_lattice_growth < 1.0
+    assert fast.converged == oracle.converged
+    assert abs(gain(outputs(fast), k * 1e6) - gain(outputs(oracle), k * 1e6)) <= 1e-9
+
+
+def test_guard_climbs_the_alpha_ladder(default_f):
+    # 8 f_s - 3 f_dc = 8 MHz: at -108 dBm the near-commensurate products
+    # carry too much current on the outer orders of the smallest lattices.
+    row = junction_row(default_f)
+    bias = BiasPoint(f_dc=F_DC, i_c=I_C)
+    stim = Stimulus.single(4.501e9, -108.0)
+    fast = iterate(row, bias, stim)
+    oracle = plain_iterate(row, bias, stim, SolverOptions())
+    lattice = fast.lattice
+    assert lattice.alpha in ALPHA_LADDER[1:] and 0.0 < fast.tail < TAIL_BOUND
+    assert fast.iterations > oracle.iterations  # the lower rungs ran first
+    assert fast.converged and oracle.converged
+    assert abs(gain(outputs(fast), 4.501e9) - gain(outputs(oracle), 4.501e9)) <= 1e-9
+    # The tail is the converged current on the two outermost orders.
+    outer = np.abs(lattice.orders) >= (lattice.alpha - 1) // 2 - 1
+    on = outer & (lattice.grid_bins >= 0)
+    assert np.sqrt(np.sum(np.abs(fast.i_j[lattice.grid_bins[on]]) ** 2)) <= fast.tail * I_C
+
+
+def test_guard_falls_back_to_the_stride_lattice(monkeypatch, canonical_f):
+    # With a ladder topped at 33, a -100 dBm tone misses the bound on every
+    # rung (alpha 129 is needed), so the solve ends on the full 2048-bin grid.
+    monkeypatch.setattr("ictasim.solver.ALPHA_LADDER", (17, 33))
+    row = junction_row(canonical_f)
+    bias = BiasPoint(f_dc=F_DC, i_c=I_C)
+    stim = Stimulus.single(401 * 16e6, -100.0)
+    state = iterate(row, bias, stim)
+    oracle = plain_iterate(row, bias, stim, SolverOptions())
+    assert state.lattice.alpha == 0 and state.lattice.size == canonical_f.grid.size
+    assert np.isnan(state.tail) and np.isnan(state.off_lattice_growth)
+    assert state.converged and oracle.converged
+    assert abs(gain(outputs(state), 401 * 16e6) - gain(outputs(oracle), 401 * 16e6)) <= 1e-9
+
+
 def test_warm_start_from_another_lattice(canonical_f, coarse_grid):
     # Bins 320, 401 and 400 against pump bin 750: strides 10, 1 and 50.
     row = junction_row(canonical_f)
@@ -422,11 +576,11 @@ def test_warm_start_from_another_lattice(canonical_f, coarse_grid):
         assert abs(g_warm - gain(outputs(cold), 6.4e9)) < 1e-8
 
 
-def _probe_case(bias_resistance):
+def _probe_case(bias_resistance, f_s=4.087e9):
     # f_dc = 3 f_s: pump bin 12261, signal bin 4087, a 9-bin lattice
     net = build_icta(IctaParams(bias_resistance=bias_resistance))
     row = junction_row(frankenstein_matrix(net, DEFAULT_GRID))
-    return row, BiasPoint(f_dc=12.261e9, i_c=100e-9), Stimulus.single(4.087e9, -140.0)
+    return row, BiasPoint(f_dc=12.261e9, i_c=100e-9), Stimulus.single(f_s, -140.0)
 
 
 def test_probe_masks_off_lattice_instability():
@@ -465,6 +619,18 @@ def test_probe_matches_nonlinear_oracle(bias_resistance):
     row, bias, stim = _probe_case(bias_resistance)
     state = iterate(row, bias, stim)
     assert state.stride == 4087 and state.residual < 1e-12
+    oracle = nonlinear_off_lattice_growth(row, state)
+    assert abs(state.off_lattice_growth - oracle) <= 1e-5
+    assert state.converged == (oracle < 1.0) == (bias_resistance < 0.15)
+
+
+@pytest.mark.parametrize("bias_resistance", [0.1, 0.15, 0.2, 0.6])
+def test_embedded_probe_matches_nonlinear_oracle(bias_resistance):
+    # A stride-1 tone (bin 4501, coprime with 12261) runs embedded, so the
+    # probe perturbs every grid bin its lattice does not cover.
+    row, bias, stim = _probe_case(bias_resistance, f_s=4.501e9)
+    state = iterate(row, bias, stim)
+    assert state.stride == 1 and state.lattice.alpha > 0 and state.residual < 1e-12
     oracle = nonlinear_off_lattice_growth(row, state)
     assert abs(state.off_lattice_growth - oracle) <= 1e-5
     assert state.converged == (oracle < 1.0) == (bias_resistance < 0.15)

@@ -400,15 +400,31 @@ def test_compression_fit_recovers_saturation(canonical_f):
     assert abs(point - raw) < 3.0
 
 
-def test_stride_one_compression_keeps_iteration_counts(canonical_f, coarse_grid):
-    # Bin 401 is coprime with pump bin 750, so every solve runs on the full
-    # grid with no probe; the counts are those of the loop before sub-lattices.
+def test_stride_one_compression_keeps_iteration_counts(monkeypatch, canonical_f, coarse_grid):
+    # Bin 401 is coprime with pump bin 750.  The plain loop over every grid
+    # bin keeps the counts of the loop before sub-lattices; `iterate` runs
+    # the chain on embedded lattices, whose count also holds the rungs that
+    # missed the tail bound, and must give the same gains and masks.
     stimuli = [Stimulus.single(401 * coarse_grid.spacing, p) for p in np.linspace(-135, -100, 8)]
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
+    states = []
+    real_iterate = sweeps.iterate
+
+    def record(*args, **kwargs):
+        states.append(real_iterate(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(sweeps, "iterate", record)
+    fast_gain, fast_converged, fast_balance, _ = sweeps._chain(canonical_f, bias, stimuli, FAST)
+    monkeypatch.setattr(sweeps, "iterate", plain_iterate)
     gain_db, converged, _, iterations = sweeps._chain(canonical_f, bias, stimuli, FAST)
     assert converged.all()
     assert iterations.tolist() == [110, 141, 177, 188, 157, 102, 56, 46]
     assert gain_db[0] - gain_db[-1] > 5.0  # driven well into compression
+    assert all(state.lattice.alpha > 0 for state in states)
+    assert np.array_equal(fast_converged, converged)
+    assert np.max(np.abs(fast_gain - gain_db)) <= 1e-9
+    assert np.max(fast_balance) <= 1e-9
 
 
 def test_degenerate_compression_splits_by_phase(canonical_f):
