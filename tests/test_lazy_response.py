@@ -88,8 +88,8 @@ def test_sub_lattice_outputs_match_full_read(canonical_net, coarse_grid, monkeyp
     fast = outputs(state)
     lattice = np.arange(0, coarse_grid.size, state.stride)
     assert sorted(set(asked)) == list(lattice * coarse_grid.spacing)
-    every_bin = Lattice.stride(coarse_grid, 750, 1)
-    full = outputs(replace(state, lattice=every_bin, response=eager_response(canonical_net, coarse_grid)))
+    eager = eager_response(canonical_net, coarse_grid)
+    full = outputs(replace(state, lattice=Lattice.stride(coarse_grid, 750, 1), response=eager))
     assert np.array_equal(fast.a_out[:, lattice], full.a_out[:, lattice])
     off = np.ones(coarse_grid.size, dtype=bool)
     off[lattice] = False
