@@ -256,31 +256,24 @@ class Netlist:
 
 
 def _layout(net: Netlist):
-    """Node numbering and element placement for the nodal system."""
+    """Node numbering and element placement for the nodal system: the chain
+    from the wave port (node 0) to the junction node, then the bias branch
+    from there to the DC port; each branch's last node is a port node."""
     placements = []  # (element, node_a, node_b); node_b None means ground
     node = 0
     n_nodes = 1
-    for el in net.chain:
-        if el.is_series:
-            placements.append((el, node, n_nodes))
-            node = n_nodes
-            n_nodes += 1
-        else:
-            placements.append((el, node, None))
-    junction_node = node
-    dc_node = None
-    if net.bias_branch is not None:
-        for el in net.bias_branch:
+    port_nodes = [0]
+    for branch in (net.chain, net.bias_branch):
+        if branch is None:
+            continue
+        for el in branch:
             if el.is_series:
                 placements.append((el, node, n_nodes))
                 node = n_nodes
                 n_nodes += 1
             else:
                 placements.append((el, node, None))
-        dc_node = node
-    port_nodes = [0, junction_node]
-    if dc_node is not None:
-        port_nodes.append(dc_node)
+        port_nodes.append(node)
     return placements, n_nodes, port_nodes
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -336,8 +335,9 @@ def describe(config: RunConfig, stream=None) -> None:
         show("memory estimate", f"at most {mem}")
 
 
-def run(config: RunConfig, out_dir: Path, threads: int | None = None) -> int:
-    """Execute one validated sweep; returns the count of unconverged solves."""
+def run(config: RunConfig, out_dir: Path, threads: int = 1) -> int:
+    """Execute one validated sweep; returns the count of unconverged solves.
+    `threads` is the number of map-row workers of a gain map."""
     sweep = config.sweep
     kind = sweep["kind"]
     csv = out_dir / f"{kind}.csv"
@@ -385,18 +385,17 @@ def run(config: RunConfig, out_dir: Path, threads: int | None = None) -> int:
             "band_hi_hz": profile.band_hi_hz,
         }
     elif kind == "gainmap":
-        workers = min(os.cpu_count() or 1, 8) if threads is None else threads
         if sweep["axis"] == "f_dc":
             gmap = gain_map_fdc(
                 response, sweep["signal"], sweep["fdc"], sweep["i_c_a"],
                 sweep["power_dbm"], options=config.options,
-                phase=sweep["phase_rad"], workers=workers,
+                phase=sweep["phase_rad"], workers=threads,
             )
         else:
             gmap = gain_map_ic(
                 response, sweep["signal"], sweep["ic"], sweep["f_dc_hz"],
                 sweep["power_dbm"], options=config.options,
-                phase=sweep["phase_rad"], workers=workers,
+                phase=sweep["phase_rad"], workers=threads,
             )
         write_map_csv(gmap, csv)
         converged = gmap.converged
@@ -450,8 +449,10 @@ def _cmd_fit(args) -> int:
     except (OSError, ValueError) as err:
         print(f"error: cannot read compression CSV {args.input}: {err}", file=sys.stderr)
         return 2
-    # Phase rows are numbered over every phase in the file, converged or not.
-    unique_phases = np.unique(phases)
+    # Phase rows are numbered over every phase in the file, converged or not,
+    # in the order they first appear (the sweep's order).
+    first = np.unique(phases, return_index=True)[1]
+    unique_phases = phases[np.sort(first)]
     keep = converged
     if args.phase_index is None:
         if unique_phases.size > 1:
@@ -524,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_command("zjj", "junction-side impedance of the embedding network")
     add_run_command("fom", "pump-emission figure of merit Re Z / f")
     add_run_command("gainmap", "gain over (signal frequency x bias) grid").add_argument(
-        "--threads", type=_worker_count, default=None, help="parallel map-row workers, at least 1"
+        "--threads", type=_worker_count, default=1,
+        help="parallel map-row workers, at least 1 (default 1)",
     )
     add_run_command("profile", "gain versus signal frequency at fixed bias")
     add_run_command("compression", "gain versus input power at fixed frequency")
@@ -562,7 +564,7 @@ def main(argv=None) -> int:
     if out_dir is None:
         print("error: output_dir: set it in the config or pass --out", file=sys.stderr)
         return 2
-    unconverged = run(config, Path(out_dir), threads=getattr(args, "threads", None))
+    unconverged = run(config, Path(out_dir), threads=getattr(args, "threads", 1))
     if unconverged:
         print(
             f"warning: {unconverged} solve(s) did not converge and were masked",

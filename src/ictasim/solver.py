@@ -33,13 +33,15 @@ alpha * k / m.  A bin of negative physical frequency holds the conjugate of
 its grid bin, and a bin above the grid sees no response, so the step runs
 unchanged given each bin's signed frequency.  Orders beyond the box alias,
 so alpha climbs ALPHA_LADDER until the current on the two outermost orders
-falls below TAIL_BOUND * i_c; when no rung settles, the stride lattice
-decides.  No two products of the box share a grid bin, because m / s exceeds
-the top alpha wherever a solve embeds.  Time-domain signals are sampled on
-n_t = 2 * zero_pad * N points for a lattice of N bins, covering one full
-period of the lattice, so every lattice tone is exactly periodic and
-leakage-free; products of tones alias only from above zero_pad times the
-lattice's top frequency, which the sin() harmonic decay makes negligible.
+falls below TAIL_BOUND * i_c; the stride lattice ends the ladder, and
+decides when no rung settles.  No two products of the box share a grid bin,
+because m / s exceeds the top alpha wherever a solve embeds.  Every lattice
+is built from the signed grid position of each of its bins and gathers and
+lifts one way.  Time-domain signals are sampled on n_t = 2 * zero_pad * N
+points for a lattice of N bins, covering one full period of the lattice, so
+every lattice tone is exactly periodic and leakage-free; products of tones
+alias only from above zero_pad times the lattice's top frequency, which the
+sin() harmonic decay makes negligible.
 An oscillation on grid bins a lattice does not cover cannot show on it, so a
 converged point whose lattice leaves bins out takes a few full-grid steps
 (zero_pad 2) of the Picard map's tangent at its lifted state from a seeded
@@ -241,39 +243,46 @@ class Lattice:
 
     Lattice bin v stands for grid bin `grid_bins[v]` (-1: off the grid, where
     the response reads 0), conjugated where `conjugate[v]`, that is where its
-    physical frequency `frequencies[v]` (signed, Hz) is negative.  `pump` and
-    `tones` are the lattice bins of the pump and of each tone, and every grid
-    bin the lattice covers is a multiple of `unit`, the gcd s of the pump and
-    tone bins.  A stride lattice (`alpha` 0) holds the grid bins 0, s, 2s,
-    ...  An embedded lattice holds the mixing product a * m + b * k of a pump
-    on grid bin m and a tone on bin k, in units of s, on bin
-    v = a * alpha + b * beta for |b| <= (alpha - 1) / 2; `orders` holds b.
+    physical frequency `frequencies[v]` (signed, Hz) is negative.  `pump` is
+    the lattice bin of the pump, and every grid bin the lattice covers is a
+    multiple of `unit`, the gcd s of the pump and tone bins.  A stride
+    lattice (`alpha` 0) holds the grid bins 0, s, 2s, ...  An embedded
+    lattice holds the mixing product a * m + b * k of a pump on grid bin m and
+    a tone on bin k, in units of s, on bin v = a * alpha + b * beta for
+    |b| <= (alpha - 1) / 2; `orders` holds b.  Both gather from and lift to
+    the grid the same way.
     """
 
     grid_bins: np.ndarray
     conjugate: np.ndarray
     frequencies: np.ndarray
     pump: int
-    tones: tuple[int, ...]
     grid_size: int
     unit: int
     alpha: int = 0
     orders: np.ndarray | None = None
 
     @classmethod
-    def stride(cls, grid: FrequencyGrid, m: int, s: int, tones: Sequence[int] = ()) -> "Lattice":
-        """The grid bins 0, s, 2s, ... of a pump on bin m and tones on
-        `tones`, all multiples of s."""
-        bins = np.arange(0, grid.size, s)
+    def _at(cls, grid: FrequencyGrid, positions: np.ndarray, s: int, pump: int,
+            alpha: int = 0, orders: np.ndarray | None = None) -> "Lattice":
+        """The lattice whose bin v sits at the signed grid position
+        `positions[v]`, in units of s."""
+        bins = np.abs(positions) * s
         return cls(
-            grid_bins=bins,
-            conjugate=np.zeros(bins.size, dtype=bool),
-            frequencies=grid.frequencies[::s].copy(),
-            pump=m // s,
-            tones=tuple(k // s for k in tones),
+            grid_bins=np.where(bins < grid.size, bins, -1),
+            conjugate=positions < 0,
+            frequencies=grid.spacing * (positions * s).astype(float),
+            pump=pump,
             grid_size=grid.size,
             unit=s,
+            alpha=alpha,
+            orders=orders,
         )
+
+    @classmethod
+    def stride(cls, grid: FrequencyGrid, m: int, s: int) -> "Lattice":
+        """The grid bins 0, s, 2s, ... of a pump on bin m, a multiple of s."""
+        return cls._at(grid, np.arange(-(-grid.size // s)), s, m // s)
 
     @classmethod
     def embedded(cls, grid: FrequencyGrid, m: int, k: int, s: int, alpha: int) -> "Lattice":
@@ -293,18 +302,8 @@ class Lattice:
         v = np.arange(next_fast_len(top + 1, real=True))
         orders = v * pow(beta, -1, alpha) % alpha
         orders[orders > half] -= alpha
-        physical = (v - orders * beta) // alpha * m1 + orders * k1
-        return cls(
-            grid_bins=np.where(np.abs(physical) < n_s, np.abs(physical) * s, -1),
-            conjugate=physical < 0,
-            frequencies=grid.spacing * (physical * s).astype(float),
-            pump=alpha,
-            tones=(beta,),
-            grid_size=grid.size,
-            unit=s,
-            alpha=alpha,
-            orders=orders,
-        )
+        positions = (v - orders * beta) // alpha * m1 + orders * k1
+        return cls._at(grid, positions, s, alpha, alpha, orders)
 
     @property
     def size(self) -> int:
@@ -317,27 +316,15 @@ class Lattice:
         mask[self.grid_bins[self.grid_bins >= 0]] = True
         return mask
 
-    @property
-    def _stride(self) -> slice | None:
-        """The grid slice a stride lattice is, which `lift` and `gather` use
-        to keep its spectra as views; None for an embedded lattice."""
-        return slice(None, None, self.unit) if self.alpha == 0 else None
-
     def lift(self, x: np.ndarray) -> np.ndarray:
         """The grid spectrum of lattice spectrum `x`; bins off the grid drop."""
         out = np.zeros(self.grid_size, dtype=complex)
-        if self._stride:
-            out[self._stride] = x
-            return out
         on = self.grid_bins >= 0
         out[self.grid_bins[on]] = np.where(self.conjugate, np.conjugate(x), x)[on]
         return out
 
     def gather(self, x: np.ndarray) -> np.ndarray:
-        """The lattice spectrum of grid spectrum `x`, 0 off the grid; for a
-        stride lattice, a view of `x`."""
-        if self._stride:
-            return x[self._stride]
+        """The lattice spectrum of grid spectrum `x`, 0 off the grid."""
         out = np.take(x, self.grid_bins, mode="clip").astype(complex, copy=False)
         out[self.grid_bins < 0] = 0.0
         np.conjugate(out, out=out, where=self.conjugate)
@@ -345,7 +332,9 @@ class Lattice:
 
     def tail(self, x: np.ndarray) -> float:
         """2-norm of lattice spectrum `x` on the two outermost signal orders
-        of an embedded lattice."""
+        of an embedded lattice; NaN on a stride lattice, which has none."""
+        if self.orders is None:
+            return math.nan
         outer = np.abs(self.orders) >= (self.alpha - 1) // 2 - 1
         return float(np.sqrt(np.sum(np.abs(x[outer]) ** 2)))
 
@@ -639,19 +628,20 @@ def _fixed_point(step, current: np.ndarray, tol_abs: float, max_iterations: int)
     return current, iterations, converged, delta
 
 
-def _rungs(grid: FrequencyGrid, m: int, tones: list[int], s: int):
-    """The embedded lattices a single-tone solve tries, in ALPHA_LADDER order,
-    while they stay smaller than the stride lattice.  None when two products
-    within the top alpha's orders could share a grid bin: products
-    a * m + b * k and a' * m + b' * k coincide only when |b - b'| reaches
-    m / s."""
-    if len(tones) != 1 or m // s <= ALPHA_LADDER[-1]:
-        return
-    for alpha in ALPHA_LADDER:
-        lattice = Lattice.embedded(grid, m, tones[0], s, alpha)
-        if lattice.size >= -(-grid.size // s):
-            return
-        yield lattice
+def _lattices(grid: FrequencyGrid, m: int, tones: list[int], s: int, i_c: float):
+    """The lattices a solve tries, in turn: for a single tone with i_c > 0 the
+    embedded ones, in ALPHA_LADDER order while they stay smaller than the
+    stride lattice, and then always the stride lattice, which decides.  No
+    embedded one when two products within the top alpha's orders could share
+    a grid bin: products a * m + b * k and a' * m + b' * k coincide only when
+    |b - b'| reaches m / s."""
+    if len(tones) == 1 and m // s > ALPHA_LADDER[-1] and i_c > 0:
+        for alpha in ALPHA_LADDER:
+            lattice = Lattice.embedded(grid, m, tones[0], s, alpha)
+            if lattice.size >= -(-grid.size // s):
+                break
+            yield lattice
+    yield Lattice.stride(grid, m, s)
 
 
 def iterate(
@@ -665,17 +655,17 @@ def iterate(
     """Fixed-point solution of the junction current spectrum.
 
     Every mixing product of the pump bin m and the tone bins lies on a
-    multiple of their gcd s.  A single-tone solve with m / s above the top of
-    ALPHA_LADDER and i_c > 0 first runs on embedded lattices (`Lattice`) of
-    growing alpha, each from the warm start gathered onto it, and keeps the
-    first whose converged current on its two outermost signal orders is
-    below TAIL_BOUND * i_c.  Every other solve, and one that no rung settles (a
-    rung that does not converge, or the top one over the bound), runs on the
-    stride lattice of bins 0, s, 2s, ...; a stimulus-free solve keeps s = 1.
-    The result is lifted back to the grid.  A converged point whose lattice
-    leaves grid bins out is then probed on them (see
-    `SolutionState.off_lattice_growth`), since an oscillation there cannot
-    show on the lattice.
+    multiple of their gcd s.  One loop runs the lattices `_lattices` yields:
+    for a single tone with m / s above the top of ALPHA_LADDER and i_c > 0,
+    embedded lattices (`Lattice`) of growing alpha, and then, for every
+    solve, the stride lattice of bins 0, s, 2s, ... (s = 1 without a
+    stimulus).  Each starts from the warm start gathered onto it.  The loop
+    stops at the first embedded lattice that converges with its current on
+    its two outermost signal orders below TAIL_BOUND * i_c, or at the stride
+    lattice, which decides.  The result is lifted back to the grid.  A
+    converged point whose lattice leaves grid bins out is then probed on them
+    (see `SolutionState.off_lattice_growth`), since an oscillation there
+    cannot show on the lattice.
 
     Parameters
     ----------
@@ -722,28 +712,24 @@ def iterate(
     s = math.gcd(m, *tones) if tones else 1
     tol_abs = options.tolerance * bias.i_c
 
-    def solve_on(lattice: Lattice, current: np.ndarray):
-        step = _picard_step(
-            lattice.gather(row.f_jj), lattice.gather(drive), lattice.frequencies,
-            lattice.pump, bias, options,
-        )
-        return _fixed_point(step, current, tol_abs, options.max_iterations)
-
     iterations = 0
     with np.errstate(invalid="ignore", over="ignore"):  # the residual reports a blow-up
-        for lattice in _rungs(grid, m, tones, s) if bias.i_c > 0 else ():
+        for lattice in _lattices(grid, m, tones, s, bias.i_c):
             current = lattice.gather(start)
             if lattice.tail(current) >= TAIL_BOUND * bias.i_c:
                 continue  # the warm start already misses the bound here
-            current, count, converged, delta = solve_on(lattice, current)
+            # The step (and its time-grid buffers) lives only as long as its loop.
+            current, count, converged, delta = _fixed_point(
+                _picard_step(
+                    lattice.gather(row.f_jj), lattice.gather(drive), lattice.frequencies,
+                    lattice.pump, bias, options,
+                ),
+                current, tol_abs, options.max_iterations,
+            )
             iterations += count
-            tail = lattice.tail(current) / bias.i_c
+            tail = lattice.tail(current) / bias.i_c if bias.i_c > 0 else math.nan
             if converged and tail < TAIL_BOUND:
                 break
-        else:  # no rung settled it: the stride lattice decides
-            lattice, tail = Lattice.stride(grid, m, s, tones), float("nan")
-            current, count, converged, delta = solve_on(lattice, lattice.gather(start))
-            iterations += count
         del start  # a grid-sized array the probe below need not keep alive
         i_j = lattice.lift(current)
         v_j = drive + row.f_jj * i_j

@@ -592,6 +592,22 @@ def test_fit_numbers_every_phase_row(tmp_path, capsys):
     assert "3 phase rows" in capsys.readouterr().err
 
 
+def test_fit_numbers_phase_rows_in_file_order(tmp_path):
+    # A sweep's phases_rad need not ascend; K picks the K-th phase the CSV
+    # lists, as rapp_fit(curve, phase_index=K) picks the sweep's K-th phase.
+    powers = np.linspace(-130.0, -95.0, 20)
+    csv = tmp_path / "compression.csv"
+    lines = ["phase_rad,power_in_dbm,gain_db,converged,balance_error"]
+    for theta, g0 in ((1.0, 17.0), (0.0, 14.0)):
+        for p, g in zip(powers, rapp_gain_db(powers, g0, -100.0, 1.0)):
+            lines.append(f"{theta:.11e},{p:.11e},{g:.11e},1,0.0")
+    csv.write_text("\n".join(lines) + "\n")
+    for index, g0 in (("0", 17.0), ("1", 14.0)):
+        assert main(["fit", "--in", str(csv), "--out", str(tmp_path), "--phase-index", index]) == 0
+        result = json.loads((tmp_path / "fit.json").read_text())
+        assert result["gain_db"] == pytest.approx(g0, abs=0.05)
+
+
 def test_fit_degenerate_csv_needs_phase_index(tmp_path, capsys):
     csv = write_two_phase_csv(tmp_path)
     assert main(["fit", "--in", str(csv), "--out", str(tmp_path)]) == 2

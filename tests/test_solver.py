@@ -34,8 +34,8 @@ from ictasim.solver import (
     PROBE_SEED,
     TAIL_BOUND,
     Lattice,
+    _lattices,
     _picard_step,
-    _rungs,
     _tangent_step,
 )
 from oracles import (
@@ -393,7 +393,7 @@ def test_outputs_keep_bias_stiff(coarse_grid, stim):
 @pytest.mark.parametrize("s", [1, 3, 160])
 def test_stride_lattice_is_the_strided_grid(s):
     grid, m = DEFAULT_GRID, 12000
-    lattice = Lattice.stride(grid, m, s, (5 * s,))
+    lattice = Lattice.stride(grid, m, s)
     rng = np.random.default_rng(s)
     x = [1.0, 1j] @ rng.standard_normal((2, grid.size))
     y = x[::s].copy()
@@ -405,7 +405,8 @@ def test_stride_lattice_is_the_strided_grid(s):
     assert np.array_equal(lattice.gather(lattice.lift(y)), y)
     assert np.array_equal(lattice.covered, np.arange(grid.size) % s == 0)
     assert not lattice.conjugate.any() and lattice.alpha == 0
-    assert (lattice.pump, lattice.tones, lattice.unit) == (m // s, (5,), s)
+    assert (lattice.pump, lattice.unit) == (m // s, s)
+    assert np.isnan(lattice.tail(lattice.gather(x)))  # no signal orders to bound
 
 
 @pytest.mark.parametrize("alpha", ALPHA_LADDER)
@@ -418,8 +419,8 @@ def test_embedded_lattice_maps_products_to_the_grid(alpha, k, s):
     assert np.unique(bins).size == bins.size  # each grid bin at most once
     assert np.all(bins % s == 0) and lattice.unit == s
     assert lattice.pump == alpha and lattice.grid_bins[alpha] == m
-    (beta,) = lattice.tones
-    assert lattice.grid_bins[beta] == k and math.gcd(alpha, beta) == 1
+    (beta,) = np.flatnonzero((lattice.grid_bins == k) & ~lattice.conjugate)
+    assert lattice.orders[beta] == 1 and math.gcd(alpha, beta) == 1
     assert not lattice.conjugate[alpha] and not lattice.conjugate[beta]
     assert np.array_equal(lattice.conjugate, lattice.frequencies < 0)
     assert np.array_equal(np.abs(lattice.frequencies[on]), grid.frequencies[bins])
@@ -473,10 +474,40 @@ def test_solves_that_keep_the_stride_lattice(canonical_f, coarse_grid):
     map_grid = FrequencyGrid(20e6, 2048)
     for m in range(416, 897, 32):  # bias rows 8.32 to 17.92 GHz
         for k in [*range(160, 481, 16), m, m // 2]:
-            assert not list(_rungs(map_grid, m, [k], math.gcd(m, k)))
+            (only,) = _lattices(map_grid, m, [k], math.gcd(m, k), I_C)
+            assert only.alpha == 0
     for k in range(5440, 6561, 160):  # the 160 MHz profile lattice at f_dc 12 GHz
-        assert not list(_rungs(DEFAULT_GRID, 12000, [k], math.gcd(12000, k)))
-    assert list(_rungs(DEFAULT_GRID, 12000, [5621], 1))
+        (only,) = _lattices(DEFAULT_GRID, 12000, [k], math.gcd(12000, k), I_C)
+        assert only.alpha == 0
+    assert len(list(_lattices(DEFAULT_GRID, 12000, [5621], 1, I_C))) > 1
+
+
+@pytest.mark.parametrize(
+    "tones, i_c, alphas",
+    [
+        ([5621, 5622], I_C, ()),  # multi-tone
+        ([], I_C, ()),  # stimulus-free
+        ([5621], 0.0, ()),  # i_c = 0
+        ([6000], I_C, ()),  # degenerate, m / s = 2
+        ([6016], I_C, ()),  # m / s = 375 (s = 32)
+        ([5621], I_C, ALPHA_LADDER),  # stride 1 at 12 GHz
+        # m / s = 400 (s = 30): the alpha-385 rung (1125 bins) is not smaller
+        # than the 1093-bin stride lattice
+        ([6030], I_C, ALPHA_LADDER[:-1]),
+    ],
+    ids=["two-tones", "no-stimulus", "no-junction", "degenerate", "m/s-375", "stride-1",
+         "stride-30"],
+)
+def test_lattices_end_with_the_stride_lattice(tones, i_c, alphas):
+    # Every solve ends on the stride lattice; the embedded rungs before it
+    # climb the ladder while they stay smaller than it.
+    grid, m = DEFAULT_GRID, 12000
+    s = math.gcd(m, *tones) if tones else 1
+    *rungs, last = _lattices(grid, m, tones, s, i_c)
+    assert last.alpha == 0 and last.unit == s and last.orders is None
+    assert np.array_equal(last.grid_bins, np.arange(0, grid.size, s))
+    assert tuple(rung.alpha for rung in rungs) == alphas
+    assert all(rung.unit == s and rung.size < last.size for rung in rungs)
 
 
 # ---------------------------------------------------------------- sub-lattice solves
