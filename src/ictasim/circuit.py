@@ -133,16 +133,8 @@ def series_resistor(resistance: float) -> Element:
     return Element(SERIES_RESISTOR, value=resistance)
 
 
-def shunt_inductor(inductance: float) -> Element:
-    return Element(SHUNT_INDUCTOR, value=inductance)
-
-
 def shunt_capacitor(capacitance: float) -> Element:
     return Element(SHUNT_CAPACITOR, value=capacitance)
-
-
-def shunt_resistor(resistance: float) -> Element:
-    return Element(SHUNT_RESISTOR, value=resistance)
 
 
 def quarter_wave_line(z0: float, quarter_wave_frequency: float) -> Element:

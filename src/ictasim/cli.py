@@ -45,6 +45,7 @@ from .sweeps import (
     bias_axis,
     bias_metadata,
     compression_sweep,
+    fit_row,
     gain_map_fdc,
     gain_map_ic,
     gain_profile,
@@ -445,33 +446,15 @@ def run(config: RunConfig, out_dir: Path, threads: int = 1) -> int:
 
 def _cmd_fit(args) -> int:
     try:
-        phases, powers, gains, converged = read_compression_csv(args.input)
+        _, powers, gains, converged = read_compression_csv(args.input)
     except (OSError, ValueError) as err:
         print(f"error: cannot read compression CSV {args.input}: {err}", file=sys.stderr)
         return 2
-    # Phase rows are numbered over every phase in the file, converged or not,
-    # in the order they first appear (the sweep's order).
-    first = np.unique(phases, return_index=True)[1]
-    unique_phases = phases[np.sort(first)]
-    keep = converged
-    if args.phase_index is None:
-        if unique_phases.size > 1:
-            print(
-                f"error: {args.input} holds {unique_phases.size} phase rows; "
-                "pass --phase-index to pick one",
-                file=sys.stderr,
-            )
-            return 2
-    elif not 0 <= args.phase_index < unique_phases.size:
-        print(
-            f"error: --phase-index {args.phase_index} is out of range; "
-            f"{args.input} holds {unique_phases.size} phase row(s)",
-            file=sys.stderr,
-        )
+    try:
+        powers, gains = fit_row(powers, gains, converged, args.phase_index)
+    except ValueError as err:
+        print(f"error: --phase-index: {args.input}: {err}", file=sys.stderr)
         return 2
-    else:
-        keep = keep & (phases == unique_phases[args.phase_index])
-    powers, gains = powers[keep], gains[keep]
     try:
         fit = rapp_fit(powers, gains)
     except (NotFittableError, FitFailedError) as err:

@@ -5,8 +5,9 @@ round trip: the circuit's junction-row response turns the present junction
 current spectrum into a voltage spectrum, the voltage integrates to the
 junction phase on an oversampled time grid, the phase maps through
 I_c sin(phi) back to a current spectrum.  The DC bias enters only as the
-analytic phase ramp 2*pi*f_dc*t + phi0 (the Josephson relation), never
-through a spectral division at omega = 0, and the bias port is kept stiff.
+analytic phase ramp 2*pi*f_dc*t (the Josephson relation), never through a
+spectral division at omega = 0, and the bias port is kept stiff.  The ramp
+starts at zero: the stimulus tone phases set every phase of a solve.
 
 Every solve returns a `SolutionState` that keeps its response and says why
 the loop stopped (converged, budget, probe-masked below, or diverged to a
@@ -155,22 +156,21 @@ def watts_to_dbm(power_watts: float) -> float:
 
 @dataclass(frozen=True)
 class BiasPoint:
-    """Operating point: Josephson frequency, critical current, phase offset.
+    """Operating point: Josephson frequency and critical current.
 
-    `f_dc` must be grid-aligned before use (see `round_bias`).  `phase` is
-    the integration constant of the bias ramp, stored wrapped to [0, 2*pi).
+    `f_dc` must be grid-aligned before use (see `round_bias`).  The bias
+    ramp has no phase offset of its own: shifting it is a shift of time,
+    the same as shifting each tone phase by -(f_s / f_dc) times it.
     """
 
     f_dc: float
     i_c: float
-    phase: float = 0.0
 
     def __post_init__(self):
         if not np.isfinite(self.f_dc) or self.f_dc <= 0:
             raise ValueError("f_dc must be positive and finite")
         if not np.isfinite(self.i_c) or self.i_c < 0:
             raise ValueError("i_c must be nonnegative and finite")
-        object.__setattr__(self, "phase", float(self.phase) % (2.0 * np.pi))
 
     @property
     def v_dc(self) -> float:
@@ -348,8 +348,8 @@ class SolutionState:
     Spectra are one-sided half-amplitude arrays over the grid bins.
     `residual` is the last fixed-point step size as a fraction of i_c, and
     `iterations` counts the steps of every lattice the solve ran.  `lattice`
-    is the `Lattice` the solve ended on; `stride` reads its unit s (every
-    bin it covers is a multiple of s).  `tail` is the guard of an embedded
+    is the `Lattice` the solve ended on (every bin it covers is a multiple
+    of its `unit` s).  `tail` is the guard of an embedded
     lattice: the 2-norm of the current on its two outermost signal orders as
     a fraction of i_c (NaN on a stride lattice).  `off_lattice_growth` is the
     probe's last-step growth ratio of a perturbation on the grid bins off the
@@ -380,10 +380,6 @@ class SolutionState:
     def grid(self) -> FrequencyGrid:
         return self.response.grid
 
-    @property
-    def stride(self) -> int:
-        return self.lattice.unit
-
 
 def _bias_bin(bias: BiasPoint, grid: FrequencyGrid) -> int:
     m = round(round_bias(bias.f_dc, grid) / grid.spacing)
@@ -395,12 +391,12 @@ def _bias_bin(bias: BiasPoint, grid: FrequencyGrid) -> int:
     return m
 
 
-def _ramp_phase(m: int, phi0: float, samples: np.ndarray, n_t: int) -> np.ndarray:
+def _ramp_phase(m: int, samples: np.ndarray, n_t: int) -> np.ndarray:
     """Bias ramp at the integer time `samples` of an n_t-point period."""
     # Exact modular arithmetic keeps the ramp periodic to machine precision
     # even for large bin * sample products.
     idx = (m * samples) % n_t
-    return (2.0 * np.pi / n_t) * idx + phi0
+    return (2.0 * np.pi / n_t) * idx
 
 
 def _tone_entries(stim: Stimulus, grid: FrequencyGrid, kinds: Sequence) -> list[tuple]:
@@ -456,7 +452,7 @@ def _round_trip(frequencies: np.ndarray, m: int, bias: BiasPoint, zero_pad: int)
     if not interleaved:
         half = zero_pad * n + 1  # n_t // 2 + 1
         buf = np.zeros(half, dtype=complex)
-        ramp = _ramp_phase(m, bias.phase, np.arange(n_t), n_t)
+        ramp = _ramp_phase(m, np.arange(n_t), n_t)
         spectrum = np.empty(half, dtype=complex)
 
         def to_phase(v: np.ndarray, out: np.ndarray) -> None:
@@ -488,7 +484,7 @@ def _round_trip(frequencies: np.ndarray, m: int, bias: BiasPoint, zero_pad: int)
     np.cos(angle, out=twiddle.real)
     np.sin(angle, out=twiddle.imag)
     fold = np.exp((-2j * np.pi / phases) * np.arange(phases))
-    ramp = _ramp_phase(m, bias.phase, np.arange(phases)[:, None] + phases * np.arange(n), n_t)
+    ramp = _ramp_phase(m, np.arange(phases)[:, None] + phases * np.arange(n), n_t)
     spectrum = np.empty((phases, h), dtype=complex)
     b = np.empty(n, dtype=complex)
     term = np.empty(back, dtype=complex)

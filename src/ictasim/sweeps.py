@@ -439,37 +439,46 @@ def rapp_gain_db(power_in_dbm, gain_db: float, p_sat_dbm: float, knee: float):
 MIN_COMPRESSION_DB = 1.5
 
 
+def fit_row(power_in_dbm, gain_db, converged, phase_index: int | None = None):
+    """The converged (power, gain) points of one phase row of a compression
+    table laid out as a `CompressionCurve` holds it (`gain_db` and
+    `converged` shaped rows x powers).  `phase_index` must lie in
+    [0, rows); None picks the only row and raises ValueError when there
+    are several."""
+    rows = len(gain_db)
+    if phase_index is None:
+        if rows > 1:
+            raise ValueError(f"the curve holds {rows} phase rows; select one to fit")
+        phase_index = 0
+    elif not 0 <= phase_index < rows:
+        raise ValueError(f"phase_index {phase_index} is out of range [0, {rows})")
+    keep = converged[phase_index]
+    return power_in_dbm[keep], gain_db[phase_index][keep]
+
+
 def rapp_fit(curve, gain_db=None, phase_index: int | None = None) -> RappFit:
     """Least-squares fit of the saturation model to a compression curve.
 
-    Accepts a CompressionCurve (single-phase, or `phase_index` selecting one
-    row of a degenerate sweep) or a pair of arrays (power_in_dbm, gain_db).
-    Only converged points enter the fit.
+    Accepts a CompressionCurve, whose row `fit_row` picks (`phase_index`
+    selects one row of a multi-phase sweep), or a pair of arrays
+    (power_in_dbm, gain_db).  Only converged points enter the fit.
 
     Raises
     ------
     ValueError
-        `phase_index` outside [0, n_phases).
+        Multi-phase curve without `phase_index`, or `phase_index` outside
+        [0, n_phases).
     NotFittableError
         Less than MIN_COMPRESSION_DB of gain compression in the data, or too
         few points: the saturation power would be unconstrained.
     FitFailedError
-        Degenerate multi-phase curve without a selected row, non-monotonic
-        output power (injection-locking signature), or optimizer failure.
+        Non-monotonic output power (injection-locking signature), or
+        optimizer failure.
     """
     if isinstance(curve, CompressionCurve):
         if gain_db is not None:
             raise TypeError("pass either a curve or two arrays, not both")
-        if curve.degenerate and phase_index is None:
-            raise FitFailedError(
-                "degenerate phase-split curve: select a phase row to fit"
-            )
-        idx = 0 if phase_index is None else int(phase_index)
-        if not 0 <= idx < len(curve.phases):
-            raise ValueError(f"phase_index {idx} is out of range [0, {len(curve.phases)})")
-        keep = curve.converged[idx]
-        p_in = curve.power_in_dbm[keep]
-        g = curve.gain_db[idx][keep]
+        p_in, g = fit_row(curve.power_in_dbm, curve.gain_db, curve.converged, phase_index)
     else:
         p_in = np.asarray(curve, dtype=float)
         g = np.asarray(gain_db, dtype=float)
@@ -730,7 +739,7 @@ def _json_fallback(value):
 
 
 def bias_metadata(bias: BiasPoint) -> dict:
-    return {"f_dc_hz": bias.f_dc, "i_c_a": bias.i_c, "phase_rad": bias.phase}
+    return {"f_dc_hz": bias.f_dc, "i_c_a": bias.i_c}
 
 
 def sweep_metadata(net: Netlist, grid: FrequencyGrid, options: SolverOptions) -> dict:
@@ -792,7 +801,23 @@ def write_compression_csv(curve: CompressionCurve, path) -> None:
 
 
 def read_compression_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read back the (phases, power_in_dbm, gain_db, converged) columns of a
-    curve CSV, every row, converged or not."""
+    """Read a curve CSV back as a `CompressionCurve` holds it:
+    (phases, power_in_dbm, gain_db, converged), the last two shaped
+    rows x powers, every point, converged or not.  A row is each run of
+    consecutive lines that covers one power axis, in file order (the layout
+    `write_compression_csv` writes); rows split where the power axis starts
+    again, so a repeated phase still makes two rows.  Any other layout
+    raises ValueError."""
     data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
-    return data["phase_rad"], data["power_in_dbm"], data["gain_db"], data["converged"] > 0
+    phase, power = data["phase_rad"], data["power_in_dbm"]
+    restart = np.flatnonzero(np.diff(power) <= 0)
+    n = restart[0] + 1 if restart.size else power.size
+    if (
+        not n
+        or power.size % n
+        or np.any(power.reshape(-1, n) != power[:n])
+        or np.any(phase.reshape(-1, n) != phase[::n, None])
+    ):
+        raise ValueError("rows are not runs of one power axis at one phase each")
+    gain_db, converged = data["gain_db"].reshape(-1, n), data["converged"].reshape(-1, n) > 0
+    return phase[::n], power[:n], gain_db, converged

@@ -6,6 +6,8 @@ from numpy.testing import assert_allclose
 
 from ictasim.circuit import (
     DEFAULT_GRID,
+    SHUNT_INDUCTOR,
+    SHUNT_RESISTOR,
     Element,
     FrequencyGrid,
     IctaParams,
@@ -24,8 +26,6 @@ from ictasim.circuit import (
     series_inductor,
     series_resistor,
     shunt_capacitor,
-    shunt_inductor,
-    shunt_resistor,
     z_jj,
 )
 
@@ -105,6 +105,19 @@ def test_matched_line_scattering():
     theta = net.chain[0].electrical_angle(f)
     assert_allclose(s[:, 0, 0], 0.0, atol=1e-12)
     assert_allclose(s[:, 1, 0], np.exp(-1j * theta), rtol=1e-12)
+
+
+def test_shunt_element_scattering():
+    # A shunt admittance Y across a Z0 through: S11 = -Y Z0 / (2 + Y Z0),
+    # S21 = 2 / (2 + Y Z0).
+    f = np.array([1e9, 3.7e9, 9e9])
+    for element, y in (
+        (Element(SHUNT_RESISTOR, value=25.0), np.full(3, 1.0 / 25.0)),
+        (Element(SHUNT_INDUCTOR, value=1e-9), 1.0 / (2j * np.pi * f * 1e-9)),
+    ):
+        s = s_matrix(Netlist(chain=(element,), bias_branch=None), f, reference_impedance=50.0)
+        assert_allclose(s[:, 0, 0], -y * 50.0 / (2.0 + y * 50.0), rtol=1e-12)
+        assert_allclose(s[:, 1, 0], 2.0 / (2.0 + y * 50.0), rtol=1e-12)
 
 
 def test_scattering_is_reciprocal_and_unitary(canonical_net, coarse_grid):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ictasim.cli import load_config, main, memory_estimate_bytes, run, solve_count
-from ictasim.sweeps import rapp_gain_db
+from ictasim.solver import BiasPoint, SolverOptions
+from ictasim.sweeps import compression_sweep, p1db, rapp_fit, rapp_gain_db
 
 GRID = {"spacing_hz": 16e6, "size": 2048}
 
@@ -606,6 +607,49 @@ def test_fit_numbers_phase_rows_in_file_order(tmp_path):
         assert main(["fit", "--in", str(csv), "--out", str(tmp_path), "--phase-index", index]) == 0
         result = json.loads((tmp_path / "fit.json").read_text())
         assert result["gain_db"] == pytest.approx(g0, abs=0.05)
+
+
+def test_fit_rows_match_rapp_fit_on_repeated_phases(tmp_path, capsys, canonical_f):
+    # A sweep that lists one phase twice writes two rows; `fit --phase-index K`
+    # fits the same row as rapp_fit(curve, phase_index=K), and no index is an
+    # input error.
+    sweep = {
+        **COMPRESSION, "f_s_hz": 6.4e9, "power_start": -110.0, "power_stop": -90.0,
+        "phases_rad": [0.0, 0.0],
+    }
+    path = write_config(tmp_path, sweep, solver={"max_iterations": 3000})
+    out = tmp_path / "run"
+    assert main(["compression", "--config", str(path), "--out", str(out)]) == 0
+    curve = compression_sweep(
+        canonical_f, BiasPoint(f_dc=12e9, i_c=280e-9), 6.4e9, np.linspace(-110.0, -90.0, 8),
+        options=SolverOptions(max_iterations=3000), phases=[0.0, 0.0],
+    )
+    fit = ["fit", "--in", str(out / "compression.csv"), "--out", str(tmp_path)]
+    for index in range(2):
+        assert main(fit + ["--phase-index", str(index)]) == 0
+        result = json.loads((tmp_path / "fit.json").read_text())
+        expected = rapp_fit(curve, phase_index=index)
+        assert result["gain_db"] == pytest.approx(expected.gain_db, abs=1e-6)
+        assert result["p_sat_dbm"] == pytest.approx(expected.p_sat_dbm, abs=1e-6)
+        assert result["knee"] == pytest.approx(expected.knee, rel=1e-6)
+        assert result["p1db_dbm"] == pytest.approx(p1db(expected), abs=1e-5)
+    capsys.readouterr()
+    assert main(fit) == 2
+    assert "2 phase rows" in capsys.readouterr().err
+
+
+def test_fit_rejects_rows_without_one_power_axis(tmp_path, capsys):
+    # The second phase's run covers other powers than the first's.
+    csv = tmp_path / "compression.csv"
+    lines = ["phase_rad,power_in_dbm,gain_db,converged,balance_error"]
+    for theta, start in ((0.0, -130.0), (1.0, -120.0)):
+        powers = np.linspace(start, start + 35.0, 20)
+        for p, g in zip(powers, rapp_gain_db(powers, 14.0, -100.0, 1.0)):
+            lines.append(f"{theta:.11e},{p:.11e},{g:.11e},1,0.0")
+    csv.write_text("\n".join(lines) + "\n")
+    assert main(["fit", "--in", str(csv), "--out", str(tmp_path), "--phase-index", "0"]) == 2
+    assert "power axis" in capsys.readouterr().err
+    assert not (tmp_path / "fit.json").exists()
 
 
 def test_fit_degenerate_csv_needs_phase_index(tmp_path, capsys):

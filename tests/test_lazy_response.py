@@ -83,10 +83,10 @@ def test_sub_lattice_outputs_match_full_read(canonical_net, coarse_grid, monkeyp
     lazy = frankenstein_matrix(canonical_net, coarse_grid)
     stim = Stimulus.single(4.8e9, -140.0)
     state = iterate(junction_row(lazy), BiasPoint(12e9, 280e-9), stim, FAST)
-    assert state.converged and state.stride == 150
+    assert state.converged and state.lattice.unit == 150
     assert asked == [4.8e9]  # the drive reads the tone bin alone
     fast = outputs(state)
-    lattice = np.arange(0, coarse_grid.size, state.stride)
+    lattice = np.arange(0, coarse_grid.size, state.lattice.unit)
     assert sorted(set(asked)) == list(lattice * coarse_grid.spacing)
     eager = eager_response(canonical_net, coarse_grid)
     full = outputs(replace(state, lattice=Lattice.stride(coarse_grid, 750, 1), response=eager))

@@ -87,8 +87,7 @@ def test_round_bias_snaps_to_grid():
 
 
 def test_bias_point_validation():
-    bias = BiasPoint(f_dc=12e9, i_c=280e-9, phase=2 * np.pi + 0.25)
-    assert_allclose(bias.phase, 0.25)
+    bias = BiasPoint(f_dc=12e9, i_c=280e-9)
     assert_allclose(bias.v_dc, bias_voltage(12e9))
     with pytest.raises(ValueError):
         BiasPoint(f_dc=0.0, i_c=1e-9)
@@ -121,7 +120,7 @@ def test_phase_update_integrates_voltage():
     # One zero-feedback step turns a voltage tone into I_c sin(phi), where phi
     # is the bias ramp plus 2e/hbar times the integrated tone.
     grid = FrequencyGrid(1e7, 256)
-    bias = BiasPoint(f_dc=64e7, i_c=1e-7, phase=0.3)
+    bias = BiasPoint(f_dc=64e7, i_c=1e-7)
     v = np.zeros(256, dtype=complex)
     v0, k = 4e-7, 12
     v[k] = 0.5 * v0
@@ -129,7 +128,7 @@ def test_phase_update_integrates_voltage():
     step = _picard_step(np.zeros(256, dtype=complex), v, grid.frequencies, 64, bias, options)
     t = time_samples(grid, options.zero_pad)
     w = 2 * np.pi * grid.frequencies[k]
-    phi = 2 * np.pi * bias.f_dc * t + 0.3 + (2 * E_CHARGE / HBAR) * v0 * np.sin(w * t) / w
+    phi = 2 * np.pi * bias.f_dc * t + (2 * E_CHARGE / HBAR) * v0 * np.sin(w * t) / w
     expected = to_spectrum(bias.i_c * np.sin(phi), grid)
     updated = step(np.zeros(256, dtype=complex), np.empty(256, dtype=complex))
     assert_allclose(updated, expected, rtol=0, atol=1e-9 * bias.i_c)
@@ -154,7 +153,7 @@ def test_zero_critical_current_converges_immediately():
     assert state.residual == 0.0
     assert np.all(state.i_j == 0.0)
     # stride gcd(375, 750); with i_c = 0 there is nothing to probe
-    assert state.stride == 375 and np.isnan(state.off_lattice_growth)
+    assert state.lattice.unit == 375 and np.isnan(state.off_lattice_growth)
 
 
 def test_pure_pump_line_magnitude():
@@ -166,7 +165,8 @@ def test_pure_pump_line_magnitude():
     state = iterate(row, bias, Stimulus.none())
     m = int(round(F_DC / grid.spacing))
     assert state.converged
-    assert state.stride == 1 and np.isnan(state.off_lattice_growth)  # stimulus-free: full grid
+    # Stimulus-free: the full grid.
+    assert state.lattice.unit == 1 and np.isnan(state.off_lattice_growth)
     assert_allclose(abs(state.i_j[m]), I_C / 2, rtol=1e-12)
     others = np.abs(np.delete(state.i_j, m))
     assert others.max() < 1e-12 * I_C
@@ -186,7 +186,7 @@ def test_phase_modulation_sidebands_follow_bessel():
         state = iterate(row, BiasPoint(f_dc=F_DC, i_c=I_C), stim)
         assert state.converged and state.iterations == 2
         # stride gcd(20, 750); without feedback the off-lattice probe decays at once
-        assert state.stride == 10 and state.off_lattice_growth == 0.0
+        assert state.lattice.unit == 10 and state.off_lattice_growth == 0.0
         assert_allclose(abs(state.i_j[m]), I_C * jv(0, depth) / 2, rtol=1e-9)
         for n in (1, 2):
             expected = I_C * abs(jv(n, depth)) / 2
@@ -380,8 +380,8 @@ def test_outputs_keep_bias_stiff(coarse_grid, stim):
     # junction voltage of about 1e-9 V at 0.1 ohm bias resistance).
     f = frankenstein_matrix(build_icta(IctaParams(bias_resistance=0.1)), coarse_grid)
     state = iterate(junction_row(f), BiasPoint(f_dc=F_DC, i_c=I_C), stim)
-    assert state.stride == (50 if stim.tones else 1)
-    lattice = slice(None, None, state.stride)
+    assert state.lattice.unit == (50 if stim.tones else 1)
+    lattice = slice(None, None, state.lattice.unit)
     a_j = outputs(state).a_out[1, lattice]
     v_j = state.v_j[lattice]
     assert np.max(np.abs(a_j - v_j)) <= 1e-12 * np.max(np.abs(v_j))
@@ -525,7 +525,7 @@ def test_sub_lattice_matches_full_grid(default_f, f_s, stride):
     stim = Stimulus.single(f_s, -140.0)
     fast = iterate(row, bias, stim)
     oracle = plain_iterate(row, bias, stim, SolverOptions())
-    assert fast.stride == stride and oracle.stride == 1
+    assert fast.lattice.unit == stride and oracle.lattice.unit == 1
     assert 0.0 < fast.off_lattice_growth < 1.0 and np.isnan(oracle.off_lattice_growth)
     assert abs(fast.off_lattice_growth - nonlinear_off_lattice_growth(row, fast)) <= 1e-5
     assert fast.converged and oracle.converged
@@ -549,7 +549,7 @@ def test_low_strides_run_embedded(default_f, k, stride):
     stim = Stimulus.single(k * 1e6, -140.0)
     fast = iterate(row, bias, stim)
     oracle = plain_iterate(row, bias, stim, SolverOptions())
-    assert fast.stride == stride and fast.lattice.alpha in ALPHA_LADDER
+    assert fast.lattice.unit == stride and fast.lattice.alpha in ALPHA_LADDER
     assert fast.lattice.size < DEFAULT_GRID.size // stride
     assert 0.0 < fast.tail < TAIL_BOUND and 0.0 < fast.off_lattice_growth < 1.0
     assert fast.converged == oracle.converged
@@ -596,12 +596,12 @@ def test_warm_start_from_another_lattice(canonical_f, coarse_grid):
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
     stim = Stimulus.single(6.4e9, -140.0)
     cold = iterate(row, bias, stim)
-    assert cold.stride == 50 and cold.converged
+    assert cold.lattice.unit == 50 and cold.converged
     for k in (320, 401):
         neighbour = iterate(row, bias, Stimulus.single(k * coarse_grid.spacing, -140.0))
-        assert neighbour.stride == (10 if k == 320 else 1)
+        assert neighbour.lattice.unit == (10 if k == 320 else 1)
         warm = iterate(row, bias, stim, initial=neighbour.i_j)
-        assert warm.converged and warm.stride == 50
+        assert warm.converged and warm.lattice.unit == 50
         assert_allclose(warm.i_j, cold.i_j, rtol=0, atol=1e-10 * I_C)
         g_warm = gain(outputs(warm), 6.4e9)
         assert abs(g_warm - gain(outputs(cold), 6.4e9)) < 1e-8
@@ -619,13 +619,13 @@ def test_probe_masks_off_lattice_instability():
     # full grid; the 16 MHz grid does not show this, DEFAULT_GRID does.
     row, bias, stim = _probe_case(0.6)
     state = iterate(row, bias, stim)
-    assert state.stride == 4087
+    assert state.lattice.unit == 4087
     assert state.residual < 1e-12  # the sub-lattice loop itself converged
     assert not state.converged
     assert state.off_lattice_growth > 2.0
     # The oracle, continued from the lifted state plus a small off-lattice
     # perturbation, runs away from it instead of returning.
-    off = np.arange(state.i_j.size) % state.stride != 0
+    off = np.arange(state.i_j.size) % state.lattice.unit != 0
     noise = np.where(off, np.random.default_rng(5).standard_normal(off.size), 0.0)
     noise *= 1e-9 * bias.i_c / np.sqrt(np.sum(noise**2))
     oracle = plain_iterate(
@@ -638,7 +638,7 @@ def test_probe_masks_off_lattice_instability():
 def test_probe_passes_stable_point():
     row, bias, stim = _probe_case(0.1)
     state = iterate(row, bias, stim)
-    assert state.stride == 4087
+    assert state.lattice.unit == 4087
     assert state.converged
     assert 0.5 < state.off_lattice_growth < 1.0
 
@@ -649,7 +649,7 @@ def test_probe_matches_nonlinear_oracle(bias_resistance):
     # state plus a 1e-9 I_c perturbation: 0.15 ohm reads 1.02 and is masked.
     row, bias, stim = _probe_case(bias_resistance)
     state = iterate(row, bias, stim)
-    assert state.stride == 4087 and state.residual < 1e-12
+    assert state.lattice.unit == 4087 and state.residual < 1e-12
     oracle = nonlinear_off_lattice_growth(row, state)
     assert abs(state.off_lattice_growth - oracle) <= 1e-5
     assert state.converged == (oracle < 1.0) == (bias_resistance < 0.15)
@@ -661,7 +661,7 @@ def test_embedded_probe_matches_nonlinear_oracle(bias_resistance):
     # probe perturbs every grid bin its lattice does not cover.
     row, bias, stim = _probe_case(bias_resistance, f_s=4.501e9)
     state = iterate(row, bias, stim)
-    assert state.stride == 1 and state.lattice.alpha > 0 and state.residual < 1e-12
+    assert state.lattice.unit == 1 and state.lattice.alpha > 0 and state.residual < 1e-12
     oracle = nonlinear_off_lattice_growth(row, state)
     assert abs(state.off_lattice_growth - oracle) <= 1e-5
     assert state.converged == (oracle < 1.0) == (bias_resistance < 0.15)
@@ -678,7 +678,7 @@ def test_tangent_step_matches_central_difference(monkeypatch, interleaved, relax
     rng = np.random.default_rng(7)
     f_jj, drive, x, d = ([1.0, 1j] @ rng.standard_normal((2, n)) for _ in range(4))
     f_jj, drive, x, d = 0.05 * f_jj, 1e-9 * drive, 0.1 * I_C * x, 0.1 * I_C * d
-    bias = BiasPoint(f_dc=m * 1e6, i_c=I_C, phase=0.7)
+    bias = BiasPoint(f_dc=m * 1e6, i_c=I_C)
     options = SolverOptions(zero_pad=2, relaxation=relaxation)
     frequencies = 1e6 * np.arange(n)
     step = _picard_step(f_jj, drive, frequencies, m, bias, options)
@@ -698,7 +698,7 @@ def test_tangent_zero_pad_two_matches_zero_pad_four(default_f):
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
     state = iterate(row, bias, Stimulus.single(5.12e9, -140.0))
     n, m = DEFAULT_GRID.size, int(round(F_DC / DEFAULT_GRID.spacing))
-    off = np.arange(n) % state.stride != 0
+    off = np.arange(n) % state.lattice.unit != 0
     re, im = np.random.default_rng(PROBE_SEED).standard_normal((2, n))
     delta = np.where(off, re + 1j * im, 0.0)
     images = []
@@ -730,7 +730,7 @@ def test_solve_point_leaves_no_reference_cycles():
         found = gc.collect()
     finally:
         gc.enable()
-    assert state.stride == 40 and state.converged and 0.0 < state.off_lattice_growth < 1.0
+    assert state.lattice.unit == 40 and state.converged and 0.0 < state.off_lattice_growth < 1.0
     assert found == 0
 
 
@@ -743,13 +743,13 @@ def test_solve_point_leaves_no_reference_cycles():
 @pytest.mark.parametrize("stride", [1, 7])
 def test_interleaved_step_matches_single_transform(monkeypatch, n, zero_pad, relaxation, stride):
     # One step in each layout on the same inputs: n bins spaced stride MHz,
-    # the pump on bin n // 3, a nonzero bias phase, and voltages that swing
-    # the junction phase by about a radian.
+    # the pump on bin n // 3, and voltages that swing the junction phase by
+    # about a radian.
     rng = np.random.default_rng(100 * n + zero_pad)
     f_jj, drive, current = ([1.0, 1j] @ rng.standard_normal((2, n)) for _ in range(3))
     current[0] = current[0].real
     m = max(1, n // 3)
-    bias = BiasPoint(f_dc=m * stride * 1e6, i_c=I_C, phase=0.7)
+    bias = BiasPoint(f_dc=m * stride * 1e6, i_c=I_C)
     options = SolverOptions(zero_pad=zero_pad, relaxation=relaxation)
     frequencies = stride * 1e6 * np.arange(n)
     updated = {}
@@ -777,7 +777,7 @@ def test_layout_follows_lattice_size(monkeypatch, default_f):
     one_step = SolverOptions(max_iterations=1)
     row = junction_row(default_f)
     plain_iterate(row, bias, stim, one_step)
-    assert iterate(row, bias, stim, one_step).stride == 160
+    assert iterate(row, bias, stim, one_step).lattice.unit == 160
     map_grid = FrequencyGrid(spacing=20e6, size=2048)
     map_row = junction_row(frankenstein_matrix(build_icta(IctaParams()), map_grid))
     plain_iterate(map_row, bias, Stimulus.none(), one_step)

@@ -135,11 +135,6 @@ def test_library_imports_are_used():
     assert unused == []
 
 
-# Element builders the library never calls: they make the `Element` kinds the
-# netlist JSON accepts (`shunt-inductor`, `shunt-resistor`) from Python.
-UNREAD_BUILDERS = {"shunt_inductor", "shunt_resistor"}
-
-
 def test_library_definitions_are_read():
     # Code only tests reach belongs in the tests: every module-level function
     # and class of the library is read somewhere in the library (a name, an
@@ -163,5 +158,5 @@ def test_library_definitions_are_read():
             for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
                 if annotation is not None:
                     read |= _annotation_names(annotation)
-    unread = set(defined) - read - set(ictasim.__all__) - UNREAD_BUILDERS
+    unread = set(defined) - read - set(ictasim.__all__)
     assert sorted(f"{defined[name]}: {name}" for name in unread) == []

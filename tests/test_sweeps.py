@@ -365,7 +365,7 @@ def test_map_feature_cells_match_full_grid(monkeypatch, f_dc, f_s):
     monkeypatch.setattr(sweeps, "iterate", plain_iterate)
     full = gain_map_fdc(response, [f_s], [f_dc], 200e-9, options=options)
     (state,) = states
-    assert state.stride == round(f_s / grid.spacing)
+    assert state.lattice.unit == round(f_s / grid.spacing)
     assert 0.0 < state.off_lattice_growth < 1.0
     assert fast.converged.all() and full.converged.all()
     assert abs(fast.values[0, 0] - full.values[0, 0]) <= 1e-9
@@ -437,7 +437,7 @@ def test_degenerate_compression_splits_by_phase(canonical_f):
     assert curve.phases.size == 8
     low, high = curve.envelope()
     assert np.all(high - low > 3.0)
-    with pytest.raises(FitFailedError):
+    with pytest.raises(ValueError, match="8 phase rows"):
         rapp_fit(curve)
 
 
@@ -710,11 +710,55 @@ def test_compression_csv_roundtrip(tmp_path):
     path = tmp_path / "curve.csv"
     write_compression_csv(curve, path)
     phases, p_in, g, converged = read_compression_csv(path)
-    assert phases.size == 18  # unconverged rows included
-    np.testing.assert_array_equal(converged, curve.converged.ravel())
-    np.testing.assert_allclose(np.unique(phases), curve.phases)
-    np.testing.assert_allclose(p_in[:9], powers, rtol=1e-11)
-    np.testing.assert_allclose(g, curve.gain_db.ravel(), rtol=1e-10)
+    assert g.shape == converged.shape == (2, 9)  # unconverged points included
+    np.testing.assert_array_equal(converged, curve.converged)
+    np.testing.assert_allclose(phases, curve.phases)
+    np.testing.assert_allclose(p_in, powers, rtol=1e-11)
+    np.testing.assert_allclose(g, curve.gain_db, rtol=1e-10)
+
+
+@pytest.mark.parametrize("phases", [[0.0], np.linspace(0.0, np.pi, 8, endpoint=False), [0.0, 0.0]])
+def test_compression_csv_reads_back_the_curve(tmp_path, phases):
+    # Rows are the runs of one power axis in file order, so a repeated phase
+    # still reads back as two rows; unconverged points keep their NaN gain.
+    powers = np.linspace(-140.0, -110.0, 8)
+    phases = np.asarray(phases)
+    converged = np.random.default_rng(3).random((phases.size, 8)) > 0.3
+    gain_db = np.where(converged, rapp_gain_db(powers, 10.0, -101.0, 1.0) + phases[:, None], np.nan)
+    curve = CompressionCurve(
+        power_in_dbm=powers,
+        gain_db=gain_db,
+        phases=phases,
+        converged=converged,
+        balance_error=np.zeros_like(gain_db),
+        signal_frequency=6.0e9,
+        bias=BiasPoint(f_dc=F_DC, i_c=I_C),
+    )
+    path = tmp_path / "curve.csv"
+    write_compression_csv(curve, path)
+    read_phases, p_in, g, read_converged = read_compression_csv(path)
+    np.testing.assert_array_equal(read_converged, converged)
+    np.testing.assert_allclose(read_phases, phases, rtol=1e-11)
+    np.testing.assert_allclose(p_in, powers, rtol=1e-11)
+    np.testing.assert_allclose(g, gain_db, rtol=1e-10)  # NaN where NaN
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],  # no data
+        [(0.0, -120.0), (0.0, -110.0), (0.0, -120.0)],  # a short second run
+        [(0.0, -120.0), (0.0, -110.0), (0.0, -120.0), (0.0, -100.0)],  # another axis
+        [(0.0, -120.0), (1.0, -110.0)],  # the phase changes within a run
+    ],
+)
+def test_compression_csv_rejects_other_layouts(tmp_path, rows):
+    path = tmp_path / "curve.csv"
+    lines = ["phase_rad,power_in_dbm,gain_db,converged,balance_error"]
+    lines += [f"{theta},{p},10.0,1,0.0" for theta, p in rows]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="runs of one power axis"):
+        read_compression_csv(path)
 
 
 def test_sidecar_serializes_arrays(tmp_path):
