@@ -38,7 +38,7 @@ from .circuit import (
     z_jj,
 )
 from .design import band_check
-from .solver import BiasPoint, SolverOptions, round_bias, step_bytes
+from .solver import BiasPoint, SolverOptions, round_bias
 from .sweeps import (
     FitFailedError,
     NotFittableError,
@@ -59,6 +59,7 @@ from .sweeps import (
     stimulus_phases,
     sweep_metadata,
     write_compression_csv,
+    write_json,
     write_map_csv,
     write_profile_csv,
     write_sidecar,
@@ -308,7 +309,8 @@ def memory_estimate_bytes(config: RunConfig) -> int:
     n_ports = len(config.netlist.port_names)
     response = n * n_ports * n_ports * 16
     nodal = n * (n_ports + 6) ** 2 * 16  # assembly scratch
-    return fold + response + nodal + step_bytes(n, config.options.zero_pad)
+    n_t = 2 * config.options.zero_pad * n  # a full-grid step's two sample arrays and two spectra
+    return fold + response + nodal + 2 * n_t * 8 + 2 * (n_t // 2 + 1) * 16
 
 
 def describe(config: RunConfig, stream=None) -> None:
@@ -474,9 +476,10 @@ def _cmd_fit(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "fit.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, result)
+    if not powers.min() <= result["p1db_dbm"] <= powers.max():
+        print(f"warning: P1dB {result['p1db_dbm']:.2f} dBm lies outside the fitted powers "
+              f"{powers.min():.2f} to {powers.max():.2f} dBm", file=sys.stderr)
     print(
         f"G0 {fit.gain_db:.2f} dB  P_sat {fit.p_sat_dbm:.2f} dBm  "
         f"p {fit.knee:.3f}  P1dB {result['p1db_dbm']:.2f} dBm  -> {path}"

@@ -420,15 +420,6 @@ def _interleaved(n: int) -> bool:
     return n >= SPLIT_BINS and n & (n - 1) == 0
 
 
-def step_bytes(n: int, zero_pad: int) -> int:
-    """Bytes of the time-grid arrays a step on an n-bin lattice holds: the
-    ramp and phase samples, and two spectrum-sized buffers (the spectrum and
-    the twiddle table when interleaved, the padded spectrum and its
-    transform otherwise)."""
-    spectrum = 2 * zero_pad * (n // 2 + 1) if _interleaved(n) else zero_pad * n + 1
-    return 2 * (2 * zero_pad * n) * 8 + 2 * spectrum * 16
-
-
 def _round_trip(frequencies: np.ndarray, m: int, bias: BiasPoint, zero_pad: int):
     """The two halves of a step on the lattice whose bins have the physical
     frequencies `frequencies` (signed, bin 0 at 0 Hz, pump on bin m), 2 *

@@ -384,12 +384,11 @@ def compression_sweep(
     snapped, bins = snap_frequencies([signal_frequency], grid)
     f_s = float(snapped[0])
     phases = stimulus_phases(int(bins[0]), int(round(bias.f_dc / grid.spacing)), phases)
-    gain_db = np.full((phases.size, powers.size), np.nan)
-    converged = np.zeros_like(gain_db, dtype=bool)
-    balance = np.full_like(gain_db, np.nan)
-    for a, theta in enumerate(phases):
-        stimuli = [Stimulus.single(f_s, float(p), phase=float(theta)) for p in powers]
-        gain_db[a], converged[a], balance[a], _ = _chain(response, bias, stimuli, options)
+    rows = []
+    for theta in phases.tolist():
+        stimuli = [Stimulus.single(f_s, p, phase=theta) for p in powers.tolist()]
+        rows.append(_chain(response, bias, stimuli, options))
+    gain_db, converged, balance, _ = map(np.vstack, zip(*rows))
     return CompressionCurve(
         power_in_dbm=powers,
         gain_db=gain_db,
@@ -459,15 +458,16 @@ def fit_row(power_in_dbm, gain_db, converged, phase_index: int | None = None):
 def rapp_fit(curve, gain_db=None, phase_index: int | None = None) -> RappFit:
     """Least-squares fit of the saturation model to a compression curve.
 
-    Accepts a CompressionCurve, whose row `fit_row` picks (`phase_index`
-    selects one row of a multi-phase sweep), or a pair of arrays
-    (power_in_dbm, gain_db).  Only converged points enter the fit.
+    Accepts a CompressionCurve, or a pair of arrays (power_in_dbm, gain_db)
+    read as a one-row curve whose finite points converged; `fit_row` picks
+    the row (`phase_index` selects one row of a multi-phase sweep; the
+    arrays take None or 0).  Only converged points enter the fit.
 
     Raises
     ------
     ValueError
         Multi-phase curve without `phase_index`, or `phase_index` outside
-        [0, n_phases).
+        [0, n_phases), where a pair of arrays has one phase.
     NotFittableError
         Less than MIN_COMPRESSION_DB of gain compression in the data, or too
         few points: the saturation power would be unconstrained.
@@ -478,14 +478,14 @@ def rapp_fit(curve, gain_db=None, phase_index: int | None = None) -> RappFit:
     if isinstance(curve, CompressionCurve):
         if gain_db is not None:
             raise TypeError("pass either a curve or two arrays, not both")
-        p_in, g = fit_row(curve.power_in_dbm, curve.gain_db, curve.converged, phase_index)
+        table = curve.power_in_dbm, curve.gain_db, curve.converged
     else:
         p_in = np.asarray(curve, dtype=float)
         g = np.asarray(gain_db, dtype=float)
         if p_in.shape != g.shape:
             raise ValueError("power and gain arrays must match")
-        keep = np.isfinite(p_in) & np.isfinite(g)
-        p_in, g = p_in[keep], g[keep]
+        table = p_in, g[None], (np.isfinite(p_in) & np.isfinite(g))[None]
+    p_in, g = fit_row(*table, phase_index)
     if p_in.size < 5:
         raise NotFittableError("too few converged points to constrain the fit")
     if np.max(g) - np.min(g) < MIN_COMPRESSION_DB:
@@ -721,21 +721,27 @@ def write_table(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> N
         fh.write(b"".join(chunks))
 
 
-def write_sidecar(path, metadata: dict) -> None:
-    """JSON metadata sidecar; regenerating the CSV needs nothing else."""
-    payload = {"tool": "ictasim", "version": __version__}
-    payload.update(metadata)
+def _strict_json(value):
+    """`value` as plain JSON data, every non-finite float (also in arrays) None."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(item) for item in value]
+    return None if isinstance(value, float) and not np.isfinite(value) else value
+
+
+def write_json(path, payload: dict) -> None:
+    """Strict JSON, indented with sorted keys; a non-finite float is null."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_fallback)
+        json.dump(_strict_json(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
-def _json_fallback(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+def write_sidecar(path, metadata: dict) -> None:
+    """JSON metadata sidecar; regenerating the CSV needs nothing else."""
+    write_json(path, {"tool": "ictasim", "version": __version__, **metadata})
 
 
 def bias_metadata(bias: BiasPoint) -> dict:
@@ -766,37 +772,30 @@ def write_profile_csv(profile: GainProfile, path) -> None:
     )
 
 
-def write_map_csv(gmap: GainMap, path) -> None:
-    ny, nx = gmap.values.shape
-    y = np.repeat(gmap.axis_values, nx)
-    x = np.tile(gmap.signal_frequencies, ny)
+def _write_rows(path, header, rows, points, gain_db, converged, balance_error) -> None:
+    """Long-form CSV of a rows x points table, one line per cell in row-major
+    order (the layout `read_compression_csv` reads); `header` names the row
+    and point axes, and the counts come from the table's shape."""
+    ny, nx = gain_db.shape
     write_table(
         path,
-        [gmap.axis_name, "f_s_hz", "gain_db", "converged", "balance_error"],
-        [
-            y,
-            x,
-            gmap.values.ravel(),
-            gmap.converged.astype(int).ravel(),
-            gmap.balance_error.ravel(),
-        ],
+        [*header, "gain_db", "converged", "balance_error"],
+        [np.repeat(rows, nx), np.tile(points, ny), gain_db.ravel(),
+         converged.astype(int).ravel(), balance_error.ravel()],
+    )
+
+
+def write_map_csv(gmap: GainMap, path) -> None:
+    _write_rows(
+        path, [gmap.axis_name, "f_s_hz"], gmap.axis_values, gmap.signal_frequencies,
+        gmap.values, gmap.converged, gmap.balance_error,
     )
 
 
 def write_compression_csv(curve: CompressionCurve, path) -> None:
-    n = curve.power_in_dbm.size
-    phases = np.repeat(curve.phases, n)
-    powers = np.tile(curve.power_in_dbm, curve.phases.size)
-    write_table(
-        path,
-        ["phase_rad", "power_in_dbm", "gain_db", "converged", "balance_error"],
-        [
-            phases,
-            powers,
-            curve.gain_db.ravel(),
-            curve.converged.astype(int).ravel(),
-            curve.balance_error.ravel(),
-        ],
+    _write_rows(
+        path, ["phase_rad", "power_in_dbm"], curve.phases, curve.power_in_dbm,
+        curve.gain_db, curve.converged, curve.balance_error,
     )
 
 

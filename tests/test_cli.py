@@ -1,13 +1,14 @@
 """Command-line interface: config validation, runs, and determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from ictasim.cli import load_config, main, memory_estimate_bytes, run, solve_count
 from ictasim.solver import BiasPoint, SolverOptions
-from ictasim.sweeps import compression_sweep, p1db, rapp_fit, rapp_gain_db
+from ictasim.sweeps import compression_sweep, p1db, rapp_fit, rapp_gain_db, write_json
 
 GRID = {"spacing_hz": 16e6, "size": 2048}
 
@@ -357,6 +358,27 @@ def test_profile_rerun_byte_identical(tmp_path):
     assert (a / "profile.csv").read_bytes() == (b / "profile.csv").read_bytes()
 
 
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_sidecar_is_strict_json(tmp_path):
+    # No point of a 20 nA profile clears the threshold, so its average gain is NaN.
+    path = write_config(tmp_path, profile_sweep(i_c_a=20e-9, signal_stop=6e9))
+    out = tmp_path / "run"
+    assert main(["profile", "--config", str(path), "--out", str(out)]) == 0
+    meta = json.loads((out / "profile.meta.json").read_text(), parse_constant=reject_constant)
+    assert meta["metrics"]["bandwidth_hz"] == 0.0
+    assert meta["metrics"]["average_gain_db"] is None
+
+
+def test_write_json_nulls_non_finite_floats(tmp_path):
+    path = tmp_path / "data.json"
+    write_json(path, {"a": np.array([1.5, np.nan]), "b": [np.float64(-np.inf)], "c": math.inf})
+    data = json.loads(path.read_text(), parse_constant=reject_constant)
+    assert data == {"a": [1.5, None], "b": [None], "c": None}
+
+
 def test_gainmap_threads_byte_identical(tmp_path):
     path = write_config(
         tmp_path,
@@ -555,6 +577,24 @@ def test_fit_roundtrip_from_csv(tmp_path, capsys):
     assert result["knee"] == pytest.approx(1.2, rel=0.05)
     assert result["p1db_dbm"] < result["p_sat_dbm"]
     assert "P1dB" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("start, warned", [(-130.0, False), (-105.0, True)])
+def test_fit_warns_when_p1db_leaves_the_fitted_powers(tmp_path, capsys, start, warned):
+    # The model's P1dB lies near -115.2 dBm: a sweep from -130 dBm brackets
+    # it, one from -105 dBm starts already compressed.
+    powers = np.linspace(start, start + 20.0, 20)
+    csv = tmp_path / "compression.csv"
+    lines = ["phase_rad,power_in_dbm,gain_db,converged,balance_error"]
+    for p, g in zip(powers, rapp_gain_db(powers, 14.0, -100.0, 1.0)):
+        lines.append(f"0.0,{p:.11e},{g:.11e},1,0.0")
+    csv.write_text("\n".join(lines) + "\n")
+    assert main(["fit", "--in", str(csv), "--out", str(tmp_path)]) == 0
+    result = json.loads((tmp_path / "fit.json").read_text(), parse_constant=reject_constant)
+    assert result["p1db_dbm"] == pytest.approx(-115.2, abs=0.05)
+    err = capsys.readouterr().err
+    named = f"P1dB {result['p1db_dbm']:.2f} dBm" in err and f"{start:.2f} to" in err
+    assert ("warning: P1dB" in err, named) == (warned, warned)
 
 
 def write_two_phase_csv(tmp_path):

@@ -1,14 +1,18 @@
-"""The public surface: `ictasim.__all__`, what the demos import from it, the
-module attributes the benchmark tracer wraps and what it reads of a solve,
-the config schema the benchmark's generated configs rely on, and no unused
-import or definition in the library."""
+"""The public surface: `ictasim.__all__`, what the demos import from it and
+that each demo runs, the module attributes the benchmark tracer wraps and
+what it reads of a solve, the config schema the benchmark's generated
+configs rely on, and no unused import or definition in the library."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import ictasim
 from ictasim.cli import load_config
@@ -31,6 +35,19 @@ def test_public_names_resolve_and_cover_demo_imports():
                 imported.update((path.name, alias.name) for alias in node.names)
     assert imported
     assert sorted(item for item in imported if item[1] not in ictasim.__all__) == []
+
+
+@pytest.mark.parametrize("demo", sorted(path.name for path in DEMOS.glob("*.py")))
+def test_demo_runs(demo, tmp_path):
+    # Each demo runs end to end as a user would start it; the CLI demo makes
+    # its work directory with mkdtemp, so TMPDIR keeps it under tmp_path.
+    env = {**os.environ, "TMPDIR": str(tmp_path)}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SOURCES.parent), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(DEMOS / demo)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_traced_names_resolve_to_callables():

@@ -131,9 +131,18 @@ def test_rapp_fit_idempotent():
     assert abs(second.knee - first.knee) / first.knee < 1e-3
 
 
-@pytest.mark.parametrize("n_phases, phase_index", [(2, -1), (2, 2), (1, 1)])
+@pytest.mark.parametrize(
+    "n_phases, phase_index", [(2, -1), (2, 2), (1, 1), pytest.param(None, 5, id="arrays-5")]
+)
 def test_rapp_fit_rejects_phase_index_out_of_range(n_phases, phase_index):
     powers = np.linspace(-140.0, -110.0, 9)
+    if n_phases is None:
+        # A pair of arrays is a one-row curve: None and 0 fit it alike.
+        gains = rapp_gain_db(powers, 20.0, -101.0, 1.0)
+        assert rapp_fit(powers, gains, phase_index=0) == rapp_fit(powers, gains)
+        with pytest.raises(ValueError, match=r"out of range \[0, 1\)"):
+            rapp_fit(powers, gains, phase_index=phase_index)
+        return
     rows = [rapp_gain_db(powers, 20.0 - 2.0 * i, -101.0, 1.0) for i in range(n_phases)]
     curve = CompressionCurve(
         power_in_dbm=powers,
