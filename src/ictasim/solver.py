@@ -45,8 +45,12 @@ alias only from above zero_pad times the lattice's top frequency, which the
 sin() harmonic decay makes negligible.
 An oscillation on grid bins a lattice does not cover cannot show on it, so a
 converged point whose lattice leaves bins out takes a few full-grid steps
-(zero_pad 2) of the Picard map's tangent at its lifted state from a seeded
-perturbation on those bins, and is marked unconverged if it grows.
+(zero_pad 2) of the Picard map's tangent at its lifted state, power iteration
+on those bins, and is marked unconverged if the perturbation grows.  The first
+probe of a warm-start chain starts from a seeded perturbation and takes
+PROBE_STEPS steps; a `Probe` carries the last probe's vector to the next point
+of the chain, which starts from it and stops as soon as two successive growth
+ratios agree, and it holds the tangent's full-grid tables for the whole chain.
 
 Time grid layout: a lattice of N_s bins, N_s a power of two of at least
 SPLIT_BINS (the full DEFAULT_GRID, and its stride-2 and stride-4
@@ -77,8 +81,12 @@ from .frankenstein import VOLTAGE_BIAS, JunctionRow, junction_port, wave_port
 
 # Off-lattice stability probe of a sub-lattice solve: a seeded unit perturbation
 # on the off-lattice bins, PROBE_STEPS full-grid steps of the Picard map's tangent.
+# A probe started from the previous point's vector stops after the first step,
+# from the second on, whose growth ratio agrees with the one before to
+# PROBE_AGREEMENT relative.
 PROBE_SEED = 0
 PROBE_STEPS = 8
+PROBE_AGREEMENT = 1e-3
 # The tangent multiplies a perturbation's phase samples by c(t) = cos(ramp +
 # phase of the state).  For output and input bins |k|, |p| < N only c's bins
 # |q| < 2N contribute, which a 4N-sample grid (zero_pad 2) multiplies without
@@ -354,7 +362,8 @@ class SolutionState:
     a fraction of i_c (NaN on a stride lattice).  `off_lattice_growth` is the
     probe's last-step growth ratio of a perturbation on the grid bins off the
     lattice under the Picard map's tangent (0 only when the tangent
-    annihilated it, as on a row without feedback; NaN when no probe ran).
+    annihilated it, as on a row without feedback; NaN when no probe ran), and
+    `probe_steps` the number of tangent steps the probe took (0 when none ran).
     Each stop reads from the state alone: `converged` True is a converged
     point; otherwise `off_lattice_growth >= 1` is a probe-masked point, a
     non-finite `residual` a diverged one (its `i_j` is the non-finite
@@ -374,6 +383,7 @@ class SolutionState:
     lattice: Lattice
     tail: float
     off_lattice_growth: float
+    probe_steps: int = 0
     a_out: np.ndarray | None = None
 
     @property
@@ -547,19 +557,24 @@ def _tangent_step(
     m: int,
     bias: BiasPoint,
     options: SolverOptions,
+    trip=None,
 ):
     """The tangent of `_picard_step` at the state of junction voltage spectrum
     `voltage`, a conversion-matrix linearisation: delta -> (1 - relaxation)
     delta + relaxation * (spectrum of I_c c(t) times the phase samples of f_jj
-    delta), with c = cos(ramp + phase of `voltage`) computed once."""
+    delta), with c = cos(ramp + phase of `voltage`) computed once.  `trip` is
+    the `_round_trip` of the same arguments when the caller holds it; the
+    tangent only reads its ramp."""
     n = frequencies.size
     relaxation = options.relaxation
-    ramp, to_phase, to_current = _round_trip(frequencies, m, bias, options.zero_pad)
+    if trip is None:
+        trip = _round_trip(frequencies, m, bias, options.zero_pad)
+    ramp, to_phase, to_current = trip
     c = np.empty(ramp.shape)
     to_phase(voltage, c)
     np.add(ramp, c, out=c)
     np.cos(c, out=c)
-    phi = ramp  # the ramp is not read again
+    phi = np.empty(ramp.shape)
     v = np.empty(n, dtype=complex)
 
     def step(delta: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -577,23 +592,60 @@ def _tangent_step(
     return step
 
 
-def _off_lattice_growth(step, off: np.ndarray) -> float:
-    """Last-step 2-norm growth ratio of a seeded unit perturbation on the grid
-    bins `off` (a mask) over PROBE_STEPS steps of the tangent `step`; 0 only
-    when the last step annihilated it."""
-    re, im = np.random.default_rng(PROBE_SEED).standard_normal((2, off.size))
-    x = re + 1j * im
-    x[~off] = 0.0
-    # Plain sums of squares: np.linalg.norm can wake idle BLAS threads.
-    x /= np.sqrt(np.sum(np.abs(x) ** 2))
+def _off_lattice_growth(step, off: np.ndarray, start: np.ndarray | None = None):
+    """Power iteration of the tangent `step` on the grid bins `off` (a mask):
+    (growth, steps, vector), the last step's 2-norm growth ratio on `off` (0
+    only when that step annihilated the perturbation), the number of steps
+    and the vector they ended on.  It starts from `start` masked to `off` and
+    normalised, and stops once two successive ratios agree to PROBE_AGREEMENT
+    relative, after PROBE_STEPS at most; without `start`, or when `start` has
+    no weight on `off`, from a seeded unit perturbation on `off` for
+    PROBE_STEPS steps."""
+    x, weight = None, 0.0
+    if start is not None:
+        x = np.where(off, start, 0j)
+        # Plain sums of squares: np.linalg.norm can wake idle BLAS threads.
+        weight = float(np.sum(np.abs(x) ** 2))
+    carried = 0.0 < weight < math.inf
+    if carried:
+        x /= math.sqrt(weight)
+    else:
+        re, im = np.random.default_rng(PROBE_SEED).standard_normal((2, off.size))
+        x = re + 1j * im
+        x[~off] = 0.0
+        x /= np.sqrt(np.sum(np.abs(x) ** 2))
     spare = np.empty_like(x)
-    now = 1.0
-    for _ in range(PROBE_STEPS):
+    now, ratio = 1.0, math.nan
+    for steps in range(1, PROBE_STEPS + 1):
         x, spare = step(x, spare), x
         before, now = now, float(np.sum(np.abs(x[off]) ** 2))
+        if carried:
+            last, ratio = ratio, math.sqrt(now / before) if before > 0.0 else math.inf
+            if now == 0.0 or abs(ratio - last) <= PROBE_AGREEMENT * ratio:
+                break
     if now == 0.0:
-        return 0.0
-    return float(np.sqrt(now / before)) if before > 0.0 else float("inf")
+        return 0.0, steps, x
+    return (float(np.sqrt(now / before)) if before > 0.0 else float("inf")), steps, x
+
+
+class Probe:
+    """The off-lattice probe of one warm-start chain, handed to each of its
+    `iterate` calls: `vector`, the vector the chain's last probe ended on,
+    which starts the next one, and the tangent's full-grid `_round_trip`
+    tables, built by the chain's first probe.  It lives as long as the chain
+    and must not be shared between threads."""
+
+    def __init__(self):
+        self.vector: np.ndarray | None = None
+        self._key = self._trip = None
+
+    def round_trip(self, grid: FrequencyGrid, m: int, bias: BiasPoint, zero_pad: int):
+        """`_round_trip` of the full grid, built again only when an argument
+        it depends on changes."""
+        key = (grid, m, bias.i_c, zero_pad)
+        if key != self._key:
+            self._key, self._trip = key, _round_trip(grid.frequencies, m, bias, zero_pad)
+        return self._trip
 
 
 def _fixed_point(step, current: np.ndarray, tol_abs: float, max_iterations: int):
@@ -638,6 +690,7 @@ def iterate(
     options: SolverOptions = SolverOptions(),
     *,
     initial: np.ndarray | None = None,
+    probe: Probe | None = None,
 ) -> SolutionState:
     """Fixed-point solution of the junction current spectrum.
 
@@ -652,7 +705,9 @@ def iterate(
     lattice, which decides.  The result is lifted back to the grid.  A
     converged point whose lattice leaves grid bins out is then probed on them
     (see `SolutionState.off_lattice_growth`), since an oscillation there
-    cannot show on the lattice.
+    cannot show on the lattice: PROBE_STEPS tangent steps from a seeded
+    perturbation, or, from the vector `probe` carries, steps until two
+    successive growth ratios agree.
 
     Parameters
     ----------
@@ -668,6 +723,12 @@ def iterate(
         Warm-start junction current spectrum (grid-sized, half amplitudes);
         only its bins on the solve's lattice are used.  A rung on which it
         already misses the tail bound is skipped.
+    probe : Probe, optional
+        The off-lattice probe of the warm-start chain the solve belongs to:
+        a probe starts from its vector, masked to this solve's off-lattice
+        bins (from the seeded perturbation when it has none there), runs on
+        its tables, and leaves its last vector in it.  Without one the probe
+        is the seeded one on tables of its own.
 
     Returns
     -------
@@ -720,12 +781,16 @@ def iterate(
         del start  # a grid-sized array the probe below need not keep alive
         i_j = lattice.lift(current)
         v_j = drive + row.f_jj * i_j
-    growth = float("nan")
+    growth, steps = float("nan"), 0
     off = ~lattice.covered
     if converged and bias.i_c > 0 and off.any():
-        probe = replace(options, zero_pad=min(options.zero_pad, PROBE_ZERO_PAD))
-        tangent = _tangent_step(row.f_jj, v_j, grid.frequencies, m, bias, probe)
-        growth = _off_lattice_growth(tangent, off)
+        probe = Probe() if probe is None else probe
+        tangent_options = replace(options, zero_pad=min(options.zero_pad, PROBE_ZERO_PAD))
+        trip = probe.round_trip(grid, m, bias, tangent_options.zero_pad)
+        tangent = _tangent_step(
+            row.f_jj, v_j, grid.frequencies, m, bias, tangent_options, trip=trip
+        )
+        growth, steps, probe.vector = _off_lattice_growth(tangent, off, probe.vector)
         converged = growth < 1.0
     return SolutionState(
         bias=bias,
@@ -741,6 +806,7 @@ def iterate(
         lattice=lattice,
         tail=tail,
         off_lattice_growth=growth,
+        probe_steps=steps,
     )
 
 

@@ -40,6 +40,7 @@ from .design import longest_run
 from .frankenstein import junction_row, wave_port
 from .solver import (
     BiasPoint,
+    Probe,
     SolverOptions,
     Stimulus,
     dbm_to_watts,
@@ -147,7 +148,9 @@ def _chain(
     Returns (gain_db, converged, balance_error, iterations) per stimulus.  An
     unconverged point (a diverged one included, with the step that blew up
     as its iterations) gets NaN gain and balance, and the next point starts
-    cold.
+    cold.  One `Probe` serves the chain: each off-lattice probe starts from
+    the vector the last one ended on, and all run on one set of tables,
+    freed when the chain returns.
     """
     row = junction_row(response)
     n = len(stimuli)
@@ -155,9 +158,9 @@ def _chain(
     converged = np.zeros(n, dtype=bool)
     balance = np.full(n, np.nan)
     iterations = np.zeros(n, dtype=int)
-    warm = None
+    warm, probe = None, Probe()
     for i, stim in enumerate(stimuli):
-        state = iterate(row, bias, stim, options, initial=warm)
+        state = iterate(row, bias, stim, options, initial=warm, probe=probe)
         iterations[i] = state.iterations
         converged[i] = state.converged
         warm = state.i_j if state.converged else None

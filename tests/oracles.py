@@ -3,7 +3,7 @@ array (the eager build, and hand-made rows), the inverse conversion, the
 plain fixed-point loop over every grid bin, the row-by-row CSV writer, the
 band report's run and roll-off walks, plain time-domain transforms of the
 solver's spectral convention on the full grid, and the off-lattice probe as
-nonlinear full-grid steps."""
+nonlinear full-grid steps and as a long power iteration."""
 
 from dataclasses import dataclass
 
@@ -13,11 +13,14 @@ from ictasim.circuit import FrequencyGrid, s_matrix
 from ictasim.design import _crossing
 from ictasim.frankenstein import junction_port, junction_row, klmn, to_frankenstein, wave_port
 from ictasim.solver import (
+    PROBE_SEED,
+    PROBE_ZERO_PAD,
     Lattice,
     SolutionState,
     SolverOptions,
     _bias_bin,
     _picard_step,
+    _tangent_step,
     _tone_entries,
     iterate,
     outputs,
@@ -90,9 +93,10 @@ def tone_drive(response, stim):
     return drive
 
 
-def plain_iterate(row, bias, stim, options, initial=None):
-    """The plain fixed-point loop over every grid bin (stride 1, no probe),
-    with `iterate`'s stopping rule: the oracle of its sub-lattice solves."""
+def plain_iterate(row, bias, stim, options, initial=None, probe=None):
+    """The plain fixed-point loop over every grid bin (stride 1, no probe, so
+    `probe` is ignored), with `iterate`'s stopping rule: the oracle of its
+    sub-lattice solves."""
     response = row.response
     grid = response.grid
     drive = tone_drive(response, stim)
@@ -214,3 +218,29 @@ def nonlinear_off_lattice_growth(row, state, options=SolverOptions(), size=1e-9,
     if now < floor**2 * injected:
         return 0.0
     return float(np.sqrt(now / before)) if before > 0.0 else float("inf")
+
+
+def power_iteration_growth(row, state, options=SolverOptions(), steps=300):
+    """The off-lattice growth rate of a lifted `state` as `steps` steps of
+    power iteration of the Picard map's tangent, on tables of its own, from
+    the seeded unit perturbation on the grid bins its lattice does not
+    cover, renormalised every step: the last step's 2-norm growth ratio on
+    those bins.  Its verdict, stable below 1, is what the probe estimates."""
+    grid = row.response.grid
+    m = _bias_bin(state.bias, grid)
+    probe = SolverOptions(
+        relaxation=options.relaxation, zero_pad=min(options.zero_pad, PROBE_ZERO_PAD)
+    )
+    tangent = _tangent_step(row.f_jj, state.v_j, grid.frequencies, m, state.bias, probe)
+    off = ~state.lattice.covered
+    re, im = np.random.default_rng(PROBE_SEED).standard_normal((2, grid.size))
+    x = np.where(off, re + 1j * im, 0.0)
+    x /= np.sqrt(np.sum(np.abs(x[off]) ** 2))
+    growth = 0.0
+    for _ in range(steps):
+        x = tangent(x, np.empty_like(x))
+        growth = float(np.sqrt(np.sum(np.abs(x[off]) ** 2)))
+        if growth == 0.0:
+            return 0.0
+        x /= growth
+    return growth

@@ -32,9 +32,12 @@ from ictasim.solver import (
 from ictasim.solver import (
     ALPHA_LADDER,
     PROBE_SEED,
+    PROBE_STEPS,
     TAIL_BOUND,
     Lattice,
+    Probe,
     _lattices,
+    _off_lattice_growth,
     _picard_step,
     _tangent_step,
 )
@@ -43,6 +46,7 @@ from oracles import (
     bin_power_dbm,
     nonlinear_off_lattice_growth,
     plain_iterate,
+    power_iteration_growth,
     solve,
     time_samples,
     to_spectrum,
@@ -665,6 +669,85 @@ def test_embedded_probe_matches_nonlinear_oracle(bias_resistance):
     oracle = nonlinear_off_lattice_growth(row, state)
     assert abs(state.off_lattice_growth - oracle) <= 1e-5
     assert state.converged == (oracle < 1.0) == (bias_resistance < 0.15)
+
+
+def _diagonal(d):
+    """A test tangent that multiplies each bin by its entry of `d`."""
+
+    def step(x, out):
+        return np.multiply(d, x, out=out)
+
+    return step
+
+
+def test_carried_eigenvector_stops_after_two_steps():
+    # On the off bins the dominant eigenvalue is 0.9 exp(0.7i).  A carried
+    # start on its eigenvector, plus weight on lattice bins that the mask
+    # drops, reads its modulus on the second step.
+    n = 16
+    off = np.arange(n) % 4 != 0
+    d = np.where(off, 0.3, 5.0).astype(complex)
+    d[5] = 0.9 * np.exp(0.7j)
+    start = np.where(off, 0.0, 3.0).astype(complex)
+    start[5] = 2.0 - 1.0j
+    growth, steps, vector = _off_lattice_growth(_diagonal(d), off, start)
+    assert steps == 2
+    assert growth == pytest.approx(0.9, rel=1e-12)
+    assert np.flatnonzero(vector).tolist() == [5]
+
+
+@pytest.mark.parametrize("weight", ["lattice_only", "zero", "nan"])
+def test_carried_vector_without_off_lattice_weight_takes_seeded_path(weight):
+    n = 16
+    off = np.arange(n) % 4 != 0
+    d = [1.0, 1j] @ np.random.default_rng(3).standard_normal((2, n))
+    start = {
+        "lattice_only": np.where(off, 0.0, 1.0 + 2.0j),
+        "zero": np.zeros(n, dtype=complex),
+        "nan": np.full(n, np.nan, dtype=complex),
+    }[weight]
+    carried = _off_lattice_growth(_diagonal(d), off, start)
+    seeded = _off_lattice_growth(_diagonal(d), off)
+    assert carried[1] == seeded[1] == PROBE_STEPS
+    assert carried[0] == seeded[0]
+    assert np.array_equal(carried[2], seeded[2])
+
+
+def test_probe_that_never_agrees_stops_at_probe_steps():
+    # Bins 1 and 2 trade places through factors 2 and 0.5, so the ratios
+    # alternate 2, 0.5, 2, ... and no two successive ones agree.
+    def swap(x, out):
+        out[:] = 0.0
+        out[2], out[1] = 2.0 * x[1], 0.5 * x[2]
+        return out
+
+    off = np.array([False, True, True, False])
+    growth, steps, _ = _off_lattice_growth(swap, off, np.array([0.0, 1.0, 0.0, 0.0]))
+    assert steps == PROBE_STEPS
+    assert growth == pytest.approx(2.0 if PROBE_STEPS % 2 else 0.5)
+
+
+def test_probe_carries_its_vector_along_a_chain():
+    # A probe's first solve is the seeded one, bit for bit; the solves after
+    # it start from the vector the last probe left, whatever their lattice
+    # (bins 4087, 4086 and 4088 against pump bin 12261: strides 4087, 3 and
+    # 1), and stop early from the third point on.  Seeded, 8 steps read
+    # 0.859 at the first point against a 300-step rate of 0.769.
+    row, bias, stim = _probe_case(0.1)
+    cold = iterate(row, bias, stim)
+    probe, warm, states = Probe(), None, []
+    for f_s in (4.087e9, 4.086e9, 4.088e9, 4.089e9):
+        state = iterate(row, bias, Stimulus.single(f_s, -140.0), initial=warm, probe=probe)
+        warm = state.i_j
+        states.append(state)
+    assert cold.probe_steps == states[0].probe_steps == PROBE_STEPS
+    assert states[0].off_lattice_growth == cold.off_lattice_growth
+    assert all(state.converged for state in states)
+    assert all(2 <= state.probe_steps < PROBE_STEPS for state in states[2:])
+    rate = power_iteration_growth(row, states[-1])
+    assert abs(states[-1].off_lattice_growth - rate) <= 1e-3 < abs(cold.off_lattice_growth - rate)
+    pump_only = iterate(row, bias, Stimulus.none(), probe=probe)
+    assert pump_only.probe_steps == 0 and np.isnan(pump_only.off_lattice_growth)
 
 
 @pytest.mark.parametrize("interleaved", [False, True], ids=["single", "interleaved"])
