@@ -619,13 +619,10 @@ def _off_lattice_growth(step, off: np.ndarray, start: np.ndarray | None = None):
     for steps in range(1, PROBE_STEPS + 1):
         x, spare = step(x, spare), x
         before, now = now, float(np.sum(np.abs(x[off]) ** 2))
-        if carried:
-            last, ratio = ratio, math.sqrt(now / before) if before > 0.0 else math.inf
-            if now == 0.0 or abs(ratio - last) <= PROBE_AGREEMENT * ratio:
-                break
-    if now == 0.0:
-        return 0.0, steps, x
-    return (float(np.sqrt(now / before)) if before > 0.0 else float("inf")), steps, x
+        last, ratio = ratio, math.sqrt(now / before) if before > 0.0 else math.inf
+        if carried and (now == 0.0 or abs(ratio - last) <= PROBE_AGREEMENT * ratio):
+            break
+    return (0.0 if now == 0.0 else ratio), steps, x
 
 
 class Probe:
