@@ -52,6 +52,29 @@ PROBE_STEPS steps; a `Probe` carries the last probe's vector to the next point
 of the chain, which starts from it and stops as soon as two successive growth
 ratios agree, and it holds the tangent's full-grid tables for the whole chain.
 
+Chord: a stimulated point on a stride lattice (unit s, pump on lattice bin
+p = m / s) first runs the chord x <- x + P (step(x) - x) from the same start,
+the chord form of harmonic-balance Newton (Kundert and Sangiovanni-Vincentelli,
+IEEE TCAD 1986), with P = (I - J_comb)^-1 and J_comb the tangent of the
+Picard step at the stimulus-free pump comb.  The comb is solved once per
+warm-start chain on `Lattice.stride(grid, m, m)`.  Its c(t) holds only pump
+harmonics, so J_comb couples lattice bin q only to the bins = +-q (mod p),
+and P is one small block per coset; a `Comb` builds, inverts and
+eigen-decomposes them once per chain and lattice unit.  The chord stops on
+the Picard test, max |step(x) - x| < tolerance * i_c, and returns step(x).
+Every verdict stays plain Picard's.  No chord runs where the comb loop does
+not converge or a block multiplier reaches 1.  A chord gives up on a
+non-finite step, or on a step whose change does not shrink by a factor
+below the largest multiplier, where plain Picard would be no slower.  A
+converged chord is kept only when a power iteration of the lattice tangent
+at its state, seeded with the comb's dominant block mode, reads a growth g
+below 1, and plain Picard from the start would need at most max_iterations
+steps, log(tolerance * i_c / e0) / log(g) with e0 the largest change from
+the start to the chord's state.  Otherwise plain Picard runs from the
+original start and decides, bit for bit as without a chord.  On compression
+chains past the 1 dB point the chord's change stops shrinking within a few
+steps, so those points end on plain Picard and keep its gains bit for bit.
+
 Time grid layout: a lattice of N_s bins, N_s a power of two of at least
 SPLIT_BINS (the full DEFAULT_GRID, and its stride-2 and stride-4
 lattices), runs its n_t samples as P = 2 * zero_pad interleaved phases,
@@ -364,6 +387,15 @@ class SolutionState:
     lattice under the Picard map's tangent (0 only when the tangent
     annihilated it, as on a row without feedback; NaN when no probe ran), and
     `probe_steps` the number of tangent steps the probe took (0 when none ran).
+    `path` says how the lattice the solve ended on was solved: "chord" (the
+    comb-preconditioned chord, accepted by its on-lattice check), "fallback"
+    (plain Picard from the start after a chord gave up or failed that
+    check) or "picard" (plain Picard where no chord applies: an embedded
+    lattice, a stimulus-free solve, i_c = 0, or a comb that did not converge
+    or is unstable on the lattice).  `on_lattice_growth` is the check's
+    last-step growth ratio of the Picard map's tangent on the lattice at the
+    chord's state, and `on_lattice_steps` its number of tangent steps (NaN
+    and 0 when no check ran).  None of the three goes into a CSV.
     Each stop reads from the state alone: `converged` True is a converged
     point; otherwise `off_lattice_growth >= 1` is a probe-masked point, a
     non-finite `residual` a diverged one (its `i_j` is the non-finite
@@ -384,6 +416,9 @@ class SolutionState:
     tail: float
     off_lattice_growth: float
     probe_steps: int = 0
+    path: str = "picard"
+    on_lattice_growth: float = math.nan
+    on_lattice_steps: int = 0
     a_out: np.ndarray | None = None
 
     @property
@@ -522,14 +557,18 @@ def _picard_step(
     m: int,
     bias: BiasPoint,
     options: SolverOptions,
+    trip=None,
 ):
     """One fixed-point step, current -> updated, on the lattice whose bins
     have the physical frequencies `frequencies` (pump on bin m): the
     junction voltage drive + f_jj * current through `_round_trip`, with
-    I_c sin(ramp + phase) between its halves."""
+    I_c sin(ramp + phase) between its halves.  `trip` is the `_round_trip`
+    of the same arguments when the caller holds it."""
     n = frequencies.size
     relaxation = options.relaxation
-    ramp, to_phase, to_current = _round_trip(frequencies, m, bias, options.zero_pad)
+    if trip is None:
+        trip = _round_trip(frequencies, m, bias, options.zero_pad)
+    ramp, to_phase, to_current = trip
     phi = np.empty(ramp.shape)
     v = np.empty(n, dtype=complex)
 
@@ -664,6 +703,145 @@ def _fixed_point(step, current: np.ndarray, tol_abs: float, max_iterations: int)
     return current, iterations, converged, delta
 
 
+def _coset_blocks(f_jj, voltage, frequencies, p, bias, options, trip):
+    """The tangent of `_picard_step` (see `_tangent_step`) at a comb state,
+    whose junction voltage spectrum `voltage` lies on the multiples of the
+    pump bin p, split into one block per coset r = 0 .. p - 1 of the lattice
+    bins mod p: `(members, blocks)`.  Block r is complex-linear on z = (delta
+    on the bins = r, conj(delta) on the bins = -r mod p), that is on the
+    lattice spectrum at the signed positions `members[r]` (r + p j, then
+    -((-r mod p) + p j), for j = 0 .. ceil(n / p) - 1); a position whose bin
+    lies past the lattice pads the block with a zero row and column.  Entry
+    (i, j) is relaxation * i_c * C[x_i - x_j] * g_j, with C the spectrum of
+    c(t) = cos(ramp + phase) on the step's time grid and g_j the phase per
+    unit current at x_j, plus (1 - relaxation) on the diagonal.  The blocks
+    of r and p - r are conjugate, and the tangent couples two cosets only
+    through the aliasing of c(t), which the blocks leave out."""
+    n = frequencies.size
+    ramp, to_phase, _ = trip
+    c = np.empty(ramp.shape)
+    to_phase(voltage, c)
+    np.add(ramp, c, out=c)
+    np.cos(c, out=c)
+    # Time order: the interleaved layout holds sample t = phases * q + r at [r, q].
+    n_t = c.size
+    spectrum = np.fft.fft(c.T.ravel()) * (options.relaxation * bias.i_c / n_t)
+    g = np.zeros(n + 1, dtype=complex)
+    g[1:n] = (2.0 * _E_CHARGE / _HBAR) * f_jj[1:] / (2j * np.pi * frequencies[1:])
+    plus = np.arange(-(-n // p) * p).reshape(-1, p).T  # bin r + p j at [r, j]
+    minus = plus[-np.arange(p) % p]
+    on = np.concatenate([plus < n, minus < n], axis=1)
+    members = np.concatenate([plus, -minus], axis=1)
+    weight = np.concatenate([g[np.minimum(plus, n)], np.conjugate(g[np.minimum(minus, n)])], axis=1)
+    blocks = spectrum[(members[:, :, None] - members[:, None, :]) % n_t] * weight[:, None, :]
+    blocks *= on[:, :, None]
+    diagonal = np.einsum("rii->ri", blocks)
+    diagonal += (1.0 - options.relaxation) * on
+    return members, blocks
+
+
+class _Chord:
+    """The chord of one stride lattice (n bins, pump on bin p): P = (I -
+    J_comb)^-1 by coset block (`_coset_blocks`), the largest modulus
+    `multiplier` of any block's eigenvalues, and `mode`, the lattice vector
+    of the eigenvector that carries it.  Build it with `of`."""
+
+    @classmethod
+    def of(cls, members: np.ndarray, blocks: np.ndarray, n: int) -> "_Chord | None":
+        """The chord of `_coset_blocks`' output on an n-bin lattice, or None
+        unless every block is finite and every multiplier below 1."""
+        if not np.all(np.isfinite(blocks)):
+            return None
+        # The blocks of r and p - r are conjugate: their multipliers agree.
+        moduli = np.abs(np.linalg.eigvals(blocks[: blocks.shape[0] // 2 + 1]))
+        return cls(members, blocks, n, moduli) if moduli.max() < 1.0 else None
+
+    def __init__(self, members: np.ndarray, blocks: np.ndarray, n: int, moduli: np.ndarray):
+        p, width = blocks.shape[0], blocks.shape[1] // 2
+        self._n, self._flip = n, -np.arange(p) % p
+        # Only the rows of z's first half are read: each bin is r + p j of one coset r.
+        self._inverse = np.linalg.inv(np.eye(2 * width) - blocks)[:, :width]
+        r = int(np.argmax(np.max(moduli, axis=1)))
+        self.multiplier = float(moduli[r].max())
+        values, vectors = np.linalg.eig(blocks[r])
+        w = vectors[:, np.argmax(np.abs(values))]
+        # delta = w's first half on the bins = r plus the conjugate of its
+        # second half on the bins = -r (the same bins where r = -r mod p).
+        mode = np.zeros(p * width, dtype=complex)
+        mode[members[r, :width]] += w[:width]
+        mode[-members[r, width:]] += np.conjugate(w[width:])
+        self.mode = mode[:n]
+        self._padded = np.zeros(p * width, dtype=complex)
+
+    def apply(self, residual: np.ndarray, x: np.ndarray) -> None:
+        """x += P residual."""
+        self._padded[: self._n] = residual
+        plus = self._padded.reshape(-1, self._flip.size).T
+        z = np.concatenate([plus, np.conjugate(plus[self._flip])], axis=1)
+        step = np.matmul(self._inverse, z[:, :, None])[:, :, 0]
+        x += step.T.ravel()[: self._n]
+
+
+def _chord(step, chord: _Chord, current: np.ndarray, tol_abs: float, max_iterations: int):
+    """The chord x <- x + P (step(x) - x) from a copy of `current`, stopped by
+    `_fixed_point`'s test on step(x) - x: (step(x) there, or None when the
+    chord gives up, steps, last largest change).  It gives up on a
+    non-finite change, on a change that does not shrink by a factor below
+    the comb's largest multiplier, or when the budget runs out."""
+    x = current.copy()
+    updated, diff, size = np.empty_like(x), np.empty_like(x), np.empty(x.size)
+    before, delta, steps = math.inf, math.inf, 0
+    for steps in range(1, max_iterations + 1):
+        step(x, updated)
+        delta = float(np.max(np.abs(np.subtract(updated, x, out=diff), out=size)))
+        if delta < tol_abs or delta == 0.0:
+            return updated, steps, delta
+        if not math.isfinite(delta) or delta >= chord.multiplier * before:
+            break
+        chord.apply(diff, x)
+        before = delta
+    return None, steps, delta
+
+
+class Comb:
+    """The pump comb of one warm-start chain, handed to each of its `iterate`
+    calls: the stimulus-free state on `Lattice.stride(grid, m, m)`, solved by
+    the chain's first stimulated stride-lattice point, and per lattice unit s
+    the chord (`_Chord`) that linearises the Picard step about it, built by
+    the first point on that lattice.  Both are built again only when the
+    row, bias or options change.  It lives as long as the chain and must not
+    be shared between threads."""
+
+    def __init__(self):
+        self._row = self._key = self._current = None
+        self._chords: dict[int, _Chord | None] = {}
+
+    def chord(self, row: JunctionRow, bias: BiasPoint, options: SolverOptions,
+              lattice: Lattice, trip) -> _Chord | None:
+        """The chord of stride lattice `lattice` (`trip` its `_round_trip`),
+        or None where none applies: the comb loop did not converge, or a
+        block multiplier is at least 1."""
+        grid, m = row.response.grid, lattice.pump * lattice.unit
+        if row is not self._row or (bias, options) != self._key:
+            self._row, self._key, self._chords = row, (bias, options), {}
+            comb = Lattice.stride(grid, m, m)
+            zero = np.zeros(comb.size, dtype=complex)
+            step = _picard_step(comb.gather(row.f_jj), zero, comb.frequencies, 1, bias, options)
+            current, _, converged, _ = _fixed_point(
+                step, zero, options.tolerance * bias.i_c, options.max_iterations
+            )
+            self._current = comb.lift(current) if converged else None
+        s = lattice.unit
+        if self._current is not None and s not in self._chords:
+            f_jj = lattice.gather(row.f_jj)
+            voltage = f_jj * lattice.gather(self._current)
+            members, blocks = _coset_blocks(
+                f_jj, voltage, lattice.frequencies, lattice.pump, bias, options, trip
+            )
+            self._chords[s] = _Chord.of(members, blocks, lattice.size)
+        return self._chords.get(s)
+
+
 def _lattices(grid: FrequencyGrid, m: int, tones: list[int], s: int, i_c: float):
     """The lattices a solve tries, in turn: for a single tone with i_c > 0 the
     embedded ones, in ALPHA_LADDER order while they stay smaller than the
@@ -688,6 +866,7 @@ def iterate(
     *,
     initial: np.ndarray | None = None,
     probe: Probe | None = None,
+    comb: Comb | None = None,
 ) -> SolutionState:
     """Fixed-point solution of the junction current spectrum.
 
@@ -699,7 +878,15 @@ def iterate(
     stimulus).  Each starts from the warm start gathered onto it.  The loop
     stops at the first embedded lattice that converges with its current on
     its two outermost signal orders below TAIL_BOUND * i_c, or at the stride
-    lattice, which decides.  The result is lifted back to the grid.  A
+    lattice, which decides.  A stimulated point with i_c > 0 runs its stride
+    lattice first as the comb-preconditioned chord (see the module
+    docstring and `SolutionState.path`), and keeps the chord's state only
+    when it converged with its change shrinking faster than the comb's
+    largest multiplier every step, and an on-lattice power iteration of the
+    tangent at that state shows plain Picard from the same start would
+    converge within the budget; otherwise plain Picard runs from the start,
+    and its steps add to the chord's in `iterations`.  The result is lifted
+    back to the grid.  A
     converged point whose lattice leaves grid bins out is then probed on them
     (see `SolutionState.off_lattice_growth`), since an oscillation there
     cannot show on the lattice: PROBE_STEPS tangent steps from a seeded
@@ -726,6 +913,10 @@ def iterate(
         bins (from the seeded perturbation when it has none there), runs on
         its tables, and leaves its last vector in it.  Without one the probe
         is the seeded one on tables of its own.
+    comb : Comb, optional
+        The pump comb of the same chain: its comb state and chord blocks
+        serve every point at the chain's row, bias and options.  Without
+        one the solve builds its own.
 
     Returns
     -------
@@ -764,14 +955,40 @@ def iterate(
             if lattice.tail(current) >= TAIL_BOUND * bias.i_c:
                 continue  # the warm start already misses the bound here
             # The step (and its time-grid buffers) lives only as long as its loop.
-            current, count, converged, delta = _fixed_point(
-                _picard_step(
-                    lattice.gather(row.f_jj), lattice.gather(drive), lattice.frequencies,
-                    lattice.pump, bias, options,
-                ),
-                current, tol_abs, options.max_iterations,
+            f_jj, lattice_drive, frequencies = (
+                lattice.gather(row.f_jj), lattice.gather(drive), lattice.frequencies
             )
-            iterations += count
+            trip = _round_trip(frequencies, lattice.pump, bias, options.zero_pad)
+            step = _picard_step(f_jj, lattice_drive, frequencies, lattice.pump, bias, options, trip)
+            path, check, check_steps, chord = "picard", math.nan, 0, None
+            if lattice.alpha == 0 and tones and bias.i_c > 0:
+                comb = Comb() if comb is None else comb
+                chord = comb.chord(row, bias, options, lattice, trip)
+            if chord is not None:
+                path = "fallback"
+                solved, count, delta = _chord(step, chord, current, tol_abs, options.max_iterations)
+                iterations += count
+                if solved is not None:
+                    tangent = _tangent_step(
+                        f_jj, lattice_drive + f_jj * solved, frequencies, lattice.pump, bias,
+                        options, trip,
+                    )
+                    check, check_steps, _ = _off_lattice_growth(
+                        tangent, np.ones(lattice.size, dtype=bool), chord.mode
+                    )
+                    # Plain Picard from the start, contracting by `check` per
+                    # step, must converge within its budget.
+                    distance = float(np.max(np.abs(solved - current)))
+                    if check < 1.0 and (
+                        distance < tol_abs or check == 0.0
+                        or math.log(tol_abs / distance) / math.log(check) <= options.max_iterations
+                    ):
+                        path, current, converged = "chord", solved, True
+            if path != "chord":
+                current, count, converged, delta = _fixed_point(
+                    step, current, tol_abs, options.max_iterations
+                )
+                iterations += count
             tail = lattice.tail(current) / bias.i_c if bias.i_c > 0 else math.nan
             if converged and tail < TAIL_BOUND:
                 break
@@ -804,6 +1021,9 @@ def iterate(
         tail=tail,
         off_lattice_growth=growth,
         probe_steps=steps,
+        path=path,
+        on_lattice_growth=check,
+        on_lattice_steps=check_steps,
     )
 
 

@@ -40,6 +40,7 @@ from .design import longest_run
 from .frankenstein import junction_row, wave_port
 from .solver import (
     BiasPoint,
+    Comb,
     Probe,
     SolverOptions,
     Stimulus,
@@ -150,7 +151,8 @@ def _chain(
     as its iterations) gets NaN gain and balance, and the next point starts
     cold.  One `Probe` serves the chain: each off-lattice probe starts from
     the vector the last one ended on, and all run on one set of tables,
-    freed when the chain returns.
+    freed when the chain returns.  One `Comb` serves it too: the pump comb
+    is solved once, and the chord's blocks once per lattice unit.
     """
     row = junction_row(response)
     n = len(stimuli)
@@ -158,9 +160,9 @@ def _chain(
     converged = np.zeros(n, dtype=bool)
     balance = np.full(n, np.nan)
     iterations = np.zeros(n, dtype=int)
-    warm, probe = None, Probe()
+    warm, probe, comb = None, Probe(), Comb()
     for i, stim in enumerate(stimuli):
-        state = iterate(row, bias, stim, options, initial=warm, probe=probe)
+        state = iterate(row, bias, stim, options, initial=warm, probe=probe, comb=comb)
         iterations[i] = state.iterations
         converged[i] = state.converged
         warm = state.i_j if state.converged else None

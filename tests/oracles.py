@@ -93,10 +93,10 @@ def tone_drive(response, stim):
     return drive
 
 
-def plain_iterate(row, bias, stim, options, initial=None, probe=None):
-    """The plain fixed-point loop over every grid bin (stride 1, no probe, so
-    `probe` is ignored), with `iterate`'s stopping rule: the oracle of its
-    sub-lattice solves."""
+def plain_iterate(row, bias, stim, options, initial=None, probe=None, comb=None):
+    """The plain fixed-point loop over every grid bin (stride 1, no probe and
+    no chord, so `probe` and `comb` are ignored), with `iterate`'s stopping
+    rule: the oracle of its sub-lattice and chord solves."""
     response = row.response
     grid = response.grid
     drive = tone_drive(response, stim)

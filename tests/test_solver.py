@@ -34,11 +34,15 @@ from ictasim.solver import (
     PROBE_SEED,
     PROBE_STEPS,
     TAIL_BOUND,
+    Comb,
     Lattice,
     Probe,
+    _Chord,
+    _coset_blocks,
     _lattices,
     _off_lattice_growth,
     _picard_step,
+    _round_trip,
     _tangent_step,
 )
 from oracles import (
@@ -522,8 +526,16 @@ def default_f():
     return frankenstein_matrix(build_icta(IctaParams()), DEFAULT_GRID)
 
 
+@pytest.fixture
+def no_chord(monkeypatch):
+    """Plain Picard on every lattice: no chord applies."""
+    monkeypatch.setattr(Comb, "chord", lambda *args: None)
+
+
 @pytest.mark.parametrize("f_s, stride", [(5.12e9, 160), (5.28e9, 480), (6.4e9, 800)])
-def test_sub_lattice_matches_full_grid(default_f, f_s, stride):
+def test_sub_lattice_matches_full_grid(no_chord, default_f, f_s, stride):
+    # Plain Picard on the stride lattice takes the full grid's steps; the
+    # chord's own agreement with the full grid is tested below.
     row = junction_row(default_f)
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
     stim = Stimulus.single(f_s, -140.0)
@@ -843,10 +855,11 @@ def test_interleaved_step_matches_single_transform(monkeypatch, n, zero_pad, rel
     assert_allclose(updated[True], updated[False], rtol=0, atol=1e-15 * I_C)
 
 
-def test_layout_follows_lattice_size(monkeypatch, default_f):
+def test_layout_follows_lattice_size(monkeypatch, no_chord, default_f):
     # A full-grid DEFAULT_GRID step runs 8 interleaved phases in one batched
     # transform; a stride-160 lattice of it and the 2048-bin map grid run
-    # one transform of the whole padded time grid.
+    # one transform of the whole padded time grid.  (No chord, so no comb
+    # solve adds its transforms.)
     shapes = []
     irfft = np.fft.irfft
 
@@ -865,3 +878,129 @@ def test_layout_follows_lattice_size(monkeypatch, default_f):
     map_row = junction_row(frankenstein_matrix(build_icta(IctaParams()), map_grid))
     plain_iterate(map_row, bias, Stimulus.none(), one_step)
     assert shapes == [(8, DEFAULT_GRID.size // 2 + 1), (4 * 205 + 1,), (4 * 2048 + 1,)]
+
+
+# ---------------------------------------------------------------- comb chord
+
+MAP_GRID = FrequencyGrid(20e6, 2048)
+
+
+@pytest.fixture(scope="module")
+def map_row():
+    return junction_row(frankenstein_matrix(build_icta(IctaParams()), MAP_GRID))
+
+
+def _comb_tangent(row, interleaved):
+    # Pump bin 640 (12.8 GHz) at 200 nA on the stride-16 lattice: p = 40,
+    # 128 bins, n_t = 1024, which 40 does not divide, so c(t)'s aliasing can
+    # reach across cosets.  Returns the chord, the coset blocks and the dense
+    # tangent at the comb state as delta -> A delta + B conj(delta).
+    bias = BiasPoint(f_dc=12.8e9, i_c=200e-9)
+    options = SolverOptions()
+    lattice = Lattice.stride(MAP_GRID, 640, 16)
+    n, p = lattice.size, lattice.pump
+    trip = _round_trip(lattice.frequencies, p, bias, options.zero_pad)
+    comb = Comb()
+    chord = comb.chord(row, bias, options, lattice, trip)
+    f_jj = lattice.gather(row.f_jj)
+    voltage = f_jj * lattice.gather(comb._current)
+    members, blocks = _coset_blocks(f_jj, voltage, lattice.frequencies, p, bias, options, trip)
+    tangent = _tangent_step(f_jj, voltage, lattice.frequencies, p, bias, options, trip)
+    a, b = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
+    for q in range(n):
+        unit = np.zeros(n, dtype=complex)
+        unit[q] = 1.0
+        real, imag = tangent(unit, np.empty(n, dtype=complex)), tangent(1j * unit, np.empty(n, dtype=complex))
+        a[:, q], b[:, q] = (real - 1j * imag) / 2, (real + 1j * imag) / 2
+    return chord, members, blocks, a, b, tangent
+
+
+@pytest.mark.parametrize("interleaved", [False, True], ids=["single", "interleaved"])
+def test_coset_blocks_match_dense_tangent(monkeypatch, map_row, interleaved):
+    # Every block entry is the dense tangent's entry to rounding (1e-12 of
+    # the largest); outside the coset pairs the dense tangent holds only c's
+    # aliasing, below the same bound at zero_pad 4.
+    monkeypatch.setattr("ictasim.solver._interleaved", lambda _: interleaved)
+    _, members, blocks, a, b, _ = _comb_tangent(map_row, interleaved)
+    p, width = blocks.shape[0], blocks.shape[1] // 2
+    n = a.shape[0]
+    scale = max(np.abs(a).max(), np.abs(b).max())
+    sign = np.repeat([1, -1], width)
+    for r in range(p):
+        for i in range(2 * width):
+            for j in range(2 * width):
+                qi, qj = abs(members[r, i]), abs(members[r, j])
+                if qi >= n or qj >= n:
+                    assert blocks[r, i, j] == 0.0
+                    continue
+                dense = (a if sign[i] == sign[j] else b)[qi, qj]
+                dense = dense if sign[i] > 0 else np.conjugate(dense)
+                assert abs(blocks[r, i, j] - dense) <= 1e-12 * scale
+    q = np.arange(n)
+    same, opposite = (q[:, None] - q) % p == 0, (q[:, None] + q) % p == 0
+    assert np.abs(a[~same]).max() <= 1e-12 * scale
+    assert np.abs(b[~opposite]).max() <= 1e-12 * scale
+
+
+def test_coset_block_eigenvalues_and_inverse(map_row):
+    # The blocks' eigenvalues are the dense real tangent's (to 1e-9, each
+    # way), the chord's multiplier is its spectral radius, and the chord
+    # inverts I - J on random vectors to 1e-10 relative.
+    chord, _, blocks, a, b, tangent = _comb_tangent(map_row, False)
+    dense = np.block([[(a + b).real, -(a - b).imag], [(a + b).imag, (a - b).real]])
+    exact = np.linalg.eigvals(dense)
+    blockwise = np.linalg.eigvals(blocks).ravel()
+    assert np.abs(exact[:, None] - blockwise).min(axis=1).max() <= 1e-9
+    real_blocks = np.abs(blockwise) > 1e-12  # the padding reads 0
+    assert np.abs(blockwise[real_blocks, None] - exact).min(axis=1).max() <= 1e-9
+    assert chord.multiplier == pytest.approx(np.abs(exact).max(), abs=1e-9)
+    assert 0.5 < chord.multiplier < 1.0
+    n = a.shape[0]
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        v = [1.0, 1j] @ rng.standard_normal((2, n))
+        x = np.zeros(n, dtype=complex)
+        chord.apply(v - tangent(v, np.empty(n, dtype=complex)), x)
+        assert np.abs(x - v).max() <= 1e-10 * np.abs(v).max()
+
+
+def test_unstable_comb_leaves_the_point_to_picard(monkeypatch, map_row):
+    # At 250 nA the comb of pump bin 448 has a multiplier of 1.017 on the
+    # stride-16 lattice of signal bin 176, and plain Picard does not settle
+    # in 2500 steps.  No chord runs; forced past that rule, the chord
+    # converges onto the unstable state, its on-lattice check reads the
+    # growth, and plain Picard decides as before, bit for bit.
+    bias = BiasPoint(f_dc=8.96e9, i_c=250e-9)
+    stim = Stimulus.single(3.52e9, -140.0)
+    options = SolverOptions(max_iterations=2500)
+    state = iterate(map_row, bias, stim, options)
+    oracle = plain_iterate(map_row, bias, stim, options)
+    assert state.lattice.unit == 16 and state.path == "picard"
+    assert not state.converged and not oracle.converged
+
+    def capped(cls, members, blocks, n):
+        return cls(members, blocks, n, np.minimum(np.abs(np.linalg.eigvals(blocks)), 0.999))
+
+    monkeypatch.setattr(_Chord, "of", classmethod(capped))
+    forced = iterate(map_row, bias, stim, options)
+    assert forced.path == "fallback" and forced.on_lattice_growth >= 1.0
+    assert not forced.converged
+    assert np.array_equal(forced.i_j, state.i_j)
+    assert forced.iterations > state.iterations  # the chord's steps count too
+
+
+def test_chord_point_reports_its_check(map_row):
+    # The slowest row of the benchmark map (8.32 GHz at 200 nA, where the
+    # comb's multiplier is 0.90): the chord converges in a few steps where
+    # plain Picard takes over a hundred, its check reads the on-lattice
+    # growth below 1, and the gain is plain Picard's to 1e-7 dB.
+    bias = BiasPoint(f_dc=8.32e9, i_c=200e-9)
+    stim = Stimulus.single(3.52e9, -140.0)
+    options = SolverOptions(max_iterations=2500)
+    state = iterate(map_row, bias, stim, options)
+    oracle = plain_iterate(map_row, bias, stim, options)
+    assert state.lattice.unit == 16 and state.path == "chord" and state.converged
+    assert state.iterations < oracle.iterations / 5
+    assert 0.0 < state.on_lattice_growth < 1.0 and 2 <= state.on_lattice_steps <= PROBE_STEPS
+    assert state.residual < 1e-12
+    assert abs(gain(outputs(state), 3.52e9) - gain(outputs(oracle), 3.52e9)) <= 1e-7

@@ -459,6 +459,65 @@ def test_seeded_probe_misjudges_near_threshold(canonical_f):
     assert state.converged == (power_iteration_growth(row, state, FAST) < 1.0)
 
 
+# ---------------------------------------------------------------- chain chords
+
+
+@pytest.fixture(scope="module")
+def map_f():
+    return frankenstein_matrix(build_icta(IctaParams()), FrequencyGrid(20e6, 2048))
+
+
+def test_chord_map_and_profile_match_plain_picard(monkeypatch, map_f):
+    # The benchmark map's grid and current: every stimulated point solves by
+    # the chord, and against the plain loop over every grid bin the masks
+    # are equal, the gains agree within 1e-7 dB and the balance stays at
+    # most 1e-9.
+    options = SolverOptions(max_iterations=2500)
+    signals = np.linspace(3.2e9, 9.6e9, 9)
+    bias_rows = [8.32e9, 10.24e9, 12.8e9, 17.92e9]
+    bias = BiasPoint(f_dc=12.8e9, i_c=200e-9)
+    states = _recorded_states(monkeypatch)
+    fast_map = gain_map_fdc(map_f, signals, bias_rows, 200e-9, options=options)
+    fast_profile = gain_profile(map_f, bias, signals, options=options)
+    assert {state.path for state in states} == {"chord"}
+    monkeypatch.setattr(sweeps, "iterate", plain_iterate)
+    plain_map = gain_map_fdc(map_f, signals, bias_rows, 200e-9, options=options)
+    plain_profile = gain_profile(map_f, bias, signals, options=options)
+    for fast, plain in ((fast_map.values, plain_map.values),
+                        (fast_profile.gain_db, plain_profile.gain_db)):
+        assert np.array_equal(np.isnan(fast), np.isnan(plain))
+        assert np.nanmax(np.abs(fast - plain)) <= 1e-7
+    assert np.array_equal(fast_map.converged, plain_map.converged)
+    assert np.array_equal(fast_profile.converged, plain_profile.converged)
+    assert fast_map.converged.any() and fast_profile.converged.all()
+    assert np.nanmax(fast_map.balance_error) <= 1e-9
+    assert np.nanmax(fast_profile.balance_error) <= 1e-9
+
+
+def test_compression_past_p1db_keeps_plain_picard_bits(monkeypatch):
+    # A compression chain of the benchmark's 160 MHz lattice (stride 160,
+    # -108 to -94 dBm, all past P1dB): every chord gives up, so every state
+    # is the chord-free solve's, bit for bit.
+    response = frankenstein_matrix(build_icta(IctaParams()), DEFAULT_GRID)
+    bias = BiasPoint(f_dc=F_DC, i_c=I_C)
+    stimuli = [Stimulus.single(5.44e9, p) for p in np.linspace(-108.0, -94.0, 8)]
+    options = SolverOptions()
+    states = _recorded_states(monkeypatch)
+    with_chord = sweeps._chain(response, bias, stimuli, options)
+    chord_states = list(states)
+    monkeypatch.setattr(solver.Comb, "chord", lambda *args: None)
+    states.clear()
+    without = sweeps._chain(response, bias, stimuli, options)
+    assert [state.path for state in chord_states] == ["fallback"] * 8
+    assert [state.path for state in states] == ["picard"] * 8
+    assert all(state.lattice.unit == 160 for state in states)
+    for a, b in zip(with_chord[:3], without[:3]):  # gain, converged, balance
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+    for a, b in zip(chord_states, states):
+        assert np.array_equal(a.i_j, b.i_j) and a.iterations > b.iterations
+    assert with_chord[1].all()
+
+
 # ---------------------------------------------------------------- compression
 
 
