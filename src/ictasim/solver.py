@@ -632,7 +632,8 @@ def _tangent_step(
 
 
 def _off_lattice_growth(step, off: np.ndarray, start: np.ndarray | None = None):
-    """Power iteration of the tangent `step` on the grid bins `off` (a mask):
+    """Power iteration of the tangent `step` on the bins `off` (a mask: the
+    grid bins off a probed lattice, or every bin of a chord's lattice):
     (growth, steps, vector), the last step's 2-norm growth ratio on `off` (0
     only when that step annihilated the perturbation), the number of steps
     and the vector they ended on.  It starts from `start` masked to `off` and
