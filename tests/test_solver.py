@@ -890,7 +890,7 @@ def map_row():
     return junction_row(frankenstein_matrix(build_icta(IctaParams()), MAP_GRID))
 
 
-def _comb_tangent(row, interleaved):
+def _comb_tangent(row):
     # Pump bin 640 (12.8 GHz) at 200 nA on the stride-16 lattice: p = 40,
     # 128 bins, n_t = 1024, which 40 does not divide, so c(t)'s aliasing can
     # reach across cosets.  Returns the chord, the coset blocks and the dense
@@ -910,7 +910,8 @@ def _comb_tangent(row, interleaved):
     for q in range(n):
         unit = np.zeros(n, dtype=complex)
         unit[q] = 1.0
-        real, imag = tangent(unit, np.empty(n, dtype=complex)), tangent(1j * unit, np.empty(n, dtype=complex))
+        real = tangent(unit, np.empty(n, dtype=complex))
+        imag = tangent(1j * unit, np.empty(n, dtype=complex))
         a[:, q], b[:, q] = (real - 1j * imag) / 2, (real + 1j * imag) / 2
     return chord, members, blocks, a, b, tangent
 
@@ -921,7 +922,7 @@ def test_coset_blocks_match_dense_tangent(monkeypatch, map_row, interleaved):
     # the largest); outside the coset pairs the dense tangent holds only c's
     # aliasing, below the same bound at zero_pad 4.
     monkeypatch.setattr("ictasim.solver._interleaved", lambda _: interleaved)
-    _, members, blocks, a, b, _ = _comb_tangent(map_row, interleaved)
+    _, members, blocks, a, b, _ = _comb_tangent(map_row)
     p, width = blocks.shape[0], blocks.shape[1] // 2
     n = a.shape[0]
     scale = max(np.abs(a).max(), np.abs(b).max())
@@ -946,7 +947,7 @@ def test_coset_block_eigenvalues_and_inverse(map_row):
     # The blocks' eigenvalues are the dense real tangent's (to 1e-9, each
     # way), the chord's multiplier is its spectral radius, and the chord
     # inverts I - J on random vectors to 1e-10 relative.
-    chord, _, blocks, a, b, tangent = _comb_tangent(map_row, False)
+    chord, _, blocks, a, b, tangent = _comb_tangent(map_row)
     dense = np.block([[(a + b).real, -(a - b).imag], [(a + b).imag, (a - b).real]])
     exact = np.linalg.eigvals(dense)
     blockwise = np.linalg.eigvals(blocks).ravel()
