@@ -355,7 +355,7 @@ def run(config: RunConfig, out_dir: Path, threads: int = 1) -> int:
         f = config.grid.frequencies
         z = z_jj(config.netlist, f)
         write_table(csv, ["f_hz", "re_z_ohm", "im_z_ohm"], [f, z.real, z.imag])
-        report = band_check(config.netlist, f)
+        report = band_check(config.netlist, f, z)
         meta["band"] = {
             "reference_impedance_ohm": report.reference_impedance,
             "band_lo_hz": report.band_lo_hz,

@@ -87,17 +87,19 @@ def _rolloff_width(f, r, start: int, step: int, hi_level: float, lo_level: float
     return abs(f_lo - f_hi)
 
 
-def band_check(net: Netlist, frequencies) -> BandReport:
+def band_check(net: Netlist, frequencies, impedance=None) -> BandReport:
     """Band edges where Re Z_JJ exceeds the wave-port impedance, plus the
     edge roll-off asymmetry.
 
     A flat probe network that never exceeds the reference yields an empty
-    report.  Frequencies at or below zero are ignored.
+    report.  Frequencies at or below zero are ignored.  `impedance` is
+    `z_jj(net, frequencies)` when the caller holds it.
     """
     f = np.asarray(frequencies, dtype=float)
     positive = f > 0
     f = f[positive]
-    r = z_jj(net, f).real
+    z = z_jj(net, f) if impedance is None else np.asarray(impedance)[positive]
+    r = z.real
     reference = net.wave_port_impedance
     nan = float("nan")
     above = np.isfinite(r) & (r > reference)

@@ -26,13 +26,14 @@ Lattices: with the pump on bin m and tones on bins k_i, every mixing product
 lies on a multiple of s = gcd(m, k_i), and the iteration keeps that support
 exactly.  A solve runs on a `Lattice` and lifts its result back to the grid.
 The stride lattice holds the bins 0, s, 2s, ... (N_s = ceil(N / s) of them);
-stimulus-free (s = 1) and multi-tone solves run on it.  A single tone on bin
-k runs first on embedded lattices: quasi-periodic harmonic balance with an
-artificial frequency map, product a * m + b * k (in units of s) on lattice
-bin a * alpha + b * beta for |b| <= (alpha - 1) / 2, with beta near
-alpha * k / m.  A bin of negative physical frequency holds the conjugate of
-its grid bin, and a bin above the grid sees no response, so the step runs
-unchanged given each bin's signed frequency.  Orders beyond the box alias,
+stimulus-free (s = 1, after the comb rung below) and multi-tone solves run
+on it.  A single tone on bin k runs first on embedded lattices:
+quasi-periodic harmonic balance with an artificial frequency map, product
+a * m + b * k (in units of s) on lattice bin a * alpha + b * beta for
+|b| <= (alpha - 1) / 2, with beta near alpha * k / m.  A bin of negative
+physical frequency holds the conjugate of its grid bin, and a bin above the
+grid sees no response, so the step runs unchanged given each bin's signed
+frequency.  Orders beyond the box alias,
 so alpha climbs ALPHA_LADDER until the current on the two outermost orders
 falls below TAIL_BOUND * i_c; the stride lattice ends the ladder, and
 decides when no rung settles.  No two products of the box share a grid bin,
@@ -74,6 +75,19 @@ the start to the chord's state.  Otherwise plain Picard runs from the
 original start and decides, bit for bit as without a chord.  On compression
 chains past the 1 dB point the chord's change stops shrinking within a few
 steps, so those points end on plain Picard and keep its gains bit for bit.
+
+Comb rung: a stimulus-free solve with i_c > 0 whose start has no weight off
+the pump comb runs plain Picard on `Lattice.stride(grid, m, m)` first (the
+loop a `Comb` runs too, `_comb_loop`).  Its state is kept only when that
+loop converged and every coset block r <= m / 2 of the Picard step's
+tangent there on the stride-1 lattice (`_coset_blocks`, with c(t)'s
+spectrum from the comb's own time grid) is shown to have spectral radius
+below 1 by ||M^(2^j)||_F < 1 within PROOF_SQUARINGS squarings
+(`_contracts`).  Such a state would converge on the full grid too, and needs
+no probe.  Otherwise the stride-1 lattice decides from the original start,
+bit for bit as without the rung, so no verdict changes either way; an
+oscillating comb state, or a stable one that 2**PROOF_SQUARINGS steps do
+not show, keeps plain Picard's full-grid verdict.
 
 Time grid layout: a lattice of N_s bins, N_s a power of two of at least
 SPLIT_BINS (the full DEFAULT_GRID, and its stride-2 and stride-4
@@ -136,6 +150,18 @@ TAIL_BOUND = 1e-8
 # one long one (a stride-3 lattice of DEFAULT_GRID, N_s = 10923: 13.5 ms
 # against 10.2 ms per step on a 2-CPU Xeon).
 SPLIT_BINS = 8192
+
+# A stimulus-free comb state is kept when `_contracts` shows every coset
+# block of the Picard step's tangent on the full grid contracting within
+# this many squarings, that is within 2**6 = 64 steps.  The blocks are built
+# and checked a slice of cosets at a time, of at most PROOF_CHUNK_BYTES, so
+# the proof's memory stays bounded at any pump bin, and no array of it
+# outgrows a full-grid step's own buffers (2 MB on DEFAULT_GRID).  Freeing a
+# larger one raises glibc's mmap threshold, after which later full-grid
+# buffers stay resident in the heap: all 6131 blocks at once (3.5 MB) moved
+# the emission benchmark's peak memory from about 110 to 117 MB.
+PROOF_SQUARINGS = 6
+PROOF_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -390,9 +416,14 @@ class SolutionState:
     `path` says how the lattice the solve ended on was solved: "chord" (the
     comb-preconditioned chord, accepted by its on-lattice check), "fallback"
     (plain Picard from the start after a chord gave up or failed that
-    check) or "picard" (plain Picard where no chord applies: an embedded
-    lattice, a stimulus-free solve, i_c = 0, or a comb that did not converge
-    or is unstable on the lattice).  `on_lattice_growth` is the check's
+    check), "comb" (a stimulus-free solve kept on the pump comb, `lattice`
+    of unit m, by the proof that its coset blocks contract on the whole
+    grid; no probe runs, so `off_lattice_growth` is NaN) or "picard" (plain
+    Picard where no chord applies: an embedded lattice, a stimulus-free
+    solve whose comb was not proven, i_c = 0, or a comb that did not
+    converge or is unstable on the lattice).  An unproven comb's steps are
+    not counted in `iterations`, so such a state is the one the stride-1
+    lattice alone gives.  `on_lattice_growth` is the check's
     last-step growth ratio of the Picard map's tangent on the lattice at the
     chord's state, and `on_lattice_steps` its number of tangent steps (NaN
     and 0 when no check ran).  None of the three goes into a CSV.
@@ -704,41 +735,70 @@ def _fixed_point(step, current: np.ndarray, tol_abs: float, max_iterations: int)
     return current, iterations, converged, delta
 
 
-def _coset_blocks(f_jj, voltage, frequencies, p, bias, options, trip):
-    """The tangent of `_picard_step` (see `_tangent_step`) at a comb state,
-    whose junction voltage spectrum `voltage` lies on the multiples of the
-    pump bin p, split into one block per coset r = 0 .. p - 1 of the lattice
-    bins mod p: `(members, blocks)`.  Block r is complex-linear on z = (delta
-    on the bins = r, conj(delta) on the bins = -r mod p), that is on the
-    lattice spectrum at the signed positions `members[r]` (r + p j, then
-    -((-r mod p) + p j), for j = 0 .. ceil(n / p) - 1); a position whose bin
-    lies past the lattice pads the block with a zero row and column.  Entry
-    (i, j) is relaxation * i_c * C[x_i - x_j] * g_j, with C the spectrum of
-    c(t) = cos(ramp + phase) on the step's time grid and g_j the phase per
-    unit current at x_j, plus (1 - relaxation) on the diagonal.  The blocks
-    of r and p - r are conjugate, and the tangent couples two cosets only
-    through the aliasing of c(t), which the blocks leave out."""
-    n = frequencies.size
+def _comb_spectrum(voltage, bias, options, trip):
+    """The spectrum of relaxation * i_c * c(t), c = cos(ramp + phase of
+    `voltage`), on the time grid of `trip`, the `_round_trip` of the lattice
+    the junction voltage spectrum `voltage` lies on."""
     ramp, to_phase, _ = trip
     c = np.empty(ramp.shape)
     to_phase(voltage, c)
     np.add(ramp, c, out=c)
     np.cos(c, out=c)
     # Time order: the interleaved layout holds sample t = phases * q + r at [r, q].
-    n_t = c.size
-    spectrum = np.fft.fft(c.T.ravel()) * (options.relaxation * bias.i_c / n_t)
+    return np.fft.fft(c.T.ravel()) * (options.relaxation * bias.i_c / c.size)
+
+
+def _coset_blocks(f_jj, frequencies, p, spectrum, relaxation, spacing=1, cosets=slice(None)):
+    """The tangent of `_picard_step` (see `_tangent_step`) on a lattice of n
+    bins (junction impedance `f_jj`, physical `frequencies`) at a comb state,
+    whose junction voltage lies on the multiples of the pump bin p, split
+    into one block per coset r = 0 .. p - 1 of the lattice bins mod p, of
+    which the slice `cosets` is built: `(members, blocks)`.  Block r is
+    complex-linear on z = (delta on the bins = r, conj(delta) on the bins =
+    -r mod p), that is on the lattice spectrum at the signed positions
+    `members[r]` (r + p j, then -((-r mod p) + p j), for j = 0 .. ceil(n / p)
+    - 1); a position whose bin lies past the lattice pads the block with a
+    zero row and column.  Entry (i, j) is C[(x_i - x_j) / spacing] * g_j,
+    with C the `_comb_spectrum` and g_j the phase per unit current at x_j,
+    plus (1 - relaxation) on the diagonal.  Every x_i - x_j is a multiple of
+    p, so C may be the spectrum on the lattice's own time grid (`spacing` 1)
+    or on the comb's (`spacing` p), which holds every harmonic of c(t) since
+    c holds only pump harmonics.  The blocks of r and p - r are conjugate,
+    and the tangent couples two cosets only through the aliasing of c(t),
+    which the blocks leave out."""
+    n = frequencies.size
     g = np.zeros(n + 1, dtype=complex)
     g[1:n] = (2.0 * _E_CHARGE / _HBAR) * f_jj[1:] / (2j * np.pi * frequencies[1:])
     plus = np.arange(-(-n // p) * p).reshape(-1, p).T  # bin r + p j at [r, j]
-    minus = plus[-np.arange(p) % p]
+    plus, minus = plus[cosets], plus[-np.arange(p) % p][cosets]
     on = np.concatenate([plus < n, minus < n], axis=1)
     members = np.concatenate([plus, -minus], axis=1)
     weight = np.concatenate([g[np.minimum(plus, n)], np.conjugate(g[np.minimum(minus, n)])], axis=1)
-    blocks = spectrum[(members[:, :, None] - members[:, None, :]) % n_t] * weight[:, None, :]
+    shift = (members[:, :, None] - members[:, None, :]) // spacing
+    blocks = spectrum[shift % spectrum.size] * weight[:, None, :]
     blocks *= on[:, :, None]
     diagonal = np.einsum("rii->ri", blocks)
-    diagonal += (1.0 - options.relaxation) * on
+    diagonal += (1.0 - relaxation) * on
     return members, blocks
+
+
+def _contracts(blocks: np.ndarray) -> bool:
+    """Whether every block M of the stack `blocks` has spectral radius below
+    1, shown by ||M^(2^j)||_F < 1 for some j <= PROOF_SQUARINGS: the spectral
+    radius is at most any norm of M^k to the power 1 / k.  Each round drops
+    the blocks already shown and squares the rest.  A non-finite block, or
+    one that still shows no contraction after the last squaring, fails."""
+    pending = blocks
+    for j in range(PROOF_SQUARINGS + 1):
+        if j:
+            pending = np.matmul(pending, pending)
+        norms = np.sum(np.abs(pending) ** 2, axis=(1, 2))  # squared Frobenius norms
+        if not np.all(np.isfinite(norms)):
+            return False
+        pending = pending[norms >= 1.0]
+        if not pending.shape[0]:
+            return True
+    return False
 
 
 class _Chord:
@@ -807,11 +867,13 @@ def _chord(step, chord: _Chord, current: np.ndarray, tol_abs: float, max_iterati
 class Comb:
     """The pump comb of one warm-start chain, handed to each of its `iterate`
     calls: the stimulus-free state on `Lattice.stride(grid, m, m)`, solved by
-    the chain's first stimulated stride-lattice point, and per lattice unit s
-    the chord (`_Chord`) that linearises the Picard step about it, built by
-    the first point on that lattice.  Both are built again only when the
-    row, bias or options change.  It lives as long as the chain and must not
-    be shared between threads."""
+    the chain's first stimulated stride-lattice point through `_comb_loop`
+    from a cold start (no proof and no full-grid step: a comb that a
+    stimulus-free solve could not keep costs a chain only its comb loop),
+    and per lattice unit s the chord (`_Chord`) that linearises the Picard
+    step about it, built by the first point on that lattice.  Both are built
+    again only when the row, bias or options change.  It lives as long as
+    the chain and must not be shared between threads."""
 
     def __init__(self):
         self._row = self._key = self._current = None
@@ -826,30 +888,69 @@ class Comb:
         if row is not self._row or (bias, options) != self._key:
             self._row, self._key, self._chords = row, (bias, options), {}
             comb = Lattice.stride(grid, m, m)
-            zero = np.zeros(comb.size, dtype=complex)
-            step = _picard_step(comb.gather(row.f_jj), zero, comb.frequencies, 1, bias, options)
-            current, _, converged, _ = _fixed_point(
-                step, zero, options.tolerance * bias.i_c, options.max_iterations
+            current, _, converged, _ = _comb_loop(
+                row, bias, options, comb, np.zeros(comb.size, dtype=complex)
             )
             self._current = comb.lift(current) if converged else None
         s = lattice.unit
         if self._current is not None and s not in self._chords:
             f_jj = lattice.gather(row.f_jj)
-            voltage = f_jj * lattice.gather(self._current)
+            spectrum = _comb_spectrum(f_jj * lattice.gather(self._current), bias, options, trip)
             members, blocks = _coset_blocks(
-                f_jj, voltage, lattice.frequencies, lattice.pump, bias, options, trip
+                f_jj, lattice.frequencies, lattice.pump, spectrum, options.relaxation
             )
             self._chords[s] = _Chord.of(members, blocks, lattice.size)
         return self._chords.get(s)
 
 
-def _lattices(grid: FrequencyGrid, m: int, tones: list[int], s: int, i_c: float):
-    """The lattices a solve tries, in turn: for a single tone with i_c > 0 the
+def _comb_loop(row: JunctionRow, bias: BiasPoint, options: SolverOptions, comb: Lattice,
+               start: np.ndarray):
+    """Plain Picard without a stimulus on the pump comb `comb`
+    (`Lattice.stride(grid, m, m)`) from its spectrum `start`: `_fixed_point`'s
+    (state, iterations, converged, last largest change)."""
+    zero = np.zeros(comb.size, dtype=complex)
+    step = _picard_step(comb.gather(row.f_jj), zero, comb.frequencies, 1, bias, options)
+    return _fixed_point(step, start, options.tolerance * bias.i_c, options.max_iterations)
+
+
+def _comb_proven(row: JunctionRow, bias: BiasPoint, options: SolverOptions, comb: Lattice,
+                 current: np.ndarray) -> bool:
+    """Whether the stimulus-free state `current` on the pump comb `comb` is
+    stable on the whole grid: every coset block r <= m / 2 of the Picard
+    step's tangent there on the stride-1 lattice `_contracts` (the blocks of
+    r and m - r are conjugate), built and checked PROOF_CHUNK_BYTES of
+    blocks at a time; the first chunk that fails ends the proof.  c(t) holds
+    only pump harmonics, so its spectrum comes from the comb's own 2 *
+    zero_pad * comb.size samples."""
+    grid, m = row.response.grid, comb.unit
+    trip = _round_trip(comb.frequencies, 1, bias, options.zero_pad)
+    spectrum = _comb_spectrum(comb.gather(row.f_jj) * current, bias, options, trip)
+    half, width = m // 2 + 1, -(-grid.size // m)
+    chunk = max(1, PROOF_CHUNK_BYTES // (16 * (2 * width) ** 2))
+    return all(
+        _contracts(_coset_blocks(
+            row.f_jj, grid.frequencies, m, spectrum, options.relaxation, m,
+            slice(lo, min(lo + chunk, half)),
+        )[1])
+        for lo in range(0, half, chunk)
+    )
+
+
+def _lattices(grid: FrequencyGrid, m: int, tones: list[int], s: int, i_c: float,
+              start: np.ndarray | None = None):
+    """The lattices a solve tries, in turn: for a stimulus-free solve with
+    i_c > 0 whose grid spectrum `start` (None: a cold start) has no weight
+    off the pump comb, the comb `Lattice.stride(grid, m, m)`; for a single
+    tone with i_c > 0 the
     embedded ones, in ALPHA_LADDER order while they stay smaller than the
-    stride lattice, and then always the stride lattice, which decides.  No
+    stride lattice; and then always the stride lattice, which decides.  No
     embedded one when two products within the top alpha's orders could share
     a grid bin: products a * m + b * k and a' * m + b' * k coincide only when
     |b - b'| reaches m / s."""
+    if not tones and m > 1 and i_c > 0 and (
+        start is None or np.count_nonzero(start[::m]) == np.count_nonzero(start)
+    ):
+        yield Lattice.stride(grid, m, m)
     if len(tones) == 1 and m // s > ALPHA_LADDER[-1] and i_c > 0:
         for alpha in ALPHA_LADDER:
             lattice = Lattice.embedded(grid, m, tones[0], s, alpha)
@@ -871,28 +972,30 @@ def iterate(
 ) -> SolutionState:
     """Fixed-point solution of the junction current spectrum.
 
-    Every mixing product of the pump bin m and the tone bins lies on a
-    multiple of their gcd s.  One loop runs the lattices `_lattices` yields:
-    for a single tone with m / s above the top of ALPHA_LADDER and i_c > 0,
-    embedded lattices (`Lattice`) of growing alpha, and then, for every
-    solve, the stride lattice of bins 0, s, 2s, ... (s = 1 without a
+    Every mixing product of the pump bin m and the tone bins lies on a multiple
+    of their gcd s.  One loop runs the lattices `_lattices` yields: for a
+    single tone with m / s above the top of ALPHA_LADDER and i_c > 0, embedded
+    lattices (`Lattice`) of growing alpha; without a stimulus, with i_c > 0 and
+    a start with no weight off the pump comb, the comb (s = m); and then, for
+    every solve, the stride lattice of bins 0, s, 2s, ... (s = 1 without a
     stimulus).  Each starts from the warm start gathered onto it.  The loop
-    stops at the first embedded lattice that converges with its current on
-    its two outermost signal orders below TAIL_BOUND * i_c, or at the stride
-    lattice, which decides.  A stimulated point with i_c > 0 runs its stride
-    lattice first as the comb-preconditioned chord (see the module
-    docstring and `SolutionState.path`), and keeps the chord's state only
-    when it converged with its change shrinking faster than the comb's
-    largest multiplier every step, and an on-lattice power iteration of the
-    tangent at that state shows plain Picard from the same start would
-    converge within the budget; otherwise plain Picard runs from the start,
-    and its steps add to the chord's in `iterations`.  The result is lifted
-    back to the grid.  A
-    converged point whose lattice leaves grid bins out is then probed on them
-    (see `SolutionState.off_lattice_growth`), since an oscillation there
-    cannot show on the lattice: PROBE_STEPS tangent steps from a seeded
-    perturbation, or, from the vector `probe` carries, steps until two
-    successive growth ratios agree.
+    stops at the first embedded lattice that converges with its current on its
+    two outermost signal orders below TAIL_BOUND * i_c, at a comb whose loop
+    converged and whose coset blocks on the stride-1 lattice are proven to
+    contract (see the module docstring), or at the stride lattice, which
+    decides.  A stimulated point with i_c > 0 runs its stride lattice first as
+    the comb-preconditioned chord (see the module docstring and
+    `SolutionState.path`), and keeps the chord's state only when it converged
+    with its change shrinking faster than the comb's largest multiplier every
+    step, and an on-lattice power iteration of the tangent at that state shows
+    plain Picard from the same start would converge within the budget;
+    otherwise plain Picard runs from the start, and its steps add to the
+    chord's in `iterations`.  The result is lifted back to the grid.  A
+    converged point whose lattice leaves grid bins out, other than a proven
+    comb, is then probed on them (see `SolutionState.off_lattice_growth`),
+    since an oscillation there cannot show on the lattice: PROBE_STEPS tangent
+    steps from a seeded perturbation, or, from the vector `probe` carries,
+    steps until two successive growth ratios agree.
 
     Parameters
     ----------
@@ -951,8 +1054,17 @@ def iterate(
 
     iterations = 0
     with np.errstate(invalid="ignore", over="ignore"):  # the residual reports a blow-up
-        for lattice in _lattices(grid, m, tones, s, bias.i_c):
+        for lattice in _lattices(grid, m, tones, s, bias.i_c, start):
             current = lattice.gather(start)
+            path, check, check_steps, tail = "picard", math.nan, 0, math.nan
+            if lattice.unit != s:  # the pump comb of a stimulus-free solve
+                # An unproven comb leaves no trace: the stride-1 lattice
+                # decides as if it had been the only one.
+                current, count, converged, delta = _comb_loop(row, bias, options, lattice, current)
+                if converged and _comb_proven(row, bias, options, lattice, current):
+                    path, iterations = "comb", count
+                    break
+                continue
             if lattice.tail(current) >= TAIL_BOUND * bias.i_c:
                 continue  # the warm start already misses the bound here
             # The step (and its time-grid buffers) lives only as long as its loop.
@@ -961,7 +1073,7 @@ def iterate(
             )
             trip = _round_trip(frequencies, lattice.pump, bias, options.zero_pad)
             step = _picard_step(f_jj, lattice_drive, frequencies, lattice.pump, bias, options, trip)
-            path, check, check_steps, chord = "picard", math.nan, 0, None
+            chord = None
             if lattice.alpha == 0 and tones and bias.i_c > 0:
                 comb = Comb() if comb is None else comb
                 chord = comb.chord(row, bias, options, lattice, trip)
@@ -998,7 +1110,8 @@ def iterate(
         v_j = drive + row.f_jj * i_j
     growth, steps = float("nan"), 0
     off = ~lattice.covered
-    if converged and bias.i_c > 0 and off.any():
+    # A proven comb state needs no probe: its blocks hold every grid bin.
+    if converged and path != "comb" and bias.i_c > 0 and off.any():
         probe = Probe() if probe is None else probe
         tangent_options = replace(options, zero_pad=min(options.zero_pad, PROBE_ZERO_PAD))
         trip = probe.round_trip(grid, m, bias, tangent_options.zero_pad)

@@ -595,7 +595,11 @@ def pump_emission(
     to a photon rate at f_dc.  Harmonic line labels at 2 f_dc, 3 f_dc ... are
     reported as long as they stay on the grid.  An unconverged state still
     reports its power; a diverged one reports NaN power and harmonic lines,
-    unconverged.  The response is read only at the reported bins.
+    unconverged.  The response is read only at the reported bins.  The solve
+    runs on the pump comb (bins 0, m, 2m, ...) when its coset blocks prove
+    the comb state stable on the whole grid, and otherwise on the full grid,
+    whose flag it reports (see `iterate`): a state the full-grid loop calls
+    converged but that is unstable off the comb is still reported converged.
     """
     grid = response.grid
     bias = replace(bias, f_dc=round_bias(bias.f_dc, grid))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ictasim import design
-from ictasim.circuit import DEFAULT_GRID, IctaParams, Netlist, build_icta
+from ictasim.circuit import DEFAULT_GRID, IctaParams, Netlist, build_icta, z_jj
 from ictasim.design import _rolloff_width, band_check, longest_run
 from oracles import longest_run_loop, rolloff_width_loop
 
@@ -88,3 +88,12 @@ def test_band_report_walks_match_loops(monkeypatch, coarse_grid):
     oracle = [band_check(net, f) for net in nets for f in grids]
     for got, want in zip(reports, oracle):
         assert np.array_equal(astuple(got), astuple(want), equal_nan=True)
+
+
+def test_band_check_reads_the_impedance_it_is_given(canonical_net):
+    # The impedance of the whole grid, f = 0 included, gives the report of
+    # the fold at the positive frequencies, field for field.
+    f = DEFAULT_GRID.frequencies
+    assert astuple(band_check(canonical_net, f, z_jj(canonical_net, f))) == astuple(
+        band_check(canonical_net, f)
+    )

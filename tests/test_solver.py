@@ -37,7 +37,12 @@ from ictasim.solver import (
     Comb,
     Lattice,
     Probe,
+    PROOF_SQUARINGS,
     _Chord,
+    _comb_loop,
+    _comb_proven,
+    _comb_spectrum,
+    _contracts,
     _coset_blocks,
     _lattices,
     _off_lattice_growth,
@@ -173,8 +178,8 @@ def test_pure_pump_line_magnitude():
     state = iterate(row, bias, Stimulus.none())
     m = int(round(F_DC / grid.spacing))
     assert state.converged
-    # Stimulus-free: the full grid.
-    assert state.lattice.unit == 1 and np.isnan(state.off_lattice_growth)
+    # Stimulus-free: the pump comb.
+    assert state.lattice.unit == m and np.isnan(state.off_lattice_growth)
     assert_allclose(abs(state.i_j[m]), I_C / 2, rtol=1e-12)
     others = np.abs(np.delete(state.i_j, m))
     assert others.max() < 1e-12 * I_C
@@ -388,7 +393,7 @@ def test_outputs_keep_bias_stiff(coarse_grid, stim):
     # junction voltage of about 1e-9 V at 0.1 ohm bias resistance).
     f = frankenstein_matrix(build_icta(IctaParams(bias_resistance=0.1)), coarse_grid)
     state = iterate(junction_row(f), BiasPoint(f_dc=F_DC, i_c=I_C), stim)
-    assert state.lattice.unit == (50 if stim.tones else 1)
+    assert state.lattice.unit == (50 if stim.tones else round(F_DC / coarse_grid.spacing))
     lattice = slice(None, None, state.lattice.unit)
     a_j = outputs(state).a_out[1, lattice]
     v_j = state.v_j[lattice]
@@ -508,10 +513,14 @@ def test_solves_that_keep_the_stride_lattice(canonical_f, coarse_grid):
 )
 def test_lattices_end_with_the_stride_lattice(tones, i_c, alphas):
     # Every solve ends on the stride lattice; the embedded rungs before it
-    # climb the ladder while they stay smaller than it.
+    # climb the ladder while they stay smaller than it.  A stimulus-free
+    # solve with i_c > 0 tries the pump comb first.
     grid, m = DEFAULT_GRID, 12000
     s = math.gcd(m, *tones) if tones else 1
     *rungs, last = _lattices(grid, m, tones, s, i_c)
+    if not tones:
+        comb, *rungs = rungs
+        assert comb.unit == m and comb.pump == 1 and comb.size == 3
     assert last.alpha == 0 and last.unit == s and last.orders is None
     assert np.array_equal(last.grid_bins, np.arange(0, grid.size, s))
     assert tuple(rung.alpha for rung in rungs) == alphas
@@ -904,7 +913,8 @@ def _comb_tangent(row):
     chord = comb.chord(row, bias, options, lattice, trip)
     f_jj = lattice.gather(row.f_jj)
     voltage = f_jj * lattice.gather(comb._current)
-    members, blocks = _coset_blocks(f_jj, voltage, lattice.frequencies, p, bias, options, trip)
+    spectrum = _comb_spectrum(voltage, bias, options, trip)
+    members, blocks = _coset_blocks(f_jj, lattice.frequencies, p, spectrum, options.relaxation)
     tangent = _tangent_step(f_jj, voltage, lattice.frequencies, p, bias, options, trip)
     a, b = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
     for q in range(n):
@@ -1005,3 +1015,136 @@ def test_chord_point_reports_its_check(map_row):
     assert 0.0 < state.on_lattice_growth < 1.0 and 2 <= state.on_lattice_steps <= PROBE_STEPS
     assert state.residual < 1e-12
     assert abs(gain(outputs(state), 3.52e9) - gain(outputs(oracle), 3.52e9)) <= 1e-7
+
+
+# ---------------------------------------------------------------- proven comb
+
+EMISSION_BIAS = BiasPoint(f_dc=12.261e9, i_c=100e-9)
+EMISSION_M = 12261  # the pump bin of EMISSION_BIAS on DEFAULT_GRID
+
+
+def _emission_row(**edit):
+    return junction_row(frankenstein_matrix(build_icta(IctaParams(**edit)), DEFAULT_GRID))
+
+
+@pytest.mark.parametrize(
+    "resistance, rate", [(0.05, 0.5099), (0.1, 0.7690), (0.15, 0.9925), (0.3, 1.5859)]
+)
+def test_comb_grid_blocks_match_full_grid(resistance, rate):
+    # The coset blocks r <= m / 2 of the tangent at the comb state on the
+    # stride-1 lattice, built from c(t)'s spectrum on the comb's own 24
+    # samples, are the full-grid blocks (262144 samples) to 1e-14 relative,
+    # and their largest eigenvalue modulus is the exact off-comb rate; only
+    # the rates below 1 within 64 steps are proven.
+    row, bias, options = _emission_row(bias_resistance=resistance), EMISSION_BIAS, SolverOptions()
+    comb = Lattice.stride(DEFAULT_GRID, EMISSION_M, EMISSION_M)
+    current, _, converged, _ = _comb_loop(
+        row, bias, options, comb, np.zeros(comb.size, dtype=complex)
+    )
+    assert converged
+    trip = _round_trip(comb.frequencies, 1, bias, options.zero_pad)
+    spectrum = _comb_spectrum(comb.gather(row.f_jj) * current, bias, options, trip)
+    assert spectrum.size == 2 * options.zero_pad * 3
+    f = DEFAULT_GRID.frequencies
+    half = EMISSION_M // 2 + 1
+    members, blocks = _coset_blocks(
+        row.f_jj, f, EMISSION_M, spectrum, 1.0, EMISSION_M, slice(half)
+    )
+    # A slice of cosets, as the proof builds them, is the same slice.
+    _, tail = _coset_blocks(row.f_jj, f, EMISSION_M, spectrum, 1.0, EMISSION_M, slice(1000, half))
+    assert np.array_equal(tail, blocks[1000:])
+    full = Lattice.stride(DEFAULT_GRID, EMISSION_M, 1)
+    full_trip = _round_trip(full.frequencies, EMISSION_M, bias, options.zero_pad)
+    full_spectrum = _comb_spectrum(row.f_jj * comb.lift(current), bias, options, full_trip)
+    full_members, full_blocks = _coset_blocks(row.f_jj, f, EMISSION_M, full_spectrum, 1.0)
+    assert np.array_equal(members, full_members[:half])
+    scale = np.abs(full_blocks).max()
+    assert np.abs(blocks - full_blocks[:half]).max() <= 1e-14 * scale
+    assert np.abs(np.linalg.eigvals(blocks)).max() == pytest.approx(rate, abs=5e-5)
+    assert _comb_proven(row, bias, options, comb, current) == (rate < 0.9)
+
+
+def test_contracts_diagonal_blocks():
+    # A diagonal block contracts exactly when every entry lies inside the
+    # unit circle and 64 steps bring its Frobenius norm below 1.
+    def diagonal(*values):
+        return np.diag(np.array(values, dtype=complex))[None]
+
+    assert _contracts(diagonal(0.5, 0.5j, -0.5, 0.1, 0.0, 0.5))  # one squaring
+    assert _contracts(diagonal(0.95, 0.9j, 0.0))
+    assert not _contracts(diagonal(1.0, 0.1))
+    assert not _contracts(diagonal(0.2, 1.01j))
+    assert not _contracts(diagonal(np.nan, 0.1))
+    assert not _contracts(diagonal(np.inf, 0.1))
+    # 0.999**64 = 0.94: stable, but not shown within PROOF_SQUARINGS.
+    assert PROOF_SQUARINGS == 6 and not _contracts(diagonal(0.999, 0.999))
+    stack = np.concatenate([diagonal(0.1, 0.2), diagonal(0.9, 0.3), diagonal(1.2, 0.0)])
+    assert _contracts(stack[:2]) and not _contracts(stack)
+    assert _contracts(np.zeros((0, 4, 4), dtype=complex))
+
+
+def test_contracts_non_normal_blocks():
+    # A Jordan-like block: its norm is far above 1 while its powers decay,
+    # which the squarings show; with a rate of 0.9 and a coupling of 1e6,
+    # M^64 still holds 64e6 * 0.9**63 = 8.4e4, so the proof fails although
+    # the block is stable.  Overflow in the squarings fails too.
+    jordan = np.array([[[0.5, 100.0], [0.0, 0.5j]]], dtype=complex)
+    assert np.sum(np.abs(jordan) ** 2) > 1e4 and _contracts(jordan)
+    assert not _contracts(np.array([[[0.9, 1e6], [0.0, 0.9]]], dtype=complex))
+    with np.errstate(over="ignore", invalid="ignore"):  # as inside `iterate`
+        assert not _contracts(np.array([[[1.0, 1e300], [1e300, 1.0]]], dtype=complex))
+    rotation = np.array([[[0.0, -1.0], [1.0, 0.0]]], dtype=complex)
+    assert not _contracts(rotation) and _contracts(0.9 * rotation)
+
+
+@pytest.mark.parametrize(
+    "edit, i_c",
+    [
+        ({"bias_resistance": 0.05}, 100e-9),
+        ({"bias_resistance": 0.1}, 100e-9),
+        ({"cable_length": 0.33}, 180e-9),
+        ({"junction_capacitance": 20e-15}, 140e-9),
+    ],
+    ids=["0.05-ohm", "0.1-ohm", "cable", "capacitance"],
+)
+def test_proven_comb_matches_full_grid(edit, i_c):
+    # A pump-only solve whose comb blocks are proven stable ends on the comb
+    # with plain Picard's flag and state to 1e-14 i_c, no probe, and zeros
+    # off the comb.
+    row, bias = _emission_row(**edit), replace(EMISSION_BIAS, i_c=i_c)
+    state = iterate(row, bias, Stimulus.none())
+    oracle = plain_iterate(row, bias, Stimulus.none(), SolverOptions())
+    assert state.path == "comb" and state.lattice.unit == EMISSION_M
+    assert state.converged and oracle.converged
+    assert np.isnan(state.off_lattice_growth) and state.probe_steps == 0
+    assert np.all(state.i_j[np.arange(DEFAULT_GRID.size) % EMISSION_M != 0] == 0.0)
+    assert_allclose(state.i_j, oracle.i_j, rtol=0, atol=1e-14 * i_c)
+
+
+@pytest.mark.parametrize("resistance", [0.15, 0.3])
+def test_unproven_comb_leaves_the_solve_to_the_full_grid(resistance):
+    # At 0.15 ohm (rate 0.9925) 64 steps show no contraction, and at 0.3 ohm
+    # (1.59) the comb is unstable off its bins: the stride-1 lattice decides
+    # from the same cold start, bit for bit as the plain loop, and the comb's
+    # steps are not counted.
+    row = _emission_row(bias_resistance=resistance)
+    state = iterate(row, EMISSION_BIAS, Stimulus.none())
+    oracle = plain_iterate(row, EMISSION_BIAS, Stimulus.none(), SolverOptions())
+    assert state.path == "picard" and state.lattice.unit == 1
+    assert state.converged == oracle.converged and state.iterations == oracle.iterations
+    assert np.array_equal(state.i_j, oracle.i_j)
+
+
+def test_comb_rung_needs_a_start_on_the_comb():
+    # A warm start with weight off the comb skips the comb rung; one on it
+    # starts the rung from it.  A tone on a pump harmonic (s = m) runs on
+    # the same bins as the stride lattice, with no comb rung.
+    m = EMISSION_M
+    start = np.zeros(DEFAULT_GRID.size, dtype=complex)
+    start[m] = 1e-8
+    rungs = list(_lattices(DEFAULT_GRID, m, [], 1, 1e-7, start))
+    assert [rung.unit for rung in rungs] == [m, 1]
+    start[m + 1] = 1e-20
+    assert [rung.unit for rung in _lattices(DEFAULT_GRID, m, [], 1, 1e-7, start)] == [1]
+    assert [rung.unit for rung in _lattices(DEFAULT_GRID, m, [2 * m], m, 1e-7)] == [m]
+    assert [rung.unit for rung in _lattices(DEFAULT_GRID, m, [], 1, 0.0)] == [1]
