@@ -76,9 +76,10 @@ original start and decides, bit for bit as without a chord.  On compression
 chains past the 1 dB point the chord's change stops shrinking within a few
 steps, so those points end on plain Picard and keep its gains bit for bit.
 
-Comb rung: a stimulus-free solve with i_c > 0 whose start has no weight off
-the pump comb runs plain Picard on `Lattice.stride(grid, m, m)` first (the
-loop a `Comb` runs too, `_comb_loop`).  Its state is kept only when that
+Comb rung: a stimulus-free solve with i_c > 0 and zero_pad >= 2 whose start
+has no weight off the pump comb, and whose comb holds at most PROOF_WIDTH
+bins, runs plain Picard on `Lattice.stride(grid, m, m)` first (the loop a
+`Comb` runs too, `_comb_loop`).  Its state is kept only when that
 loop converged and every coset block r <= m / 2 of the Picard step's
 tangent there on the stride-1 lattice (`_coset_blocks`, with c(t)'s
 spectrum from the comb's own time grid) is shown to have spectral radius
@@ -155,13 +156,23 @@ SPLIT_BINS = 8192
 # block of the Picard step's tangent on the full grid contracting within
 # this many squarings, that is within 2**6 = 64 steps.  The blocks are built
 # and checked a slice of cosets at a time, of at most PROOF_CHUNK_BYTES, so
-# the proof's memory stays bounded at any pump bin, and no array of it
-# outgrows a full-grid step's own buffers (2 MB on DEFAULT_GRID).  Freeing a
-# larger one raises glibc's mmap threshold, after which later full-grid
-# buffers stay resident in the heap: all 6131 blocks at once (3.5 MB) moved
-# the emission benchmark's peak memory from about 110 to 117 MB.
+# that no array of the proof outgrows a full-grid step's own buffers (2 MB
+# on DEFAULT_GRID).  Freeing a larger one raises glibc's mmap threshold,
+# after which later full-grid buffers stay resident in the heap: all 6131
+# blocks at once (3.5 MB) moved the emission benchmark's peak memory from
+# about 110 to 117 MB.
 PROOF_SQUARINGS = 6
 PROOF_CHUNK_BYTES = 1 << 20
+# The comb rung runs only where its blocks, 2 * ceil(N / m) square, are at
+# most 2 * PROOF_WIDTH wide.  A proof costs about N * width (building) plus
+# N * width**2 (squaring): with every block built and squared
+# PROOF_SQUARINGS times, 25, 37, 57 and 108 ms at widths 3, 5, 9 and 17 on
+# DEFAULT_GRID (2-CPU Xeon), against 7 ms per full-grid step and at least
+# 10 steps for a cold emission solve there.  Up to width 9 (f_dc >= 3.64 GHz
+# on DEFAULT_GRID) a proof thus stays below the cheapest full-grid solve; a
+# wider comb, and every pump bin m < N / PROOF_WIDTH, solves on the full
+# grid alone.  One block of 2 * PROOF_WIDTH square fits PROOF_CHUNK_BYTES.
+PROOF_WIDTH = 9
 
 
 @dataclass(frozen=True)
@@ -420,7 +431,7 @@ class SolutionState:
     of unit m, by the proof that its coset blocks contract on the whole
     grid; no probe runs, so `off_lattice_growth` is NaN) or "picard" (plain
     Picard where no chord applies: an embedded lattice, a stimulus-free
-    solve whose comb was not proven, i_c = 0, or a comb that did not
+    solve whose comb was not tried or not proven, i_c = 0, or a comb that did not
     converge or is unstable on the lattice).  An unproven comb's steps are
     not counted in `iterations`, so such a state is the one the stride-1
     lattice alone gives.  `on_lattice_growth` is the check's
@@ -921,12 +932,15 @@ def _comb_proven(row: JunctionRow, bias: BiasPoint, options: SolverOptions, comb
     r and m - r are conjugate), built and checked PROOF_CHUNK_BYTES of
     blocks at a time; the first chunk that fails ends the proof.  c(t) holds
     only pump harmonics, so its spectrum comes from the comb's own 2 *
-    zero_pad * comb.size samples."""
+    zero_pad * comb.size samples, which hold the harmonics |k| <= 2 *
+    comb.size - 1 the blocks read without aliasing when zero_pad >= 2 (see
+    `_lattices`).  `_lattices` yields the comb only when comb.size <=
+    PROOF_WIDTH, so a chunk holds at least one block."""
     grid, m = row.response.grid, comb.unit
     trip = _round_trip(comb.frequencies, 1, bias, options.zero_pad)
     spectrum = _comb_spectrum(comb.gather(row.f_jj) * current, bias, options, trip)
-    half, width = m // 2 + 1, -(-grid.size // m)
-    chunk = max(1, PROOF_CHUNK_BYTES // (16 * (2 * width) ** 2))
+    half = m // 2 + 1
+    chunk = PROOF_CHUNK_BYTES // (16 * (2 * comb.size) ** 2)
     return all(
         _contracts(_coset_blocks(
             row.f_jj, grid.frequencies, m, spectrum, options.relaxation, m,
@@ -937,19 +951,24 @@ def _comb_proven(row: JunctionRow, bias: BiasPoint, options: SolverOptions, comb
 
 
 def _lattices(grid: FrequencyGrid, m: int, tones: list[int], s: int, i_c: float,
-              start: np.ndarray | None = None):
+              zero_pad: int, start: np.ndarray | None = None):
     """The lattices a solve tries, in turn: for a stimulus-free solve with
-    i_c > 0 whose grid spectrum `start` (None: a cold start) has no weight
-    off the pump comb, the comb `Lattice.stride(grid, m, m)`; for a single
-    tone with i_c > 0 the
-    embedded ones, in ALPHA_LADDER order while they stay smaller than the
-    stride lattice; and then always the stride lattice, which decides.  No
-    embedded one when two products within the top alpha's orders could share
-    a grid bin: products a * m + b * k and a' * m + b' * k coincide only when
-    |b - b'| reaches m / s."""
-    if not tones and m > 1 and i_c > 0 and (
-        start is None or np.count_nonzero(start[::m]) == np.count_nonzero(start)
-    ):
+    i_c > 0 and zero_pad >= 2 whose grid spectrum `start` (None: a cold
+    start) has no weight off the pump comb, the comb `Lattice.stride(grid,
+    m, m)` when it holds at most PROOF_WIDTH bins; for a single tone with
+    i_c > 0 the embedded ones, in ALPHA_LADDER order while they stay smaller
+    than the stride lattice; and then always the stride lattice, which
+    decides.  No comb at zero_pad 1: its 2 * comb.size samples alias the
+    harmonics of c(t) the proof's blocks read, and the full grid's 2N
+    samples fold pump harmonics from about the comb's size up onto bins off
+    the comb, so its state is not the comb's (2e-3 i_c apart at 0.05 ohm
+    bias resistance on DEFAULT_GRID, against 1e-12 i_c at zero_pad 2).  No
+    embedded one when two products within the top alpha's orders could
+    share a grid bin: products a * m + b * k and a' * m + b' * k coincide
+    only when |b - b'| reaches m / s."""
+    if (not tones and m > 1 and -(-grid.size // m) <= PROOF_WIDTH and i_c > 0
+            and zero_pad >= 2
+            and (start is None or np.count_nonzero(start[::m]) == np.count_nonzero(start))):
         yield Lattice.stride(grid, m, m)
     if len(tones) == 1 and m // s > ALPHA_LADDER[-1] and i_c > 0:
         for alpha in ALPHA_LADDER:
@@ -975,8 +994,9 @@ def iterate(
     Every mixing product of the pump bin m and the tone bins lies on a multiple
     of their gcd s.  One loop runs the lattices `_lattices` yields: for a
     single tone with m / s above the top of ALPHA_LADDER and i_c > 0, embedded
-    lattices (`Lattice`) of growing alpha; without a stimulus, with i_c > 0 and
-    a start with no weight off the pump comb, the comb (s = m); and then, for
+    lattices (`Lattice`) of growing alpha; without a stimulus, with i_c > 0,
+    zero_pad >= 2, a start with no weight off the pump comb and a comb of at
+    most PROOF_WIDTH bins, the comb (s = m); and then, for
     every solve, the stride lattice of bins 0, s, 2s, ... (s = 1 without a
     stimulus).  Each starts from the warm start gathered onto it.  The loop
     stops at the first embedded lattice that converges with its current on its
@@ -1054,7 +1074,7 @@ def iterate(
 
     iterations = 0
     with np.errstate(invalid="ignore", over="ignore"):  # the residual reports a blow-up
-        for lattice in _lattices(grid, m, tones, s, bias.i_c, start):
+        for lattice in _lattices(grid, m, tones, s, bias.i_c, options.zero_pad, start):
             current = lattice.gather(start)
             path, check, check_steps, tail = "picard", math.nan, 0, math.nan
             if lattice.unit != s:  # the pump comb of a stimulus-free solve

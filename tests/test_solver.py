@@ -37,7 +37,9 @@ from ictasim.solver import (
     Comb,
     Lattice,
     Probe,
+    PROOF_CHUNK_BYTES,
     PROOF_SQUARINGS,
+    PROOF_WIDTH,
     _Chord,
     _comb_loop,
     _comb_proven,
@@ -64,6 +66,7 @@ from oracles import (
 
 F_DC = 12e9
 I_C = 280e-9
+ZERO_PAD = SolverOptions.zero_pad
 
 
 def test_josephson_relation_round_trip():
@@ -487,12 +490,12 @@ def test_solves_that_keep_the_stride_lattice(canonical_f, coarse_grid):
     map_grid = FrequencyGrid(20e6, 2048)
     for m in range(416, 897, 32):  # bias rows 8.32 to 17.92 GHz
         for k in [*range(160, 481, 16), m, m // 2]:
-            (only,) = _lattices(map_grid, m, [k], math.gcd(m, k), I_C)
+            (only,) = _lattices(map_grid, m, [k], math.gcd(m, k), I_C, ZERO_PAD)
             assert only.alpha == 0
     for k in range(5440, 6561, 160):  # the 160 MHz profile lattice at f_dc 12 GHz
-        (only,) = _lattices(DEFAULT_GRID, 12000, [k], math.gcd(12000, k), I_C)
+        (only,) = _lattices(DEFAULT_GRID, 12000, [k], math.gcd(12000, k), I_C, ZERO_PAD)
         assert only.alpha == 0
-    assert len(list(_lattices(DEFAULT_GRID, 12000, [5621], 1, I_C))) > 1
+    assert len(list(_lattices(DEFAULT_GRID, 12000, [5621], 1, I_C, ZERO_PAD))) > 1
 
 
 @pytest.mark.parametrize(
@@ -517,7 +520,7 @@ def test_lattices_end_with_the_stride_lattice(tones, i_c, alphas):
     # solve with i_c > 0 tries the pump comb first.
     grid, m = DEFAULT_GRID, 12000
     s = math.gcd(m, *tones) if tones else 1
-    *rungs, last = _lattices(grid, m, tones, s, i_c)
+    *rungs, last = _lattices(grid, m, tones, s, i_c, ZERO_PAD)
     if not tones:
         comb, *rungs = rungs
         assert comb.unit == m and comb.pump == 1 and comb.size == 3
@@ -1027,16 +1030,20 @@ def _emission_row(**edit):
     return junction_row(frankenstein_matrix(build_icta(IctaParams(**edit)), DEFAULT_GRID))
 
 
+@pytest.mark.parametrize("zero_pad, tolerance", [(4, 1e-14), (2, 1e-10)])
 @pytest.mark.parametrize(
     "resistance, rate", [(0.05, 0.5099), (0.1, 0.7690), (0.15, 0.9925), (0.3, 1.5859)]
 )
-def test_comb_grid_blocks_match_full_grid(resistance, rate):
+def test_comb_grid_blocks_match_full_grid(resistance, rate, zero_pad, tolerance):
     # The coset blocks r <= m / 2 of the tangent at the comb state on the
-    # stride-1 lattice, built from c(t)'s spectrum on the comb's own 24
-    # samples, are the full-grid blocks (262144 samples) to 1e-14 relative,
-    # and their largest eigenvalue modulus is the exact off-comb rate; only
-    # the rates below 1 within 64 steps are proven.
-    row, bias, options = _emission_row(bias_resistance=resistance), EMISSION_BIAS, SolverOptions()
+    # stride-1 lattice, built from c(t)'s spectrum on the comb's own
+    # 2 * zero_pad * 3 samples, are the full-grid blocks (8N or 4N samples) to
+    # 1e-14 relative at zero_pad 4, and to 1e-10 at zero_pad 2, where the
+    # full grid's own aliasing of c(t) shows (3e-11); their largest
+    # eigenvalue modulus is the exact off-comb rate.  Only the rates below 1
+    # within 64 steps are proven.
+    row, bias = _emission_row(bias_resistance=resistance), EMISSION_BIAS
+    options = SolverOptions(zero_pad=zero_pad)
     comb = Lattice.stride(DEFAULT_GRID, EMISSION_M, EMISSION_M)
     current, _, converged, _ = _comb_loop(
         row, bias, options, comb, np.zeros(comb.size, dtype=complex)
@@ -1059,7 +1066,7 @@ def test_comb_grid_blocks_match_full_grid(resistance, rate):
     full_members, full_blocks = _coset_blocks(row.f_jj, f, EMISSION_M, full_spectrum, 1.0)
     assert np.array_equal(members, full_members[:half])
     scale = np.abs(full_blocks).max()
-    assert np.abs(blocks - full_blocks[:half]).max() <= 1e-14 * scale
+    assert np.abs(blocks - full_blocks[:half]).max() <= tolerance * scale
     assert np.abs(np.linalg.eigvals(blocks)).max() == pytest.approx(rate, abs=5e-5)
     assert _comb_proven(row, bias, options, comb, current) == (rate < 0.9)
 
@@ -1142,9 +1149,46 @@ def test_comb_rung_needs_a_start_on_the_comb():
     m = EMISSION_M
     start = np.zeros(DEFAULT_GRID.size, dtype=complex)
     start[m] = 1e-8
-    rungs = list(_lattices(DEFAULT_GRID, m, [], 1, 1e-7, start))
+    rungs = list(_lattices(DEFAULT_GRID, m, [], 1, 1e-7, ZERO_PAD, start))
     assert [rung.unit for rung in rungs] == [m, 1]
     start[m + 1] = 1e-20
-    assert [rung.unit for rung in _lattices(DEFAULT_GRID, m, [], 1, 1e-7, start)] == [1]
-    assert [rung.unit for rung in _lattices(DEFAULT_GRID, m, [2 * m], m, 1e-7)] == [m]
-    assert [rung.unit for rung in _lattices(DEFAULT_GRID, m, [], 1, 0.0)] == [1]
+    rungs = _lattices(DEFAULT_GRID, m, [], 1, 1e-7, ZERO_PAD, start)
+    assert [rung.unit for rung in rungs] == [1]
+    rungs = _lattices(DEFAULT_GRID, m, [2 * m], m, 1e-7, ZERO_PAD)
+    assert [rung.unit for rung in rungs] == [m]
+    assert [rung.unit for rung in _lattices(DEFAULT_GRID, m, [], 1, 0.0, ZERO_PAD)] == [1]
+
+
+def test_comb_rung_needs_narrow_blocks():
+    # The comb rung runs only where its blocks, 2 * ceil(N / m) square, are
+    # at most 2 * PROOF_WIDTH wide, so that a proof chunk holds a whole
+    # block and the proof stays below a full-grid solve.  At small pump bins
+    # (m = 2 would build 32768-square blocks) the full grid decides alone.
+    assert 16 * (2 * PROOF_WIDTH) ** 2 <= PROOF_CHUNK_BYTES
+    least = -(-DEFAULT_GRID.size // PROOF_WIDTH)  # 3641: a comb of PROOF_WIDTH bins
+
+    def units(m):
+        return [rung.unit for rung in _lattices(DEFAULT_GRID, m, [], 1, 1e-7, ZERO_PAD)]
+
+    assert units(least) == [least, 1] and units(least - 1) == [1]
+    assert units(1000) == [1] and units(50) == [1] and units(2) == [1]
+
+
+def test_comb_rung_needs_zero_pad_2():
+    # On the comb's 2 * 3 samples at zero_pad 1, c(t)'s harmonics 4 and 5,
+    # which the blocks read, alias onto -2 and -1; and the full grid's 2N
+    # samples fold pump harmonics onto bins off the comb, 2e-3 i_c at
+    # 0.05 ohm.  So no comb rung runs there: the stride-1 lattice decides
+    # alone, bit for bit as the plain loop.  At zero_pad 2 the rung runs.
+    row = _emission_row(bias_resistance=0.05)
+    assert [rung.unit for rung in _lattices(DEFAULT_GRID, EMISSION_M, [], 1, 1e-7, 2)] == [
+        EMISSION_M, 1
+    ]
+    assert [rung.unit for rung in _lattices(DEFAULT_GRID, EMISSION_M, [], 1, 1e-7, 1)] == [1]
+    options = SolverOptions(zero_pad=1)
+    state = iterate(row, EMISSION_BIAS, Stimulus.none(), options)
+    oracle = plain_iterate(row, EMISSION_BIAS, Stimulus.none(), options)
+    assert state.path == "picard" and state.lattice.unit == 1 and state.converged
+    assert state.iterations == oracle.iterations and np.array_equal(state.i_j, oracle.i_j)
+    off = np.arange(DEFAULT_GRID.size) % EMISSION_M != 0
+    assert np.abs(oracle.i_j[off]).max() > 1e-3 * EMISSION_BIAS.i_c
