@@ -111,11 +111,14 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.constants import e as _E_CHARGE, h as _PLANCK, hbar as _HBAR
-from scipy.fft import next_fast_len
 
 from .circuit import FrequencyGrid, NetlistResponse
 from .frankenstein import VOLTAGE_BIAS, JunctionRow, junction_port, wave_port
+
+# The elementary charge and the Planck constant are exact in the SI.
+_E_CHARGE = 1.602176634e-19
+_PLANCK = 6.62607015e-34
+_HBAR = _PLANCK / (2.0 * math.pi)
 
 # Off-lattice stability probe of a sub-lattice solve: a seeded unit perturbation
 # on the off-lattice bins, PROBE_STEPS full-grid steps of the Picard map's tangent.
@@ -132,6 +135,11 @@ PROBE_AGREEMENT = 1e-3
 # own aliasing (its bins from 2N up fold back) sets it apart from zero_pad 4:
 # under 1e-9 in the ratio on DEFAULT_GRID profile states at I_c 280 nA.
 PROBE_ZERO_PAD = 2
+# The probe of a lattice of unit s runs the cosets of the grid bins mod s as
+# rows of L samples (see `_Cosets`).  Rows of more than COSET_SAMPLES samples
+# fall out of cache and run slower than the full-grid step, so such a probe
+# runs on the full grid.
+COSET_SAMPLES = 16384
 
 # Embedded lattices: the box orders alpha a single-tone solve tries in turn,
 # and the bound on the 2-norm of its current on the two outermost signal
@@ -200,6 +208,19 @@ class SolverOptions:
             raise ValueError("relaxation must lie in (0, 1]")
         if self.zero_pad < 1:
             raise ValueError("zero_pad must be at least 1")
+
+
+def _fast_len(n: int) -> int:
+    """The least 5-smooth integer 2**a * 3**b * 5**c >= n, for n >= 1."""
+    best = 1 << (n - 1).bit_length()
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:  # odd = 3**b * 5**c, times the least power of two reaching n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        five *= 5
+    return best
 
 
 def josephson_frequency(v_dc: float) -> float:
@@ -367,7 +388,7 @@ class Lattice:
         # Per order b, the highest product on the grid has a = floor((n_s - 1 - b k1) / m1).
         b = np.arange(-half, half + 1)
         top = int(np.max((n_s - 1 - b * k1) // m1 * alpha + b * beta))
-        v = np.arange(next_fast_len(top + 1, real=True))
+        v = np.arange(_fast_len(top + 1))
         orders = v * pow(beta, -1, alpha) % alpha
         orders[orders > half] -= alpha
         positions = (v - orders * beta) // alpha * m1 + orders * k1
@@ -707,24 +728,137 @@ def _off_lattice_growth(step, off: np.ndarray, start: np.ndarray | None = None):
     return (0.0 if now == 0.0 else ratio), steps, x
 
 
+class _Cosets:
+    """The tangent of `_picard_step` (see `_tangent_step`) on the grid, at a
+    state whose junction voltage lies on the multiples of s, coset by coset
+    on one period T / s.  That state's c(t) is T / s periodic, so the
+    tangent couples bin q only to the bins = +-q (mod s): each coset r = 1 ..
+    s // 2 with its mirror s - r is one complex-linear block
+    (`_coset_members`; at r = s / 2 the mirror is the coset itself, and its
+    half is redundant), and coset 0, the multiples of s, is real-linear on
+    its own.  Row r - 1 of one batched complex FFT holds block r's positions
+    r + s w, w = -W .. W - 1 with W = ceil(N / s), at column w mod L, and
+    coset 0 runs as a real round trip, both on the same `size` L samples:
+    the least 5-smooth number of at least 2 * zero_pad * W, so that for
+    zero_pad >= 2 the harmonics |w| < 2W of c(t) a block reads do not alias
+    (see PROBE_ZERO_PAD).  It holds the tables of one grid, junction row,
+    pump bin m, stride s and zero_pad; `tangent` gives the step at a state."""
+
+    def __init__(self, f_jj: np.ndarray, frequencies: np.ndarray, m: int, s: int, zero_pad: int):
+        n, width = frequencies.size, -(-frequencies.size // s)
+        self.stride, self.width = s, width
+        self.size = size = _fast_len(2 * zero_pad * width)
+        self.ramp = _ramp_phase(m // s, np.arange(size), size)
+        self.integrator = (2.0 * _E_CHARGE / _HBAR) * size / (2j * np.pi * frequencies[s::s])
+        members, on, weight = _coset_members(f_jj, frequencies, s, slice(s // 2 + 1))
+        self.weight_zero = weight[0, :width]  # coset 0's plus half: every multiple of s
+        members, on, weight = members[1:], on[1:], weight[1:]
+        # Plus position j sits at column j, minus position j at size - 1 - j:
+        # reversed, the minus half fills the last `width` columns in order.
+        plus, minus = members[:, :width], -members[:, width:][:, ::-1]
+        self.plus, self.minus = np.minimum(plus, n - 1), np.minimum(minus, n - 1)
+        self.weight_plus, self.weight_minus = weight[:, :width], weight[:, width:][:, ::-1]
+        on_plus = on[:, :width]
+        on_minus = on[:, width:][:, ::-1] & (2 * np.arange(1, s // 2 + 1) < s)[:, None]
+        rows = size * np.arange(plus.shape[0])[:, None]
+        self.source = np.concatenate(
+            [(rows + np.arange(width))[on_plus], (rows + np.arange(size - width, size))[on_minus]]
+        )
+        self.dest = np.concatenate([plus[on_plus], minus[on_minus]])
+        self.split = np.count_nonzero(on_plus)
+
+    def tangent(self, voltage: np.ndarray, bias: BiasPoint, relaxation: float, coset0: bool):
+        """The step at the state of junction voltage spectrum `voltage` on the
+        grid bins 0, s, 2s, ... (W of them): `step(delta, out)` writes the
+        image of grid spectrum `delta` to `out`, on coset 0 only when
+        `coset0` (0 there otherwise).  c(t) = cos(ramp + phase of `voltage`)
+        is built once, on the L samples."""
+        s, size, width = self.stride, self.size, self.width
+        low = np.zeros(size // 2 + 1, dtype=complex)  # bins width and up stay 0
+        np.multiply(voltage[1:], self.integrator, out=low[1:width])
+        c = np.fft.irfft(low, size)
+        np.add(self.ramp, c, out=c)
+        np.cos(c, out=c)
+        c *= relaxation * bias.i_c
+        # Columns width .. size - width - 1 stay 0; in both round trips the
+        # FFTs' 1 / L and L cancel.
+        spectra = np.zeros((self.plus.shape[0], size), dtype=complex)
+        samples = np.empty_like(spectra)
+        head, tail = spectra[:, :width], spectra[:, size - width :]
+        gathered = np.empty(head.shape, dtype=complex)
+        image = np.empty(self.dest.size, dtype=complex)
+        mirror = image[self.split :]
+        real, spectrum = np.empty(size), np.empty_like(low)
+
+        def step(delta: np.ndarray, out: np.ndarray) -> np.ndarray:
+            np.take(delta, self.plus, out=gathered, mode="clip")
+            np.multiply(gathered, self.weight_plus, out=head)
+            np.take(delta, self.minus, out=gathered, mode="clip")
+            np.conjugate(gathered, out=gathered)
+            np.multiply(gathered, self.weight_minus, out=tail)
+            np.fft.ifft(spectra, axis=1, out=samples)
+            np.multiply(samples, c, out=samples)
+            np.fft.fft(samples, axis=1, out=samples)
+            np.take(samples, self.source, out=image, mode="clip")
+            np.conjugate(mirror, out=mirror)
+            if relaxation != 1.0:
+                np.add(image, (1.0 - relaxation) * delta[self.dest], out=image)
+            out[self.dest] = image
+            if not coset0:
+                out[::s] = 0.0
+                return out
+            np.multiply(delta[::s], self.weight_zero, out=low[:width])
+            np.fft.irfft(low, size, out=real)
+            np.multiply(real, c, out=real)
+            np.fft.rfft(real, out=spectrum)
+            if relaxation != 1.0:
+                np.add(spectrum[:width], (1.0 - relaxation) * delta[::s], out=spectrum[:width])
+            out[::s] = spectrum[:width]
+            return out
+
+        return step
+
+
 class Probe:
     """The off-lattice probe of one warm-start chain, handed to each of its
     `iterate` calls: `vector`, the vector the chain's last probe ended on,
-    which starts the next one, and the tangent's full-grid `_round_trip`
-    tables, built by the chain's first probe.  It lives as long as the chain
-    and must not be shared between threads."""
+    which starts the next one, and the tangent's tables at the chain's
+    present lattice unit (`tables`), built when the unit changes.  It lives
+    as long as the chain and must not be shared between threads."""
 
     def __init__(self):
         self.vector: np.ndarray | None = None
-        self._key = self._trip = None
+        self._row = self._key = self._tables = None
 
-    def round_trip(self, grid: FrequencyGrid, m: int, bias: BiasPoint, zero_pad: int):
-        """`_round_trip` of the full grid, built again only when an argument
-        it depends on changes."""
-        key = (grid, m, bias.i_c, zero_pad)
-        if key != self._key:
-            self._key, self._trip = key, _round_trip(grid.frequencies, m, bias, zero_pad)
-        return self._trip
+    def tables(self, row: JunctionRow, m: int, bias: BiasPoint, s: int, zero_pad: int):
+        """The `_Cosets` of stride s, or at s = 1 the full grid's
+        `_round_trip`, built again only when an argument they depend on
+        changes; only the last ones are kept."""
+        key = (m, bias.i_c, s, zero_pad)
+        if row is not self._row or key != self._key:
+            self._row, self._key, self._tables = row, key, None  # free the old tables first
+            grid = row.response.grid
+            self._tables = (
+                _Cosets(row.f_jj, grid.frequencies, m, s, zero_pad) if s > 1
+                else _round_trip(grid.frequencies, m, bias, zero_pad)
+            )
+        return self._tables
+
+
+def _probe_step(probe: Probe, row: JunctionRow, m: int, bias: BiasPoint, lattice: Lattice,
+                voltage: np.ndarray, off: np.ndarray, options: SolverOptions):
+    """The tangent step the off-lattice probe of `lattice` (unit s) runs at
+    the state of grid junction voltage spectrum `voltage`, on `probe`'s
+    tables: `_Cosets`' step, which runs coset 0 only when it holds bins of
+    `off`, or the full-grid tangent at s = 1, where coset 0 is the whole
+    grid, and where a coset row would take more than COSET_SAMPLES samples."""
+    grid = row.response.grid
+    s = lattice.unit
+    if s == 1 or _fast_len(2 * options.zero_pad * -(-grid.size // s)) > COSET_SAMPLES:
+        trip = probe.tables(row, m, bias, 1, options.zero_pad)
+        return _tangent_step(row.f_jj, voltage, grid.frequencies, m, bias, options, trip)
+    cosets = probe.tables(row, m, bias, s, options.zero_pad)
+    return cosets.tangent(voltage[::s], bias, options.relaxation, bool(off[::s].any()))
 
 
 def _fixed_point(step, current: np.ndarray, tol_abs: float, max_iterations: int):
@@ -759,24 +893,17 @@ def _comb_spectrum(voltage, bias, options, trip):
     return np.fft.fft(c.T.ravel()) * (options.relaxation * bias.i_c / c.size)
 
 
-def _coset_blocks(f_jj, frequencies, p, spectrum, relaxation, spacing=1, cosets=slice(None)):
-    """The tangent of `_picard_step` (see `_tangent_step`) on a lattice of n
-    bins (junction impedance `f_jj`, physical `frequencies`) at a comb state,
-    whose junction voltage lies on the multiples of the pump bin p, split
-    into one block per coset r = 0 .. p - 1 of the lattice bins mod p, of
-    which the slice `cosets` is built: `(members, blocks)`.  Block r is
-    complex-linear on z = (delta on the bins = r, conj(delta) on the bins =
-    -r mod p), that is on the lattice spectrum at the signed positions
-    `members[r]` (r + p j, then -((-r mod p) + p j), for j = 0 .. ceil(n / p)
-    - 1); a position whose bin lies past the lattice pads the block with a
-    zero row and column.  Entry (i, j) is C[(x_i - x_j) / spacing] * g_j,
-    with C the `_comb_spectrum` and g_j the phase per unit current at x_j,
-    plus (1 - relaxation) on the diagonal.  Every x_i - x_j is a multiple of
-    p, so C may be the spectrum on the lattice's own time grid (`spacing` 1)
-    or on the comb's (`spacing` p), which holds every harmonic of c(t) since
-    c holds only pump harmonics.  The blocks of r and p - r are conjugate,
-    and the tangent couples two cosets only through the aliasing of c(t),
-    which the blocks leave out."""
+def _coset_members(f_jj, frequencies, p, cosets=slice(None)):
+    """The layout of the Picard step's tangent on a lattice of n bins
+    (junction impedance `f_jj`, physical `frequencies`) at a state on the
+    multiples of p, by coset r = 0 .. p - 1 of the lattice bins mod p, of
+    which the slice `cosets` is laid out: `(members, on, weight)`, each of
+    shape (cosets, 2 * ceil(n / p)).  Row r holds the signed positions r + p
+    j, then -((-r mod p) + p j), for j = 0 .. ceil(n / p) - 1: the tangent is
+    complex-linear on z = (delta at the first, conj(delta) at the second).
+    `on` marks the positions whose bin lies on the lattice, and `weight` is
+    the phase per unit current there (conjugated at the second half; 0 at
+    bin 0 and off the lattice)."""
     n = frequencies.size
     g = np.zeros(n + 1, dtype=complex)
     g[1:n] = (2.0 * _E_CHARGE / _HBAR) * f_jj[1:] / (2j * np.pi * frequencies[1:])
@@ -785,6 +912,27 @@ def _coset_blocks(f_jj, frequencies, p, spectrum, relaxation, spacing=1, cosets=
     on = np.concatenate([plus < n, minus < n], axis=1)
     members = np.concatenate([plus, -minus], axis=1)
     weight = np.concatenate([g[np.minimum(plus, n)], np.conjugate(g[np.minimum(minus, n)])], axis=1)
+    return members, on, weight
+
+
+def _coset_blocks(f_jj, frequencies, p, spectrum, relaxation, spacing=1, cosets=slice(None)):
+    """The tangent of `_picard_step` (see `_tangent_step`) on a lattice of n
+    bins (junction impedance `f_jj`, physical `frequencies`) at a comb state,
+    whose junction voltage lies on the multiples of the pump bin p, split
+    into one block per coset r = 0 .. p - 1 of the lattice bins mod p, of
+    which the slice `cosets` is built: `(members, blocks)`.  Block r is
+    complex-linear on z = (delta on the bins = r, conj(delta) on the bins =
+    -r mod p), that is on the lattice spectrum at the signed positions
+    `members[r]` of `_coset_members`; a position whose bin lies past the
+    lattice pads the block with a zero row and column.  Entry (i, j) is
+    C[(x_i - x_j) / spacing] * g_j, with C the `_comb_spectrum` and g_j the
+    phase per unit current at x_j, plus (1 - relaxation) on the diagonal.
+    Every x_i - x_j is a multiple of p, so C may be the spectrum on the
+    lattice's own time grid (`spacing` 1) or on the comb's (`spacing` p),
+    which holds every harmonic of c(t) since c holds only pump harmonics.
+    The blocks of r and p - r are conjugate, and the tangent couples two
+    cosets only through the aliasing of c(t), which the blocks leave out."""
+    members, on, weight = _coset_members(f_jj, frequencies, p, cosets)
     shift = (members[:, :, None] - members[:, None, :]) // spacing
     blocks = spectrum[shift % spectrum.size] * weight[:, None, :]
     blocks *= on[:, :, None]
@@ -1134,10 +1282,7 @@ def iterate(
     if converged and path != "comb" and bias.i_c > 0 and off.any():
         probe = Probe() if probe is None else probe
         tangent_options = replace(options, zero_pad=min(options.zero_pad, PROBE_ZERO_PAD))
-        trip = probe.round_trip(grid, m, bias, tangent_options.zero_pad)
-        tangent = _tangent_step(
-            row.f_jj, v_j, grid.frequencies, m, bias, tangent_options, trip=trip
-        )
+        tangent = _probe_step(probe, row, m, bias, lattice, v_j, off, tangent_options)
         growth, steps, probe.vector = _off_lattice_growth(tangent, off, probe.vector)
         converged = growth < 1.0
     return SolutionState(

@@ -31,7 +31,6 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.constants import h as _PLANCK
 from scipy.optimize import least_squares
 
 from . import __version__
@@ -44,6 +43,7 @@ from .solver import (
     Probe,
     SolverOptions,
     Stimulus,
+    _PLANCK,
     dbm_to_watts,
     gain,
     iterate,

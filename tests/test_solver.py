@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.constants import e as E_CHARGE, hbar as HBAR
+from scipy.constants import e as E_CHARGE, h as PLANCK, hbar as HBAR
+from scipy.fft import next_fast_len
 from scipy.special import jv
 
 from ictasim.circuit import DEFAULT_GRID, FrequencyGrid, IctaParams, build_icta, frankenstein_matrix
@@ -40,15 +41,21 @@ from ictasim.solver import (
     PROOF_CHUNK_BYTES,
     PROOF_SQUARINGS,
     PROOF_WIDTH,
+    _E_CHARGE,
+    _HBAR,
+    _PLANCK,
     _Chord,
+    _Cosets,
     _comb_loop,
     _comb_proven,
     _comb_spectrum,
     _contracts,
     _coset_blocks,
+    _fast_len,
     _lattices,
     _off_lattice_growth,
     _picard_step,
+    _probe_step,
     _round_trip,
     _tangent_step,
 )
@@ -544,7 +551,9 @@ def no_chord(monkeypatch):
     monkeypatch.setattr(Comb, "chord", lambda *args: None)
 
 
-@pytest.mark.parametrize("f_s, stride", [(5.12e9, 160), (5.28e9, 480), (6.4e9, 800)])
+@pytest.mark.parametrize(
+    "f_s, stride", [(5.12e9, 160), (5.28e9, 480), (6.4e9, 800), (5.025e9, 75)]
+)
 def test_sub_lattice_matches_full_grid(no_chord, default_f, f_s, stride):
     # Plain Picard on the stride lattice takes the full grid's steps; the
     # chord's own agreement with the full grid is tested below.
@@ -580,6 +589,8 @@ def test_low_strides_run_embedded(default_f, k, stride):
     assert fast.lattice.unit == stride and fast.lattice.alpha in ALPHA_LADDER
     assert fast.lattice.size < DEFAULT_GRID.size // stride
     assert 0.0 < fast.tail < TAIL_BOUND and 0.0 < fast.off_lattice_growth < 1.0
+    # From stride 8 the probe runs by coset, coset 0's off bins included.
+    assert abs(fast.off_lattice_growth - nonlinear_off_lattice_growth(row, fast)) <= 1e-5
     assert fast.converged == oracle.converged
     assert abs(gain(outputs(fast), k * 1e6) - gain(outputs(oracle), k * 1e6)) <= 1e-9
 
@@ -815,6 +826,86 @@ def test_tangent_zero_pad_two_matches_zero_pad_four(default_f):
         images.append(tangent(delta, np.empty(n, dtype=complex))[off])
     error = np.sqrt(np.sum(np.abs(images[0] - images[1]) ** 2))
     assert error <= 2e-6 * np.sqrt(np.sum(np.abs(images[1]) ** 2))
+
+
+@pytest.mark.parametrize(
+    "f_s, stride, alpha", [(5.025e9, 75, 0), (5.12e9, 160, 0), (6.024e9, 24, 17)],
+    ids=["odd", "even", "embedded"],
+)
+def test_coset_probe_matches_full_grid_tangent(default_f, f_s, stride, alpha):
+    # The probe's coset step against the full-grid tangent at zero_pad 2,
+    # step by step from the seeded start: the growth ratios agree to 1e-6
+    # relative (measured 1.1e-9 to 1.4e-9), and the last is the state's.
+    row = junction_row(default_f)
+    bias = BiasPoint(f_dc=F_DC, i_c=I_C)
+    state = iterate(row, bias, Stimulus.single(f_s, -140.0))
+    lattice, n, m = state.lattice, DEFAULT_GRID.size, int(round(F_DC / DEFAULT_GRID.spacing))
+    assert lattice.unit == stride and lattice.alpha == alpha
+    off = ~lattice.covered
+    assert off[::stride].any() == (alpha > 0)
+    options = SolverOptions(zero_pad=2)
+    coset = _probe_step(Probe(), row, m, bias, lattice, state.v_j, off, options)
+    full = _tangent_step(row.f_jj, state.v_j, DEFAULT_GRID.frequencies, m, bias, options)
+    re, im = np.random.default_rng(PROBE_SEED).standard_normal((2, n))
+    start = np.where(off, re + 1j * im, 0.0)
+    ratios = []
+    for step in (coset, full):
+        x, row_ratios = start / np.sqrt(np.sum(np.abs(start) ** 2)), []
+        for _ in range(PROBE_STEPS):
+            x = step(x, np.empty(n, dtype=complex))
+            row_ratios.append(np.sqrt(np.sum(np.abs(x[off]) ** 2)))
+            x /= row_ratios[-1]
+        ratios.append(row_ratios)
+    assert_allclose(ratios[0], ratios[1], rtol=1e-6, atol=0)
+    assert ratios[0][-1] == pytest.approx(state.off_lattice_growth, rel=1e-12)
+
+
+@pytest.mark.parametrize("f_s, stride", [(6.48e9, 15), (5.12e9, 10)], ids=["odd", "even"])
+@pytest.mark.parametrize("relaxation", [1.0, 0.5])
+def test_coset_tangent_matches_coset_blocks(canonical_f, f_s, stride, relaxation):
+    # The batched coset step, coset 0 included, against `_coset_blocks`'
+    # dense blocks of every coset applied to the same vector, with c(t)'s
+    # spectrum taken on the same L samples from a direct sum over the
+    # state's harmonics.  At even s the coset r = s / 2 is its own mirror.
+    grid = canonical_f.grid
+    row = junction_row(canonical_f)
+    bias = BiasPoint(f_dc=F_DC, i_c=I_C)
+    state = iterate(row, bias, Stimulus.single(f_s, -140.0))
+    n, m = grid.size, int(round(F_DC / grid.spacing))
+    assert state.lattice.unit == stride and state.lattice.alpha == 0
+    cosets = _Cosets(row.f_jj, grid.frequencies, m, stride, 2)
+    size, width = cosets.size, cosets.width
+    assert size >= 4 * width
+    harmonics = np.arange(1, width)
+    g = (2 * E_CHARGE / HBAR) * state.v_j[stride::stride] / (2j * np.pi * grid.frequencies[stride::stride])
+    u = np.arange(size) / size
+    phase = 2.0 * np.real(np.exp(2j * np.pi * np.outer(u, harmonics)) @ g)
+    c = relaxation * I_C * np.cos(2 * np.pi * (m // stride) * u + phase)
+    members, blocks = _coset_blocks(
+        row.f_jj, grid.frequencies, stride, np.fft.fft(c) / size, relaxation, stride
+    )
+    delta = [1.0, 1j] @ np.random.default_rng(11).standard_normal((2, n))
+    plus, minus = members[:, :width], -members[:, width:]
+    z = np.concatenate(
+        [np.where(plus < n, delta[np.minimum(plus, n - 1)], 0.0),
+         np.conjugate(np.where(minus < n, delta[np.minimum(minus, n - 1)], 0.0))],
+        axis=1,
+    )
+    images = np.einsum("rij,rj->ri", blocks, z)[:, :width]
+    expected = np.zeros(n, dtype=complex)
+    expected[plus[plus < n]] = images[plus < n]
+    step = cosets.tangent(state.v_j[::stride], bias, relaxation, True)
+    image = step(delta, np.empty(n, dtype=complex))
+    assert np.max(np.abs(image - expected)) <= 1e-12 * np.max(np.abs(expected))
+    # Without coset 0 the step leaves the multiples of s at 0.
+    bare = cosets.tangent(state.v_j[::stride], bias, relaxation, False)(delta, image.copy())
+    assert np.all(bare[::stride] == 0.0)
+    assert np.array_equal(np.delete(bare, np.s_[::stride]), np.delete(image, np.s_[::stride]))
+
+
+def test_fast_len_and_constants_match_scipy():
+    assert all(_fast_len(n) == next_fast_len(n, real=True) for n in range(1, 200_001))
+    assert (_E_CHARGE, _PLANCK, _HBAR) == (E_CHARGE, PLANCK, HBAR)
 
 
 def test_solve_point_leaves_no_reference_cycles():

@@ -398,20 +398,24 @@ def _recorded_states(monkeypatch):
 
 
 def test_chain_builds_the_probe_tables_once(monkeypatch, canonical_f):
-    # Every point of the profile is probed, on lattices of strides 10 to 150,
-    # yet the chain builds the tangent's full-grid round trip (the only one at
-    # zero_pad 2) once, leaves its ramp as it was and frees it on return.
-    built = []
-    real_round_trip = solver._round_trip
+    # Every point of the profile is probed, on lattices of strides 10 to 150.
+    # The chain builds no full-grid round trip at the probe's zero_pad, and
+    # coset tables only when its lattice unit changes; it leaves each ramp as
+    # it was and frees the tables on return.
+    built, trips = [], []
+    real_cosets, real_round_trip = solver._Cosets, solver._round_trip
 
-    def spy(frequencies, m, bias, zero_pad):
-        trip = real_round_trip(frequencies, m, bias, zero_pad)
-        if zero_pad == PROBE_ZERO_PAD:
-            ramp, to_phase, _ = trip
-            built.append((frequencies.size, ramp, ramp.copy(), weakref.ref(to_phase)))
-        return trip
+    def spy(f_jj, frequencies, m, s, zero_pad):
+        cosets = real_cosets(f_jj, frequencies, m, s, zero_pad)
+        built.append((s, cosets.ramp, cosets.ramp.copy(), weakref.ref(cosets)))
+        return cosets
 
-    monkeypatch.setattr(solver, "_round_trip", spy)
+    def spy_trip(frequencies, m, bias, zero_pad):
+        trips.append((frequencies.size, zero_pad))
+        return real_round_trip(frequencies, m, bias, zero_pad)
+
+    monkeypatch.setattr(solver, "_Cosets", spy)
+    monkeypatch.setattr(solver, "_round_trip", spy_trip)
     states = _recorded_states(monkeypatch)
     profile = gain_profile(
         canonical_f, BiasPoint(f_dc=F_DC, i_c=I_C), np.arange(4.8e9, 7.2e9, 0.32e9),
@@ -420,10 +424,14 @@ def test_chain_builds_the_probe_tables_once(monkeypatch, canonical_f):
     assert profile.converged.all() and len(states) == 8
     assert all(state.probe_steps > 0 for state in states)
     assert sum(state.probe_steps for state in states) < 8 * PROBE_STEPS
-    ((size, ramp, before, to_phase),) = built
-    assert size == canonical_f.grid.size
-    assert np.array_equal(ramp, before)
-    assert to_phase() is None
+    assert (canonical_f.grid.size, PROBE_ZERO_PAD) not in trips
+    units = [state.lattice.unit for state in states]
+    changes = [s for i, s in enumerate(units) if i == 0 or s != units[i - 1]]
+    assert len(changes) < len(units)
+    assert [s for s, *_ in built] == changes
+    for _, ramp, before, cosets in built:
+        assert np.array_equal(ramp, before)
+        assert cosets() is None
 
 
 def test_chain_masks_match_long_power_iteration(monkeypatch, canonical_f):
