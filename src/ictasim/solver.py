@@ -45,13 +45,19 @@ every lattice tone is exactly periodic and leakage-free; products of tones
 alias only from above zero_pad times the lattice's top frequency, which the
 sin() harmonic decay makes negligible.
 An oscillation on grid bins a lattice does not cover cannot show on it, so a
-converged point whose lattice leaves bins out takes a few full-grid steps
-(zero_pad 2) of the Picard map's tangent at its lifted state, power iteration
-on those bins, and is marked unconverged if the perturbation grows.  The first
-probe of a warm-start chain starts from a seeded perturbation and takes
-PROBE_STEPS steps; a `Probe` carries the last probe's vector to the next point
-of the chain, which starts from it and stops as soon as two successive growth
-ratios agree, and it holds the tangent's full-grid tables for the whole chain.
+converged point whose lattice leaves bins out takes a few steps (zero_pad 2)
+of the Picard map's tangent at its lifted state, power iteration on those
+bins, and is marked unconverged if the perturbation grows.  At a state on the
+multiples of s, c(t) is T / s periodic, so the tangent couples bin q only to
+the bins = +-q (mod s), the Floquet-Bloch split of a pump-periodic
+linearisation (Peng et al., PRX Quantum 3, 020306, 2022); the probe runs it
+coset by coset on one period T / s (`_Cosets`), and on the full grid at s =
+1, on grids below SPLIT_BINS bins and where a coset row would take more than
+COSET_SAMPLES samples (`_probe_step`).  The first probe of a warm-start chain
+starts from a seeded perturbation and takes PROBE_STEPS steps; a `Probe`
+carries the last probe's vector to the next point of the chain, which starts
+from it and stops as soon as two successive growth ratios agree, and it holds
+the tangent's tables of the chain's present lattice unit.
 
 Chord: a stimulated point on a stride lattice (unit s, pump on lattice bin
 p = m / s) first runs the chord x <- x + P (step(x) - x) from the same start,
@@ -101,7 +107,14 @@ sums over the phase spectra.  It agrees with the single n_t-point transform
 to rounding (about 1e-16 i_c per step), and its batch of short transforms
 fits in cache.  Every other lattice (the sub-lattices of a profile or map,
 embedded lattices, and grids of a few thousand bins) runs the single
-transform.
+transform.  On a grid of at least SPLIT_BINS bins, the off-lattice probe of
+a lattice of unit s > 1 runs each coset pair as one row of L samples of T /
+s, L the least 5-smooth number of at least 2 * zero_pad * ceil(N / s), all
+rows in one batched complex FFT and coset 0 as a real one on the same
+samples; c(t) is built on those L samples from the lattice voltage.  Rows of
+at most COSET_SAMPLES samples stay in cache: on DEFAULT_GRID a probe step at
+s = 16 to 6000 costs 0.9 to 1.4 ms against 2.1 to 2.2 ms for the full grid's
+interleaved step (2-CPU Xeon).
 """
 
 from __future__ import annotations
@@ -133,12 +146,25 @@ PROBE_AGREEMENT = 1e-3
 # |q| < 2N contribute, which a 4N-sample grid (zero_pad 2) multiplies without
 # aliasing, so the probe runs at zero_pad min(options.zero_pad, 2).  Only c's
 # own aliasing (its bins from 2N up fold back) sets it apart from zero_pad 4:
-# under 1e-9 in the ratio on DEFAULT_GRID profile states at I_c 280 nA.
+# under 1e-9 in the ratio on DEFAULT_GRID profile states at I_c 280 nA.  The
+# same holds per coset of a lattice of unit s (`_Cosets`), on one period T / s
+# and in units of s: a coset pair's positions r + s w span w = -W .. W - 1, W =
+# ceil(N / s), its entries read c's harmonics |w| < 2W, and L >= 2 * zero_pad
+# * W = 4W samples per T / s multiply them without aliasing.  c's own aliasing
+# then folds its harmonics from L - 2W >= 2W up, from bin 2N up as on the full
+# grid; on DEFAULT_GRID profile states the coset form's growth ratios agree
+# with the full grid's to 1.1e-9 to 1.4e-9 relative.
 PROBE_ZERO_PAD = 2
-# The probe of a lattice of unit s runs the cosets of the grid bins mod s as
-# rows of L samples (see `_Cosets`).  Rows of more than COSET_SAMPLES samples
-# fall out of cache and run slower than the full-grid step, so such a probe
-# runs on the full grid.
+# The probe runs the cosets of the grid bins mod s as rows of L samples.
+# Longer rows fall out of cache: on DEFAULT_GRID at s = 2 and 4 (L = 65536 and
+# 32768) a step took 4-5 ms against 2.6-3.1 ms on the full grid, at s = 8 (L
+# = 16384) 1.6 ms.  A probe whose rows would take more than COSET_SAMPLES
+# samples runs on the full grid, and so does every probe on a grid below
+# SPLIT_BINS bins.  There the full-grid step is one short transform (0.19 ms
+# on the 2048-bin map grid against 0.10 ms by coset), and the coset form's
+# tables at each change of unit, and its shorter numpy calls, cost the
+# benchmark's two-thread map more wall time than they save (wall_s +10%,
+# cpu_s -1%, over 6 pairs).
 COSET_SAMPLES = 16384
 
 # Embedded lattices: the box orders alpha a single-tone solve tries in turn,
@@ -696,7 +722,8 @@ def _tangent_step(
 
 def _off_lattice_growth(step, off: np.ndarray, start: np.ndarray | None = None):
     """Power iteration of the tangent `step` on the bins `off` (a mask: the
-    grid bins off a probed lattice, or every bin of a chord's lattice):
+    grid bins off a probed lattice, with `step` from `_probe_step`, or every
+    bin of a chord's lattice, with `_tangent_step`'s):
     (growth, steps, vector), the last step's 2-norm growth ratio on `off` (0
     only when that step annihilated the perturbation), the number of steps
     and the vector they ended on.  It starts from `start` masked to `off` and
@@ -733,8 +760,8 @@ class _Cosets:
     state whose junction voltage lies on the multiples of s, coset by coset
     on one period T / s.  That state's c(t) is T / s periodic, so the
     tangent couples bin q only to the bins = +-q (mod s): each coset r = 1 ..
-    s // 2 with its mirror s - r is one complex-linear block
-    (`_coset_members`; at r = s / 2 the mirror is the coset itself, and its
+    s // 2 with its mirror s - r is one complex-linear block, laid out as in
+    `_coset_blocks` (at r = s / 2 the mirror is the coset itself, and its
     half is redundant), and coset 0, the multiples of s, is real-linear on
     its own.  Row r - 1 of one batched complex FFT holds block r's positions
     r + s w, w = -W .. W - 1 with W = ceil(N / s), at column w mod L, and
@@ -745,75 +772,64 @@ class _Cosets:
     pump bin m, stride s and zero_pad; `tangent` gives the step at a state."""
 
     def __init__(self, f_jj: np.ndarray, frequencies: np.ndarray, m: int, s: int, zero_pad: int):
-        n, width = frequencies.size, -(-frequencies.size // s)
-        self.stride, self.width = s, width
-        self.size = size = _fast_len(2 * zero_pad * width)
+        self.grid_size, self.stride, self.width = frequencies.size, s, -(-frequencies.size // s)
+        self.size = size = _fast_len(2 * zero_pad * self.width)
         self.ramp = _ramp_phase(m // s, np.arange(size), size)
         self.integrator = (2.0 * _E_CHARGE / _HBAR) * size / (2j * np.pi * frequencies[s::s])
-        members, on, weight = _coset_members(f_jj, frequencies, s, slice(s // 2 + 1))
-        self.weight_zero = weight[0, :width]  # coset 0's plus half: every multiple of s
-        members, on, weight = members[1:], on[1:], weight[1:]
-        # Plus position j sits at column j, minus position j at size - 1 - j:
-        # reversed, the minus half fills the last `width` columns in order.
-        plus, minus = members[:, :width], -members[:, width:][:, ::-1]
-        self.plus, self.minus = np.minimum(plus, n - 1), np.minimum(minus, n - 1)
-        self.weight_plus, self.weight_minus = weight[:, :width], weight[:, width:][:, ::-1]
-        on_plus = on[:, :width]
-        on_minus = on[:, width:][:, ::-1] & (2 * np.arange(1, s // 2 + 1) < s)[:, None]
-        rows = size * np.arange(plus.shape[0])[:, None]
-        self.source = np.concatenate(
-            [(rows + np.arange(width))[on_plus], (rows + np.arange(size - width, size))[on_minus]]
-        )
-        self.dest = np.concatenate([plus[on_plus], minus[on_minus]])
-        self.split = np.count_nonzero(on_plus)
+        _, weight = _coset_layout(f_jj, frequencies, s)
+        # Plus position j of block r sits at column j, minus position j at
+        # size - 1 - j: reversed, the minus half fills the last W columns.
+        self.weight_zero, self.weight_plus = weight[0], weight[1 : s // 2 + 1]
+        self.weight_minus = np.conjugate(weight[s - 1 : s - 1 - s // 2 : -1, ::-1])
 
     def tangent(self, voltage: np.ndarray, bias: BiasPoint, relaxation: float, coset0: bool):
         """The step at the state of junction voltage spectrum `voltage` on the
         grid bins 0, s, 2s, ... (W of them): `step(delta, out)` writes the
-        image of grid spectrum `delta` to `out`, on coset 0 only when
-        `coset0` (0 there otherwise).  c(t) = cos(ramp + phase of `voltage`)
-        is built once, on the L samples."""
-        s, size, width = self.stride, self.size, self.width
+        image of grid spectrum `delta` to `out`.  Without `coset0` it skips
+        coset 0, for a `delta` that is 0 there, where the tangent leaves it
+        0.  c(t) = cos(ramp + phase of `voltage`) is built once, on the L
+        samples."""
+        n, s, size, width = self.grid_size, self.stride, self.size, self.width
         low = np.zeros(size // 2 + 1, dtype=complex)  # bins width and up stay 0
         np.multiply(voltage[1:], self.integrator, out=low[1:width])
         c = np.fft.irfft(low, size)
         np.add(self.ramp, c, out=c)
         np.cos(c, out=c)
         c *= relaxation * bias.i_c
+        # delta and its image, zero-padded to W * s bins and viewed by coset
+        # as `_coset_layout` lays the bins out.
+        padded, image = np.zeros(width * s, dtype=complex), np.zeros(width * s, dtype=complex)
+        delta_by_coset, image_by_coset = padded.reshape(-1, s).T, image.reshape(-1, s).T
+        rows, mirrors = s // 2, (s - 1) // 2
+        plus, minus = delta_by_coset[1 : rows + 1], delta_by_coset[s - 1 : s - 1 - rows : -1, ::-1]
+        plus_image = image_by_coset[1 : rows + 1]
+        minus_image = image_by_coset[s - 1 : s - 1 - mirrors : -1, ::-1]
         # Columns width .. size - width - 1 stay 0; in both round trips the
         # FFTs' 1 / L and L cancel.
-        spectra = np.zeros((self.plus.shape[0], size), dtype=complex)
+        spectra = np.zeros((rows, size), dtype=complex)
         samples = np.empty_like(spectra)
         head, tail = spectra[:, :width], spectra[:, size - width :]
-        gathered = np.empty(head.shape, dtype=complex)
-        image = np.empty(self.dest.size, dtype=complex)
-        mirror = image[self.split :]
         real, spectrum = np.empty(size), np.empty_like(low)
 
         def step(delta: np.ndarray, out: np.ndarray) -> np.ndarray:
-            np.take(delta, self.plus, out=gathered, mode="clip")
-            np.multiply(gathered, self.weight_plus, out=head)
-            np.take(delta, self.minus, out=gathered, mode="clip")
-            np.conjugate(gathered, out=gathered)
-            np.multiply(gathered, self.weight_minus, out=tail)
+            np.copyto(padded[:n], delta)
+            np.multiply(plus, self.weight_plus, out=head)
+            np.conjugate(minus, out=tail)
+            np.multiply(tail, self.weight_minus, out=tail)
             np.fft.ifft(spectra, axis=1, out=samples)
             np.multiply(samples, c, out=samples)
             np.fft.fft(samples, axis=1, out=samples)
-            np.take(samples, self.source, out=image, mode="clip")
-            np.conjugate(mirror, out=mirror)
+            np.copyto(plus_image, samples[:, :width])
+            np.conjugate(samples[:mirrors, size - width :], out=minus_image)
+            if coset0:
+                np.multiply(delta_by_coset[0], self.weight_zero, out=low[:width])
+                np.fft.irfft(low, size, out=real)
+                np.multiply(real, c, out=real)
+                np.fft.rfft(real, out=spectrum)
+                np.copyto(image_by_coset[0], spectrum[:width])
+            np.copyto(out, image[:n])
             if relaxation != 1.0:
-                np.add(image, (1.0 - relaxation) * delta[self.dest], out=image)
-            out[self.dest] = image
-            if not coset0:
-                out[::s] = 0.0
-                return out
-            np.multiply(delta[::s], self.weight_zero, out=low[:width])
-            np.fft.irfft(low, size, out=real)
-            np.multiply(real, c, out=real)
-            np.fft.rfft(real, out=spectrum)
-            if relaxation != 1.0:
-                np.add(spectrum[:width], (1.0 - relaxation) * delta[::s], out=spectrum[:width])
-            out[::s] = spectrum[:width]
+                out += (1.0 - relaxation) * delta
             return out
 
         return step
@@ -821,10 +837,11 @@ class _Cosets:
 
 class Probe:
     """The off-lattice probe of one warm-start chain, handed to each of its
-    `iterate` calls: `vector`, the vector the chain's last probe ended on,
-    which starts the next one, and the tangent's tables at the chain's
-    present lattice unit (`tables`), built when the unit changes.  It lives
-    as long as the chain and must not be shared between threads."""
+    `iterate` calls: `vector`, the vector the chain's last probe ended on, in
+    grid layout, which starts the next one, and the tangent's tables at the
+    chain's present lattice unit s (`tables`: `_Cosets`, or the full grid's
+    `_round_trip`), built when the unit changes and freed with the chain.  It
+    lives as long as the chain and must not be shared between threads."""
 
     def __init__(self):
         self.vector: np.ndarray | None = None
@@ -850,11 +867,15 @@ def _probe_step(probe: Probe, row: JunctionRow, m: int, bias: BiasPoint, lattice
     """The tangent step the off-lattice probe of `lattice` (unit s) runs at
     the state of grid junction voltage spectrum `voltage`, on `probe`'s
     tables: `_Cosets`' step, which runs coset 0 only when it holds bins of
-    `off`, or the full-grid tangent at s = 1, where coset 0 is the whole
-    grid, and where a coset row would take more than COSET_SAMPLES samples."""
+    `off`, or the full-grid tangent: at s = 1, where coset 0 is the whole
+    grid, where a coset row would take more than COSET_SAMPLES samples, and
+    on a grid whose own step is one short transform, not the interleaved
+    phases (fewer than SPLIT_BINS bins; see COSET_SAMPLES)."""
     grid = row.response.grid
     s = lattice.unit
-    if s == 1 or _fast_len(2 * options.zero_pad * -(-grid.size // s)) > COSET_SAMPLES:
+    # COSET_SAMPLES is 5-smooth: the rows take more only when 2 zero_pad W does.
+    if (s == 1 or not _interleaved(grid.size)
+            or 2 * options.zero_pad * -(-grid.size // s) > COSET_SAMPLES):
         trip = probe.tables(row, m, bias, 1, options.zero_pad)
         return _tangent_step(row.f_jj, voltage, grid.frequencies, m, bias, options, trip)
     cosets = probe.tables(row, m, bias, s, options.zero_pad)
@@ -893,26 +914,17 @@ def _comb_spectrum(voltage, bias, options, trip):
     return np.fft.fft(c.T.ravel()) * (options.relaxation * bias.i_c / c.size)
 
 
-def _coset_members(f_jj, frequencies, p, cosets=slice(None)):
-    """The layout of the Picard step's tangent on a lattice of n bins
-    (junction impedance `f_jj`, physical `frequencies`) at a state on the
-    multiples of p, by coset r = 0 .. p - 1 of the lattice bins mod p, of
-    which the slice `cosets` is laid out: `(members, on, weight)`, each of
-    shape (cosets, 2 * ceil(n / p)).  Row r holds the signed positions r + p
-    j, then -((-r mod p) + p j), for j = 0 .. ceil(n / p) - 1: the tangent is
-    complex-linear on z = (delta at the first, conj(delta) at the second).
-    `on` marks the positions whose bin lies on the lattice, and `weight` is
-    the phase per unit current there (conjugated at the second half; 0 at
-    bin 0 and off the lattice)."""
+def _coset_layout(f_jj, frequencies, p):
+    """The bins of a lattice of n bins (junction impedance `f_jj`, physical
+    `frequencies`) by coset mod p: `(bins, weight)`, of shape (p, ceil(n /
+    p)), whose [r, j] are the bin r + p j (n and up: past the lattice) and
+    the phase per unit current there (0 at bin 0 and past the lattice).  The
+    mirror of coset r is row -r mod p."""
     n = frequencies.size
-    g = np.zeros(n + 1, dtype=complex)
+    padded = -(-n // p) * p
+    g = np.zeros(padded, dtype=complex)
     g[1:n] = (2.0 * _E_CHARGE / _HBAR) * f_jj[1:] / (2j * np.pi * frequencies[1:])
-    plus = np.arange(-(-n // p) * p).reshape(-1, p).T  # bin r + p j at [r, j]
-    plus, minus = plus[cosets], plus[-np.arange(p) % p][cosets]
-    on = np.concatenate([plus < n, minus < n], axis=1)
-    members = np.concatenate([plus, -minus], axis=1)
-    weight = np.concatenate([g[np.minimum(plus, n)], np.conjugate(g[np.minimum(minus, n)])], axis=1)
-    return members, on, weight
+    return np.arange(padded).reshape(-1, p).T, g.reshape(-1, p).T
 
 
 def _coset_blocks(f_jj, frequencies, p, spectrum, relaxation, spacing=1, cosets=slice(None)):
@@ -923,16 +935,23 @@ def _coset_blocks(f_jj, frequencies, p, spectrum, relaxation, spacing=1, cosets=
     which the slice `cosets` is built: `(members, blocks)`.  Block r is
     complex-linear on z = (delta on the bins = r, conj(delta) on the bins =
     -r mod p), that is on the lattice spectrum at the signed positions
-    `members[r]` of `_coset_members`; a position whose bin lies past the
-    lattice pads the block with a zero row and column.  Entry (i, j) is
-    C[(x_i - x_j) / spacing] * g_j, with C the `_comb_spectrum` and g_j the
+    `members[r]` (r + p j, then -((-r mod p) + p j), for j = 0 .. ceil(n / p)
+    - 1: rows r and -r mod p of `_coset_layout`); a position whose bin lies
+    past the lattice pads the block with a zero row and column.  Entry (i, j)
+    is C[(x_i - x_j) / spacing] * g_j, with C the `_comb_spectrum` and g_j the
     phase per unit current at x_j, plus (1 - relaxation) on the diagonal.
     Every x_i - x_j is a multiple of p, so C may be the spectrum on the
     lattice's own time grid (`spacing` 1) or on the comb's (`spacing` p),
     which holds every harmonic of c(t) since c holds only pump harmonics.
     The blocks of r and p - r are conjugate, and the tangent couples two
     cosets only through the aliasing of c(t), which the blocks leave out."""
-    members, on, weight = _coset_members(f_jj, frequencies, p, cosets)
+    n = frequencies.size
+    bins, g = _coset_layout(f_jj, frequencies, p)
+    mirror = -np.arange(p) % p
+    plus, minus = bins[cosets], bins[mirror][cosets]
+    on = np.concatenate([plus < n, minus < n], axis=1)
+    members = np.concatenate([plus, -minus], axis=1)
+    weight = np.concatenate([g[cosets], np.conjugate(g[mirror][cosets])], axis=1)
     shift = (members[:, :, None] - members[:, None, :]) // spacing
     blocks = spectrum[shift % spectrum.size] * weight[:, None, :]
     blocks *= on[:, :, None]
@@ -1163,7 +1182,8 @@ def iterate(
     comb, is then probed on them (see `SolutionState.off_lattice_growth`),
     since an oscillation there cannot show on the lattice: PROBE_STEPS tangent
     steps from a seeded perturbation, or, from the vector `probe` carries,
-    steps until two successive growth ratios agree.
+    steps until two successive growth ratios agree, each step coset by coset
+    of the grid bins mod the lattice's unit (`_probe_step`).
 
     Parameters
     ----------

@@ -877,7 +877,8 @@ def test_coset_tangent_matches_coset_blocks(canonical_f, f_s, stride, relaxation
     size, width = cosets.size, cosets.width
     assert size >= 4 * width
     harmonics = np.arange(1, width)
-    g = (2 * E_CHARGE / HBAR) * state.v_j[stride::stride] / (2j * np.pi * grid.frequencies[stride::stride])
+    omega = 2 * np.pi * grid.frequencies[stride::stride]
+    g = (2 * E_CHARGE / HBAR) * state.v_j[stride::stride] / (1j * omega)
     u = np.arange(size) / size
     phase = 2.0 * np.real(np.exp(2j * np.pi * np.outer(u, harmonics)) @ g)
     c = relaxation * I_C * np.cos(2 * np.pi * (m // stride) * u + phase)
@@ -897,7 +898,10 @@ def test_coset_tangent_matches_coset_blocks(canonical_f, f_s, stride, relaxation
     step = cosets.tangent(state.v_j[::stride], bias, relaxation, True)
     image = step(delta, np.empty(n, dtype=complex))
     assert np.max(np.abs(image - expected)) <= 1e-12 * np.max(np.abs(expected))
-    # Without coset 0 the step leaves the multiples of s at 0.
+    # Without coset 0, a delta that is 0 on the multiples of s keeps them 0
+    # and takes the same image elsewhere.
+    delta[::stride] = 0.0
+    image = step(delta, np.empty(n, dtype=complex))
     bare = cosets.tangent(state.v_j[::stride], bias, relaxation, False)(delta, image.copy())
     assert np.all(bare[::stride] == 0.0)
     assert np.array_equal(np.delete(bare, np.s_[::stride]), np.delete(image, np.s_[::stride]))

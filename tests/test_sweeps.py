@@ -398,10 +398,13 @@ def _recorded_states(monkeypatch):
 
 
 def test_chain_builds_the_probe_tables_once(monkeypatch, canonical_f):
-    # Every point of the profile is probed, on lattices of strides 10 to 150.
-    # The chain builds no full-grid round trip at the probe's zero_pad, and
-    # coset tables only when its lattice unit changes; it leaves each ramp as
-    # it was and frees the tables on return.
+    # Every point of each profile is probed, on lattices of strides 10 to 150
+    # on the 2048-bin grid and 160 to 2400 on DEFAULT_GRID.  On the small grid
+    # the chain builds the tangent's full-grid round trip (the only one at
+    # zero_pad 2) once and no coset tables; on DEFAULT_GRID it builds no
+    # full-grid round trip at zero_pad 2, and coset tables only when its
+    # lattice unit changes.  It leaves each ramp as it was and frees the
+    # tables on return.
     built, trips = [], []
     real_cosets, real_round_trip = solver._Cosets, solver._round_trip
 
@@ -411,27 +414,33 @@ def test_chain_builds_the_probe_tables_once(monkeypatch, canonical_f):
         return cosets
 
     def spy_trip(frequencies, m, bias, zero_pad):
-        trips.append((frequencies.size, zero_pad))
-        return real_round_trip(frequencies, m, bias, zero_pad)
+        trip = real_round_trip(frequencies, m, bias, zero_pad)
+        if zero_pad == PROBE_ZERO_PAD:
+            ramp, to_phase, _ = trip
+            trips.append((frequencies.size, ramp, ramp.copy(), weakref.ref(to_phase)))
+        return trip
 
     monkeypatch.setattr(solver, "_Cosets", spy)
     monkeypatch.setattr(solver, "_round_trip", spy_trip)
     states = _recorded_states(monkeypatch)
-    profile = gain_profile(
-        canonical_f, BiasPoint(f_dc=F_DC, i_c=I_C), np.arange(4.8e9, 7.2e9, 0.32e9),
-        options=FAST,
-    )
-    assert profile.converged.all() and len(states) == 8
-    assert all(state.probe_steps > 0 for state in states)
-    assert sum(state.probe_steps for state in states) < 8 * PROBE_STEPS
-    assert (canonical_f.grid.size, PROBE_ZERO_PAD) not in trips
-    units = [state.lattice.unit for state in states]
-    changes = [s for i, s in enumerate(units) if i == 0 or s != units[i - 1]]
-    assert len(changes) < len(units)
-    assert [s for s, *_ in built] == changes
-    for _, ramp, before, cosets in built:
-        assert np.array_equal(ramp, before)
-        assert cosets() is None
+    bias = BiasPoint(f_dc=F_DC, i_c=I_C)
+    signal = np.arange(4.8e9, 7.2e9, 0.32e9)
+    for response in (canonical_f, frankenstein_matrix(build_icta(IctaParams()), DEFAULT_GRID)):
+        del built[:], trips[:], states[:]
+        profile = gain_profile(response, bias, signal, options=FAST)
+        assert profile.converged.all() and len(states) == 8
+        assert all(state.probe_steps > 0 for state in states)
+        assert sum(state.probe_steps for state in states) < 8 * PROBE_STEPS
+        units = [state.lattice.unit for state in states]
+        changes = [s for i, s in enumerate(units) if i == 0 or s != units[i - 1]]
+        assert len(changes) < len(units)
+        if response is canonical_f:
+            assert built == [] and [size for size, *_ in trips] == [response.grid.size]
+        else:
+            assert trips == [] and [s for s, *_ in built] == changes
+        for _, ramp, before, tables in built + trips:
+            assert np.array_equal(ramp, before)
+            assert tables() is None
 
 
 def test_chain_masks_match_long_power_iteration(monkeypatch, canonical_f):
