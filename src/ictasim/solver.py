@@ -53,7 +53,7 @@ the bins = +-q (mod s), the Floquet-Bloch split of a pump-periodic
 linearisation (Peng et al., PRX Quantum 3, 020306, 2022); the probe runs it
 coset by coset on one period T / s (`_Cosets`), and on the full grid at s =
 1, on grids below SPLIT_BINS bins and where a coset row would take more than
-COSET_SAMPLES samples (`_probe_step`).  The first probe of a warm-start chain
+COSET_SAMPLES samples (`Probe.tangent`).  The first probe of a warm-start chain
 starts from a seeded perturbation and takes PROBE_STEPS steps; a `Probe`
 carries the last probe's vector to the next point of the chain, which starts
 from it and stops as soon as two successive growth ratios agree, and it holds
@@ -156,15 +156,15 @@ PROBE_AGREEMENT = 1e-3
 # with the full grid's to 1.1e-9 to 1.4e-9 relative.
 PROBE_ZERO_PAD = 2
 # The probe runs the cosets of the grid bins mod s as rows of L samples.
-# Longer rows fall out of cache: on DEFAULT_GRID at s = 2 and 4 (L = 65536 and
-# 32768) a step took 4-5 ms against 2.6-3.1 ms on the full grid, at s = 8 (L
-# = 16384) 1.6 ms.  A probe whose rows would take more than COSET_SAMPLES
-# samples runs on the full grid, and so does every probe on a grid below
-# SPLIT_BINS bins.  There the full-grid step is one short transform (0.19 ms
-# on the 2048-bin map grid against 0.10 ms by coset), and the coset form's
-# tables at each change of unit, and its shorter numpy calls, cost the
-# benchmark's two-thread map more wall time than they save (wall_s +10%,
-# cpu_s -1%, over 6 pairs).
+# Longer rows fall out of cache: on DEFAULT_GRID at s = 2, 4 and 5 (L = 65536,
+# 32768 and 26244) a step took 2.9 to 3.5 ms against 2.3 to 2.9 ms on the full
+# grid, at s = 8 (L = 16384) 1.4 to 1.6 ms (2-CPU Xeon).  A probe whose rows
+# would take more than COSET_SAMPLES samples runs on the full grid, and so
+# does every probe on a grid below SPLIT_BINS bins.  There the full-grid step
+# is one short transform (0.13 ms on the 2048-bin map grid against 0.06 to
+# 0.09 ms by coset), and the coset form's tables at each change of unit, and
+# its shorter numpy calls, cost the benchmark's two-thread map more wall time
+# than they save (wall_s +10%, cpu_s -1%, over 6 pairs).
 COSET_SAMPLES = 16384
 
 # Embedded lattices: the box orders alpha a single-tone solve tries in turn,
@@ -722,7 +722,7 @@ def _tangent_step(
 
 def _off_lattice_growth(step, off: np.ndarray, start: np.ndarray | None = None):
     """Power iteration of the tangent `step` on the bins `off` (a mask: the
-    grid bins off a probed lattice, with `step` from `_probe_step`, or every
+    grid bins off a probed lattice, with `step` from `Probe.tangent`, or every
     bin of a chord's lattice, with `_tangent_step`'s):
     (growth, steps, vector), the last step's 2-norm growth ratio on `off` (0
     only when that step annihilated the perturbation), the number of steps
@@ -839,7 +839,7 @@ class Probe:
     """The off-lattice probe of one warm-start chain, handed to each of its
     `iterate` calls: `vector`, the vector the chain's last probe ended on, in
     grid layout, which starts the next one, and the tangent's tables at the
-    chain's present lattice unit s (`tables`: `_Cosets`, or the full grid's
+    chain's present lattice unit s (`_Cosets`, or the full grid's
     `_round_trip`), built when the unit changes and freed with the chain.  It
     lives as long as the chain and must not be shared between threads."""
 
@@ -847,39 +847,33 @@ class Probe:
         self.vector: np.ndarray | None = None
         self._row = self._key = self._tables = None
 
-    def tables(self, row: JunctionRow, m: int, bias: BiasPoint, s: int, zero_pad: int):
-        """The `_Cosets` of stride s, or at s = 1 the full grid's
-        `_round_trip`, built again only when an argument they depend on
-        changes; only the last ones are kept."""
-        key = (m, bias.i_c, s, zero_pad)
+    def tangent(self, row: JunctionRow, m: int, bias: BiasPoint, lattice: Lattice,
+                voltage: np.ndarray, off: np.ndarray, options: SolverOptions):
+        """The tangent step the probe of `lattice` (unit s) runs at the state
+        of grid junction voltage spectrum `voltage`: `_Cosets`' step, which
+        runs coset 0 only when it holds bins of `off`, or the full-grid
+        tangent: at s = 1, where coset 0 is the whole grid, where a coset row
+        would take more than COSET_SAMPLES samples, and on a grid whose own
+        step is one short transform, not the interleaved phases (fewer than
+        SPLIT_BINS bins; see COSET_SAMPLES).  The tables are built again only
+        when an argument they depend on changes."""
+        grid = row.response.grid
+        s = lattice.unit
+        # COSET_SAMPLES is 5-smooth: the rows take more only when 2 zero_pad W does.
+        if (not _interleaved(grid.size)
+                or 2 * options.zero_pad * -(-grid.size // s) > COSET_SAMPLES):
+            s = 1
+        key = (m, bias.i_c, s, options.zero_pad)
         if row is not self._row or key != self._key:
             self._row, self._key, self._tables = row, key, None  # free the old tables first
-            grid = row.response.grid
             self._tables = (
-                _Cosets(row.f_jj, grid.frequencies, m, s, zero_pad) if s > 1
-                else _round_trip(grid.frequencies, m, bias, zero_pad)
+                _Cosets(row.f_jj, grid.frequencies, m, s, options.zero_pad) if s > 1
+                else _round_trip(grid.frequencies, m, bias, options.zero_pad)
             )
-        return self._tables
-
-
-def _probe_step(probe: Probe, row: JunctionRow, m: int, bias: BiasPoint, lattice: Lattice,
-                voltage: np.ndarray, off: np.ndarray, options: SolverOptions):
-    """The tangent step the off-lattice probe of `lattice` (unit s) runs at
-    the state of grid junction voltage spectrum `voltage`, on `probe`'s
-    tables: `_Cosets`' step, which runs coset 0 only when it holds bins of
-    `off`, or the full-grid tangent: at s = 1, where coset 0 is the whole
-    grid, where a coset row would take more than COSET_SAMPLES samples, and
-    on a grid whose own step is one short transform, not the interleaved
-    phases (fewer than SPLIT_BINS bins; see COSET_SAMPLES)."""
-    grid = row.response.grid
-    s = lattice.unit
-    # COSET_SAMPLES is 5-smooth: the rows take more only when 2 zero_pad W does.
-    if (s == 1 or not _interleaved(grid.size)
-            or 2 * options.zero_pad * -(-grid.size // s) > COSET_SAMPLES):
-        trip = probe.tables(row, m, bias, 1, options.zero_pad)
-        return _tangent_step(row.f_jj, voltage, grid.frequencies, m, bias, options, trip)
-    cosets = probe.tables(row, m, bias, s, options.zero_pad)
-    return cosets.tangent(voltage[::s], bias, options.relaxation, bool(off[::s].any()))
+        tables = self._tables
+        if s == 1:
+            return _tangent_step(row.f_jj, voltage, grid.frequencies, m, bias, options, tables)
+        return tables.tangent(voltage[::s], bias, options.relaxation, bool(off[::s].any()))
 
 
 def _fixed_point(step, current: np.ndarray, tol_abs: float, max_iterations: int):
@@ -1183,7 +1177,7 @@ def iterate(
     since an oscillation there cannot show on the lattice: PROBE_STEPS tangent
     steps from a seeded perturbation, or, from the vector `probe` carries,
     steps until two successive growth ratios agree, each step coset by coset
-    of the grid bins mod the lattice's unit (`_probe_step`).
+    of the grid bins mod the lattice's unit (`Probe.tangent`).
 
     Parameters
     ----------
@@ -1302,7 +1296,7 @@ def iterate(
     if converged and path != "comb" and bias.i_c > 0 and off.any():
         probe = Probe() if probe is None else probe
         tangent_options = replace(options, zero_pad=min(options.zero_pad, PROBE_ZERO_PAD))
-        tangent = _probe_step(probe, row, m, bias, lattice, v_j, off, tangent_options)
+        tangent = probe.tangent(row, m, bias, lattice, v_j, off, tangent_options)
         growth, steps, probe.vector = _off_lattice_growth(tangent, off, probe.vector)
         converged = growth < 1.0
     return SolutionState(
