@@ -113,7 +113,7 @@ s, L the least 5-smooth number of at least 2 * zero_pad * ceil(N / s), all
 rows in one batched complex FFT and coset 0 as a real one on the same
 samples; c(t) is built on those L samples from the lattice voltage.  Rows of
 at most COSET_SAMPLES samples stay in cache: on DEFAULT_GRID a probe step at
-s = 16 to 6000 costs 0.9 to 1.4 ms against 2.1 to 2.2 ms for the full grid's
+s = 16 to 6000 costs 0.9 to 1.4 ms against 2.0 to 2.2 ms for the full grid's
 interleaved step (2-CPU Xeon).
 """
 
@@ -134,7 +134,7 @@ _PLANCK = 6.62607015e-34
 _HBAR = _PLANCK / (2.0 * math.pi)
 
 # Off-lattice stability probe of a sub-lattice solve: a seeded unit perturbation
-# on the off-lattice bins, PROBE_STEPS full-grid steps of the Picard map's tangent.
+# on the off-lattice bins, PROBE_STEPS steps of the Picard map's tangent.
 # A probe started from the previous point's vector stops after the first step,
 # from the second on, whose growth ratio agrees with the one before to
 # PROBE_AGREEMENT relative.

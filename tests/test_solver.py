@@ -844,6 +844,7 @@ def test_coset_probe_matches_full_grid_tangent(default_f, f_s, stride, alpha):
     assert off[::stride].any() == (alpha > 0)
     options = SolverOptions(zero_pad=2)
     coset = Probe().tangent(row, m, bias, lattice, state.v_j, off, options)
+    assert coset.__qualname__.startswith("_Cosets.tangent")
     full = _tangent_step(row.f_jj, state.v_j, DEFAULT_GRID.frequencies, m, bias, options)
     re, im = np.random.default_rng(PROBE_SEED).standard_normal((2, n))
     start = np.where(off, re + 1j * im, 0.0)
