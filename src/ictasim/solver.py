@@ -25,96 +25,65 @@ only it balances against the DC supply V_dc * I_dc.
 Lattices: with the pump on bin m and tones on bins k_i, every mixing product
 lies on a multiple of s = gcd(m, k_i), and the iteration keeps that support
 exactly.  A solve runs on a `Lattice` and lifts its result back to the grid.
-The stride lattice holds the bins 0, s, 2s, ... (N_s = ceil(N / s) of them);
-stimulus-free (s = 1, after the comb rung below) and multi-tone solves run
-on it.  A single tone on bin k runs first on embedded lattices:
-quasi-periodic harmonic balance with an artificial frequency map, product
-a * m + b * k (in units of s) on lattice bin a * alpha + b * beta for
-|b| <= (alpha - 1) / 2, with beta near alpha * k / m.  A bin of negative
-physical frequency holds the conjugate of its grid bin, and a bin above the
-grid sees no response, so the step runs unchanged given each bin's signed
-frequency.  Orders beyond the box alias,
-so alpha climbs ALPHA_LADDER until the current on the two outermost orders
-falls below TAIL_BOUND * i_c; the stride lattice ends the ladder, and
-decides when no rung settles.  No two products of the box share a grid bin,
-because m / s exceeds the top alpha wherever a solve embeds.  Every lattice
-is built from the signed grid position of each of its bins and gathers and
-lifts one way.  Time-domain signals are sampled on n_t = 2 * zero_pad * N
-points for a lattice of N bins, covering one full period of the lattice, so
-every lattice tone is exactly periodic and leakage-free; products of tones
-alias only from above zero_pad times the lattice's top frequency, which the
-sin() harmonic decay makes negligible.
-An oscillation on grid bins a lattice does not cover cannot show on it, so a
-converged point whose lattice leaves bins out takes a few steps (zero_pad 2)
-of the Picard map's tangent at its lifted state, power iteration on those
-bins, and is marked unconverged if the perturbation grows.  At a state on the
-multiples of s, c(t) is T / s periodic, so the tangent couples bin q only to
-the bins = +-q (mod s), the Floquet-Bloch split of a pump-periodic
-linearisation (Peng et al., PRX Quantum 3, 020306, 2022); the probe runs it
-coset by coset on one period T / s (`_Cosets`), and on the full grid at s =
-1, on grids below SPLIT_BINS bins and where a coset row would take more than
-COSET_SAMPLES samples (`Probe.tangent`).  The first probe of a warm-start chain
-starts from a seeded perturbation and takes PROBE_STEPS steps; a `Probe`
-carries the last probe's vector to the next point of the chain, which starts
-from it and stops as soon as two successive growth ratios agree, and it holds
-the tangent's tables of the chain's present lattice unit.
+The stride lattice holds the bins 0, s, 2s, ...  A single tone on bin k runs
+first on embedded lattices: quasi-periodic harmonic balance with product a *
+m + b * k (in units of s) on lattice bin a * alpha + b * beta for |b| <=
+(alpha - 1) / 2, beta near alpha * k / m; a bin of negative frequency holds
+the conjugate of its grid bin.  Orders beyond the box alias, so alpha climbs
+ALPHA_LADDER until the current on the two outermost orders falls below
+TAIL_BOUND * i_c; the stride lattice ends the ladder.  Signals are sampled
+on n_t = 2 * zero_pad * N points for a lattice of N bins, one full period,
+so every lattice tone is exactly periodic; products alias only from above
+zero_pad times the lattice's top frequency.
 
-Chord: a stimulated point on a stride lattice (unit s, pump on lattice bin
-p = m / s) first runs the chord x <- x + P (step(x) - x) from the same start,
-the chord form of harmonic-balance Newton (Kundert and Sangiovanni-Vincentelli,
-IEEE TCAD 1986), with P = (I - J_comb)^-1 and J_comb the tangent of the
-Picard step at the stimulus-free pump comb.  The comb is solved once per
-warm-start chain on `Lattice.stride(grid, m, m)`.  Its c(t) holds only pump
-harmonics, so J_comb couples lattice bin q only to the bins = +-q (mod p),
-and P is one small block per coset; a `Comb` builds, inverts and
-eigen-decomposes them once per chain and lattice unit.  The chord stops on
-the Picard test, max |step(x) - x| < tolerance * i_c, and returns step(x).
-Every verdict stays plain Picard's.  No chord runs where the comb loop does
-not converge or a block multiplier reaches 1.  A chord gives up on a
-non-finite step, or on a step whose change does not shrink by a factor
-below the largest multiplier, where plain Picard would be no slower.  A
-converged chord is kept only when a power iteration of the lattice tangent
-at its state, seeded with the comb's dominant block mode, reads a growth g
-below 1, and plain Picard from the start would need at most max_iterations
-steps, log(tolerance * i_c / e0) / log(g) with e0 the largest change from
-the start to the chord's state.  Otherwise plain Picard runs from the
-original start and decides, bit for bit as without a chord.  On compression
-chains past the 1 dB point the chord's change stops shrinking within a few
-steps, so those points end on plain Picard and keep its gains bit for bit.
+Probe: an oscillation on grid bins a lattice does not cover cannot show on
+it, so a converged point whose lattice leaves bins out takes a few steps of
+the Picard map's tangent at its lifted state, power iteration on those bins
+at zero_pad 2, and is marked unconverged if the perturbation grows.  At a
+state on the multiples of s, c(t) is T / s periodic, so the tangent couples
+bin q only to the bins = +-q (mod s), the Floquet-Bloch split of a
+pump-periodic linearisation (Peng et al., PRX Quantum 3, 020306, 2022); the
+probe runs it coset by coset on one period T / s where that pays
+(`Probe.tangent`).  A `Probe` carries each probe's last vector to the next
+point of a warm-start chain, and a chain's first probe on a stride lattice
+of unit s > 1 starts from the comb's dominant off-lattice modes
+(`Comb.probe_start`); either stops once two successive growth ratios agree,
+or reads the mean ratio over the second half of PROBE_STEPS.  Elsewhere the
+probe starts from a seeded perturbation and reads its PROBE_STEPS-th ratio.
 
-Comb rung: a stimulus-free solve with i_c > 0 and zero_pad >= 2 whose start
-has no weight off the pump comb, and whose comb holds at most PROOF_WIDTH
-bins, runs plain Picard on `Lattice.stride(grid, m, m)` first (the loop a
-`Comb` runs too, `_comb_loop`).  Its state is kept only when that
-loop converged and every coset block r <= m / 2 of the Picard step's
-tangent there on the stride-1 lattice (`_coset_blocks`, with c(t)'s
-spectrum from the comb's own time grid) is shown to have spectral radius
-below 1 by ||M^(2^j)||_F < 1 within PROOF_SQUARINGS squarings
-(`_contracts`).  Such a state would converge on the full grid too, and needs
-no probe.  Otherwise the stride-1 lattice decides from the original start,
-bit for bit as without the rung, so no verdict changes either way; an
-oscillating comb state, or a stable one that 2**PROOF_SQUARINGS steps do
-not show, keeps plain Picard's full-grid verdict.
+Comb: the stimulus-free pump comb, solved on `Lattice.stride(grid, m, m)`,
+is analysed once per chain or emission solve (`Comb`).  Its c(t) holds only
+pump harmonics, so the tangent there splits into one small block per coset
+of a lattice's bins mod the pump: one harmonic matrix times each coset's
+weights.  Three things read the blocks:
+
+- The chord.  A stimulated point on a stride lattice (unit s, pump on
+  lattice bin p = m / s) first runs x <- x + P (step(x) - x) from the same
+  start, the chord form of harmonic-balance Newton (Kundert and
+  Sangiovanni-Vincentelli, IEEE TCAD 1986), with P = (I - J_comb)^-1 by
+  coset block mod p, where the comb converged and every multiplier is below
+  1.  It stops on the Picard test and returns step(x), and gives up on a
+  non-finite step or a change that does not shrink by a factor below the
+  largest multiplier; the chain then skips that unit's chord.  Its state is
+  kept only when the lattice tangent there, power-iterated from the comb's
+  dominant mode, reads a growth g < 1 and plain Picard would need at most
+  max_iterations steps, log(tolerance * i_c / e0) / log(g), e0 the largest
+  change from the start.  Otherwise plain Picard decides, bit for bit.
+- The comb rung.  A stimulus-free solve with i_c > 0 and zero_pad >= 2
+  whose start has no weight off a comb of at most PROOF_WIDTH bins runs
+  plain Picard there first, and keeps that state only when it converged and
+  every coset block r <= m / 2 on the grid is shown to have spectral radius
+  below 1 by ||M^(2^j)||_F < 1 within PROOF_SQUARINGS squarings
+  (`_contracts`); such a state needs no probe.  Otherwise the stride-1
+  lattice decides from the original start, bit for bit as without the rung.
+- The probe's first start, above.
 
 Time grid layout: a lattice of N_s bins, N_s a power of two of at least
-SPLIT_BINS (the full DEFAULT_GRID, and its stride-2 and stride-4
-lattices), runs its n_t samples as P = 2 * zero_pad interleaved phases,
-t = P * q + r, each a length-N_s transform in one batched call.  This is the
-exact pruned FFT that zero padding allows: only N_s of the n_t spectral bins
-are nonzero on the way in and read on the way out, so each phase spectrum is
-one twiddled fold of the lattice spectrum, and the lattice bins are twiddled
-sums over the phase spectra.  It agrees with the single n_t-point transform
-to rounding (about 1e-16 i_c per step), and its batch of short transforms
-fits in cache.  Every other lattice (the sub-lattices of a profile or map,
-embedded lattices, and grids of a few thousand bins) runs the single
-transform.  On a grid of at least SPLIT_BINS bins, the off-lattice probe of
-a lattice of unit s > 1 runs each coset pair as one row of L samples of T /
-s, L the least 5-smooth number of at least 2 * zero_pad * ceil(N / s), all
-rows in one batched complex FFT and coset 0 as a real one on the same
-samples; c(t) is built on those L samples from the lattice voltage.  Rows of
-at most COSET_SAMPLES samples stay in cache: on DEFAULT_GRID a probe step at
-s = 16 to 6000 costs 0.9 to 1.4 ms against 2.0 to 2.2 ms for the full grid's
-interleaved step (2-CPU Xeon).
+SPLIT_BINS, runs its n_t samples as P = 2 * zero_pad interleaved phases,
+t = P * q + r, each a length-N_s transform in one batched call: the exact
+pruned FFT that zero padding allows, equal to the single n_t-point transform
+to rounding (about 1e-16 i_c per step).  Every other lattice runs the single
+transform.
 """
 
 from __future__ import annotations
@@ -133,38 +102,39 @@ _E_CHARGE = 1.602176634e-19
 _PLANCK = 6.62607015e-34
 _HBAR = _PLANCK / (2.0 * math.pi)
 
-# Off-lattice stability probe of a sub-lattice solve: a seeded unit perturbation
-# on the off-lattice bins, PROBE_STEPS steps of the Picard map's tangent.
-# A probe started from the previous point's vector stops after the first step,
-# from the second on, whose growth ratio agrees with the one before to
-# PROBE_AGREEMENT relative.
+# Off-lattice stability probe of a sub-lattice solve: from the seeded unit
+# perturbation (PROBE_SEED) on the off-lattice bins, PROBE_STEPS steps of the
+# Picard map's tangent.  A probe from a carried vector or from the comb stops
+# after the first step, from the second on, whose growth ratio agrees with
+# the one before to PROBE_AGREEMENT relative; one that does not settle reads
+# the mean growth per step over its second half.  The comb start holds the
+# leading modes of PROBE_COSETS classes of cosets, and the seeded
+# perturbation at norm PROBE_SEED_WEIGHT.
 PROBE_SEED = 0
 PROBE_STEPS = 8
 PROBE_AGREEMENT = 1e-3
+PROBE_COSETS = 8
+PROBE_SEED_WEIGHT = 1e-3
 # The tangent multiplies a perturbation's phase samples by c(t) = cos(ramp +
 # phase of the state).  For output and input bins |k|, |p| < N only c's bins
 # |q| < 2N contribute, which a 4N-sample grid (zero_pad 2) multiplies without
-# aliasing, so the probe runs at zero_pad min(options.zero_pad, 2).  Only c's
-# own aliasing (its bins from 2N up fold back) sets it apart from zero_pad 4:
-# under 1e-9 in the ratio on DEFAULT_GRID profile states at I_c 280 nA.  The
-# same holds per coset of a lattice of unit s (`_Cosets`), on one period T / s
-# and in units of s: a coset pair's positions r + s w span w = -W .. W - 1, W =
-# ceil(N / s), its entries read c's harmonics |w| < 2W, and L >= 2 * zero_pad
-# * W = 4W samples per T / s multiply them without aliasing.  c's own aliasing
-# then folds its harmonics from L - 2W >= 2W up, from bin 2N up as on the full
-# grid; on DEFAULT_GRID profile states the coset form's growth ratios agree
-# with the full grid's to 1.1e-9 to 1.4e-9 relative.
+# aliasing, so the probe runs at zero_pad 2 whatever the solve's (at zero_pad
+# 1 it read 0.90515 against 0.90573 on DEFAULT_GRID at 5.12 GHz), and the
+# comb's harmonics come from at least 4W samples.  Only c's own aliasing (its
+# bins from 2N up fold back) sets it apart from zero_pad 4: under 1e-9 in the
+# ratio on DEFAULT_GRID profile states at I_c 280 nA.  The same holds per
+# coset of a lattice of unit s (`_Cosets`), in units of s: a coset pair's
+# entries read c's harmonics |w| < 2W, W = ceil(N / s), and L >= 4W samples
+# per T / s multiply them without aliasing; the coset form's growth ratios
+# agree with the full grid's to 1.1e-9 to 1.4e-9 relative.
 PROBE_ZERO_PAD = 2
-# The probe runs the cosets of the grid bins mod s as rows of L samples.
-# Longer rows fall out of cache: on DEFAULT_GRID at s = 2, 4 and 5 (L = 65536,
-# 32768 and 26244) a step took 2.9 to 3.5 ms against 2.3 to 2.9 ms on the full
-# grid, at s = 8 (L = 16384) 1.4 to 1.6 ms (2-CPU Xeon).  A probe whose rows
-# would take more than COSET_SAMPLES samples runs on the full grid, and so
-# does every probe on a grid below SPLIT_BINS bins.  There the full-grid step
-# is one short transform (0.13 ms on the 2048-bin map grid against 0.06 to
-# 0.09 ms by coset), and the coset form's tables at each change of unit, and
-# its shorter numpy calls, cost the benchmark's two-thread map more wall time
-# than they save (wall_s +10%, cpu_s -1%, over 6 pairs).
+# The probe runs the cosets of the grid bins mod s as rows of L samples, and
+# on the full grid where the rows would take more than COSET_SAMPLES: longer
+# rows fall out of cache (on DEFAULT_GRID at s = 2 to 5 a step took 2.9 to 3.5
+# ms against 2.3 to 2.9 ms on the full grid, at s = 8 1.4 to 1.6 ms; 2-CPU
+# Xeon).  So does every probe on a grid below SPLIT_BINS bins, whose one short
+# transform (0.13 ms on the map grid) the coset tables and shorter numpy calls
+# do not beat (the benchmark map's wall_s +10%, cpu_s -1%, over 6 pairs).
 COSET_SAMPLES = 16384
 
 # Embedded lattices: the box orders alpha a single-tone solve tries in turn,
@@ -177,35 +147,29 @@ COSET_SAMPLES = 16384
 ALPHA_LADDER = (17, 33, 65, 129, 257, 385)
 TAIL_BOUND = 1e-8
 
-# A lattice of N_s bins runs the padded time grid of a step as 2 * zero_pad
-# interleaved length-N_s transforms when N_s is a power of two of at least
-# SPLIT_BINS, otherwise as one transform.  Below SPLIT_BINS the batch's
-# per-call overhead outweighs its cache gain; at other lengths pocketfft can
-# take generic radix passes on which eight short transforms cost more than
-# one long one (a stride-3 lattice of DEFAULT_GRID, N_s = 10923: 13.5 ms
-# against 10.2 ms per step on a 2-CPU Xeon).
+# A lattice of N_s bins runs its time grid as interleaved phases only when
+# N_s is a power of two of at least SPLIT_BINS.  Below it the batch's per-call
+# overhead outweighs its cache gain; at other lengths pocketfft can take
+# generic radix passes (a stride-3 lattice of DEFAULT_GRID, N_s = 10923: 13.5
+# ms against 10.2 ms per step on a 2-CPU Xeon).
 SPLIT_BINS = 8192
 
 # A stimulus-free comb state is kept when `_contracts` shows every coset
-# block of the Picard step's tangent on the full grid contracting within
-# this many squarings, that is within 2**6 = 64 steps.  The blocks are built
-# and checked a slice of cosets at a time, of at most PROOF_CHUNK_BYTES, so
-# that no array of the proof outgrows a full-grid step's own buffers (2 MB
-# on DEFAULT_GRID).  Freeing a larger one raises glibc's mmap threshold,
-# after which later full-grid buffers stay resident in the heap: all 6131
-# blocks at once (3.5 MB) moved the emission benchmark's peak memory from
-# about 110 to 117 MB.
+# block on the full grid contracting within this many squarings (2**6 = 64
+# steps).  The comb's grid blocks are built a slice of cosets at a time, of at
+# most PROOF_CHUNK_BYTES, below a full-grid step's own buffers (2 MB on
+# DEFAULT_GRID): freeing a larger array raises glibc's mmap threshold, after
+# which later buffers stay resident (all 6131 blocks at once moved the
+# emission benchmark's peak memory from about 110 to 117 MB).
 PROOF_SQUARINGS = 6
 PROOF_CHUNK_BYTES = 1 << 20
-# The comb rung runs only where its blocks, 2 * ceil(N / m) square, are at
-# most 2 * PROOF_WIDTH wide.  A proof costs about N * width (building) plus
-# N * width**2 (squaring): with every block built and squared
-# PROOF_SQUARINGS times, 25, 37, 57 and 108 ms at widths 3, 5, 9 and 17 on
-# DEFAULT_GRID (2-CPU Xeon), against 7 ms per full-grid step and at least
-# 10 steps for a cold emission solve there.  Up to width 9 (f_dc >= 3.64 GHz
-# on DEFAULT_GRID) a proof thus stays below the cheapest full-grid solve; a
-# wider comb, and every pump bin m < N / PROOF_WIDTH, solves on the full
-# grid alone.  One block of 2 * PROOF_WIDTH square fits PROOF_CHUNK_BYTES.
+# The comb rung and the comb's probe start run only where the blocks, 2 *
+# ceil(N / m) square, are at most 2 * PROOF_WIDTH wide.  A proof costs about
+# N * width (building) plus N * width**2 (squaring): 25, 37, 57 and 108 ms at
+# widths 3, 5, 9 and 17 on DEFAULT_GRID with every block squared
+# PROOF_SQUARINGS times (2-CPU Xeon), against 7 ms per full-grid step and at
+# least 10 steps for a cold emission solve.  One block of 2 * PROOF_WIDTH
+# square fits PROOF_CHUNK_BYTES.
 PROOF_WIDTH = 9
 
 
@@ -464,32 +428,26 @@ class SolutionState:
     `residual` is the last fixed-point step size as a fraction of i_c, and
     `iterations` counts the steps of every lattice the solve ran.  `lattice`
     is the `Lattice` the solve ended on (every bin it covers is a multiple
-    of its `unit` s).  `tail` is the guard of an embedded
-    lattice: the 2-norm of the current on its two outermost signal orders as
-    a fraction of i_c (NaN on a stride lattice).  `off_lattice_growth` is the
-    probe's last-step growth ratio of a perturbation on the grid bins off the
-    lattice under the Picard map's tangent (0 only when the tangent
-    annihilated it, as on a row without feedback; NaN when no probe ran), and
-    `probe_steps` the number of tangent steps the probe took (0 when none ran).
-    `path` says how the lattice the solve ended on was solved: "chord" (the
-    comb-preconditioned chord, accepted by its on-lattice check), "fallback"
-    (plain Picard from the start after a chord gave up or failed that
-    check), "comb" (a stimulus-free solve kept on the pump comb, `lattice`
-    of unit m, by the proof that its coset blocks contract on the whole
-    grid; no probe runs, so `off_lattice_growth` is NaN) or "picard" (plain
-    Picard where no chord applies: an embedded lattice, a stimulus-free
-    solve whose comb was not tried or not proven, i_c = 0, or a comb that did not
-    converge or is unstable on the lattice).  An unproven comb's steps are
-    not counted in `iterations`, so such a state is the one the stride-1
-    lattice alone gives.  `on_lattice_growth` is the check's
-    last-step growth ratio of the Picard map's tangent on the lattice at the
-    chord's state, and `on_lattice_steps` its number of tangent steps (NaN
-    and 0 when no check ran).  None of the three goes into a CSV.
-    Each stop reads from the state alone: `converged` True is a converged
-    point; otherwise `off_lattice_growth >= 1` is a probe-masked point, a
-    non-finite `residual` a diverged one (its `i_j` is the non-finite
-    iterate), and anything else an exhausted iteration budget (the
-    parametric-oscillation signature).  `a_out` is filled by `outputs`.
+    of its `unit` s), and `tail` its guard, the 2-norm of the current on the
+    two outermost signal orders as a fraction of i_c (NaN on a stride
+    lattice).  `off_lattice_growth` is the probe's growth ratio of a
+    perturbation on the grid bins off the lattice under the Picard map's
+    tangent (0 only when the tangent annihilated it; NaN when no probe ran),
+    and `probe_steps` its number of tangent steps.  `path` says how the
+    lattice was solved: "chord" (the chord, accepted by its on-lattice
+    check), "fallback" (plain Picard from the start after a chord gave up or
+    failed that check), "comb" (a stimulus-free solve kept on the comb, by
+    the proof that its blocks contract on the whole grid; no probe runs) or
+    "picard" (plain Picard where no chord applies, or where the chain's chord
+    of that unit gave up before).  An unproven comb's steps are not counted
+    in `iterations`.  `on_lattice_growth` and `on_lattice_steps` are the
+    chord check's growth ratio and tangent steps (NaN and 0 when none ran);
+    none of the three goes into a CSV.  Each stop reads from the state
+    alone: `converged` True is a converged point; otherwise
+    `off_lattice_growth >= 1` is a probe-masked point, a non-finite
+    `residual` a diverged one (its `i_j` is the non-finite iterate), and
+    anything else an exhausted iteration budget (the parametric-oscillation
+    signature).  `a_out` is filled by `outputs`.
     """
 
     bias: BiasPoint
@@ -591,17 +549,14 @@ def _round_trip(frequencies: np.ndarray, m: int, bias: BiasPoint, zero_pad: int)
 
         return ramp, to_phase, to_current
 
-    # Sample t = phases * q + r is phase r's sample q, and each phase is one
-    # row of a batched length-n transform.  With w = exp(2 pi i / n_t),
-    # twiddle[r, j] = w**(j r) and fold[r] = w**(-n r), phase r's spectrum is
-    # twiddle[r, j] * (b[j] + fold[r] * conj(b[n - j])).  On the way back,
-    # with Y[r, j] = twiddle[r, j] * conj(phase r's spectrum[j]), lattice bin
-    # k is conj(sum_r Y[r, k]) for k < h and, through the Hermitian fold,
-    # sum_r fold[r] * Y[r, n - k] above.  Each FFT call needs scratch for n
-    # points only, which glibc keeps on its heap between steps; one
-    # n_t-point transform's scratch is mapped and unmapped on every call
-    # until a larger block has been freed in the process (about 2000 page
-    # faults per step on DEFAULT_GRID).
+    # Sample t = phases * q + r is phase r's sample q, one row of a batched
+    # length-n transform.  With w = exp(2 pi i / n_t), twiddle[r, j] = w**(j r)
+    # and fold[r] = w**(-n r), phase r's spectrum is twiddle[r, j] * (b[j] +
+    # fold[r] * conj(b[n - j])).  Back, with Y[r, j] = twiddle[r, j] *
+    # conj(phase r's spectrum[j]), lattice bin k is conj(sum_r Y[r, k]) for k
+    # < h and sum_r fold[r] * Y[r, n - k] above.  Each call's scratch, n
+    # points, stays on glibc's heap; an n_t-point transform's is mapped and
+    # unmapped per call (about 2000 page faults per step on DEFAULT_GRID).
     h = n // 2 + 1
     back = n - h  # bins h .. n - 1 come from phase bins back .. 1
     angle = (2.0 * np.pi / n_t) * np.outer(np.arange(phases), np.arange(h))
@@ -720,56 +675,65 @@ def _tangent_step(
     return step
 
 
+def _off_start(start: np.ndarray | None, off: np.ndarray) -> np.ndarray | None:
+    """`start` masked to the bins `off` and normalised, or None where it has
+    no finite weight there."""
+    if start is None:
+        return None
+    x = np.where(off, start, 0j)
+    # Plain sums of squares: np.linalg.norm can wake idle BLAS threads.
+    weight = float(np.sum(np.abs(x) ** 2))
+    if not 0.0 < weight < math.inf:
+        return None
+    x /= math.sqrt(weight)
+    return x
+
+
 def _off_lattice_growth(step, off: np.ndarray, start: np.ndarray | None = None):
     """Power iteration of the tangent `step` on the bins `off` (a mask: the
-    grid bins off a probed lattice, with `step` from `Probe.tangent`, or every
-    bin of a chord's lattice, with `_tangent_step`'s):
-    (growth, steps, vector), the last step's 2-norm growth ratio on `off` (0
-    only when that step annihilated the perturbation), the number of steps
-    and the vector they ended on.  It starts from `start` masked to `off` and
-    normalised, and stops once two successive ratios agree to PROBE_AGREEMENT
-    relative, after PROBE_STEPS at most; without `start`, or when `start` has
-    no weight on `off`, from a seeded unit perturbation on `off` for
-    PROBE_STEPS steps."""
-    x, weight = None, 0.0
-    if start is not None:
-        x = np.where(off, start, 0j)
-        # Plain sums of squares: np.linalg.norm can wake idle BLAS threads.
-        weight = float(np.sum(np.abs(x) ** 2))
-    carried = 0.0 < weight < math.inf
-    if carried:
-        x /= math.sqrt(weight)
-    else:
+    grid bins off a probed lattice, or every bin of a chord's lattice):
+    (growth, steps, vector), the 2-norm growth ratio on `off` (0 only when a
+    step annihilated the perturbation), the number of steps and the last
+    vector.  From `start` (a carried vector, a `Comb.probe_start` or a chord's
+    mode) masked to `off`, it stops once two successive ratios agree to
+    PROBE_AGREEMENT relative, or else reads the mean ratio over the second
+    half of PROBE_STEPS; from a seeded unit perturbation on `off`, where
+    `start` has no weight there, it reads the last of PROBE_STEPS."""
+    x = _off_start(start, off)
+    carried = x is not None
+    if not carried:
         re, im = np.random.default_rng(PROBE_SEED).standard_normal((2, off.size))
         x = re + 1j * im
         x[~off] = 0.0
         x /= np.sqrt(np.sum(np.abs(x) ** 2))
     spare = np.empty_like(x)
-    now, ratio = 1.0, math.nan
+    norms, ratio = [1.0], math.nan
     for steps in range(1, PROBE_STEPS + 1):
         x, spare = step(x, spare), x
-        before, now = now, float(np.sum(np.abs(x[off]) ** 2))
+        before, now = norms[-1], float(np.sum(np.abs(x[off]) ** 2))
+        norms.append(now)
         last, ratio = ratio, math.sqrt(now / before) if before > 0.0 else math.inf
         if carried and (now == 0.0 or abs(ratio - last) <= PROBE_AGREEMENT * ratio):
-            break
+            return (0.0 if now == 0.0 else ratio), steps, x
+    if carried:
+        # Unsettled: the ratios beat between modes of near-equal modulus.
+        half = steps // 2
+        ratio = (now / norms[half]) ** (0.5 / (steps - half))
     return (0.0 if now == 0.0 else ratio), steps, x
 
 
 class _Cosets:
     """The tangent of `_picard_step` (see `_tangent_step`) on the grid, at a
     state whose junction voltage lies on the multiples of s, coset by coset
-    on one period T / s.  That state's c(t) is T / s periodic, so the
-    tangent couples bin q only to the bins = +-q (mod s): each coset r = 1 ..
-    s // 2 with its mirror s - r is one complex-linear block, laid out as in
-    `_coset_blocks` (at r = s / 2 the mirror is the coset itself, and its
-    half is redundant), and coset 0, the multiples of s, is real-linear on
-    its own.  Row r - 1 of one batched complex FFT holds block r's positions
-    r + s w, w = -W .. W - 1 with W = ceil(N / s), at column w mod L, and
-    coset 0 runs as a real round trip, both on the same `size` L samples:
-    the least 5-smooth number of at least 2 * zero_pad * W, so that for
-    zero_pad >= 2 the harmonics |w| < 2W of c(t) a block reads do not alias
-    (see PROBE_ZERO_PAD).  It holds the tables of one grid, junction row,
-    pump bin m, stride s and zero_pad; `tangent` gives the step at a state."""
+    on one period T / s, where c(t) is periodic: each coset r = 1 .. s // 2
+    with its mirror s - r is one complex-linear block, laid out as in
+    `_coset_blocks` (at r = s / 2 the mirror is the coset itself), and coset
+    0 is real-linear on its own.  Row r - 1 of one batched complex FFT holds
+    block r's positions r + s w, w = -W .. W - 1 with W = ceil(N / s), at
+    column w mod L, and coset 0 runs as a real round trip, on the same `size`
+    L samples, the least 5-smooth number of at least 2 * zero_pad * W (see
+    PROBE_ZERO_PAD).  It holds the tables of one grid, junction row, pump bin
+    m, stride s and zero_pad; `tangent` gives the step at a state."""
 
     def __init__(self, f_jj: np.ndarray, frequencies: np.ndarray, m: int, s: int, zero_pad: int):
         self.grid_size, self.stride, self.width = frequencies.size, s, -(-frequencies.size // s)
@@ -839,9 +803,8 @@ class Probe:
     """The off-lattice probe of one warm-start chain, handed to each of its
     `iterate` calls: `vector`, the vector the chain's last probe ended on, in
     grid layout, which starts the next one, and the tangent's tables at the
-    chain's present lattice unit s (`_Cosets`, or the full grid's
-    `_round_trip`), built when the unit changes and freed with the chain.  It
-    lives as long as the chain and must not be shared between threads."""
+    chain's present lattice unit (`_Cosets`, or the full grid's
+    `_round_trip`).  Not to be shared between threads."""
 
     def __init__(self):
         self.vector: np.ndarray | None = None
@@ -850,25 +813,23 @@ class Probe:
     def tangent(self, row: JunctionRow, m: int, bias: BiasPoint, lattice: Lattice,
                 voltage: np.ndarray, off: np.ndarray, options: SolverOptions):
         """The tangent step the probe of `lattice` (unit s) runs at the state
-        of grid junction voltage spectrum `voltage`: `_Cosets`' step, which
-        runs coset 0 only when it holds bins of `off`, or the full-grid
-        tangent: at s = 1, where coset 0 is the whole grid, where a coset row
-        would take more than COSET_SAMPLES samples, and on a grid whose own
-        step is one short transform, not the interleaved phases (fewer than
-        SPLIT_BINS bins; see COSET_SAMPLES).  The tables are built again only
-        when an argument they depend on changes."""
+        of grid junction voltage spectrum `voltage`, at PROBE_ZERO_PAD
+        whatever `options.zero_pad`: `_Cosets`' step, with coset 0 only where
+        it holds bins of `off`, or the full-grid tangent at s = 1 and where
+        COSET_SAMPLES says so.  Tables are rebuilt only when what they depend
+        on changes."""
         grid = row.response.grid
         s = lattice.unit
         # COSET_SAMPLES is 5-smooth: the rows take more only when 2 zero_pad W does.
         if (not _interleaved(grid.size)
-                or 2 * options.zero_pad * -(-grid.size // s) > COSET_SAMPLES):
+                or 2 * PROBE_ZERO_PAD * -(-grid.size // s) > COSET_SAMPLES):
             s = 1
-        key = (m, bias.i_c, s, options.zero_pad)
+        key = (m, bias.i_c, s)
         if row is not self._row or key != self._key:
             self._row, self._key, self._tables = row, key, None  # free the old tables first
             self._tables = (
-                _Cosets(row.f_jj, grid.frequencies, m, s, options.zero_pad) if s > 1
-                else _round_trip(grid.frequencies, m, bias, options.zero_pad)
+                _Cosets(row.f_jj, grid.frequencies, m, s, PROBE_ZERO_PAD) if s > 1
+                else _round_trip(grid.frequencies, m, bias, PROBE_ZERO_PAD)
             )
         tables = self._tables
         if s == 1:
@@ -895,7 +856,7 @@ def _fixed_point(step, current: np.ndarray, tol_abs: float, max_iterations: int)
     return current, iterations, converged, delta
 
 
-def _comb_spectrum(voltage, bias, options, trip):
+def _comb_spectrum(voltage, bias, relaxation, trip):
     """The spectrum of relaxation * i_c * c(t), c = cos(ramp + phase of
     `voltage`), on the time grid of `trip`, the `_round_trip` of the lattice
     the junction voltage spectrum `voltage` lies on."""
@@ -905,7 +866,7 @@ def _comb_spectrum(voltage, bias, options, trip):
     np.add(ramp, c, out=c)
     np.cos(c, out=c)
     # Time order: the interleaved layout holds sample t = phases * q + r at [r, q].
-    return np.fft.fft(c.T.ravel()) * (options.relaxation * bias.i_c / c.size)
+    return np.fft.fft(c.T.ravel()) * (relaxation * bias.i_c / c.size)
 
 
 def _coset_layout(f_jj, frequencies, p):
@@ -921,37 +882,54 @@ def _coset_layout(f_jj, frequencies, p):
     return np.arange(padded).reshape(-1, p).T, g.reshape(-1, p).T
 
 
-def _coset_blocks(f_jj, frequencies, p, spectrum, relaxation, spacing=1, cosets=slice(None)):
-    """The tangent of `_picard_step` (see `_tangent_step`) on a lattice of n
-    bins (junction impedance `f_jj`, physical `frequencies`) at a comb state,
-    whose junction voltage lies on the multiples of the pump bin p, split
-    into one block per coset r = 0 .. p - 1 of the lattice bins mod p, of
-    which the slice `cosets` is built: `(members, blocks)`.  Block r is
-    complex-linear on z = (delta on the bins = r, conj(delta) on the bins =
-    -r mod p), that is on the lattice spectrum at the signed positions
-    `members[r]` (r + p j, then -((-r mod p) + p j), for j = 0 .. ceil(n / p)
-    - 1: rows r and -r mod p of `_coset_layout`); a position whose bin lies
-    past the lattice pads the block with a zero row and column.  Entry (i, j)
-    is C[(x_i - x_j) / spacing] * g_j, with C the `_comb_spectrum` and g_j the
-    phase per unit current at x_j, plus (1 - relaxation) on the diagonal.
-    Every x_i - x_j is a multiple of p, so C may be the spectrum on the
-    lattice's own time grid (`spacing` 1) or on the comb's (`spacing` p),
-    which holds every harmonic of c(t) since c holds only pump harmonics.
-    The blocks of r and p - r are conjugate, and the tangent couples two
-    cosets only through the aliasing of c(t), which the blocks leave out."""
-    n = frequencies.size
-    bins, g = _coset_layout(f_jj, frequencies, p)
-    mirror = -np.arange(p) % p
-    plus, minus = bins[cosets], bins[mirror][cosets]
-    on = np.concatenate([plus < n, minus < n], axis=1)
-    members = np.concatenate([plus, -minus], axis=1)
-    weight = np.concatenate([g[cosets], np.conjugate(g[mirror][cosets])], axis=1)
-    shift = (members[:, :, None] - members[:, None, :]) // spacing
-    blocks = spectrum[shift % spectrum.size] * weight[:, None, :]
+def _harmonics(spectrum, width):
+    """The 2W x 2W harmonic matrices of c(t), from its `spectrum` in units of
+    the pump bin p, that the coset blocks of width W read, for cosets r >= 1
+    and for coset 0.  Position i sits at r + p i and at r - p (i + 1) (at -p
+    i for r = 0), so entry (i, j) reads harmonic i - j, i + j + 1, -(i + j +
+    1) or j - i by quadrant (i + j for r = 0), whatever r is."""
+    i, j = np.arange(width)[:, None], np.arange(width)
+    shared = np.block([[i - j, i + j + 1], [-(i + j + 1), j - i]])
+    zero = np.block([[i - j, i + j], [-(i + j), j - i]])
+    return spectrum[shared % spectrum.size], spectrum[zero % spectrum.size]
+
+
+def _coset_blocks(harmonics, bins, weight, n, relaxation, cosets):
+    """The tangent of `_picard_step` on a lattice of n bins at a comb state
+    (junction voltage on the multiples of the pump bin p), one block per
+    coset r of the index array `cosets` mod p, from the lattice's
+    `_coset_layout` and c's `_harmonics`.  Block r acts complex-linearly on z
+    = (delta on row r of `bins`, conj(delta) on row -r mod p): the harmonic
+    matrix times each column's weight (conjugated on the second half), plus
+    (1 - relaxation) on the diagonal, a zero row and column past the lattice.
+    The blocks of r and p - r are conjugate; c's aliasing, which couples
+    cosets, is left out."""
+    shared, zero = harmonics
+    mirror = -cosets % bins.shape[0]
+    on = np.concatenate([bins[cosets] < n, bins[mirror] < n], axis=1)
+    columns = np.concatenate([weight[cosets], np.conjugate(weight[mirror])], axis=1)
+    blocks = shared * columns[:, None, :]
+    at_zero = cosets == 0
+    if at_zero.any():
+        blocks[at_zero] = zero * columns[at_zero][:, None, :]
     blocks *= on[:, :, None]
     diagonal = np.einsum("rii->ri", blocks)
     diagonal += (1.0 - relaxation) * on
-    return members, blocks
+    return blocks
+
+
+def _coset_mode(block, r, p):
+    """`(modulus, vector)` of the largest eigenvalue of coset r's block mod p:
+    the eigenvector's first half on the bins r + p j of a p * W-bin lattice,
+    plus the conjugate of its second half on the bins (-r mod p) + p j."""
+    values, vectors = np.linalg.eig(block)
+    top = np.argmax(np.abs(values))
+    width = block.shape[0] // 2
+    j = p * np.arange(width)
+    mode = np.zeros(p * width, dtype=complex)
+    mode[r + j] += vectors[:width, top]
+    mode[-r % p + j] += np.conjugate(vectors[width:, top])
+    return float(np.abs(values[top])), mode
 
 
 def _contracts(blocks: np.ndarray) -> bool:
@@ -974,36 +952,28 @@ def _contracts(blocks: np.ndarray) -> bool:
 
 
 class _Chord:
-    """The chord of one stride lattice (n bins, pump on bin p): P = (I -
-    J_comb)^-1 by coset block (`_coset_blocks`), the largest modulus
-    `multiplier` of any block's eigenvalues, and `mode`, the lattice vector
-    of the eigenvector that carries it.  Build it with `of`."""
+    """The chord of a stride lattice of n bins: P = (I - J_comb)^-1 by coset
+    block mod the pump bin p, the largest eigenvalue modulus `multiplier` of
+    any block, and `mode`, the lattice vector of its eigenvector."""
 
     @classmethod
-    def of(cls, members: np.ndarray, blocks: np.ndarray, n: int) -> "_Chord | None":
-        """The chord of `_coset_blocks`' output on an n-bin lattice, or None
-        unless every block is finite and every multiplier below 1."""
+    def of(cls, blocks: np.ndarray, n: int) -> "_Chord | None":
+        """The chord of the `_coset_blocks` of every coset, or None unless
+        every block is finite and every multiplier below 1."""
         if not np.all(np.isfinite(blocks)):
             return None
         # The blocks of r and p - r are conjugate: their multipliers agree.
         moduli = np.abs(np.linalg.eigvals(blocks[: blocks.shape[0] // 2 + 1]))
-        return cls(members, blocks, n, moduli) if moduli.max() < 1.0 else None
+        return cls(blocks, n, moduli) if moduli.max() < 1.0 else None
 
-    def __init__(self, members: np.ndarray, blocks: np.ndarray, n: int, moduli: np.ndarray):
+    def __init__(self, blocks: np.ndarray, n: int, moduli: np.ndarray):
         p, width = blocks.shape[0], blocks.shape[1] // 2
         self._n, self._flip = n, -np.arange(p) % p
         # Only the rows of z's first half are read: each bin is r + p j of one coset r.
         self._inverse = np.linalg.inv(np.eye(2 * width) - blocks)[:, :width]
         r = int(np.argmax(np.max(moduli, axis=1)))
         self.multiplier = float(moduli[r].max())
-        values, vectors = np.linalg.eig(blocks[r])
-        w = vectors[:, np.argmax(np.abs(values))]
-        # delta = w's first half on the bins = r plus the conjugate of its
-        # second half on the bins = -r (the same bins where r = -r mod p).
-        mode = np.zeros(p * width, dtype=complex)
-        mode[members[r, :width]] += w[:width]
-        mode[-members[r, width:]] += np.conjugate(w[width:])
-        self.mode = mode[:n]
+        self.mode = _coset_mode(blocks[r], r, p)[1][:n]
         self._padded = np.zeros(p * width, dtype=complex)
 
     def apply(self, residual: np.ndarray, x: np.ndarray) -> None:
@@ -1036,45 +1006,6 @@ def _chord(step, chord: _Chord, current: np.ndarray, tol_abs: float, max_iterati
     return None, steps, delta
 
 
-class Comb:
-    """The pump comb of one warm-start chain, handed to each of its `iterate`
-    calls: the stimulus-free state on `Lattice.stride(grid, m, m)`, solved by
-    the chain's first stimulated stride-lattice point through `_comb_loop`
-    from a cold start (no proof and no full-grid step: a comb that a
-    stimulus-free solve could not keep costs a chain only its comb loop),
-    and per lattice unit s the chord (`_Chord`) that linearises the Picard
-    step about it, built by the first point on that lattice.  Both are built
-    again only when the row, bias or options change.  It lives as long as
-    the chain and must not be shared between threads."""
-
-    def __init__(self):
-        self._row = self._key = self._current = None
-        self._chords: dict[int, _Chord | None] = {}
-
-    def chord(self, row: JunctionRow, bias: BiasPoint, options: SolverOptions,
-              lattice: Lattice, trip) -> _Chord | None:
-        """The chord of stride lattice `lattice` (`trip` its `_round_trip`),
-        or None where none applies: the comb loop did not converge, or a
-        block multiplier is at least 1."""
-        grid, m = row.response.grid, lattice.pump * lattice.unit
-        if row is not self._row or (bias, options) != self._key:
-            self._row, self._key, self._chords = row, (bias, options), {}
-            comb = Lattice.stride(grid, m, m)
-            current, _, converged, _ = _comb_loop(
-                row, bias, options, comb, np.zeros(comb.size, dtype=complex)
-            )
-            self._current = comb.lift(current) if converged else None
-        s = lattice.unit
-        if self._current is not None and s not in self._chords:
-            f_jj = lattice.gather(row.f_jj)
-            spectrum = _comb_spectrum(f_jj * lattice.gather(self._current), bias, options, trip)
-            members, blocks = _coset_blocks(
-                f_jj, lattice.frequencies, lattice.pump, spectrum, options.relaxation
-            )
-            self._chords[s] = _Chord.of(members, blocks, lattice.size)
-        return self._chords.get(s)
-
-
 def _comb_loop(row: JunctionRow, bias: BiasPoint, options: SolverOptions, comb: Lattice,
                start: np.ndarray):
     """Plain Picard without a stimulus on the pump comb `comb`
@@ -1085,30 +1016,116 @@ def _comb_loop(row: JunctionRow, bias: BiasPoint, options: SolverOptions, comb: 
     return _fixed_point(step, start, options.tolerance * bias.i_c, options.max_iterations)
 
 
-def _comb_proven(row: JunctionRow, bias: BiasPoint, options: SolverOptions, comb: Lattice,
-                 current: np.ndarray) -> bool:
-    """Whether the stimulus-free state `current` on the pump comb `comb` is
-    stable on the whole grid: every coset block r <= m / 2 of the Picard
-    step's tangent there on the stride-1 lattice `_contracts` (the blocks of
-    r and m - r are conjugate), built and checked PROOF_CHUNK_BYTES of
-    blocks at a time; the first chunk that fails ends the proof.  c(t) holds
-    only pump harmonics, so its spectrum comes from the comb's own 2 *
-    zero_pad * comb.size samples, which hold the harmonics |k| <= 2 *
-    comb.size - 1 the blocks read without aliasing when zero_pad >= 2 (see
-    `_lattices`).  `_lattices` yields the comb only when comb.size <=
-    PROOF_WIDTH, so a chunk holds at least one block."""
-    grid, m = row.response.grid, comb.unit
-    trip = _round_trip(comb.frequencies, 1, bias, options.zero_pad)
-    spectrum = _comb_spectrum(comb.gather(row.f_jj) * current, bias, options, trip)
-    half = m // 2 + 1
-    chunk = PROOF_CHUNK_BYTES // (16 * (2 * comb.size) ** 2)
-    return all(
-        _contracts(_coset_blocks(
-            row.f_jj, grid.frequencies, m, spectrum, options.relaxation, m,
-            slice(lo, min(lo + chunk, half)),
-        )[1])
-        for lo in range(0, half, chunk)
-    )
+class Comb:
+    """The Floquet-Bloch analysis of the stimulus-free pump comb that one
+    warm-start chain, or one emission solve, hands to each of its `iterate`
+    calls: the state of one `_comb_loop` on `Lattice.stride(grid, m, m)` (W =
+    ceil(N / m) bins) and, where it converged, the `_harmonics` of c(t) there
+    from the comb's own 2 * zero_pad * W samples, zero_pad at least
+    PROBE_ZERO_PAD.  Coset blocks are built from them on demand: mod m on the
+    grid for the emission proof (`proven`) and the probe's first start
+    (`probe_start`), mod p = m / s on a stride lattice of unit s (coset r
+    holds the grid bins s r + m j) for its chord (`chord`).  A chain solves
+    its comb cold at its first point that needs it, and again only when the
+    row, bias or options change.  Not to be shared between threads."""
+
+    def __init__(self):
+        self._row = self._key = self._harmonics = None
+        self._chords: dict[int, _Chord | None] = {}
+
+    def solve(self, row: JunctionRow, bias: BiasPoint, options: SolverOptions,
+              start: np.ndarray | None = None):
+        """Runs the comb loop from comb spectrum `start` (None: cold), keeps
+        its state and returns `_comb_loop`'s."""
+        grid = row.response.grid
+        self._m = m = _bias_bin(bias, grid)
+        comb = Lattice.stride(grid, m, m)
+        start = np.zeros(comb.size, dtype=complex) if start is None else start
+        self._row, self._key, self._chords, self._harmonics = row, (bias, options), {}, None
+        current, count, converged, delta = _comb_loop(row, bias, options, comb, start)
+        if converged:
+            trip = _round_trip(comb.frequencies, 1, bias, max(options.zero_pad, PROBE_ZERO_PAD))
+            voltage = comb.gather(row.f_jj) * current
+            spectrum = _comb_spectrum(voltage, bias, options.relaxation, trip)
+            self._harmonics = _harmonics(spectrum, comb.size)
+        return current, count, converged, delta
+
+    def _settled(self, row: JunctionRow, bias: BiasPoint, options: SolverOptions) -> bool:
+        """Whether the comb of `row`, `bias` and `options` converged, solved
+        from a cold start unless it is the one held."""
+        if row is not self._row or (bias, options) != self._key:
+            self.solve(row, bias, options)
+        return self._harmonics is not None
+
+    def _grid_blocks(self, cosets: np.ndarray):
+        """The blocks of `cosets` on the grid mod m, PROOF_CHUNK_BYTES at a
+        time; a comb of at most PROOF_WIDTH bins fits one block in a chunk."""
+        row = self._row
+        bins, weight = _coset_layout(row.f_jj, row.response.grid.frequencies, self._m)
+        chunk = PROOF_CHUNK_BYTES // (16 * (2 * bins.shape[1]) ** 2)
+        for lo in range(0, cosets.size, chunk):
+            yield _coset_blocks(self._harmonics, bins, weight, row.f_jj.size,
+                                self._key[1].relaxation, cosets[lo : lo + chunk])
+
+    def proven(self) -> bool:
+        """Whether the comb state held is stable on the whole grid: every
+        block r <= m / 2 `_contracts`, up to the first chunk that fails."""
+        return all(_contracts(blocks) for blocks in self._grid_blocks(np.arange(self._m // 2 + 1)))
+
+    def chord(self, row: JunctionRow, bias: BiasPoint, options: SolverOptions,
+              lattice: Lattice) -> _Chord | None:
+        """The chord of stride lattice `lattice`, or None where the comb loop
+        did not converge, a multiplier reaches 1, or the unit is retired."""
+        s = lattice.unit
+        if self._settled(row, bias, options) and s not in self._chords:
+            bins, weight = _coset_layout(lattice.gather(row.f_jj), lattice.frequencies,
+                                         lattice.pump)
+            blocks = _coset_blocks(self._harmonics, bins, weight, lattice.size,
+                                   options.relaxation, np.arange(lattice.pump))
+            self._chords[s] = _Chord.of(blocks, lattice.size)
+        return self._chords.get(s)
+
+    def retire(self, lattice: Lattice) -> None:
+        """Drops the chord of `lattice`'s unit after it gave up: a chain past
+        its 1 dB point gives up there on every later point too."""
+        self._chords[lattice.unit] = None
+
+    def probe_start(self, row: JunctionRow, bias: BiasPoint, options: SolverOptions,
+                    s: int) -> np.ndarray | None:
+        """The off-lattice probe's first start on a stride lattice of unit s >
+        1, in grid layout; None (the seeded start) where the comb loop did
+        not converge, the comb is wider than PROOF_WIDTH bins or no mode
+        grows.  The cosets mod s are invariant under the tangent there, so a
+        start without weight on one never reads its growth: the blocks r <=
+        m / 2, r != 0 (mod s), ranked by ||M^8||_F, give the dominant mode of
+        the leading block of each of the first PROBE_COSETS classes +-r (mod
+        s; the modes of one class couple at the state, and beat), weighted by
+        (modulus / largest)**PROBE_STEPS, plus the seeded perturbation."""
+        grid = row.response.grid
+        if not self._settled(row, bias, options) or -(-grid.size // self._m) > PROOF_WIDTH:
+            return None
+        cosets = np.arange(1, self._m // 2 + 1)
+        cosets = cosets[cosets % s != 0]
+        norms = []
+        for power in self._grid_blocks(cosets):
+            for _ in range(3):
+                power = np.matmul(power, power)
+            norms.append(np.sum(np.abs(power) ** 2, axis=(1, 2)))
+        order = np.argsort(-np.concatenate(norms), kind="stable")
+        _, first = np.unique(np.minimum(cosets % s, -cosets % s)[order], return_index=True)
+        top = cosets[order[np.sort(first)[:PROBE_COSETS]]]
+        modes = [_coset_mode(block, r, self._m) for r, block in
+                 zip(top, next(self._grid_blocks(top)))]
+        largest = max(modulus for modulus, _ in modes)
+        if not largest > 0.0:
+            return None
+        re, im = np.random.default_rng(PROBE_SEED).standard_normal((2, grid.size))
+        start = (re + 1j * im) * (PROBE_SEED_WEIGHT / np.sqrt(np.sum(re**2 + im**2)))
+        for modulus, mode in modes:
+            norm = np.sqrt(np.sum(np.abs(mode) ** 2))  # 0 where a self-mirror half cancels
+            if norm > 0.0:
+                start += (modulus / largest) ** PROBE_STEPS / norm * mode[: grid.size]
+        return start
 
 
 def _lattices(grid: FrequencyGrid, m: int, tones: list[int], s: int, i_c: float,
@@ -1119,14 +1136,12 @@ def _lattices(grid: FrequencyGrid, m: int, tones: list[int], s: int, i_c: float,
     m, m)` when it holds at most PROOF_WIDTH bins; for a single tone with
     i_c > 0 the embedded ones, in ALPHA_LADDER order while they stay smaller
     than the stride lattice; and then always the stride lattice, which
-    decides.  No comb at zero_pad 1: its 2 * comb.size samples alias the
-    harmonics of c(t) the proof's blocks read, and the full grid's 2N
-    samples fold pump harmonics from about the comb's size up onto bins off
-    the comb, so its state is not the comb's (2e-3 i_c apart at 0.05 ohm
-    bias resistance on DEFAULT_GRID, against 1e-12 i_c at zero_pad 2).  No
-    embedded one when two products within the top alpha's orders could
-    share a grid bin: products a * m + b * k and a' * m + b' * k coincide
-    only when |b - b'| reaches m / s."""
+    decides.  No comb at zero_pad 1: the full grid's 2N samples fold pump
+    harmonics onto bins off the comb, so its state is not the comb's (2e-3
+    i_c apart at 0.05 ohm bias resistance on DEFAULT_GRID, against 1e-12 i_c
+    at zero_pad 2).  No embedded one where two products within the top
+    alpha's orders could share a grid bin, as a * m + b * k and a' * m + b'
+    * k do once |b - b'| reaches m / s."""
     if (not tones and m > 1 and -(-grid.size // m) <= PROOF_WIDTH and i_c > 0
             and zero_pad >= 2
             and (start is None or np.count_nonzero(start[::m]) == np.count_nonzero(start))):
@@ -1152,32 +1167,18 @@ def iterate(
 ) -> SolutionState:
     """Fixed-point solution of the junction current spectrum.
 
-    Every mixing product of the pump bin m and the tone bins lies on a multiple
-    of their gcd s.  One loop runs the lattices `_lattices` yields: for a
-    single tone with m / s above the top of ALPHA_LADDER and i_c > 0, embedded
-    lattices (`Lattice`) of growing alpha; without a stimulus, with i_c > 0,
-    zero_pad >= 2, a start with no weight off the pump comb and a comb of at
-    most PROOF_WIDTH bins, the comb (s = m); and then, for
-    every solve, the stride lattice of bins 0, s, 2s, ... (s = 1 without a
-    stimulus).  Each starts from the warm start gathered onto it.  The loop
-    stops at the first embedded lattice that converges with its current on its
-    two outermost signal orders below TAIL_BOUND * i_c, at a comb whose loop
-    converged and whose coset blocks on the stride-1 lattice are proven to
-    contract (see the module docstring), or at the stride lattice, which
-    decides.  A stimulated point with i_c > 0 runs its stride lattice first as
-    the comb-preconditioned chord (see the module docstring and
-    `SolutionState.path`), and keeps the chord's state only when it converged
-    with its change shrinking faster than the comb's largest multiplier every
-    step, and an on-lattice power iteration of the tangent at that state shows
-    plain Picard from the same start would converge within the budget;
-    otherwise plain Picard runs from the start, and its steps add to the
-    chord's in `iterations`.  The result is lifted back to the grid.  A
-    converged point whose lattice leaves grid bins out, other than a proven
-    comb, is then probed on them (see `SolutionState.off_lattice_growth`),
-    since an oscillation there cannot show on the lattice: PROBE_STEPS tangent
-    steps from a seeded perturbation, or, from the vector `probe` carries,
-    steps until two successive growth ratios agree, each step coset by coset
-    of the grid bins mod the lattice's unit (`Probe.tangent`).
+    Every mixing product of the pump bin m and the tone bins lies on a
+    multiple of their gcd s.  One loop runs the lattices `_lattices` yields,
+    each from the warm start gathered onto it: embedded lattices of growing
+    alpha for a single tone, the comb rung for a stimulus-free solve, and
+    then the stride lattice, which decides.  It stops at the first embedded
+    lattice that converges with its tail below TAIL_BOUND * i_c, at a proven
+    comb, or at the stride lattice.  A stimulated point with i_c > 0 runs its
+    stride lattice first as the chord, and plain Picard where the chord gives
+    up or fails its check; their steps add up in `iterations` (see the module
+    docstring and `SolutionState.path`).  The result is lifted back to the
+    grid, and a converged point whose lattice leaves grid bins out, other
+    than a proven comb, is probed on them (`SolutionState.off_lattice_growth`).
 
     Parameters
     ----------
@@ -1191,18 +1192,11 @@ def iterate(
         Tolerance, iteration budget (per lattice), relaxation and zero padding.
     initial : ndarray, optional
         Warm-start junction current spectrum (grid-sized, half amplitudes);
-        only its bins on the solve's lattice are used.  A rung on which it
+        only its bins on each lattice are used, and a rung on which it
         already misses the tail bound is skipped.
-    probe : Probe, optional
-        The off-lattice probe of the warm-start chain the solve belongs to:
-        a probe starts from its vector, masked to this solve's off-lattice
-        bins (from the seeded perturbation when it has none there), runs on
-        its tables, and leaves its last vector in it.  Without one the probe
-        is the seeded one on tables of its own.
-    comb : Comb, optional
-        The pump comb of the same chain: its comb state and chord blocks
-        serve every point at the chain's row, bias and options.  Without
-        one the solve builds its own.
+    probe, comb : Probe, Comb, optional
+        The off-lattice probe and the pump comb of the warm-start chain the
+        solve belongs to; without them the solve builds its own.
 
     Returns
     -------
@@ -1234,6 +1228,7 @@ def iterate(
     s = math.gcd(m, *tones) if tones else 1
     tol_abs = options.tolerance * bias.i_c
 
+    comb = Comb() if comb is None else comb
     iterations = 0
     with np.errstate(invalid="ignore", over="ignore"):  # the residual reports a blow-up
         for lattice in _lattices(grid, m, tones, s, bias.i_c, options.zero_pad, start):
@@ -1242,8 +1237,8 @@ def iterate(
             if lattice.unit != s:  # the pump comb of a stimulus-free solve
                 # An unproven comb leaves no trace: the stride-1 lattice
                 # decides as if it had been the only one.
-                current, count, converged, delta = _comb_loop(row, bias, options, lattice, current)
-                if converged and _comb_proven(row, bias, options, lattice, current):
+                current, count, converged, delta = comb.solve(row, bias, options, current)
+                if converged and comb.proven():
                     path, iterations = "comb", count
                     break
                 continue
@@ -1255,15 +1250,15 @@ def iterate(
             )
             trip = _round_trip(frequencies, lattice.pump, bias, options.zero_pad)
             step = _picard_step(f_jj, lattice_drive, frequencies, lattice.pump, bias, options, trip)
-            chord = None
-            if lattice.alpha == 0 and tones and bias.i_c > 0:
-                comb = Comb() if comb is None else comb
-                chord = comb.chord(row, bias, options, lattice, trip)
+            chord = (comb.chord(row, bias, options, lattice)
+                     if lattice.alpha == 0 and tones and bias.i_c > 0 else None)
             if chord is not None:
                 path = "fallback"
                 solved, count, delta = _chord(step, chord, current, tol_abs, options.max_iterations)
                 iterations += count
-                if solved is not None:
+                if solved is None:
+                    comb.retire(lattice)
+                else:
                     tangent = _tangent_step(
                         f_jj, lattice_drive + f_jj * solved, frequencies, lattice.pump, bias,
                         options, trip,
@@ -1295,9 +1290,11 @@ def iterate(
     # A proven comb state needs no probe: its blocks hold every grid bin.
     if converged and path != "comb" and bias.i_c > 0 and off.any():
         probe = Probe() if probe is None else probe
-        tangent_options = replace(options, zero_pad=min(options.zero_pad, PROBE_ZERO_PAD))
-        tangent = probe.tangent(row, m, bias, lattice, v_j, off, tangent_options)
-        growth, steps, probe.vector = _off_lattice_growth(tangent, off, probe.vector)
+        tangent = probe.tangent(row, m, bias, lattice, v_j, off, options)
+        first = probe.vector
+        if _off_start(first, off) is None and lattice.alpha == 0 and lattice.unit > 1:
+            first = comb.probe_start(row, bias, options, lattice.unit)
+        growth, steps, probe.vector = _off_lattice_growth(tangent, off, first)
         converged = growth < 1.0
     return SolutionState(
         bias=bias,

@@ -152,7 +152,7 @@ def _chain(
     cold.  One `Probe` serves the chain: each off-lattice probe starts from
     the vector the last one ended on, and all run on one set of tables,
     freed when the chain returns.  One `Comb` serves it too: the pump comb
-    is solved once, and the chord's blocks once per lattice unit.
+    is solved and analysed once, for every chord and the first probe.
     """
     row = junction_row(response)
     n = len(stimuli)

@@ -2,8 +2,9 @@
 array (the eager build, and hand-made rows), the inverse conversion, the
 plain fixed-point loop over every grid bin, the row-by-row CSV writer, the
 band report's run and roll-off walks, plain time-domain transforms of the
-solver's spectral convention on the full grid, and the off-lattice probe as
-nonlinear full-grid steps and as a long power iteration."""
+solver's spectral convention on the full grid, the off-lattice probe as
+nonlinear full-grid steps and as a long power iteration, and the coset
+blocks of the tangent at a comb state as one gather per block."""
 
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ from ictasim.solver import (
     SolutionState,
     SolverOptions,
     _bias_bin,
+    _coset_layout,
     _picard_step,
     _tangent_step,
     _tone_entries,
@@ -194,25 +196,28 @@ def to_spectrum(samples, grid):
     return np.fft.rfft(samples)[..., : grid.size] / samples.shape[-1]
 
 
-def nonlinear_off_lattice_growth(row, state, options=SolverOptions(), size=1e-9, floor=1e-6):
-    """The off-lattice probe of a lifted `state` as 8 nonlinear full-grid
-    Picard steps: a seeded perturbation of size * i_c (2-norm) on the grid
-    bins its lattice does not cover is added to the state, and the result
-    is the last step's 2-norm growth ratio on those bins, 0 when the
-    perturbation fell below `floor` of its injected size."""
+def nonlinear_off_lattice_growth(row, state, options=SolverOptions(), size=1e-9, floor=1e-6,
+                                 start=None, steps=8):
+    """The off-lattice probe of a lifted `state` as `steps` nonlinear
+    full-grid Picard steps: a perturbation of size * i_c (2-norm) on the grid
+    bins its lattice does not cover, along `start` there (the seeded one when
+    None), is added to the state, and the result is the last step's 2-norm
+    growth ratio on those bins, 0 when the perturbation fell below `floor`
+    of its injected size."""
     grid = row.response.grid
     drive = tone_drive(row.response, state.stimulus)
     m = _bias_bin(state.bias, grid)
     step = _picard_step(row.f_jj, drive, grid.frequencies, m, state.bias, options)
     i_c = state.bias.i_c
     off = ~state.lattice.covered
-    re, im = np.random.default_rng(0).standard_normal((2, grid.size))
-    noise = re + 1j * im
-    noise[~off] = 0.0
+    if start is None:
+        re, im = np.random.default_rng(0).standard_normal((2, grid.size))
+        start = re + 1j * im
+    noise = np.where(off, start, 0.0)
     noise *= size * i_c / np.sqrt(np.sum(np.abs(noise) ** 2))
     injected = now = (size * i_c) ** 2
     x = state.i_j + noise
-    for _ in range(8):
+    for _ in range(steps):
         x = step(x, np.empty_like(x))
         before, now = now, float(np.sum(np.abs(x[off]) ** 2))
     if now < floor**2 * injected:
@@ -228,9 +233,7 @@ def power_iteration_growth(row, state, options=SolverOptions(), steps=300):
     those bins.  Its verdict, stable below 1, is what the probe estimates."""
     grid = row.response.grid
     m = _bias_bin(state.bias, grid)
-    probe = SolverOptions(
-        relaxation=options.relaxation, zero_pad=min(options.zero_pad, PROBE_ZERO_PAD)
-    )
+    probe = SolverOptions(relaxation=options.relaxation, zero_pad=PROBE_ZERO_PAD)
     tangent = _tangent_step(row.f_jj, state.v_j, grid.frequencies, m, state.bias, probe)
     off = ~state.lattice.covered
     re, im = np.random.default_rng(PROBE_SEED).standard_normal((2, grid.size))
@@ -244,3 +247,27 @@ def power_iteration_growth(row, state, options=SolverOptions(), steps=300):
             return 0.0
         x /= growth
     return growth
+
+
+def gathered_coset_blocks(f_jj, frequencies, p, spectrum, relaxation, spacing=1,
+                          cosets=slice(None)):
+    """The coset blocks mod p of the tangent at a comb state on a lattice of
+    n bins (junction impedance `f_jj`, physical `frequencies`), each entry
+    gathered on its own: `(members, blocks)`.  Block r acts on the lattice
+    spectrum at the signed positions `members[r]` (r + p j, then -((-r mod
+    p) + p j)); entry (i, j) is C[(x_i - x_j) / spacing] * g_j, with C c(t)'s
+    spectrum `spectrum` and g_j the phase per unit current at x_j, plus (1 -
+    relaxation) on the diagonal, and rows past the lattice are zero."""
+    n = frequencies.size
+    bins, g = _coset_layout(f_jj, frequencies, p)
+    mirror = -np.arange(p) % p
+    plus, minus = bins[cosets], bins[mirror][cosets]
+    on = np.concatenate([plus < n, minus < n], axis=1)
+    members = np.concatenate([plus, -minus], axis=1)
+    weight = np.concatenate([g[cosets], np.conjugate(g[mirror][cosets])], axis=1)
+    shift = (members[:, :, None] - members[:, None, :]) // spacing
+    blocks = spectrum[shift % spectrum.size] * weight[:, None, :]
+    blocks *= on[:, :, None]
+    diagonal = np.einsum("rii->ri", blocks)
+    diagonal += (1.0 - relaxation) * on
+    return members, blocks

@@ -47,10 +47,11 @@ from ictasim.solver import (
     _Chord,
     _Cosets,
     _comb_loop,
-    _comb_proven,
     _comb_spectrum,
     _contracts,
     _coset_blocks,
+    _coset_layout,
+    _harmonics,
     _fast_len,
     _lattices,
     _off_lattice_growth,
@@ -61,6 +62,7 @@ from ictasim.solver import (
 from oracles import (
     ArrayResponse,
     bin_power_dbm,
+    gathered_coset_blocks,
     nonlinear_off_lattice_growth,
     plain_iterate,
     power_iteration_growth,
@@ -544,6 +546,16 @@ def default_f():
     return frankenstein_matrix(build_icta(IctaParams()), DEFAULT_GRID)
 
 
+def _nonlinear_probe(row, state):
+    """`nonlinear_off_lattice_growth` from the start of the state's probe,
+    for as many steps: the comb's (`Comb.probe_start`) on a stride lattice
+    of unit s > 1 whose comb converged, the seeded one elsewhere."""
+    start = None
+    if state.lattice.alpha == 0 and state.lattice.unit > 1:
+        start = Comb().probe_start(row, state.bias, SolverOptions(), state.lattice.unit)
+    return nonlinear_off_lattice_growth(row, state, start=start, steps=state.probe_steps)
+
+
 @pytest.fixture
 def no_chord(monkeypatch):
     """Plain Picard on every lattice: no chord applies."""
@@ -563,7 +575,7 @@ def test_sub_lattice_matches_full_grid(no_chord, default_f, f_s, stride):
     oracle = plain_iterate(row, bias, stim, SolverOptions())
     assert fast.lattice.unit == stride and oracle.lattice.unit == 1
     assert 0.0 < fast.off_lattice_growth < 1.0 and np.isnan(oracle.off_lattice_growth)
-    assert abs(fast.off_lattice_growth - nonlinear_off_lattice_growth(row, fast)) <= 1e-5
+    assert abs(fast.off_lattice_growth - _nonlinear_probe(row, fast)) <= 1e-5
     assert fast.converged and oracle.converged
     assert fast.iterations == oracle.iterations
     assert np.all(fast.i_j[np.arange(fast.i_j.size) % stride != 0] == 0.0)
@@ -589,7 +601,7 @@ def test_low_strides_run_embedded(default_f, k, stride):
     assert fast.lattice.size < DEFAULT_GRID.size // stride
     assert 0.0 < fast.tail < TAIL_BOUND and 0.0 < fast.off_lattice_growth < 1.0
     # From stride 8 the probe runs by coset, coset 0's off bins included.
-    assert abs(fast.off_lattice_growth - nonlinear_off_lattice_growth(row, fast)) <= 1e-5
+    assert abs(fast.off_lattice_growth - _nonlinear_probe(row, fast)) <= 1e-5
     assert fast.converged == oracle.converged
     assert abs(gain(outputs(fast), k * 1e6) - gain(outputs(oracle), k * 1e6)) <= 1e-9
 
@@ -683,14 +695,18 @@ def test_probe_passes_stable_point():
 
 @pytest.mark.parametrize("bias_resistance", [0.1, 0.15, 0.2, 0.6])
 def test_probe_matches_nonlinear_oracle(bias_resistance):
-    # The tangent probe against 8 nonlinear full-grid steps from the lifted
-    # state plus a 1e-9 I_c perturbation: 0.15 ohm reads 1.02 and is masked.
+    # The tangent probe against as many nonlinear full-grid steps from the
+    # lifted state plus a 1e-9 I_c perturbation along the probe's start, the
+    # comb's: 0.15 ohm reads 0.9918 and passes, as 300 steps of power
+    # iteration do (0.9925); the seeded start read 1.02 there and masked it.
     row, bias, stim = _probe_case(bias_resistance)
     state = iterate(row, bias, stim)
     assert state.lattice.unit == 4087 and state.residual < 1e-12
-    oracle = nonlinear_off_lattice_growth(row, state)
+    oracle = _nonlinear_probe(row, state)
     assert abs(state.off_lattice_growth - oracle) <= 1e-5
-    assert state.converged == (oracle < 1.0) == (bias_resistance < 0.15)
+    rate = power_iteration_growth(row, state)
+    assert abs(state.off_lattice_growth - rate) <= 1e-3
+    assert state.converged == (oracle < 1.0) == (rate < 1.0) == (bias_resistance < 0.2)
 
 
 @pytest.mark.parametrize("bias_resistance", [0.1, 0.15, 0.2, 0.6])
@@ -700,7 +716,7 @@ def test_embedded_probe_matches_nonlinear_oracle(bias_resistance):
     row, bias, stim = _probe_case(bias_resistance, f_s=4.501e9)
     state = iterate(row, bias, stim)
     assert state.lattice.unit == 1 and state.lattice.alpha > 0 and state.residual < 1e-12
-    oracle = nonlinear_off_lattice_growth(row, state)
+    oracle = _nonlinear_probe(row, state)
     assert abs(state.off_lattice_growth - oracle) <= 1e-5
     assert state.converged == (oracle < 1.0) == (bias_resistance < 0.15)
 
@@ -749,7 +765,9 @@ def test_carried_vector_without_off_lattice_weight_takes_seeded_path(weight):
 
 def test_probe_that_never_agrees_stops_at_probe_steps():
     # Bins 1 and 2 trade places through factors 2 and 0.5, so the ratios
-    # alternate 2, 0.5, 2, ... and no two successive ones agree.
+    # alternate 2, 0.5, 2, ... and no two successive ones agree.  The last
+    # ratio would read 2 or 0.5 by the parity of PROBE_STEPS; the mean growth
+    # over the second half of the steps reads the swap's spectral radius, 1.
     def swap(x, out):
         out[:] = 0.0
         out[2], out[1] = 2.0 * x[1], 0.5 * x[2]
@@ -758,15 +776,15 @@ def test_probe_that_never_agrees_stops_at_probe_steps():
     off = np.array([False, True, True, False])
     growth, steps, _ = _off_lattice_growth(swap, off, np.array([0.0, 1.0, 0.0, 0.0]))
     assert steps == PROBE_STEPS
-    assert growth == pytest.approx(2.0 if PROBE_STEPS % 2 else 0.5)
+    assert growth == pytest.approx(1.0)
 
 
 def test_probe_carries_its_vector_along_a_chain():
-    # A probe's first solve is the seeded one, bit for bit; the solves after
-    # it start from the vector the last probe left, whatever their lattice
-    # (bins 4087, 4086 and 4088 against pump bin 12261: strides 4087, 3 and
-    # 1), and stop early from the third point on.  Seeded, 8 steps read
-    # 0.859 at the first point against a 300-step rate of 0.769.
+    # A probe's first solve starts from the comb, as a lone solve's does (its
+    # lattice, of unit 4087, is a stride lattice); the solves after it start
+    # from the vector the last probe left, whatever their lattice (bins 4087,
+    # 4086 and 4088 against pump bin 12261: strides 4087, 3 and 1), and stop
+    # early from the third point on.
     row, bias, stim = _probe_case(0.1)
     cold = iterate(row, bias, stim)
     probe, warm, states = Probe(), None, []
@@ -774,12 +792,13 @@ def test_probe_carries_its_vector_along_a_chain():
         state = iterate(row, bias, Stimulus.single(f_s, -140.0), initial=warm, probe=probe)
         warm = state.i_j
         states.append(state)
-    assert cold.probe_steps == states[0].probe_steps == PROBE_STEPS
+    assert states[0].probe_steps == cold.probe_steps
     assert states[0].off_lattice_growth == cold.off_lattice_growth
+    assert [state.lattice.alpha > 0 for state in states] == [False, True, True, True]
     assert all(state.converged for state in states)
     assert all(2 <= state.probe_steps < PROBE_STEPS for state in states[2:])
-    rate = power_iteration_growth(row, states[-1])
-    assert abs(states[-1].off_lattice_growth - rate) <= 1e-3 < abs(cold.off_lattice_growth - rate)
+    for state in (states[0], states[-1]):
+        assert abs(state.off_lattice_growth - power_iteration_growth(row, state)) <= 1e-3
     pump_only = iterate(row, bias, Stimulus.none(), probe=probe)
     assert pump_only.probe_steps == 0 and np.isnan(pump_only.off_lattice_growth)
 
@@ -827,14 +846,39 @@ def test_tangent_zero_pad_two_matches_zero_pad_four(default_f):
     assert error <= 2e-6 * np.sqrt(np.sum(np.abs(images[1]) ** 2))
 
 
+def test_probe_runs_at_zero_pad_2_under_a_zero_pad_1_solve(canonical_f):
+    # At zero_pad 1 the tangent's products alias; the probe runs the zero_pad
+    # 2 tangent whatever the solve's zero_pad, and reads its ratio bit for
+    # bit from the same start.
+    row = junction_row(canonical_f)
+    bias = BiasPoint(f_dc=F_DC, i_c=I_C)
+    options = SolverOptions(zero_pad=1)
+    state = iterate(row, bias, Stimulus.single(6.4e9, -140.0), options)
+    grid, m = canonical_f.grid, int(round(F_DC / canonical_f.grid.spacing))
+    assert state.lattice.unit == 50 and state.converged
+    off = ~state.lattice.covered
+    start = Comb().probe_start(row, bias, options, 50)
+    ratios = [
+        _off_lattice_growth(
+            _tangent_step(row.f_jj, state.v_j, grid.frequencies, m, bias,
+                          SolverOptions(zero_pad=zero_pad)),
+            off, start,
+        )[0]
+        for zero_pad in (2, 1)
+    ]
+    assert state.off_lattice_growth == ratios[0] != ratios[1]
+
+
 @pytest.mark.parametrize(
     "f_s, stride, alpha", [(5.025e9, 75, 0), (5.12e9, 160, 0), (6.024e9, 24, 17)],
     ids=["odd", "even", "embedded"],
 )
 def test_coset_probe_matches_full_grid_tangent(default_f, f_s, stride, alpha):
     # The probe's coset step against the full-grid tangent at zero_pad 2,
-    # step by step from the seeded start: the growth ratios agree to 1e-6
-    # relative (measured 1.1e-9 to 1.4e-9), and the last is the state's.
+    # step by step from the probe's start (the comb's on a stride lattice,
+    # the seeded one on an embedded lattice): the growth ratios agree to 1e-6
+    # relative (measured 1.1e-9 to 1.4e-9), and the probe's last is the
+    # state's.
     row = junction_row(default_f)
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
     state = iterate(row, bias, Stimulus.single(f_s, -140.0))
@@ -846,8 +890,11 @@ def test_coset_probe_matches_full_grid_tangent(default_f, f_s, stride, alpha):
     coset = Probe().tangent(row, m, bias, lattice, state.v_j, off, options)
     assert coset.__qualname__.startswith("_Cosets.tangent")
     full = _tangent_step(row.f_jj, state.v_j, DEFAULT_GRID.frequencies, m, bias, options)
-    re, im = np.random.default_rng(PROBE_SEED).standard_normal((2, n))
-    start = np.where(off, re + 1j * im, 0.0)
+    if alpha:
+        re, im = np.random.default_rng(PROBE_SEED).standard_normal((2, n))
+        start = np.where(off, re + 1j * im, 0.0)
+    else:
+        start = np.where(off, Comb().probe_start(row, bias, SolverOptions(), stride), 0.0)
     ratios = []
     for step in (coset, full):
         x, row_ratios = start / np.sqrt(np.sum(np.abs(start) ** 2)), []
@@ -857,14 +904,15 @@ def test_coset_probe_matches_full_grid_tangent(default_f, f_s, stride, alpha):
             x /= row_ratios[-1]
         ratios.append(row_ratios)
     assert_allclose(ratios[0], ratios[1], rtol=1e-6, atol=0)
-    assert ratios[0][-1] == pytest.approx(state.off_lattice_growth, rel=1e-12)
+    assert state.probe_steps == (PROBE_STEPS if alpha else 2)
+    assert ratios[0][state.probe_steps - 1] == pytest.approx(state.off_lattice_growth, rel=1e-12)
 
 
 @pytest.mark.parametrize("f_s, stride", [(6.48e9, 15), (5.12e9, 10)], ids=["odd", "even"])
 @pytest.mark.parametrize("relaxation", [1.0, 0.5])
 def test_coset_tangent_matches_coset_blocks(canonical_f, f_s, stride, relaxation):
-    # The batched coset step, coset 0 included, against `_coset_blocks`'
-    # dense blocks of every coset applied to the same vector, with c(t)'s
+    # The batched coset step, coset 0 included, against the dense blocks of
+    # every coset (`_coset_blocks`) applied to the same vector, with c(t)'s
     # spectrum taken on the same L samples from a direct sum over the
     # state's harmonics.  At even s the coset r = s / 2 is its own mirror.
     grid = canonical_f.grid
@@ -882,11 +930,12 @@ def test_coset_tangent_matches_coset_blocks(canonical_f, f_s, stride, relaxation
     u = np.arange(size) / size
     phase = 2.0 * np.real(np.exp(2j * np.pi * np.outer(u, harmonics)) @ g)
     c = relaxation * I_C * np.cos(2 * np.pi * (m // stride) * u + phase)
-    members, blocks = _coset_blocks(
-        row.f_jj, grid.frequencies, stride, np.fft.fft(c) / size, relaxation, stride
+    bins, weight = _coset_layout(row.f_jj, grid.frequencies, stride)
+    blocks = _coset_blocks(
+        _harmonics(np.fft.fft(c) / size, width), bins, weight, n, relaxation, np.arange(stride)
     )
     delta = [1.0, 1j] @ np.random.default_rng(11).standard_normal((2, n))
-    plus, minus = members[:, :width], -members[:, width:]
+    plus, minus = bins, bins[-np.arange(stride) % stride]
     z = np.concatenate(
         [np.where(plus < n, delta[np.minimum(plus, n - 1)], 0.0),
          np.conjugate(np.where(minus < n, delta[np.minimum(minus, n - 1)], 0.0))],
@@ -1000,19 +1049,25 @@ def map_row():
 def _comb_tangent(row):
     # Pump bin 640 (12.8 GHz) at 200 nA on the stride-16 lattice: p = 40,
     # 128 bins, n_t = 1024, which 40 does not divide, so c(t)'s aliasing can
-    # reach across cosets.  Returns the chord, the coset blocks and the dense
+    # reach across cosets.  Returns the chord, the signed positions of each
+    # coset block, the blocks from the comb's harmonics, the blocks gathered
+    # from c's spectrum on the lattice's own time grid, and the dense
     # tangent at the comb state as delta -> A delta + B conj(delta).
     bias = BiasPoint(f_dc=12.8e9, i_c=200e-9)
     options = SolverOptions()
     lattice = Lattice.stride(MAP_GRID, 640, 16)
     n, p = lattice.size, lattice.pump
-    trip = _round_trip(lattice.frequencies, p, bias, options.zero_pad)
     comb = Comb()
-    chord = comb.chord(row, bias, options, lattice, trip)
+    chord = comb.chord(row, bias, options, lattice)
+    current, *_ = comb.solve(row, bias, options)
     f_jj = lattice.gather(row.f_jj)
-    voltage = f_jj * lattice.gather(comb._current)
-    spectrum = _comb_spectrum(voltage, bias, options, trip)
-    members, blocks = _coset_blocks(f_jj, lattice.frequencies, p, spectrum, options.relaxation)
+    voltage = f_jj * lattice.gather(Lattice.stride(MAP_GRID, 640, 640).lift(current))
+    bins, weight = _coset_layout(f_jj, lattice.frequencies, p)
+    members = np.concatenate([bins, -bins[-np.arange(p) % p]], axis=1)
+    blocks = _coset_blocks(comb._harmonics, bins, weight, n, options.relaxation, np.arange(p))
+    trip = _round_trip(lattice.frequencies, p, bias, options.zero_pad)
+    spectrum = _comb_spectrum(voltage, bias, options.relaxation, trip)
+    _, own = gathered_coset_blocks(f_jj, lattice.frequencies, p, spectrum, options.relaxation)
     tangent = _tangent_step(f_jj, voltage, lattice.frequencies, p, bias, options, trip)
     a, b = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
     for q in range(n):
@@ -1021,16 +1076,18 @@ def _comb_tangent(row):
         real = tangent(unit, np.empty(n, dtype=complex))
         imag = tangent(1j * unit, np.empty(n, dtype=complex))
         a[:, q], b[:, q] = (real - 1j * imag) / 2, (real + 1j * imag) / 2
-    return chord, members, blocks, a, b, tangent
+    return chord, members, blocks, own, a, b, tangent
 
 
 @pytest.mark.parametrize("interleaved", [False, True], ids=["single", "interleaved"])
 def test_coset_blocks_match_dense_tangent(monkeypatch, map_row, interleaved):
     # Every block entry is the dense tangent's entry to rounding (1e-12 of
     # the largest); outside the coset pairs the dense tangent holds only c's
-    # aliasing, below the same bound at zero_pad 4.
+    # aliasing, below the same bound at zero_pad 4.  The blocks from the
+    # comb's own samples are those from the lattice's time grid to 1e-14.
     monkeypatch.setattr("ictasim.solver._interleaved", lambda _: interleaved)
-    _, members, blocks, a, b, _ = _comb_tangent(map_row)
+    _, members, blocks, own, a, b, _ = _comb_tangent(map_row)
+    assert np.abs(blocks - own).max() <= 1e-14 * np.abs(own).max()
     p, width = blocks.shape[0], blocks.shape[1] // 2
     n = a.shape[0]
     scale = max(np.abs(a).max(), np.abs(b).max())
@@ -1055,7 +1112,7 @@ def test_coset_block_eigenvalues_and_inverse(map_row):
     # The blocks' eigenvalues are the dense real tangent's (to 1e-9, each
     # way), the chord's multiplier is its spectral radius, and the chord
     # inverts I - J on random vectors to 1e-10 relative.
-    chord, _, blocks, a, b, tangent = _comb_tangent(map_row)
+    chord, _, blocks, _, a, b, tangent = _comb_tangent(map_row)
     dense = np.block([[(a + b).real, -(a - b).imag], [(a + b).imag, (a - b).real]])
     exact = np.linalg.eigvals(dense)
     blockwise = np.linalg.eigvals(blocks).ravel()
@@ -1087,8 +1144,8 @@ def test_unstable_comb_leaves_the_point_to_picard(monkeypatch, map_row):
     assert state.lattice.unit == 16 and state.path == "picard"
     assert not state.converged and not oracle.converged
 
-    def capped(cls, members, blocks, n):
-        return cls(members, blocks, n, np.minimum(np.abs(np.linalg.eigvals(blocks)), 0.999))
+    def capped(cls, blocks, n):
+        return cls(blocks, n, np.minimum(np.abs(np.linalg.eigvals(blocks)), 0.999))
 
     monkeypatch.setattr(_Chord, "of", classmethod(capped))
     forced = iterate(map_row, bias, stim, options)
@@ -1115,6 +1172,30 @@ def test_chord_point_reports_its_check(map_row):
     assert abs(gain(outputs(state), 3.52e9) - gain(outputs(oracle), 3.52e9)) <= 1e-7
 
 
+@pytest.mark.parametrize(
+    "grid, f_dc, i_c, f_s",
+    [
+        ("map", 8.32e9, 200e-9, 3.52e9),
+        ("map", 8.32e9, 200e-9, 5.12e9),
+        ("map", 12.8e9, 200e-9, 6.4e9),
+        ("coarse", 12e9, 280e-9, 4.0e9),
+        ("coarse", 12e9, 300e-9, 6.4e9),
+    ],
+)
+def test_first_probe_from_the_comb_reads_the_rate(map_row, canonical_f, grid, f_dc, i_c, f_s):
+    # A lone solve on a stride lattice starts its probe from the comb's
+    # dominant off-lattice modes, and reads the rate of 300 steps of power
+    # iteration within 1e-3 in 2 steps (the seeded start read 0.74 to 0.94
+    # in 8 steps where the rates are 0.66 to 1.03).
+    row = map_row if grid == "map" else junction_row(canonical_f)
+    options = SolverOptions(max_iterations=3000)
+    state = iterate(row, BiasPoint(f_dc=f_dc, i_c=i_c), Stimulus.single(f_s, -140.0), options)
+    assert state.lattice.alpha == 0 and state.lattice.unit > 1 and state.probe_steps == 2
+    rate = power_iteration_growth(row, state, options)
+    assert abs(state.off_lattice_growth - rate) <= 1e-3
+    assert state.converged == (rate < 1.0)
+
+
 # ---------------------------------------------------------------- proven comb
 
 EMISSION_BIAS = BiasPoint(f_dc=12.261e9, i_c=100e-9)
@@ -1131,39 +1212,66 @@ def _emission_row(**edit):
 )
 def test_comb_grid_blocks_match_full_grid(resistance, rate, zero_pad, tolerance):
     # The coset blocks r <= m / 2 of the tangent at the comb state on the
-    # stride-1 lattice, built from c(t)'s spectrum on the comb's own
-    # 2 * zero_pad * 3 samples, are the full-grid blocks (8N or 4N samples) to
-    # 1e-14 relative at zero_pad 4, and to 1e-10 at zero_pad 2, where the
-    # full grid's own aliasing of c(t) shows (3e-11); their largest
-    # eigenvalue modulus is the exact off-comb rate.  Only the rates below 1
-    # within 64 steps are proven.
+    # stride-1 lattice, from the comb's harmonics on its own 2 * zero_pad * 3
+    # samples, are the full-grid blocks (8N or 4N samples) to 1e-14 relative
+    # at zero_pad 4, and to 1e-10 at zero_pad 2, where the full grid's own
+    # aliasing of c(t) shows (3e-11); their largest eigenvalue modulus is the
+    # exact off-comb rate.  Only the rates below 1 within 64 steps are
+    # proven.
     row, bias = _emission_row(bias_resistance=resistance), EMISSION_BIAS
     options = SolverOptions(zero_pad=zero_pad)
-    comb = Lattice.stride(DEFAULT_GRID, EMISSION_M, EMISSION_M)
-    current, _, converged, _ = _comb_loop(
-        row, bias, options, comb, np.zeros(comb.size, dtype=complex)
-    )
+    comb = Comb()
+    current, _, converged, _ = comb.solve(row, bias, options)
     assert converged
-    trip = _round_trip(comb.frequencies, 1, bias, options.zero_pad)
-    spectrum = _comb_spectrum(comb.gather(row.f_jj) * current, bias, options, trip)
-    assert spectrum.size == 2 * options.zero_pad * 3
     f = DEFAULT_GRID.frequencies
     half = EMISSION_M // 2 + 1
-    members, blocks = _coset_blocks(
-        row.f_jj, f, EMISSION_M, spectrum, 1.0, EMISSION_M, slice(half)
-    )
+    bins, weight = _coset_layout(row.f_jj, f, EMISSION_M)
+    blocks = _coset_blocks(comb._harmonics, bins, weight, f.size, 1.0, np.arange(half))
     # A slice of cosets, as the proof builds them, is the same slice.
-    _, tail = _coset_blocks(row.f_jj, f, EMISSION_M, spectrum, 1.0, EMISSION_M, slice(1000, half))
+    tail = _coset_blocks(comb._harmonics, bins, weight, f.size, 1.0, np.arange(1000, half))
     assert np.array_equal(tail, blocks[1000:])
+    lattice = Lattice.stride(DEFAULT_GRID, EMISSION_M, EMISSION_M)
     full = Lattice.stride(DEFAULT_GRID, EMISSION_M, 1)
     full_trip = _round_trip(full.frequencies, EMISSION_M, bias, options.zero_pad)
-    full_spectrum = _comb_spectrum(row.f_jj * comb.lift(current), bias, options, full_trip)
-    full_members, full_blocks = _coset_blocks(row.f_jj, f, EMISSION_M, full_spectrum, 1.0)
-    assert np.array_equal(members, full_members[:half])
+    full_spectrum = _comb_spectrum(row.f_jj * lattice.lift(current), bias, 1.0, full_trip)
+    _, full_blocks = gathered_coset_blocks(row.f_jj, f, EMISSION_M, full_spectrum, 1.0)
     scale = np.abs(full_blocks).max()
     assert np.abs(blocks - full_blocks[:half]).max() <= tolerance * scale
     assert np.abs(np.linalg.eigvals(blocks)).max() == pytest.approx(rate, abs=5e-5)
-    assert _comb_proven(row, bias, options, comb, current) == (rate < 0.9)
+    assert comb.proven() == (rate < 0.9)
+
+
+@pytest.mark.parametrize(
+    "grid, f_dc, i_c, options",
+    [
+        (DEFAULT_GRID, 12e9, 280e-9, SolverOptions()),
+        (DEFAULT_GRID, 12.261e9, 100e-9, SolverOptions()),
+        (MAP_GRID, 12.8e9, 200e-9, SolverOptions()),
+        (MAP_GRID, 8.32e9, 200e-9, SolverOptions(relaxation=0.7)),
+        (FrequencyGrid(16e6, 2048), 12e9, 280e-9, SolverOptions(zero_pad=2)),
+    ],
+    ids=["default-12", "default-12.261", "map-12.8", "map-8.32-relaxed", "coarse-zero-pad-2"],
+)
+def test_shared_harmonic_blocks_equal_gathered_blocks(grid, f_dc, i_c, options):
+    # Every coset block on the grid mod m, as the comb builds it (one shared
+    # harmonic matrix times each coset's column weights), is bit for bit the
+    # block gathered entry by entry from c's spectrum on the comb's samples.
+    row = junction_row(frankenstein_matrix(build_icta(IctaParams()), grid))
+    bias = BiasPoint(f_dc=f_dc, i_c=i_c)
+    m = round(f_dc / grid.spacing)
+    comb = Comb()
+    current, _, converged, _ = comb.solve(row, bias, options)
+    assert converged
+    lattice = Lattice.stride(grid, m, m)
+    trip = _round_trip(lattice.frequencies, 1, bias, max(options.zero_pad, 2))
+    spectrum = _comb_spectrum(lattice.gather(row.f_jj) * current, bias, options.relaxation, trip)
+    _, gathered = gathered_coset_blocks(
+        row.f_jj, grid.frequencies, m, spectrum, options.relaxation, m
+    )
+    bins, weight = _coset_layout(row.f_jj, grid.frequencies, m)
+    blocks = _coset_blocks(comb._harmonics, bins, weight, grid.size, options.relaxation,
+                           np.arange(m))
+    assert np.array_equal(blocks, gathered)
 
 
 def test_contracts_diagonal_blocks():
