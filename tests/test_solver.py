@@ -46,7 +46,6 @@ from ictasim.solver import (
     _PLANCK,
     _Chord,
     _Cosets,
-    _comb_loop,
     _comb_spectrum,
     _contracts,
     _coset_blocks,
