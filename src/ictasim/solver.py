@@ -1019,9 +1019,9 @@ def _comb_loop(row: JunctionRow, bias: BiasPoint, options: SolverOptions, comb: 
 class Comb:
     """The Floquet-Bloch analysis of the stimulus-free pump comb that one
     warm-start chain, or one emission solve, hands to each of its `iterate`
-    calls: the state of one `_comb_loop` on `Lattice.stride(grid, m, m)` (W =
-    ceil(N / m) bins) and, where it converged, the `_harmonics` of c(t) there
-    from the comb's own 2 * zero_pad * W samples, zero_pad at least
+    calls: where one `_comb_loop` on `Lattice.stride(grid, m, m)` (W =
+    ceil(N / m) bins) converged, the `_harmonics` of c(t) at its state, from
+    the comb's own 2 * zero_pad * W samples, zero_pad at least
     PROBE_ZERO_PAD.  Coset blocks are built from them on demand: mod m on the
     grid for the emission proof (`proven`) and the probe's first start
     (`probe_start`), mod p = m / s on a stride lattice of unit s (coset r
@@ -1036,7 +1036,8 @@ class Comb:
     def solve(self, row: JunctionRow, bias: BiasPoint, options: SolverOptions,
               start: np.ndarray | None = None):
         """Runs the comb loop from comb spectrum `start` (None: cold), keeps
-        its state and returns `_comb_loop`'s."""
+        its analysis and returns `_comb_loop`'s (state, iterations,
+        converged, last largest change)."""
         grid = row.response.grid
         self._m = m = _bias_bin(bias, grid)
         comb = Lattice.stride(grid, m, m)
