@@ -36,6 +36,10 @@ on n_t = 2 * zero_pad * N points for a lattice of N bins, one full period,
 so every lattice tone is exactly periodic; products alias only from above
 zero_pad times the lattice's top frequency.
 
+Chain: a warm-start chain hands one `Chain` to each of its `iterate` calls
+(a lone solve builds its own).  It holds the chain's pump comb analysis and
+chords, and its off-lattice probe's vector and tangent tables, as below.
+
 Probe: an oscillation on grid bins a lattice does not cover cannot show on
 it, so a converged point whose lattice leaves bins out takes a few steps of
 the Picard map's tangent at its lifted state, power iteration on those bins
@@ -44,18 +48,18 @@ state on the multiples of s, c(t) is T / s periodic, so the tangent couples
 bin q only to the bins = +-q (mod s), the Floquet-Bloch split of a
 pump-periodic linearisation (Peng et al., PRX Quantum 3, 020306, 2022); the
 probe runs it coset by coset on one period T / s where that pays
-(`Probe.tangent`).  A `Probe` carries each probe's last vector to the next
-point of a warm-start chain, and a chain's first probe on a stride lattice
-of unit s > 1 starts from the comb's dominant off-lattice modes
-(`Comb.probe_start`); either stops once two successive growth ratios agree,
-or reads the mean ratio over the second half of PROBE_STEPS.  Elsewhere the
-probe starts from a seeded perturbation and reads its PROBE_STEPS-th ratio.
+(`Chain.tangent`).  `Chain.probe` picks the start: the last probe's vector,
+carried from point to point along the chain; else, on a stride lattice of
+unit s > 1, the comb's dominant off-lattice modes (`Chain.probe_start`);
+either stops once two successive growth ratios agree, or reads the mean
+ratio over the second half of PROBE_STEPS.  Else the probe starts from a
+seeded perturbation and reads its PROBE_STEPS-th ratio.
 
 Comb: the stimulus-free pump comb, solved on `Lattice.stride(grid, m, m)`,
-is analysed once per chain or emission solve (`Comb`).  Its c(t) holds only
-pump harmonics, so the tangent there splits into one small block per coset
-of a lattice's bins mod the pump: one harmonic matrix times each coset's
-weights.  Three things read the blocks:
+is analysed once per chain or emission solve (`Chain.solve`).  Its c(t)
+holds only pump harmonics, so the tangent there splits into one small block
+per coset of a lattice's bins mod the pump: one harmonic matrix times each
+coset's weights.  Three things read the blocks:
 
 - The chord.  A stimulated point on a stride lattice (unit s, pump on
   lattice bin p = m / s) first runs x <- x + P (step(x) - x) from the same
@@ -594,27 +598,25 @@ def _round_trip(frequencies: np.ndarray, m: int, bias: BiasPoint, zero_pad: int)
     return ramp, to_phase, to_current
 
 
-def _picard_step(
-    f_jj: np.ndarray,
-    drive: np.ndarray,
-    frequencies: np.ndarray,
-    m: int,
-    bias: BiasPoint,
-    options: SolverOptions,
-    trip=None,
-):
-    """One fixed-point step, current -> updated, on the lattice whose bins
-    have the physical frequencies `frequencies` (pump on bin m): the
-    junction voltage drive + f_jj * current through `_round_trip`, with
-    I_c sin(ramp + phase) between its halves.  `trip` is the `_round_trip`
-    of the same arguments when the caller holds it."""
-    n = frequencies.size
-    relaxation = options.relaxation
-    if trip is None:
-        trip = _round_trip(frequencies, m, bias, options.zero_pad)
+def _cos_phase(voltage: np.ndarray, trip) -> np.ndarray:
+    """c(t) = cos(ramp + phase of junction voltage spectrum `voltage`) at the
+    samples of `trip`, the `_round_trip` of the lattice `voltage` lies on."""
+    ramp, to_phase, _ = trip
+    c = np.empty(ramp.shape)
+    to_phase(voltage, c)
+    np.add(ramp, c, out=c)
+    np.cos(c, out=c)
+    return c
+
+
+def _picard_step(f_jj: np.ndarray, drive: np.ndarray, trip, relaxation: float):
+    """One fixed-point step, current -> updated, on the lattice of junction
+    impedance `f_jj` whose `_round_trip` is `trip`: the junction voltage
+    drive + f_jj * current through the round trip, with I_c sin(ramp +
+    phase) between its halves, under-relaxed by `relaxation`."""
     ramp, to_phase, to_current = trip
     phi = np.empty(ramp.shape)
-    v = np.empty(n, dtype=complex)
+    v = np.empty(f_jj.size, dtype=complex)
 
     def step(current: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The next iterate, written to `out`."""
@@ -633,32 +635,16 @@ def _picard_step(
     return step
 
 
-def _tangent_step(
-    f_jj: np.ndarray,
-    voltage: np.ndarray,
-    frequencies: np.ndarray,
-    m: int,
-    bias: BiasPoint,
-    options: SolverOptions,
-    trip=None,
-):
-    """The tangent of `_picard_step` at the state of junction voltage spectrum
-    `voltage`, a conversion-matrix linearisation: delta -> (1 - relaxation)
-    delta + relaxation * (spectrum of I_c c(t) times the phase samples of f_jj
-    delta), with c = cos(ramp + phase of `voltage`) computed once.  `trip` is
-    the `_round_trip` of the same arguments when the caller holds it; the
-    tangent only reads its ramp."""
-    n = frequencies.size
-    relaxation = options.relaxation
-    if trip is None:
-        trip = _round_trip(frequencies, m, bias, options.zero_pad)
-    ramp, to_phase, to_current = trip
-    c = np.empty(ramp.shape)
-    to_phase(voltage, c)
-    np.add(ramp, c, out=c)
-    np.cos(c, out=c)
-    phi = np.empty(ramp.shape)
-    v = np.empty(n, dtype=complex)
+def _tangent_step(f_jj: np.ndarray, voltage: np.ndarray, trip, relaxation: float):
+    """The tangent of `_picard_step` on the same lattice and `trip`, at the
+    state of junction voltage spectrum `voltage`, a conversion-matrix
+    linearisation: delta -> (1 - relaxation) delta + relaxation * (spectrum
+    of I_c c(t) times the phase samples of f_jj delta), with c(t) =
+    `_cos_phase` computed once."""
+    _, to_phase, to_current = trip
+    c = _cos_phase(voltage, trip)
+    phi = np.empty(c.shape)
+    v = np.empty(f_jj.size, dtype=complex)
 
     def step(delta: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The tangent's image of `delta`, written to `out`."""
@@ -689,21 +675,27 @@ def _off_start(start: np.ndarray | None, off: np.ndarray) -> np.ndarray | None:
     return x
 
 
+def _seeded(n: int) -> np.ndarray:
+    """The seeded perturbation on n bins: PROBE_SEED's standard normal real
+    and imaginary parts, not normalised."""
+    re, im = np.random.default_rng(PROBE_SEED).standard_normal((2, n))
+    return re + 1j * im
+
+
 def _off_lattice_growth(step, off: np.ndarray, start: np.ndarray | None = None):
     """Power iteration of the tangent `step` on the bins `off` (a mask: the
     grid bins off a probed lattice, or every bin of a chord's lattice):
     (growth, steps, vector), the 2-norm growth ratio on `off` (0 only when a
     step annihilated the perturbation), the number of steps and the last
-    vector.  From `start` (a carried vector, a `Comb.probe_start` or a chord's
-    mode) masked to `off`, it stops once two successive ratios agree to
+    vector.  From `start` (a carried vector, a `Chain.probe_start` or a
+    chord's mode) masked to `off`, it stops once two successive ratios agree to
     PROBE_AGREEMENT relative, or else reads the mean ratio over the second
     half of PROBE_STEPS; from a seeded unit perturbation on `off`, where
     `start` has no weight there, it reads the last of PROBE_STEPS."""
     x = _off_start(start, off)
     carried = x is not None
     if not carried:
-        re, im = np.random.default_rng(PROBE_SEED).standard_normal((2, off.size))
-        x = re + 1j * im
+        x = _seeded(off.size)
         x[~off] = 0.0
         x /= np.sqrt(np.sum(np.abs(x) ** 2))
     spare = np.empty_like(x)
@@ -799,44 +791,6 @@ class _Cosets:
         return step
 
 
-class Probe:
-    """The off-lattice probe of one warm-start chain, handed to each of its
-    `iterate` calls: `vector`, the vector the chain's last probe ended on, in
-    grid layout, which starts the next one, and the tangent's tables at the
-    chain's present lattice unit (`_Cosets`, or the full grid's
-    `_round_trip`).  Not to be shared between threads."""
-
-    def __init__(self):
-        self.vector: np.ndarray | None = None
-        self._row = self._key = self._tables = None
-
-    def tangent(self, row: JunctionRow, m: int, bias: BiasPoint, lattice: Lattice,
-                voltage: np.ndarray, off: np.ndarray, options: SolverOptions):
-        """The tangent step the probe of `lattice` (unit s) runs at the state
-        of grid junction voltage spectrum `voltage`, at PROBE_ZERO_PAD
-        whatever `options.zero_pad`: `_Cosets`' step, with coset 0 only where
-        it holds bins of `off`, or the full-grid tangent at s = 1 and where
-        COSET_SAMPLES says so.  Tables are rebuilt only when what they depend
-        on changes."""
-        grid = row.response.grid
-        s = lattice.unit
-        # COSET_SAMPLES is 5-smooth: the rows take more only when 2 zero_pad W does.
-        if (not _interleaved(grid.size)
-                or 2 * PROBE_ZERO_PAD * -(-grid.size // s) > COSET_SAMPLES):
-            s = 1
-        key = (m, bias.i_c, s)
-        if row is not self._row or key != self._key:
-            self._row, self._key, self._tables = row, key, None  # free the old tables first
-            self._tables = (
-                _Cosets(row.f_jj, grid.frequencies, m, s, PROBE_ZERO_PAD) if s > 1
-                else _round_trip(grid.frequencies, m, bias, PROBE_ZERO_PAD)
-            )
-        tables = self._tables
-        if s == 1:
-            return _tangent_step(row.f_jj, voltage, grid.frequencies, m, bias, options, tables)
-        return tables.tangent(voltage[::s], bias, options.relaxation, bool(off[::s].any()))
-
-
 def _fixed_point(step, current: np.ndarray, tol_abs: float, max_iterations: int):
     """Steps from a copy of `current` until the largest change falls below
     `tol_abs` (or is 0), is non-finite, or the budget runs out: (last
@@ -854,19 +808,6 @@ def _fixed_point(step, current: np.ndarray, tol_abs: float, max_iterations: int)
             converged = True
             break
     return current, iterations, converged, delta
-
-
-def _comb_spectrum(voltage, bias, relaxation, trip):
-    """The spectrum of relaxation * i_c * c(t), c = cos(ramp + phase of
-    `voltage`), on the time grid of `trip`, the `_round_trip` of the lattice
-    the junction voltage spectrum `voltage` lies on."""
-    ramp, to_phase, _ = trip
-    c = np.empty(ramp.shape)
-    to_phase(voltage, c)
-    np.add(ramp, c, out=c)
-    np.cos(c, out=c)
-    # Time order: the interleaved layout holds sample t = phases * q + r at [r, q].
-    return np.fft.fft(c.T.ravel()) * (relaxation * bias.i_c / c.size)
 
 
 def _coset_layout(f_jj, frequencies, p):
@@ -1006,48 +947,56 @@ def _chord(step, chord: _Chord, current: np.ndarray, tol_abs: float, max_iterati
     return None, steps, delta
 
 
-def _comb_loop(row: JunctionRow, bias: BiasPoint, options: SolverOptions, comb: Lattice,
-               start: np.ndarray):
-    """Plain Picard without a stimulus on the pump comb `comb`
-    (`Lattice.stride(grid, m, m)`) from its spectrum `start`: `_fixed_point`'s
-    (state, iterations, converged, last largest change)."""
-    zero = np.zeros(comb.size, dtype=complex)
-    step = _picard_step(comb.gather(row.f_jj), zero, comb.frequencies, 1, bias, options)
-    return _fixed_point(step, start, options.tolerance * bias.i_c, options.max_iterations)
+class Chain:
+    """What one warm-start chain, or one lone solve, carries from each of its
+    `iterate` calls to the next: the pump comb's Floquet-Bloch analysis, the
+    chords built from it, and the off-lattice probe's vector and tangent
+    tables.  Not to be shared between threads.
 
+    The comb: where one plain Picard loop without a stimulus on
+    `Lattice.stride(grid, m, m)` (W = ceil(N / m) bins) converged (`solve`),
+    the `_harmonics` of c(t) at its state, from the comb's own 2 * zero_pad *
+    W samples, zero_pad at least PROBE_ZERO_PAD.  Coset blocks are built from
+    them on demand: mod m on the grid for the emission proof (`proven`) and
+    the probe's first start (`probe_start`), mod p = m / s on a stride
+    lattice of unit s (coset r holds the grid bins s r + m j) for its chord
+    (`chord`).  A chain solves its comb cold at its first point that needs
+    it, and again only when the row, bias or options change.
 
-class Comb:
-    """The Floquet-Bloch analysis of the stimulus-free pump comb that one
-    warm-start chain, or one emission solve, hands to each of its `iterate`
-    calls: where one `_comb_loop` on `Lattice.stride(grid, m, m)` (W =
-    ceil(N / m) bins) converged, the `_harmonics` of c(t) at its state, from
-    the comb's own 2 * zero_pad * W samples, zero_pad at least
-    PROBE_ZERO_PAD.  Coset blocks are built from them on demand: mod m on the
-    grid for the emission proof (`proven`) and the probe's first start
-    (`probe_start`), mod p = m / s on a stride lattice of unit s (coset r
-    holds the grid bins s r + m j) for its chord (`chord`).  A chain solves
-    its comb cold at its first point that needs it, and again only when the
-    row, bias or options change.  Not to be shared between threads."""
+    The probe (`probe`): `vector`, the vector the chain's last probe ended
+    on, in grid layout, starts the next one, and the tangent's tables
+    (`_Cosets`, or the full grid's `_round_trip`) serve every probe at one
+    lattice unit; they are freed when the unit changes."""
 
     def __init__(self):
+        self.vector: np.ndarray | None = None
         self._row = self._key = self._harmonics = None
         self._chords: dict[int, _Chord | None] = {}
+        self._table_row = self._table_key = self._tables = None
 
     def solve(self, row: JunctionRow, bias: BiasPoint, options: SolverOptions,
               start: np.ndarray | None = None):
-        """Runs the comb loop from comb spectrum `start` (None: cold), keeps
-        its analysis and returns `_comb_loop`'s (state, iterations,
-        converged, last largest change)."""
+        """Plain Picard without a stimulus on the pump comb from comb
+        spectrum `start` (None: cold), whose analysis it keeps: `_fixed_point`'s
+        (state, iterations, converged, last largest change).  At zero_pad >=
+        PROBE_ZERO_PAD one round trip serves the loop and c(t)."""
         grid = row.response.grid
         self._m = m = _bias_bin(bias, grid)
         comb = Lattice.stride(grid, m, m)
-        start = np.zeros(comb.size, dtype=complex) if start is None else start
         self._row, self._key, self._chords, self._harmonics = row, (bias, options), {}, None
-        current, count, converged, delta = _comb_loop(row, bias, options, comb, start)
+        f_jj = comb.gather(row.f_jj)
+        trip = _round_trip(comb.frequencies, 1, bias, options.zero_pad)
+        step = _picard_step(f_jj, np.zeros(comb.size, dtype=complex), trip, options.relaxation)
+        start = np.zeros(comb.size, dtype=complex) if start is None else start
+        current, count, converged, delta = _fixed_point(
+            step, start, options.tolerance * bias.i_c, options.max_iterations
+        )
         if converged:
-            trip = _round_trip(comb.frequencies, 1, bias, max(options.zero_pad, PROBE_ZERO_PAD))
-            voltage = comb.gather(row.f_jj) * current
-            spectrum = _comb_spectrum(voltage, bias, options.relaxation, trip)
+            if options.zero_pad < PROBE_ZERO_PAD:
+                trip = _round_trip(comb.frequencies, 1, bias, PROBE_ZERO_PAD)
+            c = _cos_phase(f_jj * current, trip)
+            # Time order: the interleaved layout holds sample t = phases * q + r at [r, q].
+            spectrum = np.fft.fft(c.T.ravel()) * (options.relaxation * bias.i_c / c.size)
             self._harmonics = _harmonics(spectrum, comb.size)
         return current, count, converged, delta
 
@@ -1120,13 +1069,52 @@ class Comb:
         largest = max(modulus for modulus, _ in modes)
         if not largest > 0.0:
             return None
-        re, im = np.random.default_rng(PROBE_SEED).standard_normal((2, grid.size))
-        start = (re + 1j * im) * (PROBE_SEED_WEIGHT / np.sqrt(np.sum(re**2 + im**2)))
+        seed = _seeded(grid.size)
+        start = seed * (PROBE_SEED_WEIGHT / np.sqrt(np.sum(seed.real**2 + seed.imag**2)))
         for modulus, mode in modes:
             norm = np.sqrt(np.sum(np.abs(mode) ** 2))  # 0 where a self-mirror half cancels
             if norm > 0.0:
                 start += (modulus / largest) ** PROBE_STEPS / norm * mode[: grid.size]
         return start
+
+    def tangent(self, row: JunctionRow, m: int, bias: BiasPoint, lattice: Lattice,
+                voltage: np.ndarray, off: np.ndarray, options: SolverOptions):
+        """The tangent step the probe of `lattice` (unit s) runs at the state
+        of grid junction voltage spectrum `voltage`, at PROBE_ZERO_PAD
+        whatever `options.zero_pad`: `_Cosets`' step, with coset 0 only where
+        it holds bins of `off`, or the full-grid tangent at s = 1 and where
+        COSET_SAMPLES says so.  Tables are rebuilt only when what they depend
+        on changes."""
+        grid = row.response.grid
+        s = lattice.unit
+        # COSET_SAMPLES is 5-smooth: the rows take more only when 2 zero_pad W does.
+        if (not _interleaved(grid.size)
+                or 2 * PROBE_ZERO_PAD * -(-grid.size // s) > COSET_SAMPLES):
+            s = 1
+        key = (m, bias.i_c, s)
+        if row is not self._table_row or key != self._table_key:
+            self._table_row, self._table_key, self._tables = row, key, None  # free the old first
+            self._tables = (
+                _Cosets(row.f_jj, grid.frequencies, m, s, PROBE_ZERO_PAD) if s > 1
+                else _round_trip(grid.frequencies, m, bias, PROBE_ZERO_PAD)
+            )
+        if s == 1:
+            return _tangent_step(row.f_jj, voltage, self._tables, options.relaxation)
+        return self._tables.tangent(voltage[::s], bias, options.relaxation, bool(off[::s].any()))
+
+    def probe(self, row: JunctionRow, m: int, bias: BiasPoint, lattice: Lattice,
+              voltage: np.ndarray, off: np.ndarray, options: SolverOptions):
+        """The off-lattice probe of `lattice` at the state of grid junction
+        voltage spectrum `voltage`: `_off_lattice_growth`'s (growth, steps)
+        on the bins `off` under `tangent`, from the carried `vector`, else, on
+        a stride lattice of unit s > 1, from `probe_start`, else from the
+        seeded perturbation.  Its last vector is carried on."""
+        tangent = self.tangent(row, m, bias, lattice, voltage, off, options)
+        first = self.vector
+        if _off_start(first, off) is None and lattice.alpha == 0 and lattice.unit > 1:
+            first = self.probe_start(row, bias, options, lattice.unit)
+        growth, steps, self.vector = _off_lattice_growth(tangent, off, first)
+        return growth, steps
 
 
 def _lattices(grid: FrequencyGrid, m: int, tones: list[int], s: int, i_c: float,
@@ -1163,8 +1151,7 @@ def iterate(
     options: SolverOptions = SolverOptions(),
     *,
     initial: np.ndarray | None = None,
-    probe: Probe | None = None,
-    comb: Comb | None = None,
+    chain: Chain | None = None,
 ) -> SolutionState:
     """Fixed-point solution of the junction current spectrum.
 
@@ -1195,9 +1182,10 @@ def iterate(
         Warm-start junction current spectrum (grid-sized, half amplitudes);
         only its bins on each lattice are used, and a rung on which it
         already misses the tail bound is skipped.
-    probe, comb : Probe, Comb, optional
-        The off-lattice probe and the pump comb of the warm-start chain the
-        solve belongs to; without them the solve builds its own.
+    chain : Chain, optional
+        The warm-start chain the solve belongs to, which holds its pump
+        comb, chords and off-lattice probe; without it the solve builds its
+        own.
 
     Returns
     -------
@@ -1229,7 +1217,7 @@ def iterate(
     s = math.gcd(m, *tones) if tones else 1
     tol_abs = options.tolerance * bias.i_c
 
-    comb = Comb() if comb is None else comb
+    chain = Chain() if chain is None else chain
     iterations = 0
     with np.errstate(invalid="ignore", over="ignore"):  # the residual reports a blow-up
         for lattice in _lattices(grid, m, tones, s, bias.i_c, options.zero_pad, start):
@@ -1238,32 +1226,28 @@ def iterate(
             if lattice.unit != s:  # the pump comb of a stimulus-free solve
                 # An unproven comb leaves no trace: the stride-1 lattice
                 # decides as if it had been the only one.
-                current, count, converged, delta = comb.solve(row, bias, options, current)
-                if converged and comb.proven():
+                current, count, converged, delta = chain.solve(row, bias, options, current)
+                if converged and chain.proven():
                     path, iterations = "comb", count
                     break
                 continue
             if lattice.tail(current) >= TAIL_BOUND * bias.i_c:
                 continue  # the warm start already misses the bound here
             # The step (and its time-grid buffers) lives only as long as its loop.
-            f_jj, lattice_drive, frequencies = (
-                lattice.gather(row.f_jj), lattice.gather(drive), lattice.frequencies
-            )
-            trip = _round_trip(frequencies, lattice.pump, bias, options.zero_pad)
-            step = _picard_step(f_jj, lattice_drive, frequencies, lattice.pump, bias, options, trip)
-            chord = (comb.chord(row, bias, options, lattice)
+            f_jj, lattice_drive = lattice.gather(row.f_jj), lattice.gather(drive)
+            trip = _round_trip(lattice.frequencies, lattice.pump, bias, options.zero_pad)
+            step = _picard_step(f_jj, lattice_drive, trip, options.relaxation)
+            chord = (chain.chord(row, bias, options, lattice)
                      if lattice.alpha == 0 and tones and bias.i_c > 0 else None)
             if chord is not None:
                 path = "fallback"
                 solved, count, delta = _chord(step, chord, current, tol_abs, options.max_iterations)
                 iterations += count
                 if solved is None:
-                    comb.retire(lattice)
+                    chain.retire(lattice)
                 else:
-                    tangent = _tangent_step(
-                        f_jj, lattice_drive + f_jj * solved, frequencies, lattice.pump, bias,
-                        options, trip,
-                    )
+                    tangent = _tangent_step(f_jj, lattice_drive + f_jj * solved, trip,
+                                            options.relaxation)
                     check, check_steps, _ = _off_lattice_growth(
                         tangent, np.ones(lattice.size, dtype=bool), chord.mode
                     )
@@ -1290,12 +1274,7 @@ def iterate(
     off = ~lattice.covered
     # A proven comb state needs no probe: its blocks hold every grid bin.
     if converged and path != "comb" and bias.i_c > 0 and off.any():
-        probe = Probe() if probe is None else probe
-        tangent = probe.tangent(row, m, bias, lattice, v_j, off, options)
-        first = probe.vector
-        if _off_start(first, off) is None and lattice.alpha == 0 and lattice.unit > 1:
-            first = comb.probe_start(row, bias, options, lattice.unit)
-        growth, steps, probe.vector = _off_lattice_growth(tangent, off, first)
+        growth, steps = chain.probe(row, m, bias, lattice, v_j, off, options)
         converged = growth < 1.0
     return SolutionState(
         bias=bias,

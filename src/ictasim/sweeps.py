@@ -39,8 +39,7 @@ from .design import longest_run
 from .frankenstein import junction_row, wave_port
 from .solver import (
     BiasPoint,
-    Comb,
-    Probe,
+    Chain,
     SolverOptions,
     Stimulus,
     _PLANCK,
@@ -149,10 +148,12 @@ def _chain(
     Returns (gain_db, converged, balance_error, iterations) per stimulus.  An
     unconverged point (a diverged one included, with the step that blew up
     as its iterations) gets NaN gain and balance, and the next point starts
-    cold.  One `Probe` serves the chain: each off-lattice probe starts from
-    the vector the last one ended on, and all run on one set of tables,
-    freed when the chain returns.  One `Comb` serves it too: the pump comb
-    is solved and analysed once, for every chord and the first probe.
+    cold.  One `solver.Chain` serves the chain: the pump comb is solved and
+    analysed once, for every chord and the first probe; each off-lattice
+    probe after the first starts from the vector the last one ended on; and
+    all of it is freed when the chain returns.  Each point calls this
+    module's `iterate` as `iterate(row, bias, stim, options, initial=...,
+    chain=...)`, the positions `perfbench/tracer.py` reads.
     """
     row = junction_row(response)
     n = len(stimuli)
@@ -160,9 +161,9 @@ def _chain(
     converged = np.zeros(n, dtype=bool)
     balance = np.full(n, np.nan)
     iterations = np.zeros(n, dtype=int)
-    warm, probe, comb = None, Probe(), Comb()
+    warm, chain = None, Chain()
     for i, stim in enumerate(stimuli):
-        state = iterate(row, bias, stim, options, initial=warm, probe=probe, comb=comb)
+        state = iterate(row, bias, stim, options, initial=warm, chain=chain)
         iterations[i] = state.iterations
         converged[i] = state.converged
         warm = state.i_j if state.converged else None

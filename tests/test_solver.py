@@ -35,19 +35,19 @@ from ictasim.solver import (
     PROBE_SEED,
     PROBE_STEPS,
     TAIL_BOUND,
-    Comb,
+    Chain,
     Lattice,
-    Probe,
     PROOF_CHUNK_BYTES,
     PROOF_SQUARINGS,
     PROOF_WIDTH,
+    SolutionState,
     _E_CHARGE,
     _HBAR,
     _PLANCK,
     _Chord,
     _Cosets,
-    _comb_spectrum,
     _contracts,
+    _cos_phase,
     _coset_blocks,
     _coset_layout,
     _harmonics,
@@ -69,6 +69,7 @@ from oracles import (
     time_samples,
     to_spectrum,
     to_time,
+    tone_drive,
 )
 
 F_DC = 12e9
@@ -148,7 +149,8 @@ def test_phase_update_integrates_voltage():
     v0, k = 4e-7, 12
     v[k] = 0.5 * v0
     options = SolverOptions()
-    step = _picard_step(np.zeros(256, dtype=complex), v, grid.frequencies, 64, bias, options)
+    trip = _round_trip(grid.frequencies, 64, bias, options.zero_pad)
+    step = _picard_step(np.zeros(256, dtype=complex), v, trip, options.relaxation)
     t = time_samples(grid, options.zero_pad)
     w = 2 * np.pi * grid.frequencies[k]
     phi = 2 * np.pi * bias.f_dc * t + (2 * E_CHARGE / HBAR) * v0 * np.sin(w * t) / w
@@ -547,18 +549,18 @@ def default_f():
 
 def _nonlinear_probe(row, state):
     """`nonlinear_off_lattice_growth` from the start of the state's probe,
-    for as many steps: the comb's (`Comb.probe_start`) on a stride lattice
+    for as many steps: the comb's (`Chain.probe_start`) on a stride lattice
     of unit s > 1 whose comb converged, the seeded one elsewhere."""
     start = None
     if state.lattice.alpha == 0 and state.lattice.unit > 1:
-        start = Comb().probe_start(row, state.bias, SolverOptions(), state.lattice.unit)
+        start = Chain().probe_start(row, state.bias, SolverOptions(), state.lattice.unit)
     return nonlinear_off_lattice_growth(row, state, start=start, steps=state.probe_steps)
 
 
 @pytest.fixture
 def no_chord(monkeypatch):
     """Plain Picard on every lattice: no chord applies."""
-    monkeypatch.setattr(Comb, "chord", lambda *args: None)
+    monkeypatch.setattr(Chain, "chord", lambda *args: None)
 
 
 @pytest.mark.parametrize(
@@ -786,9 +788,9 @@ def test_probe_carries_its_vector_along_a_chain():
     # early from the third point on.
     row, bias, stim = _probe_case(0.1)
     cold = iterate(row, bias, stim)
-    probe, warm, states = Probe(), None, []
+    chain, warm, states = Chain(), None, []
     for f_s in (4.087e9, 4.086e9, 4.088e9, 4.089e9):
-        state = iterate(row, bias, Stimulus.single(f_s, -140.0), initial=warm, probe=probe)
+        state = iterate(row, bias, Stimulus.single(f_s, -140.0), initial=warm, chain=chain)
         warm = state.i_j
         states.append(state)
     assert states[0].probe_steps == cold.probe_steps
@@ -798,7 +800,7 @@ def test_probe_carries_its_vector_along_a_chain():
     assert all(2 <= state.probe_steps < PROBE_STEPS for state in states[2:])
     for state in (states[0], states[-1]):
         assert abs(state.off_lattice_growth - power_iteration_growth(row, state)) <= 1e-3
-    pump_only = iterate(row, bias, Stimulus.none(), probe=probe)
+    pump_only = iterate(row, bias, Stimulus.none(), chain=chain)
     assert pump_only.probe_steps == 0 and np.isnan(pump_only.off_lattice_growth)
 
 
@@ -816,8 +818,9 @@ def test_tangent_step_matches_central_difference(monkeypatch, interleaved, relax
     bias = BiasPoint(f_dc=m * 1e6, i_c=I_C)
     options = SolverOptions(zero_pad=2, relaxation=relaxation)
     frequencies = 1e6 * np.arange(n)
-    step = _picard_step(f_jj, drive, frequencies, m, bias, options)
-    tangent = _tangent_step(f_jj, drive + f_jj * x, frequencies, m, bias, options)
+    trip = _round_trip(frequencies, m, bias, options.zero_pad)
+    step = _picard_step(f_jj, drive, trip, relaxation)
+    tangent = _tangent_step(f_jj, drive + f_jj * x, trip, relaxation)
     image = tangent(d, np.empty(n, dtype=complex))
     forward, backward = (step(x + sign * eps * d, np.empty(n, dtype=complex)) for sign in (1, -1))
     difference = (forward - backward) / (2 * eps)
@@ -838,8 +841,8 @@ def test_tangent_zero_pad_two_matches_zero_pad_four(default_f):
     delta = np.where(off, re + 1j * im, 0.0)
     images = []
     for zero_pad in (2, 4):
-        options = SolverOptions(zero_pad=zero_pad)
-        tangent = _tangent_step(row.f_jj, state.v_j, DEFAULT_GRID.frequencies, m, bias, options)
+        trip = _round_trip(DEFAULT_GRID.frequencies, m, bias, zero_pad)
+        tangent = _tangent_step(row.f_jj, state.v_j, trip, 1.0)
         images.append(tangent(delta, np.empty(n, dtype=complex))[off])
     error = np.sqrt(np.sum(np.abs(images[0] - images[1]) ** 2))
     assert error <= 2e-6 * np.sqrt(np.sum(np.abs(images[1]) ** 2))
@@ -856,11 +859,11 @@ def test_probe_runs_at_zero_pad_2_under_a_zero_pad_1_solve(canonical_f):
     grid, m = canonical_f.grid, int(round(F_DC / canonical_f.grid.spacing))
     assert state.lattice.unit == 50 and state.converged
     off = ~state.lattice.covered
-    start = Comb().probe_start(row, bias, options, 50)
+    start = Chain().probe_start(row, bias, options, 50)
     ratios = [
         _off_lattice_growth(
-            _tangent_step(row.f_jj, state.v_j, grid.frequencies, m, bias,
-                          SolverOptions(zero_pad=zero_pad)),
+            _tangent_step(row.f_jj, state.v_j, _round_trip(grid.frequencies, m, bias, zero_pad),
+                          1.0),
             off, start,
         )[0]
         for zero_pad in (2, 1)
@@ -886,14 +889,15 @@ def test_coset_probe_matches_full_grid_tangent(default_f, f_s, stride, alpha):
     off = ~lattice.covered
     assert off[::stride].any() == (alpha > 0)
     options = SolverOptions(zero_pad=2)
-    coset = Probe().tangent(row, m, bias, lattice, state.v_j, off, options)
+    coset = Chain().tangent(row, m, bias, lattice, state.v_j, off, options)
     assert coset.__qualname__.startswith("_Cosets.tangent")
-    full = _tangent_step(row.f_jj, state.v_j, DEFAULT_GRID.frequencies, m, bias, options)
+    full = _tangent_step(row.f_jj, state.v_j, _round_trip(DEFAULT_GRID.frequencies, m, bias, 2),
+                         1.0)
     if alpha:
         re, im = np.random.default_rng(PROBE_SEED).standard_normal((2, n))
         start = np.where(off, re + 1j * im, 0.0)
     else:
-        start = np.where(off, Comb().probe_start(row, bias, SolverOptions(), stride), 0.0)
+        start = np.where(off, Chain().probe_start(row, bias, SolverOptions(), stride), 0.0)
     ratios = []
     for step in (coset, full):
         x, row_ratios = start / np.sqrt(np.sum(np.abs(start) ** 2)), []
@@ -1005,7 +1009,8 @@ def test_interleaved_step_matches_single_transform(monkeypatch, n, zero_pad, rel
     updated = {}
     for interleaved in (False, True):
         monkeypatch.setattr("ictasim.solver._interleaved", lambda _, chosen=interleaved: chosen)
-        step = _picard_step(0.05 * f_jj, 1e-9 * drive, frequencies, m, bias, options)
+        trip = _round_trip(frequencies, m, bias, zero_pad)
+        step = _picard_step(0.05 * f_jj, 1e-9 * drive, trip, relaxation)
         updated[interleaved] = step(0.1 * I_C * current, np.empty(n, dtype=complex))
     assert_allclose(updated[True], updated[False], rtol=0, atol=1e-15 * I_C)
 
@@ -1045,6 +1050,14 @@ def map_row():
     return junction_row(frankenstein_matrix(build_icta(IctaParams()), MAP_GRID))
 
 
+def _c_spectrum(voltage, bias, relaxation, trip):
+    """The spectrum of relaxation * i_c * c(t) on the time grid of `trip`,
+    the `_round_trip` of the lattice junction voltage `voltage` lies on."""
+    c = _cos_phase(voltage, trip)
+    # Time order: the interleaved layout holds sample t = phases * q + r at [r, q].
+    return np.fft.fft(c.T.ravel()) * (relaxation * bias.i_c / c.size)
+
+
 def _comb_tangent(row):
     # Pump bin 640 (12.8 GHz) at 200 nA on the stride-16 lattice: p = 40,
     # 128 bins, n_t = 1024, which 40 does not divide, so c(t)'s aliasing can
@@ -1056,18 +1069,18 @@ def _comb_tangent(row):
     options = SolverOptions()
     lattice = Lattice.stride(MAP_GRID, 640, 16)
     n, p = lattice.size, lattice.pump
-    comb = Comb()
-    chord = comb.chord(row, bias, options, lattice)
-    current, *_ = comb.solve(row, bias, options)
+    chain = Chain()
+    chord = chain.chord(row, bias, options, lattice)
+    current, *_ = chain.solve(row, bias, options)
     f_jj = lattice.gather(row.f_jj)
     voltage = f_jj * lattice.gather(Lattice.stride(MAP_GRID, 640, 640).lift(current))
     bins, weight = _coset_layout(f_jj, lattice.frequencies, p)
     members = np.concatenate([bins, -bins[-np.arange(p) % p]], axis=1)
-    blocks = _coset_blocks(comb._harmonics, bins, weight, n, options.relaxation, np.arange(p))
+    blocks = _coset_blocks(chain._harmonics, bins, weight, n, options.relaxation, np.arange(p))
     trip = _round_trip(lattice.frequencies, p, bias, options.zero_pad)
-    spectrum = _comb_spectrum(voltage, bias, options.relaxation, trip)
+    spectrum = _c_spectrum(voltage, bias, options.relaxation, trip)
     _, own = gathered_coset_blocks(f_jj, lattice.frequencies, p, spectrum, options.relaxation)
-    tangent = _tangent_step(f_jj, voltage, lattice.frequencies, p, bias, options, trip)
+    tangent = _tangent_step(f_jj, voltage, trip, options.relaxation)
     a, b = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
     for q in range(n):
         unit = np.zeros(n, dtype=complex)
@@ -1195,6 +1208,48 @@ def test_first_probe_from_the_comb_reads_the_rate(map_row, canonical_f, grid, f_
     assert state.converged == (rate < 1.0)
 
 
+@pytest.mark.parametrize("f_dc", [12.8e9, 10.24e9])
+@pytest.mark.parametrize("f_s", [4.8e9, 5.6e9])
+def test_zero_power_gain_from_the_chord(map_row, f_dc, f_s):
+    # The small-signal limit at a stable comb: delta x = P (T d), with P =
+    # (I - J_comb)^-1 the chord's inverse, T the tangent with respect to the
+    # junction voltage (f_jj -> 1) at the comb state and d the tone's
+    # gathered drive; the gain is read from the comb state plus delta x.
+    # Plain Picard over every grid bin approaches it as the input power
+    # falls: the gap shrinks 10-fold per 10 dB (at 12.8 and 4.8 GHz it reads
+    # -3.5336e-4, -3.5337e-5 and -3.5286e-6 dB at -140, -150 and -160 dBm).
+    # At 3.2 GHz the gap, at most 2e-7 dB, sits at the solver's floor.
+    bias, options = BiasPoint(f_dc=f_dc, i_c=200e-9), SolverOptions()
+    m, k = round(f_dc / MAP_GRID.spacing), round(f_s / MAP_GRID.spacing)
+    lattice = Lattice.stride(MAP_GRID, m, math.gcd(m, k))
+    chain = Chain()
+    chord = chain.chord(map_row, bias, options, lattice)
+    assert chord is not None
+    comb, *_ = chain.solve(map_row, bias, options)
+    x = lattice.gather(Lattice.stride(MAP_GRID, m, m).lift(comb))
+    trip = _round_trip(lattice.frequencies, lattice.pump, bias, options.zero_pad)
+    tangent = _tangent_step(np.ones(lattice.size, dtype=complex),
+                            lattice.gather(map_row.f_jj) * x, trip, options.relaxation)
+    stim = Stimulus.single(f_s, -140.0)
+    drive = tone_drive(map_row.response, stim)
+    delta = np.zeros(lattice.size, dtype=complex)
+    chord.apply(tangent(lattice.gather(drive), np.empty(lattice.size, dtype=complex)), delta)
+    i_j = lattice.lift(x + delta)
+    linear = SolutionState(
+        bias=bias, stimulus=stim, response=map_row.response, zero_pad=options.zero_pad,
+        i_j=i_j, v_j=drive + map_row.f_jj * i_j, iterations=0, converged=True,
+        residual=0.0, lattice=lattice, tail=math.nan, off_lattice_growth=math.nan,
+    )
+    zero_power = gain(outputs(linear), f_s)
+    gaps = []
+    for power in (-140.0, -150.0, -160.0):
+        state = plain_iterate(map_row, bias, Stimulus.single(f_s, power), options)
+        assert state.converged
+        gaps.append(gain(outputs(state), f_s) - zero_power)
+    assert gaps[0] / gaps[1] == pytest.approx(10.0, rel=0.01)
+    assert abs(gaps[2]) < 2e-5
+
+
 # ---------------------------------------------------------------- proven comb
 
 EMISSION_BIAS = BiasPoint(f_dc=12.261e9, i_c=100e-9)
@@ -1219,25 +1274,25 @@ def test_comb_grid_blocks_match_full_grid(resistance, rate, zero_pad, tolerance)
     # proven.
     row, bias = _emission_row(bias_resistance=resistance), EMISSION_BIAS
     options = SolverOptions(zero_pad=zero_pad)
-    comb = Comb()
-    current, _, converged, _ = comb.solve(row, bias, options)
+    chain = Chain()
+    current, _, converged, _ = chain.solve(row, bias, options)
     assert converged
     f = DEFAULT_GRID.frequencies
     half = EMISSION_M // 2 + 1
     bins, weight = _coset_layout(row.f_jj, f, EMISSION_M)
-    blocks = _coset_blocks(comb._harmonics, bins, weight, f.size, 1.0, np.arange(half))
+    blocks = _coset_blocks(chain._harmonics, bins, weight, f.size, 1.0, np.arange(half))
     # A slice of cosets, as the proof builds them, is the same slice.
-    tail = _coset_blocks(comb._harmonics, bins, weight, f.size, 1.0, np.arange(1000, half))
+    tail = _coset_blocks(chain._harmonics, bins, weight, f.size, 1.0, np.arange(1000, half))
     assert np.array_equal(tail, blocks[1000:])
     lattice = Lattice.stride(DEFAULT_GRID, EMISSION_M, EMISSION_M)
     full = Lattice.stride(DEFAULT_GRID, EMISSION_M, 1)
     full_trip = _round_trip(full.frequencies, EMISSION_M, bias, options.zero_pad)
-    full_spectrum = _comb_spectrum(row.f_jj * lattice.lift(current), bias, 1.0, full_trip)
+    full_spectrum = _c_spectrum(row.f_jj * lattice.lift(current), bias, 1.0, full_trip)
     _, full_blocks = gathered_coset_blocks(row.f_jj, f, EMISSION_M, full_spectrum, 1.0)
     scale = np.abs(full_blocks).max()
     assert np.abs(blocks - full_blocks[:half]).max() <= tolerance * scale
     assert np.abs(np.linalg.eigvals(blocks)).max() == pytest.approx(rate, abs=5e-5)
-    assert comb.proven() == (rate < 0.9)
+    assert chain.proven() == (rate < 0.9)
 
 
 @pytest.mark.parametrize(
@@ -1258,17 +1313,17 @@ def test_shared_harmonic_blocks_equal_gathered_blocks(grid, f_dc, i_c, options):
     row = junction_row(frankenstein_matrix(build_icta(IctaParams()), grid))
     bias = BiasPoint(f_dc=f_dc, i_c=i_c)
     m = round(f_dc / grid.spacing)
-    comb = Comb()
-    current, _, converged, _ = comb.solve(row, bias, options)
+    chain = Chain()
+    current, _, converged, _ = chain.solve(row, bias, options)
     assert converged
     lattice = Lattice.stride(grid, m, m)
     trip = _round_trip(lattice.frequencies, 1, bias, max(options.zero_pad, 2))
-    spectrum = _comb_spectrum(lattice.gather(row.f_jj) * current, bias, options.relaxation, trip)
+    spectrum = _c_spectrum(lattice.gather(row.f_jj) * current, bias, options.relaxation, trip)
     _, gathered = gathered_coset_blocks(
         row.f_jj, grid.frequencies, m, spectrum, options.relaxation, m
     )
     bins, weight = _coset_layout(row.f_jj, grid.frequencies, m)
-    blocks = _coset_blocks(comb._harmonics, bins, weight, grid.size, options.relaxation,
+    blocks = _coset_blocks(chain._harmonics, bins, weight, grid.size, options.relaxation,
                            np.arange(m))
     assert np.array_equal(blocks, gathered)
 

@@ -11,7 +11,15 @@ from scipy.optimize import brentq
 from ictasim import solver, sweeps
 from ictasim.circuit import DEFAULT_GRID, FrequencyGrid, IctaParams, build_icta, frankenstein_matrix
 from ictasim.frankenstein import PortKind, junction_row
-from ictasim.solver import PROBE_STEPS, PROBE_ZERO_PAD, BiasPoint, Stimulus, _picard_step, iterate
+from ictasim.solver import (
+    PROBE_STEPS,
+    PROBE_ZERO_PAD,
+    BiasPoint,
+    Stimulus,
+    _picard_step,
+    _round_trip,
+    iterate,
+)
 from ictasim.sweeps import (
     CompressionCurve,
     FitFailedError,
@@ -444,24 +452,37 @@ def test_chain_builds_the_probe_tables_once(monkeypatch, canonical_f):
 
 
 def test_chain_masks_match_long_power_iteration(monkeypatch, canonical_f):
-    # A profile, and a map whose 300 nA row runs through unstable cells:
-    # every probe's verdict, each chain's first (from the comb) included, is
-    # that of 300 steps of power iteration.
+    # A profile, a map whose 300 nA row runs through unstable cells, and two
+    # compression chains at -135 to -100 dBm: every probe's verdict, each
+    # chain's first (from the comb) included, is that of 300 steps of power
+    # iteration.  The chain at 300 nA and 4.0 GHz goes from masked to
+    # converged between -115 and -110 dBm, where the oracle reads 1.0133 and
+    # 0.9912.
     states = _recorded_states(monkeypatch)
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
     signal = np.arange(4.0e9, 7.5e9, 0.48e9)
     profile = gain_profile(canonical_f, bias, signal, options=FAST)
     gmap = gain_map_ic(canonical_f, signal, [200e-9, 300e-9], F_DC, options=FAST)
-    assert [state.converged for state in states] == [*profile.converged, *gmap.converged.ravel()]
+    curves = [
+        compression_sweep(canonical_f, BiasPoint(f_dc=F_DC, i_c=i_c), f_s,
+                          np.linspace(-135.0, -100.0, 8), options=FAST)
+        for i_c, f_s in ((300e-9, 4.0e9), (280e-9, 4.8e9))
+    ]
+    chains = [profile.converged, gmap.converged, *(curve.converged for curve in curves)]
+    assert [state.converged for state in states] == np.concatenate(chains, axis=None).tolist()
+    assert curves[0].converged.ravel().tolist() == [False] * 5 + [True] * 3
     row = junction_row(canonical_f)
-    carried, verdicts = [], []
-    for start in range(0, len(states), signal.size):
-        probed = [state for state in states[start : start + signal.size] if state.probe_steps]
-        for state in probed:
-            carried.append(state.converged)
-            verdicts.append(power_iteration_growth(row, state, FAST) < 1.0)
-    assert carried == verdicts
+    probed = [state for state in states if state.probe_steps]
+    verdicts = [power_iteration_growth(row, state, FAST) < 1.0 for state in probed]
+    assert [state.converged for state in probed] == verdicts
     assert True in verdicts and False in verdicts
+    # The oracle has settled at 300 steps: at 280 nA, 4.8 GHz and -100 dBm
+    # its mean reads 0.761 against 0.790 over 1000 steps (a last single
+    # ratio read 0.894).
+    last = states[-1]
+    assert last.stimulus.tones[0].power_dbm == -100.0 and last.bias.i_c == 280e-9
+    settled = power_iteration_growth(row, last, FAST, steps=1000)
+    assert abs(power_iteration_growth(row, last, FAST) - settled) <= 0.05
 
 
 def test_seeded_probe_misjudges_near_threshold(monkeypatch, canonical_f):
@@ -471,13 +492,13 @@ def test_seeded_probe_misjudges_near_threshold(monkeypatch, canonical_f):
     # chain on a stride lattice starts from the comb's dominant off-lattice
     # modes instead, and masks it.
     starts = []
-    real_start = solver.Comb.probe_start
+    real_start = solver.Chain.probe_start
 
     def spy(*args):
         starts.append(real_start(*args))
         return starts[-1]
 
-    monkeypatch.setattr(solver.Comb, "probe_start", spy)
+    monkeypatch.setattr(solver.Chain, "probe_start", spy)
     row = junction_row(canonical_f)
     state = iterate(row, BiasPoint(f_dc=F_DC, i_c=300e-9), Stimulus.single(4.0e9, -140.0), FAST)
     assert len(starts) == 1 and starts[0] is not None
@@ -485,6 +506,42 @@ def test_seeded_probe_misjudges_near_threshold(monkeypatch, canonical_f):
     rate = power_iteration_growth(row, state, FAST)
     assert abs(state.off_lattice_growth - rate) <= 1e-3
     assert state.converged == (rate < 1.0)
+
+
+def test_sweeps_call_iterate_as_the_tracer_reads_it(monkeypatch, canonical_f):
+    # perfbench/tracer.py wraps `sweeps.iterate` and reads each call's bias
+    # (args[1]), stimulus (args[2]) and warm start (kwargs["initial"]).  A
+    # chain passes `initial=` at every point: the last state's i_j after a
+    # converged point, None at its first point and after an unconverged one
+    # (the 300 nA compression chain is masked up to -115 dBm).  The emission
+    # solve passes none.
+    calls = []
+    real_iterate = sweeps.iterate
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs, real_iterate(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(sweeps, "iterate", spy)
+    bias = BiasPoint(f_dc=F_DC, i_c=I_C)
+    gain_profile(canonical_f, bias, np.arange(4.8e9, 7.2e9, 0.32e9), options=FAST)
+    compression_sweep(canonical_f, BiasPoint(f_dc=F_DC, i_c=300e-9), 4.0e9,
+                      np.linspace(-135.0, -100.0, 8), options=FAST)
+    chains = [calls[:8], calls[8:]]
+    pump_emission(canonical_f, bias, options=FAST)
+    assert len(calls) == 17
+    for args, kwargs, _ in calls:
+        assert isinstance(args[1], BiasPoint) and isinstance(args[2], Stimulus)
+    assert "initial" not in calls[-1][1]
+    warm = []
+    for chain in chains:
+        before = None
+        for _, kwargs, state in chain:
+            expected = before.i_j if before is not None and before.converged else None
+            assert kwargs["initial"] is expected
+            warm.append(expected is not None)
+            before = state
+    assert True in warm[8:] and False in warm[9:]
 
 
 # ---------------------------------------------------------------- chain chords
@@ -535,7 +592,7 @@ def test_compression_past_p1db_keeps_plain_picard_bits(monkeypatch):
     states = _recorded_states(monkeypatch)
     with_chord = sweeps._chain(response, bias, stimuli, options)
     chord_states = list(states)
-    monkeypatch.setattr(solver.Comb, "chord", lambda *args: None)
+    monkeypatch.setattr(solver.Chain, "chord", lambda *args: None)
     states.clear()
     without = sweeps._chain(response, bias, stimuli, options)
     assert [state.path for state in chord_states] == ["fallback"] + ["picard"] * 7
@@ -716,7 +773,8 @@ def test_emission_stable_below_instability_threshold():
     noise = np.where(off, rng.standard_normal(off.size) + 1j * rng.standard_normal(off.size), 0)
     x = state.i_j + noise * 1e-9 * bias.i_c / np.sqrt(np.sum(np.abs(noise) ** 2))
     drive = np.zeros(DEFAULT_GRID.size, dtype=complex)
-    step = _picard_step(row.f_jj, drive, DEFAULT_GRID.frequencies, m, bias, SolverOptions())
+    trip = _round_trip(DEFAULT_GRID.frequencies, m, bias, SolverOptions().zero_pad)
+    step = _picard_step(row.f_jj, drive, trip, 1.0)
     for _ in range(200):
         before = np.sum(np.abs(x[off]) ** 2)
         x = step(x, np.empty_like(x))
