@@ -688,10 +688,11 @@ def _off_lattice_growth(step, off: np.ndarray, start: np.ndarray | None = None):
     (growth, steps, vector), the 2-norm growth ratio on `off` (0 only when a
     step annihilated the perturbation), the number of steps and the last
     vector.  From `start` (a carried vector, a `Chain.probe_start` or a
-    chord's mode) masked to `off`, it stops once two successive ratios agree to
-    PROBE_AGREEMENT relative, or else reads the mean ratio over the second
-    half of PROBE_STEPS; from a seeded unit perturbation on `off`, where
-    `start` has no weight there, it reads the last of PROBE_STEPS."""
+    chord's mode) masked to `off`, it stops once two successive ratios agree
+    to PROBE_AGREEMENT relative, or else reads the mean ratio over the
+    second half of PROBE_STEPS; from a seeded unit perturbation on `off`
+    (`_seeded`), where `start` has no weight there, it reads the last of
+    PROBE_STEPS."""
     x = _off_start(start, off)
     carried = x is not None
     if not carried:
@@ -977,9 +978,10 @@ class Chain:
     def solve(self, row: JunctionRow, bias: BiasPoint, options: SolverOptions,
               start: np.ndarray | None = None):
         """Plain Picard without a stimulus on the pump comb from comb
-        spectrum `start` (None: cold), whose analysis it keeps: `_fixed_point`'s
-        (state, iterations, converged, last largest change).  At zero_pad >=
-        PROBE_ZERO_PAD one round trip serves the loop and c(t)."""
+        spectrum `start` (None: cold), whose analysis it keeps:
+        `_fixed_point`'s (state, iterations, converged, last largest
+        change).  At zero_pad >= PROBE_ZERO_PAD one round trip serves the
+        loop and c(t)."""
         grid = row.response.grid
         self._m = m = _bias_bin(bias, grid)
         comb = Lattice.stride(grid, m, m)
@@ -1183,7 +1185,7 @@ def iterate(
         only its bins on each lattice are used, and a rung on which it
         already misses the tail bound is skipped.
     chain : Chain, optional
-        The warm-start chain the solve belongs to, which holds its pump
+        The `Chain` of the warm-start chain the solve belongs to: its pump
         comb, chords and off-lattice probe; without it the solve builds its
         own.
 
