@@ -496,10 +496,12 @@ class NetlistResponse:
     per bin on first read.
 
     `rows(bins)` builds F through `s_matrix` and `to_frankenstein` at the
-    requested bins not built yet, `BUILD_BLOCK` bins at a time, and caches
-    them; every frequency is solved on its own, so the rows are bitwise
-    those of a full build.  A lock guards the cache, so map rows on several
-    threads may share one response.
+    distinct requested bins not built yet, `BUILD_BLOCK` bins at a time, and
+    caches them; every frequency is solved on its own, so the rows are
+    bitwise those of a full build.  The cache holds the built rows alone, in
+    build order, in one array that doubles (up to the grid's size) when it
+    fills, with each bin's slot in it.  A lock guards the cache, so map rows
+    on several threads may share one response.
     `junction_impedance()` is the ladder fold `z_jj`, folded once per
     response, which agrees with F's junction diagonal to about 1e-12
     relative at a few percent of the cost of F.  F refers the wave port, the
@@ -515,8 +517,9 @@ class NetlistResponse:
         self.frequencies = grid.frequencies
         self.kinds = netlist.port_kinds
         n = len(self.kinds)
-        self._values = np.empty((self.n_freq, n, n), dtype=complex)
-        self._built = np.zeros(self.n_freq, dtype=bool)
+        self._values = np.empty((0, n, n), dtype=complex)
+        self._slot = np.full(self.n_freq, -1)  # row of `_values` per bin, -1 unbuilt
+        self._count = 0
         self._z_jj = None
         self._lock = threading.Lock()
 
@@ -532,15 +535,24 @@ class NetlistResponse:
         """F at `bins` (an index array or a slice), shape (n_bins, n_ports,
         n_ports), read-only."""
         with self._lock:
-            todo = np.arange(self.n_freq)[bins][~self._built[bins]]
+            wanted = np.arange(self.n_freq)[bins]
+            todo = np.unique(wanted[self._slot[wanted] < 0])
+            built = self._count + todo.size
+            if built > len(self._values):
+                grown = np.empty((min(max(built, 2 * len(self._values)), self.n_freq),
+                                  *self._values.shape[1:]), dtype=complex)
+                grown[: self._count] = self._values[: self._count]
+                self._values = grown
             for start in range(0, todo.size, BUILD_BLOCK):
                 block = todo[start : start + BUILD_BLOCK]
                 f = self.frequencies[block]
-                self._values[block] = to_frankenstein(
+                end = self._count + block.size
+                self._values[self._count : end] = to_frankenstein(
                     s_matrix(self.netlist, f), self.kinds, frequencies=f
                 )
-                self._built[block] = True
-            out = self._values[bins]
+                self._slot[block] = np.arange(self._count, end)
+                self._count = end
+            out = self._values[self._slot[wanted]]
         out.flags.writeable = False
         return out
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .circuit import (
+    BUILD_BLOCK,
     DEFAULT_GRID,
     FrequencyGrid,
     IctaParams,
@@ -300,15 +301,17 @@ def solve_count(config: RunConfig) -> int:
 def memory_estimate_bytes(config: RunConfig) -> int:
     """Rough peak working set.  A `zjj` or `fom` run holds only the ladder
     fold's arrays; for a nonlinear sweep this is an upper bound that counts
-    the response matrix and its nodal scratch at every bin (it is built only
-    at the bins read) plus the fold and the full-grid step's buffers."""
+    the response matrix at every bin, twice over for the copy its cache
+    makes when it grows (it holds only the bins read), the nodal scratch of
+    one `s_matrix` call of at most `BUILD_BLOCK` bins, the fold and the
+    full-grid step's buffers."""
     n = config.grid.size
     fold = 8 * n * 16  # complex num/den pairs of both folds, and z
     if solve_count(config) == 0:
         return fold
     n_ports = len(config.netlist.port_names)
-    response = n * n_ports * n_ports * 16
-    nodal = n * (n_ports + 6) ** 2 * 16  # assembly scratch
+    response = 2 * n * n_ports * n_ports * 16
+    nodal = min(n, BUILD_BLOCK) * (n_ports + 6) ** 2 * 16  # assembly scratch
     n_t = 2 * config.options.zero_pad * n  # a full-grid step's two sample arrays and two spectra
     return fold + response + nodal + 2 * n_t * 8 + 2 * (n_t // 2 + 1) * 16
 

@@ -488,11 +488,13 @@ def _bias_bin(bias: BiasPoint, grid: FrequencyGrid) -> int:
 
 
 def _ramp_phase(m: int, samples: np.ndarray, n_t: int) -> np.ndarray:
-    """Bias ramp at the integer time `samples` of an n_t-point period."""
+    """Bias ramp at the integer time `samples` of an n_t-point period, which
+    it overwrites."""
     # Exact modular arithmetic keeps the ramp periodic to machine precision
     # even for large bin * sample products.
-    idx = (m * samples) % n_t
-    return (2.0 * np.pi / n_t) * idx
+    np.multiply(m, samples, out=samples)
+    np.remainder(samples, n_t, out=samples)
+    return (2.0 * np.pi / n_t) * samples
 
 
 def _tone_entries(stim: Stimulus, grid: FrequencyGrid, kinds: Sequence) -> list[tuple]:
@@ -682,18 +684,17 @@ def _seeded(n: int) -> np.ndarray:
     return re + 1j * im
 
 
-def _off_lattice_growth(step, off: np.ndarray, start: np.ndarray | None = None):
+def _off_lattice_growth(step, off: np.ndarray, x: np.ndarray | None = None):
     """Power iteration of the tangent `step` on the bins `off` (a mask: the
     grid bins off a probed lattice, or every bin of a chord's lattice):
     (growth, steps, vector), the 2-norm growth ratio on `off` (0 only when a
     step annihilated the perturbation), the number of steps and the last
-    vector.  From `start` (a carried vector, a `Chain.probe_start` or a
-    chord's mode) masked to `off`, it stops once two successive ratios agree
-    to PROBE_AGREEMENT relative, or else reads the mean ratio over the
-    second half of PROBE_STEPS; from a seeded unit perturbation on `off`
-    (`_seeded`), where `start` has no weight there, it reads the last of
-    PROBE_STEPS."""
-    x = _off_start(start, off)
+    vector.  From `x`, the `_off_start` on `off` of a carried vector, a
+    `Chain.probe_start` or a chord's mode, which it overwrites, it stops once
+    two successive ratios agree to PROBE_AGREEMENT relative, or else reads
+    the mean ratio over the second half of PROBE_STEPS; from a seeded unit
+    perturbation on `off` (`_seeded`), where `x` is None, it reads the last
+    of PROBE_STEPS."""
     carried = x is not None
     if not carried:
         x = _seeded(off.size)
@@ -860,18 +861,23 @@ def _coset_blocks(harmonics, bins, weight, n, relaxation, cosets):
     return blocks
 
 
-def _coset_mode(block, r, p):
-    """`(modulus, vector)` of the largest eigenvalue of coset r's block mod p:
-    the eigenvector's first half on the bins r + p j of a p * W-bin lattice,
-    plus the conjugate of its second half on the bins (-r mod p) + p j."""
+def _leading(block):
+    """`(modulus, eigenvector)` of the largest eigenvalue of `block`."""
     values, vectors = np.linalg.eig(block)
     top = np.argmax(np.abs(values))
-    width = block.shape[0] // 2
+    return float(np.abs(values[top])), vectors[:, top]
+
+
+def _coset_mode(vector, r, p):
+    """The lattice vector of `vector`, an eigenvector of coset r's block mod
+    p: its first half on the bins r + p j of a p * W-bin lattice, plus the
+    conjugate of its second half on the bins (-r mod p) + p j."""
+    width = vector.size // 2
     j = p * np.arange(width)
     mode = np.zeros(p * width, dtype=complex)
-    mode[r + j] += vectors[:width, top]
-    mode[-r % p + j] += np.conjugate(vectors[width:, top])
-    return float(np.abs(values[top])), mode
+    mode[r + j] += vector[:width]
+    mode[-r % p + j] += np.conjugate(vector[width:])
+    return mode
 
 
 def _contracts(blocks: np.ndarray) -> bool:
@@ -915,7 +921,7 @@ class _Chord:
         self._inverse = np.linalg.inv(np.eye(2 * width) - blocks)[:, :width]
         r = int(np.argmax(np.max(moduli, axis=1)))
         self.multiplier = float(moduli[r].max())
-        self.mode = _coset_mode(blocks[r], r, p)[1][:n]
+        self.mode = _coset_mode(_leading(blocks[r])[1], r, p)[:n]
         self._padded = np.zeros(p * width, dtype=complex)
 
     def apply(self, residual: np.ndarray, x: np.ndarray) -> None:
@@ -1009,20 +1015,25 @@ class Chain:
             self.solve(row, bias, options)
         return self._harmonics is not None
 
-    def _grid_blocks(self, cosets: np.ndarray):
-        """The blocks of `cosets` on the grid mod m, PROOF_CHUNK_BYTES at a
-        time; a comb of at most PROOF_WIDTH bins fits one block in a chunk."""
-        row = self._row
-        bins, weight = _coset_layout(row.f_jj, row.response.grid.frequencies, self._m)
+    def _layout(self):
+        """The grid's `_coset_layout` mod m."""
+        return _coset_layout(self._row.f_jj, self._row.response.grid.frequencies, self._m)
+
+    def _grid_blocks(self, layout, cosets: np.ndarray):
+        """The blocks of `cosets` on the grid mod m, of its `layout`,
+        PROOF_CHUNK_BYTES at a time; a comb of at most PROOF_WIDTH bins fits
+        one block in a chunk."""
+        bins, weight = layout
         chunk = PROOF_CHUNK_BYTES // (16 * (2 * bins.shape[1]) ** 2)
         for lo in range(0, cosets.size, chunk):
-            yield _coset_blocks(self._harmonics, bins, weight, row.f_jj.size,
+            yield _coset_blocks(self._harmonics, bins, weight, self._row.f_jj.size,
                                 self._key[1].relaxation, cosets[lo : lo + chunk])
 
     def proven(self) -> bool:
         """Whether the comb state held is stable on the whole grid: every
         block r <= m / 2 `_contracts`, up to the first chunk that fails."""
-        return all(_contracts(blocks) for blocks in self._grid_blocks(np.arange(self._m // 2 + 1)))
+        blocks = self._grid_blocks(self._layout(), np.arange(self._m // 2 + 1))
+        return all(map(_contracts, blocks))
 
     def chord(self, row: JunctionRow, bias: BiasPoint, options: SolverOptions,
               lattice: Lattice) -> _Chord | None:
@@ -1056,24 +1067,27 @@ class Chain:
         grid = row.response.grid
         if not self._settled(row, bias, options) or -(-grid.size // self._m) > PROOF_WIDTH:
             return None
+        layout = self._layout()
         cosets = np.arange(1, self._m // 2 + 1)
         cosets = cosets[cosets % s != 0]
         norms = []
-        for power in self._grid_blocks(cosets):
+        for power in self._grid_blocks(layout, cosets):
             for _ in range(3):
                 power = np.matmul(power, power)
             norms.append(np.sum(np.abs(power) ** 2, axis=(1, 2)))
         order = np.argsort(-np.concatenate(norms), kind="stable")
         _, first = np.unique(np.minimum(cosets % s, -cosets % s)[order], return_index=True)
         top = cosets[order[np.sort(first)[:PROBE_COSETS]]]
-        modes = [_coset_mode(block, r, self._m) for r, block in
-                 zip(top, next(self._grid_blocks(top)))]
-        largest = max(modulus for modulus, _ in modes)
+        leading = [_leading(block) for block in next(self._grid_blocks(layout, top))]
+        del layout
+        largest = max(modulus for modulus, _ in leading)
         if not largest > 0.0:
             return None
-        seed = _seeded(grid.size)
-        start = seed * (PROBE_SEED_WEIGHT / np.sqrt(np.sum(seed.real**2 + seed.imag**2)))
-        for modulus, mode in modes:
+        start = _seeded(grid.size)
+        start *= PROBE_SEED_WEIGHT / np.sqrt(np.sum(start.real**2 + start.imag**2))
+        # One grid-sized mode at a time.
+        for r, (modulus, vector) in zip(top, leading):
+            mode = _coset_mode(vector, r, self._m)
             norm = np.sqrt(np.sum(np.abs(mode) ** 2))  # 0 where a self-mirror half cancels
             if norm > 0.0:
                 start += (modulus / largest) ** PROBE_STEPS / norm * mode[: grid.size]
@@ -1110,12 +1124,14 @@ class Chain:
         voltage spectrum `voltage`: `_off_lattice_growth`'s (growth, steps)
         on the bins `off` under `tangent`, from the carried `vector`, else, on
         a stride lattice of unit s > 1, from `probe_start`, else from the
-        seeded perturbation.  Its last vector is carried on."""
+        seeded perturbation.  Its last vector is carried on.  The start is
+        built before the tangent's tables, and the vector it replaces is
+        dropped first."""
+        x, self.vector = _off_start(self.vector, off), None
+        if x is None and lattice.alpha == 0 and lattice.unit > 1:
+            x = _off_start(self.probe_start(row, bias, options, lattice.unit), off)
         tangent = self.tangent(row, m, bias, lattice, voltage, off, options)
-        first = self.vector
-        if _off_start(first, off) is None and lattice.alpha == 0 and lattice.unit > 1:
-            first = self.probe_start(row, bias, options, lattice.unit)
-        growth, steps, self.vector = _off_lattice_growth(tangent, off, first)
+        growth, steps, self.vector = _off_lattice_growth(tangent, off, x)
         return growth, steps
 
 
@@ -1250,8 +1266,9 @@ def iterate(
                 else:
                     tangent = _tangent_step(f_jj, lattice_drive + f_jj * solved, trip,
                                             options.relaxation)
+                    every = np.ones(lattice.size, dtype=bool)
                     check, check_steps, _ = _off_lattice_growth(
-                        tangent, np.ones(lattice.size, dtype=bool), chord.mode
+                        tangent, every, _off_start(chord.mode, every)
                     )
                     # Plain Picard from the start, contracting by `check` per
                     # step, must converge within its budget.
@@ -1317,23 +1334,26 @@ def outputs(state: SolutionState, *, bins=None) -> SolutionState:
     kinds = response.kinds
     j, w = junction_port(kinds), wave_port(kinds)
     read = np.flatnonzero(state.lattice.covered) if bins is None else np.asarray(bins, dtype=int)
+    read = np.arange(grid.size)[read]  # negative bins counted from the top, as an index reads them
     n_ports = response.n_ports
-    x = np.zeros((n_ports, grid.size), dtype=complex)
+    v_dc = state.bias.v_dc
+    # The inputs at the bins read: column f holds those of grid bin read[f].
+    x = np.zeros((n_ports, read.size), dtype=complex)
     for k, amp in _tone_entries(state.stimulus, grid, kinds):
-        x[w, k] += amp
+        x[w, read == k] += amp
     for i, pk in enumerate(kinds):
         if pk.kind == VOLTAGE_BIAS:
-            x[i, 0] = state.bias.v_dc
-    x[j] = state.i_j
+            x[i, read == 0] = v_dc
+    x[j] = state.i_j[read]
     f_read = response.rows(read)
     a_out = np.zeros((n_ports, grid.size), dtype=complex)
-    a_out[:, read] = np.einsum("fij,jf->if", f_read, x[:, read])
+    a_out[:, read] = np.einsum("fij,jf->if", f_read, x)
     # Stiff bias: the junction row must not see the DC bias at omega = 0.
-    at_dc = np.nonzero(np.arange(grid.size)[read] == 0)[0]
+    at_dc = np.nonzero(read == 0)[0]
     if at_dc.size:
         for i, pk in enumerate(kinds):
             if pk.kind == VOLTAGE_BIAS:
-                a_out[j, 0] -= f_read[at_dc[0], j, i] * x[i, 0]
+                a_out[j, 0] -= f_read[at_dc[0], j, i] * v_dc
     return replace(state, a_out=a_out)
 
 

@@ -151,7 +151,8 @@ def _chain(
     cold.  One `solver.Chain` serves the chain: the pump comb is solved and
     analysed once, for every chord and the first probe; each off-lattice
     probe after the first starts from the vector the last one ended on; and
-    all of it is freed when the chain returns.  Each point calls this
+    all of it is freed when the chain returns.  Of a finished point only its
+    warm start outlives it into the next solve.  Each point calls this
     module's `iterate` as `iterate(row, bias, stim, options, initial=...,
     chain=...)`, the positions `perfbench/tracer.py` reads.
     """
@@ -171,6 +172,7 @@ def _chain(
             state = outputs(state)
             gain_db[i] = gain(state, stim.tones[0].frequency)
             balance[i] = power_balance(state).relative_error
+        del state
     return gain_db, converged, balance, iterations
 
 

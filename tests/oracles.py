@@ -3,8 +3,9 @@ array (the eager build, and hand-made rows), the inverse conversion, the
 plain fixed-point loop over every grid bin, the row-by-row CSV writer, the
 band report's run and roll-off walks, plain time-domain transforms of the
 solver's spectral convention on the full grid, the off-lattice probe as
-nonlinear full-grid steps and as a long power iteration, and the coset
-blocks of the tangent at a comb state as one gather per block."""
+nonlinear full-grid steps and as a long power iteration, the coset
+blocks of the tangent at a comb state as one gather per block, and the
+probe's comb start from a list of every grid-sized mode."""
 
 from dataclasses import dataclass
 
@@ -14,14 +15,19 @@ from ictasim.circuit import FrequencyGrid, s_matrix
 from ictasim.design import _crossing
 from ictasim.frankenstein import junction_port, junction_row, klmn, to_frankenstein, wave_port
 from ictasim.solver import (
+    PROBE_COSETS,
     PROBE_SEED,
+    PROBE_SEED_WEIGHT,
+    PROBE_STEPS,
     PROBE_ZERO_PAD,
+    PROOF_WIDTH,
     Lattice,
     SolutionState,
     SolverOptions,
     _bias_bin,
     _coset_layout,
     _picard_step,
+    _seeded,
     _round_trip,
     _tangent_step,
     _tone_entries,
@@ -278,3 +284,44 @@ def gathered_coset_blocks(f_jj, frequencies, p, spectrum, relaxation, spacing=1,
     diagonal = np.einsum("rii->ri", blocks)
     diagonal += (1.0 - relaxation) * on
     return members, blocks
+
+
+def probe_start_modes(chain, row, bias, options, s):
+    """`Chain.probe_start` of `chain` as it was first written: the layout
+    built for the ranking and again for the leading blocks, and every
+    leading block's grid-sized mode held in one list before any is added to
+    the seeded start."""
+    grid = row.response.grid
+    if not chain._settled(row, bias, options) or -(-grid.size // chain._m) > PROOF_WIDTH:
+        return None
+    m = chain._m
+    cosets = np.arange(1, m // 2 + 1)
+    cosets = cosets[cosets % s != 0]
+    norms = []
+    for power in chain._grid_blocks(chain._layout(), cosets):
+        for _ in range(3):
+            power = np.matmul(power, power)
+        norms.append(np.sum(np.abs(power) ** 2, axis=(1, 2)))
+    order = np.argsort(-np.concatenate(norms), kind="stable")
+    _, first = np.unique(np.minimum(cosets % s, -cosets % s)[order], return_index=True)
+    top = cosets[order[np.sort(first)[:PROBE_COSETS]]]
+    modes = []
+    for r, block in zip(top, next(chain._grid_blocks(chain._layout(), top))):
+        values, vectors = np.linalg.eig(block)
+        k = np.argmax(np.abs(values))
+        width = block.shape[0] // 2
+        j = m * np.arange(width)
+        mode = np.zeros(m * width, dtype=complex)
+        mode[r + j] += vectors[:width, k]
+        mode[-r % m + j] += np.conjugate(vectors[width:, k])
+        modes.append((float(np.abs(values[k])), mode))
+    largest = max(modulus for modulus, _ in modes)
+    if not largest > 0.0:
+        return None
+    seed = _seeded(grid.size)
+    start = seed * (PROBE_SEED_WEIGHT / np.sqrt(np.sum(seed.real**2 + seed.imag**2)))
+    for modulus, mode in modes:
+        norm = np.sqrt(np.sum(np.abs(mode) ** 2))
+        if norm > 0.0:
+            start += (modulus / largest) ** PROBE_STEPS / norm * mode[: grid.size]
+    return start

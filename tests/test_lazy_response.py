@@ -43,17 +43,25 @@ EDGE_NETLISTS = [
 ]
 
 
-def test_lazy_rows_equal_full_build_bitwise():
+def test_lazy_rows_equal_full_build_bitwise(monkeypatch):
     net = build_icta(IctaParams(cable_length=0.40, bias_resistance=0.3))
     eager = eager_response(net, DEFAULT_GRID).values
+    asked = _read_frequencies(monkeypatch)
     lazy = frankenstein_matrix(net, DEFAULT_GRID)
     rng = np.random.default_rng(3)
     n = DEFAULT_GRID.size
-    for size in (1, 40, 900):
-        bins = np.concatenate([[0, n - 1], rng.choice(n, size, replace=False)])
+    requests = [np.concatenate([[0, n - 1], rng.choice(n, size, replace=False)])
+                for size in (1, 40, 900)]
+    # Unsorted, repeated within the request, some built before and some not.
+    requests += [np.array([7, 5, 7, n - 1, 3, 5, 5, 0, 3]), requests[1][::-1],
+                 slice(None, None, 7), slice(None)]
+    held = set()
+    for bins in requests:
         assert np.array_equal(lazy.rows(bins), eager[bins])
-    assert np.array_equal(lazy.rows(slice(None, None, 7)), eager[::7])
-    assert np.array_equal(lazy.rows(slice(None)), eager)
+        held |= set(np.arange(n)[bins].tolist())
+        # The cache holds the distinct bins read so far, each built once.
+        assert np.flatnonzero(lazy._slot >= 0).tolist() == sorted(held) and lazy._count == len(held)
+        assert sorted(asked) == DEFAULT_GRID.frequencies[sorted(held)].tolist()
 
 
 @pytest.mark.parametrize("params", EDGE_NETLISTS)

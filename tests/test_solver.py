@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -54,6 +55,7 @@ from ictasim.solver import (
     _fast_len,
     _lattices,
     _off_lattice_growth,
+    _off_start,
     _picard_step,
     _round_trip,
     _tangent_step,
@@ -65,6 +67,7 @@ from oracles import (
     nonlinear_off_lattice_growth,
     plain_iterate,
     power_iteration_growth,
+    probe_start_modes,
     solve,
     time_samples,
     to_spectrum,
@@ -741,7 +744,7 @@ def test_carried_eigenvector_stops_after_two_steps():
     d[5] = 0.9 * np.exp(0.7j)
     start = np.where(off, 0.0, 3.0).astype(complex)
     start[5] = 2.0 - 1.0j
-    growth, steps, vector = _off_lattice_growth(_diagonal(d), off, start)
+    growth, steps, vector = _off_lattice_growth(_diagonal(d), off, _off_start(start, off))
     assert steps == 2
     assert growth == pytest.approx(0.9, rel=1e-12)
     assert np.flatnonzero(vector).tolist() == [5]
@@ -757,7 +760,7 @@ def test_carried_vector_without_off_lattice_weight_takes_seeded_path(weight):
         "zero": np.zeros(n, dtype=complex),
         "nan": np.full(n, np.nan, dtype=complex),
     }[weight]
-    carried = _off_lattice_growth(_diagonal(d), off, start)
+    carried = _off_lattice_growth(_diagonal(d), off, _off_start(start, off))
     seeded = _off_lattice_growth(_diagonal(d), off)
     assert carried[1] == seeded[1] == PROBE_STEPS
     assert carried[0] == seeded[0]
@@ -775,7 +778,8 @@ def test_probe_that_never_agrees_stops_at_probe_steps():
         return out
 
     off = np.array([False, True, True, False])
-    growth, steps, _ = _off_lattice_growth(swap, off, np.array([0.0, 1.0, 0.0, 0.0]))
+    start = _off_start(np.array([0.0, 1.0, 0.0, 0.0]), off)
+    growth, steps, _ = _off_lattice_growth(swap, off, start)
     assert steps == PROBE_STEPS
     assert growth == pytest.approx(1.0)
 
@@ -864,7 +868,7 @@ def test_probe_runs_at_zero_pad_2_under_a_zero_pad_1_solve(canonical_f):
         _off_lattice_growth(
             _tangent_step(row.f_jj, state.v_j, _round_trip(grid.frequencies, m, bias, zero_pad),
                           1.0),
-            off, start,
+            off, _off_start(start, off),
         )[0]
         for zero_pad in (2, 1)
     ]
@@ -1206,6 +1210,39 @@ def test_first_probe_from_the_comb_reads_the_rate(map_row, canonical_f, grid, f_
     rate = power_iteration_growth(row, state, options)
     assert abs(state.off_lattice_growth - rate) <= 1e-3
     assert state.converged == (rate < 1.0)
+
+
+@pytest.mark.parametrize(
+    "grid, f_dc, i_c, s",
+    [
+        ("default", 12e9, 280e-9, 160),  # the benchmark profile's lattice
+        ("default", 12e9, 280e-9, 800),  # and its compression's
+        ("map", 8.32e9, 200e-9, 16),
+    ],
+)
+def test_probe_start_equals_list_of_modes(default_f, map_row, grid, f_dc, i_c, s):
+    # One grid-sized mode at a time, from one eig per leading block, adds
+    # up to the start built from every mode held at once, bit for bit.
+    row = map_row if grid == "map" else junction_row(default_f)
+    bias, options = BiasPoint(f_dc=f_dc, i_c=i_c), SolverOptions(max_iterations=3000)
+    start = Chain().probe_start(row, bias, options, s)
+    assert start is not None
+    assert np.array_equal(start, probe_start_modes(Chain(), row, bias, options, s))
+
+
+def test_probe_start_holds_one_mode_at_a_time(default_f):
+    # Traced peak of one start on DEFAULT_GRID above entry: 3.7 MB measured;
+    # eight grid-sized modes held at once (4.6 MB) read 6.6 MB.
+    row, bias, options = junction_row(default_f), BiasPoint(f_dc=F_DC, i_c=I_C), SolverOptions()
+    chain = Chain()
+    chain.solve(row, bias, options)
+    tracemalloc.start()
+    try:
+        start = chain.probe_start(row, bias, options, 160)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert start is not None and peak < 5e6
 
 
 @pytest.mark.parametrize("f_dc", [12.8e9, 10.24e9])
