@@ -537,9 +537,9 @@ class NetlistResponse:
         with self._lock:
             wanted = np.arange(self.n_freq)[bins]
             todo = np.unique(wanted[self._slot[wanted] < 0])
-            built = self._count + todo.size
-            if built > len(self._values):
-                grown = np.empty((min(max(built, 2 * len(self._values)), self.n_freq),
+            needed = self._count + todo.size
+            if needed > len(self._values):
+                grown = np.empty((min(max(needed, 2 * len(self._values)), self.n_freq),
                                   *self._values.shape[1:]), dtype=complex)
                 grown[: self._count] = self._values[: self._count]
                 self._values = grown
