@@ -27,8 +27,8 @@ from ictasim.solver import (
     _bias_bin,
     _coset_layout,
     _picard_step,
-    _seeded,
     _round_trip,
+    _seeded,
     _tangent_step,
     _tone_entries,
     iterate,

@@ -1,6 +1,8 @@
 """The lazily built response: F per bin on first read, f_jj from the ladder
 fold, outputs on the lattice, all against the full eager build."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -130,6 +132,27 @@ def test_lazy_map_identical_across_workers(canonical_net, coarse_grid, tmp_path)
         paths.append(tmp_path / f"map{workers}.csv")
         write_map_csv(gmap, paths[-1])
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_threads_share_one_cache(canonical_net, coarse_grid, monkeypatch):
+    # More threads than cores and a short switch interval: every read is the
+    # eager rows, and every bin read is built once, whichever thread asked.
+    eager = eager_response(canonical_net, coarse_grid).values
+    asked = _read_frequencies(monkeypatch)
+    lazy = frankenstein_matrix(canonical_net, coarse_grid)
+    requests = [np.random.default_rng(i).integers(0, coarse_grid.size, 64) for i in range(32)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            reads = list(pool.map(lazy.rows, requests, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for bins, rows in zip(requests, reads):
+        assert np.array_equal(rows, eager[bins])
+    held = sorted(set(np.concatenate(requests).tolist()))
+    assert sorted(asked) == coarse_grid.frequencies[held].tolist()
+    assert np.flatnonzero(lazy._slot >= 0).tolist() == held and lazy._count == len(held)
 
 
 def test_floating_junction_raises_like_full_build(coarse_grid):
