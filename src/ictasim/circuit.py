@@ -361,37 +361,55 @@ def _fold(elements: Sequence[Element], f: np.ndarray, num0: complex, den0: compl
     The look-in impedance is carried as a homogeneous pair (num, den) with
     Z = num / den, so opens (den = 0) and shorts (num = 0) are exact and no
     infinities enter the arithmetic.  `elements` must be ordered nearest the
-    terminated end first; (num0, den0) is the termination itself.
+    terminated end first; (num0, den0) is the termination itself.  The pair
+    is updated in place where it can be (a line takes two scratch arrays),
+    and each element's temporaries are freed before the next.
     """
     num = np.full(f.shape, num0, dtype=complex)
     den = np.full(f.shape, den0, dtype=complex)
     for el in elements:
         if el.kind == TRANSMISSION_LINE:
-            theta = el.electrical_angle(f)
-            cos_t, sin_t = np.cos(theta), np.sin(theta)
-            num, den = (
-                cos_t * num + 1j * el.z0 * sin_t * den,
-                 1j * sin_t / el.z0 * num + cos_t * den,
-            )
-        elif el.is_series:
-            z = _series_impedance(el, f)
-            open_here = ~np.isfinite(z)
-            z = np.where(open_here, 0.0, z)
-            num, den = num + z * den, den.copy()
-            num[open_here] = 1.0
-            den[open_here] = 0.0
+            num = _fold_line(el, f, num, den)
         else:
-            y = _shunt_admittance(el, f)
-            short_here = ~np.isfinite(y)
-            y = np.where(short_here, 0.0, y)
-            num, den = num.copy(), den + y * num
-            num[short_here] = 0.0
-            den[short_here] = 1.0
+            _fold_lumped(el, f, num, den)
         scale = np.maximum(np.abs(num), np.abs(den))
         scale[scale == 0.0] = 1.0
         num /= scale
         den /= scale
+        del scale
     return num, den
+
+
+def _fold_line(el: Element, f: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """A line's step of `_fold`: (num, den) <- (cos num + 1j z0 sin den,
+    1j sin / z0 num + cos den).  Updates `den` in place and returns the new
+    num."""
+    theta = el.electrical_angle(f)
+    cos_t, sin_t = np.cos(theta), np.sin(theta, out=theta)
+    left, right = np.multiply(cos_t, num), np.multiply(1j * el.z0, sin_t)
+    np.multiply(right, den, out=right)
+    np.add(left, right, out=left)
+    np.multiply(1j, sin_t, out=right)
+    np.divide(right, el.z0, out=right)
+    np.multiply(right, num, out=right)
+    np.multiply(cos_t, den, out=den)
+    np.add(right, den, out=den)
+    return left
+
+
+def _fold_lumped(el: Element, f: np.ndarray, num: np.ndarray, den: np.ndarray) -> None:
+    """A lumped element's step of `_fold`, in place: num += z den for a
+    series impedance z, den += y num for a shunt admittance y, and an exact
+    open (1, 0) or short (0, 1) where z or y is infinite."""
+    if el.is_series:
+        value, top, bottom = _series_impedance(el, f), num, den
+    else:
+        value, top, bottom = _shunt_admittance(el, f), den, num
+    infinite = ~np.isfinite(value)
+    value[infinite] = 0.0
+    np.add(top, np.multiply(value, bottom, out=value), out=top)
+    top[infinite] = 1.0
+    bottom[infinite] = 0.0
 
 
 def z_jj(net: Netlist, frequencies) -> np.ndarray:
@@ -424,7 +442,11 @@ def z_jj(net: Netlist, frequencies) -> np.ndarray:
         return z
     num_b, den_b = _fold(tuple(reversed(net.bias_branch)), f, 0.0, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = (num_c * num_b) / (den_c * num_b + den_b * num_c)
+        # z = (num_c num_b) / (den_c num_b + den_b num_c), on the folds' arrays
+        np.multiply(den_c, num_b, out=den_c)
+        np.add(den_c, np.multiply(den_b, num_c, out=den_b), out=den_c)
+        z = np.multiply(num_c, num_b)
+        np.divide(z, den_c, out=z)
     z[(num_c == 0.0) | (num_b == 0.0)] = 0.0
     return z
 

@@ -407,7 +407,12 @@ class Lattice:
         return out
 
     def gather(self, x: np.ndarray) -> np.ndarray:
-        """The lattice spectrum of grid spectrum `x`, 0 off the grid."""
+        """The lattice spectrum of grid spectrum `x`, 0 off the grid.  On the
+        full grid (a stride lattice of unit 1) it is `x` itself where `x` is
+        complex, not a copy: callers read a gathered array and never write
+        to it (a loop that steps from it copies it first)."""
+        if self.alpha == 0 and self.unit == 1:
+            return np.asarray(x).astype(complex, copy=False)
         out = np.take(x, self.grid_bins, mode="clip").astype(complex, copy=False)
         out[self.grid_bins < 0] = 0.0
         np.conjugate(out, out=out, where=self.conjugate)
@@ -615,16 +620,17 @@ def _picard_step(f_jj: np.ndarray, drive: np.ndarray, trip, relaxation: float):
     """One fixed-point step, current -> updated, on the lattice of junction
     impedance `f_jj` whose `_round_trip` is `trip`: the junction voltage
     drive + f_jj * current through the round trip, with I_c sin(ramp +
-    phase) between its halves, under-relaxed by `relaxation`."""
+    phase) between its halves, under-relaxed by `relaxation`.  The voltage
+    is formed in the step's `out`, which the round trip then overwrites."""
     ramp, to_phase, to_current = trip
     phi = np.empty(ramp.shape)
-    v = np.empty(f_jj.size, dtype=complex)
+    v = np.empty(f_jj.size, dtype=complex) if relaxation != 1.0 else None
 
     def step(current: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The next iterate, written to `out`."""
-        np.multiply(f_jj, current, out=v)
-        np.add(drive, v, out=v)
-        to_phase(v, phi)
+        """The next iterate, written to `out` (not `current`)."""
+        np.multiply(f_jj, current, out=out)
+        np.add(drive, out, out=out)
+        to_phase(out, phi)
         np.add(ramp, phi, out=phi)
         np.sin(phi, out=phi)
         to_current(phi, out)
@@ -642,16 +648,16 @@ def _tangent_step(f_jj: np.ndarray, voltage: np.ndarray, trip, relaxation: float
     state of junction voltage spectrum `voltage`, a conversion-matrix
     linearisation: delta -> (1 - relaxation) delta + relaxation * (spectrum
     of I_c c(t) times the phase samples of f_jj delta), with c(t) =
-    `_cos_phase` computed once."""
+    `_cos_phase` computed once; f_jj delta is formed in the step's `out`."""
     _, to_phase, to_current = trip
     c = _cos_phase(voltage, trip)
     phi = np.empty(c.shape)
-    v = np.empty(f_jj.size, dtype=complex)
+    v = np.empty(f_jj.size, dtype=complex) if relaxation != 1.0 else None
 
     def step(delta: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The tangent's image of `delta`, written to `out`."""
-        np.multiply(f_jj, delta, out=v)
-        to_phase(v, phi)
+        """The tangent's image of `delta`, written to `out` (not `delta`)."""
+        np.multiply(f_jj, delta, out=out)
+        to_phase(out, phi)
         np.multiply(c, phi, out=phi)
         to_current(phi, out)
         if relaxation != 1.0:
@@ -701,10 +707,15 @@ def _off_lattice_growth(step, off: np.ndarray, x: np.ndarray | None = None):
         x[~off] = 0.0
         x /= np.sqrt(np.sum(np.abs(x) ** 2))
     spare = np.empty_like(x)
+    # The terms of np.sum(np.abs(x[off]) ** 2) in the same order, without its
+    # masked complex copy (np.compress into a buffer would copy the buffer
+    # and build an index, 16 bytes per bin, at the probe's high point).
+    squares = np.empty(x.size)
     norms, ratio = [1.0], math.nan
     for steps in range(1, PROBE_STEPS + 1):
         x, spare = step(x, spare), x
-        before, now = norms[-1], float(np.sum(np.abs(x[off]) ** 2))
+        np.square(np.abs(x, out=squares), out=squares)
+        before, now = norms[-1], float(np.sum(squares[off]))
         norms.append(now)
         last, ratio = ratio, math.sqrt(now / before) if before > 0.0 else math.inf
         if carried and (now == 0.0 or abs(ratio - last) <= PROBE_AGREEMENT * ratio):
@@ -737,7 +748,8 @@ class _Cosets:
         _, weight = _coset_layout(f_jj, frequencies, s)
         # Plus position j of block r sits at column j, minus position j at
         # size - 1 - j: reversed, the minus half fills the last W columns.
-        self.weight_zero, self.weight_plus = weight[0], weight[1 : s // 2 + 1]
+        # Copies of the rows read, so the layout's cosets above s / 2 go.
+        self.weight_zero, self.weight_plus = weight[0].copy(), weight[1 : s // 2 + 1].copy()
         self.weight_minus = np.conjugate(weight[s - 1 : s - 1 - s // 2 : -1, ::-1])
 
     def tangent(self, voltage: np.ndarray, bias: BiasPoint, relaxation: float, coset0: bool):
@@ -746,7 +758,9 @@ class _Cosets:
         image of grid spectrum `delta` to `out`.  Without `coset0` it skips
         coset 0, for a `delta` that is 0 there, where the tangent leaves it
         0.  c(t) = cos(ramp + phase of `voltage`) is built once, on the L
-        samples."""
+        samples.  The step holds one copy of each array: both batched
+        transforms run in place on one (rows x L) buffer, and the image is
+        written back over delta's zero-padded copy."""
         n, s, size, width = self.grid_size, self.stride, self.size, self.width
         low = np.zeros(size // 2 + 1, dtype=complex)  # bins width and up stay 0
         np.multiply(voltage[1:], self.integrator, out=low[1:width])
@@ -754,19 +768,18 @@ class _Cosets:
         np.add(self.ramp, c, out=c)
         np.cos(c, out=c)
         c *= relaxation * bias.i_c
-        # delta and its image, zero-padded to W * s bins and viewed by coset
-        # as `_coset_layout` lays the bins out.
-        padded, image = np.zeros(width * s, dtype=complex), np.zeros(width * s, dtype=complex)
-        delta_by_coset, image_by_coset = padded.reshape(-1, s).T, image.reshape(-1, s).T
+        # delta, then its image, zero-padded to W * s bins and viewed by
+        # coset as `_coset_layout` lays the bins out.
+        padded = np.zeros(width * s, dtype=complex)
+        by_coset = padded.reshape(-1, s).T
         rows, mirrors = s // 2, (s - 1) // 2
-        plus, minus = delta_by_coset[1 : rows + 1], delta_by_coset[s - 1 : s - 1 - rows : -1, ::-1]
-        plus_image = image_by_coset[1 : rows + 1]
-        minus_image = image_by_coset[s - 1 : s - 1 - mirrors : -1, ::-1]
-        # Columns width .. size - width - 1 stay 0; in both round trips the
-        # FFTs' 1 / L and L cancel.
+        plus, minus = by_coset[1 : rows + 1], by_coset[s - 1 : s - 1 - rows : -1, ::-1]
+        minus_image = by_coset[s - 1 : s - 1 - mirrors : -1, ::-1]
+        # Columns width .. size - width - 1 are 0 as each step starts; in both
+        # round trips the FFTs' 1 / L and L cancel.
         spectra = np.zeros((rows, size), dtype=complex)
-        samples = np.empty_like(spectra)
         head, tail = spectra[:, :width], spectra[:, size - width :]
+        middle = spectra[:, width : size - width]
         real, spectrum = np.empty(size), np.empty_like(low)
 
         def step(delta: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -774,18 +787,22 @@ class _Cosets:
             np.multiply(plus, self.weight_plus, out=head)
             np.conjugate(minus, out=tail)
             np.multiply(tail, self.weight_minus, out=tail)
-            np.fft.ifft(spectra, axis=1, out=samples)
-            np.multiply(samples, c, out=samples)
-            np.fft.fft(samples, axis=1, out=samples)
-            np.copyto(plus_image, samples[:, :width])
-            np.conjugate(samples[:mirrors, size - width :], out=minus_image)
+            np.fft.ifft(spectra, axis=1, out=spectra)
+            np.multiply(spectra, c, out=spectra)
+            np.fft.fft(spectra, axis=1, out=spectra)
+            np.copyto(plus, head)
+            np.conjugate(tail[:mirrors], out=minus_image)
+            middle.fill(0.0)
             if coset0:
-                np.multiply(delta_by_coset[0], self.weight_zero, out=low[:width])
+                np.multiply(by_coset[0], self.weight_zero, out=low[:width])
                 np.fft.irfft(low, size, out=real)
                 np.multiply(real, c, out=real)
                 np.fft.rfft(real, out=spectrum)
-                np.copyto(image_by_coset[0], spectrum[:width])
-            np.copyto(out, image[:n])
+                np.copyto(by_coset[0], spectrum[:width])
+            else:
+                by_coset[0] = 0.0
+            np.copyto(out, padded[:n])
+            padded[n:] = 0.0  # the image past the grid, where delta is 0
             if relaxation != 1.0:
                 out += (1.0 - relaxation) * delta
             return out
@@ -1289,6 +1306,10 @@ def iterate(
         del start  # a grid-sized array the probe below need not keep alive
         i_j = lattice.lift(current)
         v_j = drive + row.f_jj * i_j
+        # Nor are the drive, once v_j holds it, and the last lattice's steps
+        # with their time-grid buffers (names a comb solve leaves unbound).
+        del drive
+        step = tangent = trip = None
     growth, steps = float("nan"), 0
     off = ~lattice.covered
     # A proven comb state needs no probe: its blocks hold every grid bin.

@@ -4,14 +4,22 @@ plain fixed-point loop over every grid bin, the row-by-row CSV writer, the
 band report's run and roll-off walks, plain time-domain transforms of the
 solver's spectral convention on the full grid, the off-lattice probe as
 nonlinear full-grid steps and as a long power iteration, the coset
-blocks of the tangent at a comb state as one gather per block, and the
-probe's comb start from a list of every grid-sized mode."""
+blocks of the tangent at a comb state as one gather per block, the
+probe's comb start from a list of every grid-sized mode, the probe's coset
+step on separate transform and image buffers, the ladder fold on fresh
+arrays, and a lattice gather that always copies."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ictasim.circuit import FrequencyGrid, s_matrix
+from ictasim.circuit import (
+    TRANSMISSION_LINE,
+    FrequencyGrid,
+    _series_impedance,
+    _shunt_admittance,
+    s_matrix,
+)
 from ictasim.design import _crossing
 from ictasim.frankenstein import junction_port, junction_row, klmn, to_frankenstein, wave_port
 from ictasim.solver import (
@@ -325,3 +333,92 @@ def probe_start_modes(chain, row, bias, options, s):
         if norm > 0.0:
             start += (modulus / largest) ** PROBE_STEPS / norm * mode[: grid.size]
     return start
+
+
+def coset_tangent_two_buffers(cosets, voltage, bias, relaxation, coset0):
+    """`_Cosets.tangent` of `cosets` as it was first written: the batched
+    transforms out of place, from one (rows x L) buffer into another, and
+    the image in its own zero-padded array."""
+    n, s, size, width = cosets.grid_size, cosets.stride, cosets.size, cosets.width
+    low = np.zeros(size // 2 + 1, dtype=complex)
+    np.multiply(voltage[1:], cosets.integrator, out=low[1:width])
+    c = np.fft.irfft(low, size)
+    np.add(cosets.ramp, c, out=c)
+    np.cos(c, out=c)
+    c *= relaxation * bias.i_c
+    padded, image = np.zeros(width * s, dtype=complex), np.zeros(width * s, dtype=complex)
+    delta_by_coset, image_by_coset = padded.reshape(-1, s).T, image.reshape(-1, s).T
+    rows, mirrors = s // 2, (s - 1) // 2
+    plus, minus = delta_by_coset[1 : rows + 1], delta_by_coset[s - 1 : s - 1 - rows : -1, ::-1]
+    plus_image = image_by_coset[1 : rows + 1]
+    minus_image = image_by_coset[s - 1 : s - 1 - mirrors : -1, ::-1]
+    spectra = np.zeros((rows, size), dtype=complex)
+    samples = np.empty_like(spectra)
+    head, tail = spectra[:, :width], spectra[:, size - width :]
+    real, spectrum = np.empty(size), np.empty_like(low)
+
+    def step(delta, out):
+        np.copyto(padded[:n], delta)
+        np.multiply(plus, cosets.weight_plus, out=head)
+        np.conjugate(minus, out=tail)
+        np.multiply(tail, cosets.weight_minus, out=tail)
+        np.fft.ifft(spectra, axis=1, out=samples)
+        np.multiply(samples, c, out=samples)
+        np.fft.fft(samples, axis=1, out=samples)
+        np.copyto(plus_image, samples[:, :width])
+        np.conjugate(samples[:mirrors, size - width :], out=minus_image)
+        if coset0:
+            np.multiply(delta_by_coset[0], cosets.weight_zero, out=low[:width])
+            np.fft.irfft(low, size, out=real)
+            np.multiply(real, c, out=real)
+            np.fft.rfft(real, out=spectrum)
+            np.copyto(image_by_coset[0], spectrum[:width])
+        np.copyto(out, image[:n])
+        if relaxation != 1.0:
+            out += (1.0 - relaxation) * delta
+        return out
+
+    return step
+
+
+def fold_with_copies(elements, f, num0, den0):
+    """`circuit._fold` as it was first written: every update of the pair a
+    fresh array."""
+    num = np.full(f.shape, num0, dtype=complex)
+    den = np.full(f.shape, den0, dtype=complex)
+    for el in elements:
+        if el.kind == TRANSMISSION_LINE:
+            theta = el.electrical_angle(f)
+            cos_t, sin_t = np.cos(theta), np.sin(theta)
+            num, den = (
+                cos_t * num + 1j * el.z0 * sin_t * den,
+                1j * sin_t / el.z0 * num + cos_t * den,
+            )
+        elif el.is_series:
+            z = _series_impedance(el, f)
+            open_here = ~np.isfinite(z)
+            z = np.where(open_here, 0.0, z)
+            num, den = num + z * den, den.copy()
+            num[open_here] = 1.0
+            den[open_here] = 0.0
+        else:
+            y = _shunt_admittance(el, f)
+            short_here = ~np.isfinite(y)
+            y = np.where(short_here, 0.0, y)
+            num, den = num.copy(), den + y * num
+            num[short_here] = 0.0
+            den[short_here] = 1.0
+        scale = np.maximum(np.abs(num), np.abs(den))
+        scale[scale == 0.0] = 1.0
+        num /= scale
+        den /= scale
+    return num, den
+
+
+def gather_copy(lattice, x):
+    """`Lattice.gather` as it was first written: a fresh array on every
+    lattice, the full grid included."""
+    out = np.take(x, lattice.grid_bins, mode="clip").astype(complex, copy=False)
+    out[lattice.grid_bins < 0] = 0.0
+    np.conjugate(out, out=out, where=lattice.conjugate)
+    return out

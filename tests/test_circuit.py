@@ -12,6 +12,7 @@ from ictasim.circuit import (
     FrequencyGrid,
     IctaParams,
     Netlist,
+    _fold,
     build_icta,
     cable,
     emission_fom,
@@ -28,6 +29,7 @@ from ictasim.circuit import (
     shunt_capacitor,
     z_jj,
 )
+from oracles import fold_with_copies
 
 
 def test_element_validation():
@@ -250,3 +252,38 @@ def test_netlist_dict_rejects_unknown_fields():
     bad["chain"][0]["twist"] = 1.0
     with pytest.raises(ValueError):
         netlist_from_dict(bad)
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        build_icta(IctaParams()),
+        build_icta(IctaParams(cable_length=0.33)),
+        build_icta(IctaParams(bias_resistance=0.3)),
+        build_icta(IctaParams(junction_capacitance=50e-15)),
+        # At f = 0 the series capacitor opens the chain and the shunt
+        # inductor shorts it; the branch's inductor and resistor stay finite.
+        Netlist(
+            chain=(series_resistor(20.0), Element(SHUNT_INDUCTOR, value=2e-9),
+                   series_capacitor(1e-12), Element(SHUNT_RESISTOR, value=75.0),
+                   quarter_wave_line(40.0, 6e9)),
+            bias_branch=(series_inductor(1e-9), series_resistor(2.0), shunt_capacitor(1e-9)),
+        ),
+    ],
+    ids=["canonical", "cable", "bias-resistor", "junction-capacitance", "open-and-short"],
+)
+def test_fold_in_place_equals_fold_with_copies(net):
+    # Both folds of z_jj on DEFAULT_GRID (bin 0 at f = 0), and z_jj from
+    # them, bit for bit.
+    f = DEFAULT_GRID.frequencies
+    folds = []
+    for elements, termination in ((net.chain, (net.wave_port_impedance, 1.0)),
+                                  (tuple(reversed(net.bias_branch)), (0.0, 1.0))):
+        folds.append(fold_with_copies(elements, f, *termination))
+        for got, want in zip(_fold(elements, f, *termination), folds[-1]):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    (num_c, den_c), (num_b, den_b) = folds
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (num_c * num_b) / (den_c * num_b + den_b * num_c)
+    z[(num_c == 0.0) | (num_b == 0.0)] = 0.0
+    assert np.array_equal(z_jj(net, f).view(np.int64), z.view(np.int64))

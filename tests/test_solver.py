@@ -1,5 +1,6 @@
 """Fixed-point junction solver: spectra, convergence, energy bookkeeping."""
 
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -35,6 +36,7 @@ from ictasim.solver import (
     ALPHA_LADDER,
     PROBE_SEED,
     PROBE_STEPS,
+    PROBE_ZERO_PAD,
     TAIL_BOUND,
     Chain,
     Lattice,
@@ -63,6 +65,8 @@ from ictasim.solver import (
 from oracles import (
     ArrayResponse,
     bin_power_dbm,
+    coset_tangent_two_buffers,
+    gather_copy,
     gathered_coset_blocks,
     nonlinear_off_lattice_growth,
     plain_iterate,
@@ -435,6 +439,50 @@ def test_stride_lattice_is_the_strided_grid(s):
     assert not lattice.conjugate.any() and lattice.alpha == 0
     assert (lattice.pump, lattice.unit) == (m // s, s)
     assert np.isnan(lattice.tail(lattice.gather(x)))  # no signal orders to bound
+
+
+def _assert_same_state(a, b):
+    """Every field of two solve states equal bit for bit."""
+    def same(p, q):
+        if isinstance(p, np.ndarray):
+            return p.dtype == q.dtype and np.array_equal(p.view(np.uint8), q.view(np.uint8))
+        if isinstance(p, float):
+            return p.hex() == q.hex()
+        if isinstance(p, Lattice):
+            return all(same(getattr(p, f.name), getattr(q, f.name))
+                       for f in dataclasses.fields(Lattice))
+        return p is q or p == q
+
+    for field in dataclasses.fields(SolutionState):
+        assert same(getattr(a, field.name), getattr(b, field.name)), field.name
+
+
+def test_full_grid_gather_is_a_view(canonical_f, monkeypatch):
+    # The stride lattice of unit 1 gathers a complex grid spectrum as itself.
+    # A solve on it (two coprime tones; a stimulus-free one at zero_pad 1,
+    # which tries no comb) from a warm start writes to none of the arrays it
+    # gathered, and its state is bit for bit the one from gathers that copy.
+    grid = canonical_f.grid
+    x = [1.0, 1j] @ np.random.default_rng(5).standard_normal((2, grid.size))
+    assert Lattice.stride(grid, 750, 1).gather(x) is x
+    assert Lattice.stride(grid, 750, 3).gather(x) is not x
+    row, bias = junction_row(canonical_f), BiasPoint(f_dc=F_DC, i_c=I_C)
+    f_jj = row.f_jj.copy()
+    solves = [
+        (Stimulus((Tone(6.416e9, -140.0), Tone(5.6e9, -140.0))), SolverOptions()),
+        (Stimulus.none(), SolverOptions(zero_pad=1)),
+    ]
+    for stim, options in solves:
+        cold = iterate(row, bias, stim, options)
+        assert cold.lattice.unit == 1 and cold.converged
+        initial = cold.i_j * 0.5
+        kept = initial.copy()
+        states = [iterate(row, bias, stim, options, initial=initial)]
+        assert np.array_equal(initial, kept) and np.array_equal(row.f_jj, f_jj)
+        with monkeypatch.context() as patch:
+            patch.setattr(Lattice, "gather", gather_copy)
+            states.append(iterate(row, bias, stim, options, initial=initial))
+        _assert_same_state(*states)
 
 
 @pytest.mark.parametrize("alpha", ALPHA_LADDER)
@@ -961,6 +1009,58 @@ def test_coset_tangent_matches_coset_blocks(canonical_f, f_s, stride, relaxation
     bare = cosets.tangent(state.v_j[::stride], bias, relaxation, False)(delta, image.copy())
     assert np.all(bare[::stride] == 0.0)
     assert np.array_equal(np.delete(bare, np.s_[::stride]), np.delete(image, np.s_[::stride]))
+
+
+@pytest.mark.parametrize(
+    "grid, f_s, stride",
+    [("default", 5.12e9, 160), ("default", 5.6e9, 800), ("coarse", 6.48e9, 15),
+     ("coarse", 5.12e9, 10)],
+)
+def test_coset_step_in_place_equals_two_buffers(default_f, canonical_f, grid, f_s, stride):
+    # The coset step on one in-place transform buffer, its image written
+    # back over delta's padded copy, against separate buffers, bit for bit
+    # over three chained steps, with coset 0 on and off and relaxation 1
+    # and 0.5.  delta has weight on coset 0 even where the step skips it,
+    # whose image there stays 0.
+    f = default_f if grid == "default" else canonical_f
+    row, bias = junction_row(f), BiasPoint(f_dc=F_DC, i_c=I_C)
+    state = iterate(row, bias, Stimulus.single(f_s, -140.0))
+    assert state.lattice.unit == stride and state.lattice.alpha == 0
+    n, m = f.grid.size, round(F_DC / f.grid.spacing)
+    cosets = _Cosets(row.f_jj, f.grid.frequencies, m, stride, PROBE_ZERO_PAD)
+    voltage = state.v_j[::stride]
+    for relaxation in (1.0, 0.5):
+        for coset0 in (True, False):
+            steps = (cosets.tangent(voltage, bias, relaxation, coset0),
+                     coset_tangent_two_buffers(cosets, voltage, bias, relaxation, coset0))
+            x = [1.0, 1j] @ np.random.default_rng(stride).standard_normal((2, n))
+            pair = [x, x.copy()]
+            for _ in range(3):
+                pair = [step(v, np.empty(n, dtype=complex)) for step, v in zip(steps, pair)]
+                assert np.array_equal(pair[0].view(np.int64), pair[1].view(np.int64))
+                if not coset0 and relaxation == 1.0:
+                    assert not pair[0][::stride].any()
+
+
+def test_probe_holds_each_array_once(default_f):
+    # Traced peak of a chain's first probe on DEFAULT_GRID at s = 160 (the
+    # comb solved before): its start, the coset tables and two steps.  3.9
+    # MB measured; 5.9 MB with two transform buffers, a separate image, the
+    # whole coset layout's weights and a masked copy at every norm.
+    row, bias, options = junction_row(default_f), BiasPoint(f_dc=F_DC, i_c=I_C), SolverOptions()
+    state = iterate(row, bias, Stimulus.single(5.12e9, -140.0))
+    assert state.lattice.unit == 160 and state.probe_steps == 2
+    chain = Chain()
+    chain.solve(row, bias, options)
+    off = ~state.lattice.covered
+    tracemalloc.start()
+    try:
+        growth, steps = chain.probe(row, 12000, bias, state.lattice, state.v_j, off, options)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (growth, steps) == (state.off_lattice_growth, state.probe_steps)
+    assert peak < 4.5e6
 
 
 def test_fast_len_and_constants_match_scipy():
