@@ -522,8 +522,9 @@ class NetlistResponse:
     caches them; every frequency is solved on its own, so the rows are
     bitwise those of a full build.  The cache holds the built rows alone, in
     build order, in one array that doubles (up to the grid's size) when it
-    fills, with each bin's slot in it.  A lock guards the cache, so map rows
-    on several threads may share one response.
+    fills, with each bin's slot in it.  A lock guards the cache, so a caller
+    may share one response across its own threads; the library's sweeps,
+    map rows included, read it from one thread.
     `junction_impedance()` is the ladder fold `z_jj`, folded once per
     response, which agrees with F's junction diagonal to about 1e-12
     relative at a few percent of the cost of F.  F refers the wave port, the

@@ -1,12 +1,12 @@
 """Command-line front end: JSON configs in, CSV data and sidecars out.
 
 Every run writes `<kind>.csv` and its `<kind>.meta.json` sidecar, and is
-deterministic: the same config produces byte-identical CSV files, serial or
-parallel.  One table, `_SWEEP_FORMS`, names the fields of each sweep kind
-(and of each gain-map axis) in read order; validation, the unknown-field
-check and the solve count all derive from it, and `describe` prints every
-axis the solve count multiplies, compression phases and emission currents
-included.  Validation happens before any filesystem side effect; syntax
+deterministic: the same config produces byte-identical CSV files.  One
+table, `_SWEEP_FORMS`, names the fields of each sweep kind (and of each
+gain-map axis) in read order; validation, the unknown-field check and the
+solve count all derive from it, and `describe` prints every axis the solve
+count multiplies, compression phases and emission currents included.
+Validation happens before any filesystem side effect; syntax
 errors carry the JSON line number, semantic errors the JSON path of the
 offending field.  Solver non-convergence is not an error: cells are masked
 in the output and summarized in a warning on stderr.
@@ -59,6 +59,7 @@ from .sweeps import (
     snap_frequencies,
     stimulus_phases,
     sweep_metadata,
+    table_bytes,
     write_compression_csv,
     write_json,
     write_map_csv,
@@ -299,19 +300,22 @@ def solve_count(config: RunConfig) -> int:
 
 
 def memory_estimate_bytes(config: RunConfig) -> int:
-    """Rough peak working set.  A `zjj` or `fom` run holds only the ladder
+    """Rough peak working set.  A `zjj` or `fom` run holds first the ladder
     fold's arrays, which the fold term bounds from above: eight complex
     arrays per bin, where `z_jj`'s traced peak holds 5.8 to 6.3 on
     DEFAULT_GRID (both folds' pairs, and a line's two scratch arrays or an
-    element's value and its temporaries).  For a nonlinear sweep this is an
-    upper bound that counts the response matrix at every bin, twice over
-    for the copy its cache makes when it grows (it holds only the bins
-    read), the nodal scratch of one `s_matrix` call of at most `BUILD_BLOCK`
-    bins, the fold and the full-grid step's buffers."""
+    element's value and its temporaries).  Then the CSV writer, which sets
+    the peak there (4.6 MB traced for `zjj`, 3.3 MB for `fom`), holds
+    `table_bytes` of three float columns on top of 24 bytes a bin (`zjj`'s
+    frequencies and impedance; `fom` writes two columns).  For a nonlinear
+    sweep this is an upper bound that counts the response matrix at every
+    bin, twice over for the copy its cache makes when it grows (it holds
+    only the bins read), the nodal scratch of one `s_matrix` call of at most
+    `BUILD_BLOCK` bins, the fold and the full-grid step's buffers."""
     n = config.grid.size
     fold = 8 * n * 16  # an upper bound on z_jj's complex arrays
     if solve_count(config) == 0:
-        return fold
+        return max(fold, 24 * n + table_bytes(n, 3))
     n_ports = len(config.netlist.port_names)
     response = 2 * n * n_ports * n_ports * 16
     nodal = min(n, BUILD_BLOCK) * (n_ports + 6) ** 2 * 16  # assembly scratch
@@ -344,9 +348,8 @@ def describe(config: RunConfig, stream=None) -> None:
         show("memory estimate", f"at most {mem}")
 
 
-def run(config: RunConfig, out_dir: Path, threads: int = 1) -> int:
-    """Execute one validated sweep; returns the count of unconverged solves.
-    `threads` is the number of map-row workers of a gain map."""
+def run(config: RunConfig, out_dir: Path) -> int:
+    """Execute one validated sweep; returns the count of unconverged solves."""
     sweep = config.sweep
     kind = sweep["kind"]
     csv = out_dir / f"{kind}.csv"
@@ -398,13 +401,13 @@ def run(config: RunConfig, out_dir: Path, threads: int = 1) -> int:
             gmap = gain_map_fdc(
                 response, sweep["signal"], sweep["fdc"], sweep["i_c_a"],
                 sweep["power_dbm"], options=config.options,
-                phase=sweep["phase_rad"], workers=threads,
+                phase=sweep["phase_rad"],
             )
         else:
             gmap = gain_map_ic(
                 response, sweep["signal"], sweep["ic"], sweep["f_dc_hz"],
                 sweep["power_dbm"], options=config.options,
-                phase=sweep["phase_rad"], workers=threads,
+                phase=sweep["phase_rad"],
             )
         write_map_csv(gmap, csv)
         converged = gmap.converged
@@ -494,7 +497,8 @@ def _cmd_fit(args) -> int:
 
 
 def _worker_count(text: str) -> int:
-    """The --threads value: an integer of at least 1."""
+    """The --threads value: an integer of at least 1.  It selects nothing (map
+    rows run in order) and is kept so that existing command lines parse."""
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
     return int(text)
@@ -518,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_command("fom", "pump-emission figure of merit Re Z / f")
     add_run_command("gainmap", "gain over (signal frequency x bias) grid").add_argument(
         "--threads", type=_worker_count, default=1,
-        help="parallel map-row workers, at least 1 (default 1)",
+        help="ignored, map rows run in order (an integer of at least 1)",
     )
     add_run_command("profile", "gain versus signal frequency at fixed bias")
     add_run_command("compression", "gain versus input power at fixed frequency")
@@ -556,7 +560,7 @@ def main(argv=None) -> int:
     if out_dir is None:
         print("error: output_dir: set it in the config or pass --out", file=sys.stderr)
         return 2
-    unconverged = run(config, Path(out_dir), threads=getattr(args, "threads", 1))
+    unconverged = run(config, Path(out_dir))
     if unconverged:
         print(
             f"warning: {unconverged} solve(s) did not converge and were masked",

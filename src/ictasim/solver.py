@@ -136,9 +136,9 @@ PROBE_ZERO_PAD = 2
 # on the full grid where the rows would take more than COSET_SAMPLES: longer
 # rows fall out of cache (on DEFAULT_GRID at s = 2 to 5 a step took 2.9 to 3.5
 # ms against 2.3 to 2.9 ms on the full grid, at s = 8 1.4 to 1.6 ms; 2-CPU
-# Xeon).  So does every probe on a grid below SPLIT_BINS bins, whose one short
-# transform (0.13 ms on the map grid) the coset tables and shorter numpy calls
-# do not beat (the benchmark map's wall_s +10%, cpu_s -1%, over 6 pairs).
+# Xeon).  Below SPLIT_BINS the rows win too: on the 2048-bin map grid the
+# benchmark's coarse map took 0.48 s against 0.70 s with a full-grid probe
+# (medians of 10 alternating fresh-process rounds, one worker, lower in 8).
 COSET_SAMPLES = 16384
 
 # Embedded lattices: the box orders alpha a single-tone solve tries in turn,
@@ -1121,8 +1121,7 @@ class Chain:
         grid = row.response.grid
         s = lattice.unit
         # COSET_SAMPLES is 5-smooth: the rows take more only when 2 zero_pad W does.
-        if (not _interleaved(grid.size)
-                or 2 * PROBE_ZERO_PAD * -(-grid.size // s) > COSET_SAMPLES):
+        if 2 * PROBE_ZERO_PAD * -(-grid.size // s) > COSET_SAMPLES:
             s = 1
         key = (m, bias.i_c, s)
         if row is not self._table_row or key != self._table_key:

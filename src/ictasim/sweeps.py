@@ -9,9 +9,8 @@ only from a converged neighbor; an oscillating spectrum would poison the
 next point.  A point that exhausts its iteration budget, is masked by the
 off-lattice probe or diverges reads unconverged from its state alone; it
 gets NaN gain and balance and the next point starts cold, so no single
-point aborts a sweep.  Map rows are independent and may be solved in
-parallel without changing any result, since each chain is self-contained
-and the merge order is fixed.
+point aborts a sweep.  A map's rows are solved one after another, each
+its own chain.
 
 A sweep takes the response of `circuit.frankenstein_matrix(netlist, grid)`
 and runs on its grid; one response serves any number of sweeps.
@@ -26,7 +25,6 @@ against a numeric root find.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
@@ -242,25 +240,13 @@ class GainMap:
             raise ValueError("map value/mask shapes do not match the axes")
 
 
-def _bias_map(
-    response, signal_frequencies, biases, power_dbm, phase, options, workers, **axis
-) -> GainMap:
-    """One warm-start chain along ascending f_s per bias row; `axis` holds the
-    GainMap fields that describe the rows."""
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+def _bias_map(response, signal_frequencies, biases, power_dbm, phase, options, **axis) -> GainMap:
+    """One warm-start chain along ascending f_s per bias row, row by row;
+    `axis` holds the GainMap fields that describe the rows."""
     grid = response.grid
     f_s, bins = snap_frequencies(signal_frequencies, grid)
     stimuli = [Stimulus.single(k * grid.spacing, power_dbm, phase=phase) for k in bins]
-
-    def one_row(bias):
-        return _chain(response, bias, stimuli, options)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one_row, biases))
-    else:
-        rows = [one_row(b) for b in biases]
+    rows = [_chain(response, bias, stimuli, options) for bias in biases]
     values, converged, balance, _ = map(np.vstack, zip(*rows))
     return GainMap(
         signal_frequencies=f_s,
@@ -281,19 +267,17 @@ def gain_map_fdc(
     *,
     options: SolverOptions = SolverOptions(),
     phase: float = 0.0,
-    workers: int = 1,
 ) -> GainMap:
     """Gain map over bias frequency rows and signal frequency columns.
 
     Bias-major traversal: each row fixes f_dc and runs a warm-start chain
-    along ascending f_s; rows are independent, so `workers` > 1 solves them
-    in parallel with identical results, and `workers` below 1 raises
-    ValueError.  Unconverged and diverged points are masked, never fatal.
+    along ascending f_s, and the rows are solved in order of ascending f_dc.
+    Unconverged and diverged points are masked, never fatal.
     """
     f_dc = bias_axis(bias_frequencies, response.grid)
     biases = [BiasPoint(f_dc=f, i_c=i_c) for f in f_dc]
     return _bias_map(
-        response, signal_frequencies, biases, power_dbm, phase, options, workers,
+        response, signal_frequencies, biases, power_dbm, phase, options,
         axis_values=f_dc, axis_name="f_dc_hz", i_c=i_c,
     )
 
@@ -307,7 +291,6 @@ def gain_map_ic(
     *,
     options: SolverOptions = SolverOptions(),
     phase: float = 0.0,
-    workers: int = 1,
 ) -> GainMap:
     """Gain map over critical-current rows at a fixed bias frequency."""
     i_c = _nonempty_axis(critical_currents, "critical-current")
@@ -316,7 +299,7 @@ def gain_map_ic(
     f_dc = round_bias(f_dc, response.grid)
     biases = [BiasPoint(f_dc=f_dc, i_c=c) for c in i_c]
     return _bias_map(
-        response, signal_frequencies, biases, power_dbm, phase, options, workers,
+        response, signal_frequencies, biases, power_dbm, phase, options,
         axis_values=i_c, axis_name="i_c_a", f_dc=f_dc,
     )
 
@@ -594,8 +577,9 @@ def pump_emission(
     wave port (a response without exactly one raises ValueError).
 
     Sums the labeled power |a|^2 / (2 Z) over grid bins within +/- half the
-    bandwidth around f_dc (the bare line when bandwidth is 0) and converts it
-    to a photon rate at f_dc.  Harmonic line labels at 2 f_dc, 3 f_dc ... are
+    bandwidth around f_dc (the bare line when bandwidth is 0), reporting as
+    `bandwidth` the span of the bins summed (less where the grid clips the
+    band), and converts it to a photon rate at f_dc.  Harmonic line labels at 2 f_dc, 3 f_dc ... are
     reported as long as they stay on the grid.  An unconverged state still
     reports its power; a diverged one reports NaN power and harmonic lines,
     unconverged.  The response is read only at the reported bins.  The solve
@@ -624,7 +608,7 @@ def pump_emission(
         frequency=bias.f_dc,
         power_watts=power,
         photon_rate=photon_rate(power, bias.f_dc),
-        bandwidth=2 * half * grid.spacing,
+        bandwidth=(hi - lo) * grid.spacing,
         converged=state.converged,
         harmonics_dbm=tuple(harmonics),
     )
@@ -701,6 +685,14 @@ def _int_cells(column: np.ndarray) -> np.ndarray:
     """'%d' cells of an integer or boolean column, laid out as `_float_cells`."""
     text = np.array([b"%d" % v for v in column.tolist()], dtype=bytes)
     return text.view(np.uint8).reshape(column.size, text.itemsize).T
+
+
+def table_bytes(rows: int, columns: int) -> int:
+    """An upper bound on what `write_table` holds for a table of float
+    columns: its blocks and their join, at most `_CELL` bytes and a separator
+    a cell, and one block's formatting scratch, twice its cells (1.0 to 1.4
+    times them, traced)."""
+    return (2 * rows + 2 * min(rows, _BLOCK)) * columns * (_CELL + 1)
 
 
 def write_table(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:

@@ -297,6 +297,22 @@ def test_describe_memory_counts_only_what_the_run_builds(tmp_path, capsys):
     assert "memory estimate:   at most" in out
 
 
+@pytest.mark.parametrize("kind", ["zjj", "fom"])
+def test_describe_memory_bounds_a_linear_run(tmp_path, kind):
+    # On DEFAULT_GRID the CSV writer's blocks and their join, on top of the
+    # columns it writes, set the run's peak (4.6 MB traced for zjj, 3.3 MB
+    # for fom), above the ladder fold's.
+    config = load_config(str(write_config(tmp_path, {"kind": kind}, grid={})))
+    assert config.grid.size == 32768
+    tracemalloc.start()
+    try:
+        run(config, tmp_path / "run")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= memory_estimate_bytes(config)
+
+
 def describe_lines(path, capsys):
     assert main(["describe", "--config", str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -490,13 +506,10 @@ def test_threads_below_one_rejected(tmp_path, capsys, threads):
     assert stop.value.code == 2
     assert "--threads: must be an integer of at least 1" in capsys.readouterr().err
     assert not out.exists()
-    # Called as a library, the map itself refuses the count.
-    with pytest.raises(ValueError, match="workers must be at least 1"):
-        run(load_config(str(path)), out, threads=int(threads))
 
 
 def test_threads_only_for_gainmap(tmp_path, capsys):
-    # Only a gain map has rows to spread over workers.
+    # Only `gainmap` takes the option, which it accepts and ignores.
     path = write_config(tmp_path, profile_sweep(signal_count=2))
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as stop:

@@ -32,7 +32,7 @@ from ictasim.solver import (
     outputs,
     power_balance,
 )
-from ictasim.sweeps import gain_map_fdc, pump_emission, write_map_csv
+from ictasim.sweeps import pump_emission
 from oracles import eager_response
 
 FAST = SolverOptions(max_iterations=3000)
@@ -119,19 +119,6 @@ def test_emission_reads_reported_bins_and_matches_eager(coarse_grid, monkeypatch
     assert lazy.converged and eager.converged
     assert abs(lazy.power_watts / eager.power_watts - 1.0) <= 1e-9
     assert np.allclose(lazy.harmonics_dbm, eager.harmonics_dbm, rtol=0, atol=1e-8)
-
-
-def test_lazy_map_identical_across_workers(canonical_net, coarse_grid, tmp_path):
-    # Each map builds its own response; two rows at a time share its cache.
-    fs = np.arange(4.0e9, 7.5e9, 0.48e9)
-    fdc = np.array([11.0e9, 11.52e9, 12.0e9, 13.0e9])
-    paths = []
-    for workers in (1, 2):
-        response = frankenstein_matrix(canonical_net, coarse_grid)
-        gmap = gain_map_fdc(response, fs, fdc, 200e-9, options=FAST, workers=workers)
-        paths.append(tmp_path / f"map{workers}.csv")
-        write_map_csv(gmap, paths[-1])
-    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_threads_share_one_cache(canonical_net, coarse_grid, monkeypatch):

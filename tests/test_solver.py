@@ -598,6 +598,12 @@ def default_f():
     return frankenstein_matrix(build_icta(IctaParams()), DEFAULT_GRID)
 
 
+@pytest.fixture(scope="module")
+def map_f():
+    # The gain-map grid of 2048 bins of 20 MHz, below SPLIT_BINS.
+    return frankenstein_matrix(build_icta(IctaParams()), FrequencyGrid(spacing=20e6, size=2048))
+
+
 def _nonlinear_probe(row, state):
     """`nonlinear_off_lattice_growth` from the start of the state's probe,
     for as many steps: the comb's (`Chain.probe_start`) on a stride lattice
@@ -902,7 +908,7 @@ def test_tangent_zero_pad_two_matches_zero_pad_four(default_f):
 
 def test_probe_runs_at_zero_pad_2_under_a_zero_pad_1_solve(canonical_f):
     # At zero_pad 1 the tangent's products alias; the probe runs the zero_pad
-    # 2 tangent whatever the solve's zero_pad, and reads its ratio bit for
+    # 2 coset step whatever the solve's zero_pad, and reads its ratio bit for
     # bit from the same start.
     row = junction_row(canonical_f)
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
@@ -914,8 +920,9 @@ def test_probe_runs_at_zero_pad_2_under_a_zero_pad_1_solve(canonical_f):
     start = Chain().probe_start(row, bias, options, 50)
     ratios = [
         _off_lattice_growth(
-            _tangent_step(row.f_jj, state.v_j, _round_trip(grid.frequencies, m, bias, zero_pad),
-                          1.0),
+            _Cosets(row.f_jj, grid.frequencies, m, 50, zero_pad).tangent(
+                state.v_j[::50], bias, 1.0, bool(off[::50].any())
+            ),
             off, _off_start(start, off),
         )[0]
         for zero_pad in (2, 1)
@@ -924,27 +931,31 @@ def test_probe_runs_at_zero_pad_2_under_a_zero_pad_1_solve(canonical_f):
 
 
 @pytest.mark.parametrize(
-    "f_s, stride, alpha", [(5.025e9, 75, 0), (5.12e9, 160, 0), (6.024e9, 24, 17)],
-    ids=["odd", "even", "embedded"],
+    "response, f_s, stride, alpha",
+    [("default_f", 5.025e9, 75, 0), ("default_f", 5.12e9, 160, 0),
+     ("default_f", 6.024e9, 24, 17), ("map_f", 4.5e9, 75, 0)],
+    ids=["odd", "even", "embedded", "map-grid"],
 )
-def test_coset_probe_matches_full_grid_tangent(default_f, f_s, stride, alpha):
+def test_coset_probe_matches_full_grid_tangent(request, response, f_s, stride, alpha):
     # The probe's coset step against the full-grid tangent at zero_pad 2,
     # step by step from the probe's start (the comb's on a stride lattice,
     # the seeded one on an embedded lattice): the growth ratios agree to 1e-6
-    # relative (measured 1.1e-9 to 1.4e-9), and the probe's last is the
-    # state's.
-    row = junction_row(default_f)
+    # relative (measured 1.1e-9 to 1.4e-9 on DEFAULT_GRID, 6e-12 on the map
+    # grid, whose steps run the single transform), and the probe's last is
+    # the state's.
+    response = request.getfixturevalue(response)
+    grid = response.grid
+    row = junction_row(response)
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
     state = iterate(row, bias, Stimulus.single(f_s, -140.0))
-    lattice, n, m = state.lattice, DEFAULT_GRID.size, int(round(F_DC / DEFAULT_GRID.spacing))
+    lattice, n, m = state.lattice, grid.size, int(round(F_DC / grid.spacing))
     assert lattice.unit == stride and lattice.alpha == alpha
     off = ~lattice.covered
     assert off[::stride].any() == (alpha > 0)
     options = SolverOptions(zero_pad=2)
     coset = Chain().tangent(row, m, bias, lattice, state.v_j, off, options)
     assert coset.__qualname__.startswith("_Cosets.tangent")
-    full = _tangent_step(row.f_jj, state.v_j, _round_trip(DEFAULT_GRID.frequencies, m, bias, 2),
-                         1.0)
+    full = _tangent_step(row.f_jj, state.v_j, _round_trip(grid.frequencies, m, bias, 2), 1.0)
     if alpha:
         re, im = np.random.default_rng(PROBE_SEED).standard_normal((2, n))
         start = np.where(off, re + 1j * im, 0.0)

@@ -1,7 +1,8 @@
 """The public surface: `ictasim.__all__`, what the demos import from it and
 that each demo runs, the module attributes the benchmark tracer wraps and
-what it reads of a solve, the config schema the benchmark's generated
-configs rely on, and no unused import or definition in the library."""
+what it reads of a solve, the config schema and command-line options the
+benchmark's generated jobs rely on, and no unused import or definition in
+the library."""
 
 import ast
 import importlib
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import ictasim
-from ictasim.cli import load_config
+from ictasim.cli import build_parser, load_config
 from ictasim.frankenstein import junction_row
 from ictasim.solver import BiasPoint, Stimulus, iterate
 
@@ -95,13 +96,16 @@ def test_traced_solve_reads_resolve(canonical_f):
 
 
 def test_benchmark_configs_load(tmp_path, monkeypatch):
-    # The benchmark generates its configs in perfbench/workloads.py and loads
-    # each one before it runs; a schema change that rejects one would stop
-    # every benchmark run.  The module is only imported, never changed.
+    # The benchmark generates its configs and command lines in
+    # perfbench/workloads.py, loads each config before it runs, and counts a
+    # command line the parser rejects (exit 2) as a failed operation; a
+    # schema or option change that rejects one would stop every benchmark
+    # run.  The module is only imported, never changed.
     spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up there
     spec.loader.exec_module(workloads)
+    parser = build_parser()
     loaded = 0
     for workload in workloads.WORKLOADS:
         for variant in range(workloads.variant_count(workload)):
@@ -109,6 +113,7 @@ def test_benchmark_configs_load(tmp_path, monkeypatch):
             config_dir = tmp_path / workload / str(variant)
             workloads.write_configs(job_list, config_dir)
             for job in job_list:
+                parser.parse_args(job.argv(config_dir, tmp_path / "out"))
                 if job.config is not None:
                     load_config(str(config_dir / f"{job.name}.json"))
                     loaded += 1
