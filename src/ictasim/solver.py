@@ -36,7 +36,8 @@ on n_t = 2 * zero_pad * N points for a lattice of N bins, one full period,
 so every lattice tone is exactly periodic; products alias only from above
 zero_pad times the lattice's top frequency.
 
-Chain: a warm-start chain hands one `Chain` to each of its `iterate` calls
+Chain: a warm-start chain runs at one junction row, bias and set of solver
+options, and hands one `Chain` built for them to each of its `iterate` calls
 (a lone solve builds its own).  It holds the chain's pump comb analysis and
 chords, and its off-lattice probe's vector and tangent tables, as below.
 
@@ -194,14 +195,14 @@ class SolverOptions:
     zero_pad: int = 4
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
+            raise ValueError("tolerance must be positive and finite")
         if not 0.0 < self.relaxation <= 1.0:
             raise ValueError("relaxation must lie in (0, 1]")
-        if self.zero_pad < 1:
-            raise ValueError("zero_pad must be at least 1")
+        for name in ("max_iterations", "zero_pad"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1")
 
 
 def _fast_len(n: int) -> int:
@@ -293,8 +294,8 @@ class Tone:
     def __post_init__(self):
         if not np.isfinite(self.frequency) or self.frequency <= 0:
             raise ValueError("tone frequency must be positive and finite")
-        if not np.isfinite(self.power_dbm):
-            raise ValueError("tone power must be finite")
+        if not (np.isfinite(self.power_dbm) and np.isfinite(self.phase)):
+            raise ValueError("tone power and phase must be finite")
 
 
 @dataclass(frozen=True)
@@ -972,7 +973,8 @@ def _chord(step, chord: _Chord, current: np.ndarray, tol_abs: float, max_iterati
 
 
 class Chain:
-    """What one warm-start chain, or one lone solve, carries from each of its
+    """What one warm-start chain, or one lone solve, at one operating point
+    (`row`, `bias`, `options`; pump bin `m`) carries from each of its
     `iterate` calls to the next: the pump comb's Floquet-Bloch analysis, the
     chords built from it, and the off-lattice probe's vector and tangent
     tables.  Not to be shared between threads.
@@ -985,30 +987,28 @@ class Chain:
     the probe's first start (`probe_start`), mod p = m / s on a stride
     lattice of unit s (coset r holds the grid bins s r + m j) for its chord
     (`chord`).  A chain solves its comb cold at its first point that needs
-    it, and again only when the row, bias or options change.
+    it, unless a stimulus-free point has solved it from its own start.
 
     The probe (`probe`): `vector`, the vector the chain's last probe ended
     on, in grid layout, starts the next one, and the tangent's tables
     (`_Cosets`, or the full grid's `_round_trip`) serve every probe at one
     lattice unit; they are freed when the unit changes."""
 
-    def __init__(self):
+    def __init__(self, row: JunctionRow, bias: BiasPoint, options: SolverOptions):
+        self.row, self.bias, self.options = row, bias, options
+        self.m = _bias_bin(bias, row.response.grid)
         self.vector: np.ndarray | None = None
-        self._row = self._key = self._harmonics = None
-        self._chords: dict[int, _Chord | None] = {}
-        self._table_row = self._table_key = self._tables = None
+        self._harmonics = self._chords = self._unit = self._tables = None
 
-    def solve(self, row: JunctionRow, bias: BiasPoint, options: SolverOptions,
-              start: np.ndarray | None = None):
+    def solve(self, start: np.ndarray | None = None):
         """Plain Picard without a stimulus on the pump comb from comb
         spectrum `start` (None: cold), whose analysis it keeps:
         `_fixed_point`'s (state, iterations, converged, last largest
         change).  At zero_pad >= PROBE_ZERO_PAD one round trip serves the
         loop and c(t)."""
-        grid = row.response.grid
-        self._m = m = _bias_bin(bias, grid)
-        comb = Lattice.stride(grid, m, m)
-        self._row, self._key, self._chords, self._harmonics = row, (bias, options), {}, None
+        row, bias, options = self.row, self.bias, self.options
+        comb = Lattice.stride(row.response.grid, self.m, self.m)
+        self._chords, self._harmonics = {}, None
         f_jj = comb.gather(row.f_jj)
         trip = _round_trip(comb.frequencies, 1, bias, options.zero_pad)
         step = _picard_step(f_jj, np.zeros(comb.size, dtype=complex), trip, options.relaxation)
@@ -1025,16 +1025,16 @@ class Chain:
             self._harmonics = _harmonics(spectrum, comb.size)
         return current, count, converged, delta
 
-    def _settled(self, row: JunctionRow, bias: BiasPoint, options: SolverOptions) -> bool:
-        """Whether the comb of `row`, `bias` and `options` converged, solved
-        from a cold start unless it is the one held."""
-        if row is not self._row or (bias, options) != self._key:
-            self.solve(row, bias, options)
+    def _settled(self) -> bool:
+        """Whether the comb converged, solved from a cold start unless
+        `solve` has run (and set `_chords`)."""
+        if self._chords is None:
+            self.solve()
         return self._harmonics is not None
 
     def _layout(self):
         """The grid's `_coset_layout` mod m."""
-        return _coset_layout(self._row.f_jj, self._row.response.grid.frequencies, self._m)
+        return _coset_layout(self.row.f_jj, self.row.response.grid.frequencies, self.m)
 
     def _grid_blocks(self, layout, cosets: np.ndarray):
         """The blocks of `cosets` on the grid mod m, of its `layout`,
@@ -1043,25 +1043,24 @@ class Chain:
         bins, weight = layout
         chunk = PROOF_CHUNK_BYTES // (16 * (2 * bins.shape[1]) ** 2)
         for lo in range(0, cosets.size, chunk):
-            yield _coset_blocks(self._harmonics, bins, weight, self._row.f_jj.size,
-                                self._key[1].relaxation, cosets[lo : lo + chunk])
+            yield _coset_blocks(self._harmonics, bins, weight, self.row.f_jj.size,
+                                self.options.relaxation, cosets[lo : lo + chunk])
 
     def proven(self) -> bool:
         """Whether the comb state held is stable on the whole grid: every
         block r <= m / 2 `_contracts`, up to the first chunk that fails."""
-        blocks = self._grid_blocks(self._layout(), np.arange(self._m // 2 + 1))
+        blocks = self._grid_blocks(self._layout(), np.arange(self.m // 2 + 1))
         return all(map(_contracts, blocks))
 
-    def chord(self, row: JunctionRow, bias: BiasPoint, options: SolverOptions,
-              lattice: Lattice) -> _Chord | None:
+    def chord(self, lattice: Lattice) -> _Chord | None:
         """The chord of stride lattice `lattice`, or None where the comb loop
         did not converge, a multiplier reaches 1, or the unit is retired."""
         s = lattice.unit
-        if self._settled(row, bias, options) and s not in self._chords:
-            bins, weight = _coset_layout(lattice.gather(row.f_jj), lattice.frequencies,
+        if self._settled() and s not in self._chords:
+            bins, weight = _coset_layout(lattice.gather(self.row.f_jj), lattice.frequencies,
                                          lattice.pump)
             blocks = _coset_blocks(self._harmonics, bins, weight, lattice.size,
-                                   options.relaxation, np.arange(lattice.pump))
+                                   self.options.relaxation, np.arange(lattice.pump))
             self._chords[s] = _Chord.of(blocks, lattice.size)
         return self._chords.get(s)
 
@@ -1070,8 +1069,7 @@ class Chain:
         its 1 dB point gives up there on every later point too."""
         self._chords[lattice.unit] = None
 
-    def probe_start(self, row: JunctionRow, bias: BiasPoint, options: SolverOptions,
-                    s: int) -> np.ndarray | None:
+    def probe_start(self, s: int) -> np.ndarray | None:
         """The off-lattice probe's first start on a stride lattice of unit s >
         1, in grid layout; None (the seeded start) where the comb loop did
         not converge, the comb is wider than PROOF_WIDTH bins or no mode
@@ -1081,11 +1079,11 @@ class Chain:
         the leading block of each of the first PROBE_COSETS classes +-r (mod
         s; the modes of one class couple at the state, and beat), weighted by
         (modulus / largest)**PROBE_STEPS, plus the seeded perturbation."""
-        grid = row.response.grid
-        if not self._settled(row, bias, options) or -(-grid.size // self._m) > PROOF_WIDTH:
+        grid = self.row.response.grid
+        if not self._settled() or -(-grid.size // self.m) > PROOF_WIDTH:
             return None
         layout = self._layout()
-        cosets = np.arange(1, self._m // 2 + 1)
+        cosets = np.arange(1, self.m // 2 + 1)
         cosets = cosets[cosets % s != 0]
         norms = []
         for power in self._grid_blocks(layout, cosets):
@@ -1104,38 +1102,36 @@ class Chain:
         start *= PROBE_SEED_WEIGHT / np.sqrt(np.sum(start.real**2 + start.imag**2))
         # One grid-sized mode at a time.
         for r, (modulus, vector) in zip(top, leading):
-            mode = _coset_mode(vector, r, self._m)
+            mode = _coset_mode(vector, r, self.m)
             norm = np.sqrt(np.sum(np.abs(mode) ** 2))  # 0 where a self-mirror half cancels
             if norm > 0.0:
                 start += (modulus / largest) ** PROBE_STEPS / norm * mode[: grid.size]
         return start
 
-    def tangent(self, row: JunctionRow, m: int, bias: BiasPoint, lattice: Lattice,
-                voltage: np.ndarray, off: np.ndarray, options: SolverOptions):
+    def tangent(self, lattice: Lattice, voltage: np.ndarray, off: np.ndarray):
         """The tangent step the probe of `lattice` (unit s) runs at the state
         of grid junction voltage spectrum `voltage`, at PROBE_ZERO_PAD
         whatever `options.zero_pad`: `_Cosets`' step, with coset 0 only where
         it holds bins of `off`, or the full-grid tangent at s = 1 and where
-        COSET_SAMPLES says so.  Tables are rebuilt only when what they depend
-        on changes."""
+        COSET_SAMPLES says so.  Tables are rebuilt only when the unit they
+        serve changes."""
+        row, bias, relaxation = self.row, self.bias, self.options.relaxation
         grid = row.response.grid
         s = lattice.unit
         # COSET_SAMPLES is 5-smooth: the rows take more only when 2 zero_pad W does.
         if 2 * PROBE_ZERO_PAD * -(-grid.size // s) > COSET_SAMPLES:
             s = 1
-        key = (m, bias.i_c, s)
-        if row is not self._table_row or key != self._table_key:
-            self._table_row, self._table_key, self._tables = row, key, None  # free the old first
+        if s != self._unit:
+            self._unit, self._tables = s, None  # free the old first
             self._tables = (
-                _Cosets(row.f_jj, grid.frequencies, m, s, PROBE_ZERO_PAD) if s > 1
-                else _round_trip(grid.frequencies, m, bias, PROBE_ZERO_PAD)
+                _Cosets(row.f_jj, grid.frequencies, self.m, s, PROBE_ZERO_PAD) if s > 1
+                else _round_trip(grid.frequencies, self.m, bias, PROBE_ZERO_PAD)
             )
         if s == 1:
-            return _tangent_step(row.f_jj, voltage, self._tables, options.relaxation)
-        return self._tables.tangent(voltage[::s], bias, options.relaxation, bool(off[::s].any()))
+            return _tangent_step(row.f_jj, voltage, self._tables, relaxation)
+        return self._tables.tangent(voltage[::s], bias, relaxation, bool(off[::s].any()))
 
-    def probe(self, row: JunctionRow, m: int, bias: BiasPoint, lattice: Lattice,
-              voltage: np.ndarray, off: np.ndarray, options: SolverOptions):
+    def probe(self, lattice: Lattice, voltage: np.ndarray, off: np.ndarray):
         """The off-lattice probe of `lattice` at the state of grid junction
         voltage spectrum `voltage`: `_off_lattice_growth`'s (growth, steps)
         on the bins `off` under `tangent`, from the carried `vector`, else, on
@@ -1145,8 +1141,8 @@ class Chain:
         dropped first."""
         x, self.vector = _off_start(self.vector, off), None
         if x is None and lattice.alpha == 0 and lattice.unit > 1:
-            x = _off_start(self.probe_start(row, bias, options, lattice.unit), off)
-        tangent = self.tangent(row, m, bias, lattice, voltage, off, options)
+            x = _off_start(self.probe_start(lattice.unit), off)
+        tangent = self.tangent(lattice, voltage, off)
         growth, steps, self.vector = _off_lattice_growth(tangent, off, x)
         return growth, steps
 
@@ -1218,8 +1214,9 @@ def iterate(
         already misses the tail bound is skipped.
     chain : Chain, optional
         The `Chain` of the warm-start chain the solve belongs to: its pump
-        comb, chords and off-lattice probe; without it the solve builds its
-        own.
+        comb, chords and off-lattice probe.  One built for another `row`
+        object, bias or options raises ValueError here; without one the
+        solve builds its own.
 
     Returns
     -------
@@ -1232,7 +1229,10 @@ def iterate(
     response = row.response
     grid = response.grid
     n = grid.size
-    m = _bias_bin(bias, grid)
+    chain = Chain(row, bias, options) if chain is None else chain
+    if chain.row is not row or (chain.bias, chain.options) != (bias, options):
+        raise ValueError("chain was built for another row, bias or options")
+    m = chain.m
     entries = _tone_entries(stim, grid, response.kinds)
     tones = [k for k, _ in entries]
     drive = np.zeros(n, dtype=complex)
@@ -1251,7 +1251,6 @@ def iterate(
     s = math.gcd(m, *tones) if tones else 1
     tol_abs = options.tolerance * bias.i_c
 
-    chain = Chain() if chain is None else chain
     iterations = 0
     with np.errstate(invalid="ignore", over="ignore"):  # the residual reports a blow-up
         for lattice in _lattices(grid, m, tones, s, bias.i_c, options.zero_pad, start):
@@ -1260,7 +1259,7 @@ def iterate(
             if lattice.unit != s:  # the pump comb of a stimulus-free solve
                 # An unproven comb leaves no trace: the stride-1 lattice
                 # decides as if it had been the only one.
-                current, count, converged, delta = chain.solve(row, bias, options, current)
+                current, count, converged, delta = chain.solve(current)
                 if converged and chain.proven():
                     path, iterations = "comb", count
                     break
@@ -1271,8 +1270,7 @@ def iterate(
             f_jj, lattice_drive = lattice.gather(row.f_jj), lattice.gather(drive)
             trip = _round_trip(lattice.frequencies, lattice.pump, bias, options.zero_pad)
             step = _picard_step(f_jj, lattice_drive, trip, options.relaxation)
-            chord = (chain.chord(row, bias, options, lattice)
-                     if lattice.alpha == 0 and tones and bias.i_c > 0 else None)
+            chord = chain.chord(lattice) if lattice.alpha == 0 and tones and bias.i_c > 0 else None
             if chord is not None:
                 path = "fallback"
                 solved, count, delta = _chord(step, chord, current, tol_abs, options.max_iterations)
@@ -1313,7 +1311,7 @@ def iterate(
     off = ~lattice.covered
     # A proven comb state needs no probe: its blocks hold every grid bin.
     if converged and path != "comb" and bias.i_c > 0 and off.any():
-        growth, steps = chain.probe(row, m, bias, lattice, v_j, off, options)
+        growth, steps = chain.probe(lattice, v_j, off)
         converged = growth < 1.0
     return SolutionState(
         bias=bias,

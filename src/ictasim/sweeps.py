@@ -144,15 +144,15 @@ def _chain(
     """Warm-start chain over single-tone stimuli, in order, at a fixed bias.
 
     Returns (gain_db, converged, balance_error, iterations) per stimulus.  An
-    unconverged point (a diverged one included, with the step that blew up
-    as its iterations) gets NaN gain and balance, and the next point starts
-    cold.  One `solver.Chain` serves the chain: the pump comb is solved and
-    analysed once, for every chord and the first probe; each off-lattice
-    probe after the first starts from the vector the last one ended on; and
-    all of it is freed when the chain returns.  Of a finished point only its
-    warm start outlives it into the next solve.  Each point calls this
-    module's `iterate` as `iterate(row, bias, stim, options, initial=...,
-    chain=...)`, the positions `perfbench/tracer.py` reads.
+    unconverged point (a diverged one included, with the step that blew up as
+    its iterations) gets NaN gain and balance, and the next point starts cold.
+    One `solver.Chain`, built for the row, bias and options, serves the chain:
+    the pump comb is solved and analysed once, for every chord and the first
+    probe; each later off-lattice probe starts from the vector the last one
+    ended on; and all of it is freed when the chain returns.  Of a finished
+    point only its warm start outlives it into the next solve.  Each point
+    calls this module's `iterate` as `iterate(row, bias, stim, options,
+    initial=..., chain=...)`, the positions `perfbench/tracer.py` reads.
     """
     row = junction_row(response)
     n = len(stimuli)
@@ -160,7 +160,7 @@ def _chain(
     converged = np.zeros(n, dtype=bool)
     balance = np.full(n, np.nan)
     iterations = np.zeros(n, dtype=int)
-    warm, chain = None, Chain()
+    warm, chain = None, Chain(row, bias, options)
     for i, stim in enumerate(stimuli):
         state = iterate(row, bias, stim, options, initial=warm, chain=chain)
         iterations[i] = state.iterations
@@ -236,8 +236,9 @@ class GainMap:
         y = np.asarray(self.axis_values, dtype=float)
         if np.any(np.diff(x) <= 0) or np.any(np.diff(y) <= 0):
             raise ValueError("map axes must be strictly increasing")
-        if self.values.shape != (y.size, x.size) or self.converged.shape != self.values.shape:
-            raise ValueError("map value/mask shapes do not match the axes")
+        if any(np.shape(a) != (y.size, x.size)
+               for a in (self.values, self.converged, self.balance_error)):
+            raise ValueError("map value/mask/balance shapes do not match the axes")
 
 
 def _bias_map(response, signal_frequencies, biases, power_dbm, phase, options, **axis) -> GainMap:
@@ -331,8 +332,9 @@ class CompressionCurve:
 
     def __post_init__(self):
         p = power_axis(self.power_in_dbm)
-        if self.gain_db.shape != (len(self.phases), p.size):
-            raise ValueError("gain rows must be (n_phases, n_powers)")
+        shape = (len(self.phases), p.size)
+        if any(np.shape(a) != shape for a in (self.gain_db, self.converged, self.balance_error)):
+            raise ValueError("gain, mask and balance rows must be (n_phases, n_powers)")
 
     @property
     def degenerate(self) -> bool:

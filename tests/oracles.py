@@ -294,15 +294,14 @@ def gathered_coset_blocks(f_jj, frequencies, p, spectrum, relaxation, spacing=1,
     return members, blocks
 
 
-def probe_start_modes(chain, row, bias, options, s):
+def probe_start_modes(chain, s):
     """`Chain.probe_start` of `chain` as it was first written: the layout
     built for the ranking and again for the leading blocks, and every
     leading block's grid-sized mode held in one list before any is added to
     the seeded start."""
-    grid = row.response.grid
-    if not chain._settled(row, bias, options) or -(-grid.size // chain._m) > PROOF_WIDTH:
+    grid, m = chain.row.response.grid, chain.m
+    if not chain._settled() or -(-grid.size // m) > PROOF_WIDTH:
         return None
-    m = chain._m
     cosets = np.arange(1, m // 2 + 1)
     cosets = cosets[cosets % s != 0]
     norms = []

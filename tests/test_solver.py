@@ -391,6 +391,55 @@ def test_stimulus_validation(canonical_f):
         iterate(row, BiasPoint(f_dc=F_DC + 0.3e6, i_c=I_C), Stimulus.none())
     with pytest.raises(ValueError):
         iterate(row, bias, Stimulus.none(), initial=np.zeros(17))
+    # A NaN phase would reach the solve and come back as a diverged point.
+    for phase in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="phase"):
+            Stimulus.single(5.6e9, -140.0, phase=phase)
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [{"zero_pad": 2.5}, {"zero_pad": True}, {"max_iterations": 2.5},
+     {"max_iterations": True}, {"tolerance": np.inf}, {"tolerance": np.nan}],
+    ids=["zero_pad-float", "zero_pad-bool", "max_iterations-float", "max_iterations-bool",
+         "tolerance-inf", "tolerance-nan"],
+)
+def test_solver_options_reject_non_integer_counts_and_non_finite_tolerance(setting):
+    # zero_pad 2.5 would fail inside the first solve, and an infinite
+    # tolerance would call every solve converged after one step.
+    with pytest.raises(ValueError):
+        SolverOptions(**setting)
+
+
+def test_solver_options_accept_numpy_integers():
+    options = SolverOptions(max_iterations=np.int64(30), zero_pad=np.int32(2))
+    assert options == SolverOptions(max_iterations=30, zero_pad=2)
+
+
+def test_iterate_rejects_a_chain_of_another_operating_point(canonical_f):
+    # A chain is bound to the row object, bias and options it was built for
+    # (pump bin 750 at 12 GHz on the 16 MHz grid); a solve at another row,
+    # bias or options raises and leaves the chain as it was, and one at
+    # equal bias and options is the lone solve, bit for bit.
+    row, bias, options = junction_row(canonical_f), BiasPoint(f_dc=F_DC, i_c=I_C), SolverOptions()
+    stim = Stimulus.single(5.6e9, -140.0)
+    with pytest.raises(TypeError):
+        Chain()
+    chain = Chain(row, bias, options)
+    assert chain.row is row and (chain.bias, chain.options, chain.m) == (bias, options, 750)
+    others = [
+        (replace(row), bias, options),  # an equal row, but another object
+        (row, BiasPoint(f_dc=F_DC, i_c=300e-9), options),
+        (row, BiasPoint(f_dc=11e9, i_c=I_C), options),
+        (row, bias, SolverOptions(max_iterations=3000)),
+    ]
+    for other_row, other_bias, other_options in others:
+        with pytest.raises(ValueError, match="another row, bias or options"):
+            iterate(other_row, other_bias, stim, other_options, chain=chain)
+    state = iterate(row, BiasPoint(f_dc=F_DC, i_c=I_C), stim, SolverOptions(), chain=chain)
+    lone = iterate(row, bias, stim, options)
+    assert np.array_equal(state.i_j, lone.i_j) and state.iterations == lone.iterations
+    assert state.probe_steps == lone.probe_steps > 0
 
 
 def test_dc_current_drawn_is_positive(canonical_f):
@@ -610,7 +659,7 @@ def _nonlinear_probe(row, state):
     of unit s > 1 whose comb converged, the seeded one elsewhere."""
     start = None
     if state.lattice.alpha == 0 and state.lattice.unit > 1:
-        start = Chain().probe_start(row, state.bias, SolverOptions(), state.lattice.unit)
+        start = Chain(row, state.bias, SolverOptions()).probe_start(state.lattice.unit)
     return nonlinear_off_lattice_growth(row, state, start=start, steps=state.probe_steps)
 
 
@@ -846,7 +895,7 @@ def test_probe_carries_its_vector_along_a_chain():
     # early from the third point on.
     row, bias, stim = _probe_case(0.1)
     cold = iterate(row, bias, stim)
-    chain, warm, states = Chain(), None, []
+    chain, warm, states = Chain(row, bias, SolverOptions()), None, []
     for f_s in (4.087e9, 4.086e9, 4.088e9, 4.089e9):
         state = iterate(row, bias, Stimulus.single(f_s, -140.0), initial=warm, chain=chain)
         warm = state.i_j
@@ -917,7 +966,7 @@ def test_probe_runs_at_zero_pad_2_under_a_zero_pad_1_solve(canonical_f):
     grid, m = canonical_f.grid, int(round(F_DC / canonical_f.grid.spacing))
     assert state.lattice.unit == 50 and state.converged
     off = ~state.lattice.covered
-    start = Chain().probe_start(row, bias, options, 50)
+    start = Chain(row, bias, options).probe_start(50)
     ratios = [
         _off_lattice_growth(
             _Cosets(row.f_jj, grid.frequencies, m, 50, zero_pad).tangent(
@@ -953,14 +1002,14 @@ def test_coset_probe_matches_full_grid_tangent(request, response, f_s, stride, a
     off = ~lattice.covered
     assert off[::stride].any() == (alpha > 0)
     options = SolverOptions(zero_pad=2)
-    coset = Chain().tangent(row, m, bias, lattice, state.v_j, off, options)
+    coset = Chain(row, bias, options).tangent(lattice, state.v_j, off)
     assert coset.__qualname__.startswith("_Cosets.tangent")
     full = _tangent_step(row.f_jj, state.v_j, _round_trip(grid.frequencies, m, bias, 2), 1.0)
     if alpha:
         re, im = np.random.default_rng(PROBE_SEED).standard_normal((2, n))
         start = np.where(off, re + 1j * im, 0.0)
     else:
-        start = np.where(off, Chain().probe_start(row, bias, SolverOptions(), stride), 0.0)
+        start = np.where(off, Chain(row, bias, SolverOptions()).probe_start(stride), 0.0)
     ratios = []
     for step in (coset, full):
         x, row_ratios = start / np.sqrt(np.sum(np.abs(start) ** 2)), []
@@ -1061,12 +1110,12 @@ def test_probe_holds_each_array_once(default_f):
     row, bias, options = junction_row(default_f), BiasPoint(f_dc=F_DC, i_c=I_C), SolverOptions()
     state = iterate(row, bias, Stimulus.single(5.12e9, -140.0))
     assert state.lattice.unit == 160 and state.probe_steps == 2
-    chain = Chain()
-    chain.solve(row, bias, options)
+    chain = Chain(row, bias, options)
+    chain.solve()
     off = ~state.lattice.covered
     tracemalloc.start()
     try:
-        growth, steps = chain.probe(row, 12000, bias, state.lattice, state.v_j, off, options)
+        growth, steps = chain.probe(state.lattice, state.v_j, off)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1184,9 +1233,9 @@ def _comb_tangent(row):
     options = SolverOptions()
     lattice = Lattice.stride(MAP_GRID, 640, 16)
     n, p = lattice.size, lattice.pump
-    chain = Chain()
-    chord = chain.chord(row, bias, options, lattice)
-    current, *_ = chain.solve(row, bias, options)
+    chain = Chain(row, bias, options)
+    chord = chain.chord(lattice)
+    current, *_ = chain.solve()
     f_jj = lattice.gather(row.f_jj)
     voltage = f_jj * lattice.gather(Lattice.stride(MAP_GRID, 640, 640).lift(current))
     bins, weight = _coset_layout(f_jj, lattice.frequencies, p)
@@ -1336,20 +1385,20 @@ def test_probe_start_equals_list_of_modes(default_f, map_row, grid, f_dc, i_c, s
     # up to the start built from every mode held at once, bit for bit.
     row = map_row if grid == "map" else junction_row(default_f)
     bias, options = BiasPoint(f_dc=f_dc, i_c=i_c), SolverOptions(max_iterations=3000)
-    start = Chain().probe_start(row, bias, options, s)
+    start = Chain(row, bias, options).probe_start(s)
     assert start is not None
-    assert np.array_equal(start, probe_start_modes(Chain(), row, bias, options, s))
+    assert np.array_equal(start, probe_start_modes(Chain(row, bias, options), s))
 
 
 def test_probe_start_holds_one_mode_at_a_time(default_f):
     # Traced peak of one start on DEFAULT_GRID above entry: 3.7 MB measured;
     # eight grid-sized modes held at once (4.6 MB) read 6.6 MB.
     row, bias, options = junction_row(default_f), BiasPoint(f_dc=F_DC, i_c=I_C), SolverOptions()
-    chain = Chain()
-    chain.solve(row, bias, options)
+    chain = Chain(row, bias, options)
+    chain.solve()
     tracemalloc.start()
     try:
-        start = chain.probe_start(row, bias, options, 160)
+        start = chain.probe_start(160)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1370,10 +1419,10 @@ def test_zero_power_gain_from_the_chord(map_row, f_dc, f_s):
     bias, options = BiasPoint(f_dc=f_dc, i_c=200e-9), SolverOptions()
     m, k = round(f_dc / MAP_GRID.spacing), round(f_s / MAP_GRID.spacing)
     lattice = Lattice.stride(MAP_GRID, m, math.gcd(m, k))
-    chain = Chain()
-    chord = chain.chord(map_row, bias, options, lattice)
+    chain = Chain(map_row, bias, options)
+    chord = chain.chord(lattice)
     assert chord is not None
-    comb, *_ = chain.solve(map_row, bias, options)
+    comb, *_ = chain.solve()
     x = lattice.gather(Lattice.stride(MAP_GRID, m, m).lift(comb))
     trip = _round_trip(lattice.frequencies, lattice.pump, bias, options.zero_pad)
     tangent = _tangent_step(np.ones(lattice.size, dtype=complex),
@@ -1422,8 +1471,8 @@ def test_comb_grid_blocks_match_full_grid(resistance, rate, zero_pad, tolerance)
     # proven.
     row, bias = _emission_row(bias_resistance=resistance), EMISSION_BIAS
     options = SolverOptions(zero_pad=zero_pad)
-    chain = Chain()
-    current, _, converged, _ = chain.solve(row, bias, options)
+    chain = Chain(row, bias, options)
+    current, _, converged, _ = chain.solve()
     assert converged
     f = DEFAULT_GRID.frequencies
     half = EMISSION_M // 2 + 1
@@ -1461,8 +1510,8 @@ def test_shared_harmonic_blocks_equal_gathered_blocks(grid, f_dc, i_c, options):
     row = junction_row(frankenstein_matrix(build_icta(IctaParams()), grid))
     bias = BiasPoint(f_dc=f_dc, i_c=i_c)
     m = round(f_dc / grid.spacing)
-    chain = Chain()
-    current, _, converged, _ = chain.solve(row, bias, options)
+    chain = Chain(row, bias, options)
+    current, _, converged, _ = chain.solve()
     assert converged
     lattice = Lattice.stride(grid, m, m)
     trip = _round_trip(lattice.frequencies, 1, bias, max(options.zero_pad, 2))

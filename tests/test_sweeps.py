@@ -522,6 +522,40 @@ def test_sweeps_call_iterate_as_the_tracer_reads_it(monkeypatch, canonical_f):
     assert True in warm[8:] and False in warm[9:]
 
 
+def test_each_chain_is_built_once_for_its_operating_point(monkeypatch, canonical_f):
+    # One `solver.Chain` per warm-start chain: a profile, each row of a map
+    # and each phase of a compression curve build one, and every `iterate`
+    # call of that chain is handed it, at the row, bias and options it was
+    # built for.
+    built, calls = [], []
+    real_init, real_iterate = solver.Chain.__init__, sweeps.iterate
+
+    def init(self, row, bias, options):
+        built.append(self)
+        real_init(self, row, bias, options)
+
+    def spy(row, bias, stim, options, **kwargs):
+        calls.append((row, bias, options, kwargs["chain"]))
+        return real_iterate(row, bias, stim, options, **kwargs)
+
+    monkeypatch.setattr(solver.Chain, "__init__", init)
+    monkeypatch.setattr(sweeps, "iterate", spy)
+    bias = BiasPoint(f_dc=F_DC, i_c=I_C)
+    signal = np.arange(4.8e9, 7.2e9, 0.32e9)
+    gain_profile(canonical_f, bias, signal, options=FAST)
+    gain_map_fdc(canonical_f, signal[:3], [11.2e9, F_DC], 200e-9, options=FAST)
+    compression_sweep(canonical_f, bias, 6.4e9, np.linspace(-150.0, -136.0, 8), options=FAST)
+    sizes = [8, 3, 3, 8]
+    assert len(built) == len(sizes) and len(calls) == sum(sizes)
+    assert [chain.bias.f_dc for chain in built] == [F_DC, 11.2e9, F_DC, F_DC]
+    served = iter(calls)
+    for chain, size in zip(built, sizes):
+        for _ in range(size):
+            row, bias, options, handed = next(served)
+            assert handed is chain
+            assert chain.row is row and chain.bias == bias and chain.options == options
+
+
 # ---------------------------------------------------------------- chain chords
 
 
@@ -685,6 +719,40 @@ def test_curve_requires_matching_shapes():
         )
 
 
+def test_tables_check_mask_and_balance_shapes():
+    # A mask or balance table of another shape than the gain's is refused
+    # when the table is built, not when it is written.
+    curve = dict(
+        power_in_dbm=np.linspace(-140.0, -110.0, 8),
+        gain_db=np.zeros((1, 8)),
+        phases=np.array([0.0]),
+        converged=np.ones((1, 8), dtype=bool),
+        balance_error=np.zeros((1, 8)),
+        signal_frequency=6.4e9,
+        bias=BiasPoint(f_dc=F_DC, i_c=I_C),
+    )
+    gmap = dict(
+        signal_frequencies=np.array([1e9, 2e9]),
+        axis_values=np.array([10e9, 11e9, 12e9]),
+        axis_name="f_dc_hz",
+        values=np.zeros((3, 2)),
+        converged=np.ones((3, 2), dtype=bool),
+        balance_error=np.zeros((3, 2)),
+        power_dbm=-140.0,
+    )
+    CompressionCurve(**curve)
+    GainMap(**gmap)
+    wrong = [
+        (CompressionCurve, curve, "converged", np.ones((3, 2), dtype=bool)),
+        (CompressionCurve, curve, "balance_error", np.zeros(5)),
+        (GainMap, gmap, "balance_error", np.zeros(7)),
+        (GainMap, gmap, "balance_error", np.zeros((2, 3))),
+    ]
+    for table, fields, name, value in wrong:
+        with pytest.raises(ValueError, match="shapes do not match|must be"):
+            table(**{**fields, name: value})
+
+
 # ---------------------------------------------------------------- emission
 
 
@@ -815,7 +883,9 @@ def test_diverged_point_is_masked(canonical_f, monkeypatch):
 
     def iterate(row, bias, stim, *args, **kwargs):
         # diverge at f_s = fs[1], -140 dBm on the F_DC row, and on pump-only
-        # solves: an infinite f_jj on the pump bin blows up the first step
+        # solves: an infinite f_jj on the pump bin blows up the first step.
+        # The swapped row runs without the sweep's chain, which is bound to
+        # the sweep's own row.
         tones = stim.tones
         if not tones or (
             bias.f_dc == F_DC and tones[0].frequency == fs[1] and tones[0].power_dbm == -140.0
@@ -823,6 +893,7 @@ def test_diverged_point_is_masked(canonical_f, monkeypatch):
             f_jj = row.f_jj.copy()
             f_jj[round(bias.f_dc / row.response.grid.spacing)] = np.inf
             row = replace(row, f_jj=f_jj)
+            kwargs.pop("chain", None)
         return real_iterate(row, bias, stim, *args, **kwargs)
 
     monkeypatch.setattr(sweeps, "iterate", iterate)
