@@ -2,6 +2,14 @@
 
 __version__ = "0.1.0"
 
+# numpy 2 loads these submodules on first use.  The solver's transforms
+# read numpy.fft, its probe seed numpy.random, and np.unique (the response
+# cache) numpy.ma, so they load with the package rather than inside a
+# caller's first solve.
+import numpy.fft
+import numpy.ma
+import numpy.random
+
 from ictasim.circuit import (
     DEFAULT_GRID,
     Element,

@@ -178,6 +178,13 @@ PROOF_CHUNK_BYTES = 1 << 20
 PROOF_WIDTH = 9
 
 
+def _reject_bools(obj, names):
+    """A bool is an int to Python, so the range checks would read it as 0 or 1."""
+    for name in names:
+        if isinstance(getattr(obj, name), (bool, np.bool_)):
+            raise ValueError(f"{name} must be a number, not a bool")
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Fixed-point solver settings, checked here.
@@ -195,13 +202,14 @@ class SolverOptions:
     zero_pad: int = 4
 
     def __post_init__(self):
+        _reject_bools(self, ("tolerance", "max_iterations", "relaxation", "zero_pad"))
         if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
             raise ValueError("tolerance must be positive and finite")
         if not 0.0 < self.relaxation <= 1.0:
             raise ValueError("relaxation must lie in (0, 1]")
         for name in ("max_iterations", "zero_pad"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be an integer of at least 1")
 
 
@@ -251,6 +259,7 @@ class BiasPoint:
     i_c: float
 
     def __post_init__(self):
+        _reject_bools(self, ("f_dc", "i_c"))
         if not np.isfinite(self.f_dc) or self.f_dc <= 0:
             raise ValueError("f_dc must be positive and finite")
         if not np.isfinite(self.i_c) or self.i_c < 0:
@@ -292,6 +301,7 @@ class Tone:
     phase: float = 0.0
 
     def __post_init__(self):
+        _reject_bools(self, ("frequency", "power_dbm", "phase"))
         if not np.isfinite(self.frequency) or self.frequency <= 0:
             raise ValueError("tone frequency must be positive and finite")
         if not (np.isfinite(self.power_dbm) and np.isfinite(self.phase)):

@@ -29,9 +29,9 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import __version__
+from ._minpack import lmder
 from .circuit import FrequencyGrid, Netlist, NetlistResponse, netlist_hash, netlist_to_dict
 from .design import longest_run
 from .frankenstein import junction_row, wave_port
@@ -448,6 +448,19 @@ def fit_row(power_in_dbm, gain_db, converged, phase_index: int | None = None):
     return power_in_dbm[keep], gain_db[phase_index][keep]
 
 
+MAX_FIT_EVALUATIONS = 2000
+
+
+def _rapp_problem(p_in, g):
+    """The fit's residual in dB of (G0 dB, P_sat dBm, ln knee), and its
+    start: the largest gain and output power, knee 1."""
+
+    def residual(theta):
+        return rapp_gain_db(p_in, theta[0], theta[1], np.exp(theta[2])) - g
+
+    return residual, np.array([float(np.max(g)), float(np.max(p_in + g)), 0.0])
+
+
 def rapp_fit(curve, gain_db=None, phase_index: int | None = None) -> RappFit:
     """Least-squares fit of the saturation model to a compression curve.
 
@@ -492,16 +505,15 @@ def rapp_fit(curve, gain_db=None, phase_index: int | None = None) -> RappFit:
     if np.any(np.maximum.accumulate(p_out) - p_out > 1.0):
         raise FitFailedError("output power is non-monotonic; cannot fit a saturation model")
 
-    def residual(theta):
-        return rapp_gain_db(p_in, theta[0], theta[1], np.exp(theta[2])) - g
-
-    g0_guess = float(np.max(g))
-    theta0 = np.array([g0_guess, float(np.max(p_out)), 0.0])
-    result = least_squares(residual, theta0, method="lm", max_nfev=2000)
-    if not result.success or not np.all(np.isfinite(result.x)):
-        raise FitFailedError(f"saturation-model fit did not converge: {result.message}")
-    g0_db, p_sat_dbm, log_knee = result.x
-    rms = float(np.sqrt(np.mean(result.fun**2)))
+    theta, fun, info = lmder(*_rapp_problem(p_in, g), MAX_FIT_EVALUATIONS)
+    if info == 5:
+        raise FitFailedError(
+            f"saturation-model fit did not converge in {MAX_FIT_EVALUATIONS} residual evaluations"
+        )
+    if not np.all(np.isfinite(theta)):
+        raise FitFailedError("saturation-model fit did not converge: non-finite parameters")
+    g0_db, p_sat_dbm, log_knee = theta
+    rms = float(np.sqrt(np.mean(fun**2)))
     return RappFit(
         gain=10.0 ** (g0_db / 10.0),
         p_sat=dbm_to_watts(p_sat_dbm),

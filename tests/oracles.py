@@ -12,6 +12,7 @@ arrays, and a lattice gather that always copies."""
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import least_squares
 
 from ictasim.circuit import (
     TRANSMISSION_LINE,
@@ -421,3 +422,13 @@ def gather_copy(lattice, x):
     out[lattice.grid_bins < 0] = 0.0
     np.conjugate(out, out=out, where=lattice.conjugate)
     return out
+
+
+# scipy's `status` for each MINPACK exit `info` of `lmder`
+_MINPACK_INFO = {2: 1, 3: 2, 4: 3, 1: 4, 0: 5}
+
+
+def scipy_lm(residual, x0, max_nfev):
+    """`least_squares(method="lm")`: (x, residuals, MINPACK's exit info)."""
+    result = least_squares(residual, x0, method="lm", max_nfev=max_nfev)
+    return result.x, result.fun, _MINPACK_INFO[result.status]

@@ -126,6 +126,24 @@ def test_bias_point_validation():
         BiasPoint(f_dc=12e9, i_c=-1e-9)
 
 
+@pytest.mark.parametrize(
+    "field, make",
+    [
+        pytest.param("f_dc", lambda: BiasPoint(True, 280e-9), id="f_dc"),
+        pytest.param("i_c", lambda: BiasPoint(12e9, np.True_), id="i_c"),
+        pytest.param("frequency", lambda: Tone(True, -140.0), id="frequency"),
+        pytest.param("power_dbm", lambda: Tone(5.6e9, True), id="power_dbm"),
+        pytest.param("phase", lambda: Tone(5.6e9, -140.0, phase=True), id="phase"),
+        pytest.param("tolerance", lambda: SolverOptions(tolerance=True), id="tolerance"),
+        pytest.param("relaxation", lambda: SolverOptions(relaxation=True), id="relaxation"),
+    ],
+)
+def test_numeric_fields_reject_bools(field, make):
+    # True passes every range check as 1: f_dc 1 Hz, relaxation 1, a 1 dBm tone.
+    with pytest.raises(ValueError, match=f"{field} must be a number, not a bool"):
+        make()
+
+
 def test_time_spectrum_round_trip():
     rng = np.random.default_rng(2)
     grid = FrequencyGrid(1e7, 256)

@@ -1,8 +1,8 @@
 """The public surface: `ictasim.__all__`, what the demos import from it and
 that each demo runs, the module attributes the benchmark tracer wraps and
 what it reads of a solve, the config schema and command-line options the
-benchmark's generated jobs rely on, and no unused import or definition in
-the library."""
+benchmark's generated jobs rely on, no unused import or definition in
+the library, and no scipy on the command line's import path."""
 
 import ast
 import importlib
@@ -49,6 +49,21 @@ def test_demo_runs(demo, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy only serves the tests; importing it would cost every run of the
+    # command line about half a second and 40 MB.
+    env = {**os.environ}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SOURCES.parent), env.get("PYTHONPATH")]))
+    code = "import sys, ictasim.cli; print(sorted({m.split('.')[0] for m in sys.modules}))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = ast.literal_eval(result.stdout.strip().splitlines()[-1])
+    assert "ictasim" in loaded
+    assert "scipy" not in loaded
 
 
 def test_traced_names_resolve_to_callables():

@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import brentq
 
 from ictasim import solver, sweeps
+from ictasim._minpack import lmder
 from ictasim.circuit import DEFAULT_GRID, FrequencyGrid, IctaParams, build_icta, frankenstein_matrix
 from ictasim.frankenstein import PortKind, junction_row
 from ictasim.solver import (
@@ -21,13 +22,16 @@ from ictasim.solver import (
     iterate,
 )
 from ictasim.sweeps import (
+    MAX_FIT_EVALUATIONS,
     CompressionCurve,
     FitFailedError,
     GainMap,
     NotFittableError,
     RappFit,
     SolverOptions,
+    _rapp_problem,
     compression_sweep,
+    fit_row,
     gain_map_fdc,
     gain_map_ic,
     gain_profile,
@@ -45,7 +49,13 @@ from ictasim.sweeps import (
     write_sidecar,
     write_table,
 )
-from oracles import ArrayResponse, plain_iterate, power_iteration_growth, write_table_rows
+from oracles import (
+    ArrayResponse,
+    plain_iterate,
+    power_iteration_growth,
+    scipy_lm,
+    write_table_rows,
+)
 
 F_DC = 12.0e9
 I_C = 280e-9
@@ -138,6 +148,65 @@ def test_rapp_fit_idempotent():
     assert abs(second.gain - first.gain) / first.gain < 1e-3
     assert abs(second.p_sat - first.p_sat) / first.p_sat < 1e-3
     assert abs(second.knee - first.knee) / first.knee < 1e-3
+
+
+def model_curve(p_in, gain_db, p_sat_dbm, knee):
+    return p_in, rapp_gain_db(p_in, gain_db, p_sat_dbm, knee)
+
+
+def noisy_rapp(seed, size):
+    p_in, g = model_curve(np.linspace(-130.0, -95.0, size), 12.0, -101.0, 1.1)
+    return p_in, g + np.random.default_rng(seed).normal(0.0, 0.05, size)
+
+
+# The lowest point sits at G0 and the highest at P_sat to the last bit, so
+# the fit starts on the model itself: zero residual, zero gradient.
+EXACT_START_POWERS = np.array([-400.0, -30.0, -20.0, -15.0, -10.0])
+
+# (power, gain), residual budget and the MINPACK exit both fits take; the
+# cases reach every exit the port returns
+LM_CASES = [
+    pytest.param(noisy_rapp(1, 8), MAX_FIT_EVALUATIONS, 1, id="noisy-8"),
+    pytest.param(noisy_rapp(0, 8), MAX_FIT_EVALUATIONS, 3, id="noisy-8-seed0"),
+    pytest.param(noisy_rapp(0, 12), MAX_FIT_EVALUATIONS, 1, id="noisy-12"),
+    pytest.param(noisy_rapp(1, 12), MAX_FIT_EVALUATIONS, 3, id="noisy-12-seed1"),
+    pytest.param(noisy_rapp(11, 400), MAX_FIT_EVALUATIONS, 2, id="noisy-400"),
+    pytest.param(noisy_rapp(0, 400), MAX_FIT_EVALUATIONS, 3, id="noisy-400-seed0"),
+    pytest.param(noisy_rapp(0, 3001), MAX_FIT_EVALUATIONS, 3, id="noisy-3001"),
+    pytest.param(
+        model_curve(np.linspace(-130.0, -95.0, 40), 12.0, -101.0, 1.1),
+        MAX_FIT_EVALUATIONS,
+        2,
+        id="noise-free",
+    ),
+    pytest.param(
+        model_curve(EXACT_START_POWERS, 10.0, -100.0, 1.0),
+        MAX_FIT_EVALUATIONS,
+        4,
+        id="noise-free-exact-start",
+    ),
+    pytest.param(noisy_rapp(0, 12), 3, 5, id="budget-spent"),
+]
+
+
+@pytest.mark.parametrize("data, budget, info", LM_CASES)
+def test_lm_port_matches_scipy_bit_for_bit(data, budget, info):
+    problem = _rapp_problem(*data)
+    x, fun, port_info = lmder(*problem, budget)
+    scipy_x, scipy_fun, scipy_info = scipy_lm(*problem, budget)
+    assert np.array_equal(x, scipy_x)
+    assert np.array_equal(fun, scipy_fun)
+    assert port_info == scipy_info == info
+
+
+def test_lm_cases_reach_every_exit():
+    assert sorted({case.values[2] for case in LM_CASES}) == [1, 2, 3, 4, 5]
+
+
+def test_spent_fit_budget_raises(monkeypatch):
+    monkeypatch.setattr(sweeps, "MAX_FIT_EVALUATIONS", 3)
+    with pytest.raises(FitFailedError, match="did not converge in 3 residual evaluations"):
+        rapp_fit(*noisy_rapp(0, 12))
 
 
 @pytest.mark.parametrize(
@@ -641,6 +710,10 @@ def test_compression_fit_recovers_saturation(canonical_f):
         canonical_f, bias, 6.4e9, powers, options=FAST
     )
     fit = rapp_fit(curve)
+    # the MINPACK port returns scipy's bits on a simulated curve too
+    problem = _rapp_problem(*fit_row(curve.power_in_dbm, curve.gain_db, curve.converged))
+    port = lmder(*problem, MAX_FIT_EVALUATIONS)
+    assert all(map(np.array_equal, port, scipy_lm(*problem, MAX_FIT_EVALUATIONS)))
     point = p1db(fit)
     assert curve.gain_db[0, 0] - 2.0 < fit.gain_db < curve.gain_db[0, 0] + 2.0
     assert -120.0 < point < -105.0
