@@ -13,6 +13,12 @@ Every solve returns a `SolutionState` that keeps its response and says why
 the loop stopped (converged, budget, probe-masked below, or diverged to a
 non-finite step); no stop raises, and `outputs` and the reports read it alone.
 
+Relaxation: `SolverOptions.relaxation` r under-relaxes only the plain Picard
+update, x <- (1 - r) x + r step(x) (`_fixed_point`).  Every tangent, coset
+block, chord and proof below reads the plain map step(x) itself, so no
+stability verdict depends on r: a steady state is stable or not as a property
+of the circuit's linearisation, not of the loop that found it.
+
 Spectral conventions: one-sided arrays over the grid bins k = 0 .. N-1, with
 a real tone x(t) = X0 cos(2 pi f_k t + theta) stored as |X[k]| = X0 / 2.  The
 stored wave values are the amplitudes `a` of the response formalism, and all
@@ -43,9 +49,9 @@ chords, and its off-lattice probe's vector and tangent tables, as below.
 
 Probe: an oscillation on grid bins a lattice does not cover cannot show on
 it, so a converged point whose lattice leaves bins out takes a few steps of
-the Picard map's tangent at its lifted state, power iteration on those bins
-at zero_pad 2, and is marked unconverged if the perturbation grows.  At a
-state on the multiples of s, c(t) is T / s periodic, so the tangent couples
+the plain Picard map's tangent at its lifted state, power iteration on those
+bins at zero_pad 2, and is marked unconverged if the perturbation grows.  At
+a state on the multiples of s, c(t) is T / s periodic, so the tangent couples
 bin q only to the bins = +-q (mod s), the Floquet-Bloch split of a
 pump-periodic linearisation (Peng et al., PRX Quantum 3, 020306, 2022); the
 probe runs it coset by coset on one period T / s where that pays
@@ -191,8 +197,10 @@ class SolverOptions:
 
     `tolerance` is the convergence threshold on the max spectral step, as a
     fraction of i_c; exhausting `max_iterations` returns converged=False (the
-    parametric-oscillation signature) rather than raising; `relaxation` in
-    (0, 1] under-relaxes each step (1 is a plain step); `zero_pad` is the
+    parametric-oscillation signature) rather than raising; `relaxation` r in
+    (0, 1] under-relaxes each plain Picard update to x <- (1 - r) x + r
+    step(x) (1 is a plain step) and nothing else: the chord, the probe and
+    the comb proof read the plain map at every r; `zero_pad` is the
     frequency zero-padding factor of the time grid.
     """
 
@@ -451,8 +459,9 @@ class SolutionState:
     of its `unit` s), and `tail` its guard, the 2-norm of the current on the
     two outermost signal orders as a fraction of i_c (NaN on a stride
     lattice).  `off_lattice_growth` is the probe's growth ratio of a
-    perturbation on the grid bins off the lattice under the Picard map's
-    tangent (0 only when the tangent annihilated it; NaN when no probe ran),
+    perturbation on the grid bins off the lattice under the plain Picard
+    map's tangent, whatever the relaxation (0 only when the tangent
+    annihilated it; NaN when no probe ran),
     and `probe_steps` its number of tangent steps.  `path` says how the
     lattice was solved: "chord" (the chord, accepted by its on-lattice
     check), "fallback" (plain Picard from the start after a chord gave up or
@@ -461,7 +470,8 @@ class SolutionState:
     "picard" (plain Picard where no chord applies, or where the chain's chord
     of that unit gave up before).  An unproven comb's steps are not counted
     in `iterations`.  `on_lattice_growth` and `on_lattice_steps` are the
-    chord check's growth ratio and tangent steps (NaN and 0 when none ran);
+    chord check's growth ratio of the plain map's tangent and its steps (NaN
+    and 0 when none ran);
     none of the three goes into a CSV.  Each stop reads from the state
     alone: `converged` True is a converged point; otherwise
     `off_lattice_growth >= 1` is a probe-masked point, a non-finite
@@ -627,15 +637,14 @@ def _cos_phase(voltage: np.ndarray, trip) -> np.ndarray:
     return c
 
 
-def _picard_step(f_jj: np.ndarray, drive: np.ndarray, trip, relaxation: float):
-    """One fixed-point step, current -> updated, on the lattice of junction
-    impedance `f_jj` whose `_round_trip` is `trip`: the junction voltage
-    drive + f_jj * current through the round trip, with I_c sin(ramp +
-    phase) between its halves, under-relaxed by `relaxation`.  The voltage
-    is formed in the step's `out`, which the round trip then overwrites."""
+def _picard_step(f_jj: np.ndarray, drive: np.ndarray, trip):
+    """One plain fixed-point step, current -> updated, on the lattice of
+    junction impedance `f_jj` whose `_round_trip` is `trip`: the junction
+    voltage drive + f_jj * current through the round trip, with I_c
+    sin(ramp + phase) between its halves.  The voltage is formed in the
+    step's `out`, which the round trip then overwrites."""
     ramp, to_phase, to_current = trip
     phi = np.empty(ramp.shape)
-    v = np.empty(f_jj.size, dtype=complex) if relaxation != 1.0 else None
 
     def step(current: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The next iterate, written to `out` (not `current`)."""
@@ -645,25 +654,20 @@ def _picard_step(f_jj: np.ndarray, drive: np.ndarray, trip, relaxation: float):
         np.add(ramp, phi, out=phi)
         np.sin(phi, out=phi)
         to_current(phi, out)
-        if relaxation != 1.0:
-            np.multiply(1.0 - relaxation, current, out=v)
-            np.multiply(relaxation, out, out=out)
-            np.add(v, out, out=out)
         return out
 
     return step
 
 
-def _tangent_step(f_jj: np.ndarray, voltage: np.ndarray, trip, relaxation: float):
+def _tangent_step(f_jj: np.ndarray, voltage: np.ndarray, trip):
     """The tangent of `_picard_step` on the same lattice and `trip`, at the
     state of junction voltage spectrum `voltage`, a conversion-matrix
-    linearisation: delta -> (1 - relaxation) delta + relaxation * (spectrum
-    of I_c c(t) times the phase samples of f_jj delta), with c(t) =
-    `_cos_phase` computed once; f_jj delta is formed in the step's `out`."""
+    linearisation: delta -> spectrum of I_c c(t) times the phase samples of
+    f_jj delta, with c(t) = `_cos_phase` computed once; f_jj delta is formed
+    in the step's `out`."""
     _, to_phase, to_current = trip
     c = _cos_phase(voltage, trip)
     phi = np.empty(c.shape)
-    v = np.empty(f_jj.size, dtype=complex) if relaxation != 1.0 else None
 
     def step(delta: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The tangent's image of `delta`, written to `out` (not `delta`)."""
@@ -671,10 +675,6 @@ def _tangent_step(f_jj: np.ndarray, voltage: np.ndarray, trip, relaxation: float
         to_phase(out, phi)
         np.multiply(c, phi, out=phi)
         to_current(phi, out)
-        if relaxation != 1.0:
-            np.multiply(1.0 - relaxation, delta, out=v)
-            np.multiply(relaxation, out, out=out)
-            np.add(v, out, out=out)
         return out
 
     return step
@@ -763,7 +763,7 @@ class _Cosets:
         self.weight_zero, self.weight_plus = weight[0].copy(), weight[1 : s // 2 + 1].copy()
         self.weight_minus = np.conjugate(weight[s - 1 : s - 1 - s // 2 : -1, ::-1])
 
-    def tangent(self, voltage: np.ndarray, bias: BiasPoint, relaxation: float, coset0: bool):
+    def tangent(self, voltage: np.ndarray, bias: BiasPoint, coset0: bool):
         """The step at the state of junction voltage spectrum `voltage` on the
         grid bins 0, s, 2s, ... (W of them): `step(delta, out)` writes the
         image of grid spectrum `delta` to `out`.  Without `coset0` it skips
@@ -778,7 +778,7 @@ class _Cosets:
         c = np.fft.irfft(low, size)
         np.add(self.ramp, c, out=c)
         np.cos(c, out=c)
-        c *= relaxation * bias.i_c
+        c *= bias.i_c
         # delta, then its image, zero-padded to W * s bins and viewed by
         # coset as `_coset_layout` lays the bins out.
         padded = np.zeros(width * s, dtype=complex)
@@ -814,22 +814,27 @@ class _Cosets:
                 by_coset[0] = 0.0
             np.copyto(out, padded[:n])
             padded[n:] = 0.0  # the image past the grid, where delta is 0
-            if relaxation != 1.0:
-                out += (1.0 - relaxation) * delta
             return out
 
         return step
 
 
-def _fixed_point(step, current: np.ndarray, tol_abs: float, max_iterations: int):
-    """Steps from a copy of `current` until the largest change falls below
-    `tol_abs` (or is 0), is non-finite, or the budget runs out: (last
-    iterate, iterations, converged, last largest change)."""
+def _fixed_point(step, current: np.ndarray, tol_abs: float, options: SolverOptions):
+    """The Picard update x <- (1 - r) x + r step(x), r the relaxation of
+    `options`, from a copy of `current` until the largest change falls below
+    `tol_abs` (or is 0), is non-finite, or the `options.max_iterations`
+    budget runs out: (last iterate, iterations, converged, last largest
+    change).  The only place the relaxation acts."""
     converged, delta, iterations = False, np.inf, 0
+    r = options.relaxation
     current = current.copy()
     spare, diff, size = np.empty_like(current), np.empty_like(current), np.empty(current.size)
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, options.max_iterations + 1):
         updated = step(current, spare)
+        if r != 1.0:
+            np.multiply(1.0 - r, current, out=diff)
+            np.multiply(r, updated, out=updated)
+            np.add(diff, updated, out=updated)
         delta = float(np.max(np.abs(np.subtract(updated, current, out=diff), out=size)))
         current, spare = updated, current
         if not np.isfinite(delta):
@@ -865,16 +870,15 @@ def _harmonics(spectrum, width):
     return spectrum[shared % spectrum.size], spectrum[zero % spectrum.size]
 
 
-def _coset_blocks(harmonics, bins, weight, n, relaxation, cosets):
+def _coset_blocks(harmonics, bins, weight, n, cosets):
     """The tangent of `_picard_step` on a lattice of n bins at a comb state
     (junction voltage on the multiples of the pump bin p), one block per
     coset r of the index array `cosets` mod p, from the lattice's
     `_coset_layout` and c's `_harmonics`.  Block r acts complex-linearly on z
     = (delta on row r of `bins`, conj(delta) on row -r mod p): the harmonic
-    matrix times each column's weight (conjugated on the second half), plus
-    (1 - relaxation) on the diagonal, a zero row and column past the lattice.
-    The blocks of r and p - r are conjugate; c's aliasing, which couples
-    cosets, is left out."""
+    matrix times each column's weight (conjugated on the second half), a
+    zero row and column past the lattice.  The blocks of r and p - r are
+    conjugate; c's aliasing, which couples cosets, is left out."""
     shared, zero = harmonics
     mirror = -cosets % bins.shape[0]
     on = np.concatenate([bins[cosets] < n, bins[mirror] < n], axis=1)
@@ -884,8 +888,6 @@ def _coset_blocks(harmonics, bins, weight, n, relaxation, cosets):
     if at_zero.any():
         blocks[at_zero] = zero * columns[at_zero][:, None, :]
     blocks *= on[:, :, None]
-    diagonal = np.einsum("rii->ri", blocks)
-    diagonal += (1.0 - relaxation) * on
     return blocks
 
 
@@ -1021,17 +1023,17 @@ class Chain:
         self._chords, self._harmonics = {}, None
         f_jj = comb.gather(row.f_jj)
         trip = _round_trip(comb.frequencies, 1, bias, options.zero_pad)
-        step = _picard_step(f_jj, np.zeros(comb.size, dtype=complex), trip, options.relaxation)
+        step = _picard_step(f_jj, np.zeros(comb.size, dtype=complex), trip)
         start = np.zeros(comb.size, dtype=complex) if start is None else start
         current, count, converged, delta = _fixed_point(
-            step, start, options.tolerance * bias.i_c, options.max_iterations
+            step, start, options.tolerance * bias.i_c, options
         )
         if converged:
             if options.zero_pad < PROBE_ZERO_PAD:
                 trip = _round_trip(comb.frequencies, 1, bias, PROBE_ZERO_PAD)
             c = _cos_phase(f_jj * current, trip)
             # Time order: the interleaved layout holds sample t = phases * q + r at [r, q].
-            spectrum = np.fft.fft(c.T.ravel()) * (options.relaxation * bias.i_c / c.size)
+            spectrum = np.fft.fft(c.T.ravel()) * (bias.i_c / c.size)
             self._harmonics = _harmonics(spectrum, comb.size)
         return current, count, converged, delta
 
@@ -1054,7 +1056,7 @@ class Chain:
         chunk = PROOF_CHUNK_BYTES // (16 * (2 * bins.shape[1]) ** 2)
         for lo in range(0, cosets.size, chunk):
             yield _coset_blocks(self._harmonics, bins, weight, self.row.f_jj.size,
-                                self.options.relaxation, cosets[lo : lo + chunk])
+                                cosets[lo : lo + chunk])
 
     def proven(self) -> bool:
         """Whether the comb state held is stable on the whole grid: every
@@ -1070,7 +1072,7 @@ class Chain:
             bins, weight = _coset_layout(lattice.gather(self.row.f_jj), lattice.frequencies,
                                          lattice.pump)
             blocks = _coset_blocks(self._harmonics, bins, weight, lattice.size,
-                                   self.options.relaxation, np.arange(lattice.pump))
+                                   np.arange(lattice.pump))
             self._chords[s] = _Chord.of(blocks, lattice.size)
         return self._chords.get(s)
 
@@ -1125,7 +1127,7 @@ class Chain:
         it holds bins of `off`, or the full-grid tangent at s = 1 and where
         COSET_SAMPLES says so.  Tables are rebuilt only when the unit they
         serve changes."""
-        row, bias, relaxation = self.row, self.bias, self.options.relaxation
+        row, bias = self.row, self.bias
         grid = row.response.grid
         s = lattice.unit
         # COSET_SAMPLES is 5-smooth: the rows take more only when 2 zero_pad W does.
@@ -1138,8 +1140,8 @@ class Chain:
                 else _round_trip(grid.frequencies, self.m, bias, PROBE_ZERO_PAD)
             )
         if s == 1:
-            return _tangent_step(row.f_jj, voltage, self._tables, relaxation)
-        return self._tables.tangent(voltage[::s], bias, relaxation, bool(off[::s].any()))
+            return _tangent_step(row.f_jj, voltage, self._tables)
+        return self._tables.tangent(voltage[::s], bias, bool(off[::s].any()))
 
     def probe(self, lattice: Lattice, voltage: np.ndarray, off: np.ndarray):
         """The off-lattice probe of `lattice` at the state of grid junction
@@ -1217,7 +1219,9 @@ def iterate(
     stim : Stimulus
         Input tones (may be empty for pump-only runs).
     options : SolverOptions
-        Tolerance, iteration budget (per lattice), relaxation and zero padding.
+        Tolerance, iteration budget (per lattice), relaxation of the plain
+        Picard loops (the chord, its check and the probe read the plain map
+        whatever it is) and zero padding.
     initial : ndarray, optional
         Warm-start junction current spectrum (grid-sized, half amplitudes);
         only its bins on each lattice are used, and a rung on which it
@@ -1279,7 +1283,7 @@ def iterate(
             # The step (and its time-grid buffers) lives only as long as its loop.
             f_jj, lattice_drive = lattice.gather(row.f_jj), lattice.gather(drive)
             trip = _round_trip(lattice.frequencies, lattice.pump, bias, options.zero_pad)
-            step = _picard_step(f_jj, lattice_drive, trip, options.relaxation)
+            step = _picard_step(f_jj, lattice_drive, trip)
             chord = chain.chord(lattice) if lattice.alpha == 0 and tones and bias.i_c > 0 else None
             if chord is not None:
                 path = "fallback"
@@ -1288,8 +1292,7 @@ def iterate(
                 if solved is None:
                     chain.retire(lattice)
                 else:
-                    tangent = _tangent_step(f_jj, lattice_drive + f_jj * solved, trip,
-                                            options.relaxation)
+                    tangent = _tangent_step(f_jj, lattice_drive + f_jj * solved, trip)
                     every = np.ones(lattice.size, dtype=bool)
                     check, check_steps, _ = _off_lattice_growth(
                         tangent, every, _off_start(chord.mode, every)
@@ -1303,9 +1306,7 @@ def iterate(
                     ):
                         path, current, converged = "chord", solved, True
             if path != "chord":
-                current, count, converged, delta = _fixed_point(
-                    step, current, tol_abs, options.max_iterations
-                )
+                current, count, converged, delta = _fixed_point(step, current, tol_abs, options)
                 iterations += count
             tail = lattice.tail(current) / bias.i_c if bias.i_c > 0 else math.nan
             if converged and tail < TAIL_BOUND:

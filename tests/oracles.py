@@ -113,14 +113,15 @@ def tone_drive(response, stim):
 
 def plain_iterate(row, bias, stim, options, initial=None, chain=None):
     """The plain fixed-point loop over every grid bin (stride 1, no probe and
-    no chord, so `chain` is ignored), with `iterate`'s stopping rule: the
-    oracle of its sub-lattice and chord solves."""
+    no chord, so `chain` is ignored), with `iterate`'s relaxed update and
+    stopping rule: the oracle of its sub-lattice and chord solves."""
     response = row.response
     grid = response.grid
     drive = tone_drive(response, stim)
     m = _bias_bin(bias, grid)
     trip = _round_trip(grid.frequencies, m, bias, options.zero_pad)
-    step = _picard_step(row.f_jj, drive, trip, options.relaxation)
+    step = _picard_step(row.f_jj, drive, trip)
+    r = options.relaxation
     if initial is None:
         current = np.zeros(grid.size, dtype=complex)
     else:
@@ -129,6 +130,8 @@ def plain_iterate(row, bias, stim, options, initial=None, chain=None):
     converged, delta, iterations = False, np.inf, 0
     for iterations in range(1, options.max_iterations + 1):
         updated = step(current, np.empty_like(current))
+        if r != 1.0:
+            updated = (1.0 - r) * current + r * updated
         delta = float(np.max(np.abs(updated - current)))
         current = updated
         if delta < options.tolerance * bias.i_c or delta == 0.0:
@@ -225,7 +228,7 @@ def nonlinear_off_lattice_growth(row, state, options=SolverOptions(), size=1e-9,
     drive = tone_drive(row.response, state.stimulus)
     m = _bias_bin(state.bias, grid)
     trip = _round_trip(grid.frequencies, m, state.bias, options.zero_pad)
-    step = _picard_step(row.f_jj, drive, trip, options.relaxation)
+    step = _picard_step(row.f_jj, drive, trip)
     i_c = state.bias.i_c
     off = ~state.lattice.covered
     if start is None:
@@ -243,7 +246,7 @@ def nonlinear_off_lattice_growth(row, state, options=SolverOptions(), size=1e-9,
     return float(np.sqrt(now / before)) if before > 0.0 else float("inf")
 
 
-def power_iteration_growth(row, state, options=SolverOptions(), steps=300):
+def power_iteration_growth(row, state, steps=300):
     """The off-lattice growth rate of a lifted `state` as `steps` steps of
     power iteration of the Picard map's tangent, on tables of its own, from
     the seeded unit perturbation on the grid bins its lattice does not
@@ -255,7 +258,7 @@ def power_iteration_growth(row, state, options=SolverOptions(), steps=300):
     grid = row.response.grid
     m = _bias_bin(state.bias, grid)
     trip = _round_trip(grid.frequencies, m, state.bias, PROBE_ZERO_PAD)
-    tangent = _tangent_step(row.f_jj, state.v_j, trip, options.relaxation)
+    tangent = _tangent_step(row.f_jj, state.v_j, trip)
     off = ~state.lattice.covered
     re, im = np.random.default_rng(PROBE_SEED).standard_normal((2, grid.size))
     x = np.where(off, re + 1j * im, 0.0)
@@ -271,15 +274,14 @@ def power_iteration_growth(row, state, options=SolverOptions(), steps=300):
     return float(np.exp(np.mean(logs[steps // 2 :])))
 
 
-def gathered_coset_blocks(f_jj, frequencies, p, spectrum, relaxation, spacing=1,
-                          cosets=slice(None)):
+def gathered_coset_blocks(f_jj, frequencies, p, spectrum, spacing=1, cosets=slice(None)):
     """The coset blocks mod p of the tangent at a comb state on a lattice of
     n bins (junction impedance `f_jj`, physical `frequencies`), each entry
     gathered on its own: `(members, blocks)`.  Block r acts on the lattice
     spectrum at the signed positions `members[r]` (r + p j, then -((-r mod
     p) + p j)); entry (i, j) is C[(x_i - x_j) / spacing] * g_j, with C c(t)'s
-    spectrum `spectrum` and g_j the phase per unit current at x_j, plus (1 -
-    relaxation) on the diagonal, and rows past the lattice are zero."""
+    spectrum `spectrum` and g_j the phase per unit current at x_j, and rows
+    past the lattice are zero."""
     n = frequencies.size
     bins, g = _coset_layout(f_jj, frequencies, p)
     mirror = -np.arange(p) % p
@@ -290,8 +292,6 @@ def gathered_coset_blocks(f_jj, frequencies, p, spectrum, relaxation, spacing=1,
     shift = (members[:, :, None] - members[:, None, :]) // spacing
     blocks = spectrum[shift % spectrum.size] * weight[:, None, :]
     blocks *= on[:, :, None]
-    diagonal = np.einsum("rii->ri", blocks)
-    diagonal += (1.0 - relaxation) * on
     return members, blocks
 
 
@@ -335,7 +335,7 @@ def probe_start_modes(chain, s):
     return start
 
 
-def coset_tangent_two_buffers(cosets, voltage, bias, relaxation, coset0):
+def coset_tangent_two_buffers(cosets, voltage, bias, coset0):
     """`_Cosets.tangent` of `cosets` as it was first written: the batched
     transforms out of place, from one (rows x L) buffer into another, and
     the image in its own zero-padded array."""
@@ -345,7 +345,7 @@ def coset_tangent_two_buffers(cosets, voltage, bias, relaxation, coset0):
     c = np.fft.irfft(low, size)
     np.add(cosets.ramp, c, out=c)
     np.cos(c, out=c)
-    c *= relaxation * bias.i_c
+    c *= bias.i_c
     padded, image = np.zeros(width * s, dtype=complex), np.zeros(width * s, dtype=complex)
     delta_by_coset, image_by_coset = padded.reshape(-1, s).T, image.reshape(-1, s).T
     rows, mirrors = s // 2, (s - 1) // 2
@@ -374,8 +374,6 @@ def coset_tangent_two_buffers(cosets, voltage, bias, relaxation, coset0):
             np.fft.rfft(real, out=spectrum)
             np.copyto(image_by_coset[0], spectrum[:width])
         np.copyto(out, image[:n])
-        if relaxation != 1.0:
-            out += (1.0 - relaxation) * delta
         return out
 
     return step

@@ -55,6 +55,7 @@ from ictasim.solver import (
     _coset_layout,
     _harmonics,
     _fast_len,
+    _fixed_point,
     _lattices,
     _off_lattice_growth,
     _off_start,
@@ -175,7 +176,7 @@ def test_phase_update_integrates_voltage():
     v[k] = 0.5 * v0
     options = SolverOptions()
     trip = _round_trip(grid.frequencies, 64, bias, options.zero_pad)
-    step = _picard_step(np.zeros(256, dtype=complex), v, trip, options.relaxation)
+    step = _picard_step(np.zeros(256, dtype=complex), v, trip)
     t = time_samples(grid, options.zero_pad)
     w = 2 * np.pi * grid.frequencies[k]
     phi = 2 * np.pi * bias.f_dc * t + (2 * E_CHARGE / HBAR) * v0 * np.sin(w * t) / w
@@ -354,13 +355,21 @@ def test_warm_start_reproduces_cold_solution(canonical_f):
 
 
 def test_relaxation_reaches_same_fixed_point(canonical_f):
+    # Relaxation under-relaxes only the Picard update.  Both chord-path
+    # points reach the same state, and the chord's check and the probe read
+    # the plain map's tangent at either setting, not the relaxed map's,
+    # whose multipliers 1 - r + r lambda read 0.948 at 6.4 GHz against 0.965.
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
-    stim = Stimulus.single(6e9, -130.0)
     row = junction_row(canonical_f)
-    plain = iterate(row, bias, stim)
-    damped = iterate(row, bias, stim, SolverOptions(relaxation=0.5))
-    assert plain.converged and damped.converged
-    assert_allclose(damped.i_j, plain.i_j, atol=1e-10 * I_C)
+    for f_s, power in ((6e9, -130.0), (6.4e9, -140.0)):
+        stim = Stimulus.single(f_s, power)
+        plain = iterate(row, bias, stim)
+        damped = iterate(row, bias, stim, SolverOptions(relaxation=0.5))
+        assert plain.converged and damped.converged
+        assert plain.path == damped.path == "chord"
+        assert abs(damped.off_lattice_growth - plain.off_lattice_growth) <= 1e-9
+        assert abs(damped.on_lattice_growth - plain.on_lattice_growth) <= 1e-9
+        assert_allclose(damped.i_j, plain.i_j, rtol=0, atol=1e-12 * I_C)
     with pytest.raises(ValueError):
         iterate(row, bias, stim, SolverOptions(relaxation=0.0))
     with pytest.raises(ValueError):
@@ -932,22 +941,25 @@ def test_probe_carries_its_vector_along_a_chain():
 @pytest.mark.parametrize("interleaved", [False, True], ids=["single", "interleaved"])
 @pytest.mark.parametrize("relaxation", [1.0, 0.5])
 def test_tangent_step_matches_central_difference(monkeypatch, interleaved, relaxation):
-    # The tangent at x against (step(x + eps d) - step(x - eps d)) / 2 eps of
-    # the Picard step at the same zero_pad; the difference falls as eps**2
-    # (2e-8 at eps 1e-4, 2e-10 at 1e-5).
+    # The tangent T at x against the central difference (update(x + eps d) -
+    # update(x - eps d)) / 2 eps of one Picard update at the same zero_pad;
+    # the difference falls as eps**2 (2e-8 at eps 1e-4, 2e-10 at 1e-5).  At
+    # relaxation r the update's tangent is (1 - r) + r T, with multipliers 1
+    # - r + r lambda; the step and T are the plain map's at every r.
     monkeypatch.setattr("ictasim.solver._interleaved", lambda _: interleaved)
     n, m, eps = 64, 21, 1e-5
     rng = np.random.default_rng(7)
     f_jj, drive, x, d = ([1.0, 1j] @ rng.standard_normal((2, n)) for _ in range(4))
     f_jj, drive, x, d = 0.05 * f_jj, 1e-9 * drive, 0.1 * I_C * x, 0.1 * I_C * d
     bias = BiasPoint(f_dc=m * 1e6, i_c=I_C)
-    options = SolverOptions(zero_pad=2, relaxation=relaxation)
+    options = SolverOptions(zero_pad=2, relaxation=relaxation, max_iterations=1)
     frequencies = 1e6 * np.arange(n)
     trip = _round_trip(frequencies, m, bias, options.zero_pad)
-    step = _picard_step(f_jj, drive, trip, relaxation)
-    tangent = _tangent_step(f_jj, drive + f_jj * x, trip, relaxation)
-    image = tangent(d, np.empty(n, dtype=complex))
-    forward, backward = (step(x + sign * eps * d, np.empty(n, dtype=complex)) for sign in (1, -1))
+    step = _picard_step(f_jj, drive, trip)
+    tangent = _tangent_step(f_jj, drive + f_jj * x, trip)
+    image = (1 - relaxation) * d + relaxation * tangent(d, np.empty(n, dtype=complex))
+    forward, backward = (_fixed_point(step, x + sign * eps * d, 0.0, options)[0]
+                         for sign in (1, -1))
     difference = (forward - backward) / (2 * eps)
     assert np.max(np.abs(difference - image)) <= 1e-7 * np.max(np.abs(image))
 
@@ -967,7 +979,7 @@ def test_tangent_zero_pad_two_matches_zero_pad_four(default_f):
     images = []
     for zero_pad in (2, 4):
         trip = _round_trip(DEFAULT_GRID.frequencies, m, bias, zero_pad)
-        tangent = _tangent_step(row.f_jj, state.v_j, trip, 1.0)
+        tangent = _tangent_step(row.f_jj, state.v_j, trip)
         images.append(tangent(delta, np.empty(n, dtype=complex))[off])
     error = np.sqrt(np.sum(np.abs(images[0] - images[1]) ** 2))
     assert error <= 2e-6 * np.sqrt(np.sum(np.abs(images[1]) ** 2))
@@ -988,7 +1000,7 @@ def test_probe_runs_at_zero_pad_2_under_a_zero_pad_1_solve(canonical_f):
     ratios = [
         _off_lattice_growth(
             _Cosets(row.f_jj, grid.frequencies, m, 50, zero_pad).tangent(
-                state.v_j[::50], bias, 1.0, bool(off[::50].any())
+                state.v_j[::50], bias, bool(off[::50].any())
             ),
             off, _off_start(start, off),
         )[0]
@@ -1022,7 +1034,7 @@ def test_coset_probe_matches_full_grid_tangent(request, response, f_s, stride, a
     options = SolverOptions(zero_pad=2)
     coset = Chain(row, bias, options).tangent(lattice, state.v_j, off)
     assert coset.__qualname__.startswith("_Cosets.tangent")
-    full = _tangent_step(row.f_jj, state.v_j, _round_trip(grid.frequencies, m, bias, 2), 1.0)
+    full = _tangent_step(row.f_jj, state.v_j, _round_trip(grid.frequencies, m, bias, 2))
     if alpha:
         re, im = np.random.default_rng(PROBE_SEED).standard_normal((2, n))
         start = np.where(off, re + 1j * im, 0.0)
@@ -1042,8 +1054,7 @@ def test_coset_probe_matches_full_grid_tangent(request, response, f_s, stride, a
 
 
 @pytest.mark.parametrize("f_s, stride", [(6.48e9, 15), (5.12e9, 10)], ids=["odd", "even"])
-@pytest.mark.parametrize("relaxation", [1.0, 0.5])
-def test_coset_tangent_matches_coset_blocks(canonical_f, f_s, stride, relaxation):
+def test_coset_tangent_matches_coset_blocks(canonical_f, f_s, stride):
     # The batched coset step, coset 0 included, against the dense blocks of
     # every coset (`_coset_blocks`) applied to the same vector, with c(t)'s
     # spectrum taken on the same L samples from a direct sum over the
@@ -1062,10 +1073,10 @@ def test_coset_tangent_matches_coset_blocks(canonical_f, f_s, stride, relaxation
     g = (2 * E_CHARGE / HBAR) * state.v_j[stride::stride] / (1j * omega)
     u = np.arange(size) / size
     phase = 2.0 * np.real(np.exp(2j * np.pi * np.outer(u, harmonics)) @ g)
-    c = relaxation * I_C * np.cos(2 * np.pi * (m // stride) * u + phase)
+    c = I_C * np.cos(2 * np.pi * (m // stride) * u + phase)
     bins, weight = _coset_layout(row.f_jj, grid.frequencies, stride)
     blocks = _coset_blocks(
-        _harmonics(np.fft.fft(c) / size, width), bins, weight, n, relaxation, np.arange(stride)
+        _harmonics(np.fft.fft(c) / size, width), bins, weight, n, np.arange(stride)
     )
     delta = [1.0, 1j] @ np.random.default_rng(11).standard_normal((2, n))
     plus, minus = bins, bins[-np.arange(stride) % stride]
@@ -1077,14 +1088,14 @@ def test_coset_tangent_matches_coset_blocks(canonical_f, f_s, stride, relaxation
     images = np.einsum("rij,rj->ri", blocks, z)[:, :width]
     expected = np.zeros(n, dtype=complex)
     expected[plus[plus < n]] = images[plus < n]
-    step = cosets.tangent(state.v_j[::stride], bias, relaxation, True)
+    step = cosets.tangent(state.v_j[::stride], bias, True)
     image = step(delta, np.empty(n, dtype=complex))
     assert np.max(np.abs(image - expected)) <= 1e-12 * np.max(np.abs(expected))
     # Without coset 0, a delta that is 0 on the multiples of s keeps them 0
     # and takes the same image elsewhere.
     delta[::stride] = 0.0
     image = step(delta, np.empty(n, dtype=complex))
-    bare = cosets.tangent(state.v_j[::stride], bias, relaxation, False)(delta, image.copy())
+    bare = cosets.tangent(state.v_j[::stride], bias, False)(delta, image.copy())
     assert np.all(bare[::stride] == 0.0)
     assert np.array_equal(np.delete(bare, np.s_[::stride]), np.delete(image, np.s_[::stride]))
 
@@ -1097,9 +1108,8 @@ def test_coset_tangent_matches_coset_blocks(canonical_f, f_s, stride, relaxation
 def test_coset_step_in_place_equals_two_buffers(default_f, canonical_f, grid, f_s, stride):
     # The coset step on one in-place transform buffer, its image written
     # back over delta's padded copy, against separate buffers, bit for bit
-    # over three chained steps, with coset 0 on and off and relaxation 1
-    # and 0.5.  delta has weight on coset 0 even where the step skips it,
-    # whose image there stays 0.
+    # over three chained steps, with coset 0 on and off.  delta has weight
+    # on coset 0 even where the step skips it, whose image there stays 0.
     f = default_f if grid == "default" else canonical_f
     row, bias = junction_row(f), BiasPoint(f_dc=F_DC, i_c=I_C)
     state = iterate(row, bias, Stimulus.single(f_s, -140.0))
@@ -1107,17 +1117,16 @@ def test_coset_step_in_place_equals_two_buffers(default_f, canonical_f, grid, f_
     n, m = f.grid.size, round(F_DC / f.grid.spacing)
     cosets = _Cosets(row.f_jj, f.grid.frequencies, m, stride, PROBE_ZERO_PAD)
     voltage = state.v_j[::stride]
-    for relaxation in (1.0, 0.5):
-        for coset0 in (True, False):
-            steps = (cosets.tangent(voltage, bias, relaxation, coset0),
-                     coset_tangent_two_buffers(cosets, voltage, bias, relaxation, coset0))
-            x = [1.0, 1j] @ np.random.default_rng(stride).standard_normal((2, n))
-            pair = [x, x.copy()]
-            for _ in range(3):
-                pair = [step(v, np.empty(n, dtype=complex)) for step, v in zip(steps, pair)]
-                assert np.array_equal(pair[0].view(np.int64), pair[1].view(np.int64))
-                if not coset0 and relaxation == 1.0:
-                    assert not pair[0][::stride].any()
+    for coset0 in (True, False):
+        steps = (cosets.tangent(voltage, bias, coset0),
+                 coset_tangent_two_buffers(cosets, voltage, bias, coset0))
+        x = [1.0, 1j] @ np.random.default_rng(stride).standard_normal((2, n))
+        pair = [x, x.copy()]
+        for _ in range(3):
+            pair = [step(v, np.empty(n, dtype=complex)) for step, v in zip(steps, pair)]
+            assert np.array_equal(pair[0].view(np.int64), pair[1].view(np.int64))
+            if not coset0:
+                assert not pair[0][::stride].any()
 
 
 def test_probe_holds_each_array_once(default_f):
@@ -1178,22 +1187,22 @@ def test_solve_point_leaves_no_reference_cycles():
 @pytest.mark.parametrize("relaxation", [1.0, 0.5])
 @pytest.mark.parametrize("stride", [1, 7])
 def test_interleaved_step_matches_single_transform(monkeypatch, n, zero_pad, relaxation, stride):
-    # One step in each layout on the same inputs: n bins spaced stride MHz,
-    # the pump on bin n // 3, and voltages that swing the junction phase by
-    # about a radian.
+    # One Picard update (`_fixed_point`, one step) in each layout on the same
+    # inputs: n bins spaced stride MHz, the pump on bin n // 3, and voltages
+    # that swing the junction phase by about a radian.
     rng = np.random.default_rng(100 * n + zero_pad)
     f_jj, drive, current = ([1.0, 1j] @ rng.standard_normal((2, n)) for _ in range(3))
     current[0] = current[0].real
     m = max(1, n // 3)
     bias = BiasPoint(f_dc=m * stride * 1e6, i_c=I_C)
-    options = SolverOptions(zero_pad=zero_pad, relaxation=relaxation)
+    options = SolverOptions(zero_pad=zero_pad, relaxation=relaxation, max_iterations=1)
     frequencies = stride * 1e6 * np.arange(n)
     updated = {}
     for interleaved in (False, True):
         monkeypatch.setattr("ictasim.solver._interleaved", lambda _, chosen=interleaved: chosen)
         trip = _round_trip(frequencies, m, bias, zero_pad)
-        step = _picard_step(0.05 * f_jj, 1e-9 * drive, trip, relaxation)
-        updated[interleaved] = step(0.1 * I_C * current, np.empty(n, dtype=complex))
+        step = _picard_step(0.05 * f_jj, 1e-9 * drive, trip)
+        updated[interleaved] = _fixed_point(step, 0.1 * I_C * current, 0.0, options)[0]
     assert_allclose(updated[True], updated[False], rtol=0, atol=1e-15 * I_C)
 
 
@@ -1232,12 +1241,12 @@ def map_row():
     return junction_row(frankenstein_matrix(build_icta(IctaParams()), MAP_GRID))
 
 
-def _c_spectrum(voltage, bias, relaxation, trip):
-    """The spectrum of relaxation * i_c * c(t) on the time grid of `trip`,
+def _c_spectrum(voltage, bias, trip):
+    """The spectrum of i_c * c(t) on the time grid of `trip`,
     the `_round_trip` of the lattice junction voltage `voltage` lies on."""
     c = _cos_phase(voltage, trip)
     # Time order: the interleaved layout holds sample t = phases * q + r at [r, q].
-    return np.fft.fft(c.T.ravel()) * (relaxation * bias.i_c / c.size)
+    return np.fft.fft(c.T.ravel()) * (bias.i_c / c.size)
 
 
 def _comb_tangent(row):
@@ -1258,11 +1267,11 @@ def _comb_tangent(row):
     voltage = f_jj * lattice.gather(Lattice.stride(MAP_GRID, 640, 640).lift(current))
     bins, weight = _coset_layout(f_jj, lattice.frequencies, p)
     members = np.concatenate([bins, -bins[-np.arange(p) % p]], axis=1)
-    blocks = _coset_blocks(chain._harmonics, bins, weight, n, options.relaxation, np.arange(p))
+    blocks = _coset_blocks(chain._harmonics, bins, weight, n, np.arange(p))
     trip = _round_trip(lattice.frequencies, p, bias, options.zero_pad)
-    spectrum = _c_spectrum(voltage, bias, options.relaxation, trip)
-    _, own = gathered_coset_blocks(f_jj, lattice.frequencies, p, spectrum, options.relaxation)
-    tangent = _tangent_step(f_jj, voltage, trip, options.relaxation)
+    spectrum = _c_spectrum(voltage, bias, trip)
+    _, own = gathered_coset_blocks(f_jj, lattice.frequencies, p, spectrum)
+    tangent = _tangent_step(f_jj, voltage, trip)
     a, b = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
     for q in range(n):
         unit = np.zeros(n, dtype=complex)
@@ -1385,7 +1394,7 @@ def test_first_probe_from_the_comb_reads_the_rate(map_row, canonical_f, grid, f_
     options = SolverOptions(max_iterations=3000)
     state = iterate(row, BiasPoint(f_dc=f_dc, i_c=i_c), Stimulus.single(f_s, -140.0), options)
     assert state.lattice.alpha == 0 and state.lattice.unit > 1 and state.probe_steps == 2
-    rate = power_iteration_growth(row, state, options)
+    rate = power_iteration_growth(row, state)
     assert abs(state.off_lattice_growth - rate) <= 1e-3
     assert state.converged == (rate < 1.0)
 
@@ -1444,7 +1453,7 @@ def test_zero_power_gain_from_the_chord(map_row, f_dc, f_s):
     x = lattice.gather(Lattice.stride(MAP_GRID, m, m).lift(comb))
     trip = _round_trip(lattice.frequencies, lattice.pump, bias, options.zero_pad)
     tangent = _tangent_step(np.ones(lattice.size, dtype=complex),
-                            lattice.gather(map_row.f_jj) * x, trip, options.relaxation)
+                            lattice.gather(map_row.f_jj) * x, trip)
     stim = Stimulus.single(f_s, -140.0)
     drive = tone_drive(map_row.response, stim)
     delta = np.zeros(lattice.size, dtype=complex)
@@ -1495,19 +1504,24 @@ def test_comb_grid_blocks_match_full_grid(resistance, rate, zero_pad, tolerance)
     f = DEFAULT_GRID.frequencies
     half = EMISSION_M // 2 + 1
     bins, weight = _coset_layout(row.f_jj, f, EMISSION_M)
-    blocks = _coset_blocks(chain._harmonics, bins, weight, f.size, 1.0, np.arange(half))
+    blocks = _coset_blocks(chain._harmonics, bins, weight, f.size, np.arange(half))
     # A slice of cosets, as the proof builds them, is the same slice.
-    tail = _coset_blocks(chain._harmonics, bins, weight, f.size, 1.0, np.arange(1000, half))
+    tail = _coset_blocks(chain._harmonics, bins, weight, f.size, np.arange(1000, half))
     assert np.array_equal(tail, blocks[1000:])
     lattice = Lattice.stride(DEFAULT_GRID, EMISSION_M, EMISSION_M)
     full = Lattice.stride(DEFAULT_GRID, EMISSION_M, 1)
     full_trip = _round_trip(full.frequencies, EMISSION_M, bias, options.zero_pad)
-    full_spectrum = _c_spectrum(row.f_jj * lattice.lift(current), bias, 1.0, full_trip)
-    _, full_blocks = gathered_coset_blocks(row.f_jj, f, EMISSION_M, full_spectrum, 1.0)
+    full_spectrum = _c_spectrum(row.f_jj * lattice.lift(current), bias, full_trip)
+    _, full_blocks = gathered_coset_blocks(row.f_jj, f, EMISSION_M, full_spectrum)
     scale = np.abs(full_blocks).max()
     assert np.abs(blocks - full_blocks[:half]).max() <= tolerance * scale
     assert np.abs(np.linalg.eigvals(blocks)).max() == pytest.approx(rate, abs=5e-5)
     assert chain.proven() == (rate < 0.9)
+    # Relaxation moves the comb loop, not the verdict: the proof reads the
+    # plain map's blocks, not the relaxed ones (1 - r + r lambda), which
+    # contract at 0.3 ohm.
+    relaxed = Chain(row, bias, replace(options, relaxation=0.5))
+    assert relaxed.solve()[2] and relaxed.proven() == (rate < 0.9)
 
 
 @pytest.mark.parametrize(
@@ -1524,7 +1538,8 @@ def test_comb_grid_blocks_match_full_grid(resistance, rate, zero_pad, tolerance)
 def test_shared_harmonic_blocks_equal_gathered_blocks(grid, f_dc, i_c, options):
     # Every coset block on the grid mod m, as the comb builds it (one shared
     # harmonic matrix times each coset's column weights), is bit for bit the
-    # block gathered entry by entry from c's spectrum on the comb's samples.
+    # block gathered entry by entry from c's spectrum on the comb's samples,
+    # the plain map's block whatever the relaxation.
     row = junction_row(frankenstein_matrix(build_icta(IctaParams()), grid))
     bias = BiasPoint(f_dc=f_dc, i_c=i_c)
     m = round(f_dc / grid.spacing)
@@ -1533,13 +1548,10 @@ def test_shared_harmonic_blocks_equal_gathered_blocks(grid, f_dc, i_c, options):
     assert converged
     lattice = Lattice.stride(grid, m, m)
     trip = _round_trip(lattice.frequencies, 1, bias, max(options.zero_pad, 2))
-    spectrum = _c_spectrum(lattice.gather(row.f_jj) * current, bias, options.relaxation, trip)
-    _, gathered = gathered_coset_blocks(
-        row.f_jj, grid.frequencies, m, spectrum, options.relaxation, m
-    )
+    spectrum = _c_spectrum(lattice.gather(row.f_jj) * current, bias, trip)
+    _, gathered = gathered_coset_blocks(row.f_jj, grid.frequencies, m, spectrum, m)
     bins, weight = _coset_layout(row.f_jj, grid.frequencies, m)
-    blocks = _coset_blocks(chain._harmonics, bins, weight, grid.size, options.relaxation,
-                           np.arange(m))
+    blocks = _coset_blocks(chain._harmonics, bins, weight, grid.size, np.arange(m))
     assert np.array_equal(blocks, gathered)
 
 

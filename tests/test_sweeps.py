@@ -520,7 +520,7 @@ def test_chain_masks_match_long_power_iteration(monkeypatch, canonical_f):
     assert curves[0].converged.ravel().tolist() == [False] * 5 + [True] * 3
     row = junction_row(canonical_f)
     probed = [state for state in states if state.probe_steps]
-    verdicts = [power_iteration_growth(row, state, FAST) < 1.0 for state in probed]
+    verdicts = [power_iteration_growth(row, state) < 1.0 for state in probed]
     assert [state.converged for state in probed] == verdicts
     assert True in verdicts and False in verdicts
     # The oracle has settled at 300 steps: at 280 nA, 4.8 GHz and -100 dBm
@@ -528,8 +528,8 @@ def test_chain_masks_match_long_power_iteration(monkeypatch, canonical_f):
     # ratio read 0.894).
     last = states[-1]
     assert last.stimulus.tones[0].power_dbm == -100.0 and last.bias.i_c == 280e-9
-    settled = power_iteration_growth(row, last, FAST, steps=1000)
-    assert abs(power_iteration_growth(row, last, FAST) - settled) <= 0.05
+    settled = power_iteration_growth(row, last, steps=1000)
+    assert abs(power_iteration_growth(row, last) - settled) <= 0.05
 
 
 def test_seeded_probe_misjudges_near_threshold(monkeypatch, canonical_f):
@@ -550,7 +550,7 @@ def test_seeded_probe_misjudges_near_threshold(monkeypatch, canonical_f):
     state = iterate(row, BiasPoint(f_dc=F_DC, i_c=300e-9), Stimulus.single(4.0e9, -140.0), FAST)
     assert len(starts) == 1 and starts[0] is not None
     assert state.lattice.unit == 250 and state.probe_steps < PROBE_STEPS
-    rate = power_iteration_growth(row, state, FAST)
+    rate = power_iteration_growth(row, state)
     assert abs(state.off_lattice_growth - rate) <= 1e-3
     assert state.converged == (rate < 1.0)
 
@@ -898,7 +898,7 @@ def test_emission_stable_below_instability_threshold():
     x = state.i_j + noise * 1e-9 * bias.i_c / np.sqrt(np.sum(np.abs(noise) ** 2))
     drive = np.zeros(DEFAULT_GRID.size, dtype=complex)
     trip = _round_trip(DEFAULT_GRID.frequencies, m, bias, SolverOptions().zero_pad)
-    step = _picard_step(row.f_jj, drive, trip, 1.0)
+    step = _picard_step(row.f_jj, drive, trip)
     for _ in range(200):
         before = np.sum(np.abs(x[off]) ** 2)
         x = step(x, np.empty_like(x))
