@@ -559,7 +559,9 @@ class NetlistResponse:
         n_ports), read-only."""
         with self._lock:
             wanted = np.arange(self.n_freq)[bins]
-            todo = np.unique(wanted[self._slot[wanted] < 0])
+            missing = np.zeros(self.n_freq, dtype=bool)
+            missing[wanted[self._slot[wanted] < 0]] = True
+            todo = np.flatnonzero(missing)  # each unbuilt bin once, ascending
             needed = self._count + todo.size
             if needed > len(self._values):
                 grown = np.empty((min(max(needed, 2 * len(self._values)), self.n_freq),

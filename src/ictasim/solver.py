@@ -1103,7 +1103,11 @@ class Chain:
                 power = np.matmul(power, power)
             norms.append(np.sum(np.abs(power) ** 2, axis=(1, 2)))
         order = np.argsort(-np.concatenate(norms), kind="stable")
-        _, first = np.unique(np.minimum(cosets % s, -cosets % s)[order], return_index=True)
+        # The first-ranked block of each class; classes are >= 1, so the
+        # first of them by class starts a run against prepend 0.
+        classes = np.minimum(cosets % s, -cosets % s)[order]
+        by_class = np.argsort(classes, kind="stable")
+        first = by_class[np.diff(classes[by_class], prepend=0) != 0]
         top = cosets[order[np.sort(first)[:PROBE_COSETS]]]
         leading = [_leading(block) for block in next(self._grid_blocks(layout, top))]
         del layout

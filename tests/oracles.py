@@ -5,9 +5,10 @@ band report's run and roll-off walks, plain time-domain transforms of the
 solver's spectral convention on the full grid, the off-lattice probe as
 nonlinear full-grid steps and as a long power iteration, the coset
 blocks of the tangent at a comb state as one gather per block, the
-probe's comb start from a list of every grid-sized mode, the probe's coset
-step on separate transform and image buffers, the ladder fold on fresh
-arrays, and a lattice gather that always copies."""
+probe's comb start from a list of every grid-sized mode and its cosets by
+`np.unique`, the probe's coset step on separate transform and image
+buffers, the ladder fold on fresh arrays, and a lattice gather that always
+copies."""
 
 from dataclasses import dataclass
 
@@ -295,14 +296,13 @@ def gathered_coset_blocks(f_jj, frequencies, p, spectrum, spacing=1, cosets=slic
     return members, blocks
 
 
-def probe_start_modes(chain, s):
-    """`Chain.probe_start` of `chain` as it was first written: the layout
-    built for the ranking and again for the leading blocks, and every
-    leading block's grid-sized mode held in one list before any is added to
-    the seeded start."""
-    grid, m = chain.row.response.grid, chain.m
-    if not chain._settled() or -(-grid.size // m) > PROOF_WIDTH:
-        return None
+def probe_cosets(chain, s):
+    """The cosets `Chain.probe_start` of `chain` takes its leading blocks
+    from on a stride lattice of unit s: the blocks ranked by ||M^8||_F, and
+    `np.unique`'s first index of each class +-r (mod s) in that ranking,
+    first PROBE_COSETS in ranked order.  The comb must have converged."""
+    assert chain._settled()
+    m = chain.m
     cosets = np.arange(1, m // 2 + 1)
     cosets = cosets[cosets % s != 0]
     norms = []
@@ -312,7 +312,18 @@ def probe_start_modes(chain, s):
         norms.append(np.sum(np.abs(power) ** 2, axis=(1, 2)))
     order = np.argsort(-np.concatenate(norms), kind="stable")
     _, first = np.unique(np.minimum(cosets % s, -cosets % s)[order], return_index=True)
-    top = cosets[order[np.sort(first)[:PROBE_COSETS]]]
+    return cosets[order[np.sort(first)[:PROBE_COSETS]]]
+
+
+def probe_start_modes(chain, s):
+    """`Chain.probe_start` of `chain` as it was first written: the layout
+    built for the ranking (`probe_cosets`) and again for the leading blocks,
+    and every leading block's grid-sized mode held in one list before any is
+    added to the seeded start."""
+    grid, m = chain.row.response.grid, chain.m
+    if not chain._settled() or -(-grid.size // m) > PROOF_WIDTH:
+        return None
+    top = probe_cosets(chain, s)
     modes = []
     for r, block in zip(top, next(chain._grid_blocks(chain._layout(), top))):
         values, vectors = np.linalg.eig(block)

@@ -66,6 +66,37 @@ def test_lazy_rows_equal_full_build_bitwise(monkeypatch):
         assert sorted(asked) == DEFAULT_GRID.frequencies[sorted(held)].tolist()
 
 
+def test_rows_fill_the_cache_as_np_unique_does(canonical_net, coarse_grid, monkeypatch):
+    # Each request builds its unbuilt bins once, ascending, BUILD_BLOCK at a
+    # time, and leaves `_slot` and `_count` as a reference that takes those
+    # bins from np.unique does.
+    calls = []
+
+    def recording(net, f, *args, **kwargs):
+        calls.append(np.atleast_1d(f).tolist())
+        return s_matrix(net, f, *args, **kwargs)
+
+    monkeypatch.setattr(circuit, "s_matrix", recording)
+    monkeypatch.setattr(circuit, "BUILD_BLOCK", 4)
+    lazy = frankenstein_matrix(canonical_net, coarse_grid)
+    n = coarse_grid.size
+    slot, count = np.full(n, -1), 0
+    requests = [np.array([9, -1, 4, 9, -n, 4, 12, 11, 10]), slice(-5, None),
+                np.array([3, 2, 1, 3, -3]), slice(None, None, -300),
+                np.array([], dtype=int), np.array([-1, 0, 9])]
+    for bins in requests:
+        wanted = np.arange(n)[bins]
+        todo = np.unique(wanted[slot[wanted] < 0])
+        slot[todo] = np.arange(count, count + todo.size)
+        count += todo.size
+        del calls[:]
+        rows = lazy.rows(bins)
+        blocks = [todo[i : i + 4] for i in range(0, todo.size, 4)]
+        assert calls == [coarse_grid.frequencies[block].tolist() for block in blocks]
+        assert np.array_equal(lazy._slot, slot) and lazy._count == count
+        assert rows.shape == (wanted.size, lazy.n_ports, lazy.n_ports)
+
+
 @pytest.mark.parametrize("params", EDGE_NETLISTS)
 def test_fold_junction_impedance_matches_full_build(params):
     net = build_icta(params)

@@ -34,6 +34,7 @@ from ictasim.solver import (
 )
 from ictasim.solver import (
     ALPHA_LADDER,
+    PROBE_COSETS,
     PROBE_SEED,
     PROBE_STEPS,
     PROBE_ZERO_PAD,
@@ -61,6 +62,7 @@ from ictasim.solver import (
     _off_start,
     _picard_step,
     _round_trip,
+    _seeded,
     _tangent_step,
 )
 from oracles import (
@@ -72,6 +74,7 @@ from oracles import (
     nonlinear_off_lattice_growth,
     plain_iterate,
     power_iteration_growth,
+    probe_cosets,
     probe_start_modes,
     solve,
     time_samples,
@@ -1415,6 +1418,41 @@ def test_probe_start_equals_list_of_modes(default_f, map_row, grid, f_dc, i_c, s
     start = Chain(row, bias, options).probe_start(s)
     assert start is not None
     assert np.array_equal(start, probe_start_modes(Chain(row, bias, options), s))
+
+
+@pytest.mark.parametrize(
+    "grid, i_c, s",
+    [
+        ("default", 280e-9, 160),  # the benchmark profile's lattice
+        ("coarse", 300e-9, 250),  # near threshold
+        ("coarse", 280e-9, 10),  # 5 classes, fewer than PROBE_COSETS
+    ],
+)
+def test_probe_start_cosets_match_unique(monkeypatch, default_f, canonical_f, grid, i_c, s):
+    # The start's leading blocks come from the first block of each class
+    # +-r (mod s) in the ranking, in ranked order, as np.unique's first
+    # indices choose them.
+    response = default_f if grid == "default" else canonical_f
+    row, bias = junction_row(response), BiasPoint(f_dc=F_DC, i_c=i_c)
+    options = SolverOptions(max_iterations=3000)
+    expected = probe_cosets(Chain(row, bias, options), s)
+    asked, blocks = [], Chain._grid_blocks
+
+    def recording(self, layout, cosets):
+        asked.append(cosets.copy())
+        return blocks(self, layout, cosets)
+
+    monkeypatch.setattr(Chain, "_grid_blocks", recording)
+    assert Chain(row, bias, options).probe_start(s) is not None
+    assert np.array_equal(asked[-1], expected)
+    assert expected.size == min(PROBE_COSETS, s // 2)
+    assert len({min(r % s, -r % s) for r in expected.tolist()}) == expected.size
+
+
+def test_seeded_perturbation_is_the_probe_seed_draw():
+    for n in (1, 7, DEFAULT_GRID.size):
+        re, im = np.random.default_rng(PROBE_SEED).standard_normal((2, n))
+        assert _seeded(n).tobytes() == (re + 1j * im).tobytes()
 
 
 def test_probe_start_holds_one_mode_at_a_time(default_f):

@@ -2,12 +2,14 @@
 that each demo runs, the module attributes the benchmark tracer wraps and
 what it reads of a solve, the config schema and command-line options the
 benchmark's generated jobs rely on, no unused import or definition in
-the library, and no scipy on the command line's import path."""
+the library, no scipy, numpy.ma or numpy.random on the command line's
+import path, and numpy.random loaded only by a run that probes."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -51,19 +53,73 @@ def test_demo_runs(demo, tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy only serves the tests; importing it would cost every run of the
-    # command line about half a second and 40 MB.
+# Packages the command line loads only where a run reads them.
+UNLOADED = ("scipy", "numpy.ma", "numpy.random")
+
+
+def _fresh_python(code: str, *args: str, timeout: float = 120) -> str:
+    """Standard output of `code` run in a fresh interpreter on the sources."""
     env = {**os.environ}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SOURCES.parent), env.get("PYTHONPATH")]))
-    code = "import sys, ictasim.cli; print(sorted({m.split('.')[0] for m in sys.modules}))"
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True, timeout=timeout,
     )
     assert result.returncode == 0, result.stderr
-    loaded = ast.literal_eval(result.stdout.strip().splitlines()[-1])
-    assert "ictasim" in loaded
-    assert "scipy" not in loaded
+    return result.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy only serves the tests; importing it would cost every run of the
+    # command line about half a second and 40 MB.  numpy.random (6 MB, about
+    # 15 ms) loads at the first seeded probe, and nothing reads numpy.ma.
+    out = _fresh_python("import sys, ictasim.cli; print(sorted(sys.modules))")
+    loaded = ast.literal_eval(out.strip().splitlines()[-1])
+    assert "ictasim" in loaded and "numpy.fft" in loaded
+    assert [m for m in loaded if m.startswith(tuple(p + "." for p in UNLOADED))
+            or m in UNLOADED] == []
+
+
+# Each job runs in one fresh interpreter, in turn, and prints which of
+# UNLOADED it has loaded so far.
+RUN_JOBS = """
+import contextlib, json, sys
+import ictasim.cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(sys.stderr):
+        status = ictasim.cli.main(argv)
+    print(json.dumps([argv[0], status, [m for m in json.loads(sys.argv[2]) if m in sys.modules]]))
+"""
+
+
+def test_cli_runs_load_numpy_random_at_the_first_probe(tmp_path):
+    # zjj, fom, describe, fit and emission never reach a seeded probe
+    # perturbation, so they load neither numpy module; a profile on a
+    # stride lattice probes off it and loads numpy.random, never numpy.ma.
+    grid = {"spacing_hz": 16e6, "size": 2048}
+    sweeps = {
+        "zjj": {"kind": "zjj"},
+        "fom": {"kind": "fom"},
+        "emission": {"kind": "emission", "f_dc_hz": 12e9, "i_c_a": 200e-9},
+        "profile": {"kind": "profile", "f_dc_hz": 12e9, "i_c_a": 280e-9,
+                    "signal_start": 5.12e9, "signal_stop": 6.4e9, "signal_count": 2},
+    }
+    configs = {}
+    for kind, sweep in sweeps.items():
+        configs[kind] = tmp_path / f"{kind}.json"
+        configs[kind].write_text(json.dumps({"netlist": "canonical", "grid": grid, "sweep": sweep}))
+    csv = tmp_path / "compression.csv"
+    rows = [f"0.0,{p:.1f},{14.0 - 0.02 * (p + 130.0) ** 2:.6f},1,0.0"
+            for p in range(-130, -99, 2)]
+    csv.write_text("\n".join(["phase_rad,power_in_dbm,gain_db,converged,balance_error", *rows]) + "\n")
+    jobs = [[kind, "--config", str(configs[kind]), "--out", str(tmp_path / kind)]
+            for kind in ("zjj", "fom", "emission")]
+    jobs.insert(2, ["describe", "--config", str(configs["profile"])])
+    jobs.insert(3, ["fit", "--in", str(csv), "--out", str(tmp_path / "fit")])
+    jobs.append(["profile", "--config", str(configs["profile"]), "--out", str(tmp_path / "p")])
+    out = _fresh_python(RUN_JOBS, json.dumps(jobs), json.dumps(UNLOADED), timeout=300)
+    runs = [json.loads(line) for line in out.strip().splitlines()]
+    assert runs == [[job[0], 0, []] for job in jobs[:-1]] + [["profile", 0, ["numpy.random"]]]
 
 
 def test_traced_names_resolve_to_callables():
