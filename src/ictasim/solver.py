@@ -13,11 +13,15 @@ Every solve returns a `SolutionState` that keeps its response and says why
 the loop stopped (converged, budget, probe-masked below, or diverged to a
 non-finite step); no stop raises, and `outputs` and the reports read it alone.
 
-Relaxation: `SolverOptions.relaxation` r under-relaxes only the plain Picard
-update, x <- (1 - r) x + r step(x) (`_fixed_point`).  Every tangent, coset
-block, chord and proof below reads the plain map step(x) itself, so no
-stability verdict depends on r: a steady state is stable or not as a property
-of the circuit's linearisation, not of the loop that found it.
+Update loop: one loop, `_fixed_point`, runs every lattice's Picard step as
+x <- x + P (step(x) - x), with P = 1 (plain Picard), P = r for a relaxation
+`SolverOptions.relaxation` r < 1, or the chord's P below.  Every P stops on
+one test, max |step(x) - x| < tolerance * i_c, and returns step(x), so a
+converged state meets the tolerance on the plain map at every r.  Every
+tangent, coset block, chord and proof below reads the plain map step(x)
+itself, so no stability verdict depends on r: a steady state is stable or
+not as a property of the circuit's linearisation, not of the loop that found
+it.
 
 Spectral conventions: one-sided arrays over the grid bins k = 0 .. N-1, with
 a real tone x(t) = X0 cos(2 pi f_k t + theta) stored as |X[k]| = X0 / 2.  The
@@ -69,13 +73,14 @@ per coset of a lattice's bins mod the pump: one harmonic matrix times each
 coset's weights.  Three things read the blocks:
 
 - The chord.  A stimulated point on a stride lattice (unit s, pump on
-  lattice bin p = m / s) first runs x <- x + P (step(x) - x) from the same
-  start, the chord form of harmonic-balance Newton (Kundert and
-  Sangiovanni-Vincentelli, IEEE TCAD 1986), with P = (I - J_comb)^-1 by
-  coset block mod p, where the comb converged and every multiplier is below
-  1.  It stops on the Picard test and returns step(x), and gives up on a
-  non-finite step or a change that does not shrink by a factor below the
-  largest multiplier; the chain then skips that unit's chord.  Its state is
+  lattice bin p = m / s) first runs the update loop from the same start
+  with P = (I - J_comb)^-1 by coset block mod p, the chord form of
+  harmonic-balance Newton (Kundert and Sangiovanni-Vincentelli, IEEE TCAD
+  1986), where the comb converged and every multiplier is below 1.  It
+  stops on the loop's one test and returns step(x), and gives up on a
+  non-finite change, an exhausted budget or a change that does not shrink
+  by a factor below the largest multiplier; the chain then skips that
+  unit's chord after a give-up.  Its state is
   kept only when the lattice tangent there, power-iterated from the comb's
   dominant mode, reads a growth g < 1 and plain Picard would need at most
   max_iterations steps, log(tolerance * i_c / e0) / log(g), e0 the largest
@@ -195,12 +200,13 @@ def _reject_bools(obj, names):
 class SolverOptions:
     """Fixed-point solver settings, checked here.
 
-    `tolerance` is the convergence threshold on the max spectral step, as a
-    fraction of i_c; exhausting `max_iterations` returns converged=False (the
+    `tolerance` bounds the largest change max |step(x) - x| of the plain map
+    at a converged state, as a fraction of i_c, whatever the relaxation;
+    exhausting `max_iterations` returns converged=False (the
     parametric-oscillation signature) rather than raising; `relaxation` r in
-    (0, 1] under-relaxes each plain Picard update to x <- (1 - r) x + r
-    step(x) (1 is a plain step) and nothing else: the chord, the probe and
-    the comb proof read the plain map at every r; `zero_pad` is the
+    (0, 1] under-relaxes each plain Picard update to x <- x + r (step(x) -
+    x) (1 is a plain step) and nothing else: the stop, the chord, the probe
+    and the comb proof read the plain map at every r; `zero_pad` is the
     frequency zero-padding factor of the time grid.
     """
 
@@ -453,7 +459,9 @@ class SolutionState:
     `power_balance` read.
 
     Spectra are one-sided half-amplitude arrays over the grid bins.
-    `residual` is the last fixed-point step size as a fraction of i_c, and
+    `residual` is the last largest change max |step(x) - x| of the plain
+    map, as a fraction of i_c at every relaxation (below the tolerance at a
+    converged lattice state), and
     `iterations` counts the steps of every lattice the solve ran.  `lattice`
     is the `Lattice` the solve ended on (every bin it covers is a multiple
     of its `unit` s), and `tail` its guard, the 2-norm of the current on the
@@ -819,30 +827,39 @@ class _Cosets:
         return step
 
 
-def _fixed_point(step, current: np.ndarray, tol_abs: float, options: SolverOptions):
-    """The Picard update x <- (1 - r) x + r step(x), r the relaxation of
-    `options`, from a copy of `current` until the largest change falls below
-    `tol_abs` (or is 0), is non-finite, or the `options.max_iterations`
-    budget runs out: (last iterate, iterations, converged, last largest
-    change).  The only place the relaxation acts."""
-    converged, delta, iterations = False, np.inf, 0
-    r = options.relaxation
-    current = current.copy()
-    spare, diff, size = np.empty_like(current), np.empty_like(current), np.empty(current.size)
+def _fixed_point(step, current: np.ndarray, tol_abs: float, options: SolverOptions,
+                 chord: _Chord | None = None):
+    """The update x <- x + P (step(x) - x) from a copy of `current`, with P =
+    1 (plain Picard), P = r for the relaxation r < 1 of `options`, or the
+    `chord`'s P: (state, iterations, converged, last largest change).  Every
+    P stops once the largest change max |step(x) - x| falls below `tol_abs`
+    (or is 0), converged at step(x), and ends unconverged on a non-finite
+    change or when the `options.max_iterations` budget runs out, at the last
+    iterate (step(x) for a non-finite change).  The chord ends at None
+    instead, and also gives up on a change that does not shrink by a factor
+    below the comb's largest multiplier.  The only place the relaxation
+    acts."""
+    r, limit = options.relaxation, math.inf
+    x = current.copy()
+    spare, diff, size = np.empty_like(x), np.empty_like(x), np.empty(x.size)
     for iterations in range(1, options.max_iterations + 1):
-        updated = step(current, spare)
-        if r != 1.0:
-            np.multiply(1.0 - r, current, out=diff)
-            np.multiply(r, updated, out=updated)
-            np.add(diff, updated, out=updated)
-        delta = float(np.max(np.abs(np.subtract(updated, current, out=diff), out=size)))
-        current, spare = updated, current
-        if not np.isfinite(delta):
-            break
+        updated = step(x, spare)
+        delta = float(np.max(np.abs(np.subtract(updated, x, out=diff), out=size)))
         if delta < tol_abs or delta == 0.0:
-            converged = True
-            break
-    return current, iterations, converged, delta
+            return updated, iterations, True, delta
+        if chord is not None:
+            if not delta < limit:  # non-finite, or not shrinking
+                break
+            chord.apply(diff, x)
+            limit = chord.multiplier * delta
+        elif not math.isfinite(delta):
+            return updated, iterations, False, delta
+        elif r == 1.0:
+            x, spare = updated, x
+        else:
+            np.multiply(r, diff, out=diff)
+            np.add(x, diff, out=x)
+    return (x if chord is None else None), iterations, False, delta
 
 
 def _coset_layout(f_jj, frequencies, p):
@@ -961,27 +978,6 @@ class _Chord:
         z = np.concatenate([plus, np.conjugate(plus[self._flip])], axis=1)
         step = np.matmul(self._inverse, z[:, :, None])[:, :, 0]
         x += step.T.ravel()[: self._n]
-
-
-def _chord(step, chord: _Chord, current: np.ndarray, tol_abs: float, max_iterations: int):
-    """The chord x <- x + P (step(x) - x) from a copy of `current`, stopped by
-    `_fixed_point`'s test on step(x) - x: (step(x) there, or None when the
-    chord gives up, steps, last largest change).  It gives up on a
-    non-finite change, on a change that does not shrink by a factor below
-    the comb's largest multiplier, or when the budget runs out."""
-    x = current.copy()
-    updated, diff, size = np.empty_like(x), np.empty_like(x), np.empty(x.size)
-    before, delta, steps = math.inf, math.inf, 0
-    for steps in range(1, max_iterations + 1):
-        step(x, updated)
-        delta = float(np.max(np.abs(np.subtract(updated, x, out=diff), out=size)))
-        if delta < tol_abs or delta == 0.0:
-            return updated, steps, delta
-        if not math.isfinite(delta) or delta >= chord.multiplier * before:
-            break
-        chord.apply(diff, x)
-        before = delta
-    return None, steps, delta
 
 
 class Chain:
@@ -1207,9 +1203,11 @@ def iterate(
     alpha for a single tone, the comb rung for a stimulus-free solve, and
     then the stride lattice, which decides.  It stops at the first embedded
     lattice that converges with its tail below TAIL_BOUND * i_c, at a proven
-    comb, or at the stride lattice.  A stimulated point with i_c > 0 runs its
-    stride lattice first as the chord, and plain Picard where the chord gives
-    up or fails its check; their steps add up in `iterations` (see the module
+    comb, or at the stride lattice.  Each lattice runs one update loop,
+    `_fixed_point`, which stops on the plain map's largest change at every
+    relaxation.  A stimulated point with i_c > 0 runs its stride lattice
+    first with the chord's P, and plain Picard where the chord gives up or
+    fails its check; their steps add up in `iterations` (see the module
     docstring and `SolutionState.path`).  The result is lifted back to the
     grid, and a converged point whose lattice leaves grid bins out, other
     than a proven comb, is probed on them (`SolutionState.off_lattice_growth`).
@@ -1224,8 +1222,8 @@ def iterate(
         Input tones (may be empty for pump-only runs).
     options : SolverOptions
         Tolerance, iteration budget (per lattice), relaxation of the plain
-        Picard loops (the chord, its check and the probe read the plain map
-        whatever it is) and zero padding.
+        Picard loops (the stop, the chord, its check and the probe read the
+        plain map whatever it is) and zero padding.
     initial : ndarray, optional
         Warm-start junction current spectrum (grid-sized, half amplitudes);
         only its bins on each lattice are used, and a rung on which it
@@ -1291,7 +1289,7 @@ def iterate(
             chord = chain.chord(lattice) if lattice.alpha == 0 and tones and bias.i_c > 0 else None
             if chord is not None:
                 path = "fallback"
-                solved, count, delta = _chord(step, chord, current, tol_abs, options.max_iterations)
+                solved, count, _, delta = _fixed_point(step, current, tol_abs, options, chord)
                 iterations += count
                 if solved is None:
                     chain.retire(lattice)

@@ -114,8 +114,9 @@ def tone_drive(response, stim):
 
 def plain_iterate(row, bias, stim, options, initial=None, chain=None):
     """The plain fixed-point loop over every grid bin (stride 1, no probe and
-    no chord, so `chain` is ignored), with `iterate`'s relaxed update and
-    stopping rule: the oracle of its sub-lattice and chord solves."""
+    no chord, so `chain` is ignored), with `iterate`'s relaxed update x + r
+    (step(x) - x) and its stop, at every r on the plain change max |step(x)
+    - x|, at step(x): the oracle of its sub-lattice and chord solves."""
     response = row.response
     grid = response.grid
     drive = tone_drive(response, stim)
@@ -131,13 +132,11 @@ def plain_iterate(row, bias, stim, options, initial=None, chain=None):
     converged, delta, iterations = False, np.inf, 0
     for iterations in range(1, options.max_iterations + 1):
         updated = step(current, np.empty_like(current))
-        if r != 1.0:
-            updated = (1.0 - r) * current + r * updated
         delta = float(np.max(np.abs(updated - current)))
-        current = updated
         if delta < options.tolerance * bias.i_c or delta == 0.0:
-            converged = True
+            current, converged = updated, True
             break
+        current = updated if r == 1.0 else current + r * (updated - current)
     return SolutionState(
         bias=bias,
         stimulus=stim,

@@ -373,6 +373,25 @@ def test_relaxation_reaches_same_fixed_point(canonical_f):
         assert abs(damped.off_lattice_growth - plain.off_lattice_growth) <= 1e-9
         assert abs(damped.on_lattice_growth - plain.on_lattice_growth) <= 1e-9
         assert_allclose(damped.i_j, plain.i_j, rtol=0, atol=1e-12 * I_C)
+    # Past the chord (path "fallback"), every relaxation stops on the plain
+    # map's change: one plain step from the returned state moves it by less
+    # than the tolerance on its lattice (2.4e-12 and 4.1e-12 of I_c at 4.0
+    # GHz, relaxation 0.5 and 0.25, when the relaxed update's change r max
+    # |step(x) - x| stopped the loop).
+    tolerance = SolverOptions().tolerance
+    for f_s, power, i_c in ((4.0e9, -110.0, 300e-9), (6.4e9, -100.0, 280e-9)):
+        stim, strong = Stimulus.single(f_s, power), BiasPoint(f_dc=F_DC, i_c=i_c)
+        for relaxation in (1.0, 0.5, 0.25):
+            state = iterate(row, strong, stim, SolverOptions(relaxation=relaxation))
+            assert state.converged and state.path == "fallback"
+            assert state.residual < tolerance
+            lattice = state.lattice
+            trip = _round_trip(lattice.frequencies, lattice.pump, strong, ZERO_PAD)
+            step = _picard_step(lattice.gather(row.f_jj),
+                                lattice.gather(tone_drive(row.response, stim)), trip)
+            x = lattice.gather(state.i_j).copy()
+            change = np.max(np.abs(step(x, np.empty_like(x)) - x))
+            assert change < tolerance * i_c
     with pytest.raises(ValueError):
         iterate(row, bias, stim, SolverOptions(relaxation=0.0))
     with pytest.raises(ValueError):
@@ -395,6 +414,18 @@ def test_divergent_response_stops_unconverged():
         assert state.iterations == 1
         assert not np.all(np.isfinite(state.i_j))
         assert np.isnan(state.off_lattice_growth)
+    # The update loop itself: plain and relaxed Picard end on the non-finite
+    # iterate step(x), unconverged.
+    def blown(x, out):
+        out[:] = x
+        out[1] = np.nan
+        return out
+
+    for relaxation in (1.0, 0.5):
+        options = SolverOptions(relaxation=relaxation)
+        end, count, converged, delta = _fixed_point(blown, np.ones(4, dtype=complex), 0.0, options)
+        assert np.isnan(end[1]) and np.all(end[[0, 2, 3]] == 1.0) and np.isnan(delta)
+        assert count == 1 and not converged
 
 
 def test_iteration_budget_flags_nonconvergence():
@@ -1334,6 +1365,29 @@ def test_coset_block_eigenvalues_and_inverse(map_row):
         x = np.zeros(n, dtype=complex)
         chord.apply(v - tangent(v, np.empty(n, dtype=complex)), x)
         assert np.abs(x - v).max() <= 1e-10 * np.abs(v).max()
+    # On the affine map x -> J x + b the chord's loop lands on the fixed
+    # point in one update and stops on the next step; it gives up, ending
+    # at None, when the budget runs out first or a change is non-finite.
+    b = [1.0, 1j] @ rng.standard_normal((2, n))
+
+    def affine(x, out):
+        tangent(x, out)
+        return np.add(out, b, out=out)
+
+    def blown(x, out):
+        out.fill(np.nan)
+        return out
+
+    start, options = np.zeros(n, dtype=complex), SolverOptions()
+    end, count, converged, _ = _fixed_point(affine, start, 1e-9, options, chord)
+    assert converged and count == 2
+    assert np.abs(end - affine(end, np.empty(n, dtype=complex))).max() < 1e-9
+    for step, budget in ((affine, 1), (blown, 10)):
+        end, count, converged, delta = _fixed_point(
+            step, start, 1e-9, replace(options, max_iterations=budget), chord
+        )
+        assert end is None and count == 1 and not converged
+        assert np.isfinite(delta) == (step is affine)
 
 
 def test_unstable_comb_leaves_the_point_to_picard(monkeypatch, map_row):

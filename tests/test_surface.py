@@ -3,7 +3,8 @@ that each demo runs, the module attributes the benchmark tracer wraps and
 what it reads of a solve, the config schema and command-line options the
 benchmark's generated jobs rely on, no unused import or definition in
 the library, no scipy, numpy.ma or numpy.random on the command line's
-import path, and numpy.random loaded only by a run that probes."""
+import path, numpy.random loaded only by a run that probes, and one update
+loop in the solver."""
 
 import ast
 import importlib
@@ -253,3 +254,22 @@ def test_library_definitions_are_read():
                     read |= _annotation_names(annotation)
     unread = set(defined) - read - set(ictasim.__all__)
     assert sorted(f"{defined[name]}: {name}" for name in unread) == []
+
+
+def test_one_update_loop_reads_the_relaxation():
+    # One loop iterates a lattice's Picard step, whatever its P: only
+    # `solver._fixed_point` holds a `for` loop bounded by `max_iterations`,
+    # and the relaxation is read only where it is checked and where it acts.
+    tree = ast.parse((SOURCES / "solver.py").read_text(encoding="utf-8"))
+    loops, reads = set(), set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.For) and any(
+                getattr(sub, "attr", getattr(sub, "id", None)) == "max_iterations"
+                for sub in ast.walk(node.iter)
+            ):
+                loops.add(getattr(top, "name", "<module>"))
+            elif isinstance(node, ast.Attribute) and node.attr == "relaxation":
+                reads.add(getattr(top, "name", "<module>"))
+    assert loops == {"_fixed_point"}
+    assert reads == {"SolverOptions", "_fixed_point"}
