@@ -72,7 +72,8 @@ SWEEP_KINDS = ("zjj", "fom", "gainmap", "profile", "compression", "emission")
 
 
 class ConfigError(ValueError):
-    """Schema violation, annotated with the JSON path of the offending field."""
+    """Schema violation, annotated with the JSON path of the offending field
+    (or the command-line option); `main` reports it and exits 2."""
 
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}" if path else message)
@@ -277,6 +278,11 @@ def load_config(path: str) -> RunConfig:
     solver_cfg = raw.get("solver", {})
     if not isinstance(solver_cfg, dict):
         raise ConfigError("solver", "must be an object")
+    solver_cfg = dict(solver_cfg)  # legacy key: plain Picard is the only update
+    relaxation = solver_cfg.pop("relaxation", 1)
+    if not _is_number(relaxation) or relaxation != 1:
+        raise ConfigError("solver.relaxation",
+                          "only 1 is accepted (plain Picard is the only update)")
     options = SolverOptions()
     unknown = set(solver_cfg) - {f.name for f in fields(SolverOptions)}
     if unknown:
@@ -349,11 +355,15 @@ def describe(config: RunConfig, stream=None) -> None:
 
 
 def run(config: RunConfig, out_dir: Path) -> int:
-    """Execute one validated sweep; returns the count of unconverged solves."""
+    """Execute one validated sweep; returns the count of unconverged solves.
+    An `out_dir` that cannot be created raises ConfigError before any solve."""
     sweep = config.sweep
     kind = sweep["kind"]
     csv = out_dir / f"{kind}.csv"
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError("output_dir", f"cannot create the directory: {err}") from None
     started = time.perf_counter()
     meta = sweep_metadata(config.netlist, config.grid, config.options)
     meta["config"] = config.raw
@@ -459,13 +469,11 @@ def _cmd_fit(args) -> int:
     try:
         _, powers, gains, converged = read_compression_csv(args.input)
     except (OSError, ValueError) as err:
-        print(f"error: cannot read compression CSV {args.input}: {err}", file=sys.stderr)
-        return 2
+        raise ConfigError("", f"cannot read compression CSV {args.input}: {err}") from None
     try:
         powers, gains = fit_row(powers, gains, converged, args.phase_index)
     except ValueError as err:
-        print(f"error: --phase-index: {args.input}: {err}", file=sys.stderr)
-        return 2
+        raise ConfigError("--phase-index", f"{args.input}: {err}") from None
     try:
         fit = rapp_fit(powers, gains)
     except (NotFittableError, FitFailedError) as err:
@@ -482,10 +490,12 @@ def _cmd_fit(args) -> int:
         "raw_p1db_dbm": raw_p1db(powers, gains),
         "source": str(args.input),
     }
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "fit.json"
-    write_json(path, result)
+    path = Path(args.out) / "fit.json"
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_json(path, result)
+    except OSError as err:
+        raise ConfigError("--out", f"cannot write {path}: {err}") from None
     if not powers.min() <= result["p1db_dbm"] <= powers.max():
         print(f"warning: P1dB {result['p1db_dbm']:.2f} dBm lies outside the fitted powers "
               f"{powers.min():.2f} to {powers.max():.2f} dBm", file=sys.stderr)
@@ -537,29 +547,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "fit":
-        return _cmd_fit(args)
-    try:
-        config = load_config(args.config)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+def _cmd_run(args) -> int:
+    config = load_config(args.config)
     if args.command == "describe":
         describe(config)
         return 0
     if config.sweep["kind"] != args.command:
-        print(
-            f"error: sweep.kind: config declares {config.sweep['kind']!r} "
-            f"but the {args.command!r} subcommand was invoked",
-            file=sys.stderr,
-        )
-        return 2
+        raise ConfigError("sweep.kind", f"config declares {config.sweep['kind']!r} "
+                          f"but the {args.command!r} subcommand was invoked")
     out_dir = args.out or config.output_dir
     if out_dir is None:
-        print("error: output_dir: set it in the config or pass --out", file=sys.stderr)
-        return 2
+        raise ConfigError("output_dir", "set it in the config or pass --out")
     unconverged = run(config, Path(out_dir))
     if unconverged:
         print(
@@ -567,6 +565,15 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
     return 0
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return _cmd_fit(args) if args.command == "fit" else _cmd_run(args)
+    except ConfigError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

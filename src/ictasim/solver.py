@@ -14,14 +14,11 @@ the loop stopped (converged, budget, probe-masked below, or diverged to a
 non-finite step); no stop raises, and `outputs` and the reports read it alone.
 
 Update loop: one loop, `_fixed_point`, runs every lattice's Picard step as
-x <- x + P (step(x) - x), with P = 1 (plain Picard), P = r for a relaxation
-`SolverOptions.relaxation` r < 1, or the chord's P below.  Every P stops on
-one test, max |step(x) - x| < tolerance * i_c, and returns step(x), so a
-converged state meets the tolerance on the plain map at every r.  Every
-tangent, coset block, chord and proof below reads the plain map step(x)
-itself, so no stability verdict depends on r: a steady state is stable or
-not as a property of the circuit's linearisation, not of the loop that found
-it.
+x <- x + P (step(x) - x), with P = 1 (plain Picard, x <- step(x)) or the
+chord's P below.  Both stop on one test, max |step(x) - x| < tolerance *
+i_c, and return step(x).  Every tangent, coset block, chord and proof below
+reads the plain map step(x) itself, so "converged" means that plain Picard
+contracts there.
 
 Spectral conventions: one-sided arrays over the grid bins k = 0 .. N-1, with
 a real tone x(t) = X0 cos(2 pi f_k t + theta) stored as |X[k]| = X0 / 2.  The
@@ -201,26 +198,20 @@ class SolverOptions:
     """Fixed-point solver settings, checked here.
 
     `tolerance` bounds the largest change max |step(x) - x| of the plain map
-    at a converged state, as a fraction of i_c, whatever the relaxation;
-    exhausting `max_iterations` returns converged=False (the
-    parametric-oscillation signature) rather than raising; `relaxation` r in
-    (0, 1] under-relaxes each plain Picard update to x <- x + r (step(x) -
-    x) (1 is a plain step) and nothing else: the stop, the chord, the probe
-    and the comb proof read the plain map at every r; `zero_pad` is the
-    frequency zero-padding factor of the time grid.
+    at a converged state, as a fraction of i_c; exhausting `max_iterations`
+    returns converged=False (the parametric-oscillation signature) rather
+    than raising; `zero_pad` is the frequency zero-padding factor of the
+    time grid.
     """
 
     tolerance: float = 1e-12
     max_iterations: int = 10_000
-    relaxation: float = 1.0
     zero_pad: int = 4
 
     def __post_init__(self):
-        _reject_bools(self, ("tolerance", "max_iterations", "relaxation", "zero_pad"))
+        _reject_bools(self, ("tolerance", "max_iterations", "zero_pad"))
         if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
             raise ValueError("tolerance must be positive and finite")
-        if not 0.0 < self.relaxation <= 1.0:
-            raise ValueError("relaxation must lie in (0, 1]")
         for name in ("max_iterations", "zero_pad"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
@@ -460,17 +451,15 @@ class SolutionState:
 
     Spectra are one-sided half-amplitude arrays over the grid bins.
     `residual` is the last largest change max |step(x) - x| of the plain
-    map, as a fraction of i_c at every relaxation (below the tolerance at a
-    converged lattice state), and
-    `iterations` counts the steps of every lattice the solve ran.  `lattice`
-    is the `Lattice` the solve ended on (every bin it covers is a multiple
-    of its `unit` s), and `tail` its guard, the 2-norm of the current on the
-    two outermost signal orders as a fraction of i_c (NaN on a stride
-    lattice).  `off_lattice_growth` is the probe's growth ratio of a
-    perturbation on the grid bins off the lattice under the plain Picard
-    map's tangent, whatever the relaxation (0 only when the tangent
-    annihilated it; NaN when no probe ran),
-    and `probe_steps` its number of tangent steps.  `path` says how the
+    map, as a fraction of i_c (below the tolerance at a converged lattice
+    state), and `iterations` counts the steps of every lattice the solve
+    ran.  `lattice` is the `Lattice` the solve ended on (every bin it covers
+    is a multiple of its `unit` s), and `tail` its guard, the 2-norm of the
+    current on the two outermost signal orders as a fraction of i_c (NaN on
+    a stride lattice).  `off_lattice_growth` is the probe's growth ratio of
+    a perturbation on the grid bins off the lattice under the plain Picard
+    map's tangent (0 only when the tangent annihilated it; NaN when no probe
+    ran), and `probe_steps` its number of tangent steps.  `path` says how the
     lattice was solved: "chord" (the chord, accepted by its on-lattice
     check), "fallback" (plain Picard from the start after a chord gave up or
     failed that check), "comb" (a stimulus-free solve kept on the comb, by
@@ -830,16 +819,14 @@ class _Cosets:
 def _fixed_point(step, current: np.ndarray, tol_abs: float, options: SolverOptions,
                  chord: _Chord | None = None):
     """The update x <- x + P (step(x) - x) from a copy of `current`, with P =
-    1 (plain Picard), P = r for the relaxation r < 1 of `options`, or the
-    `chord`'s P: (state, iterations, converged, last largest change).  Every
-    P stops once the largest change max |step(x) - x| falls below `tol_abs`
-    (or is 0), converged at step(x), and ends unconverged on a non-finite
-    change or when the `options.max_iterations` budget runs out, at the last
-    iterate (step(x) for a non-finite change).  The chord ends at None
-    instead, and also gives up on a change that does not shrink by a factor
-    below the comb's largest multiplier.  The only place the relaxation
-    acts."""
-    r, limit = options.relaxation, math.inf
+    1 (plain Picard) or the `chord`'s P: (state, iterations, converged, last
+    largest change).  Both stop once the largest change max |step(x) - x|
+    falls below `tol_abs` (or is 0), converged at step(x), and end
+    unconverged on a non-finite change or when the `options.max_iterations`
+    budget runs out, at the last iterate (step(x) for a non-finite change).
+    The chord ends at None instead, and also gives up on a change that does
+    not shrink by a factor below the comb's largest multiplier."""
+    limit = math.inf
     x = current.copy()
     spare, diff, size = np.empty_like(x), np.empty_like(x), np.empty(x.size)
     for iterations in range(1, options.max_iterations + 1):
@@ -854,11 +841,8 @@ def _fixed_point(step, current: np.ndarray, tol_abs: float, options: SolverOptio
             limit = chord.multiplier * delta
         elif not math.isfinite(delta):
             return updated, iterations, False, delta
-        elif r == 1.0:
-            x, spare = updated, x
         else:
-            np.multiply(r, diff, out=diff)
-            np.add(x, diff, out=x)
+            x, spare = updated, x
     return (x if chord is None else None), iterations, False, delta
 
 
@@ -1204,11 +1188,11 @@ def iterate(
     then the stride lattice, which decides.  It stops at the first embedded
     lattice that converges with its tail below TAIL_BOUND * i_c, at a proven
     comb, or at the stride lattice.  Each lattice runs one update loop,
-    `_fixed_point`, which stops on the plain map's largest change at every
-    relaxation.  A stimulated point with i_c > 0 runs its stride lattice
-    first with the chord's P, and plain Picard where the chord gives up or
-    fails its check; their steps add up in `iterations` (see the module
-    docstring and `SolutionState.path`).  The result is lifted back to the
+    `_fixed_point`, which stops on the plain map's largest change.  A
+    stimulated point with i_c > 0 runs its stride lattice first with the
+    chord's P, and plain Picard where the chord gives up or fails its check;
+    their steps add up in `iterations` (see the module docstring and
+    `SolutionState.path`).  The result is lifted back to the
     grid, and a converged point whose lattice leaves grid bins out, other
     than a proven comb, is probed on them (`SolutionState.off_lattice_growth`).
 
@@ -1221,9 +1205,7 @@ def iterate(
     stim : Stimulus
         Input tones (may be empty for pump-only runs).
     options : SolverOptions
-        Tolerance, iteration budget (per lattice), relaxation of the plain
-        Picard loops (the stop, the chord, its check and the probe read the
-        plain map whatever it is) and zero padding.
+        Tolerance, iteration budget (per lattice) and zero padding.
     initial : ndarray, optional
         Warm-start junction current spectrum (grid-sized, half amplitudes);
         only its bins on each lattice are used, and a rung on which it

@@ -1,12 +1,12 @@
 """Test oracles: the solve-point pipeline in one call, a response held as an
 array (the eager build, and hand-made rows), the inverse conversion, the
-plain fixed-point loop over every grid bin, the row-by-row CSV writer, the
-band report's run and roll-off walks, plain time-domain transforms of the
-solver's spectral convention on the full grid, the off-lattice probe as
-nonlinear full-grid steps and as a long power iteration, the coset
-blocks of the tangent at a comb state as one gather per block, the
-probe's comb start from a list of every grid-sized mode and its cosets by
-`np.unique`, the probe's coset step on separate transform and image
+plain fixed-point loop over every grid bin and its damped form, the
+row-by-row CSV writer, the band report's run and roll-off walks, plain
+time-domain transforms of the solver's spectral convention on the full grid,
+the off-lattice probe as nonlinear full-grid steps and as a long power
+iteration, the coset blocks of the tangent at a comb state as one gather per
+block, the probe's comb start from a list of every grid-sized mode and its
+cosets by `np.unique`, the probe's coset step on separate transform and image
 buffers, the ladder fold on fresh arrays, and a lattice gather that always
 copies."""
 
@@ -112,31 +112,42 @@ def tone_drive(response, stim):
     return drive
 
 
-def plain_iterate(row, bias, stim, options, initial=None, chain=None):
+def picard_loop(step, current, tol_abs, max_iterations, relaxation=1.0):
+    """The damped fixed-point loop x <- x + r (step(x) - x) from a copy of
+    `current`, r = `relaxation` (1: plain Picard): (state, iterations,
+    converged, last largest change).  It stops once the plain change max
+    |step(x) - x| falls below `tol_abs` (or is 0), converged at step(x), and
+    otherwise runs out its budget at the last iterate.  Its tangent is (1 -
+    r) + r T, so it can converge where plain Picard's multipliers leave the
+    unit circle: the oracle of stability studies, not a solver path."""
+    x = np.array(current, dtype=complex)
+    delta, iterations = np.inf, 0
+    for iterations in range(1, max_iterations + 1):
+        updated = step(x, np.empty_like(x))
+        delta = float(np.max(np.abs(updated - x)))
+        if delta < tol_abs or delta == 0.0:
+            return updated, iterations, True, delta
+        x = updated if relaxation == 1.0 else x + relaxation * (updated - x)
+    return x, iterations, False, delta
+
+
+def plain_iterate(row, bias, stim, options, initial=None, chain=None, relaxation=1.0):
     """The plain fixed-point loop over every grid bin (stride 1, no probe and
-    no chord, so `chain` is ignored), with `iterate`'s relaxed update x + r
-    (step(x) - x) and its stop, at every r on the plain change max |step(x)
-    - x|, at step(x): the oracle of its sub-lattice and chord solves."""
+    no chord, so `chain` is ignored), with `iterate`'s stop on the plain
+    change max |step(x) - x| at step(x): the oracle of its sub-lattice and
+    chord solves.  `relaxation` r < 1 runs `picard_loop`'s damped update."""
     response = row.response
     grid = response.grid
     drive = tone_drive(response, stim)
     m = _bias_bin(bias, grid)
     trip = _round_trip(grid.frequencies, m, bias, options.zero_pad)
     step = _picard_step(row.f_jj, drive, trip)
-    r = options.relaxation
-    if initial is None:
-        current = np.zeros(grid.size, dtype=complex)
-    else:
-        current = np.array(initial, dtype=complex)
-        current[0] = current[0].real
-    converged, delta, iterations = False, np.inf, 0
-    for iterations in range(1, options.max_iterations + 1):
-        updated = step(current, np.empty_like(current))
-        delta = float(np.max(np.abs(updated - current)))
-        if delta < options.tolerance * bias.i_c or delta == 0.0:
-            current, converged = updated, True
-            break
-        current = updated if r == 1.0 else current + r * (updated - current)
+    current = np.zeros(grid.size) if initial is None else initial
+    current = np.array(current, dtype=complex)
+    current[0] = current[0].real
+    current, iterations, converged, delta = picard_loop(
+        step, current, options.tolerance * bias.i_c, options.max_iterations, relaxation
+    )
     return SolutionState(
         bias=bias,
         stimulus=stim,

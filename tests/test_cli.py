@@ -215,6 +215,11 @@ def config_text(sweep, **extra):
          "error: solver.bogus: unknown solver setting"),
         ("zjj", config_text({"kind": "zjj"}, output_dir=3),
          "error: output_dir: must be a string path"),
+        *(
+            ("zjj", config_text({"kind": "zjj"}, solver={"relaxation": value}),
+             "error: solver.relaxation: only 1")
+            for value in (0.5, 1.5, True, "1")
+        ),
     ],
     ids=[
         "non_finite_number", "non_integer_count", "reversed_axis", "sweep_not_object",
@@ -222,6 +227,7 @@ def config_text(sweep, **extra):
         "negative_bandwidth", "unreadable_config", "root_not_object", "unknown_top_level",
         "netlist_not_object", "invalid_inline_netlist", "invalid_netlist_file",
         "grid_not_object", "solver_not_object", "unknown_solver_key", "output_dir_not_string",
+        "relaxation_below_one", "relaxation_above_one", "relaxation_bool", "relaxation_string",
     ],
 )
 def test_config_errors_exit_two_at_their_path(tmp_path, monkeypatch, capsys,
@@ -235,6 +241,33 @@ def test_config_errors_exit_two_at_their_path(tmp_path, monkeypatch, capsys,
     assert main([command, "--config", str(path), "--out", str(out)]) == 2
     assert expected in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [1.0, 1], ids=["float", "int"])
+def test_legacy_relaxation_of_one_loads(tmp_path, value):
+    # Plain Picard is the only update: a config that keeps the old key at 1
+    # runs as one without it, byte for byte.
+    sweep = profile_sweep(signal_count=2)
+    plain, legacy = tmp_path / "plain", tmp_path / "legacy"
+    path = write_config(tmp_path, sweep)
+    assert main(["profile", "--config", str(path), "--out", str(plain)]) == 0
+    path = write_config(tmp_path, sweep, name="legacy.json", solver={"relaxation": value})
+    assert load_config(str(path)).options == SolverOptions()
+    assert main(["profile", "--config", str(path), "--out", str(legacy)]) == 0
+    assert (legacy / "profile.csv").read_bytes() == (plain / "profile.csv").read_bytes()
+
+
+def test_unwritable_output_dir_exits_two(tmp_path, capsys):
+    # An output path under a file, or naming one, fails before any solve.
+    blocker = tmp_path / "f"
+    blocker.write_text("")
+    path = write_config(tmp_path, profile_sweep())
+    for out in (blocker / "sub", blocker):
+        assert main(["profile", "--config", str(path), "--out", str(out)]) == 2
+        assert "error: output_dir: cannot create" in capsys.readouterr().err
+    path = write_config(tmp_path, {"kind": "zjj"}, name="zjj.json", output_dir=str(blocker / "z"))
+    assert main(["zjj", "--config", str(path)]) == 2
+    assert "error: output_dir:" in capsys.readouterr().err
 
 
 def test_unknown_grid_field_rejected(tmp_path, capsys):
@@ -373,9 +406,7 @@ def test_profile_run_outputs(tmp_path, capsys):
     assert meta["unconverged_solves"] == 0
     assert "netlist_sha256" in meta
     assert "metrics" in meta
-    assert meta["solver"] == {
-        "tolerance": 1e-12, "max_iterations": 3000, "relaxation": 1.0, "zero_pad": 4
-    }
+    assert meta["solver"] == {"tolerance": 1e-12, "max_iterations": 3000, "zero_pad": 4}
 
 
 def test_profile_rerun_byte_identical(tmp_path):
@@ -739,6 +770,15 @@ def test_fit_missing_input_is_an_input_error(tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     assert main(["fit", "--in", str(missing), "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_fit_unwritable_out_exits_two(tmp_path, capsys):
+    # Exit 1 means data that cannot be fitted; an --out that cannot hold
+    # fit.json (under a file, or a file itself) is a usage error.
+    csv = write_two_phase_csv(tmp_path)
+    for out in (csv / "x", csv):
+        assert main(["fit", "--in", str(csv), "--out", str(out), "--phase-index", "0"]) == 2
+        assert "error: --out: cannot write" in capsys.readouterr().err
 
 
 def test_fit_rejects_flat_data(tmp_path, capsys):

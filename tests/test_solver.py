@@ -72,6 +72,7 @@ from oracles import (
     gather_copy,
     gathered_coset_blocks,
     nonlinear_off_lattice_growth,
+    picard_loop,
     plain_iterate,
     power_iteration_growth,
     probe_cosets,
@@ -139,11 +140,10 @@ def test_bias_point_validation():
         pytest.param("power_dbm", lambda: Tone(5.6e9, True), id="power_dbm"),
         pytest.param("phase", lambda: Tone(5.6e9, -140.0, phase=True), id="phase"),
         pytest.param("tolerance", lambda: SolverOptions(tolerance=True), id="tolerance"),
-        pytest.param("relaxation", lambda: SolverOptions(relaxation=True), id="relaxation"),
     ],
 )
 def test_numeric_fields_reject_bools(field, make):
-    # True passes every range check as 1: f_dc 1 Hz, relaxation 1, a 1 dBm tone.
+    # True passes every range check as 1: f_dc 1 Hz, tolerance 1, a 1 dBm tone.
     with pytest.raises(ValueError, match=f"{field} must be a number, not a bool"):
         make()
 
@@ -358,44 +358,43 @@ def test_warm_start_reproduces_cold_solution(canonical_f):
 
 
 def test_relaxation_reaches_same_fixed_point(canonical_f):
-    # Relaxation under-relaxes only the Picard update.  Both chord-path
-    # points reach the same state, and the chord's check and the probe read
-    # the plain map's tangent at either setting, not the relaxed map's,
-    # whose multipliers 1 - r + r lambda read 0.948 at 6.4 GHz against 0.965.
-    bias = BiasPoint(f_dc=F_DC, i_c=I_C)
+    # Plain Picard is the solver's only update; the damped loop x + r (step(x)
+    # - x) lives on as the oracle `picard_loop`.  On the chord path and past
+    # it (path "fallback"), the solve stops on the plain map's change, and
+    # one plain step on its lattice moves the returned state by less than the
+    # tolerance.  The oracle reaches the same full-grid state at r = 1, 0.5
+    # and 0.25 (324, 457 and 821 steps at 4.0 GHz; 51, 103 and 213 at 6.4
+    # GHz), and one plain step moves it by less than the tolerance too.
+    bias, tolerance = BiasPoint(f_dc=F_DC, i_c=I_C), SolverOptions().tolerance
     row = junction_row(canonical_f)
     for f_s, power in ((6e9, -130.0), (6.4e9, -140.0)):
-        stim = Stimulus.single(f_s, power)
-        plain = iterate(row, bias, stim)
-        damped = iterate(row, bias, stim, SolverOptions(relaxation=0.5))
-        assert plain.converged and damped.converged
-        assert plain.path == damped.path == "chord"
-        assert abs(damped.off_lattice_growth - plain.off_lattice_growth) <= 1e-9
-        assert abs(damped.on_lattice_growth - plain.on_lattice_growth) <= 1e-9
-        assert_allclose(damped.i_j, plain.i_j, rtol=0, atol=1e-12 * I_C)
-    # Past the chord (path "fallback"), every relaxation stops on the plain
-    # map's change: one plain step from the returned state moves it by less
-    # than the tolerance on its lattice (2.4e-12 and 4.1e-12 of I_c at 4.0
-    # GHz, relaxation 0.5 and 0.25, when the relaxed update's change r max
-    # |step(x) - x| stopped the loop).
-    tolerance = SolverOptions().tolerance
+        state = iterate(row, bias, Stimulus.single(f_s, power))
+        assert state.converged and state.path == "chord" and state.residual < tolerance
     for f_s, power, i_c in ((4.0e9, -110.0, 300e-9), (6.4e9, -100.0, 280e-9)):
         stim, strong = Stimulus.single(f_s, power), BiasPoint(f_dc=F_DC, i_c=i_c)
+        drive = tone_drive(row.response, stim)
+        state = iterate(row, strong, stim)
+        assert state.converged and state.path == "fallback"
+        assert state.residual < tolerance
+        lattice = state.lattice
+        trip = _round_trip(lattice.frequencies, lattice.pump, strong, ZERO_PAD)
+        step = _picard_step(lattice.gather(row.f_jj), lattice.gather(drive), trip)
+        x = lattice.gather(state.i_j).copy()
+        assert np.max(np.abs(step(x, np.empty_like(x)) - x)) < tolerance * i_c
+        grid = row.response.grid
+        trip = _round_trip(grid.frequencies, lattice.pump * lattice.unit, strong, ZERO_PAD)
+        step = _picard_step(row.f_jj, drive, trip)
+        steps = []
         for relaxation in (1.0, 0.5, 0.25):
-            state = iterate(row, strong, stim, SolverOptions(relaxation=relaxation))
-            assert state.converged and state.path == "fallback"
-            assert state.residual < tolerance
-            lattice = state.lattice
-            trip = _round_trip(lattice.frequencies, lattice.pump, strong, ZERO_PAD)
-            step = _picard_step(lattice.gather(row.f_jj),
-                                lattice.gather(tone_drive(row.response, stim)), trip)
-            x = lattice.gather(state.i_j).copy()
-            change = np.max(np.abs(step(x, np.empty_like(x)) - x))
-            assert change < tolerance * i_c
-    with pytest.raises(ValueError):
-        iterate(row, bias, stim, SolverOptions(relaxation=0.0))
-    with pytest.raises(ValueError):
-        iterate(row, bias, stim, SolverOptions(relaxation=1.5))
+            oracle = plain_iterate(row, strong, stim, SolverOptions(), relaxation=relaxation)
+            assert oracle.converged
+            x = oracle.i_j.copy()
+            assert np.max(np.abs(step(x, np.empty_like(x)) - x)) < tolerance * i_c
+            assert_allclose(oracle.i_j, state.i_j, rtol=0, atol=1e-10 * i_c)
+            steps.append(oracle.iterations)
+        assert steps == sorted(set(steps))  # damping slows the loop
+    with pytest.raises(TypeError):
+        SolverOptions(relaxation=0.5)
 
 
 def test_divergent_response_stops_unconverged():
@@ -414,18 +413,16 @@ def test_divergent_response_stops_unconverged():
         assert state.iterations == 1
         assert not np.all(np.isfinite(state.i_j))
         assert np.isnan(state.off_lattice_growth)
-    # The update loop itself: plain and relaxed Picard end on the non-finite
-    # iterate step(x), unconverged.
+    # The update loop itself ends on the non-finite iterate step(x), unconverged.
     def blown(x, out):
         out[:] = x
         out[1] = np.nan
         return out
 
-    for relaxation in (1.0, 0.5):
-        options = SolverOptions(relaxation=relaxation)
-        end, count, converged, delta = _fixed_point(blown, np.ones(4, dtype=complex), 0.0, options)
-        assert np.isnan(end[1]) and np.all(end[[0, 2, 3]] == 1.0) and np.isnan(delta)
-        assert count == 1 and not converged
+    end, count, converged, delta = _fixed_point(blown, np.ones(4, dtype=complex), 0.0,
+                                                SolverOptions())
+    assert np.isnan(end[1]) and np.all(end[[0, 2, 3]] == 1.0) and np.isnan(delta)
+    assert count == 1 and not converged
 
 
 def test_iteration_budget_flags_nonconvergence():
@@ -976,23 +973,22 @@ def test_probe_carries_its_vector_along_a_chain():
 @pytest.mark.parametrize("relaxation", [1.0, 0.5])
 def test_tangent_step_matches_central_difference(monkeypatch, interleaved, relaxation):
     # The tangent T at x against the central difference (update(x + eps d) -
-    # update(x - eps d)) / 2 eps of one Picard update at the same zero_pad;
-    # the difference falls as eps**2 (2e-8 at eps 1e-4, 2e-10 at 1e-5).  At
-    # relaxation r the update's tangent is (1 - r) + r T, with multipliers 1
-    # - r + r lambda; the step and T are the plain map's at every r.
+    # update(x - eps d)) / 2 eps of one update of the oracle loop at the same
+    # zero_pad; the difference falls as eps**2 (2e-8 at eps 1e-4, 2e-10 at
+    # 1e-5).  At relaxation r the damped update's tangent is (1 - r) + r T,
+    # with multipliers 1 - r + r lambda; the step and T are the plain map's.
     monkeypatch.setattr("ictasim.solver._interleaved", lambda _: interleaved)
     n, m, eps = 64, 21, 1e-5
     rng = np.random.default_rng(7)
     f_jj, drive, x, d = ([1.0, 1j] @ rng.standard_normal((2, n)) for _ in range(4))
     f_jj, drive, x, d = 0.05 * f_jj, 1e-9 * drive, 0.1 * I_C * x, 0.1 * I_C * d
     bias = BiasPoint(f_dc=m * 1e6, i_c=I_C)
-    options = SolverOptions(zero_pad=2, relaxation=relaxation, max_iterations=1)
     frequencies = 1e6 * np.arange(n)
-    trip = _round_trip(frequencies, m, bias, options.zero_pad)
+    trip = _round_trip(frequencies, m, bias, 2)
     step = _picard_step(f_jj, drive, trip)
     tangent = _tangent_step(f_jj, drive + f_jj * x, trip)
     image = (1 - relaxation) * d + relaxation * tangent(d, np.empty(n, dtype=complex))
-    forward, backward = (_fixed_point(step, x + sign * eps * d, 0.0, options)[0]
+    forward, backward = (picard_loop(step, x + sign * eps * d, 0.0, 1, relaxation)[0]
                          for sign in (1, -1))
     difference = (forward - backward) / (2 * eps)
     assert np.max(np.abs(difference - image)) <= 1e-7 * np.max(np.abs(image))
@@ -1221,22 +1217,22 @@ def test_solve_point_leaves_no_reference_cycles():
 @pytest.mark.parametrize("relaxation", [1.0, 0.5])
 @pytest.mark.parametrize("stride", [1, 7])
 def test_interleaved_step_matches_single_transform(monkeypatch, n, zero_pad, relaxation, stride):
-    # One Picard update (`_fixed_point`, one step) in each layout on the same
-    # inputs: n bins spaced stride MHz, the pump on bin n // 3, and voltages
-    # that swing the junction phase by about a radian.
+    # One update of the oracle loop at relaxation r (`picard_loop`, one step)
+    # in each layout on the same inputs: n bins spaced stride MHz, the pump on
+    # bin n // 3, and voltages that swing the junction phase by about a
+    # radian.
     rng = np.random.default_rng(100 * n + zero_pad)
     f_jj, drive, current = ([1.0, 1j] @ rng.standard_normal((2, n)) for _ in range(3))
     current[0] = current[0].real
     m = max(1, n // 3)
     bias = BiasPoint(f_dc=m * stride * 1e6, i_c=I_C)
-    options = SolverOptions(zero_pad=zero_pad, relaxation=relaxation, max_iterations=1)
     frequencies = stride * 1e6 * np.arange(n)
     updated = {}
     for interleaved in (False, True):
         monkeypatch.setattr("ictasim.solver._interleaved", lambda _, chosen=interleaved: chosen)
         trip = _round_trip(frequencies, m, bias, zero_pad)
         step = _picard_step(0.05 * f_jj, 1e-9 * drive, trip)
-        updated[interleaved] = _fixed_point(step, 0.1 * I_C * current, 0.0, options)[0]
+        updated[interleaved] = picard_loop(step, 0.1 * I_C * current, 0.0, 1, relaxation)[0]
     assert_allclose(updated[True], updated[False], rtol=0, atol=1e-15 * I_C)
 
 
@@ -1609,11 +1605,6 @@ def test_comb_grid_blocks_match_full_grid(resistance, rate, zero_pad, tolerance)
     assert np.abs(blocks - full_blocks[:half]).max() <= tolerance * scale
     assert np.abs(np.linalg.eigvals(blocks)).max() == pytest.approx(rate, abs=5e-5)
     assert chain.proven() == (rate < 0.9)
-    # Relaxation moves the comb loop, not the verdict: the proof reads the
-    # plain map's blocks, not the relaxed ones (1 - r + r lambda), which
-    # contract at 0.3 ohm.
-    relaxed = Chain(row, bias, replace(options, relaxation=0.5))
-    assert relaxed.solve()[2] and relaxed.proven() == (rate < 0.9)
 
 
 @pytest.mark.parametrize(
@@ -1622,16 +1613,15 @@ def test_comb_grid_blocks_match_full_grid(resistance, rate, zero_pad, tolerance)
         (DEFAULT_GRID, 12e9, 280e-9, SolverOptions()),
         (DEFAULT_GRID, 12.261e9, 100e-9, SolverOptions()),
         (MAP_GRID, 12.8e9, 200e-9, SolverOptions()),
-        (MAP_GRID, 8.32e9, 200e-9, SolverOptions(relaxation=0.7)),
+        (MAP_GRID, 8.32e9, 200e-9, SolverOptions()),
         (FrequencyGrid(16e6, 2048), 12e9, 280e-9, SolverOptions(zero_pad=2)),
     ],
-    ids=["default-12", "default-12.261", "map-12.8", "map-8.32-relaxed", "coarse-zero-pad-2"],
+    ids=["default-12", "default-12.261", "map-12.8", "map-8.32", "coarse-zero-pad-2"],
 )
 def test_shared_harmonic_blocks_equal_gathered_blocks(grid, f_dc, i_c, options):
     # Every coset block on the grid mod m, as the comb builds it (one shared
     # harmonic matrix times each coset's column weights), is bit for bit the
-    # block gathered entry by entry from c's spectrum on the comb's samples,
-    # the plain map's block whatever the relaxation.
+    # block gathered entry by entry from c's spectrum on the comb's samples.
     row = junction_row(frankenstein_matrix(build_icta(IctaParams()), grid))
     bias = BiasPoint(f_dc=f_dc, i_c=i_c)
     m = round(f_dc / grid.spacing)
