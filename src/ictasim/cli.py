@@ -20,6 +20,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -356,14 +357,20 @@ def describe(config: RunConfig, stream=None) -> None:
 
 def run(config: RunConfig, out_dir: Path) -> int:
     """Execute one validated sweep; returns the count of unconverged solves.
-    An `out_dir` that cannot be created raises ConfigError before any solve."""
+    An `out_dir` that cannot be created, or whose CSV or sidecar path exists
+    and is not a regular file, raises ConfigError before any solve; so does
+    an OSError from the writers, after the solves."""
     sweep = config.sweep
     kind = sweep["kind"]
     csv = out_dir / f"{kind}.csv"
+    sidecar = csv.with_suffix(".meta.json")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise ConfigError("output_dir", f"cannot create the directory: {err}") from None
+    for target in (csv, sidecar):
+        if target.exists() and not target.is_file():
+            raise ConfigError("output_dir", f"cannot write {target}: not a regular file")
     started = time.perf_counter()
     meta = sweep_metadata(config.netlist, config.grid, config.options)
     meta["config"] = config.raw
@@ -373,7 +380,7 @@ def run(config: RunConfig, out_dir: Path) -> int:
     if kind == "zjj":
         f = config.grid.frequencies
         z = z_jj(config.netlist, f)
-        write_table(csv, ["f_hz", "re_z_ohm", "im_z_ohm"], [f, z.real, z.imag])
+        write = partial(write_table, csv, ["f_hz", "re_z_ohm", "im_z_ohm"], [f, z.real, z.imag])
         report = band_check(config.netlist, f, z)
         meta["band"] = {
             "reference_impedance_ohm": report.reference_impedance,
@@ -384,7 +391,7 @@ def run(config: RunConfig, out_dir: Path) -> int:
         }
     elif kind == "fom":
         ff, fom = emission_fom(config.netlist, config.grid.frequencies)
-        write_table(csv, ["f_hz", "re_z_over_f_ohm_per_hz"], [ff, fom])
+        write = partial(write_table, csv, ["f_hz", "re_z_over_f_ohm_per_hz"], [ff, fom])
     elif kind == "profile":
         profile = gain_profile(
             response,
@@ -395,7 +402,7 @@ def run(config: RunConfig, out_dir: Path) -> int:
             options=config.options,
             phase=sweep["phase_rad"],
         )
-        write_profile_csv(profile, csv)
+        write = partial(write_profile_csv, profile, csv)
         converged = profile.converged
         meta["bias"] = bias_metadata(profile.bias)
         meta["power_dbm"] = profile.power_dbm
@@ -419,7 +426,7 @@ def run(config: RunConfig, out_dir: Path) -> int:
                 sweep["power_dbm"], options=config.options,
                 phase=sweep["phase_rad"],
             )
-        write_map_csv(gmap, csv)
+        write = partial(write_map_csv, gmap, csv)
         converged = gmap.converged
         meta["power_dbm"] = gmap.power_dbm
         meta["map_axis"] = gmap.axis_name
@@ -432,7 +439,7 @@ def run(config: RunConfig, out_dir: Path) -> int:
             options=config.options,
             phases=sweep["phases_rad"],
         )
-        write_compression_csv(curve, csv)
+        write = partial(write_compression_csv, curve, csv)
         converged = curve.converged
         meta["bias"] = bias_metadata(curve.bias)
         meta["signal_frequency_hz"] = curve.signal_frequency
@@ -446,7 +453,8 @@ def run(config: RunConfig, out_dir: Path) -> int:
             for i_c in sweep["i_c_a"]
         ]
         converged = np.array([r.converged for r in rows])
-        write_table(
+        write = partial(
+            write_table,
             csv,
             ["i_c_a", "power_w", "power_dbm", "photon_rate_per_s", "converged"],
             [
@@ -459,9 +467,13 @@ def run(config: RunConfig, out_dir: Path) -> int:
         )
         meta["f_dc_hz"] = sweep["f_dc_hz"]
         meta["bandwidth_hz"] = sweep["bandwidth_hz"]
-    meta["wall_time_s"] = time.perf_counter() - started
-    meta["unconverged_solves"] = unconverged = int(np.sum(~converged))
-    write_sidecar(csv.with_suffix(".meta.json"), meta)
+    try:
+        write()
+        meta["wall_time_s"] = time.perf_counter() - started
+        meta["unconverged_solves"] = unconverged = int(np.sum(~converged))
+        write_sidecar(sidecar, meta)
+    except OSError as err:
+        raise ConfigError("output_dir", f"cannot write the outputs: {err}") from None
     return unconverged
 
 

@@ -51,17 +51,23 @@ chords, and its off-lattice probe's vector and tangent tables, as below.
 Probe: an oscillation on grid bins a lattice does not cover cannot show on
 it, so a converged point whose lattice leaves bins out takes a few steps of
 the plain Picard map's tangent at its lifted state, power iteration on those
-bins at zero_pad 2, and is marked unconverged if the perturbation grows.  At
-a state on the multiples of s, c(t) is T / s periodic, so the tangent couples
-bin q only to the bins = +-q (mod s), the Floquet-Bloch split of a
-pump-periodic linearisation (Peng et al., PRX Quantum 3, 020306, 2022); the
-probe runs it coset by coset on one period T / s where that pays
-(`Chain.tangent`).  `Chain.probe` picks the start: the last probe's vector,
-carried from point to point along the chain; else, on a stride lattice of
-unit s > 1, the comb's dominant off-lattice modes (`Chain.probe_start`);
-either stops once two successive growth ratios agree, or reads the mean
-ratio over the second half of PROBE_STEPS.  Else the probe starts from a
-seeded perturbation and reads its PROBE_STEPS-th ratio.
+bins, and is marked unconverged if the perturbation grows.  The steps run at
+zero_pad 1, on the even samples of the zero_pad 2 grid; one step on the odd
+samples, from the last step's input x, gives the fold of that step, half
+||(T_even - T_odd) x|| / ||x|| on those bins (`Chain.probe`).  A reading r
+with r + PROBE_FOLD_MARGIN * fold < 1 stands; any other runs again at
+zero_pad 2 from the same start, and that reading decides (see
+PROBE_ZERO_PAD).  At a state on the multiples of s, c(t) is T / s periodic,
+so the tangent couples bin q only to the bins = +-q (mod s), the
+Floquet-Bloch split of a pump-periodic linearisation (Peng et al., PRX
+Quantum 3, 020306, 2022); the probe runs it coset by coset on one period T /
+s where that pays (`Chain.tangent`).  `Chain.probe` picks the start: the
+last probe's vector, carried from point to point along the chain; else, on
+a stride lattice of unit s > 1, the comb's dominant off-lattice modes
+(`Chain.probe_start`); either stops once two successive growth ratios
+agree, or reads the mean ratio over the second half of PROBE_STEPS.  Else
+the probe starts from a seeded perturbation and reads its PROBE_STEPS-th
+ratio.
 
 Comb: the stimulus-free pump comb, solved on `Lattice.stride(grid, m, m)`,
 is analysed once per chain or emission solve (`Chain.solve`).  Its c(t)
@@ -131,24 +137,41 @@ PROBE_SEED_WEIGHT = 1e-3
 # The tangent multiplies a perturbation's phase samples by c(t) = cos(ramp +
 # phase of the state).  For output and input bins |k|, |p| < N only c's bins
 # |q| < 2N contribute, which a 4N-sample grid (zero_pad 2) multiplies without
-# aliasing, so the probe runs at zero_pad 2 whatever the solve's (at zero_pad
-# 1 it read 0.90515 against 0.90573 on DEFAULT_GRID at 5.12 GHz), and the
-# comb's harmonics come from at least 4W samples.  Only c's own aliasing (its
-# bins from 2N up fold back) sets it apart from zero_pad 4: under 1e-9 in the
-# ratio on DEFAULT_GRID profile states at I_c 280 nA.  The same holds per
-# coset of a lattice of unit s (`_Cosets`), in units of s: a coset pair's
-# entries read c's harmonics |w| < 2W, W = ceil(N / s), and L >= 4W samples
-# per T / s multiply them without aliasing; the coset form's growth ratios
-# agree with the full grid's to 1.1e-9 to 1.4e-9 relative.
+# aliasing; on 2N samples (zero_pad 1) the products fold (the probe read
+# 0.90515 against 0.90573 on DEFAULT_GRID at 5.12 GHz).  The probe steps on
+# those 2N samples, the even ones of the 4N grid, and checks once
+# (`Chain.probe`): the mean of the steps on the even and the odd samples is
+# the step at zero_pad 2 (to 5e-16 relative), so half their difference is
+# the folded part of a step.  A reading that its fold could carry to 1 runs
+# again at PROBE_ZERO_PAD, which decides, and the comb's harmonics come from
+# at least 4W samples.  Only c's own aliasing (its bins from 2N up fold back)
+# sets zero_pad 2 apart from zero_pad 4: under 1e-9 in the ratio on
+# DEFAULT_GRID profile states at I_c 280 nA.  The same holds per coset of a
+# lattice of unit s (`_Cosets`), in units of s: a coset pair's entries read
+# c's harmonics |w| < 2W, W = ceil(N / s), and L = zero_pad * _fast_len(2W)
+# samples per T / s hold them without aliasing at zero_pad 2, where the coset
+# form's growth ratios agree with the full grid's to 1.1e-9 to 1.4e-9
+# relative.
 PROBE_ZERO_PAD = 2
+# A zero_pad 1 reading stands only below 1 by more than this many folds.  The
+# two readings from one start also differ where their stop rules part (one
+# settles, the other runs PROBE_STEPS steps and reads a mean): by up to 1.84
+# folds over the 2816 probes of the benchmark's 30 variants (0.859 against
+# 0.666 at a fold of 0.105, -96 dBm on a lattice of unit 480), and by at most
+# 0.26 folds at equal steps.
+PROBE_FOLD_MARGIN = 2.0
 # The probe runs the cosets of the grid bins mod s as rows of L samples, and
-# on the full grid where the rows would take more than COSET_SAMPLES: longer
-# rows fall out of cache (on DEFAULT_GRID at s = 2 to 5 a step took 2.9 to 3.5
-# ms against 2.3 to 2.9 ms on the full grid, at s = 8 1.4 to 1.6 ms; 2-CPU
-# Xeon).  Below SPLIT_BINS the rows win too: on the 2048-bin map grid the
+# on the full grid where the rows would take more than COSET_SAMPLES.  On
+# DEFAULT_GRID (medians of 40 steps, 3 runs, 2-CPU Xeon) a zero_pad 1 step
+# took 0.8 to 1.2 ms by coset at s = 3 to 8 (rows of 21846 samples and
+# fewer) against 1.3 to 1.8 ms on the full grid, and 1.7 to 2.4 ms against
+# 1.9 to 2.8 ms at s = 2 (rows of 32768).  At zero_pad 2 the rows of 32768
+# and 65536 samples (s = 4 and 2) took 3.1 to 3.9 ms against 2.3 to 3.3 ms,
+# and those of 18728 and 21848 (s = 7 and 6) 1.7 to 2.7 ms against 2.5 to
+# 2.7 ms.  Below SPLIT_BINS the rows win too: on the 2048-bin map grid the
 # benchmark's coarse map took 0.48 s against 0.70 s with a full-grid probe
 # (medians of 10 alternating fresh-process rounds, one worker, lower in 8).
-COSET_SAMPLES = 16384
+COSET_SAMPLES = 24576
 
 # Embedded lattices: the box orders alpha a single-tone solve tries in turn,
 # and the bound on the 2-norm of its current on the two outermost signal
@@ -164,7 +187,11 @@ TAIL_BOUND = 1e-8
 # N_s is a power of two of at least SPLIT_BINS.  Below it the batch's per-call
 # overhead outweighs its cache gain; at other lengths pocketfft can take
 # generic radix passes (a stride-3 lattice of DEFAULT_GRID, N_s = 10923: 13.5
-# ms against 10.2 ms per step on a 2-CPU Xeon).
+# ms against 10.2 ms per step on a 2-CPU Xeon).  The probe checks a zero_pad
+# 1 reading only on grids of at least SPLIT_BINS bins (`Chain.probe`): on
+# the 2048-bin map grid the odd step and the fold cost more calls than the
+# zero_pad 1 steps saved time, and the benchmark's coarse map ran 8 to 10%
+# slower with the check (medians of 10 in-process reps, 2 rounds).
 SPLIT_BINS = 8192
 
 # A stimulus-free comb state is kept when `_contracts` shows every coset
@@ -459,18 +486,26 @@ class SolutionState:
     a stride lattice).  `off_lattice_growth` is the probe's growth ratio of
     a perturbation on the grid bins off the lattice under the plain Picard
     map's tangent (0 only when the tangent annihilated it; NaN when no probe
-    ran), and `probe_steps` its number of tangent steps.  `path` says how the
-    lattice was solved: "chord" (the chord, accepted by its on-lattice
-    check), "fallback" (plain Picard from the start after a chord gave up or
-    failed that check), "comb" (a stimulus-free solve kept on the comb, by
-    the proof that its blocks contract on the whole grid; no probe runs) or
-    "picard" (plain Picard where no chord applies, or where the chain's chord
-    of that unit gave up before).  An unproven comb's steps are not counted
-    in `iterations`.  `on_lattice_growth` and `on_lattice_steps` are the
-    chord check's growth ratio of the plain map's tangent and its steps (NaN
-    and 0 when none ran);
-    none of the three goes into a CSV.  Each stop reads from the state
-    alone: `converged` True is a converged point; otherwise
+    ran), and `probe_steps` its number of tangent steps, both those of the
+    reading that decided.  `probe_zero_pad` is the zero_pad of that reading
+    (0 when no probe ran): 1 where the zero_pad 1 reading plus
+    PROBE_FOLD_MARGIN times `probe_fold` stays below 1, else 2.
+    `probe_fold` is the guard the verdict relied on, the folded part of the
+    last zero_pad 1 step, ||(T_1 - T_2) x|| / ||x|| on the off-lattice bins,
+    x that step's input (NaN when no probe ran, where x had no finite
+    weight, and on grids below SPLIT_BINS bins, whose probes run at zero_pad
+    2 unchecked).  `path` says how the lattice was solved:
+    "chord" (the chord, accepted by its on-lattice check), "fallback" (plain
+    Picard from the start after a chord gave up or failed that check),
+    "comb" (a stimulus-free solve kept on the comb, by the proof that its
+    blocks contract on the whole grid; no probe runs) or "picard" (plain
+    Picard where no chord applies, or where the chain's chord of that unit
+    gave up before).  An unproven comb's steps are not counted in
+    `iterations`.  `on_lattice_growth` and `on_lattice_steps` are the chord
+    check's growth ratio of the plain map's tangent and its steps (NaN and 0
+    when none ran).  None of the probe's or the check's fields goes into a
+    CSV.  Each stop reads from the state alone: `converged` True is a
+    converged point; otherwise
     `off_lattice_growth >= 1` is a probe-masked point, a non-finite
     `residual` a diverged one (its `i_j` is the non-finite iterate), and
     anything else an exhausted iteration budget (the parametric-oscillation
@@ -490,6 +525,8 @@ class SolutionState:
     tail: float
     off_lattice_growth: float
     probe_steps: int = 0
+    probe_fold: float = math.nan
+    probe_zero_pad: int = 0
     path: str = "picard"
     on_lattice_growth: float = math.nan
     on_lattice_steps: int = 0
@@ -623,13 +660,16 @@ def _round_trip(frequencies: np.ndarray, m: int, bias: BiasPoint, zero_pad: int)
     return ramp, to_phase, to_current
 
 
-def _cos_phase(voltage: np.ndarray, trip) -> np.ndarray:
-    """c(t) = cos(ramp + phase of junction voltage spectrum `voltage`) at the
-    samples of `trip`, the `_round_trip` of the lattice `voltage` lies on."""
+def _cos_phase(voltage: np.ndarray, trip, offset: float = 0.0) -> np.ndarray:
+    """c(t) = cos(ramp + offset + phase of junction voltage spectrum
+    `voltage`) at the samples of `trip`, the `_round_trip` of the lattice
+    `voltage` lies on."""
     ramp, to_phase, _ = trip
     c = np.empty(ramp.shape)
     to_phase(voltage, c)
     np.add(ramp, c, out=c)
+    if offset:
+        c += offset
     np.cos(c, out=c)
     return c
 
@@ -658,12 +698,17 @@ def _picard_step(f_jj: np.ndarray, drive: np.ndarray, trip):
 
 def _tangent_step(f_jj: np.ndarray, voltage: np.ndarray, trip):
     """The tangent of `_picard_step` on the same lattice and `trip`, at the
-    state of junction voltage spectrum `voltage`, a conversion-matrix
+    state of junction voltage spectrum `voltage`: `_tangent_at` its
+    `_cos_phase`, computed once."""
+    return _tangent_at(f_jj, _cos_phase(voltage, trip), trip)
+
+
+def _tangent_at(f_jj: np.ndarray, c: np.ndarray, trip):
+    """The tangent of `_picard_step` on the lattice of `trip` where the
+    samples of cos(ramp + phase) read `c`, a conversion-matrix
     linearisation: delta -> spectrum of I_c c(t) times the phase samples of
-    f_jj delta, with c(t) = `_cos_phase` computed once; f_jj delta is formed
-    in the step's `out`."""
+    f_jj delta; f_jj delta is formed in the step's `out`."""
     _, to_phase, to_current = trip
-    c = _cos_phase(voltage, trip)
     phi = np.empty(c.shape)
 
     def step(delta: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -675,6 +720,17 @@ def _tangent_step(f_jj: np.ndarray, voltage: np.ndarray, trip):
         return out
 
     return step
+
+
+def _half_sample(n: int, n_t: int) -> np.ndarray:
+    """exp(i pi q / n_t) at q = 0 .. n - 1: what moving n_t samples per
+    period half a sample later does to bin q.  Built as the outer product of
+    two tables of about sqrt(n) entries, q = b * j + k, to within 2 ulp of
+    the direct exponent at a tenth of its cost."""
+    b = 1 << (n.bit_length() + 1) // 2
+    fine = np.exp((1j * math.pi / n_t) * np.arange(b))
+    coarse = np.exp((1j * math.pi * b / n_t) * np.arange(-(-n // b)))
+    return np.multiply.outer(coarse, fine).ravel()[:n]
 
 
 def _off_start(start: np.ndarray | None, off: np.ndarray) -> np.ndarray | None:
@@ -701,14 +757,14 @@ def _seeded(n: int) -> np.ndarray:
 def _off_lattice_growth(step, off: np.ndarray, x: np.ndarray | None = None):
     """Power iteration of the tangent `step` on the bins `off` (a mask: the
     grid bins off a probed lattice, or every bin of a chord's lattice):
-    (growth, steps, vector), the 2-norm growth ratio on `off` (0 only when a
-    step annihilated the perturbation), the number of steps and the last
-    vector.  From `x`, the `_off_start` on `off` of a carried vector, a
-    `Chain.probe_start` or a chord's mode, which it overwrites, it stops once
-    two successive ratios agree to PROBE_AGREEMENT relative, or else reads
-    the mean ratio over the second half of PROBE_STEPS; from a seeded unit
-    perturbation on `off` (`_seeded`), where `x` is None, it reads the last
-    of PROBE_STEPS."""
+    (growth, steps, vector, input), the 2-norm growth ratio on `off` (0 only
+    when a step annihilated the perturbation), the number of steps, the last
+    vector and the last step's input.  From `x`, the `_off_start` on `off`
+    of a carried vector, a `Chain.probe_start` or a chord's mode, which it
+    overwrites, it stops once two successive ratios agree to
+    PROBE_AGREEMENT relative, or else reads the mean ratio over the second
+    half of PROBE_STEPS; from a seeded unit perturbation on `off`
+    (`_seeded`), where `x` is None, it reads the last of PROBE_STEPS."""
     carried = x is not None
     if not carried:
         x = _seeded(off.size)
@@ -727,12 +783,23 @@ def _off_lattice_growth(step, off: np.ndarray, x: np.ndarray | None = None):
         norms.append(now)
         last, ratio = ratio, math.sqrt(now / before) if before > 0.0 else math.inf
         if carried and (now == 0.0 or abs(ratio - last) <= PROBE_AGREEMENT * ratio):
-            return (0.0 if now == 0.0 else ratio), steps, x
+            return (0.0 if now == 0.0 else ratio), steps, x, spare
     if carried:
         # Unsettled: the ratios beat between modes of near-equal modulus.
         half = steps // 2
         ratio = (now / norms[half]) ** (0.5 / (steps - half))
-    return (0.0 if now == 0.0 else ratio), steps, x
+    return (0.0 if now == 0.0 else ratio), steps, x, spare
+
+
+def _probe_grid(n: int, s: int, zero_pad: int) -> tuple[int, int]:
+    """`(unit, n_t)`: the unit the probe's tangent runs by on an n-bin grid
+    for a lattice of unit s, 1 for the full grid at s = 1 and where a row
+    would take more than COSET_SAMPLES, and its samples per period T."""
+    width = -(-n // s)
+    # COSET_SAMPLES is 5-smooth: the rows take more only when 2 zero_pad W does.
+    if s == 1 or 2 * zero_pad * width > COSET_SAMPLES:
+        return 1, 2 * zero_pad * n
+    return s, s * zero_pad * _fast_len(2 * width)
 
 
 class _Cosets:
@@ -743,16 +810,14 @@ class _Cosets:
     `_coset_blocks` (at r = s / 2 the mirror is the coset itself), and coset
     0 is real-linear on its own.  Row r - 1 of one batched complex FFT holds
     block r's positions r + s w, w = -W .. W - 1 with W = ceil(N / s), at
-    column w mod L, and coset 0 runs as a real round trip, on the same `size`
-    L samples, the least 5-smooth number of at least 2 * zero_pad * W (see
-    PROBE_ZERO_PAD).  It holds the tables of one grid, junction row, pump bin
-    m, stride s and zero_pad; `tangent` gives the step at a state."""
+    column w mod L, and coset 0 runs as a real round trip, on the same L
+    samples (`samples`).  It holds the weights of one grid, junction row,
+    pump bin m and stride s, which serve every zero_pad; `tangent` gives the
+    step at a state and a zero_pad."""
 
-    def __init__(self, f_jj: np.ndarray, frequencies: np.ndarray, m: int, s: int, zero_pad: int):
+    def __init__(self, f_jj: np.ndarray, frequencies: np.ndarray, m: int, s: int):
         self.grid_size, self.stride, self.width = frequencies.size, s, -(-frequencies.size // s)
-        self.size = size = _fast_len(2 * zero_pad * self.width)
-        self.ramp = _ramp_phase(m // s, np.arange(size), size)
-        self.integrator = (2.0 * _E_CHARGE / _HBAR) * size / (2j * np.pi * frequencies[s::s])
+        self.pump, self.frequencies = m // s, frequencies[s::s]
         _, weight = _coset_layout(f_jj, frequencies, s)
         # Plus position j of block r sits at column j, minus position j at
         # size - 1 - j: reversed, the minus half fills the last W columns.
@@ -760,20 +825,42 @@ class _Cosets:
         self.weight_zero, self.weight_plus = weight[0].copy(), weight[1 : s // 2 + 1].copy()
         self.weight_minus = np.conjugate(weight[s - 1 : s - 1 - s // 2 : -1, ::-1])
 
-    def tangent(self, voltage: np.ndarray, bias: BiasPoint, coset0: bool):
+    def samples(self, zero_pad: int):
+        """`(L, ramp, integrator)` at zero_pad: L = zero_pad times the least
+        5-smooth number of at least 2W samples per T / s, so that zero_pad
+        1's are the even ones of zero_pad 2's (see PROBE_ZERO_PAD), the bias
+        ramp there, and the phase per unit voltage of the bins s, 2s, ...
+        times L."""
+        size = zero_pad * _fast_len(2 * self.width)
+        ramp = _ramp_phase(self.pump, np.arange(size), size)
+        return size, ramp, (2.0 * _E_CHARGE / _HBAR) * size / (2j * np.pi * self.frequencies)
+
+    def tangent(self, voltage: np.ndarray, bias: BiasPoint, coset0: bool, zero_pad: int,
+                odd: bool = False):
         """The step at the state of junction voltage spectrum `voltage` on the
-        grid bins 0, s, 2s, ... (W of them): `step(delta, out)` writes the
-        image of grid spectrum `delta` to `out`.  Without `coset0` it skips
-        coset 0, for a `delta` that is 0 there, where the tangent leaves it
-        0.  c(t) = cos(ramp + phase of `voltage`) is built once, on the L
-        samples.  The step holds one copy of each array: both batched
-        transforms run in place on one (rows x L) buffer, and the image is
-        written back over delta's zero-padded copy."""
-        n, s, size, width = self.grid_size, self.stride, self.size, self.width
+        grid bins 0, s, 2s, ... (W of them), on the L `samples` of zero_pad:
+        `step(delta, out)` writes the image of grid spectrum `delta` to
+        `out`.  Without `coset0` it skips coset 0, for a `delta` that is 0
+        there, where the tangent leaves it 0.  c(t) = cos(ramp + phase of
+        `voltage`) is built once, on the L samples.  With `odd`, the step on
+        the samples half a sample later (see `Chain.tangent`): harmonic w of
+        T / s moves by exp(i pi w / L) on the way in and back on the way out,
+        in the rows' columns.  The step holds one copy of each array: both
+        batched transforms run in place on one (rows x L) buffer, and the
+        image is written back over delta's zero-padded copy."""
+        n, s, width = self.grid_size, self.stride, self.width
+        size, ramp, integrator = self.samples(zero_pad)
         low = np.zeros(size // 2 + 1, dtype=complex)  # bins width and up stay 0
-        np.multiply(voltage[1:], self.integrator, out=low[1:width])
+        np.multiply(voltage[1:], integrator, out=low[1:width])
+        if odd:
+            # Harmonics 0 .. W; the minus half's columns hold -W .. -1.
+            twist = _half_sample(width + 1, size)
+            twist_head, twist_tail = twist[:width], np.conjugate(twist[width:0:-1])
+            low[:width] *= twist_head
         c = np.fft.irfft(low, size)
-        np.add(self.ramp, c, out=c)
+        np.add(ramp, c, out=c)
+        if odd:
+            c += math.pi * self.pump / size
         np.cos(c, out=c)
         c *= bias.i_c
         # delta, then its image, zero-padded to W * s bins and viewed by
@@ -795,17 +882,27 @@ class _Cosets:
             np.multiply(plus, self.weight_plus, out=head)
             np.conjugate(minus, out=tail)
             np.multiply(tail, self.weight_minus, out=tail)
+            if odd:
+                np.multiply(head, twist_head, out=head)
+                np.multiply(tail, twist_tail, out=tail)
             np.fft.ifft(spectra, axis=1, out=spectra)
             np.multiply(spectra, c, out=spectra)
             np.fft.fft(spectra, axis=1, out=spectra)
+            if odd:
+                np.divide(head, twist_head, out=head)
+                np.divide(tail, twist_tail, out=tail)
             np.copyto(plus, head)
             np.conjugate(tail[:mirrors], out=minus_image)
             middle.fill(0.0)
             if coset0:
                 np.multiply(by_coset[0], self.weight_zero, out=low[:width])
+                if odd:
+                    low[:width] *= twist_head
                 np.fft.irfft(low, size, out=real)
                 np.multiply(real, c, out=real)
                 np.fft.rfft(real, out=spectrum)
+                if odd:
+                    spectrum[:width] /= twist_head
                 np.copyto(by_coset[0], spectrum[:width])
             else:
                 by_coset[0] = 0.0
@@ -982,15 +1079,17 @@ class Chain:
     it, unless a stimulus-free point has solved it from its own start.
 
     The probe (`probe`): `vector`, the vector the chain's last probe ended
-    on, in grid layout, starts the next one, and the tangent's tables
-    (`_Cosets`, or the full grid's `_round_trip`) serve every probe at one
-    lattice unit; they are freed when the unit changes."""
+    on, in grid layout, starts the next one, and the tangent's tables serve
+    every probe at one lattice unit: `_Cosets`' weights at every zero_pad,
+    the full grid's `_round_trip` at one, zero_pad 1's, which a probe that
+    runs again at zero_pad 2 replaces until the next probe.  They are freed
+    when the unit or that zero_pad changes."""
 
     def __init__(self, row: JunctionRow, bias: BiasPoint, options: SolverOptions):
         self.row, self.bias, self.options = row, bias, options
         self.m = _bias_bin(bias, row.response.grid)
         self.vector: np.ndarray | None = None
-        self._harmonics = self._chords = self._unit = self._tables = None
+        self._harmonics = self._chords = self._key = self._tables = None
 
     def solve(self, start: np.ndarray | None = None):
         """Plain Picard without a stimulus on the pump comb from comb
@@ -1104,43 +1203,92 @@ class Chain:
                 start += (modulus / largest) ** PROBE_STEPS / norm * mode[: grid.size]
         return start
 
-    def tangent(self, lattice: Lattice, voltage: np.ndarray, off: np.ndarray):
+    def tangent(self, lattice: Lattice, voltage: np.ndarray, off: np.ndarray,
+                zero_pad: int = 1, odd: bool = False):
         """The tangent step the probe of `lattice` (unit s) runs at the state
-        of grid junction voltage spectrum `voltage`, at PROBE_ZERO_PAD
-        whatever `options.zero_pad`: `_Cosets`' step, with coset 0 only where
-        it holds bins of `off`, or the full-grid tangent at s = 1 and where
-        COSET_SAMPLES says so.  Tables are rebuilt only when the unit they
-        serve changes."""
+        of grid junction voltage spectrum `voltage`, on 2 * zero_pad samples
+        per bin whatever `options.zero_pad`: `_Cosets`' step, with coset 0
+        only where it holds bins of `off`, or the full-grid tangent at s = 1
+        and where COSET_SAMPLES says so.  Tables are rebuilt only when the
+        unit or zero_pad they serve changes.  With `odd`, the step on the
+        samples half a sample later, the odd samples of the grid at 2 *
+        zero_pad, from the same tables: the ramp moves by pi m / n_t and bin
+        q by exp(i pi q / n_t) on the way in, and back on the way out, n_t
+        the samples per period T.  The mean of the two steps is the step at
+        2 * zero_pad."""
         row, bias = self.row, self.bias
         grid = row.response.grid
-        s = lattice.unit
-        # COSET_SAMPLES is 5-smooth: the rows take more only when 2 zero_pad W does.
-        if 2 * PROBE_ZERO_PAD * -(-grid.size // s) > COSET_SAMPLES:
-            s = 1
-        if s != self._unit:
-            self._unit, self._tables = s, None  # free the old first
+        s, n_t = _probe_grid(grid.size, lattice.unit, zero_pad)
+        # The coset weights serve every zero_pad; the full grid's round trip
+        # is built for one.
+        key = (s, zero_pad if s == 1 else 0)
+        if key != self._key:
+            self._key, self._tables = key, None  # free the old first
             self._tables = (
-                _Cosets(row.f_jj, grid.frequencies, self.m, s, PROBE_ZERO_PAD) if s > 1
-                else _round_trip(grid.frequencies, self.m, bias, PROBE_ZERO_PAD)
+                _Cosets(row.f_jj, grid.frequencies, self.m, s) if s > 1
+                else _round_trip(grid.frequencies, self.m, bias, zero_pad)
             )
-        if s == 1:
+        if s > 1:
+            return self._tables.tangent(voltage[::s], bias, bool(off[::s].any()), zero_pad, odd)
+        if not odd:
             return _tangent_step(row.f_jj, voltage, self._tables)
-        return self._tables.tangent(voltage[::s], bias, bool(off[::s].any()))
+        # The shifts are rebuilt where they are used, so that none is held
+        # beside the probe's vectors.
+        n = grid.size
+        shifted = _half_sample(n, n_t)
+        shifted *= voltage
+        c = _cos_phase(shifted, self._tables, math.pi * self.m / n_t)
+        del shifted
+        step = _tangent_at(row.f_jj, c, self._tables)
+
+        def odd_step(delta: np.ndarray, out: np.ndarray) -> np.ndarray:
+            np.multiply(_half_sample(n, n_t), delta, out=out)
+            step(out, out)
+            np.divide(out, _half_sample(n, n_t), out=out)
+            return out
+
+        return odd_step
 
     def probe(self, lattice: Lattice, voltage: np.ndarray, off: np.ndarray):
         """The off-lattice probe of `lattice` at the state of grid junction
-        voltage spectrum `voltage`: `_off_lattice_growth`'s (growth, steps)
-        on the bins `off` under `tangent`, from the carried `vector`, else, on
-        a stride lattice of unit s > 1, from `probe_start`, else from the
-        seeded perturbation.  Its last vector is carried on.  The start is
-        built before the tangent's tables, and the vector it replaces is
-        dropped first."""
+        voltage spectrum `voltage`: (growth, steps, fold, zero_pad), from the
+        carried `vector`, else, on a stride lattice of unit s > 1, from
+        `probe_start`, else from the seeded perturbation.  On a grid of at
+        least SPLIT_BINS bins it runs `_off_lattice_growth` on the bins `off`
+        under `tangent` at zero_pad 1, and one odd step on x, the last step's
+        input, gives the fold of that step, ||(T_1 - T_2) x|| / ||x|| on
+        `off` = half ||(T_even - T_odd) x|| / ||x||, T_2 the step at
+        zero_pad 2.  A reading r with r + PROBE_FOLD_MARGIN * fold < 1
+        stands.  Any other, and every probe on a smaller grid (fold NaN),
+        where a step costs its calls more than its samples and the check
+        would not pay, runs at PROBE_ZERO_PAD from the same start, held as a
+        copy, and that reading decides.  The last vector is carried on.  The
+        start is built before the tangent's tables, and the vector it
+        replaces is dropped first."""
         x, self.vector = _off_start(self.vector, off), None
         if x is None and lattice.alpha == 0 and lattice.unit > 1:
             x = _off_start(self.probe_start(lattice.unit), off)
-        tangent = self.tangent(lattice, voltage, off)
-        growth, steps, self.vector = _off_lattice_growth(tangent, off, x)
-        return growth, steps
+        fold = math.nan
+        if off.size >= SPLIT_BINS:
+            start = None if x is None else x.copy()
+            growth, steps, self.vector, before = _off_lattice_growth(
+                self.tangent(lattice, voltage, off), off, x
+            )
+            del x  # its buffer is `self.vector` or `before` now
+            weight = float(np.sum(np.square(np.abs(before))[off]))
+            image = self.tangent(lattice, voltage, off, odd=True)(before, before)
+            np.subtract(self.vector, image, out=image)
+            # A last step from nothing, or an overflow, leaves the fold NaN.
+            if 0.0 < weight < math.inf:
+                fold = 0.5 * math.sqrt(float(np.sum(np.square(np.abs(image))[off])) / weight)
+            del before, image
+            if growth + PROBE_FOLD_MARGIN * fold < 1.0:
+                return growth, steps, fold, 1
+            x, self.vector = start, None
+        growth, steps, self.vector, _ = _off_lattice_growth(
+            self.tangent(lattice, voltage, off, PROBE_ZERO_PAD), off, x
+        )
+        return growth, steps, fold, PROBE_ZERO_PAD
 
 
 def _lattices(grid: FrequencyGrid, m: int, tones: list[int], s: int, i_c: float,
@@ -1278,7 +1426,7 @@ def iterate(
                 else:
                     tangent = _tangent_step(f_jj, lattice_drive + f_jj * solved, trip)
                     every = np.ones(lattice.size, dtype=bool)
-                    check, check_steps, _ = _off_lattice_growth(
+                    check, check_steps, _, _ = _off_lattice_growth(
                         tangent, every, _off_start(chord.mode, every)
                     )
                     # Plain Picard from the start, contracting by `check` per
@@ -1302,11 +1450,11 @@ def iterate(
         # with their time-grid buffers (names a comb solve leaves unbound).
         del drive
         step = tangent = trip = None
-    growth, steps = float("nan"), 0
+    growth, steps, fold, probe_pad = math.nan, 0, math.nan, 0
     off = ~lattice.covered
     # A proven comb state needs no probe: its blocks hold every grid bin.
     if converged and path != "comb" and bias.i_c > 0 and off.any():
-        growth, steps = chain.probe(lattice, v_j, off)
+        growth, steps, fold, probe_pad = chain.probe(lattice, v_j, off)
         converged = growth < 1.0
     return SolutionState(
         bias=bias,
@@ -1323,6 +1471,8 @@ def iterate(
         tail=tail,
         off_lattice_growth=growth,
         probe_steps=steps,
+        probe_fold=fold,
+        probe_zero_pad=probe_pad,
         path=path,
         on_lattice_growth=check,
         on_lattice_steps=check_steps,

@@ -4,7 +4,8 @@ plain fixed-point loop over every grid bin and its damped form, the
 row-by-row CSV writer, the band report's run and roll-off walks, plain
 time-domain transforms of the solver's spectral convention on the full grid,
 the off-lattice probe as nonlinear full-grid steps and as a long power
-iteration, the coset blocks of the tangent at a comb state as one gather per
+iteration, its zero_pad 1 and 2 readings and fold from one start (the probe
+survey) and the checked report rebuilt from them, the coset blocks of the tangent at a comb state as one gather per
 block, the probe's comb start from a list of every grid-sized mode and its
 cosets by `np.unique`, the probe's coset step on separate transform and image
 buffers, the ladder fold on fresh arrays, and a lattice gather that always
@@ -13,6 +14,7 @@ copies."""
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.constants import e as E_CHARGE, hbar as HBAR
 from scipy.optimize import least_squares
 
 from ictasim.circuit import (
@@ -26,16 +28,21 @@ from ictasim.design import _crossing
 from ictasim.frankenstein import junction_port, junction_row, klmn, to_frankenstein, wave_port
 from ictasim.solver import (
     PROBE_COSETS,
+    PROBE_FOLD_MARGIN,
     PROBE_SEED,
     PROBE_SEED_WEIGHT,
     PROBE_STEPS,
     PROBE_ZERO_PAD,
     PROOF_WIDTH,
+    SPLIT_BINS,
+    Chain,
     Lattice,
     SolutionState,
     SolverOptions,
     _bias_bin,
     _coset_layout,
+    _off_lattice_growth,
+    _off_start,
     _picard_step,
     _round_trip,
     _seeded,
@@ -227,48 +234,66 @@ def to_spectrum(samples, grid):
     return np.fft.rfft(samples)[..., : grid.size] / samples.shape[-1]
 
 
-def nonlinear_off_lattice_growth(row, state, options=SolverOptions(), size=1e-9, floor=1e-6,
-                                 start=None, steps=8):
+def nonlinear_off_lattice_growth(row, state, samples=None, size=1e-9, floor=1e-6, start=None,
+                                 steps=8):
     """The off-lattice probe of a lifted `state` as `steps` nonlinear
-    full-grid Picard steps: a perturbation of size * i_c (2-norm) on the grid
-    bins its lattice does not cover, along `start` there (the seeded one when
-    None), is added to the state, and the result is the last step's 2-norm
-    growth ratio on those bins, 0 when the perturbation fell below `floor`
-    of its injected size."""
+    full-grid Picard steps on `samples` time samples per period (zero_pad
+    4's by default), each step plain transforms: a perturbation of size *
+    i_c (2-norm) on the grid bins its lattice does not cover, along `start`
+    there (the seeded one when None), is added to the state, and the result
+    is the last step's 2-norm growth ratio on those bins, 0 when the
+    perturbation fell below `floor` of its injected size.  Each step is
+    re-centred on the state, x <- step(x) - (step(state) - state): on
+    samples that fold the pump's harmonics (zero_pad 1) the step moves the
+    state itself off the lattice, far above the perturbation; the
+    re-centred map keeps the state as its fixed point and the same tangent
+    there.  On s * L samples it is the coset form's step of L samples per
+    period T / s."""
     grid = row.response.grid
+    n = grid.size
+    samples = 2 * SolverOptions.zero_pad * n if samples is None else samples
     drive = tone_drive(row.response, state.stimulus)
     m = _bias_bin(state.bias, grid)
-    trip = _round_trip(grid.frequencies, m, state.bias, options.zero_pad)
-    step = _picard_step(row.f_jj, drive, trip)
     i_c = state.bias.i_c
+    ramp = (2.0 * np.pi / samples) * (m * np.arange(samples) % samples)
+    integrator = np.zeros(n, dtype=complex)
+    integrator[1:] = 2.0 * E_CHARGE / HBAR / (2j * np.pi * grid.frequencies[1:])
+
+    def step(x):
+        padded = np.zeros(samples // 2 + 1, dtype=complex)
+        padded[:n] = samples * integrator * (drive + row.f_jj * x)
+        phase = np.fft.irfft(padded, samples)
+        return i_c * np.fft.rfft(np.sin(ramp + phase))[:n] / samples
+
     off = ~state.lattice.covered
     if start is None:
-        re, im = np.random.default_rng(0).standard_normal((2, grid.size))
+        re, im = np.random.default_rng(0).standard_normal((2, n))
         start = re + 1j * im
     noise = np.where(off, start, 0.0)
     noise *= size * i_c / np.sqrt(np.sum(np.abs(noise) ** 2))
     injected = now = (size * i_c) ** 2
+    drift = step(state.i_j) - state.i_j
     x = state.i_j + noise
     for _ in range(steps):
-        x = step(x, np.empty_like(x))
+        x = step(x) - drift
         before, now = now, float(np.sum(np.abs(x[off]) ** 2))
     if now < floor**2 * injected:
         return 0.0
     return float(np.sqrt(now / before)) if before > 0.0 else float("inf")
 
 
-def power_iteration_growth(row, state, steps=300):
+def power_iteration_growth(row, state, steps=300, zero_pad=PROBE_ZERO_PAD):
     """The off-lattice growth rate of a lifted `state` as `steps` steps of
-    power iteration of the Picard map's tangent, on tables of its own, from
-    the seeded unit perturbation on the grid bins its lattice does not
-    cover, renormalised every step: the mean log of the 2-norm growth ratio
+    power iteration of the Picard map's tangent at `zero_pad`, on tables of
+    its own, from the seeded unit perturbation on the grid bins its lattice
+    does not cover, renormalised every step: the mean log of the 2-norm growth ratio
     on those bins over the second half of the steps (0 when a step
     annihilates the perturbation).  A single late ratio still beats between
     modes of near-equal modulus; the mean does not.  Its verdict, stable
     below 1, is what the probe estimates."""
     grid = row.response.grid
     m = _bias_bin(state.bias, grid)
-    trip = _round_trip(grid.frequencies, m, state.bias, PROBE_ZERO_PAD)
+    trip = _round_trip(grid.frequencies, m, state.bias, zero_pad)
     tangent = _tangent_step(row.f_jj, state.v_j, trip)
     off = ~state.lattice.covered
     re, im = np.random.default_rng(PROBE_SEED).standard_normal((2, grid.size))
@@ -283,6 +308,41 @@ def power_iteration_growth(row, state, steps=300):
         x /= growth
         logs.append(np.log(growth))
     return float(np.exp(np.mean(logs[steps // 2 :])))
+
+
+def probe_readings(row, state, start):
+    """Both readings of the off-lattice probe of `state` from the grid
+    vector `start` (masked to the uncovered bins and normalised; None: the
+    seeded perturbation), on the tangent steps `Chain.probe` runs:
+    `(r1, steps1, r2, steps2, fold)`, the zero_pad 1 reading and its steps,
+    the zero_pad 2 reading and its steps, and the fold of the last zero_pad
+    1 step, half the 2-norm of (T_even - T_odd) x over that of x on the
+    uncovered bins, x the step's input."""
+    chain = Chain(row, state.bias, SolverOptions())
+    lattice, voltage, off = state.lattice, state.v_j, ~state.lattice.covered
+    x = _off_start(start, off)
+    r1, steps1, vector, before = _off_lattice_growth(
+        chain.tangent(lattice, voltage, off), off, None if x is None else x.copy()
+    )
+    odd = chain.tangent(lattice, voltage, off, odd=True)(before, np.empty_like(before))
+    fold = 0.5 * np.sqrt(np.sum(np.abs(vector - odd)[off] ** 2) / np.sum(np.abs(before[off]) ** 2))
+    r2, steps2, _, _ = _off_lattice_growth(chain.tangent(lattice, voltage, off, 2), off, x)
+    return r1, steps1, r2, steps2, float(fold)
+
+
+def checked_probe(row, state, start):
+    """What `Chain.probe` reports for `state` from `start`, rebuilt from
+    `probe_readings`: `((growth, steps, fold, zero_pad), stable)`, the zero_pad
+    1 reading where it plus PROBE_FOLD_MARGIN folds is below 1 and the
+    zero_pad 2 reading otherwise (with a NaN fold on a grid below SPLIT_BINS
+    bins, where no check runs), and the zero_pad 2 verdict, growth below
+    1."""
+    r1, steps1, r2, steps2, fold = probe_readings(row, state, start)
+    if row.f_jj.size < SPLIT_BINS:
+        return (r2, steps2, float("nan"), 2), r2 < 1.0
+    if r1 + PROBE_FOLD_MARGIN * fold < 1.0:
+        return (r1, steps1, fold, 1), r2 < 1.0
+    return (r2, steps2, fold, 2), r2 < 1.0
 
 
 def gathered_coset_blocks(f_jj, frequencies, p, spectrum, spacing=1, cosets=slice(None)):
@@ -356,15 +416,16 @@ def probe_start_modes(chain, s):
     return start
 
 
-def coset_tangent_two_buffers(cosets, voltage, bias, coset0):
+def coset_tangent_two_buffers(cosets, voltage, bias, coset0, zero_pad):
     """`_Cosets.tangent` of `cosets` as it was first written: the batched
     transforms out of place, from one (rows x L) buffer into another, and
     the image in its own zero-padded array."""
-    n, s, size, width = cosets.grid_size, cosets.stride, cosets.size, cosets.width
+    n, s, width = cosets.grid_size, cosets.stride, cosets.width
+    size, ramp, integrator = cosets.samples(zero_pad)
     low = np.zeros(size // 2 + 1, dtype=complex)
-    np.multiply(voltage[1:], cosets.integrator, out=low[1:width])
+    np.multiply(voltage[1:], integrator, out=low[1:width])
     c = np.fft.irfft(low, size)
-    np.add(cosets.ramp, c, out=c)
+    np.add(ramp, c, out=c)
     np.cos(c, out=c)
     c *= bias.i_c
     padded, image = np.zeros(width * s, dtype=complex), np.zeros(width * s, dtype=complex)

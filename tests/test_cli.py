@@ -2,11 +2,13 @@
 
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from ictasim import sweeps
 from ictasim.circuit import z_jj
 from ictasim.cli import load_config, main, memory_estimate_bytes, run, solve_count
 from ictasim.solver import BiasPoint, SolverOptions
@@ -268,6 +270,37 @@ def test_unwritable_output_dir_exits_two(tmp_path, capsys):
     path = write_config(tmp_path, {"kind": "zjj"}, name="zjj.json", output_dir=str(blocker / "z"))
     assert main(["zjj", "--config", str(path)]) == 2
     assert "error: output_dir:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["zjj", "profile"])
+@pytest.mark.parametrize("target", [".csv", ".meta.json"])
+def test_output_file_that_is_not_a_file_exits_two_before_solving(
+    tmp_path, capsys, monkeypatch, kind, target
+):
+    # An output CSV or sidecar path that exists as a directory used to fail
+    # only at the write, after every solve, with a traceback and exit 1.
+    calls = []
+    monkeypatch.setattr(sweeps, "iterate", lambda *args, **kwargs: calls.append(args))
+    path = write_config(tmp_path, profile_sweep() if kind == "profile" else {"kind": kind})
+    out = tmp_path / "o"
+    (out / f"{kind}{target}").mkdir(parents=True)
+    assert main([kind, "--config", str(path), "--out", str(out)]) == 2
+    assert f"error: output_dir: cannot write {out / kind}{target}" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["zjj", "profile"])
+def test_write_failure_exits_two(tmp_path, capsys, kind):
+    # A CSV path that is a dangling link into a missing directory passes the
+    # check before the solves and fails at the write.
+    path = write_config(tmp_path, profile_sweep() if kind == "profile" else {"kind": kind})
+    out = tmp_path / "o"
+    out.mkdir()
+    os.symlink(tmp_path / "missing" / "x.csv", out / f"{kind}.csv")
+    assert main([kind, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: output_dir: cannot write the outputs:" in err and "Traceback" not in err
+    assert not (out / f"{kind}.meta.json").exists()
 
 
 def test_unknown_grid_field_rejected(tmp_path, capsys):

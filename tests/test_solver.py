@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_equal
 from scipy.constants import e as E_CHARGE, h as PLANCK, hbar as HBAR
 from scipy.fft import next_fast_len
 from scipy.special import jv
@@ -35,6 +35,7 @@ from ictasim.solver import (
 from ictasim.solver import (
     ALPHA_LADDER,
     PROBE_COSETS,
+    PROBE_FOLD_MARGIN,
     PROBE_SEED,
     PROBE_STEPS,
     PROBE_ZERO_PAD,
@@ -44,6 +45,7 @@ from ictasim.solver import (
     PROOF_CHUNK_BYTES,
     PROOF_SQUARINGS,
     PROOF_WIDTH,
+    SPLIT_BINS,
     SolutionState,
     _E_CHARGE,
     _HBAR,
@@ -61,6 +63,7 @@ from ictasim.solver import (
     _off_lattice_growth,
     _off_start,
     _picard_step,
+    _probe_grid,
     _round_trip,
     _seeded,
     _tangent_step,
@@ -68,6 +71,7 @@ from ictasim.solver import (
 from oracles import (
     ArrayResponse,
     bin_power_dbm,
+    checked_probe,
     coset_tangent_two_buffers,
     gather_copy,
     gathered_coset_blocks,
@@ -76,6 +80,7 @@ from oracles import (
     plain_iterate,
     power_iteration_growth,
     probe_cosets,
+    probe_readings,
     probe_start_modes,
     solve,
     time_samples,
@@ -711,14 +716,35 @@ def map_f():
     return frankenstein_matrix(build_icta(IctaParams()), FrequencyGrid(spacing=20e6, size=2048))
 
 
-def _nonlinear_probe(row, state):
-    """`nonlinear_off_lattice_growth` from the start of the state's probe,
-    for as many steps: the comb's (`Chain.probe_start`) on a stride lattice
-    of unit s > 1 whose comb converged, the seeded one elsewhere."""
-    start = None
+def _lone_start(row, state):
+    """The start of a lone solve's probe: the comb's (`Chain.probe_start`)
+    on a stride lattice of unit s > 1 whose comb converged, else None (the
+    seeded one)."""
     if state.lattice.alpha == 0 and state.lattice.unit > 1:
-        start = Chain(row, state.bias, SolverOptions()).probe_start(state.lattice.unit)
-    return nonlinear_off_lattice_growth(row, state, start=start, steps=state.probe_steps)
+        return Chain(row, state.bias, SolverOptions()).probe_start(state.lattice.unit)
+    return None
+
+
+def _assert_checked(row, state, start):
+    """The state reports `checked_probe` from `start` bit for bit, the zero_pad
+    1 reading only where it plus PROBE_FOLD_MARGIN folds is below 1 (on a
+    grid of at least SPLIT_BINS bins), and reaches the zero_pad 2 verdict."""
+    report, stable = checked_probe(row, state, start)
+    assert_equal(report, (state.off_lattice_growth, state.probe_steps, state.probe_fold,
+                          state.probe_zero_pad))
+    assert state.converged == stable
+
+
+def _probe_oracle(row, state):
+    """`nonlinear_off_lattice_growth` of a lone solve's probe, checked by
+    `_assert_checked`, from the same start, for as many steps, on the
+    samples of the step that decided (the zero_pad the state records, by
+    coset or on the full grid)."""
+    start = _lone_start(row, state)
+    _assert_checked(row, state, start)
+    _, samples = _probe_grid(row.f_jj.size, state.lattice.unit, state.probe_zero_pad)
+    return nonlinear_off_lattice_growth(row, state, samples, start=start,
+                                        steps=state.probe_steps)
 
 
 @pytest.fixture
@@ -740,7 +766,12 @@ def test_sub_lattice_matches_full_grid(no_chord, default_f, f_s, stride):
     oracle = plain_iterate(row, bias, stim, SolverOptions())
     assert fast.lattice.unit == stride and oracle.lattice.unit == 1
     assert 0.0 < fast.off_lattice_growth < 1.0 and np.isnan(oracle.off_lattice_growth)
-    assert abs(fast.off_lattice_growth - _nonlinear_probe(row, fast)) <= 1e-5
+    assert abs(fast.off_lattice_growth - _probe_oracle(row, fast)) <= 1e-5
+    # At -140 dBm the zero_pad 1 reading (0.966) lies within two folds (0.04)
+    # of 1, so the probe runs again at zero_pad 2 and reports that reading.
+    r1, _, r2, _, fold = probe_readings(row, fast, _lone_start(row, fast))
+    assert r1 < 1.0 <= r1 + PROBE_FOLD_MARGIN * fold
+    assert fast.probe_zero_pad == 2 and fast.off_lattice_growth == r2
     assert fast.converged and oracle.converged
     assert fast.iterations == oracle.iterations
     assert np.all(fast.i_j[np.arange(fast.i_j.size) % stride != 0] == 0.0)
@@ -765,8 +796,9 @@ def test_low_strides_run_embedded(default_f, k, stride):
     assert fast.lattice.unit == stride and fast.lattice.alpha in ALPHA_LADDER
     assert fast.lattice.size < DEFAULT_GRID.size // stride
     assert 0.0 < fast.tail < TAIL_BOUND and 0.0 < fast.off_lattice_growth < 1.0
-    # From stride 8 the probe runs by coset, coset 0's off bins included.
-    assert abs(fast.off_lattice_growth - _nonlinear_probe(row, fast)) <= 1e-5
+    # From stride 3 the probe's zero_pad 1 steps run by coset (its zero_pad 2
+    # steps from stride 6), coset 0's off bins included.
+    assert abs(fast.off_lattice_growth - _probe_oracle(row, fast)) <= 1e-5
     assert fast.converged == oracle.converged
     assert abs(gain(outputs(fast), k * 1e6) - gain(outputs(oracle), k * 1e6)) <= 1e-9
 
@@ -838,6 +870,7 @@ def test_probe_masks_off_lattice_instability():
     assert state.residual < 1e-12  # the sub-lattice loop itself converged
     assert not state.converged
     assert state.off_lattice_growth > 2.0
+    _assert_checked(row, state, _lone_start(row, state))
     # The oracle, continued from the lifted state plus a small off-lattice
     # perturbation, runs away from it instead of returning.
     off = np.arange(state.i_j.size) % state.lattice.unit != 0
@@ -856,6 +889,7 @@ def test_probe_passes_stable_point():
     assert state.lattice.unit == 4087
     assert state.converged
     assert 0.5 < state.off_lattice_growth < 1.0
+    _assert_checked(row, state, _lone_start(row, state))
 
 
 @pytest.mark.parametrize("bias_resistance", [0.1, 0.15, 0.2, 0.6])
@@ -867,9 +901,9 @@ def test_probe_matches_nonlinear_oracle(bias_resistance):
     row, bias, stim = _probe_case(bias_resistance)
     state = iterate(row, bias, stim)
     assert state.lattice.unit == 4087 and state.residual < 1e-12
-    oracle = _nonlinear_probe(row, state)
+    oracle = _probe_oracle(row, state)
     assert abs(state.off_lattice_growth - oracle) <= 1e-5
-    rate = power_iteration_growth(row, state)
+    rate = power_iteration_growth(row, state, zero_pad=state.probe_zero_pad)
     assert abs(state.off_lattice_growth - rate) <= 1e-3
     assert state.converged == (oracle < 1.0) == (rate < 1.0) == (bias_resistance < 0.2)
 
@@ -881,7 +915,7 @@ def test_embedded_probe_matches_nonlinear_oracle(bias_resistance):
     row, bias, stim = _probe_case(bias_resistance, f_s=4.501e9)
     state = iterate(row, bias, stim)
     assert state.lattice.unit == 1 and state.lattice.alpha > 0 and state.residual < 1e-12
-    oracle = _nonlinear_probe(row, state)
+    oracle = _probe_oracle(row, state)
     assert abs(state.off_lattice_growth - oracle) <= 1e-5
     assert state.converged == (oracle < 1.0) == (bias_resistance < 0.15)
 
@@ -905,7 +939,7 @@ def test_carried_eigenvector_stops_after_two_steps():
     d[5] = 0.9 * np.exp(0.7j)
     start = np.where(off, 0.0, 3.0).astype(complex)
     start[5] = 2.0 - 1.0j
-    growth, steps, vector = _off_lattice_growth(_diagonal(d), off, _off_start(start, off))
+    growth, steps, vector, _ = _off_lattice_growth(_diagonal(d), off, _off_start(start, off))
     assert steps == 2
     assert growth == pytest.approx(0.9, rel=1e-12)
     assert np.flatnonzero(vector).tolist() == [5]
@@ -940,7 +974,7 @@ def test_probe_that_never_agrees_stops_at_probe_steps():
 
     off = np.array([False, True, True, False])
     start = _off_start(np.array([0.0, 1.0, 0.0, 0.0]), off)
-    growth, steps, _ = _off_lattice_growth(swap, off, start)
+    growth, steps, _, _ = _off_lattice_growth(swap, off, start)
     assert steps == PROBE_STEPS
     assert growth == pytest.approx(1.0)
 
@@ -964,7 +998,8 @@ def test_probe_carries_its_vector_along_a_chain():
     assert all(state.converged for state in states)
     assert all(2 <= state.probe_steps < PROBE_STEPS for state in states[2:])
     for state in (states[0], states[-1]):
-        assert abs(state.off_lattice_growth - power_iteration_growth(row, state)) <= 1e-3
+        rate = power_iteration_growth(row, state, zero_pad=state.probe_zero_pad)
+        assert abs(state.off_lattice_growth - rate) <= 1e-3
     pump_only = iterate(row, bias, Stimulus.none(), chain=chain)
     assert pump_only.probe_steps == 0 and np.isnan(pump_only.off_lattice_growth)
 
@@ -1016,26 +1051,27 @@ def test_tangent_zero_pad_two_matches_zero_pad_four(default_f):
 
 
 def test_probe_runs_at_zero_pad_2_under_a_zero_pad_1_solve(canonical_f):
-    # At zero_pad 1 the tangent's products alias; the probe runs the zero_pad
-    # 2 coset step whatever the solve's zero_pad, and reads its ratio bit for
-    # bit from the same start.
+    # At zero_pad 1 the tangent's products alias; on a grid below SPLIT_BINS
+    # the probe runs the zero_pad 2 coset step whatever the solve's zero_pad,
+    # with no check (fold NaN), and reads its ratio bit for bit from the same
+    # start.
     row = junction_row(canonical_f)
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
     options = SolverOptions(zero_pad=1)
     state = iterate(row, bias, Stimulus.single(6.4e9, -140.0), options)
     grid, m = canonical_f.grid, int(round(F_DC / canonical_f.grid.spacing))
-    assert state.lattice.unit == 50 and state.converged
+    assert grid.size < SPLIT_BINS and state.lattice.unit == 50 and state.converged
     off = ~state.lattice.covered
     start = Chain(row, bias, options).probe_start(50)
+    cosets = _Cosets(row.f_jj, grid.frequencies, m, 50)
     ratios = [
         _off_lattice_growth(
-            _Cosets(row.f_jj, grid.frequencies, m, 50, zero_pad).tangent(
-                state.v_j[::50], bias, bool(off[::50].any())
-            ),
+            cosets.tangent(state.v_j[::50], bias, bool(off[::50].any()), zero_pad),
             off, _off_start(start, off),
         )[0]
         for zero_pad in (2, 1)
     ]
+    assert state.probe_zero_pad == 2 and math.isnan(state.probe_fold)
     assert state.off_lattice_growth == ratios[0] != ratios[1]
 
 
@@ -1050,8 +1086,12 @@ def test_coset_probe_matches_full_grid_tangent(request, response, f_s, stride, a
     # step by step from the probe's start (the comb's on a stride lattice,
     # the seeded one on an embedded lattice): the growth ratios agree to 1e-6
     # relative (measured 1.1e-9 to 1.4e-9 on DEFAULT_GRID, 6e-12 on the map
-    # grid, whose steps run the single transform), and the probe's last is
-    # the state's.
+    # grid, whose steps run the single transform).  The state's reading is
+    # the probe's at the zero_pad it records.  By coset and on the full grid
+    # (a unit-1 lattice, same bins off), the zero_pad 1 step runs on the even
+    # samples of the zero_pad 2 grid, bit for bit, and is the probe's step;
+    # with the odd step (the samples between) its mean is the zero_pad 2
+    # step to rounding (measured 4e-16 relative).
     response = request.getfixturevalue(response)
     grid = response.grid
     row = junction_row(response)
@@ -1061,8 +1101,8 @@ def test_coset_probe_matches_full_grid_tangent(request, response, f_s, stride, a
     assert lattice.unit == stride and lattice.alpha == alpha
     off = ~lattice.covered
     assert off[::stride].any() == (alpha > 0)
-    options = SolverOptions(zero_pad=2)
-    coset = Chain(row, bias, options).tangent(lattice, state.v_j, off)
+    chain = Chain(row, bias, SolverOptions(zero_pad=2))
+    coset = chain.tangent(lattice, state.v_j, off, 2)
     assert coset.__qualname__.startswith("_Cosets.tangent")
     full = _tangent_step(row.f_jj, state.v_j, _round_trip(grid.frequencies, m, bias, 2))
     if alpha:
@@ -1071,7 +1111,7 @@ def test_coset_probe_matches_full_grid_tangent(request, response, f_s, stride, a
     else:
         start = np.where(off, Chain(row, bias, SolverOptions()).probe_start(stride), 0.0)
     ratios = []
-    for step in (coset, full):
+    for step in (coset, full, chain.tangent(lattice, state.v_j, off)):
         x, row_ratios = start / np.sqrt(np.sum(np.abs(start) ** 2)), []
         for _ in range(PROBE_STEPS):
             x = step(x, np.empty(n, dtype=complex))
@@ -1080,7 +1120,27 @@ def test_coset_probe_matches_full_grid_tangent(request, response, f_s, stride, a
         ratios.append(row_ratios)
     assert_allclose(ratios[0], ratios[1], rtol=1e-6, atol=0)
     assert state.probe_steps == (PROBE_STEPS if alpha else 2)
-    assert ratios[0][state.probe_steps - 1] == pytest.approx(state.off_lattice_growth, rel=1e-12)
+    reading = ratios[0 if state.probe_zero_pad == 2 else 2][state.probe_steps - 1]
+    assert reading == pytest.approx(state.off_lattice_growth, rel=1e-12)
+    _assert_checked(row, state, None if alpha else start)
+    delta = start / np.sqrt(np.sum(np.abs(start) ** 2))
+    for unit in (stride, 1):
+        probed = lattice if unit == stride else Lattice.stride(grid, m, 1)
+        even, odd, double = (
+            chain.tangent(probed, state.v_j, off, zero_pad, half)(delta, np.empty(n, dtype=complex))
+            for zero_pad, half in ((1, False), (1, True), (2, False))
+        )
+        if unit == 1:
+            trips = [_round_trip(grid.frequencies, m, bias, zero_pad) for zero_pad in (1, 2)]
+            ramps = [trip[0] for trip in trips]
+            alone = _tangent_step(row.f_jj, state.v_j, trips[0])
+        else:
+            cosets = _Cosets(row.f_jj, grid.frequencies, m, stride)
+            ramps = [cosets.samples(zero_pad)[1] for zero_pad in (1, 2)]
+            alone = cosets.tangent(state.v_j[::stride], bias, bool(off[::stride].any()), 1)
+        assert np.array_equal(ramps[1][::2], ramps[0])
+        assert np.array_equal(even, alone(delta, np.empty(n, dtype=complex)))
+        assert np.max(np.abs((even + odd) / 2 - double)) <= 1e-14 * np.max(np.abs(double))
 
 
 @pytest.mark.parametrize("f_s, stride", [(6.48e9, 15), (5.12e9, 10)], ids=["odd", "even"])
@@ -1095,8 +1155,8 @@ def test_coset_tangent_matches_coset_blocks(canonical_f, f_s, stride):
     state = iterate(row, bias, Stimulus.single(f_s, -140.0))
     n, m = grid.size, int(round(F_DC / grid.spacing))
     assert state.lattice.unit == stride and state.lattice.alpha == 0
-    cosets = _Cosets(row.f_jj, grid.frequencies, m, stride, 2)
-    size, width = cosets.size, cosets.width
+    cosets = _Cosets(row.f_jj, grid.frequencies, m, stride)
+    size, width = cosets.samples(2)[0], cosets.width
     assert size >= 4 * width
     harmonics = np.arange(1, width)
     omega = 2 * np.pi * grid.frequencies[stride::stride]
@@ -1118,14 +1178,14 @@ def test_coset_tangent_matches_coset_blocks(canonical_f, f_s, stride):
     images = np.einsum("rij,rj->ri", blocks, z)[:, :width]
     expected = np.zeros(n, dtype=complex)
     expected[plus[plus < n]] = images[plus < n]
-    step = cosets.tangent(state.v_j[::stride], bias, True)
+    step = cosets.tangent(state.v_j[::stride], bias, True, 2)
     image = step(delta, np.empty(n, dtype=complex))
     assert np.max(np.abs(image - expected)) <= 1e-12 * np.max(np.abs(expected))
     # Without coset 0, a delta that is 0 on the multiples of s keeps them 0
     # and takes the same image elsewhere.
     delta[::stride] = 0.0
     image = step(delta, np.empty(n, dtype=complex))
-    bare = cosets.tangent(state.v_j[::stride], bias, False)(delta, image.copy())
+    bare = cosets.tangent(state.v_j[::stride], bias, False, 2)(delta, image.copy())
     assert np.all(bare[::stride] == 0.0)
     assert np.array_equal(np.delete(bare, np.s_[::stride]), np.delete(image, np.s_[::stride]))
 
@@ -1145,11 +1205,11 @@ def test_coset_step_in_place_equals_two_buffers(default_f, canonical_f, grid, f_
     state = iterate(row, bias, Stimulus.single(f_s, -140.0))
     assert state.lattice.unit == stride and state.lattice.alpha == 0
     n, m = f.grid.size, round(F_DC / f.grid.spacing)
-    cosets = _Cosets(row.f_jj, f.grid.frequencies, m, stride, PROBE_ZERO_PAD)
+    cosets = _Cosets(row.f_jj, f.grid.frequencies, m, stride)
     voltage = state.v_j[::stride]
     for coset0 in (True, False):
-        steps = (cosets.tangent(voltage, bias, coset0),
-                 coset_tangent_two_buffers(cosets, voltage, bias, coset0))
+        steps = (cosets.tangent(voltage, bias, coset0, PROBE_ZERO_PAD),
+                 coset_tangent_two_buffers(cosets, voltage, bias, coset0, PROBE_ZERO_PAD))
         x = [1.0, 1j] @ np.random.default_rng(stride).standard_normal((2, n))
         pair = [x, x.copy()]
         for _ in range(3):
@@ -1161,9 +1221,12 @@ def test_coset_step_in_place_equals_two_buffers(default_f, canonical_f, grid, f_
 
 def test_probe_holds_each_array_once(default_f):
     # Traced peak of a chain's first probe on DEFAULT_GRID at s = 160 (the
-    # comb solved before): its start, the coset tables and two steps.  3.9
-    # MB measured; 5.9 MB with two transform buffers, a separate image, the
-    # whole coset layout's weights and a masked copy at every norm.
+    # comb solved before): its start and a copy of it, the coset tables and
+    # two steps at zero_pad 1, the odd step, and the same again at zero_pad
+    # 2, where the reading lies within PROBE_FOLD_MARGIN folds of 1.  3.9 MB
+    # measured (also when the probe ran at zero_pad 2 alone); 5.9 MB with two
+    # transform buffers, a separate image, the whole coset layout's weights
+    # and a masked copy at every norm.
     row, bias, options = junction_row(default_f), BiasPoint(f_dc=F_DC, i_c=I_C), SolverOptions()
     state = iterate(row, bias, Stimulus.single(5.12e9, -140.0))
     assert state.lattice.unit == 160 and state.probe_steps == 2
@@ -1172,11 +1235,12 @@ def test_probe_holds_each_array_once(default_f):
     off = ~state.lattice.covered
     tracemalloc.start()
     try:
-        growth, steps = chain.probe(state.lattice, state.v_j, off)
+        growth, steps, fold, zero_pad = chain.probe(state.lattice, state.v_j, off)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (growth, steps) == (state.off_lattice_growth, state.probe_steps)
+    assert (fold, zero_pad) == (state.probe_fold, state.probe_zero_pad)
     assert peak < 4.5e6
 
 
@@ -1447,7 +1511,8 @@ def test_first_probe_from_the_comb_reads_the_rate(map_row, canonical_f, grid, f_
     options = SolverOptions(max_iterations=3000)
     state = iterate(row, BiasPoint(f_dc=f_dc, i_c=i_c), Stimulus.single(f_s, -140.0), options)
     assert state.lattice.alpha == 0 and state.lattice.unit > 1 and state.probe_steps == 2
-    rate = power_iteration_growth(row, state)
+    _assert_checked(row, state, _lone_start(row, state))
+    rate = power_iteration_growth(row, state, zero_pad=state.probe_zero_pad)
     assert abs(state.off_lattice_growth - rate) <= 1e-3
     assert state.converged == (rate < 1.0)
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.testing import assert_equal
 from scipy.optimize import brentq
 
 from ictasim import solver, sweeps
@@ -14,9 +15,9 @@ from ictasim.circuit import DEFAULT_GRID, FrequencyGrid, IctaParams, build_icta,
 from ictasim.frankenstein import PortKind, junction_row
 from ictasim.solver import (
     PROBE_STEPS,
-    PROBE_ZERO_PAD,
     BiasPoint,
     Stimulus,
+    _off_start,
     _picard_step,
     _round_trip,
     iterate,
@@ -51,6 +52,7 @@ from ictasim.sweeps import (
 )
 from oracles import (
     ArrayResponse,
+    checked_probe,
     plain_iterate,
     power_iteration_growth,
     scipy_lm,
@@ -459,23 +461,44 @@ def _recorded_states(monkeypatch):
     return states
 
 
+def _probe_starts(monkeypatch):
+    """The grid vector each `Chain.probe` from here on starts from, in
+    order: the carried vector where it has weight on the uncovered bins,
+    else the comb's (`Chain.probe_start`) on a stride lattice of unit s > 1,
+    else None (the seeded one)."""
+    starts = []
+    real_probe = solver.Chain.probe
+
+    def record(chain, lattice, voltage, off):
+        start = None if _off_start(chain.vector, off) is None else chain.vector.copy()
+        if start is None and lattice.alpha == 0 and lattice.unit > 1:
+            start = chain.probe_start(lattice.unit)
+        starts.append(start)
+        return real_probe(chain, lattice, voltage, off)
+
+    monkeypatch.setattr(solver.Chain, "probe", record)
+    return starts
+
+
 def test_chain_builds_the_probe_tables_once(monkeypatch, canonical_f):
     # Every point of each profile is probed, on lattices of strides 10 to 150
     # on the 2048-bin grid and 160 to 2400 on DEFAULT_GRID.  On both grids the
-    # chain builds no full-grid round trip at zero_pad 2 (the tangent's), and
-    # coset tables only when its lattice unit changes.  It leaves each ramp
-    # as it was and frees the tables on return.
+    # chain builds no full-grid round trip (the tangent's), and coset tables
+    # only when its lattice unit changes: they serve the zero_pad 1 steps and
+    # the zero_pad 2 ones of the probes that run again (all of them at -140
+    # dBm on DEFAULT_GRID, where the check runs).  It leaves each table's
+    # weights as they were and frees the tables on return.
     built, trips = [], []
     real_cosets, real_round_trip = solver._Cosets, solver._round_trip
 
-    def spy(f_jj, frequencies, m, s, zero_pad):
-        cosets = real_cosets(f_jj, frequencies, m, s, zero_pad)
-        built.append((s, cosets.ramp, cosets.ramp.copy(), weakref.ref(cosets)))
+    def spy(f_jj, frequencies, m, s):
+        cosets = real_cosets(f_jj, frequencies, m, s)
+        weights = (cosets.weight_zero, cosets.weight_plus, cosets.weight_minus)
+        built.append((s, weights, [w.copy() for w in weights], weakref.ref(cosets)))
         return cosets
 
     def spy_trip(frequencies, m, bias, zero_pad):
-        if zero_pad == PROBE_ZERO_PAD:
-            trips.append(frequencies.size)
+        trips.append(frequencies.size)
         return real_round_trip(frequencies, m, bias, zero_pad)
 
     monkeypatch.setattr(solver, "_Cosets", spy)
@@ -488,13 +511,14 @@ def test_chain_builds_the_probe_tables_once(monkeypatch, canonical_f):
         profile = gain_profile(response, bias, signal, options=FAST)
         assert profile.converged.all() and len(states) == 8
         assert all(state.probe_steps > 0 for state in states)
+        assert all(state.probe_zero_pad == 2 for state in states)
         assert sum(state.probe_steps for state in states) < 8 * PROBE_STEPS
         units = [state.lattice.unit for state in states]
         changes = [s for i, s in enumerate(units) if i == 0 or s != units[i - 1]]
         assert len(changes) < len(units)
-        assert trips == [] and [s for s, *_ in built] == changes
-        for _, ramp, before, tables in built:
-            assert np.array_equal(ramp, before)
+        assert response.grid.size not in trips and [s for s, *_ in built] == changes
+        for _, weights, before, tables in built:
+            assert all(np.array_equal(w, b) for w, b in zip(weights, before))
             assert tables() is None
 
 
@@ -505,7 +529,7 @@ def test_chain_masks_match_long_power_iteration(monkeypatch, canonical_f):
     # iteration.  The chain at 300 nA and 4.0 GHz goes from masked to
     # converged between -115 and -110 dBm, where the oracle reads 1.0133 and
     # 0.9912.
-    states = _recorded_states(monkeypatch)
+    states, starts = _recorded_states(monkeypatch), _probe_starts(monkeypatch)
     bias = BiasPoint(f_dc=F_DC, i_c=I_C)
     signal = np.arange(4.0e9, 7.5e9, 0.48e9)
     profile = gain_profile(canonical_f, bias, signal, options=FAST)
@@ -523,6 +547,14 @@ def test_chain_masks_match_long_power_iteration(monkeypatch, canonical_f):
     verdicts = [power_iteration_growth(row, state) < 1.0 for state in probed]
     assert [state.converged for state in probed] == verdicts
     assert True in verdicts and False in verdicts
+    # Each probe reports what `checked_probe` rebuilds from the start it ran
+    # from (on this 2048-bin grid, the unchecked zero_pad 2 reading).
+    assert len(starts) == len(probed)
+    for state, start in zip(probed, starts):
+        report, stable = checked_probe(row, state, start)
+        assert_equal(report, (state.off_lattice_growth, state.probe_steps, state.probe_fold,
+                              state.probe_zero_pad))
+        assert state.converged == stable
     # The oracle has settled at 300 steps: at 280 nA, 4.8 GHz and -100 dBm
     # its mean reads 0.761 against 0.790 over 1000 steps (a last single
     # ratio read 0.894).
@@ -530,6 +562,29 @@ def test_chain_masks_match_long_power_iteration(monkeypatch, canonical_f):
     assert last.stimulus.tones[0].power_dbm == -100.0 and last.bias.i_c == 280e-9
     settled = power_iteration_growth(row, last, steps=1000)
     assert abs(power_iteration_growth(row, last) - settled) <= 0.05
+
+
+def test_checked_probe_along_a_compression_chain(monkeypatch):
+    # A compression chain on DEFAULT_GRID at a signal bin coprime with the
+    # pump bin, as in the benchmark's off-lattice compression: each probe
+    # after the first starts from the carried vector, steps on the full
+    # grid at zero_pad 1 and stands there (folds of 0.08 to 0.15).  Each
+    # reports what `checked_probe` rebuilds from the start it ran from, bit
+    # for bit, and reaches the zero_pad 2 verdict.
+    states, starts = _recorded_states(monkeypatch), _probe_starts(monkeypatch)
+    response = frankenstein_matrix(build_icta(IctaParams()), DEFAULT_GRID)
+    curve = compression_sweep(response, BiasPoint(f_dc=F_DC, i_c=I_C), 6.481e9,
+                              np.linspace(-108.0, -94.0, 8), options=FAST)
+    assert curve.converged.all()
+    row = junction_row(response)
+    probed = [state for state in states if state.probe_steps]
+    assert len(probed) == len(starts) == 8 and all(start is not None for start in starts[1:])
+    for state, start in zip(probed, starts):
+        assert state.lattice.unit == 1 and state.probe_zero_pad == 1
+        report, stable = checked_probe(row, state, start)
+        assert_equal(report, (state.off_lattice_growth, state.probe_steps, state.probe_fold,
+                              state.probe_zero_pad))
+        assert state.converged == stable
 
 
 def test_seeded_probe_misjudges_near_threshold(monkeypatch, canonical_f):
@@ -550,7 +605,11 @@ def test_seeded_probe_misjudges_near_threshold(monkeypatch, canonical_f):
     state = iterate(row, BiasPoint(f_dc=F_DC, i_c=300e-9), Stimulus.single(4.0e9, -140.0), FAST)
     assert len(starts) == 1 and starts[0] is not None
     assert state.lattice.unit == 250 and state.probe_steps < PROBE_STEPS
-    rate = power_iteration_growth(row, state)
+    report, stable = checked_probe(row, state, starts[0])
+    assert_equal(report, (state.off_lattice_growth, state.probe_steps, state.probe_fold,
+                          state.probe_zero_pad))
+    assert state.converged == stable
+    rate = power_iteration_growth(row, state, zero_pad=state.probe_zero_pad)
     assert abs(state.off_lattice_growth - rate) <= 1e-3
     assert state.converged == (rate < 1.0)
 
